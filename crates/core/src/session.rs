@@ -10,14 +10,17 @@
 //! This module is that harness as an API:
 //!
 //! * [`Maintain`] — the trait every algorithm structure implements:
-//!   `apply_batch(&Batch, &mut MpcContext) ->
-//!   Result<BatchReport, MpcStreamError>` plus `n()`, `name()`,
-//!   `words()`, and `validate()` hooks. Weighted-aware maintainers
-//!   (the MSF family) additionally override the weighted ingest path;
-//!   everyone else sees the weight-stripped projection. The read side
-//!   is [`Maintain::answer`]: a maintainer opts into the
+//!   `ingest(&Batch, &mut MpcContext) -> Result<(), MpcStreamError>`
+//!   (the single write entry) plus `n()`, `name()`, `words()`, and
+//!   `validate()` hooks. Weighted-aware maintainers (the MSF family)
+//!   additionally override `ingest_weighted`; everyone else sees the
+//!   weight-stripped projection. The read side is
+//!   [`Maintain::answer`]: a maintainer opts into the
 //!   [`QueryRequest`]s it can serve and charges each answer's rounds
-//!   and communication through the context.
+//!   and communication through the context. Measurement is the
+//!   session's job, not the maintainer's: the fan-out brackets every
+//!   branch with a `BatchAudit` and produces the [`BatchReport`] /
+//!   [`QueryReport`].
 //! * [`Session`] — the engine: owns the [`MpcContext`], registers any
 //!   number of maintainers (each [`Session::register`] returns a
 //!   typed [`Handle`]), normalizes and chunks incoming updates into
@@ -65,42 +68,50 @@
 //!
 //! The *accounted* parallelism above (rounds max-composing across
 //! machine groups) is independent of how the simulation is executed
-//! on the host. The session runs in one of two host modes, selected
-//! by [`Session::with_workers`] (default: the `MPC_WORKERS`
-//! environment variable, else 1):
+//! on the host. There is **one fan-out skeleton** — chunk ingest and
+//! [`Session::ask_all`] are the same function with a different job —
+//! and it alone opens a parallel scope: per selected maintainer, in
+//! registration order, it audits the branch, obtains the branch's
+//! charges on the master context, settles the report into the rollup,
+//! and closes the branch. Host modes differ only in the **branch
+//! runner**, i.e. in how the charges are obtained:
 //!
-//! * **Serial** (`workers == 1`): everything on the calling thread,
-//!   no pool, no synchronization — the reference engine.
-//! * **Parallel** (`workers ≥ 2`): a `workers`-lane
-//!   [`WorkerPool`] is attached to the session and its context. Each
-//!   chunk (and each `ask_all` fan-out) dispatches one *branch job*
-//!   per maintainer: the maintainer box moves to a worker thread
-//!   together with a forked recording context
-//!   (`MpcContext::fork_for_branch`) and runs its ingest/answer
-//!   there, with per-worker scratch state (forks clone the context,
-//!   maintainers own their scratch). Inside a branch, pool-aware
-//!   structures steal work at a finer grain through `MpcContext::
-//!   pool` (sketch-arena vertex blocks, per-tour Euler-tour shards).
-//!   A pipelined front door additionally overlaps normalize → chunk
-//!   of the next chunk with the fan-out of the current one.
+//! * **Inline**: the job runs on the calling thread directly against
+//!   the master context — no fork, no event log, no synchronization.
+//! * **Pooled**: before the scope opens, every selected branch runs
+//!   its job against a forked recording context
+//!   (`MpcContext::fork_for_branch`), the branches stolen across the
+//!   [`WorkerPool`] lanes and the calling thread by one scoped
+//!   `WorkerPool::steal_each` (maintainers are borrowed in place and
+//!   never leave the session); the skeleton then *replays* each
+//!   branch's log where the inline runner would have run the job.
+//!   Inside a branch, pool-aware structures steal work at a finer
+//!   grain through `MpcContext::pool` (sketch-arena vertex blocks,
+//!   per-tour Euler-tour shards).
+//!
+//! The runner is chosen from what the code can observe, not by an
+//! option: pooled needs a pool ([`Session::with_workers`] `≥ 2`;
+//! default from the `MPC_WORKERS` environment variable, else 1) **and
+//! at least two selected branches** — a single branch has nothing to
+//! overlap with, so a one-maintainer session runs inline at every
+//! worker count.
 //!
 //! **Why the accounting is unchanged:** a forked context records
-//! every charging operation as an `MpcEvent`; after the branches
-//! finish, the master context *replays* each branch's log in
-//! registration order inside the very same `BatchAudit` +
-//! `parallel_begin`/`branch`/`end` structure the serial engine uses.
-//! Every charge is a pure function of the configuration and the call
-//! arguments, so replay reproduces rounds, words, peaks, violations,
-//! and per-maintainer breakdowns bit-for-bit; thread scheduling can
+//! every charging operation as an `MpcEvent`, and every charge is a
+//! pure function of the configuration and the call arguments, so
+//! replay reproduces rounds, words, peaks, violations, and
+//! per-maintainer breakdowns bit-for-bit; thread scheduling can
 //! reorder *execution*, never *measurement*. Results are therefore
 //! identical at every worker count, which
-//! `tests/session_parallel_equivalence.rs` pins suite-wide. The one
-//! caveat: in strict mode an error can be *detected* at a different
-//! point than serial execution would detect it when co-scheduled
-//! maintainers share machines (a fork sees pre-chunk loads), and on
-//! any `Err` the set of maintainers that ingested the failing chunk
-//! may differ — the session is documented inconsistent-on-`Err` in
-//! both modes.
+//! `tests/session_parallel_equivalence.rs` pins suite-wide, error
+//! paths included. The one caveat: in strict mode an error can be
+//! *detected* at a different point than inline execution would detect
+//! it when co-scheduled maintainers share machines (a fork sees
+//! pre-chunk loads), and on any `Err` the set of maintainers that
+//! ingested the failing chunk may differ — the session is documented
+//! inconsistent-on-`Err` under both runners. A *panic* in a pooled
+//! branch re-raises from the steal scope on the calling thread once
+//! the other branches have finished, with the maintainer list intact.
 //!
 //! # Durability
 //!
@@ -186,24 +197,25 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// A batch-dynamic graph structure that can be driven through the
 /// unified [`Session`] engine.
 ///
 /// Implementors supply the identification hooks and [`Maintain::
-/// ingest`], the error-unified batch application; the provided
-/// [`Maintain::apply_batch`] wraps ingestion with the standard
-/// round/communication/audit measurement and returns the unified
-/// [`BatchReport`].
+/// ingest`], the error-unified batch application — the trait's single
+/// write entry. Measurement is not the maintainer's concern: the
+/// session's fan-out brackets each `ingest` / `answer` with a
+/// `BatchAudit` and produces the unified [`BatchReport`] /
+/// [`QueryReport`].
 ///
 /// The `Any` supertrait is an implementation detail of the typed
 /// [`Handle`] accessors ([`Session::get`] and friends re-express the
 /// downcast internally, where handle provenance makes it infallible).
-/// The `Send` supertrait is what lets the parallel executor move a
-/// maintainer to a worker thread for the duration of one branch (the
-/// session moves it back before returning, so the serial API is
-/// unchanged); maintainers are plain owned state, so this is free.
+/// The `Send` supertrait is what lets the pooled branch runner lend a
+/// maintainer to a worker lane for the duration of one branch (a
+/// scoped `&mut` borrow — the box never leaves the session);
+/// maintainers are plain owned state, so this is free.
 pub trait Maintain: Any + Send {
     /// A short stable name for reports and diagnostics.
     fn name(&self) -> &'static str;
@@ -253,39 +265,6 @@ pub trait Maintain: Any + Send {
         self.ingest(&batch.unweighted(), ctx)
     }
 
-    /// Applies one batch and reports its measured consumption — the
-    /// unified entry point of the whole workspace.
-    ///
-    /// # Errors
-    ///
-    /// See [`MpcStreamError`].
-    fn apply_batch(
-        &mut self,
-        batch: &Batch,
-        ctx: &mut MpcContext,
-    ) -> Result<BatchReport, MpcStreamError> {
-        let audit = BatchAudit::begin(ctx);
-        let l0 = self.l0_failures();
-        self.ingest(batch, ctx)?;
-        Ok(audit.finish(self.name(), batch.len(), self.l0_failures() - l0, ctx))
-    }
-
-    /// Weighted counterpart of [`Maintain::apply_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MpcStreamError`].
-    fn apply_weighted_batch(
-        &mut self,
-        batch: &WeightedBatch,
-        ctx: &mut MpcContext,
-    ) -> Result<BatchReport, MpcStreamError> {
-        let audit = BatchAudit::begin(ctx);
-        let l0 = self.l0_failures();
-        self.ingest_weighted(batch, ctx)?;
-        Ok(audit.finish(self.name(), batch.len(), self.l0_failures() - l0, ctx))
-    }
-
     /// Answers a typed [`QueryRequest`] against the current state,
     /// charging the answer's rounds and communication through `ctx` —
     /// the read-side counterpart of [`Maintain::ingest`].
@@ -320,7 +299,7 @@ pub trait Maintain: Any + Send {
     /// charge-free support probe [`Session::ask_all`] consults
     /// *before* opening a parallel branch, so non-supporters never
     /// enter the fan-out at all (they are skipped, not charged, and
-    /// never dispatched to a worker).
+    /// never lent to a worker lane).
     ///
     /// Must agree with [`Maintain::answer`]: `supports` returning
     /// `false` for a query `answer` would serve makes `ask_all` miss
@@ -521,7 +500,6 @@ pub struct Session {
     max_batch: usize,
     normalize: bool,
     last_query_reports: Vec<QueryReport>,
-    workers: usize,
     pool: Option<Arc<WorkerPool>>,
     /// Monotonic update-submission counter, embedded in snapshot
     /// headers so a stale checkpoint is typed-rejected at restore.
@@ -551,14 +529,20 @@ impl Session {
     /// "Execution model" section).
     pub fn new(cfg: MpcConfig) -> Self {
         let max_batch = (cfg.local_capacity() / 4).max(1) as usize;
+        Session::with_context(MpcContext::new(cfg), max_batch)
+    }
+
+    /// An empty session over `ctx` — the one place a `Session` value
+    /// is built ([`Session::new`] and restore), so the host knobs are
+    /// derived in one place: worker count from `MPC_WORKERS`.
+    fn with_context(ctx: MpcContext, max_batch: usize) -> Session {
         let mut session = Session {
-            ctx: MpcContext::new(cfg),
+            ctx,
             maintainers: Vec::new(),
             stats: SessionStats::default(),
             max_batch,
             normalize: true,
             last_query_reports: Vec::new(),
-            workers: 1,
             pool: None,
             stream_epoch: 0,
         };
@@ -575,10 +559,10 @@ impl Session {
 
     /// Sets the host worker count (clamped to at least 1). `1` is the
     /// fully serial engine — no threads, no pool; `w ≥ 2` spawns a
-    /// `w`-lane [`WorkerPool`] that fans chunks and `ask_all` queries
-    /// out one branch per maintainer and overlaps chunk preparation
-    /// with fan-out. Execution results and all accounting are
-    /// bit-identical at every worker count.
+    /// `w`-lane [`WorkerPool`] over which chunk and `ask_all` fan-outs
+    /// of two or more branches pre-run their branches. Execution
+    /// results and all accounting are bit-identical at every worker
+    /// count.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.set_workers(workers);
@@ -587,19 +571,13 @@ impl Session {
 
     /// Non-consuming form of [`Session::with_workers`].
     pub fn set_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        self.workers = workers;
-        self.pool = if workers > 1 {
-            Some(Arc::new(WorkerPool::new(workers)))
-        } else {
-            None
-        };
+        self.pool = (workers > 1).then(|| Arc::new(WorkerPool::new(workers)));
         self.ctx.set_pool(self.pool.clone());
     }
 
     /// The configured host worker count.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.pool.as_ref().map_or(1, |pool| pool.lanes())
     }
 
     /// Enables or disables submission-level normalization (default:
@@ -652,12 +630,6 @@ impl Session {
     /// The owned accounting context.
     pub fn ctx(&self) -> &MpcContext {
         &self.ctx
-    }
-
-    /// Mutable access to the context (for interleaving externally
-    /// driven structures or charged queries on the same cluster).
-    pub fn ctx_mut(&mut self) -> &mut MpcContext {
-        &mut self.ctx
     }
 
     /// The lifetime rollup.
@@ -806,181 +778,37 @@ impl Session {
         &mut self,
         query: &QueryRequest,
     ) -> Result<Vec<(MaintainerId, QueryResponse)>, MpcStreamError> {
-        let supported: Vec<bool> = self.maintainers.iter().map(|m| m.supports(query)).collect();
-        if self.pool.is_some() && supported.iter().filter(|&&s| s).count() > 1 {
-            return self.ask_all_parallel(query, &supported);
-        }
-        let phase_rounds = self.ctx.stats().rounds;
-        let phase_words = self.ctx.stats().words_communicated;
+        let phase = BatchAudit::begin(&self.ctx);
+        let rendered = query.to_string();
         let mut responses = Vec::new();
-        let mut reports: Vec<(MaintainerId, QueryReport)> = Vec::new();
-        let mut failure: Option<MpcStreamError> = None;
-        self.ctx.parallel_begin();
-        for (id, m) in self.maintainers.iter_mut().enumerate() {
-            if !supported[id] {
-                // Skipped before the branch opens: free by construction.
-                continue;
-            }
-            let rounds = self.ctx.stats().rounds;
-            let words = self.ctx.stats().words_communicated;
-            match m.answer(query, &mut self.ctx) {
-                Ok(response) => {
-                    reports.push((
-                        id,
-                        QueryReport {
-                            maintainer: m.name(),
-                            query: query.to_string(),
-                            rounds: self.ctx.stats().rounds - rounds,
-                            words: self.ctx.stats().words_communicated - words,
-                        },
-                    ));
+        let mut reports = Vec::new();
+        let outcome = self.fan_out(
+            |m| m.supports(query),
+            // Defensive: a claimed supporter that still declines is
+            // treated as free (its contract says ctx is untouched).
+            |m, ctx| match m.answer(query, ctx) {
+                Ok(response) => Ok(Some(response)),
+                Err(MpcStreamError::Unsupported(_)) => Ok(None),
+                Err(e) => Err(e),
+            },
+            |stats, id, measured, response| {
+                if let Some(response) = response {
+                    let report = QueryReport {
+                        maintainer: measured.maintainer,
+                        query: rendered.clone(),
+                        rounds: measured.rounds,
+                        words: measured.words,
+                    };
+                    stats.absorb_query(id, &report);
+                    reports.push(report);
                     responses.push((id, response));
                 }
-                // Defensive: a claimed supporter that still declines is
-                // treated as free (its contract says ctx is untouched).
-                Err(MpcStreamError::Unsupported(_)) => {}
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-            self.ctx.parallel_branch();
-        }
-        self.ctx.parallel_end();
-        for (id, report) in &reports {
-            self.stats.absorb_query(*id, report);
-        }
-        self.stats.record_query_phase(
-            self.ctx.stats().rounds - phase_rounds,
-            self.ctx.stats().words_communicated - phase_words,
+            },
         );
-        self.last_query_reports = reports.into_iter().map(|(_, r)| r).collect();
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(responses),
-        }
-    }
-
-    /// Parallel [`Session::ask_all`]: every supporting maintainer
-    /// answers on a worker thread against a forked recording context;
-    /// the logs are replayed on the master in registration order
-    /// inside the same parallel scope the serial path uses, so the
-    /// receipts, rollup, and round max-composition are bit-identical.
-    fn ask_all_parallel(
-        &mut self,
-        query: &QueryRequest,
-        supported: &[bool],
-    ) -> Result<Vec<(MaintainerId, QueryResponse)>, MpcStreamError> {
-        type AskOutcome = (
-            Box<dyn Maintain>,
-            Vec<MpcEvent>,
-            Result<QueryResponse, MpcStreamError>,
-            (u64, u64),
-        );
-        let pool = self.pool.clone().expect("parallel ask_all requires a pool");
-        let phase_rounds = self.ctx.stats().rounds;
-        let phase_words = self.ctx.stats().words_communicated;
-        let count = self.maintainers.len();
-        let query = *query;
-        let (tx, rx) = mpsc::channel::<(usize, AskOutcome)>();
-        let mut slots: Vec<Option<AskOutcome>> = Vec::new();
-        slots.resize_with(count, || None);
-        let mut skipped: Vec<Option<Box<dyn Maintain>>> = Vec::new();
-        skipped.resize_with(count, || None);
-        for (id, mut m) in std::mem::take(&mut self.maintainers)
-            .into_iter()
-            .enumerate()
-        {
-            if !supported[id] {
-                skipped[id] = Some(m);
-                continue;
-            }
-            let mut fork = self.ctx.fork_for_branch();
-            let tx = tx.clone();
-            pool.execute(Box::new(move || {
-                let fork_rounds = fork.stats().rounds;
-                let fork_words = fork.stats().words_communicated;
-                let result = m.answer(&query, &mut fork);
-                let fork_delta = (
-                    fork.stats().rounds - fork_rounds,
-                    fork.stats().words_communicated - fork_words,
-                );
-                let _ = tx.send((id, (m, fork.take_log(), result, fork_delta)));
-            }));
-        }
-        drop(tx);
-        for (id, outcome) in rx {
-            slots[id] = Some(outcome);
-        }
-        // Replay in registration order, mirroring the serial loop.
-        let mut responses = Vec::new();
-        let mut reports: Vec<(MaintainerId, QueryReport)> = Vec::new();
-        let mut failure: Option<MpcStreamError> = None;
-        self.ctx.parallel_begin();
-        for id in 0..count {
-            if let Some(m) = skipped[id].take() {
-                self.maintainers.push(m);
-                continue;
-            }
-            let (m, log, result, fork_delta) =
-                slots[id].take().expect("every dispatched branch reports");
-            if failure.is_none() {
-                let rounds = self.ctx.stats().rounds;
-                let words = self.ctx.stats().words_communicated;
-                match result {
-                    Ok(response) => match self.ctx.replay(&log) {
-                        Ok(()) => {
-                            let report = QueryReport {
-                                maintainer: m.name(),
-                                query: query.to_string(),
-                                rounds: self.ctx.stats().rounds - rounds,
-                                words: self.ctx.stats().words_communicated - words,
-                            };
-                            // Differential fork/replay audit: every
-                            // charge is a pure function of (config,
-                            // args), so what the fork recorded must be
-                            // exactly what replay re-charged.
-                            debug_assert_eq!(
-                                (report.rounds, report.words),
-                                fork_delta,
-                                "fork/replay accounting drift for `{}`",
-                                report.maintainer
-                            );
-                            reports.push((id, report));
-                            responses.push((id, response));
-                            self.ctx.parallel_branch();
-                        }
-                        Err(e) => failure = Some(MpcStreamError::from(e)),
-                    },
-                    Err(MpcStreamError::Unsupported(_)) => {
-                        // Defensive, as in the serial loop: replay
-                        // whatever (per contract: nothing) it charged.
-                        let _ = self.ctx.replay(&log);
-                        self.ctx.parallel_branch();
-                    }
-                    Err(e) => {
-                        // Serial charges the failing answer's partial
-                        // work before aborting the fan-out.
-                        let _ = self.ctx.replay(&log);
-                        failure = Some(e);
-                    }
-                }
-            }
-            self.maintainers.push(m);
-        }
-        self.ctx.parallel_end();
-        for (id, report) in &reports {
-            self.stats.absorb_query(*id, report);
-        }
-        self.stats.record_query_phase(
-            self.ctx.stats().rounds - phase_rounds,
-            self.ctx.stats().words_communicated - phase_words,
-        );
-        self.last_query_reports = reports.into_iter().map(|(_, r)| r).collect();
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(responses),
-        }
+        let phase = phase.finish("session", 0, 0, &self.ctx);
+        self.stats.record_query_phase(phase.rounds, phase.words);
+        self.last_query_reports = reports;
+        outcome.map(|()| responses)
     }
 
     /// The per-answer receipts of the most recent [`Session::ask`] /
@@ -1163,18 +991,11 @@ impl Session {
         for (entry, m) in stats.per_maintainer.iter_mut().zip(&maintainers) {
             entry.name = m.name();
         }
-        let mut session = Session {
-            ctx,
-            maintainers,
-            stats,
-            max_batch,
-            normalize,
-            last_query_reports: Vec::new(),
-            workers: 1,
-            pool: None,
-            stream_epoch: snap.epoch(),
-        };
-        session.set_workers(mpc_sim::workers_from_env().unwrap_or(1));
+        let mut session = Session::with_context(ctx, max_batch);
+        session.maintainers = maintainers;
+        session.stats = stats;
+        session.normalize = normalize;
+        session.stream_epoch = snap.epoch();
         Ok(session)
     }
 
@@ -1190,45 +1011,7 @@ impl Session {
         &mut self,
         updates: impl IntoIterator<Item = Update>,
     ) -> Result<Vec<BatchReport>, MpcStreamError> {
-        self.stream_epoch += 1;
-        if let Some(pool) = self.pool.clone() {
-            // Pipelined front door: normalize → chunk runs on a pool
-            // lane and streams chunks out, so chunk k+1 is being
-            // prepared while chunk k fans out below.
-            let updates: Vec<Update> = updates.into_iter().collect();
-            let normalize = self.normalize;
-            let max_batch = self.max_batch;
-            let (tx, rx) = mpsc::channel::<Batch>();
-            pool.execute(Box::new(move || {
-                let submitted = if normalize {
-                    normalize_updates(updates)
-                } else {
-                    updates
-                };
-                for c in submitted.chunks(max_batch) {
-                    if tx.send(Batch::from_updates(c.to_vec())).is_err() {
-                        return; // consumer aborted on an earlier chunk
-                    }
-                }
-            }));
-            let mut reports = Vec::new();
-            for chunk in rx {
-                if !chunk.is_empty() {
-                    self.run_chunk_parallel(&Arc::new(chunk), &mut reports)?;
-                }
-            }
-            return Ok(reports);
-        }
-        let submitted = if self.normalize {
-            normalize_updates(updates)
-        } else {
-            updates.into_iter().collect()
-        };
-        let chunks: Vec<Batch> = submitted
-            .chunks(self.max_batch)
-            .map(|c| Batch::from_updates(c.to_vec()))
-            .collect();
-        self.fan_out(&chunks)
+        self.submit::<Batch>(updates)
     }
 
     /// Submits weighted updates; weight-aware maintainers see the
@@ -1241,42 +1024,7 @@ impl Session {
         &mut self,
         updates: impl IntoIterator<Item = WeightedUpdate>,
     ) -> Result<Vec<BatchReport>, MpcStreamError> {
-        self.stream_epoch += 1;
-        if let Some(pool) = self.pool.clone() {
-            let updates: Vec<WeightedUpdate> = updates.into_iter().collect();
-            let normalize = self.normalize;
-            let max_batch = self.max_batch;
-            let (tx, rx) = mpsc::channel::<WeightedBatch>();
-            pool.execute(Box::new(move || {
-                let submitted = if normalize {
-                    normalize_weighted_updates(updates)
-                } else {
-                    updates
-                };
-                for c in submitted.chunks(max_batch) {
-                    if tx.send(WeightedBatch::from_updates(c.to_vec())).is_err() {
-                        return;
-                    }
-                }
-            }));
-            let mut reports = Vec::new();
-            for chunk in rx {
-                if !chunk.is_empty() {
-                    self.run_chunk_parallel(&Arc::new(chunk), &mut reports)?;
-                }
-            }
-            return Ok(reports);
-        }
-        let submitted = if self.normalize {
-            normalize_weighted_updates(updates)
-        } else {
-            updates.into_iter().collect()
-        };
-        let chunks: Vec<WeightedBatch> = submitted
-            .chunks(self.max_batch)
-            .map(|c| WeightedBatch::from_updates(c.to_vec()))
-            .collect();
-        self.fan_out(&chunks)
+        self.submit::<WeightedBatch>(updates)
     }
 
     /// Convenience: submit an already-built batch (still normalized
@@ -1289,172 +1037,146 @@ impl Session {
         self.apply(batch.iter())
     }
 
-    /// Chunk-by-chunk fan-out with parallel round composition and the
-    /// per-chunk capacity audit (the serial engine; the parallel
-    /// engine reaches the same per-chunk structure through
-    /// [`Session::run_chunk_parallel`]).
-    fn fan_out<B>(&mut self, chunks: &[B]) -> Result<Vec<BatchReport>, MpcStreamError>
-    where
-        B: BatchLike,
-    {
-        let mut reports = Vec::with_capacity(chunks.len() * self.maintainers.len());
-        for chunk in chunks {
-            if chunk.len() == 0 {
-                continue;
-            }
-            self.run_chunk_serial(chunk, &mut reports)?;
+    /// The front door behind [`Session::apply`] and
+    /// [`Session::apply_weighted`]: bump the epoch, normalize, cut
+    /// into chunks of at most `max_batch`, run each chunk.
+    fn submit<B: BatchLike>(
+        &mut self,
+        updates: impl IntoIterator<Item = B::Update>,
+    ) -> Result<Vec<BatchReport>, MpcStreamError> {
+        self.stream_epoch += 1;
+        let submitted = if self.normalize {
+            B::normalize(updates)
+        } else {
+            updates.into_iter().collect()
+        };
+        let chunks = submitted.len().div_ceil(self.max_batch);
+        let mut reports = Vec::with_capacity(chunks * self.maintainers.len());
+        for chunk in submitted.chunks(self.max_batch) {
+            self.run_chunk(&B::from_updates(chunk.to_vec()), &mut reports)?;
         }
         Ok(reports)
     }
 
-    /// One chunk through every maintainer, on the calling thread.
-    fn run_chunk_serial<B: BatchLike>(
+    /// One chunk through every maintainer, then the per-chunk
+    /// capacity audit.
+    fn run_chunk<B: BatchLike>(
         &mut self,
         chunk: &B,
         reports: &mut Vec<BatchReport>,
     ) -> Result<(), MpcStreamError> {
+        let updates = chunk.len();
+        let chunk_audit = BatchAudit::begin(&self.ctx);
         // Distribute the chunk to every maintainer's machine
         // group: one sort of the update list (O(1/φ) rounds).
-        let chunk_audit = BatchAudit::begin(&self.ctx);
-        self.ctx.sort(2 * chunk.len() as u64 + 1);
+        self.ctx.sort(2 * updates as u64 + 1);
+        // The failed chunk's rounds remain visible in the raw context
+        // stats, but the session rollup only counts chunks every
+        // maintainer ingested.
+        self.fan_out(
+            |_| true,
+            |m, ctx| {
+                let l0_before = m.l0_failures();
+                chunk.ingest_into(m, ctx)?;
+                Ok(m.l0_failures() - l0_before)
+            },
+            |stats, id, measured, l0_failures| {
+                let report = BatchReport {
+                    updates,
+                    l0_failures,
+                    ..measured
+                };
+                stats.absorb(id, &report);
+                reports.push(report);
+            },
+        )?;
+        let chunk_report = chunk_audit.finish("session", updates, 0, &self.ctx);
+        self.stats
+            .record_chunk(updates, chunk_report.rounds, chunk_report.words);
+        self.audit_capacity()
+    }
+
+    /// The fan-out skeleton — the one place independent branches are
+    /// composed (rounds by max, words by sum), for chunk ingest and
+    /// [`Session::ask_all`] alike. `select` is consulted for every
+    /// maintainer before the scope opens; per selected maintainer, in
+    /// registration order: audit, obtain `job`'s charges on the master
+    /// context, `settle` the measured branch (a [`BatchReport`] whose
+    /// job-specific `updates` / `l0_failures` are left zero) into the
+    /// rollup, close the branch. The first failing branch keeps its
+    /// partial charges and aborts the fan-out.
+    ///
+    /// The branch runner is chosen here: with a pool and at least two
+    /// selected branches, [`prerun_branches`] has already run every
+    /// job against a fork and the skeleton replays each log in the
+    /// job's place; otherwise the job runs inline against the master.
+    fn fan_out<T: Send>(
+        &mut self,
+        select: impl Fn(&dyn Maintain) -> bool,
+        job: impl Fn(&mut dyn Maintain, &mut MpcContext) -> Result<T, MpcStreamError> + Sync,
+        mut settle: impl FnMut(&mut SessionStats, MaintainerId, BatchReport, T),
+    ) -> Result<(), MpcStreamError> {
+        let selected: Vec<bool> = self
+            .maintainers
+            .iter()
+            .map(|m| select(m.as_ref()))
+            .collect();
+        let mut prerun = match &self.pool {
+            Some(pool) if selected.iter().filter(|&&s| s).count() >= 2 => {
+                prerun_branches(pool, &self.ctx, &mut self.maintainers, &selected, &job)
+            }
+            _ => Vec::new(),
+        }
+        .into_iter();
+        let mut failure = None;
         self.ctx.parallel_begin();
-        let mut failure: Option<MpcStreamError> = None;
         for (id, m) in self.maintainers.iter_mut().enumerate() {
-            match chunk.apply_into(m.as_mut(), &mut self.ctx) {
-                Ok(report) => {
-                    self.stats.absorb(id, &report);
-                    reports.push(report);
+            if !selected[id] {
+                // Skipped before the branch opens: free by construction.
+                continue;
+            }
+            let audit = BatchAudit::begin(&self.ctx);
+            let mut forked = None;
+            let result = match prerun.next() {
+                None => job(m.as_mut(), &mut self.ctx),
+                Some(pre) => {
+                    forked = Some(pre.forked);
+                    match (pre.result, self.ctx.replay(&pre.log)) {
+                        (Ok(value), Ok(())) => Ok(value),
+                        // Replay can fail where the fork did not (strict
+                        // mode, co-scheduled machines: the fork saw the
+                        // pre-chunk loads, the master sees the replayed
+                        // siblings' too) — the master is authoritative.
+                        (Ok(_), Err(e)) => Err(MpcStreamError::from(e)),
+                        // The failing branch's partial work stays charged.
+                        (Err(e), _) => Err(e),
+                    }
+                }
+            };
+            match result {
+                Ok(value) => {
+                    let measured = audit.finish(m.name(), 0, 0, &self.ctx);
+                    // Differential fork/replay audit: every charge is a
+                    // pure function of (config, args), so what the fork
+                    // recorded must be exactly what replay re-charged.
+                    debug_assert!(
+                        forked.is_none_or(
+                            |f| (f.rounds, f.words) == (measured.rounds, measured.words)
+                        ),
+                        "fork/replay accounting drift for `{}`",
+                        m.name()
+                    );
+                    settle(&mut self.stats, id, measured, value);
+                    self.ctx.parallel_branch();
                 }
                 Err(e) => {
                     failure = Some(e);
                     break;
                 }
             }
-            self.ctx.parallel_branch();
         }
         self.ctx.parallel_end();
-        if let Some(e) = failure {
-            // The failed chunk's rounds remain visible in the raw
-            // context stats, but the session rollup only counts
-            // chunks every maintainer ingested.
-            return Err(e);
-        }
-        let chunk_report = chunk_audit.finish("session", chunk.len(), 0, &self.ctx);
-        self.stats
-            .record_chunk(chunk.len(), chunk_report.rounds, chunk_report.words);
-        self.audit_capacity()
-    }
-
-    /// One chunk through every maintainer, one branch job per
-    /// maintainer on the worker pool.
-    ///
-    /// Each branch moves its maintainer box and a forked recording
-    /// context to a worker, runs the plain ingest there (no audit —
-    /// measurement happens at replay), and sends everything back. The
-    /// master then replays each branch's event log in registration
-    /// order inside the same `BatchAudit`/`parallel_begin`/`branch`/
-    /// `end` structure the serial engine uses — every charge is a pure
-    /// function of `(config, call arguments)`, so the replayed
-    /// counters, reports, peaks, and violations are bit-identical to
-    /// serial execution. A failing branch charges its partial work and
-    /// aborts the chunk exactly like the serial loop; branches later
-    /// in registration order are not charged (their maintainers may
-    /// still have ingested — the session is documented
-    /// inconsistent-on-`Err` either way).
-    fn run_chunk_parallel<B: BatchLike>(
-        &mut self,
-        chunk: &Arc<B>,
-        reports: &mut Vec<BatchReport>,
-    ) -> Result<(), MpcStreamError> {
-        type BranchOutcome = (
-            Box<dyn Maintain>,
-            Vec<MpcEvent>,
-            Result<(), MpcStreamError>,
-            u64,
-            (u64, u64),
-        );
-        // lint: allow(panic-reachability): dispatch invariant — the parallel chunk path is gated on a pool being installed
-        let pool = self.pool.clone().expect("parallel chunk requires a pool");
-        let chunk_audit = BatchAudit::begin(&self.ctx);
-        self.ctx.sort(2 * chunk.len() as u64 + 1);
-        let count = self.maintainers.len();
-        let (tx, rx) = mpsc::channel::<(usize, BranchOutcome)>();
-        for (id, mut m) in std::mem::take(&mut self.maintainers)
-            .into_iter()
-            .enumerate()
-        {
-            let mut fork = self.ctx.fork_for_branch();
-            let chunk = Arc::clone(chunk);
-            let tx = tx.clone();
-            pool.execute(Box::new(move || {
-                let l0_before = m.l0_failures();
-                let fork_rounds = fork.stats().rounds;
-                let fork_words = fork.stats().words_communicated;
-                let result = chunk.ingest_into(m.as_mut(), &mut fork);
-                let l0_delta = m.l0_failures().saturating_sub(l0_before);
-                let fork_delta = (
-                    fork.stats().rounds - fork_rounds,
-                    fork.stats().words_communicated - fork_words,
-                );
-                let _ = tx.send((id, (m, fork.take_log(), result, l0_delta, fork_delta)));
-            }));
-        }
-        drop(tx);
-        let mut slots: Vec<Option<BranchOutcome>> = Vec::new();
-        slots.resize_with(count, || None);
-        for (id, outcome) in rx {
-            slots[id] = Some(outcome);
-        }
-        // Replay in registration order, mirroring run_chunk_serial.
-        self.ctx.parallel_begin();
-        let mut failure: Option<MpcStreamError> = None;
-        for (id, slot) in slots.into_iter().enumerate() {
-            // lint: allow(panic-reachability): join invariant — every spawned branch job sends exactly one outcome
-            let (m, log, result, l0_delta, fork_delta) = slot.expect("every branch job reports");
-            if failure.is_none() {
-                let audit = BatchAudit::begin(&self.ctx);
-                match result {
-                    Ok(()) => match self.ctx.replay(&log) {
-                        Ok(()) => {
-                            let report = audit.finish(m.name(), chunk.len(), l0_delta, &self.ctx);
-                            // Differential fork/replay audit: every
-                            // charge is a pure function of (config,
-                            // args), so what the fork recorded must be
-                            // exactly what replay re-charged.
-                            debug_assert_eq!(
-                                (report.rounds, report.words),
-                                fork_delta,
-                                "fork/replay accounting drift for `{}`",
-                                report.maintainer
-                            );
-                            self.stats.absorb(id, &report);
-                            reports.push(report);
-                            self.ctx.parallel_branch();
-                        }
-                        // Replay can fail where the fork did not (strict
-                        // mode, co-scheduled machines: the fork saw the
-                        // pre-chunk loads, the master sees the replayed
-                        // siblings' too) — the master is authoritative.
-                        Err(e) => failure = Some(MpcStreamError::from(e)),
-                    },
-                    Err(e) => {
-                        // Serial charges the failing branch's partial
-                        // work before aborting the chunk.
-                        let _ = self.ctx.replay(&log);
-                        failure = Some(e);
-                    }
-                }
-            }
-            self.maintainers.push(m);
-        }
-        self.ctx.parallel_end();
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        let chunk_report = chunk_audit.finish("session", chunk.len(), 0, &self.ctx);
-        self.stats
-            .record_chunk(chunk.len(), chunk_report.rounds, chunk_report.words);
-        self.audit_capacity()
+        failure.map_or(Ok(()), Err)
     }
 
     /// Audits every maintainer's standing state against **its own**
@@ -1518,32 +1240,76 @@ impl Session {
     }
 }
 
-/// Batches the fan-out can drive: length plus the two dispatch forms
-/// (audited, for the serial engine; bare ingest, for parallel branches
-/// whose audit happens at replay time on the master). `Send + Sync +
-/// 'static` lets a chunk be shared across branch jobs behind an `Arc`.
-trait BatchLike: Send + Sync + 'static {
+/// What the pooled runner hands the skeleton for one branch: the job's
+/// result, the fork's recorded charges to replay in its place, and
+/// what the fork itself measured, for the debug drift audit.
+struct PreRun<T> {
+    result: Result<T, MpcStreamError>,
+    log: Vec<MpcEvent>,
+    forked: BatchReport,
+}
+
+/// The pooled branch runner: runs `job` for every selected maintainer
+/// against its own forked recording context, inside one steal scope
+/// over the pool lanes and the calling thread. One [`PreRun`] per
+/// selected maintainer, in registration order.
+fn prerun_branches<T: Send>(
+    pool: &WorkerPool,
+    ctx: &MpcContext,
+    maintainers: &mut [Box<dyn Maintain>],
+    selected: &[bool],
+    job: &(impl Fn(&mut dyn Maintain, &mut MpcContext) -> Result<T, MpcStreamError> + Sync),
+) -> Vec<PreRun<T>> {
+    let mut lanes: Vec<(&mut dyn Maintain, MpcContext, Result<T, MpcStreamError>)> = maintainers
+        .iter_mut()
+        .zip(selected)
+        .filter(|(_, &selected)| selected)
+        .map(|(m, _)| {
+            let never_ran = MpcStreamError::Internal(format!("branch `{}` never ran", m.name()));
+            (m.as_mut(), ctx.fork_for_branch(), Err(never_ran))
+        })
+        .collect();
+    pool.steal_each(&mut lanes, |(m, fork, result)| {
+        *result = job(&mut **m, fork)
+    });
+    // Every fork started from `ctx`'s counters, which have not moved.
+    let start = BatchAudit::begin(ctx);
+    lanes
+        .into_iter()
+        .map(|(m, mut fork, result)| PreRun {
+            result,
+            forked: start.finish(m.name(), 0, 0, &fork),
+            log: fork.take_log(),
+        })
+        .collect()
+}
+
+/// Batches the front door can cut and the fan-out can drive: the
+/// update type with its normalization and constructor, length, and
+/// the ingest dispatch. `Sync` lets pooled branches share one chunk by
+/// reference.
+trait BatchLike: Sync {
+    type Update: Copy;
+    fn normalize(updates: impl IntoIterator<Item = Self::Update>) -> Vec<Self::Update>;
+    fn from_updates(updates: Vec<Self::Update>) -> Self;
     fn len(&self) -> usize;
-    fn apply_into(
-        &self,
-        m: &mut dyn Maintain,
-        ctx: &mut MpcContext,
-    ) -> Result<BatchReport, MpcStreamError>;
     fn ingest_into(&self, m: &mut dyn Maintain, ctx: &mut MpcContext)
         -> Result<(), MpcStreamError>;
 }
 
 impl BatchLike for Batch {
-    fn len(&self) -> usize {
-        Batch::len(self)
+    type Update = Update;
+
+    fn normalize(updates: impl IntoIterator<Item = Update>) -> Vec<Update> {
+        normalize(updates, |u| u.edge(), |a, b| a.is_insert() != b.is_insert())
     }
 
-    fn apply_into(
-        &self,
-        m: &mut dyn Maintain,
-        ctx: &mut MpcContext,
-    ) -> Result<BatchReport, MpcStreamError> {
-        m.apply_batch(self, ctx)
+    fn from_updates(updates: Vec<Update>) -> Self {
+        Batch::from_updates(updates)
+    }
+
+    fn len(&self) -> usize {
+        Batch::len(self)
     }
 
     fn ingest_into(
@@ -1556,16 +1322,25 @@ impl BatchLike for Batch {
 }
 
 impl BatchLike for WeightedBatch {
-    fn len(&self) -> usize {
-        WeightedBatch::len(self)
+    type Update = WeightedUpdate;
+
+    fn normalize(updates: impl IntoIterator<Item = WeightedUpdate>) -> Vec<WeightedUpdate> {
+        normalize(
+            updates,
+            |u| u.weighted_edge().edge,
+            |a, b| {
+                a.is_insert() != b.is_insert()
+                    && a.weighted_edge().weight == b.weighted_edge().weight
+            },
+        )
     }
 
-    fn apply_into(
-        &self,
-        m: &mut dyn Maintain,
-        ctx: &mut MpcContext,
-    ) -> Result<BatchReport, MpcStreamError> {
-        m.apply_weighted_batch(self, ctx)
+    fn from_updates(updates: Vec<WeightedUpdate>) -> Self {
+        WeightedBatch::from_updates(updates)
+    }
+
+    fn len(&self) -> usize {
+        WeightedBatch::len(self)
     }
 
     fn ingest_into(
@@ -1653,22 +1428,6 @@ fn normalize<U: Copy>(
     let mut ordered: Vec<(U, usize)> = pending.into_values().flatten().collect();
     ordered.sort_by_key(|&(_, i)| i);
     ordered.into_iter().map(|(u, _)| u).collect()
-}
-
-fn normalize_updates(updates: impl IntoIterator<Item = Update>) -> Vec<Update> {
-    normalize(updates, |u| u.edge(), |a, b| a.is_insert() != b.is_insert())
-}
-
-fn normalize_weighted_updates(
-    updates: impl IntoIterator<Item = WeightedUpdate>,
-) -> Vec<WeightedUpdate> {
-    normalize(
-        updates,
-        |u| u.weighted_edge().edge,
-        |a, b| {
-            a.is_insert() != b.is_insert() && a.weighted_edge().weight == b.weighted_edge().weight
-        },
-    )
 }
 
 // ----- Maintain impls for the core maintainers --------------------
@@ -2031,14 +1790,14 @@ mod tests {
     #[test]
     fn normalization_cancels_opposing_updates() {
         let e = Edge::new(0, 1);
-        let kept = normalize_updates([
+        let kept = Batch::normalize([
             Update::Insert(e),
             Update::Delete(e),
             Update::Insert(Edge::new(2, 3)),
         ]);
         assert_eq!(kept, vec![Update::Insert(Edge::new(2, 3))]);
         // Odd count: the final operation survives.
-        let kept = normalize_updates([Update::Insert(e), Update::Delete(e), Update::Insert(e)]);
+        let kept = Batch::normalize([Update::Insert(e), Update::Delete(e), Update::Insert(e)]);
         assert_eq!(kept, vec![Update::Insert(e)]);
         // Through a session: a net no-op leaves the graph empty.
         let mut session = Session::new(cfg(8));
@@ -2052,7 +1811,7 @@ mod tests {
     #[test]
     fn weighted_normalization_keeps_final_weight() {
         use mpc_graph::ids::WeightedEdge;
-        let kept = normalize_weighted_updates([
+        let kept = WeightedBatch::normalize([
             WeightedUpdate::Insert(WeightedEdge::new(0, 1, 5)),
             WeightedUpdate::Delete(WeightedEdge::new(0, 1, 5)),
             WeightedUpdate::Insert(WeightedEdge::new(0, 1, 9)),
@@ -2068,7 +1827,7 @@ mod tests {
         // Delete(w=5) then Insert(w=9) is a reweight, not a no-op:
         // the weights differ, so nothing cancels.
         use mpc_graph::ids::WeightedEdge;
-        let kept = normalize_weighted_updates([
+        let kept = WeightedBatch::normalize([
             WeightedUpdate::Delete(WeightedEdge::new(0, 1, 5)),
             WeightedUpdate::Insert(WeightedEdge::new(0, 1, 9)),
         ]);
@@ -2087,7 +1846,7 @@ mod tests {
         // Normalization only cancels exact undo pairs; a doubled
         // insert is the caller's statement and survives…
         assert_eq!(
-            normalize_updates([Update::Insert(e), Update::Insert(e)]),
+            Batch::normalize([Update::Insert(e), Update::Insert(e)]),
             vec![Update::Insert(e), Update::Insert(e)]
         );
         // …so each maintainer applies its own contract to the pair.
@@ -2144,7 +1903,7 @@ mod tests {
         let mut ctx = MpcContext::new(tiny);
         let mut conn = Connectivity::new(16, ConnectivityConfig::default(), 2);
         let batch = Batch::inserting((0..8u32).map(|i| Edge::new(i, i + 1)));
-        let err = Maintain::apply_batch(&mut conn, &batch, &mut ctx).expect_err("must not fit");
+        let err = Maintain::ingest(&mut conn, &batch, &mut ctx).expect_err("must not fit");
         assert!(matches!(err, MpcStreamError::Capacity(_)));
     }
 

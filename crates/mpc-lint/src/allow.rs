@@ -131,7 +131,7 @@ pub fn apply(
 mod tests {
     use super::*;
 
-    const RULES: &[&str] = &["determinism-hygiene", "no-panic-hot-path"];
+    const RULES: &[&str] = &["determinism-hygiene", "panic-reachability"];
 
     #[test]
     fn justified_allow_suppresses_and_is_recorded() {
@@ -191,12 +191,12 @@ mod tests {
     #[test]
     fn allow_does_not_reach_two_lines_down() {
         let allows = vec![Allow {
-            rule: "no-panic-hot-path".into(),
+            rule: "panic-reachability".into(),
             line: 3,
             justification: "long enough reason".into(),
         }];
         let findings = vec![Finding {
-            rule: "no-panic-hot-path",
+            rule: "panic-reachability",
             file: "f.rs".into(),
             line: 5,
             message: "m".into(),

@@ -20,13 +20,12 @@
 //! | rule id | invariant |
 //! |---|---|
 //! | `event-completeness` | Every mutating `MpcContext` primitive records an `MpcEvent`, every variant is recorded by some primitive, and every variant has an explicit `replay_inner` arm (no wildcard). A gap here is exactly the PR-6-style drift the serial-equivalence suite would only catch dynamically — and only if a test happens to exercise the missing primitive. |
-//! | `no-panic-hot-path` | `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (but **not** `debug_assert!`) are banned inside `apply_batch`, `answer`, and the arena merge / converge-cast kernels — the PR-3 de-panicking contract. |
 //! | `unsafe-hygiene` | `unsafe` is confined to an explicit allowlist — `crates/mpc/src/executor.rs` and the SIMD kernel directory `crates/sketch/src/kernels/`; every `unsafe` there carries a `// SAFETY:` argument within the preceding 8 lines; every other crate root carries `#![forbid(unsafe_code)]` (the sketch root, whose kernels hold module-level allows `forbid` would reject, carries `#![deny(unsafe_code)]` instead). |
 //! | `determinism-hygiene` | No `Instant`/`SystemTime`, no default-hasher `HashMap`/`HashSet`, no raw `Mutex`/`RwLock`/`Condvar`/`std::thread::spawn` outside the executor, no `dbg!`/`println!` in library crates. Tool crates (`mpc-bench`, `mpc-lint`) and `#[cfg(test)]` code are out of scope. |
 //! | `maintain-completeness` | Every production `impl Maintain` defines both `supports` and `answer` (the pair PR 6 had to retrofit). |
 //! | `io-hygiene` | `std::fs`/`std::io` are confined to `crates/mpc-snapshot` (the one sanctioned persistence path — the checksummed snapshot container behind `Session::checkpoint`/`restore`) and the tool crates. |
 //! | `allow-hygiene` | Meta rule: every inline allow must name a known rule and carry justification text. |
-//! | `panic-reachability` | Interprocedural closure of the PR-3 contract: a hot entry point (`apply_batch`, `answer`, the merge/sample/converge-cast kernels) must not *reach* a panicking construct through any chain of workspace calls, not merely avoid panicking directly. Findings print the shortest witness chain (`ExactMsf::apply_batch -> ExactMsf::one_iteration -> ...`). Site-level allows at the panic site are honored and routed around. |
+//! | `panic-reachability` | The PR-3 de-panicking contract, interprocedurally: a hot entry point (`ingest`, `ingest_weighted`, `apply_batch`, `answer`, the merge/sample/converge-cast kernels) must neither contain nor *reach*, through any chain of workspace calls, `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (but **not** `debug_assert!`). Local sites are reported at their line; reached ones print the shortest witness chain (`ExactMsf::apply_batch -> ExactMsf::one_iteration -> ...`). Site-level allows at the panic site are honored and routed around. |
 //! | `persist-symmetry` | Every `impl Persist` pair must round-trip: `save` and `load` agree on the word-kind sequence (`u32` vs 64-bit words), every field `save` writes is read back by `load`, and shared fields appear in the same order — the static mirror of the snapshot suite's byte-stability tests. |
 //! | `kernel-parity` | The three SIMD tiers (`portable.rs`, `sse2.rs`, `avx2.rs`) expose the same op surface with token-identical signatures, and every SIMD op names its scalar reference (`portable::<op>` in the body or the doc comment) — the static mirror of the tier bit-identity suite. |
 //! | `query-charging` | Every `Ok`-returning arm of `Maintain::answer` charges the accounting context (`exchange`/`broadcast`/`converge_cast`/`sort`/`gather`), directly or through a helper on the call graph — answering free of charge is an accounting leak. |
@@ -34,7 +33,7 @@
 //!
 //! # The interprocedural phase
 //!
-//! The first seven rules are per-file. The last five run over a
+//! The first six rules are per-file. The last five run over a
 //! workspace-wide symbol table and call graph ([`graph::Workspace`]):
 //! every function is indexed with its owner `impl`, receiver, and
 //! arity; call sites resolve by name with receiver/arity ranking
@@ -67,7 +66,7 @@
 //! `target/`, `vendor/` (clean-room stand-ins for external crates),
 //! and `fixtures/` (the linter's own seeded-violation test inputs).
 //! Rules then scope themselves by path: `event-completeness` reads
-//! `crates/mpc/src/context.rs`; `no-panic-hot-path` and
+//! `crates/mpc/src/context.rs`; `panic-reachability` and
 //! `maintain-completeness` cover library sources; `determinism-
 //! hygiene` covers library sources minus the tool crates;
 //! `io-hygiene` covers library sources minus the tool crates and the
@@ -77,9 +76,10 @@
 //!
 //! Two invariants are beyond source analysis and are instead audited
 //! at runtime in debug builds: `WorkerPool::steal_each` asserts each
-//! element is claimed by exactly one lane, and both parallel `Session`
-//! fan-outs assert that a replayed branch charges exactly the rounds
-//! and words its fork recorded (the differential fork/replay audit).
+//! element is claimed by exactly one lane, and the `Session` fan-out's
+//! pooled runner asserts that a replayed branch charges exactly the
+//! rounds and words its fork recorded (the differential fork/replay
+//! audit).
 //! Conversely, two of the interprocedural rules are static mirrors of
 //! existing runtime suites: `persist-symmetry` mirrors the snapshot
 //! byte-stability tests (a drifted `save`/`load` pair fails both, but
@@ -113,8 +113,6 @@ use std::path::{Path, PathBuf};
 
 /// Rule id: `MpcContext` ↔ `MpcEvent` ↔ `replay_inner` completeness.
 pub const RULE_EVENT: &str = "event-completeness";
-/// Rule id: panic-free ingest/query/merge hot paths.
-pub const RULE_NO_PANIC: &str = "no-panic-hot-path";
 /// Rule id: `unsafe` confinement + `// SAFETY:` + `forbid(unsafe_code)`.
 pub const RULE_UNSAFE: &str = "unsafe-hygiene";
 /// Rule id: no wall-clock / default hashers / raw threads / prints.
@@ -125,7 +123,7 @@ pub const RULE_MAINTAIN: &str = "maintain-completeness";
 pub const RULE_IO: &str = "io-hygiene";
 /// Meta rule id: well-formed, justified allow comments.
 pub const RULE_ALLOW_HYGIENE: &str = "allow-hygiene";
-/// Rule id: hot paths cannot reach a panic through helpers.
+/// Rule id: hot paths neither contain nor reach a panic.
 pub const RULE_PANIC_REACH: &str = "panic-reachability";
 /// Rule id: `Persist::save`/`load` mirror each other field-for-field.
 pub const RULE_PERSIST: &str = "persist-symmetry";
@@ -147,14 +145,6 @@ pub const RULES: &[(&str, &str)] = &[
          arm, or a wildcard arm) makes parallel accounting drift from serial without a \
          compile error. This is the rule that would have caught a PR-6-style drift before \
          the equivalence suite did.",
-    ),
-    (
-        RULE_NO_PANIC,
-        "Bans unwrap/expect/panic!/todo!/unimplemented!/assert!/assert_eq!/assert_ne! (but \
-         not debug_assert!*) inside the hot-path bodies: apply_batch, answer, and the \
-         sketch-arena merge / converge-cast kernels. These paths return Result by the PR-3 \
-         contract and run inside worker lanes where a panic becomes a lost branch instead \
-         of a typed error.",
     ),
     (
         RULE_UNSAFE,
@@ -199,13 +189,15 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         RULE_PANIC_REACH,
-        "The transitive closure of no-panic-hot-path: walks the workspace call graph from \
-         every hot root (apply_batch, answer, the arena merge/sample kernels, everything in \
-         crates/sketch/src/kernels/) and reports any call edge into a function whose effect \
-         summary says it can reach unwrap/expect/panic!/assert! (debug_assert!* stays \
-         legal), printing the shortest witness chain. The body rule sees a panic *in* the \
-         hot function; this rule sees the one hidden two helpers deep, which loses a worker \
-         branch at runtime exactly the same way.",
+        "The PR-3 de-panicking contract, interprocedurally: the hot roots (ingest, \
+         ingest_weighted, apply_batch, answer, the arena merge/sample/converge-cast kernels, \
+         everything in crates/sketch/src/kernels/) return Result and run inside worker lanes \
+         where a panic aborts the whole steal scope instead of surfacing a typed error. The \
+         rule reports every unwrap/expect/panic!/todo!/unimplemented!/assert!/assert_eq!/\
+         assert_ne! (debug_assert!* stays legal) in a hot root's own body at its line, and \
+         walks the workspace call graph to report any call edge into a function whose effect \
+         summary says it can reach one, printing the shortest witness chain — the panic hidden \
+         two helpers deep loses the branch exactly the same way.",
     ),
     (
         RULE_PERSIST,
@@ -258,7 +250,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 pub struct FileRoles {
     /// `event-completeness` (the accounting context source only).
     pub events: bool,
-    /// `no-panic-hot-path`.
+    /// `panic-reachability` (which files can hold hot roots).
     pub panics: bool,
     /// `determinism-hygiene`.
     pub determinism: bool,
@@ -320,9 +312,6 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
         let roles = roles_for(rel_path);
         if roles.events {
             findings.extend(rules::events::check(&ctx));
-        }
-        if roles.panics {
-            findings.extend(rules::panics::check(&ctx));
         }
         if roles.determinism {
             findings.extend(rules::determinism::check(&ctx, roles.is_executor));
@@ -558,7 +547,6 @@ mod tests {
     fn rule_registry_is_complete_and_unique() {
         let consts = [
             RULE_EVENT,
-            RULE_NO_PANIC,
             RULE_UNSAFE,
             RULE_DETERMINISM,
             RULE_MAINTAIN,

@@ -9,7 +9,6 @@ pub mod io_hygiene;
 pub mod kernel_parity;
 pub mod maintain;
 pub mod panic_reach;
-pub mod panics;
 pub mod persist;
 pub mod query_charge;
 pub mod unsafety;

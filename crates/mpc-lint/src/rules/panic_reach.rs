@@ -1,16 +1,19 @@
-//! Rule `panic-reachability`: the transitive closure of
-//! `no-panic-hot-path`.
+//! Rule `panic-reachability`: hot paths must not contain *or reach*
+//! a panicking construct.
 //!
-//! The body-local rule bans panicking constructs *inside* hot-path
-//! bodies, but a hot path that delegates to a helper that unwraps two
-//! calls deep is exactly as broken — a worker lane loses the branch
-//! instead of returning a typed error — and the body rule cannot see
-//! it. This rule walks the call graph from every hot root
-//! (`apply_batch`, `answer`, the arena merge/sample kernels, and
-//! everything in the SIMD kernel directory) and reports each call
-//! edge into a function whose transitive effect summary says it can
-//! panic, with the shortest witness chain printed so the fix is
-//! obvious.
+//! The PR-3 de-panicking contract: the ingest and query entry points
+//! return `Result` and must surface failures as errors, never aborts —
+//! a panic inside a worker lane aborts the whole steal scope instead
+//! of returning a typed error. A hot path that delegates to a helper
+//! that unwraps two calls deep is exactly as broken as one that
+//! unwraps itself, so this rule reports both: each panicking construct
+//! in a hot root's own body (at its line), and, walking the call graph
+//! from every hot root ([`HOT_FNS`] and everything in the SIMD kernel
+//! directory), each call edge into a function whose transitive effect
+//! summary says it can panic, with the shortest witness chain printed
+//! so the fix is obvious. `debug_assert!` (and friends) stay legal:
+//! they vanish in release builds and are the documented way to state
+//! invariants on these paths.
 //!
 //! Suppression is site-anchored: a justified
 //! `// lint: allow(panic-reachability): …` **at the panic site**
@@ -22,9 +25,27 @@
 
 use crate::graph::Workspace;
 use crate::report::Finding;
-use crate::rules::panics::HOT_FNS;
 use crate::summary::{Effect, Summaries};
 use crate::RULE_PANIC_REACH;
+
+/// Function names whose bodies are hot paths: the `Maintain` write
+/// and read entries `Session` dispatches (`ingest`,
+/// `ingest_weighted`, `answer`), the inherent `apply_batch` they
+/// delegate to, and the sketch-arena merge / sample / converge-cast
+/// kernels that run inside work-stealing scopes.
+pub const HOT_FNS: &[&str] = &[
+    "apply_batch",
+    "ingest",
+    "ingest_weighted",
+    "answer",
+    "merge_into",
+    "merge_into_stealing",
+    "merge_copy_into",
+    "merge_copy_into_stealing",
+    "sample_merged",
+    "sample_scratch",
+    "converge_cast",
+];
 
 /// Whether `rel_path` is inside the SIMD kernel directory, whose
 /// functions are hot roots wholesale.
@@ -52,6 +73,19 @@ pub fn check(ws: &Workspace, sums: &Summaries) -> Vec<Finding> {
     for root in 0..ws.fns.len() {
         if !is_hot_root(ws, root) {
             continue;
+        }
+        // Depth 0: the root's own unallowed sites, each at its line.
+        for site in &sums.facts[root].panic_sites {
+            out.push(Finding {
+                rule: RULE_PANIC_REACH,
+                file: ws.files[ws.fns[root].file].rel_path.clone(),
+                line: site.line,
+                message: format!(
+                    "hot path `{}` contains `{}` — this path is panic-free by contract \
+                     (PR-3); use `debug_assert!` for invariants or return an error",
+                    ws.fns[root].name, site.what,
+                ),
+            });
         }
         // One finding per distinct panicking callee: the first call
         // site is the anchor, the chain names the rest.
@@ -126,9 +160,28 @@ mod tests {
     }
 
     #[test]
-    fn local_panics_are_left_to_the_body_rule() {
-        let src = "pub fn answer(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert!(run(src).is_empty(), "body rule owns local sites");
+    fn local_sites_in_a_hot_root_are_reported_at_their_own_lines() {
+        let src = "pub fn apply_batch(x: Option<u64>) -> Result<u64, ()> {\n\
+                       let v = x.unwrap();\n\
+                       assert!(v < 100);\n\
+                       let w = x.unwrap_or(0);\n\
+                       debug_assert!(w < 100);\n\
+                       Ok(v)\n\
+                   }\n\
+                   pub fn ingest(y: Option<u64>) -> u64 {\n\
+                       y.expect(\"always present\")\n\
+                   }\n\
+                   pub fn setup(x: Option<u64>) -> u64 { x.unwrap() }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                       fn answer() { panic!(\"in tests\"); }\n\
+                   }";
+        let f = run(src);
+        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 3, 9], "{f:?}");
+        assert!(f[0].message.contains("`.unwrap()`"), "{f:?}");
+        assert!(f[1].message.contains("`assert!`"), "{f:?}");
+        assert!(f[2].message.contains("`.expect()`"), "{f:?}");
     }
 
     #[test]

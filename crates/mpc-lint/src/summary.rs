@@ -15,13 +15,13 @@
 //! *here*, before the fixpoint — the documented precondition assert
 //! stops poisoning every transitive caller, while any *other*,
 //! unallowed site in the same function still propagates and gets its
-//! own witness chain. The body-local rules are unaffected.
+//! own witness chain.
 
 use crate::graph::Workspace;
 use crate::rules::find_seq;
 
-/// Macros that abort (mirrors `no-panic-hot-path`; `debug_assert!*`
-/// are distinct identifiers and stay legal).
+/// Macros that abort (`debug_assert!*` are distinct identifiers and
+/// stay legal).
 pub const PANIC_MACROS: &[&str] = &[
     "panic",
     "todo",

@@ -9,7 +9,7 @@
 use mpc_lint::report::{AppliedAllow, Finding, Report};
 use mpc_lint::{
     lint_source, RULE_ALLOW_HYGIENE, RULE_DETERMINISM, RULE_EVENT, RULE_IO, RULE_MAINTAIN,
-    RULE_NO_PANIC, RULE_UNSAFE,
+    RULE_UNSAFE,
 };
 
 fn fixture(name: &str) -> String {
@@ -60,31 +60,6 @@ fn events_dirty_fixture_reports_every_leg() {
         .iter()
         .any(|m| m.contains("MpcEvent::Broadcast has no match arm") && m.contains("`broadcast`")));
     assert!(messages.iter().any(|m| m.contains("wildcard")));
-}
-
-#[test]
-fn panics_clean_fixture_passes() {
-    let (findings, _) = run("crates/sketch/src/arena.rs", "panics_clean.rs");
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn panics_dirty_fixture_reports_exact_lines() {
-    let (findings, _) = run("crates/sketch/src/arena.rs", "panics_dirty.rs");
-    assert_eq!(
-        keys(&findings),
-        vec![(RULE_NO_PANIC, 2), (RULE_NO_PANIC, 3), (RULE_NO_PANIC, 8)],
-        "{findings:?}"
-    );
-    assert!(findings
-        .iter()
-        .any(|f| f.line == 2 && f.message.contains("`.unwrap(..)`")));
-    assert!(findings
-        .iter()
-        .any(|f| f.line == 3 && f.message.contains("`assert!`")));
-    assert!(findings
-        .iter()
-        .any(|f| f.line == 8 && f.message.contains("`.expect(..)`")));
 }
 
 #[test]

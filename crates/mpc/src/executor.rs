@@ -2,26 +2,28 @@
 //! simulator scale with the hardware.
 //!
 //! Everything in this crate *accounts* parallelism exactly (rounds
-//! max-compose across machine groups), but until now every machine,
-//! maintainer, and sketch block was simulated on one host thread —
-//! wall-clock, not round complexity, capped every large run. A
-//! [`WorkerPool`] is a fixed set of OS threads spawned once and kept
-//! for the lifetime of the owner (dropping the pool joins every
-//! thread):
+//! max-compose across machine groups); this module is how the host
+//! *executes* it on more than one thread. A [`WorkerPool`] is a fixed
+//! set of OS threads spawned once and joined when the pool is dropped.
+//! Its public surface is one **scoped work-stealing primitive** in two
+//! forms, [`WorkerPool::scope_indices`] and [`WorkerPool::steal_each`]:
+//! lanes claim the next unclaimed task from a shared atomic counter,
+//! and the *calling* thread participates too, so a scope always makes
+//! progress even when every lane is busy with an outer scope (nested
+//! scopes cannot deadlock). A scope returns only when all its tasks
+//! have finished, so tasks borrow the caller's data; a task panic is
+//! re-raised on the calling thread after the rest have run. Both
+//! grains of the engine use it:
 //!
 //! * **Per-maintainer fan-out** — the Session engine (in
-//!   `mpc-stream-core`) dispatches one branch job per maintainer per
-//!   chunk through [`WorkerPool::execute`]; each branch runs against a
-//!   forked accounting context whose event log is replayed serially
+//!   `mpc-stream-core`) lends each selected maintainer, with a forked
+//!   accounting context, to one `steal_each` element per chunk or
+//!   `ask_all`; the forks' event logs are replayed serially
 //!   afterwards, so the charged rounds/words stay bit-identical to
 //!   serial execution (see `MpcContext::fork_for_branch`).
-//! * **Intra-group work stealing** — [`WorkerPool::scope_indices`] and
-//!   [`WorkerPool::steal_each`] self-schedule a set of disjoint tasks
-//!   (per-tour Euler-tour shards, sketch-arena vertex blocks) over the
-//!   idle lanes: workers claim the next unclaimed task from a shared
-//!   atomic counter, and the *calling* thread participates too, so a
-//!   scope always makes progress even when every pool lane is busy
-//!   with an outer job (nested scopes cannot deadlock).
+//! * **Intra-group work stealing** — inside a branch, pool-aware
+//!   structures open nested scopes over per-tour Euler-tour shards and
+//!   sketch-arena vertex blocks.
 //!
 //! Worker count selection: [`workers_from_env`] reads the
 //! `MPC_WORKERS` environment variable (the CI matrix runs the
@@ -34,16 +36,16 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// A boxed unit of work for the pool.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A boxed unit of work for the pool: one lane's share of a scope.
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed-size pool of worker threads with a shared job queue.
 ///
 /// Threads are spawned once at construction and joined when the pool
-/// is dropped — no thread outlives its pool. Jobs submitted through
-/// [`WorkerPool::execute`] are claimed by idle workers in FIFO order;
-/// a job that panics poisons neither the queue nor its worker (the
-/// panic is contained and the lane keeps serving).
+/// is dropped — no thread outlives its pool. Scopes enqueue helper
+/// jobs that idle workers claim in FIFO order; a task that panics
+/// poisons neither the queue nor its worker (the panic is contained,
+/// reported to its scope, and the lane keeps serving).
 ///
 /// # Examples
 ///
@@ -101,8 +103,8 @@ impl WorkerPool {
         self.lanes
     }
 
-    /// Enqueues a job for the next idle worker.
-    pub fn execute(&self, job: Job) {
+    /// Enqueues a scope helper for the next idle worker.
+    fn execute(&self, job: Job) {
         self.sender
             .as_ref()
             // lint: allow(panic-reachability): pool lifecycle invariant — the sender is dropped only in Drop

@@ -156,7 +156,7 @@ fn capacity_violation_is_err_from_every_maintainer() {
     for m in &mut maintainers {
         let mut ctx = tiny_ctx();
         let err = m
-            .apply_batch(&big_batch(), &mut ctx)
+            .ingest(&big_batch(), &mut ctx)
             .expect_err(&format!("{}: an 8-update batch cannot fit s = 4", m.name()));
         assert!(
             matches!(err, MpcStreamError::Capacity(_)),
@@ -207,7 +207,7 @@ fn out_of_range_endpoint_is_invalid_batch_from_every_maintainer() {
     for m in &mut maintainers {
         let mut ctx = MpcContext::new(cfg(n));
         let err = m
-            .apply_batch(&rogue, &mut ctx)
+            .ingest(&rogue, &mut ctx)
             .expect_err(&format!("{}: endpoint 200 outside [0, {n})", m.name()));
         assert!(
             matches!(err, MpcStreamError::InvalidBatch(_)),
@@ -234,7 +234,7 @@ fn unsupported_updates_are_errors_not_panics() {
     for mut m in cases {
         let mut ctx = MpcContext::new(cfg(n));
         let err = m
-            .apply_batch(&deleting, &mut ctx)
+            .ingest(&deleting, &mut ctx)
             .expect_err(&format!("{} is insertion-only", m.name()));
         assert!(
             matches!(err, MpcStreamError::Unsupported(_)),

@@ -1,11 +1,13 @@
-//! Serial-equivalence harness for the parallel `Session` executor:
-//! the worker count is an *execution* knob, never an *observable* one.
-//! Every scenario below runs the same seeded pipeline at 1, 2, 4, and
-//! 8 workers and demands bit-identical batch reports, query answers,
-//! receipts, and rolled-up `SessionStats` — the accounting contract
-//! the executor's fork/replay scheme exists to keep ("replaying each
-//! branch's event log on the master reproduces the serial charges
-//! exactly").
+//! Serial-equivalence harness for the `Session` fan-out's two branch
+//! runners: the worker count is an *execution* knob, never an
+//! *observable* one. Every scenario below runs the same seeded
+//! pipeline at 1, 2, 4, and 8 workers and demands bit-identical batch
+//! reports, query answers, receipts, and rolled-up `SessionStats` —
+//! the accounting contract the pooled runner's fork/replay scheme
+//! exists to keep ("replaying each branch's event log on the master
+//! reproduces the inline charges exactly"). The error-path scenarios
+//! at the end guard the one seam between the runners: which charges a
+//! failing fan-out leaves behind.
 
 use mpc_stream::graph::gen;
 use mpc_stream::graph::ids::Edge;
@@ -148,8 +150,8 @@ fn dynamic_roster_with_deletions_is_bit_identical_at_every_worker_count() {
 }
 
 /// The weighted front door (`apply_weighted`) through the same
-/// pipeline: the MSF family sees weights, and the pipelined chunker
-/// must hand workers the same weighted chunks the serial path built.
+/// pipeline: the MSF family sees weights, everyone else the
+/// projection, at every worker count.
 type WeightedObservables = (
     Vec<Vec<BatchReport>>,
     Vec<(MaintainerId, QueryResponse)>,
@@ -274,4 +276,232 @@ fn randomized_interleaving_never_drifts_from_serial() {
     // thread; a stuck lane would deadlock right here, inside the test.
     drop(pooled);
     drop(serial);
+}
+
+// ----- error paths: the seam between the inline and pooled runners ----
+
+/// Worker counts for the error-path scenarios: inline, and two pool
+/// widths (narrower and wider than the three-branch rosters).
+const ERROR_PATH_WORKERS: [usize; 3] = [1, 2, 4];
+
+/// What a failed call leaves observable: the error itself, the query
+/// receipts, the raw context counters (which keep a failing branch's
+/// partial charges), and the session rollup.
+type Wreckage = (
+    MpcStreamError,
+    Vec<QueryReport>,
+    mpc_stream::mpc::Stats,
+    SessionStats,
+);
+
+fn wreckage(session: &Session, err: MpcStreamError) -> Wreckage {
+    (
+        err,
+        session.query_reports().to_vec(),
+        session.ctx().stats().clone(),
+        session.stats().clone(),
+    )
+}
+
+fn assert_identical_wreckage(run: impl Fn(usize) -> Wreckage) {
+    let inline = run(ERROR_PATH_WORKERS[0]);
+    for workers in &ERROR_PATH_WORKERS[1..] {
+        assert_eq!(
+            run(*workers),
+            inline,
+            "{workers}-worker failure diverged from inline"
+        );
+    }
+}
+
+/// A middle maintainer rejects the chunk (`InsertOnlyKConn` fed a
+/// deletion): the branch before it is charged and absorbed, the one
+/// after it is not, and none of that depends on the runner.
+#[test]
+fn middle_branch_rejection_is_identical_at_every_worker_count() {
+    let n = 16usize;
+    let run = |workers: usize| {
+        let mut session = Session::new(cfg(n)).with_workers(workers);
+        let first = session.register(Connectivity::new(n, ConnectivityConfig::default(), 51));
+        session.register(InsertOnlyKConn::new(n, 2));
+        let last = session.register(AgmBaseline::new(n, 52));
+        session
+            .apply((0..8u32).map(|i| Update::Insert(Edge::new(i, i + 1))))
+            .expect("insert-only prefix");
+        let before = session.stats().clone();
+        let err = session
+            .apply([
+                Update::Insert(Edge::new(9, 10)),
+                Update::Delete(Edge::new(0, 1)),
+            ])
+            .expect_err("the insert-only certificate rejects deletions");
+        assert!(matches!(err, MpcStreamError::Unsupported(_)), "{err}");
+        let after = session.stats();
+        assert_eq!(
+            after.per_maintainer[first.id()].batches,
+            before.per_maintainer[first.id()].batches + 1,
+            "the branch ahead of the failure was absorbed"
+        );
+        assert_eq!(
+            after.per_maintainer[last.id()],
+            before.per_maintainer[last.id()],
+            "the branch behind the failure was never charged"
+        );
+        assert_eq!(
+            after.batches, before.batches,
+            "a failed chunk is not a batch"
+        );
+        wreckage(&session, err)
+    };
+    assert_identical_wreckage(run);
+}
+
+/// A maintainer that parks `alloc` words on machine 0 per batch and
+/// reports `state` standing words — co-scheduled instances collide on
+/// that machine, which is exactly where a fork (pre-chunk loads) and
+/// the master (siblings' loads too) can disagree.
+struct Hog {
+    name: &'static str,
+    alloc: u64,
+    state: u64,
+}
+
+impl Maintain for Hog {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn n(&self) -> usize {
+        16
+    }
+
+    fn words(&self) -> u64 {
+        self.state
+    }
+
+    fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
+        ctx.exchange(batch.len() as u64);
+        ctx.alloc(0, self.alloc)?;
+        Ok(())
+    }
+
+    fn save_state(&self, _w: &mut mpc_stream::snapshot::SnapshotWriter) {}
+}
+
+fn strict_cluster() -> MpcConfig {
+    MpcConfig::builder(16, 0.5)
+        .local_capacity(64)
+        .machines(4)
+        .strict(true)
+        .build()
+}
+
+/// Strict mode, overrun inside a branch: three hogs each park 40
+/// words on machine 0 of a 64-word machine. Inline, the second hog's
+/// `alloc` fails; pooled, every fork succeeds against the pre-chunk
+/// load and the overrun surfaces when the master replays the second
+/// log — same error, same counters, third hog uncharged.
+#[test]
+fn strict_overrun_at_replay_is_identical_at_every_worker_count() {
+    let run = |workers: usize| {
+        let mut session = Session::new(strict_cluster()).with_workers(workers);
+        for name in ["hog-a", "hog-b", "hog-c"] {
+            session.register(Hog {
+                name,
+                alloc: 40,
+                state: 1,
+            });
+        }
+        let err = session
+            .apply([Update::Insert(Edge::new(0, 1))])
+            .expect_err("machine 0 cannot hold two hogs");
+        match &err {
+            MpcStreamError::Capacity(MpcError::LocalMemoryExceeded { machine, used, .. }) => {
+                assert_eq!((*machine, *used), (0, 80));
+            }
+            other => panic!("expected LocalMemoryExceeded, got {other:?}"),
+        }
+        assert_eq!(session.stats().per_maintainer[0].batches, 1);
+        assert_eq!(session.stats().per_maintainer[2].batches, 0);
+        wreckage(&session, err)
+    };
+    assert_identical_wreckage(run);
+}
+
+/// Strict mode, overrun at the post-chunk audit: every branch
+/// succeeds, then the middle hog's standing state overflows its
+/// machine group and the audit names it.
+#[test]
+fn strict_overrun_at_audit_is_identical_at_every_worker_count() {
+    let run = |workers: usize| {
+        let mut session = Session::new(strict_cluster()).with_workers(workers);
+        for (name, state) in [("lean-a", 10), ("fat", 500), ("lean-b", 10)] {
+            session.register(Hog {
+                name,
+                alloc: 1,
+                state,
+            });
+        }
+        let err = session
+            .apply([Update::Insert(Edge::new(0, 1))])
+            .expect_err("500 standing words overflow any group of this cluster");
+        match &err {
+            MpcStreamError::Capacity(MpcError::ClusterMemoryExceeded { maintainer, .. }) => {
+                assert_eq!(maintainer, "fat");
+            }
+            other => panic!("expected ClusterMemoryExceeded, got {other:?}"),
+        }
+        assert_eq!(session.stats().batches, 1, "the chunk itself completed");
+        wreckage(&session, err)
+    };
+    assert_identical_wreckage(run);
+}
+
+/// A failing `ask_all`: the middle supporter covers fewer vertices,
+/// so `Connected(0, 20)` is out of range for it alone. The first
+/// answer is receipted and rolled up, the failure aborts the fan-out,
+/// the third supporter is never charged.
+#[test]
+fn failing_ask_all_is_identical_at_every_worker_count() {
+    let run = |workers: usize| {
+        let mut session = Session::new(cfg(24)).with_workers(workers);
+        session.register(Connectivity::new(24, ConnectivityConfig::default(), 61));
+        session.register(StreamingConnectivity::new(16, 62));
+        let last = session.register(AgmBaseline::new(24, 63));
+        session
+            .apply((0..10u32).map(|i| Update::Insert(Edge::new(i, i + 1))))
+            .expect("edges inside every maintainer's range");
+        let err = session
+            .ask_all(&QueryRequest::Connected(0, 20))
+            .expect_err("vertex 20 is outside the 16-vertex maintainer");
+        assert!(matches!(err, MpcStreamError::InvalidBatch(_)), "{err}");
+        let receipts = session.query_reports();
+        assert_eq!(receipts.len(), 1, "{receipts:?}");
+        assert_eq!(receipts[0].maintainer, "connectivity");
+        assert_eq!(session.stats().queries, 1);
+        assert_eq!(session.stats().per_maintainer[last.id()].queries, 0);
+        wreckage(&session, err)
+    };
+    assert_identical_wreckage(run);
+}
+
+/// One maintainer means one branch, and one branch always runs
+/// inline: a 4-worker session must equal the serial one without ever
+/// forking (its maintainer still steals through the context's pool).
+#[test]
+fn single_maintainer_session_is_identical_at_four_workers() {
+    let n = 32usize;
+    let run = |workers: usize| {
+        let mut session = Session::new(cfg(n)).with_workers(workers);
+        session.register(Connectivity::new(n, ConnectivityConfig::default(), 71));
+        let stream = gen::random_mixed_stream(n, 8, 10, 0.65, 0x51E);
+        let queries = [
+            QueryRequest::Connected(1, n as u32 - 2),
+            QueryRequest::ComponentCount,
+            QueryRequest::SpanningForest,
+        ];
+        let observed = observe(&mut session, &stream.batches, &queries);
+        (observed, session.ctx().stats().clone())
+    };
+    assert_eq!(run(4), run(1));
 }

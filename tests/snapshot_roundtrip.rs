@@ -117,9 +117,7 @@ fn save_load_save_is_byte_identical_and_answers_match() {
         for mut original in roster() {
             let name = original.name();
             for batch in &stream.batches[..stop] {
-                original
-                    .apply_batch(batch, &mut ctx)
-                    .expect("stream in regime");
+                original.ingest(batch, &mut ctx).expect("stream in regime");
             }
 
             let first = container(original.as_ref());
