@@ -1,7 +1,7 @@
 //! Experiments E1–E20 (see DESIGN.md §5 for the index; E13–E16 are
 //! the extension experiments, E17 the Session-level workload table,
 //! E18 the parallel-executor scaling curve, E19 the checkpoint/
-//! recovery soak, E20 the million-scale SIMD soak).
+//! recovery soak, E20 the million-scale soak).
 
 pub mod connectivity;
 pub mod extensions;

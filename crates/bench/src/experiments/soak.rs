@@ -1,12 +1,11 @@
-//! Experiment E20: the million-scale SIMD soak (the PR-9 tentpole's
-//! proof of life).
+//! Experiment E20: the million-scale soak.
 //!
 //! One sketch-heavy [`Session`] — batch-dynamic connectivity at a
 //! fixed copy count — drives a power-law stream with adversarial
 //! re-insert/delete churn ([`gen::powerlaw_churn_stream`]): hub cells
 //! are repeatedly written, exactly cancelled, and refilled, which is
 //! the worst case for the arena's live-mask bookkeeping and exactly
-//! the loop the [`mpc_sketch::kernels`] tiers vectorize. The loop
+//! the loops of [`mpc_sketch::kernels`]. The loop
 //! interleaves periodic `ask_all` component counts and periodic
 //! `Session::checkpoint` calls, so the measured stream is the full
 //! production surface (ingest + query fan-out + durability), not a
@@ -14,11 +13,7 @@
 //!
 //! The table reports end-to-end throughput plus p50/p95/p99
 //! **per-batch latencies** (nearest-rank over every `apply_batch`
-//! wall time, via the vendored harness's `percentile`), and the
-//! kernel tier the run dispatched to — run once with `MPC_KERNEL=
-//! scalar` and once unset to read the SIMD speedup at scale; the
-//! component counts and final stats must match bit-for-bit between
-//! those runs (the kernel bit-identity contract).
+//! wall time, via the vendored harness's `percentile`).
 //!
 //! By default the soak runs a lite shape (`n = 10⁴`, ~6·10⁴ updates)
 //! sized for CI smoke; set `MPC_SOAK_SCALE=full` for the committed
@@ -28,7 +23,6 @@
 use crate::table::Table;
 use mpc_graph::gen;
 use mpc_sim::MpcConfig;
-use mpc_sketch::KernelKind;
 use mpc_stream_core::{Connectivity, ConnectivityConfig, QueryRequest, Session};
 use std::time::{Duration, Instant};
 
@@ -52,16 +46,13 @@ fn soak_session(n: usize, seed: u64) -> Session {
     session
 }
 
-/// E20 — the SIMD soak: power-law churn at `n = 10⁵`/`10⁶` with
-/// in-loop queries and checkpoints, batch-latency percentiles, and
-/// the dispatched kernel tier on record.
+/// E20 — the soak: power-law churn at `n = 10⁵`/`10⁶` with in-loop
+/// queries and checkpoints, and batch-latency percentiles.
 ///
-/// Shape expectations: `updates/s` is the headline the kernel tiers
-/// move (compare `MPC_KERNEL=scalar` against auto); p99 sits well
+/// Shape expectations: `updates/s` is the headline; p99 sits well
 /// above p50 because churn batches that trigger the replacement-edge
 /// cascade pay converge-cast rounds that insert-only batches never
-/// see; `components` is identical across kernel tiers at the same
-/// seed (bit-identity).
+/// see; `components` is a pure function of the seed.
 pub fn e20_simd_soak() -> Vec<Table> {
     let full = std::env::var("MPC_SOAK_SCALE").is_ok_and(|v| v == "full");
     // (n, batches, batch width, churn, query cadence, ckpt cadence).
@@ -73,12 +64,10 @@ pub fn e20_simd_soak() -> Vec<Table> {
     } else {
         &[(10_000, 250, 256, 0.15, 50, 125)]
     };
-    let kernel = KernelKind::selected();
     let mut t = Table::new(
-        "E20 (SIMD soak): power-law churn, in-loop queries + checkpoints, batch-latency percentiles",
+        "E20 (soak): power-law churn, in-loop queries + checkpoints, batch-latency percentiles",
         &[
             "n",
-            "kernel",
             "updates",
             "wall s",
             "updates/s",
@@ -131,7 +120,6 @@ pub fn e20_simd_soak() -> Vec<Table> {
         };
         t.row(vec![
             n.to_string(),
-            kernel.name().to_string(),
             updates.to_string(),
             format!("{:.1}", wall.as_secs_f64()),
             format!("{:.0}", updates as f64 / wall.as_secs_f64()),

@@ -339,7 +339,7 @@ impl DistEtf {
                 breakpoints.push((ch.c, running));
             }
             // lint: allow(panic-reachability): map invariant — every tour in `order` received a plan in the pre-order pass
-        plans.get_mut(&t).expect("inserted above").breakpoints = breakpoints;
+            plans.get_mut(&t).expect("inserted above").breakpoints = breakpoints;
         }
         // Local application: tours outside the component are never
         // visited, and the root adapts to the merge shape. When the

@@ -21,9 +21,7 @@ pub const P: u64 = (1u64 << 61) - 1;
 /// assert_eq!((a - b) + b, a);
 /// ```
 /// The `repr(transparent)` layout is a documented guarantee: an
-/// `M61` is exactly one `u64` holding the canonical representative,
-/// which the sketch crate's vectorized kernels rely on to load slices
-/// of field elements as raw 64-bit lanes.
+/// `M61` is exactly one `u64` holding the canonical representative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct M61(u64);

@@ -135,9 +135,9 @@ pub struct Workspace {
 /// Keywords that look like `name(` call sites but never are.
 const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "match", "for", "return", "loop", "in", "as", "move", "fn", "let", "else",
-    "unsafe", "box", "await", "impl", "where", "pub", "use", "mod", "crate", "super", "mut",
-    "ref", "dyn", "break", "continue", "struct", "enum", "union", "trait", "type", "static",
-    "const", "self",
+    "unsafe", "box", "await", "impl", "where", "pub", "use", "mod", "crate", "super", "mut", "ref",
+    "dyn", "break", "continue", "struct", "enum", "union", "trait", "type", "static", "const",
+    "self",
 ];
 
 /// The crate a workspace-relative path belongs to.
@@ -289,8 +289,7 @@ fn count_params(tokens: &[Token], sig: (usize, usize)) -> (usize, bool) {
     // A receiver is a first parameter mentioning `self` before any
     // top-level `,` — `&self`, `&'a mut self`, `self: Arc<Self>`.
     let mut depth = 0i32;
-    for i in open..sig.1 {
-        let t = &tokens[i];
+    for t in &tokens[open..sig.1] {
         if t.is_punct('(') || t.is_punct('[') {
             depth += 1;
         } else if t.is_punct(')') || t.is_punct(']') {
@@ -424,7 +423,12 @@ impl Workspace {
 
     /// Call edges of function `f` whose name token falls in
     /// `[lo, hi)` (token indices of `f`'s file).
-    pub fn calls_in_range(&self, f: usize, lo: usize, hi: usize) -> impl Iterator<Item = &CallSite> {
+    pub fn calls_in_range(
+        &self,
+        f: usize,
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = &CallSite> {
         self.calls[f]
             .iter()
             .filter(move |c| lo <= c.token && c.token < hi)
@@ -538,12 +542,7 @@ mod tests {
     use super::*;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
-        Workspace::build(
-            files
-                .iter()
-                .map(|(p, s)| FileIndex::new(p, s))
-                .collect(),
-        )
+        Workspace::build(files.iter().map(|(p, s)| FileIndex::new(p, s)).collect())
     }
 
     fn fn_idx(ws: &Workspace, name: &str) -> usize {

@@ -20,20 +20,19 @@
 //! | rule id | invariant |
 //! |---|---|
 //! | `event-completeness` | Every mutating `MpcContext` primitive records an `MpcEvent`, every variant is recorded by some primitive, and every variant has an explicit `replay_inner` arm (no wildcard). A gap here is exactly the PR-6-style drift the serial-equivalence suite would only catch dynamically — and only if a test happens to exercise the missing primitive. |
-//! | `unsafe-hygiene` | `unsafe` is confined to an explicit allowlist — `crates/mpc/src/executor.rs` and the SIMD kernel directory `crates/sketch/src/kernels/`; every `unsafe` there carries a `// SAFETY:` argument within the preceding 8 lines; every other crate root carries `#![forbid(unsafe_code)]` (the sketch root, whose kernels hold module-level allows `forbid` would reject, carries `#![deny(unsafe_code)]` instead). |
+//! | `unsafe-hygiene` | `unsafe` is confined to an explicit allowlist — `crates/mpc/src/executor.rs`; every `unsafe` there carries a `// SAFETY:` argument within the preceding 8 lines; every other crate root carries `#![forbid(unsafe_code)]`. |
 //! | `determinism-hygiene` | No `Instant`/`SystemTime`, no default-hasher `HashMap`/`HashSet`, no raw `Mutex`/`RwLock`/`Condvar`/`std::thread::spawn` outside the executor, no `dbg!`/`println!` in library crates. Tool crates (`mpc-bench`, `mpc-lint`) and `#[cfg(test)]` code are out of scope. |
 //! | `maintain-completeness` | Every production `impl Maintain` defines both `supports` and `answer` (the pair PR 6 had to retrofit). |
 //! | `io-hygiene` | `std::fs`/`std::io` are confined to `crates/mpc-snapshot` (the one sanctioned persistence path — the checksummed snapshot container behind `Session::checkpoint`/`restore`) and the tool crates. |
 //! | `allow-hygiene` | Meta rule: every inline allow must name a known rule and carry justification text. |
-//! | `panic-reachability` | The PR-3 de-panicking contract, interprocedurally: a hot entry point (`ingest`, `ingest_weighted`, `apply_batch`, `answer`, the merge/sample/converge-cast kernels) must neither contain nor *reach*, through any chain of workspace calls, `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (but **not** `debug_assert!`). Local sites are reported at their line; reached ones print the shortest witness chain (`ExactMsf::apply_batch -> ExactMsf::one_iteration -> ...`). Site-level allows at the panic site are honored and routed around. |
+//! | `panic-reachability` | The PR-3 de-panicking contract, interprocedurally: a hot entry point (`ingest`, `ingest_weighted`, `apply_batch`, `answer`, the merge/sample/converge-cast loops) must neither contain nor *reach*, through any chain of workspace calls, `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (but **not** `debug_assert!`). Local sites are reported at their line; reached ones print the shortest witness chain (`ExactMsf::apply_batch -> ExactMsf::one_iteration -> ...`). Site-level allows at the panic site are honored and routed around. |
 //! | `persist-symmetry` | Every `impl Persist` pair must round-trip: `save` and `load` agree on the word-kind sequence (`u32` vs 64-bit words), every field `save` writes is read back by `load`, and shared fields appear in the same order — the static mirror of the snapshot suite's byte-stability tests. |
-//! | `kernel-parity` | The three SIMD tiers (`portable.rs`, `sse2.rs`, `avx2.rs`) expose the same op surface with token-identical signatures, and every SIMD op names its scalar reference (`portable::<op>` in the body or the doc comment) — the static mirror of the tier bit-identity suite. |
 //! | `query-charging` | Every `Ok`-returning arm of `Maintain::answer` charges the accounting context (`exchange`/`broadcast`/`converge_cast`/`sort`/`gather`), directly or through a helper on the call graph — answering free of charge is an accounting leak. |
-//! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into` and the SIMD kernels) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively; the stealing variant is exempt (it owns its scratch). |
+//! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into` and the sketch loops of `crates/sketch/src/kernels.rs`) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively; the stealing variant is exempt (it owns its scratch). |
 //!
 //! # The interprocedural phase
 //!
-//! The first six rules are per-file. The last five run over a
+//! The first six rules are per-file. The last four run over a
 //! workspace-wide symbol table and call graph ([`graph::Workspace`]):
 //! every function is indexed with its owner `impl`, receiver, and
 //! arity; call sites resolve by name with receiver/arity ranking
@@ -80,12 +79,10 @@
 //! pooled runner asserts that a replayed branch charges exactly the
 //! rounds and words its fork recorded (the differential fork/replay
 //! audit).
-//! Conversely, two of the interprocedural rules are static mirrors of
-//! existing runtime suites: `persist-symmetry` mirrors the snapshot
+//! Conversely, one interprocedural rule is the static mirror of an
+//! existing runtime suite: `persist-symmetry` mirrors the snapshot
 //! byte-stability tests (a drifted `save`/`load` pair fails both, but
-//! the lint names the field without running anything), and
-//! `kernel-parity` mirrors the SIMD tier bit-identity suite the same
-//! way.
+//! the lint names the field without running anything).
 //!
 //! # CLI
 //!
@@ -127,11 +124,9 @@ pub const RULE_ALLOW_HYGIENE: &str = "allow-hygiene";
 pub const RULE_PANIC_REACH: &str = "panic-reachability";
 /// Rule id: `Persist::save`/`load` mirror each other field-for-field.
 pub const RULE_PERSIST: &str = "persist-symmetry";
-/// Rule id: kernel ops exist at all tiers with matching signatures.
-pub const RULE_KERNEL_PARITY: &str = "kernel-parity";
 /// Rule id: `Maintain::answer` charges the context before `Ok`.
 pub const RULE_QUERY_CHARGE: &str = "query-charging";
-/// Rule id: no heap allocation reachable from kernel folds.
+/// Rule id: no heap allocation reachable from the merge loops.
 pub const RULE_ALLOC_HOT: &str = "alloc-hot-path";
 
 /// Every rule id with a one-paragraph explanation (`--explain`).
@@ -149,13 +144,9 @@ pub const RULES: &[(&str, &str)] = &[
     (
         RULE_UNSAFE,
         "Confines `unsafe` to the reviewed allowlist — crates/mpc/src/executor.rs (the \
-         work-stealing executor) and crates/sketch/src/kernels/ (the #[target_feature] \
-         SIMD tiers, allowlisted as a directory) — requires a `// SAFETY:` comment within \
-         8 lines above every unsafe use there, and requires `#![forbid(unsafe_code)]` on \
-         every other crate root so the confinement is also compiler-enforced. The sketch \
-         crate root is the one exception to `forbid`: its kernels carry module-level \
-         allows that `forbid` cannot be overridden by, so that root must carry \
-         `#![deny(unsafe_code)]` instead, which the rule verifies explicitly.",
+         work-stealing executor) — requires a `// SAFETY:` comment within 8 lines above \
+         every unsafe use there, and requires `#![forbid(unsafe_code)]` on every other \
+         crate root so the confinement is also compiler-enforced.",
     ),
     (
         RULE_DETERMINISM,
@@ -190,8 +181,8 @@ pub const RULES: &[(&str, &str)] = &[
     (
         RULE_PANIC_REACH,
         "The PR-3 de-panicking contract, interprocedurally: the hot roots (ingest, \
-         ingest_weighted, apply_batch, answer, the arena merge/sample/converge-cast kernels, \
-         everything in crates/sketch/src/kernels/) return Result and run inside worker lanes \
+         ingest_weighted, apply_batch, answer, the arena merge/sample/converge-cast loops, \
+         everything in crates/sketch/src/kernels.rs) return Result and run inside worker lanes \
          where a panic aborts the whole steal scope instead of surfacing a typed error. The \
          rule reports every unwrap/expect/panic!/todo!/unimplemented!/assert!/assert_eq!/\
          assert_ne! (debug_assert!* stays legal) in a hot root's own body at its line, and \
@@ -207,17 +198,8 @@ pub const RULES: &[(&str, &str)] = &[
          each other — same primitive wire kinds in the same sequence (u64 and usize share \
          a wire word; skipped for enum impls that branch via match), every named field \
          written by save read back by load, and shared field names in the same order. \
-         Derived writes (self.pow.len()) and reconstructed load-side fields \
-         (KernelKind::selected()) are exempt by construction.",
-    ),
-    (
-        RULE_KERNEL_PARITY,
-        "The static twin of the kernel tier bit-identity tests: every op visible in at \
-         least two of crates/sketch/src/kernels/{portable,sse2,avx2}.rs must exist in all \
-         three tiers with token-identical signatures (tier-local private helpers are \
-         exempt), and every SSE2/AVX2 op must name its scalar reference — portable::<op> \
-         in the body or portable::<op>/KernelKind::<op> in its docs — so the behavioral \
-         contract stays navigable from the intrinsics.",
+         Derived writes (self.pow.len()) and reconstructed load-side fields are exempt \
+         by construction.",
     ),
     (
         RULE_QUERY_CHARGE,
@@ -231,11 +213,12 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         RULE_ALLOC_HOT,
-        "Kernel tier bodies and merge_copy_into run inside the converge-cast inner loop \
-         with preallocated scratch; any Vec::new/vec!/collect()/to_vec()/format!-style \
-         heap allocation there — or reachable from there through workspace helpers — is a \
-         latency regression the E20 soak would surface later. Flagged unless justified \
-         with `// lint: allow(alloc-hot-path): …` at the reported line. The stealing merge \
+        "The sketch loops (crates/sketch/src/kernels.rs) and merge_copy_into run inside the \
+         converge-cast inner loop with preallocated scratch; any \
+         Vec::new/vec!/collect()/to_vec()/format!-style heap allocation there — or \
+         reachable from there through workspace helpers — is a latency regression the E20 \
+         soak would surface later. Flagged unless justified with \
+         `// lint: allow(alloc-hot-path): …` at the reported line. The stealing merge \
          allocates span partials by design and is not a root.",
     ),
 ];
@@ -291,8 +274,8 @@ pub fn lint_source(rel_path: &str, source: &str) -> (Vec<Finding>, Vec<AppliedAl
 /// Lints a set of `(rel_path, source)` files as one workspace: the
 /// per-file rules run on each file, then the symbol table / call
 /// graph is built across all of them and the interprocedural rules
-/// (panic-reachability, persist-symmetry, kernel-parity,
-/// query-charging, alloc-hot-path) run over the whole set. Allow
+/// (panic-reachability, persist-symmetry, query-charging,
+/// alloc-hot-path) run over the whole set. Allow
 /// comments suppress findings of both phases.
 pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAllow>) {
     // Phase 1: per-file rules, with each file's parsed allows kept
@@ -338,7 +321,6 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
     let sums = summary::compute(&ws);
     findings.extend(rules::panic_reach::check(&ws, &sums));
     findings.extend(rules::persist::check(&ws));
-    findings.extend(rules::kernel_parity::check(&ws));
     findings.extend(rules::query_charge::check(&ws, &sums));
     findings.extend(rules::alloc_hot::check(&ws, &sums));
 
@@ -374,8 +356,7 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
 
 /// Crate roots that must carry `#![forbid(unsafe_code)]`: every
 /// `crates/<name>/src/lib.rs` except mpc-sim's (the executor is
-/// allowlisted) and mpc-sketch's (see [`needs_deny`]), plus the
-/// facade.
+/// allowlisted), plus the facade.
 fn needs_forbid(rel_path: &str) -> bool {
     if rel_path == "src/lib.rs" {
         return true;
@@ -383,15 +364,7 @@ fn needs_forbid(rel_path: &str) -> bool {
     let Some(rest) = rel_path.strip_prefix("crates/") else {
         return false;
     };
-    rest.ends_with("/src/lib.rs") && !rest.starts_with("mpc/") && !rest.starts_with("sketch/")
-}
-
-/// Crate roots that must carry `#![deny(unsafe_code)]` instead of
-/// `forbid`: only mpc-sketch's, whose allowlisted `kernels` modules
-/// hold `#![allow(unsafe_code)]` that `forbid` could not be
-/// overridden by.
-fn needs_deny(rel_path: &str) -> bool {
-    rel_path == "crates/sketch/src/lib.rs"
+    rest.ends_with("/src/lib.rs") && !rest.starts_with("mpc/")
 }
 
 /// Lints the whole workspace rooted at `root`.
@@ -417,18 +390,14 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     report.allows.extend(applied);
     for (rel, source) in &sources {
         saw_context |= rel == "crates/mpc/src/context.rs";
-        if needs_forbid(rel) || needs_deny(rel) {
+        if needs_forbid(rel) {
             let lexed = lexer::lex(source);
             let ctx = FileCtx {
                 rel_path: rel,
                 lexed: &lexed,
                 test_ranges: &[],
             };
-            if needs_forbid(rel) {
-                report.findings.extend(rules::unsafety::check_forbid(&ctx));
-            } else {
-                report.findings.extend(rules::unsafety::check_deny(&ctx));
-            }
+            report.findings.extend(rules::unsafety::check_forbid(&ctx));
         }
         report.files_scanned += 1;
     }
@@ -516,18 +485,13 @@ mod tests {
     }
 
     #[test]
-    fn forbid_required_everywhere_but_mpc_sim_and_sketch() {
+    fn forbid_required_everywhere_but_mpc_sim() {
         assert!(needs_forbid("crates/graph/src/lib.rs"));
         assert!(needs_forbid("src/lib.rs"));
         assert!(needs_forbid("crates/mpc-lint/src/lib.rs"));
         assert!(!needs_forbid("crates/mpc/src/lib.rs"));
         assert!(!needs_forbid("crates/graph/src/ids.rs"));
-        // The sketch root trades `forbid` for `deny` so its kernels'
-        // module-level allows can exist; `deny` is then mandatory.
-        assert!(!needs_forbid("crates/sketch/src/lib.rs"));
-        assert!(needs_deny("crates/sketch/src/lib.rs"));
-        assert!(!needs_deny("crates/graph/src/lib.rs"));
-        assert!(!needs_deny("crates/sketch/src/arena.rs"));
+        assert!(needs_forbid("crates/sketch/src/lib.rs"));
     }
 
     #[test]
@@ -554,7 +518,6 @@ mod tests {
             RULE_ALLOW_HYGIENE,
             RULE_PANIC_REACH,
             RULE_PERSIST,
-            RULE_KERNEL_PARITY,
             RULE_QUERY_CHARGE,
             RULE_ALLOC_HOT,
         ];

@@ -1,13 +1,13 @@
 //! Rule `alloc-hot-path`: no heap allocation reachable from the
-//! kernel folds or the interleaved merged-copy fold.
+//! sketch loops or the interleaved merged-copy fold.
 //!
-//! The SIMD kernel tiers and `merge_copy_into` sit inside the
-//! converge-cast inner loop; an allocation there shows up directly in
-//! the per-merge latency the E20 soak and `sketch/merged_copy`
-//! microbench track. Scratch buffers are preallocated by design
+//! The loops of `crates/sketch/src/kernels.rs` and `merge_copy_into`
+//! sit inside the converge-cast inner loop; an allocation there shows
+//! up directly in the per-merge latency the E20 soak and
+//! `sketch/merged_copy` microbench track. Scratch buffers are preallocated by design
 //! (`new_scratch`, the SoA columns), so any `Vec::new`/`vec!`/
-//! `collect()`/`to_vec()`/… in a kernel body — or in anything a
-//! kernel body calls — is either a regression or needs an explicit
+//! `collect()`/`to_vec()`/… in a loop body — or in anything a
+//! loop body calls — is either a regression or needs an explicit
 //! `// lint: allow(alloc-hot-path): …` justification at the reported
 //! line. The stealing merge (`merge_copy_into_stealing`) is *not* a
 //! root: its span partials are allocated once per steal scope on
@@ -15,7 +15,7 @@
 
 use crate::graph::Workspace;
 use crate::report::Finding;
-use crate::rules::panic_reach::in_kernels_dir;
+use crate::rules::panic_reach::is_kernels_file;
 use crate::summary::{Effect, Summaries};
 use crate::RULE_ALLOC_HOT;
 
@@ -33,7 +33,7 @@ fn is_alloc_root(ws: &Workspace, f: usize) -> bool {
     if !crate::roles_for(path).panics {
         return false; // tool crates / tests are out of scope
     }
-    ROOT_FNS.contains(&node.name.as_str()) || in_kernels_dir(path)
+    ROOT_FNS.contains(&node.name.as_str()) || is_kernels_file(path)
 }
 
 /// Reports local allocations in root bodies and call edges into
@@ -95,12 +95,7 @@ mod tests {
     use crate::summary;
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let ws = Workspace::build(
-            files
-                .iter()
-                .map(|(p, s)| FileIndex::new(p, s))
-                .collect(),
-        );
+        let ws = Workspace::build(files.iter().map(|(p, s)| FileIndex::new(p, s)).collect());
         let sums = summary::compute(&ws);
         check(&ws, &sums)
     }
@@ -117,16 +112,18 @@ mod tests {
              fn stage(src: &[u64]) -> Vec<u64> { src.iter().copied().collect() }",
         )]);
         assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().any(|x| x.line == 3 && x.message.contains(".to_vec()")));
+        assert!(f
+            .iter()
+            .any(|x| x.line == 3 && x.message.contains(".to_vec()")));
         assert!(f
             .iter()
             .any(|x| x.line == 2 && x.message.contains("merge_copy_into -> stage")));
     }
 
     #[test]
-    fn kernel_dir_fns_are_roots_but_stealing_merge_is_not() {
+    fn kernels_file_fns_are_roots_but_stealing_merge_is_not() {
         let dirty = run(&[(
-            "crates/sketch/src/kernels/portable.rs",
+            "crates/sketch/src/kernels.rs",
             "pub(crate) fn fold_cells(dst: &mut [u64]) { let t = vec![0u64; dst.len()]; }",
         )]);
         assert_eq!(dirty.len(), 1);

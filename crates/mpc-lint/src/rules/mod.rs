@@ -6,7 +6,6 @@ pub mod alloc_hot;
 pub mod determinism;
 pub mod events;
 pub mod io_hygiene;
-pub mod kernel_parity;
 pub mod maintain;
 pub mod panic_reach;
 pub mod persist;
@@ -85,8 +84,7 @@ pub(crate) fn site_allow(
         let just = text[pos + needle.len()..]
             .trim_start_matches([':', '-', '—', ' '])
             .trim();
-        (just.chars().count() >= crate::allow::MIN_JUSTIFICATION)
-            .then(|| (*l, just.to_string()))
+        (just.chars().count() >= crate::allow::MIN_JUSTIFICATION).then(|| (*l, just.to_string()))
     })
 }
 

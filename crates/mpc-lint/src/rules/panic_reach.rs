@@ -8,8 +8,8 @@
 //! that unwraps two calls deep is exactly as broken as one that
 //! unwraps itself, so this rule reports both: each panicking construct
 //! in a hot root's own body (at its line), and, walking the call graph
-//! from every hot root ([`HOT_FNS`] and everything in the SIMD kernel
-//! directory), each call edge into a function whose transitive effect
+//! from every hot root ([`HOT_FNS`] and everything in the sketch loop
+//! module), each call edge into a function whose transitive effect
 //! summary says it can panic, with the shortest witness chain printed
 //! so the fix is obvious. `debug_assert!` (and friends) stay legal:
 //! they vanish in release builds and are the documented way to state
@@ -32,7 +32,7 @@ use crate::RULE_PANIC_REACH;
 /// and read entries `Session` dispatches (`ingest`,
 /// `ingest_weighted`, `answer`), the inherent `apply_batch` they
 /// delegate to, and the sketch-arena merge / sample / converge-cast
-/// kernels that run inside work-stealing scopes.
+/// entries that run inside work-stealing scopes.
 pub const HOT_FNS: &[&str] = &[
     "apply_batch",
     "ingest",
@@ -47,10 +47,10 @@ pub const HOT_FNS: &[&str] = &[
     "converge_cast",
 ];
 
-/// Whether `rel_path` is inside the SIMD kernel directory, whose
-/// functions are hot roots wholesale.
-pub(crate) fn in_kernels_dir(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/sketch/src/kernels/")
+/// Whether `rel_path` is the sketch loop module, whose functions are
+/// hot roots wholesale.
+pub(crate) fn is_kernels_file(rel_path: &str) -> bool {
+    rel_path == "crates/sketch/src/kernels.rs"
 }
 
 /// Whether workspace function `f` is a hot root for reachability.
@@ -64,7 +64,7 @@ pub(crate) fn is_hot_root(ws: &Workspace, f: usize) -> bool {
     if !roles.panics {
         return false;
     }
-    HOT_FNS.contains(&node.name.as_str()) || in_kernels_dir(path)
+    HOT_FNS.contains(&node.name.as_str()) || is_kernels_file(path)
 }
 
 /// Checks every hot root's call edges against the panic summaries.

@@ -22,8 +22,7 @@
 //! name — impls that rename through locals (`let v = …; Ok(M61(v))`)
 //! opt out of name matching but still get the kind check. Derived
 //! writes (`w.put_usize(self.pow.len())`) and reconstructed load
-//! fields (`kernel: KernelKind::selected()`) are deliberately
-//! nameless/eventless and never reported.
+//! fields are deliberately nameless/eventless and never reported.
 
 use crate::graph::Workspace;
 use crate::lexer::Token;
@@ -228,7 +227,10 @@ pub(crate) fn load_events(tokens: &[Token], body: (usize, usize)) -> Vec<Ev> {
                     line: tokens[i].line,
                 });
             }
-        } else if name == "load" && i >= 2 && tokens[i - 1].is_punct(':') && tokens[i - 2].is_punct(':')
+        } else if name == "load"
+            && i >= 2
+            && tokens[i - 1].is_punct(':')
+            && tokens[i - 2].is_punct(':')
         {
             out.push(Ev {
                 kind: "nested".to_string(),

@@ -73,8 +73,7 @@ fn match_arms(tokens: &[Token], open: usize) -> Vec<(usize, usize)> {
 /// The token index of the first depth-0 `match` in `body`, if any.
 fn top_level_match(tokens: &[Token], body: (usize, usize)) -> Option<usize> {
     let mut depth = 0i32;
-    for i in body.0..body.1 {
-        let t = &tokens[i];
+    for (i, t) in tokens.iter().enumerate().take(body.1).skip(body.0) {
         if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
             depth += 1;
         } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
@@ -90,7 +89,10 @@ fn top_level_match(tokens: &[Token], body: (usize, usize)) -> Option<usize> {
 /// `[lo, hi)`: a direct charging call, or a call edge into a
 /// transitively charging workspace function.
 fn charged_in(ws: &Workspace, sums: &Summaries, f: usize, lo: usize, hi: usize) -> bool {
-    sums.facts[f].charge_sites.iter().any(|&t| lo <= t && t < hi)
+    sums.facts[f]
+        .charge_sites
+        .iter()
+        .any(|&t| lo <= t && t < hi)
         || ws
             .calls_in_range(f, lo, hi)
             .any(|c| sums.effects[c.callee].charges)
@@ -122,8 +124,7 @@ pub fn check(ws: &Workspace, sums: &Summaries) -> Vec<Finding> {
                 // no top-level match the whole body is one segment.
                 let segments: Vec<(usize, usize)> = match top_level_match(tokens, node.body) {
                     Some(m) => {
-                        let Some(open) = (m..node.body.1).find(|&j| tokens[j].is_punct('{'))
-                        else {
+                        let Some(open) = (m..node.body.1).find(|&j| tokens[j].is_punct('{')) else {
                             continue;
                         };
                         match_arms(tokens, open)

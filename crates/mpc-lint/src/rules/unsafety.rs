@@ -1,39 +1,23 @@
 //! Rule `unsafe-hygiene`: `unsafe` is confined to an explicit
 //! allowlist, and every use carries a `// SAFETY:` argument.
 //!
-//! The workspace has exactly two modules with a legitimate need for
+//! The workspace has exactly one module with a legitimate need for
 //! `unsafe` — the work-stealing executor (`crates/mpc/src/executor.rs`),
 //! whose lifetime-erasure and disjoint-claim tricks are documented
-//! and runtime-audited, and the sketch arena's SIMD kernel tier
-//! (`crates/sketch/src/kernels/`), whose `#[target_feature]`
-//! intrinsics are inherently unsafe to call and are gated behind
-//! runtime CPU detection. Everywhere else `unsafe` is banned outright
+//! and runtime-audited. Everywhere else `unsafe` is banned outright
 //! (and statically excluded via `#![forbid(unsafe_code)]`, which this
-//! rule also verifies on every crate root except `mpc-sim`'s and
-//! `mpc-sketch`'s — the sketch root instead carries
-//! `#![deny(unsafe_code)]`, verified by [`check_deny`], because
-//! `forbid` cannot be overridden by the kernels' module-level allows).
+//! rule also verifies on every crate root except `mpc-sim`'s).
 
 use super::FileCtx;
 use crate::report::Finding;
 use crate::RULE_UNSAFE;
 
-/// The only places allowed to contain `unsafe` code. An entry ending
-/// in `/` allowlists every file under that directory; any other entry
-/// names a single file exactly.
-pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/mpc/src/executor.rs", "crates/sketch/src/kernels/"];
+/// The only files allowed to contain `unsafe` code.
+pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/mpc/src/executor.rs"];
 
-/// Whether `rel_path` falls inside [`UNSAFE_ALLOWLIST`].
+/// Whether `rel_path` is one of the [`UNSAFE_ALLOWLIST`] files.
 pub fn is_allowlisted(rel_path: &str) -> bool {
-    UNSAFE_ALLOWLIST.iter().any(|entry| {
-        if let Some(dir) = entry.strip_suffix('/') {
-            rel_path
-                .strip_prefix(dir)
-                .is_some_and(|rest| rest.starts_with('/'))
-        } else {
-            rel_path == *entry
-        }
-    })
+    UNSAFE_ALLOWLIST.contains(&rel_path)
 }
 
 /// How many lines above an `unsafe` token a `// SAFETY:` comment may
@@ -83,48 +67,26 @@ pub fn check(ctx: &FileCtx) -> Vec<Finding> {
     out
 }
 
-/// Verifies a crate-root `#![<lint_level>(unsafe_code)]` attribute and
-/// returns a finding carrying `message` when it is absent.
-fn check_opt_out(ctx: &FileCtx, lint_level: &str, message: &str) -> Option<Finding> {
+/// Verifies that a crate root opts out of unsafe code entirely.
+/// Returns a finding when `#![forbid(unsafe_code)]` is absent.
+pub fn check_forbid(ctx: &FileCtx) -> Option<Finding> {
     let hit = super::find_seq(
         &ctx.lexed.tokens,
         (0, ctx.lexed.tokens.len()),
-        &["#", "!", "[", lint_level, "(", "unsafe_code", ")", "]"],
+        &["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"],
     );
     if hit.is_empty() {
         Some(Finding {
             rule: RULE_UNSAFE,
             file: ctx.rel_path.to_string(),
             line: 1,
-            message: message.to_string(),
+            message: "crate root is missing `#![forbid(unsafe_code)]` — every crate except \
+                      mpc-sim forbids unsafe at the compiler level"
+                .to_string(),
         })
     } else {
         None
     }
-}
-
-/// Verifies that a crate root opts out of unsafe code entirely.
-/// Returns a finding when `#![forbid(unsafe_code)]` is absent.
-pub fn check_forbid(ctx: &FileCtx) -> Option<Finding> {
-    check_opt_out(
-        ctx,
-        "forbid",
-        "crate root is missing `#![forbid(unsafe_code)]` — every crate except mpc-sim and \
-         mpc-sketch forbids unsafe at the compiler level",
-    )
-}
-
-/// Verifies that a crate root denies unsafe code by default, the
-/// weakest compiler-level opt-out that module-level allows (the SIMD
-/// kernels) can still override. Returns a finding when
-/// `#![deny(unsafe_code)]` is absent.
-pub fn check_deny(ctx: &FileCtx) -> Option<Finding> {
-    check_opt_out(
-        ctx,
-        "deny",
-        "crate root is missing `#![deny(unsafe_code)]` — the sketch crate must deny unsafe \
-         by default so only the kernels' explicit module-level allows escape it",
-    )
 }
 
 #[cfg(test)]
@@ -144,16 +106,12 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_matches_files_exactly_and_directories_by_prefix() {
+    fn allowlist_matches_files_exactly() {
         assert!(is_allowlisted("crates/mpc/src/executor.rs"));
-        assert!(is_allowlisted("crates/sketch/src/kernels/sse2.rs"));
-        assert!(is_allowlisted("crates/sketch/src/kernels/mod.rs"));
-        // An exact-file entry does not allowlist its siblings, and a
-        // directory entry does not match lookalike directory names.
+        // An exact-file entry does not allowlist its siblings.
         assert!(!is_allowlisted("crates/mpc/src/executor2.rs"));
         assert!(!is_allowlisted("crates/mpc/src/context.rs"));
         assert!(!is_allowlisted("crates/sketch/src/kernels.rs"));
-        assert!(!is_allowlisted("crates/sketch/src/kernels_extra/x.rs"));
         assert!(!is_allowlisted("crates/sketch/src/arena.rs"));
     }
 
@@ -162,23 +120,19 @@ mod tests {
         let f = run("crates/core/src/session.rs", "fn f() { unsafe { g() } }");
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("allowlist"));
-        let f = run("crates/sketch/src/arena.rs", "fn f() { unsafe { g() } }");
-        assert_eq!(f.len(), 1, "sketch outside kernels/ stays banned");
+        let f = run("crates/sketch/src/kernels.rs", "fn f() { unsafe { g() } }");
+        assert_eq!(f.len(), 1, "the sketch loops are not allowlisted");
     }
 
     #[test]
     fn allowlisted_unsafe_needs_safety_comment() {
         let dirty = "fn f() {\n    let x = unsafe { g() };\n}";
         let clean = "fn f() {\n    // SAFETY: g is sound here because reasons.\n    let x = unsafe { g() };\n}";
-        for path in [
-            "crates/mpc/src/executor.rs",
-            "crates/sketch/src/kernels/avx2.rs",
-        ] {
-            let f = run(path, dirty);
-            assert_eq!(f.len(), 1, "{path}");
-            assert!(f[0].message.contains("SAFETY"), "{path}");
-            assert!(run(path, clean).is_empty(), "{path}");
-        }
+        let path = "crates/mpc/src/executor.rs";
+        let f = run(path, dirty);
+        assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("SAFETY"));
+        assert!(run(path, clean).is_empty());
     }
 
     fn opt_out_ctx(src: &str) -> (crate::lexer::Lexed, &'static str) {
@@ -201,27 +155,5 @@ mod tests {
             test_ranges: &[],
         };
         assert!(check_forbid(&ctx).is_some());
-    }
-
-    #[test]
-    fn deny_attribute_check_accepts_deny_but_not_forbid() {
-        let (lexed, rel_path) = opt_out_ctx("//! docs\n#![deny(unsafe_code)]\npub fn f() {}\n");
-        let ctx = FileCtx {
-            rel_path,
-            lexed: &lexed,
-            test_ranges: &[],
-        };
-        assert!(check_deny(&ctx).is_none());
-        // `forbid` is not `deny`: the sketch root pairing with
-        // module-level allows would not even compile under forbid, so
-        // the check looks for the exact attribute.
-        let (lexed, rel_path) = opt_out_ctx("//! docs\n#![forbid(unsafe_code)]\npub fn f() {}\n");
-        let ctx = FileCtx {
-            rel_path,
-            lexed: &lexed,
-            test_ranges: &[],
-        };
-        let f = check_deny(&ctx).expect("forbid does not satisfy the deny check");
-        assert!(f.message.contains("deny(unsafe_code)"));
     }
 }

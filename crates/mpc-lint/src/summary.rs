@@ -104,19 +104,20 @@ pub struct Summaries {
 pub fn compute(ws: &Workspace) -> Summaries {
     let mut facts = Vec::with_capacity(ws.fns.len());
     let mut applied: Vec<crate::report::AppliedAllow> = Vec::new();
-    let mut record = |file: &crate::graph::FileIndex, comment_line: u32, rule: &str, just: String| {
-        let dup = applied
-            .iter()
-            .any(|a| a.file == file.rel_path && a.line == comment_line && a.rule == rule);
-        if !dup {
-            applied.push(crate::report::AppliedAllow {
-                rule: rule.to_string(),
-                file: file.rel_path.clone(),
-                line: comment_line,
-                justification: just,
-            });
-        }
-    };
+    let mut record =
+        |file: &crate::graph::FileIndex, comment_line: u32, rule: &str, just: String| {
+            let dup = applied
+                .iter()
+                .any(|a| a.file == file.rel_path && a.line == comment_line && a.rule == rule);
+            if !dup {
+                applied.push(crate::report::AppliedAllow {
+                    rule: rule.to_string(),
+                    file: file.rel_path.clone(),
+                    line: comment_line,
+                    justification: just,
+                });
+            }
+        };
     for f in &ws.fns {
         if f.in_test {
             // Test bodies panic and allocate on purpose and are never
@@ -214,9 +215,12 @@ pub fn compute(ws: &Workspace) -> Summaries {
         }
     }
 
-    drop(record);
     applied.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Summaries { facts, effects, applied }
+    Summaries {
+        facts,
+        effects,
+        applied,
+    }
 }
 
 /// Which effect a chain query is about.
@@ -233,7 +237,12 @@ impl Summaries {
     /// site of `effect`, as (`fn chain including start`, `site`). The
     /// chain is found by breadth-first search, so the printed witness
     /// is minimal.
-    pub fn chain(&self, ws: &Workspace, start: usize, effect: Effect) -> Option<(Vec<usize>, Site)> {
+    pub fn chain(
+        &self,
+        ws: &Workspace,
+        start: usize,
+        effect: Effect,
+    ) -> Option<(Vec<usize>, Site)> {
         let local = |f: usize| -> Option<&Site> {
             let ff = &self.facts[f];
             match effect {

@@ -81,40 +81,6 @@ fn unsafety_dirty_fixture_fails_both_ways() {
 }
 
 #[test]
-fn kernels_clean_fixture_passes_inside_the_kernels_directory() {
-    let (findings, _) = run(
-        "crates/sketch/src/kernels/sse2.rs",
-        "unsafety_kernels_clean.rs",
-    );
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn kernels_dirty_fixture_fails_both_ways() {
-    // Inside the allowlisted directory but undocumented: both the
-    // `unsafe fn` declaration and the dispatch call site need SAFETY.
-    let (findings, _) = run(
-        "crates/sketch/src/kernels/sse2.rs",
-        "unsafety_kernels_dirty.rs",
-    );
-    assert_eq!(
-        keys(&findings),
-        vec![(RULE_UNSAFE, 2), (RULE_UNSAFE, 10)],
-        "{findings:?}"
-    );
-    assert!(findings.iter().all(|f| f.message.contains("SAFETY")));
-    // The same source one directory up sits outside the allowlist
-    // (the directory entry must not leak onto sibling paths).
-    let (findings, _) = run("crates/sketch/src/arena.rs", "unsafety_kernels_dirty.rs");
-    assert_eq!(
-        keys(&findings),
-        vec![(RULE_UNSAFE, 2), (RULE_UNSAFE, 10)],
-        "{findings:?}"
-    );
-    assert!(findings.iter().all(|f| f.message.contains("allowlist")));
-}
-
-#[test]
 fn determinism_clean_fixture_passes() {
     let (findings, _) = run("crates/core/src/cache.rs", "determinism_clean.rs");
     assert!(findings.is_empty(), "{findings:?}");
@@ -286,10 +252,7 @@ fn real_workspace_is_clean() {
 
 // ----- interprocedural families (call-graph rules) ----------------
 
-use mpc_lint::{
-    lint_sources, RULE_ALLOC_HOT, RULE_KERNEL_PARITY, RULE_PANIC_REACH, RULE_PERSIST,
-    RULE_QUERY_CHARGE,
-};
+use mpc_lint::{RULE_ALLOC_HOT, RULE_PANIC_REACH, RULE_PERSIST, RULE_QUERY_CHARGE};
 
 #[test]
 fn panic_reach_clean_fixture_passes() {
@@ -316,18 +279,13 @@ fn persist_clean_fixture_passes() {
 #[test]
 fn persist_dirty_fixture_reports_kind_drift_and_the_dropped_field() {
     let (findings, _) = run("crates/mpc/src/stats.rs", "persist_dirty.rs");
-    let persist: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == RULE_PERSIST)
-        .collect();
+    let persist: Vec<_> = findings.iter().filter(|f| f.rule == RULE_PERSIST).collect();
     assert_eq!(persist.len(), 3, "{persist:?}");
     // Wire-kind drift: save writes u32 where load reads the u64 word.
     assert!(
-        persist
-            .iter()
-            .any(|f| f.message.contains("Wire")
-                && f.message.contains("(u32) at position 1")
-                && f.message.contains("round-trip")),
+        persist.iter().any(|f| f.message.contains("Wire")
+            && f.message.contains("(u32) at position 1")
+            && f.message.contains("round-trip")),
         "{persist:?}"
     );
     // Length drift plus the missing field, each named.
@@ -354,87 +312,40 @@ fn query_charge_clean_fixture_passes_with_direct_and_helper_charges() {
 #[test]
 fn query_charge_dirty_fixture_flags_only_the_uncharged_arm() {
     let (findings, _) = run("crates/msf/src/exact.rs", "query_charge_dirty.rs");
-    assert_eq!(keys(&findings), vec![(RULE_QUERY_CHARGE, 7)], "{findings:?}");
+    assert_eq!(
+        keys(&findings),
+        vec![(RULE_QUERY_CHARGE, 7)],
+        "{findings:?}"
+    );
     assert!(findings[0].message.contains("Estimator"));
     assert!(findings[0].message.contains("ledger"));
 }
 
 #[test]
 fn alloc_hot_clean_fixture_passes() {
-    let (findings, _) = run("crates/sketch/src/kernels/portable.rs", "alloc_hot_clean.rs");
+    let (findings, _) = run("crates/sketch/src/kernels.rs", "alloc_hot_clean.rs");
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
 fn alloc_hot_dirty_fixture_reports_local_and_transitive_allocations() {
-    let (findings, _) = run("crates/sketch/src/kernels/portable.rs", "alloc_hot_dirty.rs");
+    let (findings, _) = run("crates/sketch/src/kernels.rs", "alloc_hot_dirty.rs");
     // Three findings: the root's local alloc, the transitive edge
     // into `scratch`, and `scratch`'s own local alloc (every fn in
-    // the kernels directory is a root).
+    // the sketch loop module is a root).
     assert_eq!(
         keys(&findings),
-        vec![(RULE_ALLOC_HOT, 2), (RULE_ALLOC_HOT, 3), (RULE_ALLOC_HOT, 6)],
+        vec![
+            (RULE_ALLOC_HOT, 2),
+            (RULE_ALLOC_HOT, 3),
+            (RULE_ALLOC_HOT, 6)
+        ],
         "{findings:?}"
     );
     assert!(findings.iter().any(|f| f.message.contains(".to_vec()")));
     assert!(findings
         .iter()
         .any(|f| f.message.contains("fold_cells -> scratch") && f.message.contains("vec!")));
-}
-
-/// Runs the three kernel tier fixtures as one workspace.
-fn run_tiers(avx2: &str) -> Vec<Finding> {
-    let files = vec![
-        (
-            "crates/sketch/src/kernels/portable.rs".to_string(),
-            fixture("kernel_parity_portable.rs"),
-        ),
-        (
-            "crates/sketch/src/kernels/sse2.rs".to_string(),
-            fixture("kernel_parity_sse2.rs"),
-        ),
-        (
-            "crates/sketch/src/kernels/avx2.rs".to_string(),
-            fixture(avx2),
-        ),
-    ];
-    lint_sources(&files).0
-}
-
-#[test]
-fn kernel_parity_clean_tier_set_passes() {
-    let findings = run_tiers("kernel_parity_avx2_clean.rs");
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn kernel_parity_dirty_tier_reports_drift_missing_op_and_reference() {
-    let findings = run_tiers("kernel_parity_avx2_dirty.rs");
-    let parity: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == RULE_KERNEL_PARITY)
-        .collect();
-    assert_eq!(parity.len(), 3, "{parity:?}");
-    assert!(parity.iter().all(|f| f.file.ends_with("avx2.rs")));
-    assert!(
-        parity
-            .iter()
-            .any(|f| f.message.contains("`top_bit`") && f.message.contains("not in this tier")),
-        "{parity:?}"
-    );
-    assert!(
-        parity
-            .iter()
-            .any(|f| f.message.contains("`fold_cells`")
-                && f.message.contains("different signature")),
-        "{parity:?}"
-    );
-    assert!(
-        parity
-            .iter()
-            .any(|f| f.message.contains("scalar reference")),
-        "{parity:?}"
-    );
 }
 
 /// Mutation drill on the **real** stats source: delete one load read
@@ -445,7 +356,10 @@ fn deleting_a_real_persist_load_read_names_the_field() {
     let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let clean = lint_source("crates/mpc/src/stats.rs", &source).0;
     let persist: Vec<_> = clean.iter().filter(|f| f.rule == RULE_PERSIST).collect();
-    assert!(persist.is_empty(), "real stats.rs is not clean: {persist:?}");
+    assert!(
+        persist.is_empty(),
+        "real stats.rs is not clean: {persist:?}"
+    );
 
     let read = "            checkpoint_bytes: Persist::load(r)?,\n";
     assert_eq!(
@@ -459,7 +373,11 @@ fn deleting_a_real_persist_load_read_names_the_field() {
         .iter()
         .find(|f| f.rule == RULE_PERSIST)
         .expect("mutated stats must fail persist-symmetry");
-    assert!(hit.message.contains("`checkpoint_bytes`"), "{}", hit.message);
+    assert!(
+        hit.message.contains("`checkpoint_bytes`"),
+        "{}",
+        hit.message
+    );
     assert!(hit.message.contains("MaintainerStats"), "{}", hit.message);
 }
 

@@ -285,40 +285,6 @@ pub fn workers_from_env() -> Option<usize> {
         .map(|w| w.max(1))
 }
 
-/// A host-wide kernel-tier override parsed from `MPC_KERNEL`.
-///
-/// This crate only parses the setting (environment reads are confined
-/// to `mpc-sim`, like [`workers_from_env`]); the sketch crate maps it
-/// onto its dispatch enum and clamps it to what the host CPU actually
-/// supports, so an impossible request degrades instead of crashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelOverride {
-    /// Force the portable scalar kernels.
-    Scalar,
-    /// Force the SSE2 kernels (x86-64 baseline).
-    Sse2,
-    /// Force the AVX2 kernels.
-    Avx2,
-}
-
-/// Reads the `MPC_KERNEL` environment variable: the requested sketch
-/// kernel tier (`scalar`, `sse2`, or `avx2`, case-insensitive).
-/// `None` when unset or not one of the three names — the caller then
-/// auto-detects the best supported tier.
-pub fn kernel_from_env() -> Option<KernelOverride> {
-    match std::env::var("MPC_KERNEL")
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "scalar" => Some(KernelOverride::Scalar),
-        "sse2" => Some(KernelOverride::Sse2),
-        "avx2" => Some(KernelOverride::Avx2),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@
 //! materialized column (see [`crate::l0::L0Sampler::words`]); the
 //! arena is the host representation of exactly that shape.
 
-use crate::kernels::KernelKind;
+use crate::kernels;
 use crate::l0::SampleOutcome;
 use crate::one_sparse::decode_parts;
 use mpc_hashing::field::M61;
@@ -150,10 +150,8 @@ const UNMATERIALIZED: u32 = u32::MAX;
 /// bytes — one update or merge read touches a single cache line
 /// instead of three distant pool lines.
 ///
-/// The `repr(C)` layout is load-bearing: field order is declaration
-/// order with no padding (16 + 8 + 8 bytes), so the vectorized
-/// kernels in [`crate::kernels`] may view a cell as four little-endian
-/// 64-bit lanes `[index_lo, index_hi, value_sum, fp]`.
+/// `repr(C)` pins field order to declaration order with no padding
+/// (16 + 8 + 8 bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub(crate) struct Cell {
@@ -177,12 +175,10 @@ impl Cell {
     /// Applies `X[index] += delta` given the precomputed
     /// `weighted = index` widening and fingerprint term — the one
     /// cell-update routine shared by the arena pool and the
-    /// standalone sampler column. Delegates to the portable kernel so
-    /// there is exactly one scalar reference for the vectorized tiers
-    /// to match.
+    /// standalone sampler column.
     #[inline]
     pub(crate) fn apply(&mut self, weighted: i128, delta: i64, term: M61) {
-        crate::kernels::portable::cell_apply(self, weighted, delta, term);
+        kernels::cell_apply(self, weighted, delta, term);
     }
 
     /// Adds another cell of the same family (vector addition).
@@ -227,12 +223,6 @@ pub struct SketchArena {
     /// (always, for the `≤ 2^62`-sized index spaces the graph
     /// sketches use); wider columns fall back to full scans.
     live: Vec<u64>,
-    /// The vectorization tier every cell kernel of this arena
-    /// dispatches through — fixed at construction
-    /// ([`KernelKind::selected`]), never persisted (a restored arena
-    /// re-selects for the restoring host), and irrelevant to results:
-    /// all tiers are bit-identical.
-    kernel: KernelKind,
 }
 
 impl SketchArena {
@@ -257,7 +247,6 @@ impl SketchArena {
             base: vec![UNMATERIALIZED; n],
             cells: Vec::new(),
             live: Vec::new(),
-            kernel: KernelKind::selected(),
         }
     }
 
@@ -266,20 +255,6 @@ impl SketchArena {
     #[inline]
     fn masked(&self) -> bool {
         self.levels <= 64
-    }
-
-    /// The vectorization tier this arena's kernels run at.
-    #[inline]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// Overrides the kernel tier, clamped to what the host supports —
-    /// the hook the bit-identity property tests use to compare tiers
-    /// within one process. Returns the tier actually installed.
-    pub fn set_kernel(&mut self, kernel: KernelKind) -> KernelKind {
-        self.kernel = kernel.clamped();
-        self.kernel
     }
 
     /// Number of independent copies.
@@ -340,8 +315,7 @@ impl SketchArena {
         delta: i64,
         term: M61,
     ) {
-        self.kernel
-            .cell_apply(&mut self.cells[s], weighted, delta, term);
+        self.cells[s].apply(weighted, delta, term);
         if self.masked() {
             let bit = 1u64 << level;
             if self.cells[s].is_zero() {
@@ -446,7 +420,6 @@ impl SketchArena {
         sample_cell_slice(
             &self.cells[start..start + self.levels],
             &self.families[copy],
-            self.kernel,
         )
     }
 
@@ -482,14 +455,14 @@ impl SketchArena {
             if self.masked() {
                 // Fold only the live levels of this column, extracting
                 // maximal contiguous runs of set bits so each run is
-                // one vectorized span fold. Levels never interact, so
+                // one span fold. Levels never interact, so
                 // run folds are bit-identical to a per-bit walk.
                 let mut mask = self.live[self.mask_slot(v, copy)];
                 scratch.live |= mask;
                 while mask != 0 {
                     let lo = mask.trailing_zeros() as usize;
                     let run = (!(mask >> lo)).trailing_zeros() as usize;
-                    self.kernel.fold_cells_soa(
+                    kernels::fold_cells_soa(
                         &self.cells[start + lo..start + lo + run],
                         &mut scratch.value_sum[lo..lo + run],
                         &mut scratch.index_sum[lo..lo + run],
@@ -505,7 +478,7 @@ impl SketchArena {
                 }
             } else {
                 scratch.dense = true;
-                self.kernel.fold_cells_soa(
+                kernels::fold_cells_soa(
                     &self.cells[start..start + self.levels],
                     &mut scratch.value_sum,
                     &mut scratch.index_sum,
@@ -551,13 +524,7 @@ impl SketchArena {
                 SampleOutcome::Zero
             };
         }
-        sample_cells(
-            &scratch.value_sum,
-            &scratch.index_sum,
-            &scratch.fp,
-            family,
-            self.kernel,
-        )
+        sample_cells(&scratch.value_sum, &scratch.index_sum, &scratch.fp, family)
     }
 
     /// [`SketchArena::merge_into`] with optional host work stealing:
@@ -598,7 +565,7 @@ impl SketchArena {
         });
         let mut absorbed = 0usize;
         for (_, partial) in &spans {
-            self.kernel.fold_soa(
+            kernels::fold_soa(
                 &mut scratch.value_sum,
                 &mut scratch.index_sum,
                 &mut scratch.fp,
@@ -669,10 +636,6 @@ impl mpc_snapshot::Persist for SketchArena {
             base,
             cells,
             live,
-            // Never persisted: the restoring host re-selects its own
-            // tier (tiers are bit-identical, so restore equivalence
-            // holds across hosts).
-            kernel: KernelKind::selected(),
         })
     }
 }
@@ -723,8 +686,8 @@ impl MergeScratch {
     }
 
     /// The accumulated raw cell triple at `level` — the hook the
-    /// cross-tier bit-identity tests use to compare accumulators
-    /// cell for cell.
+    /// merge-equivalence tests use to compare accumulators cell for
+    /// cell.
     #[inline]
     pub fn cell(&self, level: usize) -> (i64, i128, M61) {
         (self.value_sum[level], self.index_sum[level], self.fp[level])
@@ -758,18 +721,14 @@ fn decode_cell(
 }
 
 /// Samples a dense interleaved cell column (the arena's storage and
-/// the standalone sampler): the kernel's wide zero-skip scan hops
+/// the standalone sampler): the zero-skip scan hops
 /// from one nonzero cell to the next going down from the sparsest
 /// level; the first one-sparse recovery wins. `Zero` iff every cell
 /// is zero, `Fail` if nonzero cells exist but none decodes.
-pub(crate) fn sample_cell_slice(
-    cells: &[Cell],
-    family: &SketchFamily,
-    kernel: KernelKind,
-) -> SampleOutcome {
+pub(crate) fn sample_cell_slice(cells: &[Cell], family: &SketchFamily) -> SampleOutcome {
     let mut below = cells.len();
     let mut any_nonzero = false;
-    while let Some(l) = kernel.top_nonzero_cells(cells, below) {
+    while let Some(l) = kernels::top_nonzero_cells(cells, below) {
         any_nonzero = true;
         let c = &cells[l];
         if let Some((index, weight)) = decode_cell(c.value_sum, c.index_sum, c.fp, family) {
@@ -792,11 +751,10 @@ pub(crate) fn sample_cells(
     index_sum: &[i128],
     fp: &[M61],
     family: &SketchFamily,
-    kernel: KernelKind,
 ) -> SampleOutcome {
     let mut below = value_sum.len();
     let mut any_nonzero = false;
-    while let Some(l) = kernel.top_nonzero_soa(value_sum, index_sum, fp, below) {
+    while let Some(l) = kernels::top_nonzero_soa(value_sum, index_sum, fp, below) {
         any_nonzero = true;
         if let Some((index, weight)) = decode_cell(value_sum[l], index_sum[l], fp[l], family) {
             return SampleOutcome::Sample { index, weight };

@@ -198,9 +198,7 @@ impl L0Sampler {
     }
 
     /// Merges a sampler of the same family (vector addition): one
-    /// vectorized pass over the dense columns
-    /// ([`KernelKind::selected`](crate::kernels::KernelKind::selected)
-    /// tier — bit-identical at every tier).
+    /// pass over the dense columns.
     ///
     /// # Panics
     ///
@@ -210,7 +208,7 @@ impl L0Sampler {
             self.family.same_family(&other.family),
             "cannot merge l0-samplers from different families"
         );
-        crate::kernels::KernelKind::selected().fold_cells(&mut self.cells, &other.cells);
+        crate::kernels::fold_cells(&mut self.cells, &other.cells);
     }
 
     /// Whether every cell is zero (w.h.p. the zero vector).
@@ -222,11 +220,7 @@ impl L0Sampler {
     /// (highest) down — they are the ones designed to isolate a single
     /// survivor — and the first one-sparse recovery wins.
     pub fn sample(&self) -> SampleOutcome {
-        sample_cell_slice(
-            &self.cells,
-            &self.family,
-            crate::kernels::KernelKind::selected(),
-        )
+        sample_cell_slice(&self.cells, &self.family)
     }
 }
 

@@ -46,29 +46,19 @@
 //! *canonical*: two permutations of one update stream produce
 //! bit-identical storage, which keeps sketch equality structural.
 //!
-//! # Vectorized kernels
+//! # One scalar loop set
 //!
-//! The flat loops every sketch operation bottoms out in — span
-//! folds of cell columns, the cell-write path, zero-skip scans in
-//! front of the one-sparse decoder — are implemented by the
-//! [`kernels`] module at three tiers (portable scalar, x86-64 SSE2,
-//! x86-64 AVX2). Each [`SketchArena`] picks the best tier the host
-//! CPU supports at construction ([`kernels::KernelKind::selected`]);
-//! `MPC_KERNEL=scalar|sse2|avx2` overrides the choice (clamped to
-//! host support, never escalating past the request). The tiers are
-//! **bit-identical** — exact integer adds and `GF(2^61 - 1)`
-//! conditional-subtract adds, no reassociation of anything
-//! non-associative — so same seeds and stream give the same samples,
-//! the same snapshot bytes, and the same `words()` accounting at
-//! every tier; the kernel choice is pure host-side speed, invisible
-//! to the accounted MPC model.
-//!
-//! Unsafe code in this crate is confined to the `kernels` SIMD
-//! modules (raw lane loads/stores behind `#[target_feature]`), which
-//! is why the crate is `#![deny(unsafe_code)]` with narrow
-//! module-level allows rather than `#![forbid]`; mpc-lint's
-//! `unsafe-hygiene` rule allowlists exactly those files and checks
-//! every `unsafe` keeps a `// SAFETY:` justification.
+//! The flat loops every sketch operation bottoms out in — span folds
+//! of cell columns, the cell write, the zero-skip scan in front of
+//! the one-sparse decoder — have exactly one implementation: the safe
+//! scalar functions of the [`kernels`] module. Hand-written SSE2/AVX2
+//! tiers were measured and deleted under the ROADMAP's "win or
+//! delete" rule: SSE2 was at parity and AVX2 at 0.8× on
+//! `sketch/merged_copy` and 0.83–0.89× on `sketch/update_stream_4k`
+//! (`BENCH_PR9_SIMD_SOAK.json`), and the traced benchmark puts the
+//! merge path at ≤ 21 % of any workload (`benchmark/README.md`), so
+//! even a 1.3× fold would be worth < 5 % end to end — below the
+//! run-to-run spread.
 //!
 //! # Examples
 //!
@@ -85,11 +75,7 @@
 //! }
 //! ```
 
-// Not `forbid` (which cannot be overridden): the `kernels` SIMD
-// modules carry `#![allow(unsafe_code)]` for their lane loads/stores.
-// Everything else in the crate stays unsafe-free, enforced here and
-// audited by mpc-lint's unsafe-hygiene rule.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod arena;
 pub mod bank;

@@ -1,0 +1,257 @@
+//! Arena merge equivalence and content pins: serial `merge_into`
+//! must equal `merge_into_stealing` across the span-split seams, the
+//! empty / full / cancelled live-mask extremes must sample and merge
+//! correctly, an arena snapshot must round-trip byte-stably, and the
+//! snapshot content of one seeded stream is pinned against recorded
+//! constants.
+
+use mpc_sketch::l0::SampleOutcome;
+use mpc_sketch::{MergeScratch, SketchArena};
+use mpc_snapshot::{Persist, SnapshotWriter};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Serializes an arena to snapshot bytes.
+fn snapshot_bytes(arena: &SketchArena) -> Vec<u8> {
+    let mut w = SnapshotWriter::new(0);
+    w.begin_section("arena");
+    arena.save(&mut w);
+    w.end_section();
+    w.finish()
+}
+
+/// Builds an arena and drives it through a seeded update stream.
+fn build_arena(
+    n: usize,
+    copies: usize,
+    max_index: u64,
+    seed: u64,
+    drive: impl Fn(&mut SketchArena, &mut StdRng),
+) -> SketchArena {
+    let mut arena = SketchArena::new(n, copies, max_index, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE);
+    drive(&mut arena, &mut rng);
+    arena
+}
+
+/// Random adversarial stream: single updates, pair updates, and
+/// exact cancellations (re-applying an earlier update negated), so
+/// live-mask bits both set and clear.
+fn random_stream(
+    arena: &mut SketchArena,
+    rng: &mut StdRng,
+    n: u32,
+    max_index: u64,
+    updates: usize,
+) {
+    let mut history: Vec<(u32, u64, i64)> = Vec::new();
+    for _ in 0..updates {
+        match rng.gen_range(0..4) {
+            // Cancel an earlier single update exactly.
+            0 if !history.is_empty() => {
+                let (v, index, delta) = history.swap_remove(rng.gen_range(0..history.len()));
+                arena.update(v, index, -delta);
+            }
+            // Pair update (the edge path).
+            1 => {
+                let a = rng.gen_range(0..n);
+                let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
+                let index = rng.gen_range(0..max_index);
+                arena.materialize(a);
+                arena.materialize(b);
+                arena.update_pair(a, b, index, 1, -1);
+            }
+            // Single update with a small weight.
+            _ => {
+                let v = rng.gen_range(0..n);
+                let index = rng.gen_range(0..max_index);
+                let delta = [1, -1, 2, -3][rng.gen_range(0..4usize)];
+                arena.materialize(v);
+                arena.update(v, index, delta);
+                history.push((v, index, delta));
+            }
+        }
+    }
+}
+
+/// One merge observation: absorbed count, scratch cells, and
+/// the decoded sample.
+type MergeObservation = (
+    usize,
+    Vec<(i64, i128, mpc_hashing::field::M61)>,
+    SampleOutcome,
+);
+
+/// Merges a member set serially and with stealing and asserts
+/// scratch cells and samples agree.
+fn assert_merges_agree(
+    arena: &SketchArena,
+    members: &[u32],
+    pool: Option<&mpc_sim::WorkerPool>,
+    label: &str,
+) {
+    for copy in 0..arena.copies() {
+        let mut reference: Option<MergeObservation> = None;
+        for stealing in [false, true] {
+            let mut scratch: MergeScratch = arena.new_scratch();
+            scratch.reset(copy);
+            let absorbed = if stealing {
+                arena.merge_into_stealing(members, &mut scratch, pool)
+            } else {
+                arena.merge_into(members, &mut scratch)
+            };
+            let cells: Vec<_> = (0..scratch.levels()).map(|l| scratch.cell(l)).collect();
+            let sample = arena.sample_scratch(&scratch);
+            match &reference {
+                None => reference = Some((absorbed, cells, sample)),
+                Some((want_a, want_c, want_s)) => {
+                    assert_eq!(*want_a, absorbed, "{label}: absorbed (stealing={stealing})");
+                    assert_eq!(want_c, &cells, "{label}: cells (stealing={stealing})");
+                    assert_eq!(want_s, &sample, "{label}: sample (stealing={stealing})");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn serial_and_stealing_merges_agree_across_span_seams() {
+    // 300 members with SPAN=128 puts seams at 128 and 256 — member
+    // counts straddle the 2*SPAN stealing threshold and leave an
+    // unaligned 44-member tail span.
+    let n = 300u32;
+    let max_index = 1u64 << 12;
+    let arena = build_arena(n as usize, 2, max_index, 0xB0B, |arena, rng| {
+        random_stream(arena, rng, n, max_index, 2_000);
+    });
+    let pool = mpc_sim::WorkerPool::new(3);
+    let mut rng = StdRng::seed_from_u64(7);
+    for (count, label) in [
+        (1usize, "singleton"),
+        (64, "sub-span"),
+        (129, "one seam"),
+        (300, "full set with tail span"),
+    ] {
+        let mut members: Vec<u32> = (0..n).collect();
+        for i in 0..count {
+            let j = rng.gen_range(i..n as usize);
+            members.swap(i, j);
+        }
+        members.truncate(count);
+        assert_merges_agree(&arena, &members, Some(&pool), label);
+    }
+}
+
+#[test]
+fn empty_full_and_cancelled_mask_extremes() {
+    let max_index = 1u64 << 6; // 9 levels: every level reachable.
+    let arena = build_arena(16, 2, max_index, 0xF00D, |arena, _| {
+        // Vertex 0: untouched (no block). Vertex 1: materialized but
+        // empty (all-zero mask). Vertex 2: every index once — every
+        // level of every copy live (full mask). Vertex 3: filled then
+        // exactly cancelled (mask set, then cleared back to empty).
+        arena.materialize(1);
+        for index in 0..max_index {
+            arena.materialize(2);
+            arena.update(2, index, 1);
+            arena.materialize(3);
+            arena.update(3, index, 1);
+        }
+        for index in 0..max_index {
+            arena.update(3, index, -1);
+        }
+    });
+    for copy in 0..arena.copies() {
+        assert_eq!(arena.sample_column(0, copy), SampleOutcome::Zero);
+        assert_eq!(arena.sample_column(1, copy), SampleOutcome::Zero);
+        assert_eq!(arena.sample_column(3, copy), SampleOutcome::Zero);
+        assert!(
+            !matches!(arena.sample_column(2, copy), SampleOutcome::Zero),
+            "full column must not sample Zero"
+        );
+    }
+    assert_merges_agree(&arena, &[0, 1, 2, 3], None, "extremes merge");
+    // The cancelled-and-empty member set must still sample Zero
+    // through the union-mask path.
+    let mut scratch = arena.new_scratch();
+    scratch.reset(0);
+    arena.merge_into(&[0, 1, 3], &mut scratch);
+    assert_eq!(
+        arena.sample_scratch(&scratch),
+        SampleOutcome::Zero,
+        "cancelled members must merge to the zero sketch"
+    );
+}
+
+const GOLDEN_N: u32 = 40;
+
+/// The seeded arena the round-trip and golden tests share: 40
+/// vertices, 2 copies, 400 ops of [`random_stream`].
+fn golden_arena() -> SketchArena {
+    let max_index = 1u64 << 8;
+    build_arena(GOLDEN_N as usize, 2, max_index, 0x5EED, |arena, rng| {
+        random_stream(arena, rng, GOLDEN_N, max_index, 400);
+    })
+}
+
+#[test]
+fn snapshot_roundtrip_preserves_cells() {
+    let arena = golden_arena();
+    let bytes = snapshot_bytes(&arena);
+    let snap = mpc_snapshot::Snapshot::from_bytes(&bytes).expect("readable");
+    let mut r = snap.section("arena").expect("arena section");
+    let restored = SketchArena::load(&mut r).expect("loadable");
+    assert_eq!(
+        bytes,
+        snapshot_bytes(&restored),
+        "restore must be byte-stable"
+    );
+}
+
+/// Golden content pin: the arena's snapshot section bytes and one
+/// serial all-member merge, against constants recorded at the parent
+/// commit on an AVX2-dispatching host, where the since-deleted SSE2
+/// and AVX2 tiers and the scalar loops all produced these values. Any
+/// change to the cell arithmetic, the update path or the section
+/// encoding moves them.
+#[test]
+fn arena_bits_match_recorded_golden() {
+    use mpc_hashing::field::M61;
+    let arena = golden_arena();
+    let bytes = snapshot_bytes(&arena);
+    let snap = mpc_snapshot::Snapshot::from_bytes(&bytes).expect("readable");
+    let mut r = snap.section("arena").expect("arena section");
+    let section = r.take_bytes(r.remaining()).expect("whole section");
+    assert_eq!(section.len(), 29_024);
+    assert_eq!(mpc_snapshot::fnv1a(section), 0x1382_4857_6ab7_4ce4);
+
+    let members: Vec<u32> = (0..GOLDEN_N).collect();
+    let mut scratch = arena.new_scratch();
+    scratch.reset(0);
+    assert_eq!(arena.merge_into(&members, &mut scratch), 40);
+    let cells: Vec<_> = (0..scratch.levels()).map(|l| scratch.cell(l)).collect();
+    let m = M61::from_reduced;
+    assert_eq!(
+        cells,
+        [
+            (-32, -3281, m(120_413_552_503_132_669)),
+            (6, 58, m(2_302_207_547_187_952_505)),
+            (-6, -91, m(1_379_828_408_356_076_987)),
+            (2, 369, m(1_158_612_228_435_587_379)),
+            (2, 239, m(1_401_698_548_495_949_774)),
+            (-1, -109, m(1_490_487_090_436_558_464)),
+            (0, 0, M61::ZERO),
+            (0, 0, M61::ZERO),
+            (-1, -200, m(1_902_125_677_298_158_359)),
+            (0, 0, M61::ZERO),
+            (0, 0, M61::ZERO),
+        ]
+    );
+    assert_eq!(
+        arena.sample_scratch(&scratch),
+        SampleOutcome::Sample {
+            index: 200,
+            weight: -1
+        }
+    );
+}
