@@ -313,11 +313,19 @@ impl Connectivity {
         ctx: &mut MpcContext,
     ) -> Result<(), ConnectivityError> {
         let (ins, del) = self.normalize(batch)?;
+        // Every contract check runs before the first mutation, so a
+        // rejected batch leaves sketches, forest and labels untouched.
+        if let Some(&dup) = ins.iter().find(|&&e| self.etf.contains_edge(e)) {
+            return Err(ConnectivityError::InvalidBatch(dup));
+        }
+        if self.live_edges + ins.len() < del.len() {
+            return Err(ConnectivityError::InvalidBatch(del[0]));
+        }
         if !ins.is_empty() {
             self.insert_edges(&ins, ctx)?;
         }
         if !del.is_empty() {
-            self.delete_edges(&del, ctx)?;
+            self.delete_edges(&del, ctx);
         }
         self.account(ctx)?;
         Ok(())
@@ -378,16 +386,15 @@ impl Connectivity {
         // broadcast tree; every machine updates its own sketches.
         ctx.exchange(4 * k);
         ctx.broadcast(2);
+        // Coordinator builds the auxiliary graph H over component ids
+        // (Claim 6.1: it has O(k) nodes, fits one machine). The gather
+        // is the last step that can fail, so it is charged ahead of
+        // the sketch writes (which charge nothing themselves).
+        ctx.gather(2 * k)?;
         for &e in edges {
-            if self.etf.contains_edge(e) {
-                return Err(ConnectivityError::InvalidBatch(e));
-            }
             self.bank.insert_edge(e);
         }
         self.live_edges += edges.len();
-        // Coordinator builds the auxiliary graph H over component ids
-        // (Claim 6.1: it has O(k) nodes, fits one machine).
-        ctx.gather(2 * k)?;
         let mut index: BTreeMap<VertexId, u32> = BTreeMap::new();
         for &e in edges {
             for c in [self.comp[e.u() as usize], self.comp[e.v() as usize]] {
@@ -445,22 +452,16 @@ impl Connectivity {
         Ok(())
     }
 
-    /// Sections 6.3: batch deletions.
-    fn delete_edges(
-        &mut self,
-        edges: &[Edge],
-        ctx: &mut MpcContext,
-    ) -> Result<(), ConnectivityError> {
+    /// Section 6.3: batch deletions. Infallible: `apply_batch` has
+    /// already checked the batch against the live-edge count.
+    fn delete_edges(&mut self, edges: &[Edge], ctx: &mut MpcContext) {
         let k = edges.len() as u64;
         ctx.exchange(4 * k);
         ctx.broadcast(2);
         for &e in edges {
             self.bank.delete_edge(e);
         }
-        self.live_edges = self
-            .live_edges
-            .checked_sub(edges.len())
-            .ok_or(ConnectivityError::InvalidBatch(edges[0]))?;
+        self.live_edges -= edges.len();
         // Non-tree deletions need nothing further.
         let tree: Vec<Edge> = edges
             .iter()
@@ -468,68 +469,111 @@ impl Connectivity {
             .filter(|&e| self.etf.contains_edge(e))
             .collect();
         if tree.is_empty() {
-            return Ok(());
+            return;
         }
-        // Split the tours along the deleted tree edges, capturing
-        // each piece's membership before the replacement join renames
-        // tours.
-        let pieces = self.etf.batch_split(&tree, ctx);
-        let piece_members: Vec<Vec<VertexId>> = pieces
-            .iter()
-            .map(|&p| self.etf.tour_members(p).to_vec())
-            .collect();
+        // Split the tours along the deleted tree edges and capture
+        // what the search and the relabel need of each piece before
+        // the replacement join renames tours.
+        let tours = self.etf.batch_split(&tree, ctx);
+        let split = self.capture_pieces(&tours);
         // Replacement-edge search (Borůvka over the pieces).
-        let replacements = self.find_replacements(&pieces, ctx)?;
+        let replacements = self.find_replacements(&split, ctx);
         self.etf.batch_join(&replacements, ctx);
-        // Recompute component ids for everything touched: group the
-        // pieces by their final tour and take each group's minimum
-        // member id.
-        let mut final_groups: BTreeMap<TourId, Vec<VertexId>> = BTreeMap::new();
-        for members in piece_members {
-            // A pieceless group has nothing to relabel; skipping it
-            // keeps the hot path free of aborts.
-            let Some(&rep) = members.first() else {
-                continue;
-            };
-            final_groups
-                .entry(self.etf.tour_of(rep))
-                .or_default()
-                .extend(members);
+        // New component ids: the pieces that ended in one tour take
+        // the smallest of their smallest members.
+        let finals: Vec<TourId> = split
+            .pieces
+            .iter()
+            .map(|p| self.etf.tour_of(p.first))
+            .collect();
+        let mut label: BTreeMap<TourId, VertexId> = BTreeMap::new();
+        for (p, &t) in split.pieces.iter().zip(&finals) {
+            label
+                .entry(t)
+                .and_modify(|m| *m = (*m).min(p.first))
+                .or_insert(p.first);
         }
-        let mut relabel_count = 0u64;
-        for (_, members) in final_groups {
-            // Groups are seeded from nonempty piece lists, but an
-            // empty one relabels nothing — no reason to abort.
-            let Some(&new_c) = members.iter().min() else {
-                continue;
-            };
-            for &v in &members {
-                self.comp[v as usize] = new_c;
+        for (p, &t) in split.pieces.iter().zip(&finals) {
+            let new_c = label[&t];
+            if !p.largest {
+                for &v in &p.members {
+                    self.comp[v as usize] = new_c;
+                }
+            } else if new_c != p.origin {
+                // The origin's minimum vertex was cut away from its
+                // largest piece: the one case that piece's members
+                // are visited, through the final tour that holds them.
+                for &w in self.etf.tour_members(t) {
+                    self.comp[w as usize] = new_c;
+                }
             }
-            relabel_count += 1;
         }
-        ctx.sort(2 * relabel_count);
+        ctx.sort(2 * label.len() as u64);
         ctx.broadcast(2);
-        Ok(())
+    }
+
+    /// Describes the tours `batch_split` returned. Must run before any
+    /// label is rewritten: a piece's origin is read off `comp`, which
+    /// still holds the pre-split labels.
+    fn capture_pieces(&self, tours: &[TourId]) -> SplitPieces {
+        let mut pieces: Vec<Piece> = Vec::with_capacity(tours.len());
+        let mut origins: BTreeMap<VertexId, Vec<u32>> = BTreeMap::new();
+        for (i, &tour) in tours.iter().enumerate() {
+            let members = self.etf.tour_members(tour);
+            let first = members[0];
+            let origin = self.comp[first as usize];
+            origins.entry(origin).or_default().push(i as u32);
+            pieces.push(Piece {
+                tour,
+                first,
+                origin,
+                size: members.len(),
+                largest: false,
+                members: Vec::new(),
+            });
+        }
+        for siblings in origins.values() {
+            let mut largest = siblings[0] as usize;
+            for &i in &siblings[1..] {
+                if pieces[i as usize].size > pieces[largest].size {
+                    largest = i as usize;
+                }
+            }
+            pieces[largest].largest = true;
+        }
+        for p in pieces.iter_mut().filter(|p| !p.largest) {
+            p.members = self.etf.tour_members(p.tour).to_vec();
+        }
+        SplitPieces { pieces, origins }
     }
 
     /// Borůvka over the split pieces using one fresh sketch copy per
     /// level (Section 6.3, "Constructing F_H").
-    fn find_replacements(
-        &mut self,
-        pieces: &[TourId],
-        ctx: &mut MpcContext,
-    ) -> Result<Vec<Edge>, ConnectivityError> {
+    ///
+    /// **Zero-sum shortcut.** Every tour `batch_split` cut was, by the
+    /// spanning-forest invariant, a whole connected component, so the
+    /// sketch columns of its vertices sum to exactly zero in every
+    /// copy and level: each live edge has both endpoints inside and
+    /// its two signed contributions cancel (wrapping and
+    /// `GF(2^61 − 1)` adds are exact). A supernode that holds its
+    /// origin's largest piece therefore gets its accumulator as
+    /// `−Σ columns of the origin's pieces outside it`, and that
+    /// piece's columns are never read — a deletion from a giant
+    /// component costs what it cuts off, not the component's size.
+    /// The precondition is the dynamic-graph contract sampler
+    /// correctness already rests on: no deletion of an absent edge
+    /// (it would leave a phantom coordinate in two components' cuts).
+    /// This is a host shortcut only: the machines of the model still
+    /// converge-cast every member's sketch, and the charge below
+    /// counts every member.
+    fn find_replacements(&mut self, split: &SplitPieces, ctx: &mut MpcContext) -> Vec<Edge> {
+        let pieces = &split.pieces;
         let piece_index: BTreeMap<TourId, u32> = pieces
             .iter()
             .enumerate()
-            .map(|(i, &t)| (t, i as u32))
+            .map(|(i, p)| (p.tour, i as u32))
             .collect();
-        let members: Vec<Vec<VertexId>> = pieces
-            .iter()
-            .map(|&t| self.etf.tour_members(t).to_vec())
-            .collect();
-        let member_total: u64 = members.iter().map(|m| m.len() as u64).sum();
+        let member_total: u64 = pieces.iter().map(|p| p.size as u64).sum();
         let sketch_words = self.bank.words_per_vertex() / self.bank.copies().max(1) as u64;
         let mut uf = UnionFind::new(pieces.len());
         let mut replacements: Vec<Edge> = Vec::new();
@@ -548,6 +592,8 @@ impl Connectivity {
         // One reusable merge accumulator serves every supernode of
         // every level — the cascade allocates nothing per component.
         let mut scratch = self.bank.new_scratch();
+        #[cfg(debug_assertions)]
+        let mut reference = self.bank.new_scratch();
         for level in 0..self.bank.copies() {
             // Group pieces by their current supernode.
             let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
@@ -563,19 +609,51 @@ impl Connectivity {
                 if exhausted[*root as usize] {
                     continue;
                 }
-                // Supernode sketch = Σ member-piece columns at this
-                // level, accumulated straight into the scratch.
+                // Supernode sketch at this level, accumulated straight
+                // into the scratch. Replacement edges never leave an
+                // origin, so a supernode's pieces share one.
                 scratch.reset(level);
                 let mut absorbed = 0usize;
-                for &pi in group {
-                    // Host-parallel column merge (bit-identical; see
-                    // SketchArena::merge_into_stealing).
-                    absorbed += self.bank.merge_copy_into_stealing(
-                        &members[pi as usize],
-                        &mut scratch,
-                        ctx.pool(),
-                    );
+                if group.iter().any(|&pi| pieces[pi as usize].largest) {
+                    // Holds the origin's largest piece: minus the sum
+                    // of the sibling pieces outside this supernode.
+                    for &pj in &split.origins[&pieces[group[0] as usize].origin] {
+                        if uf.find(pj) != *root {
+                            absorbed += self
+                                .bank
+                                .subtract_copy_from(&pieces[pj as usize].members, &mut scratch);
+                        }
+                    }
+                    // The all-members merge this replaces, kept as the
+                    // reference it must equal cell for cell (the tours
+                    // still carry their post-split ids here).
+                    #[cfg(debug_assertions)]
+                    {
+                        reference.reset(level);
+                        for &pi in group {
+                            let members = self.etf.tour_members(pieces[pi as usize].tour);
+                            self.bank.merge_copy_into(members, &mut reference);
+                        }
+                        debug_assert!(
+                            (0..scratch.levels()).all(|l| scratch.cell(l) == reference.cell(l)),
+                            "derived accumulator of supernode {root} differs from its members' \
+                             merge at copy {level}: an origin tour's columns do not sum to zero"
+                        );
+                    }
+                } else {
+                    for &pi in group {
+                        // Host-parallel column merge (bit-identical; see
+                        // SketchArena::merge_into_stealing).
+                        absorbed += self.bank.merge_copy_into_stealing(
+                            &pieces[pi as usize].members,
+                            &mut scratch,
+                            ctx.pool(),
+                        );
+                    }
                 }
+                // Nothing folded in means a zero accumulator either
+                // way (all-untouched members, or no sibling outside):
+                // `None` and `Empty` both mark a complete component.
                 let outcome = (absorbed > 0).then(|| self.bank.sample_merged(&scratch));
                 match outcome {
                     None | Some(EdgeSample::Empty) => {
@@ -617,8 +695,37 @@ impl Connectivity {
         // batch_join charges its own splice rounds).
         ctx.sort(2 * replacements.len() as u64 + 1);
         ctx.broadcast(2);
-        Ok(replacements)
+        replacements
     }
+}
+
+/// One tour left behind by `batch_split`, as the replacement search
+/// and the relabel see it once joins have renamed the tour.
+struct Piece {
+    /// Its tour id between the split and the replacement join.
+    tour: TourId,
+    /// Smallest member (tour member lists are sorted): stands in for
+    /// the piece in `tour_of` lookups and in the new-label minimum.
+    first: VertexId,
+    /// Label of the tour it was cut from (the pre-split `comp` of any
+    /// member) — pieces with equal origins partition that tour.
+    origin: VertexId,
+    /// Member count; the converge-cast charge counts every member.
+    size: usize,
+    /// Whether this is the largest piece of its origin (first of the
+    /// largest on ties): the one whose columns are derived, not read.
+    largest: bool,
+    /// The captured member list — left empty for the largest piece,
+    /// whose columns and labels are never walked.
+    members: Vec<VertexId>,
+}
+
+/// The pieces of one `batch_split`, with their grouping by origin.
+struct SplitPieces {
+    /// In the order `batch_split` returned the tours.
+    pieces: Vec<Piece>,
+    /// Origin label → indices of the pieces cut from it.
+    origins: BTreeMap<VertexId, Vec<u32>>,
 }
 
 // ----- snapshot persistence ---------------------------------------
@@ -974,6 +1081,194 @@ mod tests {
         let r = ctx.end_phase();
         assert_eq!(forest.len(), 8);
         assert!(r.rounds >= 1 && r.rounds <= ctx.config().round_budget_per_primitive() + 3);
+    }
+
+    /// The structure's full persisted state, as snapshot bytes.
+    fn save_bytes(conn: &Connectivity) -> Vec<u8> {
+        use mpc_snapshot::Persist;
+        let mut w = mpc_snapshot::SnapshotWriter::new(0);
+        w.begin_section("connectivity");
+        conn.save(&mut w);
+        w.end_section();
+        w.finish()
+    }
+
+    /// Path `lo – lo+1 – … – hi`.
+    fn path(lo: u32, hi: u32) -> impl Iterator<Item = Edge> {
+        (lo..hi).map(|i| Edge::new(i, i + 1))
+    }
+
+    #[test]
+    fn rejected_batches_leave_the_persisted_state_unchanged() {
+        let n = 16;
+        let mut ctx = ctx_for(n);
+        let mut conn = Connectivity::new(n, ConnectivityConfig::default(), 15);
+        conn.apply_batch(&Batch::inserting(path(0, 4)), &mut ctx)
+            .unwrap();
+        let before = save_bytes(&conn);
+        // A duplicate tree edge behind a valid insertion.
+        let dup = Batch::inserting([Edge::new(8, 9), Edge::new(1, 2)]);
+        // More deletions than live edges, alone and behind a valid
+        // insertion that the check must count but not apply.
+        let absent = (5..10u32).map(|i| Update::Delete(Edge::new(i, i + 1)));
+        let underflow = Batch::from_updates(absent.clone().collect());
+        let mixed = Batch::from_updates(
+            [Update::Insert(Edge::new(8, 9))]
+                .into_iter()
+                .chain(absent)
+                .chain([Update::Delete(Edge::new(12, 13))])
+                .collect(),
+        );
+        for (batch, what) in [(dup, "dup"), (underflow, "underflow"), (mixed, "mixed")] {
+            let err = conn.apply_batch(&batch, &mut ctx).unwrap_err();
+            assert!(matches!(err, ConnectivityError::InvalidBatch(_)), "{what}");
+            assert_eq!(save_bytes(&conn), before, "{what}: state moved on Err");
+        }
+        // Still usable afterwards.
+        conn.apply_update(Update::Delete(Edge::new(1, 2)), &mut ctx)
+            .unwrap();
+        check_against_oracle(
+            &conn,
+            &[Edge::new(0, 1), Edge::new(2, 3), Edge::new(3, 4)],
+            n,
+        );
+    }
+
+    #[test]
+    fn one_batch_cuts_tree_edges_of_two_components() {
+        // Two origins in one split: a chorded path (replacement
+        // exists) and a bare path (none does).
+        let n = 24;
+        let mut ctx = ctx_for(n);
+        let mut conn = Connectivity::new(n, ConnectivityConfig::default(), 16);
+        let mut live: Vec<Edge> = path(0, 9).chain(path(12, 21)).collect();
+        live.push(Edge::new(2, 7));
+        conn.apply_batch(&Batch::inserting(live.clone()), &mut ctx)
+            .unwrap();
+        let forest = conn.spanning_forest();
+        let cut_a = *forest
+            .iter()
+            .find(|e| e.u() >= 2 && e.v() <= 7)
+            .expect("a tree edge on the chorded cycle");
+        let cuts = [cut_a, Edge::new(15, 16), Edge::new(18, 19)];
+        conn.apply_batch(&Batch::deleting(cuts), &mut ctx).unwrap();
+        live.retain(|e| !cuts.contains(e));
+        check_against_oracle(&conn, &live, n);
+        assert!(conn.connected(0, 9), "the chord replaces the cut");
+        assert_eq!(conn.component_of(17), 16);
+        assert_eq!(conn.component_of(21), 19);
+    }
+
+    #[test]
+    fn minimum_vertex_leaving_the_largest_piece_relabels_it() {
+        // The largest piece keeps its old label unless the origin's
+        // minimum vertex is cut away from it — then its members must
+        // be walked, with and without a replacement joining it first.
+        let n = 16;
+        let mut ctx = ctx_for(n);
+        let mut conn = Connectivity::new(n, ConnectivityConfig::default(), 17);
+        let mut live: Vec<Edge> = path(0, 10).collect();
+        live.push(Edge::new(3, 8));
+        conn.apply_batch(&Batch::inserting(live.clone()), &mut ctx)
+            .unwrap();
+        let forest = conn.spanning_forest();
+        let on_cycle = *forest
+            .iter()
+            .find(|e| e.u() >= 3 && e.v() <= 8)
+            .expect("a tree edge on the chorded cycle");
+        let cuts = [Edge::new(0, 1), on_cycle];
+        conn.apply_batch(&Batch::deleting(cuts), &mut ctx).unwrap();
+        live.retain(|e| !cuts.contains(e));
+        check_against_oracle(&conn, &live, n);
+        assert_eq!(conn.component_of(0), 0);
+        assert_eq!(conn.component_of(10), 1);
+        // No replacement: {1} leaves {2..=10}, which takes label 2.
+        conn.apply_update(Update::Delete(Edge::new(1, 2)), &mut ctx)
+            .unwrap();
+        live.retain(|&e| e != Edge::new(1, 2));
+        check_against_oracle(&conn, &live, n);
+        assert_eq!(conn.component_of(10), 2);
+    }
+
+    #[test]
+    fn star_centre_losing_every_edge_leaves_singletons() {
+        // Every piece is a singleton; the first of them stands in as
+        // "largest" and its accumulator is minus the sum of all the
+        // others — zero, like every direct one.
+        let n = 12;
+        let mut ctx = ctx_for(n);
+        let mut conn = Connectivity::new(n, ConnectivityConfig::default(), 18);
+        let spokes: Vec<Edge> = (0..n as u32)
+            .filter(|&v| v != 5)
+            .map(|v| Edge::new(5, v))
+            .collect();
+        conn.apply_batch(&Batch::inserting(spokes.clone()), &mut ctx)
+            .unwrap();
+        assert_eq!(conn.component_count(), 1);
+        conn.apply_batch(&Batch::deleting(spokes), &mut ctx)
+            .unwrap();
+        check_against_oracle(&conn, &[], n);
+        assert_eq!(conn.component_count(), n);
+        assert_eq!(conn.sampler_failure_count(), 0);
+    }
+
+    #[test]
+    fn unreplaced_deletion_then_reinsertion_restores_the_labels() {
+        let n = 16;
+        let mut ctx = ctx_for(n);
+        let mut conn = Connectivity::new(n, ConnectivityConfig::default(), 19);
+        let live: Vec<Edge> = path(0, 12).collect();
+        conn.apply_batch(&Batch::inserting(live.clone()), &mut ctx)
+            .unwrap();
+        let labels = conn.component_labels().to_vec();
+        for cut in [Edge::new(2, 3), Edge::new(9, 10)] {
+            conn.apply_update(Update::Delete(cut), &mut ctx).unwrap();
+            let rest: Vec<Edge> = live.iter().copied().filter(|&e| e != cut).collect();
+            check_against_oracle(&conn, &rest, n);
+            conn.apply_update(Update::Insert(cut), &mut ctx).unwrap();
+            check_against_oracle(&conn, &live, n);
+            assert_eq!(conn.component_labels(), &labels[..]);
+        }
+    }
+
+    #[test]
+    fn worker_counts_produce_byte_equal_snapshots_under_churn() {
+        // A chorded path cut into thirds: the two captured pieces are
+        // 400 members each, past the stealing merge's 256-column
+        // threshold, so lanes 2 and 4 really fan the small-side
+        // merges out — and must land on the serial bytes.
+        let n = 1200;
+        let third = n as u32 / 3;
+        let mut live: Vec<Edge> = path(0, n as u32 - 1).collect();
+        live.extend((0..2 * third).step_by(50).map(|i| Edge::new(i, i + third)));
+        let run = |workers: usize| {
+            let mut ctx = ctx_for(n);
+            if workers > 1 {
+                ctx.set_pool(Some(std::sync::Arc::new(mpc_sim::WorkerPool::new(workers))));
+            }
+            let mut conn = Connectivity::new(n, ConnectivityConfig::default(), 20);
+            conn.apply_batch(&Batch::inserting(live.clone()), &mut ctx)
+                .unwrap();
+            for round in 0..3u32 {
+                let cuts = [
+                    Edge::new(third - 1 + round, third + round),
+                    Edge::new(2 * third - 1 + round, 2 * third + round),
+                ];
+                conn.apply_batch(&Batch::deleting(cuts), &mut ctx).unwrap();
+                assert_eq!(conn.component_count(), 1, "chords replace both cuts");
+                conn.apply_batch(&Batch::inserting(cuts), &mut ctx).unwrap();
+            }
+            check_against_oracle(&conn, &live, n);
+            (
+                save_bytes(&conn),
+                ctx.stats().rounds,
+                ctx.stats().words_communicated,
+            )
+        };
+        let serial = run(1);
+        for workers in [2, 4] {
+            assert!(run(workers) == serial, "{workers} workers diverge");
+        }
     }
 
     #[test]

@@ -29,6 +29,49 @@
 //!   at the coordinator, consuming sketch copy `i` at level `i`;
 //!   `batch_join` the replacement edges; broadcast new component ids.
 //!
+//! A batch is checked against the dynamic-graph contract (no duplicate
+//! of a tree edge, no more deletions than live edges) *before* the
+//! first sketch write, so an `Err(InvalidBatch)` leaves the persisted
+//! state byte-identical.
+//!
+//! ## A deletion costs what it cuts off
+//!
+//! The model charges the converge-cast over every member of every
+//! piece — that is the paper's cost and it is charged unchanged. The
+//! *host* does less, using one invariant:
+//!
+//! > **Zero sum.** Every tour `batch_split` cuts is, by the
+//! > spanning-forest invariant, a whole connected component. Each
+//! > live edge of it has both endpoints inside, contributing `+1` to
+//! > one endpoint's column and `−1` to the other's at the same
+//! > coordinate, so the columns of its vertices sum to **exactly
+//! > zero** in every copy and level (two's-complement and
+//! > `GF(2^61 − 1)` adds cancel edge by edge — Lemma 3.3 with an
+//! > empty cut).
+//!
+//! The pieces of one origin tour partition it, so a Borůvka supernode
+//! that holds the origin's **largest** piece gets its accumulator as
+//! minus the sum of the origin's pieces *outside* it
+//! ([`mpc_sketch::SketchBank::subtract_copy_from`]), cell for cell
+//! what summing its own members would give; every other supernode
+//! sums its (small) pieces as before. Likewise the relabel rewrites
+//! only the non-largest pieces from their captured member lists, and
+//! walks the largest piece's members only when the origin's minimum
+//! vertex was cut away from it. The largest piece's columns, member
+//! list and labels are otherwise never touched: a deletion from a
+//! giant component costs the size of what it cuts off, not
+//! `O(n · levels)` column reads. In debug builds the all-members
+//! merge still runs beside it as a cell-for-cell cross-check.
+//!
+//! *Precondition:* the dynamic-graph contract — no deletion of an
+//! edge that is not live. Deleting an absent cross-component edge
+//! would leave a phantom `∓1` coordinate in two components' sums;
+//! that is the same precondition the samplers' correctness already
+//! rests on (a phantom coordinate can be *sampled* as a replacement
+//! edge), so the shortcut adds no new way to go wrong. Forest,
+//! labels, sampler-failure count, rounds, words and snapshot bytes
+//! are identical to summing every member.
+//!
 //! # Examples
 //!
 //! ```

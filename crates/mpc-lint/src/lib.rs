@@ -28,7 +28,7 @@
 //! | `panic-reachability` | The PR-3 de-panicking contract, interprocedurally: a hot entry point (`ingest`, `ingest_weighted`, `apply_batch`, `answer`, the merge/sample/converge-cast loops) must neither contain nor *reach*, through any chain of workspace calls, `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (but **not** `debug_assert!`). Local sites are reported at their line; reached ones print the shortest witness chain (`ExactMsf::apply_batch -> ExactMsf::one_iteration -> ...`). Site-level allows at the panic site are honored and routed around. |
 //! | `persist-symmetry` | Every `impl Persist` pair must round-trip: `save` and `load` agree on the word-kind sequence (`u32` vs 64-bit words), every field `save` writes is read back by `load`, and shared fields appear in the same order — the static mirror of the snapshot suite's byte-stability tests. |
 //! | `query-charging` | Every `Ok`-returning arm of `Maintain::answer` charges the accounting context (`exchange`/`broadcast`/`converge_cast`/`sort`/`gather`), directly or through a helper on the call graph — answering free of charge is an accounting leak. |
-//! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into` and the sketch loops of `crates/sketch/src/kernels.rs`) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively; the stealing variant is exempt (it owns its scratch). |
+//! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into`, its subtracting twin `subtract_copy_from`, and the sketch loops of `crates/sketch/src/kernels.rs`) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively; the stealing variant is exempt (it owns its scratch). |
 //!
 //! # The interprocedural phase
 //!
@@ -213,7 +213,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         RULE_ALLOC_HOT,
-        "The sketch loops (crates/sketch/src/kernels.rs) and merge_copy_into run inside the \
+        "The sketch loops (crates/sketch/src/kernels.rs), merge_copy_into and subtract_copy_from run inside the \
          converge-cast inner loop with preallocated scratch; any \
          Vec::new/vec!/collect()/to_vec()/format!-style heap allocation there — or \
          reachable from there through workspace helpers — is a latency regression the E20 \

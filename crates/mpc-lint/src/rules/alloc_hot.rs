@@ -1,8 +1,9 @@
 //! Rule `alloc-hot-path`: no heap allocation reachable from the
 //! sketch loops or the interleaved merged-copy fold.
 //!
-//! The loops of `crates/sketch/src/kernels.rs` and `merge_copy_into`
-//! sit inside the converge-cast inner loop; an allocation there shows
+//! The loops of `crates/sketch/src/kernels.rs`, `merge_copy_into` and
+//! its subtracting twin `subtract_copy_from` sit inside the
+//! converge-cast inner loop; an allocation there shows
 //! up directly in the per-merge latency the E20 soak and
 //! `sketch/merged_copy` microbench track. Scratch buffers are preallocated by design
 //! (`new_scratch`, the SoA columns), so any `Vec::new`/`vec!`/
@@ -20,8 +21,8 @@ use crate::summary::{Effect, Summaries};
 use crate::RULE_ALLOC_HOT;
 
 /// Function names that are allocation-free roots wherever they are
-/// defined (the serial interleaved fold of the converge-cast loop).
-const ROOT_FNS: &[&str] = &["merge_copy_into"];
+/// defined (the serial interleaved folds of the converge-cast loop).
+const ROOT_FNS: &[&str] = &["merge_copy_into", "subtract_copy_from"];
 
 /// Whether workspace function `f` is an allocation-free root.
 fn is_alloc_root(ws: &Workspace, f: usize) -> bool {

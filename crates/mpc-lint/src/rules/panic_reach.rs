@@ -42,6 +42,8 @@ pub const HOT_FNS: &[&str] = &[
     "merge_into_stealing",
     "merge_copy_into",
     "merge_copy_into_stealing",
+    "subtract_from",
+    "subtract_copy_from",
     "sample_merged",
     "sample_scratch",
     "converge_cast",

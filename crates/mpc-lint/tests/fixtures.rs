@@ -263,8 +263,20 @@ fn panic_reach_clean_fixture_passes() {
 #[test]
 fn panic_reach_dirty_fixture_prints_the_two_call_deep_chain() {
     let (findings, _) = run("crates/sketch/src/arena.rs", "panic_reach_dirty.rs");
-    assert_eq!(keys(&findings), vec![(RULE_PANIC_REACH, 2)], "{findings:?}");
-    let msg = &findings[0].message;
+    // Line 2 is the chain out of `apply_batch`; 11 and 12 are the
+    // subtract entry, a root of both the allocation and the panic rule.
+    assert_eq!(
+        keys(&findings),
+        vec![
+            (RULE_ALLOC_HOT, 11),
+            (RULE_PANIC_REACH, 2),
+            (RULE_PANIC_REACH, 12)
+        ],
+        "{findings:?}"
+    );
+    let subtract = |f: &&Finding| f.message.contains("`subtract_copy_from`");
+    assert_eq!(findings.iter().filter(subtract).count(), 2, "{findings:?}");
+    let msg = &findings.iter().find(|f| f.line == 2).unwrap().message;
     assert!(msg.contains("apply_batch -> stage -> pick"), "{msg}");
     assert!(msg.contains(".unwrap()"), "{msg}");
     assert!(msg.contains("panic site"), "{msg}");

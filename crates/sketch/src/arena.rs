@@ -444,6 +444,37 @@ impl SketchArena {
     /// set of each merge; repeated calls accumulate — that is how a
     /// supernode sums its member pieces without intermediate clones.
     pub fn merge_into(&self, members: &[u32], scratch: &mut MergeScratch) -> usize {
+        self.fold_members(members, scratch, kernels::fold_cells_soa)
+    }
+
+    /// [`SketchArena::merge_into`] with the sign flipped: *subtracts*
+    /// copy `scratch.copy()` of every materialized member column from
+    /// `scratch`, returning how many columns were subtracted (they
+    /// count as absorbed). Sketches are linear, so when the columns of
+    /// a vertex set `S` sum to zero — `S` is a union of whole
+    /// connected components, every edge cancelling between its two
+    /// endpoints — subtracting the columns of `S ∖ A` from a reset
+    /// scratch leaves exactly the accumulator that merging `A` would
+    /// have built, without reading one column of `A`. The union mask
+    /// then covers the subtracted columns' live levels, a superset of
+    /// the accumulator's nonzero levels, so
+    /// [`SketchArena::sample_scratch`] decodes the same cells in the
+    /// same order.
+    pub fn subtract_from(&self, members: &[u32], scratch: &mut MergeScratch) -> usize {
+        self.fold_members(members, scratch, kernels::unfold_cells_soa)
+    }
+
+    /// The column walk shared by [`SketchArena::merge_into`] and
+    /// [`SketchArena::subtract_from`]: streams the live cells of every
+    /// materialized member column through `fold` into the scratch
+    /// columns.
+    #[inline]
+    fn fold_members(
+        &self,
+        members: &[u32],
+        scratch: &mut MergeScratch,
+        fold: impl Fn(&[Cell], &mut [i64], &mut [i128], &mut [M61]),
+    ) -> usize {
         let copy = scratch.copy;
         debug_assert!(copy < self.copies, "copy {copy} out of range");
         let mut absorbed = 0usize;
@@ -462,7 +493,7 @@ impl SketchArena {
                 while mask != 0 {
                     let lo = mask.trailing_zeros() as usize;
                     let run = (!(mask >> lo)).trailing_zeros() as usize;
-                    kernels::fold_cells_soa(
+                    fold(
                         &self.cells[start + lo..start + lo + run],
                         &mut scratch.value_sum[lo..lo + run],
                         &mut scratch.index_sum[lo..lo + run],
@@ -478,7 +509,7 @@ impl SketchArena {
                 }
             } else {
                 scratch.dense = true;
-                kernels::fold_cells_soa(
+                fold(
                     &self.cells[start..start + self.levels],
                     &mut scratch.value_sum,
                     &mut scratch.index_sum,

@@ -183,6 +183,18 @@ impl SketchBank {
         self.arena.merge_into_stealing(members, scratch, pool)
     }
 
+    /// Subtracts copy `scratch.copy()` of every materialized member
+    /// column from `scratch`, returning how many columns were
+    /// subtracted. The columns of a union of whole connected
+    /// components sum to zero (every edge cancels between its two
+    /// endpoints, Lemma 3.3), so subtracting the columns of such a
+    /// set's *other* parts from a reset scratch yields one part's set
+    /// sketch without reading that part — see
+    /// [`SketchArena::subtract_from`].
+    pub fn subtract_copy_from(&self, members: &[VertexId], scratch: &mut MergeScratch) -> usize {
+        self.arena.subtract_from(members, scratch)
+    }
+
     /// Samples the set sketch accumulated in `scratch` (the cut of
     /// the merged vertex set, Lemma 3.3).
     pub fn sample_merged(&self, scratch: &MergeScratch) -> EdgeSample {

@@ -1,5 +1,6 @@
 //! The flat loops every sketch operation bottoms out in: the
-//! converge-cast column folds of [`SketchArena::merge_into`], the
+//! converge-cast column folds of [`SketchArena::merge_into`] and the
+//! subtracting fold of [`SketchArena::subtract_from`], the
 //! span-partial folds of the stealing merge, the
 //! `update`/`update_pair` cell write, and the zero-skip scan in front
 //! of `decode_parts` on the sample paths.
@@ -15,6 +16,7 @@
 //! Why there is no hand-vectorized tier: see the crate root.
 //!
 //! [`SketchArena::merge_into`]: crate::arena::SketchArena::merge_into
+//! [`SketchArena::subtract_from`]: crate::arena::SketchArena::subtract_from
 
 use crate::arena::Cell;
 use mpc_hashing::field::M61;
@@ -53,6 +55,21 @@ pub(crate) fn fold_cells_soa(src: &[Cell], vs: &mut [i64], is: &mut [i128], fp: 
         *v = v.wrapping_add(c.value_sum);
         *i = i.wrapping_add(c.index_sum);
         *f += c.fp;
+    }
+}
+
+/// The subtracting twin of [`fold_cells_soa`]: `vs[j] -=
+/// src[j].value_sum`, `is[j] -= src[j].index_sum`, `fp[j] -=
+/// src[j].fp` (field subtract). Wrapping and field subtraction are the
+/// exact inverses of the adds above, so an accumulator built by
+/// subtracting columns equals, bit for bit, the negation of the one
+/// built by adding them. All four slices must have equal length.
+pub(crate) fn unfold_cells_soa(src: &[Cell], vs: &mut [i64], is: &mut [i128], fp: &mut [M61]) {
+    debug_assert!(vs.len() == src.len() && is.len() == src.len() && fp.len() == src.len());
+    for (((c, v), i), f) in src.iter().zip(vs).zip(is).zip(fp) {
+        *v = v.wrapping_sub(c.value_sum);
+        *i = i.wrapping_sub(c.index_sum);
+        *f -= c.fp;
     }
 }
 
@@ -163,6 +180,38 @@ mod tests {
                     "{a} + {b}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn unfold_is_the_exact_inverse_of_fold() {
+        // Extremes included: the wrap points of both integer widths
+        // and the field's largest element.
+        let src = [
+            Cell {
+                index_sum: i128::MIN,
+                value_sum: i64::MIN,
+                fp: M61::from_reduced(P - 1),
+            },
+            Cell {
+                index_sum: -7,
+                value_sum: 3,
+                fp: M61::new(12345),
+            },
+            Cell::ZERO,
+        ];
+        let (mut vs, mut is, mut fp) = ([5i64, -1, 0], [9i128, 0, -2], [M61::new(4); 3]);
+        let before = (vs, is, fp);
+        fold_cells_soa(&src, &mut vs, &mut is, &mut fp);
+        unfold_cells_soa(&src, &mut vs, &mut is, &mut fp);
+        assert_eq!((vs, is, fp), before);
+        // From zero, subtracting yields the negated column.
+        let (mut vs, mut is, mut fp) = ([0i64; 3], [0i128; 3], [M61::ZERO; 3]);
+        unfold_cells_soa(&src, &mut vs, &mut is, &mut fp);
+        for (j, c) in src.iter().enumerate() {
+            assert_eq!(vs[j], c.value_sum.wrapping_neg());
+            assert_eq!(is[j], c.index_sum.wrapping_neg());
+            assert_eq!(fp[j], -c.fp);
         }
     }
 

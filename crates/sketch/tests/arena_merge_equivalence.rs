@@ -3,7 +3,9 @@
 //! empty / full / cancelled live-mask extremes must sample and merge
 //! correctly, an arena snapshot must round-trip byte-stably, and the
 //! snapshot content of one seeded stream is pinned against recorded
-//! constants.
+//! constants. Also here: the zero-sum property behind
+//! `subtract_from` — a part's accumulator derived from its
+//! complement equals its direct merge.
 
 use mpc_sketch::l0::SampleOutcome;
 use mpc_sketch::{MergeScratch, SketchArena};
@@ -181,6 +183,99 @@ fn empty_full_and_cancelled_mask_extremes() {
         SampleOutcome::Zero,
         "cancelled members must merge to the zero sketch"
     );
+}
+
+/// The zero-sum property the deletion cascade rests on, over random
+/// graphs and random partitions: the columns of an edge-closed vertex
+/// set sum to the zero column in every copy, so any part's
+/// accumulator can be had as minus the sum of the other parts' —
+/// cell for cell, with the same sample — without reading the part.
+/// The graphs carry delete-to-zero cancellations (cleared live-mask
+/// bits), never-touched vertices, and a second edge-closed block whose
+/// columns must stay out of the sums.
+#[test]
+fn complement_derived_accumulators_equal_direct_merges() {
+    use mpc_graph::ids::Edge;
+    use mpc_sketch::SketchBank;
+    const HALF: u32 = 24;
+    let random_edge = |rng: &mut StdRng, lo: u32| {
+        let a = lo + rng.gen_range(0..HALF - 2);
+        let b = lo + (a - lo + 1 + rng.gen_range(0..HALF - 3)) % (HALF - 2);
+        Edge::new(a, b)
+    };
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0xC0DE ^ seed);
+        let mut bank = SketchBank::new(2 * HALF as usize, 3, seed);
+        // Two blocks with no edge between them; the last two vertices
+        // of each stay untouched (no cell block at all).
+        let mut live: Vec<Edge> = Vec::new();
+        for _ in 0..rng.gen_range(20..120) {
+            let lo = if rng.gen_bool(0.5) { 0 } else { HALF };
+            let e = random_edge(&mut rng, lo);
+            match live.iter().position(|&x| x == e) {
+                Some(i) => {
+                    bank.delete_edge(live.swap_remove(i));
+                }
+                None => {
+                    bank.insert_edge(e);
+                    live.push(e);
+                }
+            }
+        }
+        // Cancel a few vertices' columns back to all-zero by deleting
+        // everything incident to them.
+        for _ in 0..3 {
+            let v = rng.gen_range(0..HALF - 2);
+            live.retain(|&e| {
+                let incident = e.u() == v || e.v() == v;
+                if incident {
+                    bank.delete_edge(e);
+                }
+                !incident
+            });
+        }
+        // A random partition of the first block, empty parts allowed.
+        let parts_n = rng.gen_range(1..7usize);
+        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); parts_n];
+        for v in 0..HALF {
+            parts[rng.gen_range(0..parts_n)].push(v);
+        }
+        let cells = |s: &MergeScratch| -> Vec<_> { (0..s.levels()).map(|l| s.cell(l)).collect() };
+        let mut direct = bank.new_scratch();
+        let mut derived = bank.new_scratch();
+        for copy in 0..bank.copies() {
+            direct.reset(copy);
+            for part in &parts {
+                bank.merge_copy_into(part, &mut direct);
+            }
+            assert!(
+                cells(&direct)
+                    .iter()
+                    .all(|&(v, i, f)| v == 0 && i == 0 && f.is_zero()),
+                "seed {seed} copy {copy}: an edge-closed set must sum to zero"
+            );
+            for (a, part) in parts.iter().enumerate() {
+                direct.reset(copy);
+                bank.merge_copy_into(part, &mut direct);
+                derived.reset(copy);
+                for (b, other) in parts.iter().enumerate() {
+                    if b != a {
+                        bank.subtract_copy_from(other, &mut derived);
+                    }
+                }
+                assert_eq!(
+                    cells(&derived),
+                    cells(&direct),
+                    "seed {seed} copy {copy} part {a}: cells"
+                );
+                assert_eq!(
+                    bank.sample_merged(&derived),
+                    bank.sample_merged(&direct),
+                    "seed {seed} copy {copy} part {a}: sample"
+                );
+            }
+        }
+    }
 }
 
 const GOLDEN_N: u32 = 40;
