@@ -1,5 +1,6 @@
 //! Experiment runner: regenerates the theorem-level evaluation of the
-//! paper (experiments E1–E16, DESIGN.md §5).
+//! paper (experiments E1–E16, indexed in the README's experiment
+//! table).
 //!
 //! ```sh
 //! cargo run --release -p mpc-bench --bin experiments -- all

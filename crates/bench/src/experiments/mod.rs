@@ -1,17 +1,13 @@
-//! Experiments E1–E20 (see DESIGN.md §5 for the index; E13–E16 are
-//! the extension experiments, E17 the Session-level workload table,
-//! E18 the parallel-executor scaling curve, E19 the checkpoint/
-//! recovery soak, E20 the million-scale soak).
+//! Experiments E1–E16 (indexed in the README's experiment table;
+//! E13–E16 are the extension experiments). Host throughput, the
+//! executor's scaling and the durability soak are measured by the
+//! engine benchmark in `benchmark/`, not here.
 
 pub mod connectivity;
 pub mod extensions;
 pub mod matching;
 pub mod micro;
 pub mod msf;
-pub mod parallel;
-pub mod session;
-pub mod snapshot;
-pub mod soak;
 
 use crate::table::Table;
 
@@ -35,18 +31,14 @@ pub fn run(id: &str) -> Vec<Table> {
         "e14" => extensions::e14_robustness(),
         "e15" => extensions::e15_vertex_churn(),
         "e16" => extensions::e16_preprocessing(),
-        "e17" => session::e17_session_workload(),
-        "e18" => parallel::e18_parallel_scaling(),
-        "e19" => snapshot::e19_snapshot_soak(),
-        "e20" => soak::e20_simd_soak(),
-        other => panic!("unknown experiment id {other:?} (use e1..e20 or all)"),
+        other => panic!("unknown experiment id {other:?} (use e1..e16, e2x or all)"),
     }
 }
 
 /// All experiment ids in order.
-pub const ALL: [&str; 20] = [
+pub const ALL: [&str; 16] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20",
+    "e16",
 ];
 
 #[cfg(test)]
@@ -58,7 +50,7 @@ mod tests {
     /// cover the harness code paths under `cargo test`).
     #[test]
     fn light_experiments_produce_tables() {
-        for id in ["e4", "e6", "e7", "e9", "e15", "e17", "e18"] {
+        for id in ["e4", "e6", "e7", "e9", "e15"] {
             let tables = run(id);
             assert!(!tables.is_empty(), "{id} produced no tables");
             for t in &tables {

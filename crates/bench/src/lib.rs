@@ -2,10 +2,10 @@
 //!
 //! The paper is a theory paper with no measured tables or figures, so
 //! the "evaluation" this crate regenerates is the set of theorem
-//! statements (see DESIGN.md §5 for the experiment index). Every
+//! statements (the README's experiment table is the index). Every
 //! function in [`experiments`] reproduces one experiment E1–E16 and
 //! returns printable [`table::Table`]s; the `experiments` binary runs
-//! them and prints the rows recorded in `EXPERIMENTS.md`:
+//! them and prints the rows:
 //!
 //! ```sh
 //! cargo run --release -p mpc-bench --bin experiments -- all

@@ -4,7 +4,7 @@ use mpc_etf::{DistEtf, TourId};
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::{Batch, Update};
-use mpc_sim::{MpcContext, MpcError};
+use mpc_sim::{MpcContext, MpcError, MpcStreamError};
 use mpc_sketch::vertex::EdgeSample;
 use mpc_sketch::SketchBank;
 use std::collections::BTreeMap;
@@ -17,44 +17,11 @@ pub struct ConnectivityConfig {
     pub sketch_copies: Option<usize>,
 }
 
-/// Errors surfaced by the connectivity algorithm.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConnectivityError {
-    /// An MPC resource constraint was violated (e.g. the batch's
-    /// auxiliary structures do not fit the coordinator machine).
-    Mpc(MpcError),
-    /// A deletion referenced an edge the sketches say is absent, or
-    /// an insertion duplicated a live edge — the caller violated the
-    /// dynamic-graph contract.
-    InvalidBatch(Edge),
-}
-
-impl std::fmt::Display for ConnectivityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConnectivityError::Mpc(e) => write!(f, "mpc resource violation: {e}"),
-            ConnectivityError::InvalidBatch(e) => write!(f, "invalid update for edge {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ConnectivityError {}
-
-impl From<MpcError> for ConnectivityError {
-    fn from(e: MpcError) -> Self {
-        ConnectivityError::Mpc(e)
-    }
-}
-
-impl From<ConnectivityError> for mpc_sim::MpcStreamError {
-    fn from(e: ConnectivityError) -> Self {
-        match e {
-            ConnectivityError::Mpc(inner) => mpc_sim::MpcStreamError::Capacity(inner),
-            ConnectivityError::InvalidBatch(edge) => {
-                mpc_sim::MpcStreamError::InvalidBatch(format!("invalid update for edge {edge}"))
-            }
-        }
-    }
+/// The dynamic-graph contract violation every connectivity structure
+/// reports: a deletion of an absent edge, a duplicate insertion, or
+/// an endpoint outside the vertex set.
+pub(crate) fn invalid_update(e: Edge) -> MpcStreamError {
+    MpcStreamError::InvalidBatch(format!("invalid update for edge {e}"))
 }
 
 /// Batch-dynamic connectivity with an explicitly maintained spanning
@@ -193,7 +160,7 @@ impl Connectivity {
         seed: u64,
         edges: impl IntoIterator<Item = Edge>,
         ctx: &mut MpcContext,
-    ) -> Result<Self, ConnectivityError> {
+    ) -> Result<Self, MpcStreamError> {
         let mut conn = Connectivity::new(n, cfg, seed);
         // Load every edge into the sketches (one routing round: the
         // edges arrive distributed, each machine ingests its own).
@@ -201,7 +168,7 @@ impl Connectivity {
         let mut count = 0usize;
         for e in edges {
             if (e.v() as usize) >= n {
-                return Err(ConnectivityError::InvalidBatch(e));
+                return Err(invalid_update(e));
             }
             conn.bank.insert_edge(e);
             count += 1;
@@ -303,23 +270,23 @@ impl Connectivity {
     ///
     /// # Errors
     ///
-    /// * [`ConnectivityError::Mpc`] if a batch structure exceeds the
+    /// * [`MpcStreamError::Capacity`] if a batch structure exceeds the
     ///   coordinator capacity (batch too large for `s`).
-    /// * [`ConnectivityError::InvalidBatch`] if the batch violates
+    /// * [`MpcStreamError::InvalidBatch`] if the batch violates
     ///   the simple-graph contract.
     pub fn apply_batch(
         &mut self,
         batch: &Batch,
         ctx: &mut MpcContext,
-    ) -> Result<(), ConnectivityError> {
+    ) -> Result<(), MpcStreamError> {
         let (ins, del) = self.normalize(batch)?;
         // Every contract check runs before the first mutation, so a
         // rejected batch leaves sketches, forest and labels untouched.
         if let Some(&dup) = ins.iter().find(|&&e| self.etf.contains_edge(e)) {
-            return Err(ConnectivityError::InvalidBatch(dup));
+            return Err(invalid_update(dup));
         }
         if self.live_edges + ins.len() < del.len() {
-            return Err(ConnectivityError::InvalidBatch(del[0]));
+            return Err(invalid_update(del[0]));
         }
         if !ins.is_empty() {
             self.insert_edges(&ins, ctx)?;
@@ -341,19 +308,19 @@ impl Connectivity {
         &mut self,
         update: Update,
         ctx: &mut MpcContext,
-    ) -> Result<(), ConnectivityError> {
+    ) -> Result<(), MpcStreamError> {
         self.apply_batch(&Batch::from_updates(vec![update]), ctx)
     }
 
     /// Computes the net effect of a batch: an edge toggled an even
     /// number of times is a no-op; odd, its final operation wins.
-    fn normalize(&self, batch: &Batch) -> Result<(Vec<Edge>, Vec<Edge>), ConnectivityError> {
+    fn normalize(&self, batch: &Batch) -> Result<(Vec<Edge>, Vec<Edge>), MpcStreamError> {
         let mut last: BTreeMap<Edge, (Update, usize)> = BTreeMap::new();
         let mut count: BTreeMap<Edge, usize> = BTreeMap::new();
         for (i, u) in batch.iter().enumerate() {
             let e = u.edge();
             if (e.v() as usize) >= self.n {
-                return Err(ConnectivityError::InvalidBatch(e));
+                return Err(invalid_update(e));
             }
             last.insert(e, (u, i));
             *count.entry(e).or_insert(0) += 1;
@@ -375,11 +342,7 @@ impl Connectivity {
     }
 
     /// Section 6.1: batch insertions.
-    fn insert_edges(
-        &mut self,
-        edges: &[Edge],
-        ctx: &mut MpcContext,
-    ) -> Result<(), ConnectivityError> {
+    fn insert_edges(&mut self, edges: &[Edge], ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
         let k = edges.len() as u64;
         // Route each update to its endpoints' shard machines (one
         // point-to-point round) plus O(1) control words on the
@@ -977,7 +940,7 @@ mod tests {
         let err = conn
             .apply_update(Update::Insert(Edge::new(0, 7)), &mut ctx)
             .unwrap_err();
-        assert!(matches!(err, ConnectivityError::InvalidBatch(_)));
+        assert!(matches!(err, MpcStreamError::InvalidBatch(_)));
     }
 
     #[test]
@@ -1121,7 +1084,7 @@ mod tests {
         );
         for (batch, what) in [(dup, "dup"), (underflow, "underflow"), (mixed, "mixed")] {
             let err = conn.apply_batch(&batch, &mut ctx).unwrap_err();
-            assert!(matches!(err, ConnectivityError::InvalidBatch(_)), "{what}");
+            assert!(matches!(err, MpcStreamError::InvalidBatch(_)), "{what}");
             assert_eq!(save_bytes(&conn), before, "{what}: state moved on Err");
         }
         // Still usable afterwards.
@@ -1279,6 +1242,6 @@ mod tests {
         let e = Edge::new(0, 1);
         conn.apply_update(Update::Insert(e), &mut ctx).unwrap();
         let err = conn.apply_update(Update::Insert(e), &mut ctx).unwrap_err();
-        assert!(matches!(err, ConnectivityError::InvalidBatch(_)));
+        assert!(matches!(err, MpcStreamError::InvalidBatch(_)));
     }
 }

@@ -106,12 +106,12 @@ pub mod session;
 pub mod streaming;
 pub mod vertex_dynamic;
 
-pub use connectivity::{Connectivity, ConnectivityConfig, ConnectivityError};
+pub use connectivity::{Connectivity, ConnectivityConfig};
 pub use query::{canonical_component_count, unsupported_query, QueryRequest, QueryResponse};
-pub use robust::{RobustConnectivity, RobustError};
+pub use robust::RobustConnectivity;
 pub use session::{
     ensure_endpoints_in, ensure_vertex_in, route_batch, CheckpointReceipt, Handle, Maintain,
     MaintainerId, MaintainerLoader, MaintainerRegistry, Session,
 };
 pub use streaming::StreamingConnectivity;
-pub use vertex_dynamic::{VertexDynError, VertexDynamicConnectivity};
+pub use vertex_dynamic::VertexDynamicConnectivity;

@@ -22,73 +22,11 @@
 //! is `R × exposure_budget` consuming batches; afterwards updates are
 //! refused rather than served with degraded guarantees.
 
-use crate::connectivity::{Connectivity, ConnectivityConfig, ConnectivityError};
+use crate::connectivity::{Connectivity, ConnectivityConfig};
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::update::Batch;
-use mpc_sim::MpcContext;
+use mpc_sim::{MpcContext, MpcStreamError};
 use std::collections::BTreeSet;
-
-/// Errors from [`RobustConnectivity`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RobustError {
-    /// Every instance has spent its exposure budget; the adaptivity
-    /// guarantee cannot be extended. Rebuild with more instances or a
-    /// larger budget.
-    BudgetExhausted {
-        /// Instances provisioned.
-        instances: usize,
-        /// Consuming batches each instance absorbed.
-        exposure_budget: u64,
-    },
-    /// The inner connectivity structure rejected the batch.
-    Conn(ConnectivityError),
-}
-
-impl std::fmt::Display for RobustError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RobustError::BudgetExhausted {
-                instances,
-                exposure_budget,
-            } => write!(
-                f,
-                "adaptivity budget exhausted: {instances} instances x {exposure_budget} \
-                 consuming batches"
-            ),
-            RobustError::Conn(e) => write!(f, "connectivity: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RobustError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RobustError::Conn(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ConnectivityError> for RobustError {
-    fn from(e: ConnectivityError) -> Self {
-        RobustError::Conn(e)
-    }
-}
-
-impl From<RobustError> for mpc_sim::MpcStreamError {
-    fn from(e: RobustError) -> Self {
-        match e {
-            RobustError::BudgetExhausted {
-                instances,
-                exposure_budget,
-            } => mpc_sim::MpcStreamError::BudgetExhausted(format!(
-                "adaptivity budget exhausted: {instances} instances x {exposure_budget} \
-                 consuming batches"
-            )),
-            RobustError::Conn(inner) => inner.into(),
-        }
-    }
-}
 
 /// Adaptive-adversary connectivity via sketch switching.
 ///
@@ -181,7 +119,7 @@ impl RobustConnectivity {
     }
 
     /// Consuming batches still supported before
-    /// [`RobustError::BudgetExhausted`].
+    /// [`MpcStreamError::BudgetExhausted`].
     pub fn exposures_remaining(&self) -> u64 {
         let per = self.exposure_budget;
         let left_current = per - self.current_exposures;
@@ -221,19 +159,24 @@ impl RobustConnectivity {
     ///
     /// # Errors
     ///
-    /// [`RobustError::BudgetExhausted`] — the batch is *not* applied
-    /// — or any inner [`ConnectivityError`].
-    pub fn apply_batch(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), RobustError> {
+    /// [`MpcStreamError::BudgetExhausted`] — the batch is *not*
+    /// applied — or any error of the inner [`Connectivity`].
+    pub fn apply_batch(
+        &mut self,
+        batch: &Batch,
+        ctx: &mut MpcContext,
+    ) -> Result<(), MpcStreamError> {
         let consuming = self.batch_consumes(batch);
         if consuming && self.current_exposures >= self.exposure_budget {
             if self.cursor + 1 < self.instances.len() {
                 self.cursor += 1;
                 self.current_exposures = 0;
             } else {
-                return Err(RobustError::BudgetExhausted {
-                    instances: self.instances.len(),
-                    exposure_budget: self.exposure_budget,
-                });
+                return Err(MpcStreamError::BudgetExhausted(format!(
+                    "adaptivity budget exhausted: {} instances x {} consuming batches",
+                    self.instances.len(),
+                    self.exposure_budget
+                )));
             }
         }
         // All instances ingest the batch; branches run in parallel.
@@ -405,13 +348,12 @@ mod tests {
         r.apply_batch(&Batch::inserting([t1]), &mut c).unwrap();
         let t3 = r.spanning_forest()[0];
         let err = r.apply_batch(&Batch::deleting([t3]), &mut c).unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            RobustError::BudgetExhausted {
-                instances: 2,
-                exposure_budget: 1
-            }
-        ));
+            MpcStreamError::BudgetExhausted(
+                "adaptivity budget exhausted: 2 instances x 1 consuming batches".into()
+            )
+        );
         // The refused batch was not applied anywhere.
         assert!(r.connected(t3.u(), t3.v()));
     }
@@ -437,19 +379,5 @@ mod tests {
         // on the empty graph.
         assert_eq!(r.component_count(), 16);
         assert_eq!(r.component_of(3), 3);
-    }
-
-    #[test]
-    fn errors_display_and_source() {
-        use std::error::Error;
-        let b = RobustError::BudgetExhausted {
-            instances: 2,
-            exposure_budget: 3,
-        };
-        assert!(b.to_string().contains("exhausted"));
-        assert!(b.source().is_none());
-        let c = RobustError::Conn(ConnectivityError::InvalidBatch(Edge::new(0, 1)));
-        assert!(c.to_string().contains("connectivity"));
-        assert!(c.source().is_some());
     }
 }

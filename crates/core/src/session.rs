@@ -34,9 +34,9 @@
 //!
 //! [`Session::register`] returns a [`Handle`]`<M>` carrying the
 //! maintainer's concrete type, so reads need no downcasts and no
-//! turbofish: [`Session::get`] / [`Session::get_mut`] hand back `&M` /
-//! `&mut M` directly, and [`Session::query`] runs a charged closure
-//! against the concrete maintainer and the session's own context.
+//! turbofish: [`Session::get`] hands back `&M` directly, and
+//! [`Session::query`] runs a charged closure against the concrete
+//! maintainer and the session's own context.
 //!
 //! # Query charging
 //!
@@ -203,11 +203,11 @@ use std::sync::Arc;
 /// unified [`Session`] engine.
 ///
 /// Implementors supply the identification hooks and [`Maintain::
-/// ingest`], the error-unified batch application — the trait's single
-/// write entry. Measurement is not the maintainer's concern: the
-/// session's fan-out brackets each `ingest` / `answer` with a
-/// `BatchAudit` and produces the unified [`BatchReport`] /
-/// [`QueryReport`].
+/// ingest`] — the trait's single write entry, and for every shipped
+/// maintainer a bare call of its inherent `apply_batch`. Measurement
+/// is not the maintainer's concern: the session's fan-out brackets
+/// each `ingest` / `answer` with a `BatchAudit` and produces the
+/// unified [`BatchReport`] / [`QueryReport`].
 ///
 /// The `Any` supertrait is an implementation detail of the typed
 /// [`Handle`] accessors ([`Session::get`] and friends re-express the
@@ -242,8 +242,7 @@ pub trait Maintain: Any + Send {
         Ok(())
     }
 
-    /// Applies one unweighted batch, converting every failure into
-    /// the workspace-wide [`MpcStreamError`].
+    /// Applies one unweighted batch.
     ///
     /// # Errors
     ///
@@ -424,10 +423,10 @@ pub type MaintainerId = usize;
 /// A typed handle to a maintainer registered in a [`Session`].
 ///
 /// Returned by [`Session::register`]; carries the maintainer's
-/// concrete type, so [`Session::get`] / [`Session::get_mut`] /
-/// [`Session::query`] / [`Session::ask`] need no downcasts and
-/// cannot fail on a type mismatch. A handle is only meaningful on the
-/// session that issued it.
+/// concrete type, so [`Session::get`] / [`Session::query`] /
+/// [`Session::ask`] need no downcasts and cannot fail on a type
+/// mismatch. A handle is only meaningful on the session that issued
+/// it.
 pub struct Handle<M: Maintain> {
     id: MaintainerId,
     _marker: PhantomData<fn() -> M>,
@@ -598,7 +597,7 @@ impl Session {
 
     /// Registers a maintainer, returning its typed [`Handle`]. The
     /// handle is the key to every read accessor — [`Session::get`],
-    /// [`Session::get_mut`], [`Session::query`], [`Session::ask`].
+    /// [`Session::query`], [`Session::ask`].
     pub fn register<M: Maintain>(&mut self, maintainer: M) -> Handle<M> {
         let id = self.register_boxed(Box::new(maintainer));
         Handle {
@@ -649,18 +648,6 @@ impl Session {
     pub fn get<M: Maintain>(&self, handle: Handle<M>) -> &M {
         let m: &dyn Any = self.maintainers[handle.id].as_ref();
         m.downcast_ref::<M>()
-            // lint: allow(panic-reachability): documented "# Panics" contract — a foreign session's handle is a programmer error
-            .expect("a typed Handle always matches its own session's registry; this handle was issued by a different Session")
-    }
-
-    /// Typed mutable access to a registered maintainer.
-    ///
-    /// # Panics
-    ///
-    /// As [`Session::get`].
-    pub fn get_mut<M: Maintain>(&mut self, handle: Handle<M>) -> &mut M {
-        let m: &mut dyn Any = self.maintainers[handle.id].as_mut();
-        m.downcast_mut::<M>()
             // lint: allow(panic-reachability): documented "# Panics" contract — a foreign session's handle is a programmer error
             .expect("a typed Handle always matches its own session's registry; this handle was issued by a different Session")
     }
@@ -1450,8 +1437,7 @@ impl Maintain for Connectivity {
     }
 
     fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
-        Connectivity::apply_batch(self, batch, ctx)?;
-        Ok(())
+        self.apply_batch(batch, ctx)
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
@@ -1595,8 +1581,7 @@ impl Maintain for RobustConnectivity {
     }
 
     fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
-        RobustConnectivity::apply_batch(self, batch, ctx)?;
-        Ok(())
+        self.apply_batch(batch, ctx)
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
@@ -1664,8 +1649,7 @@ impl Maintain for VertexDynamicConnectivity {
     }
 
     fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
-        VertexDynamicConnectivity::apply_batch(self, batch, ctx)?;
-        Ok(())
+        self.apply_batch(batch, ctx)
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
@@ -1695,13 +1679,13 @@ impl Maintain for VertexDynamicConnectivity {
                 ensure_vertex_in(u.max(v), self.capacity())?;
                 // Validate fully before charging: an inactive
                 // endpoint must not leak unreceipted rounds.
-                let connected = self.connected(u, v).map_err(MpcStreamError::from)?;
+                let connected = self.connected(u, v)?;
                 ctx.exchange(2);
                 Ok(QueryResponse::Bool(connected))
             }
             QueryRequest::ComponentOf(v) => {
                 ensure_vertex_in(v, self.capacity())?;
-                let comp = self.component_of(v).map_err(MpcStreamError::from)?;
+                let comp = self.component_of(v)?;
                 ctx.exchange(2);
                 Ok(QueryResponse::Vertex(comp))
             }
@@ -1986,7 +1970,6 @@ mod tests {
         let h = session.register(Connectivity::new(8, ConnectivityConfig::default(), 1));
         // No Option, no turbofish: the handle carries the type.
         assert_eq!(session.get(h).vertex_count(), 8);
-        assert_eq!(session.get_mut(h).component_count(), 8);
         assert_eq!(session.query(h, |c, _ctx| c.vertex_count()), 8);
         assert_eq!(h.id(), 0);
         assert_eq!(MaintainerId::from(h), 0);

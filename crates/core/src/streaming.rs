@@ -16,38 +16,13 @@
 //! version of exactly this structure; the test suite cross-checks the
 //! two on identical streams.
 
+use crate::connectivity::invalid_update;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::update::Update;
+use mpc_sim::MpcStreamError;
 use mpc_sketch::vertex::EdgeSample;
 use mpc_sketch::SketchBank;
 use std::collections::{BTreeSet, VecDeque};
-
-/// Errors of the streaming structure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamingError {
-    /// Insertion of a live edge or deletion of an absent one.
-    InvalidUpdate(Edge),
-}
-
-impl std::fmt::Display for StreamingError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamingError::InvalidUpdate(e) => write!(f, "invalid update for edge {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamingError {}
-
-impl From<StreamingError> for mpc_sim::MpcStreamError {
-    fn from(e: StreamingError) -> Self {
-        match e {
-            StreamingError::InvalidUpdate(edge) => {
-                mpc_sim::MpcStreamError::InvalidBatch(format!("invalid update for edge {edge}"))
-            }
-        }
-    }
-}
 
 /// The Section 4 streaming connectivity structure
 /// (Algorithms 1–4 of the paper).
@@ -174,8 +149,8 @@ impl StreamingConnectivity {
     ///
     /// # Errors
     ///
-    /// [`StreamingError::InvalidUpdate`] on contract violations.
-    pub fn apply(&mut self, update: Update) -> Result<(), StreamingError> {
+    /// [`MpcStreamError::InvalidBatch`] on contract violations.
+    pub fn apply(&mut self, update: Update) -> Result<(), MpcStreamError> {
         match update {
             Update::Insert(e) => self.insert(e),
             Update::Delete(e) => self.delete(e),
@@ -183,9 +158,9 @@ impl StreamingConnectivity {
     }
 
     /// Algorithm 2 (`Insert`).
-    fn insert(&mut self, e: Edge) -> Result<(), StreamingError> {
+    fn insert(&mut self, e: Edge) -> Result<(), MpcStreamError> {
         if !self.live.insert(e) {
-            return Err(StreamingError::InvalidUpdate(e));
+            return Err(invalid_update(e));
         }
         self.bank.insert_edge(e);
         let (u, v) = e.endpoints();
@@ -200,9 +175,9 @@ impl StreamingConnectivity {
     }
 
     /// Algorithm 3 (`Delete`).
-    fn delete(&mut self, e: Edge) -> Result<(), StreamingError> {
+    fn delete(&mut self, e: Edge) -> Result<(), MpcStreamError> {
         if !self.live.remove(&e) {
-            return Err(StreamingError::InvalidUpdate(e));
+            return Err(invalid_update(e));
         }
         self.bank.delete_edge(e);
         let (u, v) = e.endpoints();

@@ -12,77 +12,17 @@
 //! the inner structure and cost nothing beyond their component-label
 //! slot; freed ids are recycled.
 
-use crate::connectivity::{Connectivity, ConnectivityConfig, ConnectivityError};
+use crate::connectivity::{Connectivity, ConnectivityConfig};
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::update::Batch;
-use mpc_sim::MpcContext;
+use mpc_sim::{MpcContext, MpcStreamError};
 
-/// Errors from [`VertexDynamicConnectivity`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VertexDynError {
-    /// All `capacity` vertex slots are active.
-    CapacityExhausted(usize),
-    /// The vertex is not currently active.
-    NotActive(VertexId),
-    /// Only isolated vertices may be removed (the paper's contract);
-    /// this one still has incident live edges.
-    NotIsolated(VertexId, u32),
-    /// An edge update touches an inactive vertex.
-    InactiveEndpoint(Edge, VertexId),
-    /// The inner connectivity structure rejected the batch.
-    Conn(ConnectivityError),
+fn not_active(v: VertexId) -> MpcStreamError {
+    MpcStreamError::InvalidBatch(format!("vertex {v} is not active"))
 }
 
-impl std::fmt::Display for VertexDynError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VertexDynError::CapacityExhausted(cap) => {
-                write!(f, "all {cap} vertex slots are active")
-            }
-            VertexDynError::NotActive(v) => write!(f, "vertex {v} is not active"),
-            VertexDynError::NotIsolated(v, d) => {
-                write!(
-                    f,
-                    "vertex {v} has {d} live edges; only isolated vertices can be removed"
-                )
-            }
-            VertexDynError::InactiveEndpoint(e, v) => {
-                write!(f, "edge {e} touches inactive vertex {v}")
-            }
-            VertexDynError::Conn(err) => write!(f, "connectivity: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for VertexDynError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            VertexDynError::Conn(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<ConnectivityError> for VertexDynError {
-    fn from(err: ConnectivityError) -> Self {
-        VertexDynError::Conn(err)
-    }
-}
-
-impl From<VertexDynError> for mpc_sim::MpcStreamError {
-    fn from(e: VertexDynError) -> Self {
-        match e {
-            VertexDynError::CapacityExhausted(cap) => mpc_sim::MpcStreamError::BudgetExhausted(
-                format!("all {cap} vertex slots are active"),
-            ),
-            VertexDynError::NotActive(_)
-            | VertexDynError::NotIsolated(_, _)
-            | VertexDynError::InactiveEndpoint(_, _) => {
-                mpc_sim::MpcStreamError::InvalidBatch(e.to_string())
-            }
-            VertexDynError::Conn(inner) => inner.into(),
-        }
-    }
+fn slots_exhausted(capacity: usize) -> MpcStreamError {
+    MpcStreamError::BudgetExhausted(format!("all {capacity} vertex slots are active"))
 }
 
 /// Batch-dynamic connectivity with a dynamic vertex set (paper
@@ -161,9 +101,9 @@ impl VertexDynamicConnectivity {
     }
 
     /// Live-edge degree of an active vertex.
-    pub fn degree(&self, v: VertexId) -> Result<u32, VertexDynError> {
+    pub fn degree(&self, v: VertexId) -> Result<u32, MpcStreamError> {
         if !self.is_active(v) {
-            return Err(VertexDynError::NotActive(v));
+            return Err(not_active(v));
         }
         Ok(self.degree[v as usize])
     }
@@ -185,9 +125,9 @@ impl VertexDynamicConnectivity {
     ///
     /// # Errors
     ///
-    /// [`VertexDynError::CapacityExhausted`] when every slot is
+    /// [`MpcStreamError::BudgetExhausted`] when every slot is
     /// active.
-    pub fn add_vertex(&mut self, ctx: &mut MpcContext) -> Result<VertexId, VertexDynError> {
+    pub fn add_vertex(&mut self, ctx: &mut MpcContext) -> Result<VertexId, MpcStreamError> {
         let id = if let Some(v) = self.free.pop() {
             v
         } else if (self.next_fresh as usize) < self.active.len() {
@@ -195,7 +135,7 @@ impl VertexDynamicConnectivity {
             self.next_fresh += 1;
             v
         } else {
-            return Err(VertexDynError::CapacityExhausted(self.active.len()));
+            return Err(slots_exhausted(self.active.len()));
         };
         self.active[id as usize] = true;
         self.active_count += 1;
@@ -209,9 +149,9 @@ impl VertexDynamicConnectivity {
         &mut self,
         count: usize,
         ctx: &mut MpcContext,
-    ) -> Result<Vec<VertexId>, VertexDynError> {
+    ) -> Result<Vec<VertexId>, MpcStreamError> {
         if self.active_count + count > self.active.len() {
-            return Err(VertexDynError::CapacityExhausted(self.active.len()));
+            return Err(slots_exhausted(self.active.len()));
         }
         let mut ids = Vec::with_capacity(count);
         for _ in 0..count {
@@ -235,18 +175,21 @@ impl VertexDynamicConnectivity {
     ///
     /// # Errors
     ///
-    /// [`VertexDynError::NotActive`] or
-    /// [`VertexDynError::NotIsolated`].
+    /// [`MpcStreamError::InvalidBatch`] if `v` is inactive or still has
+    /// live edges.
     pub fn remove_vertex(
         &mut self,
         v: VertexId,
         ctx: &mut MpcContext,
-    ) -> Result<(), VertexDynError> {
+    ) -> Result<(), MpcStreamError> {
         if !self.is_active(v) {
-            return Err(VertexDynError::NotActive(v));
+            return Err(not_active(v));
         }
         if self.degree[v as usize] > 0 {
-            return Err(VertexDynError::NotIsolated(v, self.degree[v as usize]));
+            return Err(MpcStreamError::InvalidBatch(format!(
+                "vertex {v} has {} live edges; only isolated vertices can be removed",
+                self.degree[v as usize]
+            )));
         }
         self.active[v as usize] = false;
         self.active_count -= 1;
@@ -261,18 +204,20 @@ impl VertexDynamicConnectivity {
     ///
     /// # Errors
     ///
-    /// [`VertexDynError::InactiveEndpoint`] (state unchanged), or any
-    /// inner [`ConnectivityError`].
+    /// [`MpcStreamError::InvalidBatch`] for an inactive endpoint (state
+    /// unchanged), or any error of the inner [`Connectivity`].
     pub fn apply_batch(
         &mut self,
         batch: &Batch,
         ctx: &mut MpcContext,
-    ) -> Result<(), VertexDynError> {
+    ) -> Result<(), MpcStreamError> {
         for u in batch.iter() {
             let e = u.edge();
             for x in [e.u(), e.v()] {
                 if !self.is_active(x) {
-                    return Err(VertexDynError::InactiveEndpoint(e, x));
+                    return Err(MpcStreamError::InvalidBatch(format!(
+                        "edge {e} touches inactive vertex {x}"
+                    )));
                 }
             }
         }
@@ -294,20 +239,20 @@ impl VertexDynamicConnectivity {
     ///
     /// # Errors
     ///
-    /// [`VertexDynError::NotActive`] for an inactive endpoint.
-    pub fn connected(&self, u: VertexId, v: VertexId) -> Result<bool, VertexDynError> {
+    /// [`MpcStreamError::InvalidBatch`] for an inactive endpoint.
+    pub fn connected(&self, u: VertexId, v: VertexId) -> Result<bool, MpcStreamError> {
         for x in [u, v] {
             if !self.is_active(x) {
-                return Err(VertexDynError::NotActive(x));
+                return Err(not_active(x));
             }
         }
         Ok(self.inner.connected(u, v))
     }
 
     /// Component id of an active vertex.
-    pub fn component_of(&self, v: VertexId) -> Result<VertexId, VertexDynError> {
+    pub fn component_of(&self, v: VertexId) -> Result<VertexId, MpcStreamError> {
         if !self.is_active(v) {
-            return Err(VertexDynError::NotActive(v));
+            return Err(not_active(v));
         }
         Ok(self.inner.component_of(v))
     }
@@ -416,14 +361,8 @@ mod tests {
         let mut c = ctx();
         let mut v = vd(2);
         v.add_vertices(2, &mut c).unwrap();
-        assert_eq!(
-            v.add_vertex(&mut c),
-            Err(VertexDynError::CapacityExhausted(2))
-        );
-        assert_eq!(
-            v.add_vertices(1, &mut c),
-            Err(VertexDynError::CapacityExhausted(2))
-        );
+        assert_eq!(v.add_vertex(&mut c), Err(slots_exhausted(2)));
+        assert_eq!(v.add_vertices(1, &mut c), Err(slots_exhausted(2)));
     }
 
     #[test]
@@ -434,7 +373,10 @@ mod tests {
         let err = v
             .apply_batch(&Batch::inserting([Edge::new(a, 3)]), &mut c)
             .unwrap_err();
-        assert_eq!(err, VertexDynError::InactiveEndpoint(Edge::new(a, 3), 3));
+        assert_eq!(
+            err,
+            MpcStreamError::InvalidBatch(format!("edge {{{a},3}} touches inactive vertex 3"))
+        );
         assert_eq!(v.connectivity().live_edge_count(), 0);
     }
 
@@ -447,15 +389,15 @@ mod tests {
             .unwrap();
         assert_eq!(
             v.remove_vertex(ids[0], &mut c),
-            Err(VertexDynError::NotIsolated(ids[0], 1))
+            Err(MpcStreamError::InvalidBatch(format!(
+                "vertex {} has 1 live edges; only isolated vertices can be removed",
+                ids[0]
+            )))
         );
         v.apply_batch(&Batch::deleting([Edge::new(ids[0], ids[1])]), &mut c)
             .unwrap();
         v.remove_vertex(ids[0], &mut c).unwrap();
-        assert_eq!(
-            v.remove_vertex(ids[0], &mut c),
-            Err(VertexDynError::NotActive(ids[0]))
-        );
+        assert_eq!(v.remove_vertex(ids[0], &mut c), Err(not_active(ids[0])));
     }
 
     #[test]
@@ -480,9 +422,9 @@ mod tests {
         let mut c = ctx();
         let mut v = vd(4);
         let a = v.add_vertex(&mut c).unwrap();
-        assert_eq!(v.connected(a, 2), Err(VertexDynError::NotActive(2)));
-        assert_eq!(v.component_of(3), Err(VertexDynError::NotActive(3)));
-        assert_eq!(v.degree(2), Err(VertexDynError::NotActive(2)));
+        assert_eq!(v.connected(a, 2), Err(not_active(2)));
+        assert_eq!(v.component_of(3), Err(not_active(3)));
+        assert_eq!(v.degree(2), Err(not_active(2)));
         assert_eq!(v.degree(a), Ok(0));
     }
 
@@ -538,24 +480,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn errors_display() {
-        use std::error::Error;
-        assert!(VertexDynError::CapacityExhausted(4)
-            .to_string()
-            .contains("4"));
-        assert!(VertexDynError::NotActive(3)
-            .to_string()
-            .contains("not active"));
-        assert!(VertexDynError::NotIsolated(1, 2)
-            .to_string()
-            .contains("isolated"));
-        let ie = VertexDynError::InactiveEndpoint(Edge::new(0, 1), 1);
-        assert!(ie.to_string().contains("inactive"));
-        assert!(ie.source().is_none());
-        let conn = VertexDynError::Conn(ConnectivityError::InvalidBatch(Edge::new(0, 1)));
-        assert!(conn.source().is_some());
     }
 }

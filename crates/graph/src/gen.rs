@@ -265,7 +265,8 @@ pub fn preferential_attachment_stream(
     BatchStream { n, batches }
 }
 
-/// Power-law stream with adversarial churn, the E20 soak workload:
+/// Power-law stream with adversarial churn (the stream shape the
+/// engine benchmark's `churn` workload runs from its own frozen copy):
 /// inserts pick endpoints degree-weighted (the repeated-endpoint
 /// trick), so degrees go heavy-tailed like
 /// [`preferential_attachment_stream`]; a `churn` fraction of updates

@@ -232,7 +232,7 @@ impl mpc_stream_core::Maintain for DynamicKConn {
     }
 
     fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
-        DynamicKConn::apply_batch(self, batch, ctx)
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {

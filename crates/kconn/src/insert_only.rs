@@ -21,68 +21,7 @@ use crate::certificate::Certificate;
 use mpc_graph::ids::Edge;
 use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::Batch;
-use mpc_sim::{MpcContext, MpcError};
-
-/// Errors from [`InsertOnlyKConn`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KConnError {
-    /// A deletion appeared in an insertion-only stream.
-    DeletionInInsertOnlyStream(Edge),
-    /// An inserted edge was already live (the model requires simple
-    /// graphs — paper Section 1.2).
-    DuplicateInsert(Edge),
-    /// An edge endpoint is out of range.
-    VertexOutOfRange(Edge, usize),
-    /// The MPC simulator rejected the batch (e.g. it does not fit in
-    /// one machine's local memory).
-    Mpc(MpcError),
-}
-
-impl std::fmt::Display for KConnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KConnError::DeletionInInsertOnlyStream(e) => {
-                write!(f, "deletion of {e:?} in an insertion-only stream")
-            }
-            KConnError::DuplicateInsert(e) => {
-                write!(f, "insertion of already-live edge {e:?}")
-            }
-            KConnError::VertexOutOfRange(e, n) => {
-                write!(f, "edge {e:?} has an endpoint outside [0, {n})")
-            }
-            KConnError::Mpc(err) => write!(f, "mpc: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for KConnError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            KConnError::Mpc(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<MpcError> for KConnError {
-    fn from(err: MpcError) -> Self {
-        KConnError::Mpc(err)
-    }
-}
-
-impl From<KConnError> for mpc_sim::MpcStreamError {
-    fn from(e: KConnError) -> Self {
-        match e {
-            KConnError::Mpc(inner) => mpc_sim::MpcStreamError::Capacity(inner),
-            KConnError::DeletionInInsertOnlyStream(edge) => mpc_sim::MpcStreamError::Unsupported(
-                format!("deletion of {edge:?} in an insertion-only stream"),
-            ),
-            KConnError::DuplicateInsert(_) | KConnError::VertexOutOfRange(_, _) => {
-                mpc_sim::MpcStreamError::InvalidBatch(e.to_string())
-            }
-        }
-    }
-}
+use mpc_sim::{MpcContext, MpcStreamError};
 
 /// Insertion-only batch-dynamic `k`-edge-connectivity certificate.
 ///
@@ -155,7 +94,7 @@ impl InsertOnlyKConn {
         k: usize,
         edges: impl IntoIterator<Item = Edge>,
         ctx: &mut MpcContext,
-    ) -> Result<Self, KConnError> {
+    ) -> Result<Self, MpcStreamError> {
         let mut kc = InsertOnlyKConn::new(n, k);
         let chunk = (ctx.config().local_capacity() / 4).max(1) as usize;
         let all: Vec<Edge> = edges.into_iter().collect();
@@ -222,19 +161,31 @@ impl InsertOnlyKConn {
     /// Rejects deletions, duplicate or out-of-range insertions, and
     /// batches the simulator cannot gather to one machine. On error
     /// the state is unchanged (validation happens before mutation).
-    pub fn apply_batch(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), KConnError> {
+    pub fn apply_batch(
+        &mut self,
+        batch: &Batch,
+        ctx: &mut MpcContext,
+    ) -> Result<(), MpcStreamError> {
         // Validate before mutating.
         let mut fresh = std::collections::BTreeSet::new();
         for u in batch.iter() {
             if !u.is_insert() {
-                return Err(KConnError::DeletionInInsertOnlyStream(u.edge()));
+                return Err(MpcStreamError::Unsupported(format!(
+                    "deletion of {} in an insertion-only stream",
+                    u.edge()
+                )));
             }
             let e = u.edge();
             if e.u() as usize >= self.n || e.v() as usize >= self.n {
-                return Err(KConnError::VertexOutOfRange(e, self.n));
+                return Err(MpcStreamError::InvalidBatch(format!(
+                    "edge {e} has an endpoint outside [0, {})",
+                    self.n
+                )));
             }
             if self.live.contains(&e) || !fresh.insert(e) {
-                return Err(KConnError::DuplicateInsert(e));
+                return Err(MpcStreamError::InvalidBatch(format!(
+                    "insertion of already-live edge {e}"
+                )));
             }
         }
         let b = batch.len() as u64;
@@ -288,19 +239,14 @@ impl mpc_stream_core::Maintain for InsertOnlyKConn {
         InsertOnlyKConn::words(self)
     }
 
-    fn validate(&self) -> Result<(), mpc_sim::MpcStreamError> {
+    fn validate(&self) -> Result<(), MpcStreamError> {
         self.certificate()
             .validate()
-            .map_err(mpc_sim::MpcStreamError::Internal)
+            .map_err(MpcStreamError::Internal)
     }
 
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
-        InsertOnlyKConn::apply_batch(self, batch, ctx)?;
-        Ok(())
+    fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
@@ -320,7 +266,7 @@ impl mpc_stream_core::Maintain for InsertOnlyKConn {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, mpc_sim::MpcStreamError> {
+    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
         match *query {
             QueryRequest::MinCutLowerBound => {
@@ -496,7 +442,10 @@ mod tests {
                 &mut c,
             )
             .unwrap_err();
-        assert_eq!(err, KConnError::DeletionInInsertOnlyStream(e(0, 1)));
+        assert_eq!(
+            err,
+            MpcStreamError::Unsupported("deletion of {0,1} in an insertion-only stream".into())
+        );
         // The valid prefix of the failed batch was not applied.
         assert_eq!(kc.edge_count(), 1);
     }
@@ -509,12 +458,16 @@ mod tests {
             .unwrap();
         assert_eq!(
             kc.apply_batch(&Batch::inserting([e(0, 1)]), &mut c),
-            Err(KConnError::DuplicateInsert(e(0, 1)))
+            Err(MpcStreamError::InvalidBatch(
+                "insertion of already-live edge {0,1}".into()
+            ))
         );
         // Duplicate within one batch is also caught.
         assert_eq!(
             kc.apply_batch(&Batch::inserting([e(1, 2), e(1, 2)]), &mut c),
-            Err(KConnError::DuplicateInsert(e(1, 2)))
+            Err(MpcStreamError::InvalidBatch(
+                "insertion of already-live edge {1,2}".into()
+            ))
         );
     }
 
@@ -524,7 +477,9 @@ mod tests {
         let mut kc = InsertOnlyKConn::new(4, 1);
         assert_eq!(
             kc.apply_batch(&Batch::inserting([e(0, 7)]), &mut c),
-            Err(KConnError::VertexOutOfRange(e(0, 7), 4))
+            Err(MpcStreamError::InvalidBatch(
+                "edge {0,7} has an endpoint outside [0, 4)".into()
+            ))
         );
     }
 
@@ -535,8 +490,7 @@ mod tests {
         let mut kc = InsertOnlyKConn::new(64, 2);
         let batch = Batch::inserting((0..32u32).map(|i| e(i, i + 32)));
         let err = kc.apply_batch(&batch, &mut c).unwrap_err();
-        assert!(matches!(err, KConnError::Mpc(_)));
-        assert!(err.to_string().contains("mpc"));
+        assert!(matches!(err, MpcStreamError::Capacity(_)));
     }
 
     #[test]
@@ -598,17 +552,5 @@ mod tests {
         let mut c = ctx();
         assert!(InsertOnlyKConn::from_graph(4, 1, [e(0, 9)], &mut c).is_err());
         assert!(InsertOnlyKConn::from_graph(4, 1, [e(0, 1), e(0, 1)], &mut c).is_err());
-    }
-
-    #[test]
-    fn errors_display_and_source() {
-        use std::error::Error;
-        let d = KConnError::DeletionInInsertOnlyStream(e(0, 1));
-        assert!(d.to_string().contains("deletion"));
-        assert!(d.source().is_none());
-        let dup = KConnError::DuplicateInsert(e(2, 3));
-        assert!(dup.to_string().contains("already-live"));
-        let oor = KConnError::VertexOutOfRange(e(0, 9), 4);
-        assert!(oor.to_string().contains("outside"));
     }
 }

@@ -70,7 +70,7 @@ pub mod insert_only;
 
 pub use certificate::{Certificate, MinCut};
 pub use dynamic::DynamicKConn;
-pub use insert_only::{InsertOnlyKConn, KConnError};
+pub use insert_only::InsertOnlyKConn;
 
 /// Registers this crate's snapshot decoders — `kconn-dynamic` and
 /// `kconn-insert-only` — into a

@@ -299,7 +299,7 @@ impl mpc_stream_core::Maintain for AklyMatching {
     }
 
     fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
-        AklyMatching::apply_batch(self, batch, ctx)
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {

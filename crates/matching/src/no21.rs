@@ -260,7 +260,7 @@ impl mpc_stream_core::Maintain for MaximalMatching {
     }
 
     fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
-        MaximalMatching::apply_batch(self, batch, ctx)
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {

@@ -342,7 +342,7 @@ impl mpc_stream_core::Maintain for MatchingSizeEstimator {
     }
 
     fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
-        MatchingSizeEstimator::apply_batch(self, batch, ctx)
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {

@@ -216,8 +216,8 @@ pub const RULES: &[(&str, &str)] = &[
         "The sketch loops (crates/sketch/src/kernels.rs), merge_copy_into and subtract_copy_from run inside the \
          converge-cast inner loop with preallocated scratch; any \
          Vec::new/vec!/collect()/to_vec()/format!-style heap allocation there — or \
-         reachable from there through workspace helpers — is a latency regression the E20 \
-         soak would surface later. Flagged unless justified with \
+         reachable from there through workspace helpers — is a latency regression the \
+         benchmark's `churn` workload would surface later. Flagged unless justified with \
          `// lint: allow(alloc-hot-path): …` at the reported line. The stealing merge \
          allocates span partials by design and is not a root.",
     ),

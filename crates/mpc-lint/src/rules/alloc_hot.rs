@@ -4,8 +4,8 @@
 //! The loops of `crates/sketch/src/kernels.rs`, `merge_copy_into` and
 //! its subtracting twin `subtract_copy_from` sit inside the
 //! converge-cast inner loop; an allocation there shows
-//! up directly in the per-merge latency the E20 soak and
-//! `sketch/merged_copy` microbench track. Scratch buffers are preallocated by design
+//! up directly in the per-merge latency the benchmark's `churn`
+//! workload and the `sketch/merged_copy` microbench track. Scratch buffers are preallocated by design
 //! (`new_scratch`, the SoA columns), so any `Vec::new`/`vec!`/
 //! `collect()`/`to_vec()`/… in a loop body — or in anything a
 //! loop body calls — is either a regression or needs an explicit

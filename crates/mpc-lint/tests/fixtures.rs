@@ -407,7 +407,7 @@ fn hiding_a_panic_in_a_real_helper_prints_the_chain() {
         .collect();
     assert!(reach.is_empty(), "real exact.rs is not clean: {reach:?}");
 
-    let typed = "let heaviest = heaviest.ok_or(MsfError::NoConvergence)?;";
+    let typed = "let heaviest = heaviest.ok_or_else(no_convergence)?;";
     assert!(
         source.contains(typed),
         "helper error shape changed — update this drill"

@@ -118,8 +118,8 @@ impl std::fmt::Display for MpcError {
 impl std::error::Error for MpcError {}
 
 /// The workspace-wide maintainer error: every algorithm structure's
-/// batch-application failure converts into this one type (via `From`
-/// impls living next to each crate's own error), so heterogeneous
+/// write and read entries fail with this one type — directly, there
+/// is no per-crate error to convert from — so heterogeneous
 /// maintainers can be driven through one `Session` front door.
 ///
 /// The variants classify *what the caller can do about it*:

@@ -17,8 +17,8 @@
 
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::update::{Batch, Update, WeightedBatch};
-use mpc_sim::MpcContext;
-use mpc_stream_core::{Connectivity, ConnectivityConfig, ConnectivityError};
+use mpc_sim::{MpcContext, MpcStreamError};
+use mpc_stream_core::{Connectivity, ConnectivityConfig};
 
 /// Shared threshold machinery for the weight and forest variants.
 #[derive(Debug, Clone)]
@@ -60,7 +60,7 @@ impl ThresholdStack {
         &mut self,
         batch: &WeightedBatch,
         ctx: &mut MpcContext,
-    ) -> Result<(), ConnectivityError> {
+    ) -> Result<(), MpcStreamError> {
         // The t+1 threshold instances are independent and run in
         // parallel (the paper's Section 7.2 construction): the batch
         // costs the maximum instance's rounds, not the sum.
@@ -179,7 +179,7 @@ impl ApproxMsfWeight {
         &mut self,
         batch: &WeightedBatch,
         ctx: &mut MpcContext,
-    ) -> Result<(), ConnectivityError> {
+    ) -> Result<(), MpcStreamError> {
         self.stack.apply_batch(batch, ctx)
     }
 
@@ -223,7 +223,7 @@ impl ApproxMsfForest {
         &mut self,
         batch: &WeightedBatch,
         ctx: &mut MpcContext,
-    ) -> Result<(), ConnectivityError> {
+    ) -> Result<(), MpcStreamError> {
         self.stack.apply_batch(batch, ctx)
     }
 
@@ -302,11 +302,7 @@ impl mpc_stream_core::Maintain for ApproxMsfWeight {
     }
 
     /// Unweighted batches are interpreted with unit weights.
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
+    fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
         self.ingest_weighted(&unit_weighted(batch), ctx)
     }
 
@@ -314,9 +310,8 @@ impl mpc_stream_core::Maintain for ApproxMsfWeight {
         &mut self,
         batch: &WeightedBatch,
         ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
-        ApproxMsfWeight::apply_batch(self, batch, ctx)?;
-        Ok(())
+    ) -> Result<(), MpcStreamError> {
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
@@ -332,7 +327,7 @@ impl mpc_stream_core::Maintain for ApproxMsfWeight {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, mpc_sim::MpcStreamError> {
+    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
         match *query {
             QueryRequest::ForestWeight => {
@@ -370,11 +365,7 @@ impl mpc_stream_core::Maintain for ApproxMsfForest {
     }
 
     /// Unweighted batches are interpreted with unit weights.
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
+    fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
         self.ingest_weighted(&unit_weighted(batch), ctx)
     }
 
@@ -382,9 +373,8 @@ impl mpc_stream_core::Maintain for ApproxMsfForest {
         &mut self,
         batch: &WeightedBatch,
         ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
-        ApproxMsfForest::apply_batch(self, batch, ctx)?;
-        Ok(())
+    ) -> Result<(), MpcStreamError> {
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
@@ -405,7 +395,7 @@ impl mpc_stream_core::Maintain for ApproxMsfForest {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, mpc_sim::MpcStreamError> {
+    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
         use mpc_stream_core::{ensure_vertex_in, QueryRequest, QueryResponse};
         match *query {
             QueryRequest::SpanningForest => {

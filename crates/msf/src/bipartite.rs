@@ -9,8 +9,8 @@
 
 use mpc_graph::ids::Edge;
 use mpc_graph::update::{Batch, Update};
-use mpc_sim::MpcContext;
-use mpc_stream_core::{Connectivity, ConnectivityConfig, ConnectivityError};
+use mpc_sim::{MpcContext, MpcStreamError};
+use mpc_stream_core::{Connectivity, ConnectivityConfig};
 
 /// Batch-dynamic bipartiteness.
 ///
@@ -70,7 +70,7 @@ impl Bipartiteness {
         &mut self,
         batch: &Batch,
         ctx: &mut MpcContext,
-    ) -> Result<(), ConnectivityError> {
+    ) -> Result<(), MpcStreamError> {
         let n = self.n as u32;
         let lift = |u: Update| -> [Update; 2] {
             let e = u.edge();
@@ -144,13 +144,8 @@ impl mpc_stream_core::Maintain for Bipartiteness {
         self.sampler_failure_count()
     }
 
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
-        Bipartiteness::apply_batch(self, batch, ctx)?;
-        Ok(())
+    fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
@@ -168,7 +163,7 @@ impl mpc_stream_core::Maintain for Bipartiteness {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, mpc_sim::MpcStreamError> {
+    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
         match *query {
             QueryRequest::IsBipartite => {

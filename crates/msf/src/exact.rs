@@ -21,76 +21,21 @@
 //! single pass; when several candidates share path edges a single
 //! pass can miss a beneficial second swap, so we iterate to a
 //! fixpoint — each iteration strictly decreases the forest weight, so
-//! the loop terminates, and measured iteration counts (reported in
-//! `EXPERIMENTS.md`) are 1–2 on the evaluation workloads. Exactness
-//! is asserted against Kruskal in the tests.
+//! the loop terminates, and measured iteration counts (experiment
+//! E4's "max swap iters" column) are 1–2 on the evaluation
+//! workloads. Exactness is asserted against Kruskal in the tests.
 
 use mpc_etf::DistEtf;
 use mpc_graph::ids::{Edge, VertexId, WeightedEdge};
 use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::WeightedBatch;
-use mpc_sim::{MpcContext, MpcError};
+use mpc_sim::{MpcContext, MpcStreamError};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Errors surfaced by the exact MSF algorithm.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MsfError {
-    /// An MPC resource constraint was violated.
-    Mpc(MpcError),
-    /// The batch contained a deletion (this algorithm is
-    /// insertion-only, per Theorem 7.1(i)).
-    DeletionNotSupported(Edge),
-    /// A duplicate edge insertion.
-    DuplicateEdge(Edge),
-    /// An edge endpoint is outside `[0, n)`.
-    VertexOutOfRange(Edge, usize),
-    /// The swap machinery violated an internal invariant — the loop
-    /// failed to converge, or the forest bookkeeping lost an edge.
-    NoConvergence,
-}
-
-impl std::fmt::Display for MsfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MsfError::Mpc(e) => write!(f, "mpc resource violation: {e}"),
-            MsfError::DeletionNotSupported(e) => {
-                write!(f, "deletion of {e} in insertion-only MSF stream")
-            }
-            MsfError::DuplicateEdge(e) => write!(f, "duplicate insertion of {e}"),
-            MsfError::VertexOutOfRange(e, n) => {
-                write!(f, "edge {e} has an endpoint outside [0, {n})")
-            }
-            MsfError::NoConvergence => write!(f, "swap loop failed to converge"),
-        }
-    }
-}
-
-impl std::error::Error for MsfError {}
-
-impl From<MpcError> for MsfError {
-    fn from(e: MpcError) -> Self {
-        MsfError::Mpc(e)
-    }
-}
-
-impl From<MsfError> for mpc_sim::MpcStreamError {
-    fn from(e: MsfError) -> Self {
-        match e {
-            MsfError::Mpc(inner) => mpc_sim::MpcStreamError::Capacity(inner),
-            MsfError::DeletionNotSupported(edge) => mpc_sim::MpcStreamError::Unsupported(format!(
-                "deletion of {edge} in insertion-only MSF stream"
-            )),
-            MsfError::DuplicateEdge(edge) => {
-                mpc_sim::MpcStreamError::InvalidBatch(format!("duplicate insertion of {edge}"))
-            }
-            MsfError::VertexOutOfRange(edge, n) => mpc_sim::MpcStreamError::InvalidBatch(format!(
-                "edge {edge} has an endpoint outside [0, {n})"
-            )),
-            MsfError::NoConvergence => {
-                mpc_sim::MpcStreamError::Internal("swap loop failed to converge".into())
-            }
-        }
-    }
+/// The swap machinery violated an internal invariant — the loop
+/// failed to converge, or the forest bookkeeping lost an edge.
+fn no_convergence() -> MpcStreamError {
+    MpcStreamError::Internal("swap loop failed to converge".into())
 }
 
 impl mpc_stream_core::Maintain for ExactMsf {
@@ -117,7 +62,7 @@ impl mpc_stream_core::Maintain for ExactMsf {
         &mut self,
         batch: &mpc_graph::update::Batch,
         ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
+    ) -> Result<(), MpcStreamError> {
         self.ingest_weighted(&crate::approx::unit_weighted(batch), ctx)
     }
 
@@ -125,9 +70,8 @@ impl mpc_stream_core::Maintain for ExactMsf {
         &mut self,
         batch: &WeightedBatch,
         ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
-        ExactMsf::apply_batch(self, batch, ctx)?;
-        Ok(())
+    ) -> Result<(), MpcStreamError> {
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
@@ -150,7 +94,7 @@ impl mpc_stream_core::Maintain for ExactMsf {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, mpc_sim::MpcStreamError> {
+    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
         use mpc_stream_core::{ensure_vertex_in, QueryRequest, QueryResponse};
         match *query {
             QueryRequest::Connected(u, v) => {
@@ -247,7 +191,7 @@ impl ExactMsf {
         n: usize,
         edges: impl IntoIterator<Item = WeightedEdge>,
         ctx: &mut MpcContext,
-    ) -> Result<Self, MsfError> {
+    ) -> Result<Self, MpcStreamError> {
         let mut msf = ExactMsf::new(n);
         let chunk = (ctx.config().local_capacity() / 4).max(1) as usize;
         let all: Vec<WeightedEdge> = edges.into_iter().collect();
@@ -302,29 +246,38 @@ impl ExactMsf {
     ///
     /// # Errors
     ///
-    /// * [`MsfError::DeletionNotSupported`] if the batch deletes.
-    /// * [`MsfError::DuplicateEdge`] on re-insertion of a live or
-    ///   previously dominated edge.
-    /// * [`MsfError::Mpc`] on resource violations.
+    /// * [`MpcStreamError::Unsupported`] if the batch deletes.
+    /// * [`MpcStreamError::InvalidBatch`] on re-insertion of a live or
+    ///   previously dominated edge, or an endpoint outside `[0, n)`.
+    /// * [`MpcStreamError::Capacity`] on resource violations.
     pub fn apply_batch(
         &mut self,
         batch: &WeightedBatch,
         ctx: &mut MpcContext,
-    ) -> Result<(), MsfError> {
+    ) -> Result<(), MpcStreamError> {
         if let Some(d) = batch.deletions().next() {
-            return Err(MsfError::DeletionNotSupported(d.edge));
+            return Err(MpcStreamError::Unsupported(format!(
+                "deletion of {} in insertion-only MSF stream",
+                d.edge
+            )));
         }
         // Validate the whole batch before any mutation, so an error
         // leaves the structure (including `seen`) untouched.
         for we in batch.insertions() {
             if we.edge.v() as usize >= self.n {
-                return Err(MsfError::VertexOutOfRange(we.edge, self.n));
+                return Err(MpcStreamError::InvalidBatch(format!(
+                    "edge {} has an endpoint outside [0, {})",
+                    we.edge, self.n
+                )));
             }
         }
         let mut cand: Vec<WeightedEdge> = Vec::new();
         for we in batch.insertions() {
             if !self.seen.insert(we.edge) {
-                return Err(MsfError::DuplicateEdge(we.edge));
+                return Err(MpcStreamError::InvalidBatch(format!(
+                    "duplicate insertion of {}",
+                    we.edge
+                )));
             }
             cand.push(we);
         }
@@ -335,7 +288,7 @@ impl ExactMsf {
         while !cand.is_empty() {
             self.last_iterations += 1;
             if self.last_iterations > max_iter {
-                return Err(MsfError::NoConvergence);
+                return Err(no_convergence());
             }
             cand = self.one_iteration(cand, ctx)?;
         }
@@ -347,7 +300,7 @@ impl ExactMsf {
         &mut self,
         mut cand: Vec<WeightedEdge>,
         ctx: &mut MpcContext,
-    ) -> Result<Vec<WeightedEdge>, MsfError> {
+    ) -> Result<Vec<WeightedEdge>, MpcStreamError> {
         let k = cand.len() as u64;
         // --- Case 1: cross-component candidates -------------------
         ctx.gather(3 * k)?;
@@ -479,7 +432,7 @@ impl ExactMsf {
             // tree path between their endpoints is nonempty; a missing
             // heaviest edge means the swap machinery lost track of the
             // forest — surfaced as an error, never an abort.
-            let heaviest = heaviest.ok_or(MsfError::NoConvergence)?;
+            let heaviest = heaviest.ok_or_else(no_convergence)?;
             if heaviest.weight > we.weight {
                 cuts.insert(heaviest.edge);
                 swappers.push(we);
@@ -495,7 +448,7 @@ impl ExactMsf {
         for &e in &cut_list {
             // Every cut edge was just read out of the forest; losing
             // its weight entry is the same lost-forest invariant.
-            let weight = self.weights.remove(&e).ok_or(MsfError::NoConvergence)?;
+            let weight = self.weights.remove(&e).ok_or_else(no_convergence)?;
             reactivated.push(WeightedEdge { edge: e, weight });
         }
         let pieces = self.etf.batch_split(&cut_list, ctx);
@@ -678,7 +631,7 @@ mod tests {
         ));
         assert!(matches!(
             msf.apply_batch(&batch, &mut ctx),
-            Err(MsfError::DeletionNotSupported(_))
+            Err(MpcStreamError::Unsupported(_))
         ));
     }
 
@@ -697,7 +650,7 @@ mod tests {
                 &WeightedBatch::inserting([WeightedEdge::new(0, 1, 2)]),
                 &mut ctx,
             ),
-            Err(MsfError::DuplicateEdge(_))
+            Err(MpcStreamError::InvalidBatch(_))
         ));
     }
 

@@ -24,7 +24,7 @@ pub mod exact;
 
 pub use approx::{unit_weighted, ApproxMsfForest, ApproxMsfWeight};
 pub use bipartite::Bipartiteness;
-pub use exact::{ExactMsf, MsfError};
+pub use exact::ExactMsf;
 
 /// Registers this crate's snapshot decoders — `msf-exact`,
 /// `msf-approx-weight`, `msf-approx-forest`, and `bipartiteness` —

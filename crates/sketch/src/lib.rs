@@ -55,7 +55,7 @@
 //! tiers were measured and deleted under the ROADMAP's "win or
 //! delete" rule: SSE2 was at parity and AVX2 at 0.8× on
 //! `sketch/merged_copy` and 0.83–0.89× on `sketch/update_stream_4k`
-//! (`BENCH_PR9_SIMD_SOAK.json`), and the traced benchmark puts the
+//! (CHANGES.md, PRs 9 and 15), and the traced benchmark puts the
 //! merge path at ≤ 21 % of any workload (`benchmark/README.md`), so
 //! even a 1.3× fold would be worth < 5 % end to end — below the
 //! run-to-run spread.

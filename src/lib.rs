@@ -62,10 +62,12 @@
 //! # }
 //! ```
 //!
-//! The per-structure inherent APIs (e.g.
-//! [`Connectivity::apply_batch`](core_alg::Connectivity::apply_batch)
-//! with its typed [`ConnectivityError`](core_alg::ConnectivityError))
-//! remain available for single-maintainer workloads.
+//! A single maintainer can be driven without a session: each
+//! structure's inherent `apply_batch` (e.g.
+//! [`Connectivity::apply_batch`](core_alg::Connectivity::apply_batch))
+//! *is* the body of its [`Maintain::ingest`](prelude::Maintain::ingest)
+//! and fails with the same [`prelude::MpcStreamError`], message for
+//! message.
 
 #![forbid(unsafe_code)]
 
@@ -93,19 +95,19 @@ pub mod prelude {
     pub use mpc_baselines::{AgmBaseline, FullMemoryBaseline};
     pub use mpc_graph::ids::{Edge, VertexId, WeightedEdge};
     pub use mpc_graph::update::{Batch, Update, WeightedBatch, WeightedUpdate};
-    pub use mpc_kconn::{Certificate, DynamicKConn, InsertOnlyKConn, KConnError, MinCut};
+    pub use mpc_kconn::{Certificate, DynamicKConn, InsertOnlyKConn, MinCut};
     pub use mpc_matching::{
         AklyMatching, CappedGreedyMatching, MatchingSizeEstimator, MaximalMatching, StreamKind,
     };
-    pub use mpc_msf::{ApproxMsfForest, ApproxMsfWeight, Bipartiteness, ExactMsf, MsfError};
+    pub use mpc_msf::{ApproxMsfForest, ApproxMsfWeight, Bipartiteness, ExactMsf};
     pub use mpc_sim::{
         BatchReport, MachineGroup, MaintainerStats, MpcConfig, MpcContext, MpcError,
         MpcStreamError, QueryReport, SessionStats,
     };
     pub use mpc_snapshot::SnapshotError;
     pub use mpc_stream_core::{
-        CheckpointReceipt, Connectivity, ConnectivityConfig, ConnectivityError, Handle, Maintain,
-        MaintainerId, MaintainerRegistry, QueryRequest, QueryResponse, RobustConnectivity, Session,
+        CheckpointReceipt, Connectivity, ConnectivityConfig, Handle, Maintain, MaintainerId,
+        MaintainerRegistry, QueryRequest, QueryResponse, RobustConnectivity, Session,
         StreamingConnectivity, VertexDynamicConnectivity,
     };
 }
