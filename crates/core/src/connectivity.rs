@@ -192,13 +192,7 @@ impl Connectivity {
             let mut found: Vec<Edge> = Vec::new();
             for (_, members) in groups {
                 scratch.reset(level);
-                // Host-parallel column merge (bit-identical; see
-                // SketchArena::merge_into_stealing).
-                if conn
-                    .bank
-                    .merge_copy_into_stealing(&members, &mut scratch, ctx.pool())
-                    > 0
-                {
+                if conn.bank.merge_copy_into(&members, &mut scratch) > 0 {
                     match conn.bank.sample_merged(&scratch) {
                         EdgeSample::Edge(e) => found.push(e),
                         EdgeSample::Fail => conn.sampler_failures += 1,
@@ -605,13 +599,9 @@ impl Connectivity {
                     }
                 } else {
                     for &pi in group {
-                        // Host-parallel column merge (bit-identical; see
-                        // SketchArena::merge_into_stealing).
-                        absorbed += self.bank.merge_copy_into_stealing(
-                            &pieces[pi as usize].members,
-                            &mut scratch,
-                            ctx.pool(),
-                        );
+                        absorbed += self
+                            .bank
+                            .merge_copy_into(&pieces[pi as usize].members, &mut scratch);
                     }
                 }
                 // Nothing folded in means a zero accumulator either
@@ -1191,46 +1181,6 @@ mod tests {
             conn.apply_update(Update::Insert(cut), &mut ctx).unwrap();
             check_against_oracle(&conn, &live, n);
             assert_eq!(conn.component_labels(), &labels[..]);
-        }
-    }
-
-    #[test]
-    fn worker_counts_produce_byte_equal_snapshots_under_churn() {
-        // A chorded path cut into thirds: the two captured pieces are
-        // 400 members each, past the stealing merge's 256-column
-        // threshold, so lanes 2 and 4 really fan the small-side
-        // merges out — and must land on the serial bytes.
-        let n = 1200;
-        let third = n as u32 / 3;
-        let mut live: Vec<Edge> = path(0, n as u32 - 1).collect();
-        live.extend((0..2 * third).step_by(50).map(|i| Edge::new(i, i + third)));
-        let run = |workers: usize| {
-            let mut ctx = ctx_for(n);
-            if workers > 1 {
-                ctx.set_pool(Some(std::sync::Arc::new(mpc_sim::WorkerPool::new(workers))));
-            }
-            let mut conn = Connectivity::new(n, ConnectivityConfig::default(), 20);
-            conn.apply_batch(&Batch::inserting(live.clone()), &mut ctx)
-                .unwrap();
-            for round in 0..3u32 {
-                let cuts = [
-                    Edge::new(third - 1 + round, third + round),
-                    Edge::new(2 * third - 1 + round, 2 * third + round),
-                ];
-                conn.apply_batch(&Batch::deleting(cuts), &mut ctx).unwrap();
-                assert_eq!(conn.component_count(), 1, "chords replace both cuts");
-                conn.apply_batch(&Batch::inserting(cuts), &mut ctx).unwrap();
-            }
-            check_against_oracle(&conn, &live, n);
-            (
-                save_bytes(&conn),
-                ctx.stats().rounds,
-                ctx.stats().words_communicated,
-            )
-        };
-        let serial = run(1);
-        for workers in [2, 4] {
-            assert!(run(workers) == serial, "{workers} workers diverge");
         }
     }
 

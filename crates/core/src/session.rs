@@ -85,16 +85,14 @@
 //!   `WorkerPool::steal_each` (maintainers are borrowed in place and
 //!   never leave the session); the skeleton then *replays* each
 //!   branch's log where the inline runner would have run the job.
-//!   Inside a branch, pool-aware structures steal work at a finer
-//!   grain through `MpcContext::pool` (sketch-arena vertex blocks,
-//!   per-tour Euler-tour shards).
+//!   This is the only place a second host thread is used: inside a
+//!   branch every maintainer is single-threaded.
 //!
 //! The runner is chosen from what the code can observe, not by an
-//! option: pooled needs a pool ([`Session::with_workers`] `≥ 2`;
-//! default from the `MPC_WORKERS` environment variable, else 1) **and
-//! at least two selected branches** — a single branch has nothing to
-//! overlap with, so a one-maintainer session runs inline at every
-//! worker count.
+//! option: pooled needs a pool ([`Session::with_workers`] `≥ 2`; the
+//! default is 1) **and at least two selected branches** — a single
+//! branch has nothing to overlap with, so a one-maintainer session is
+//! the same program at every worker count.
 //!
 //! **Why the accounting is unchanged:** a forked context records
 //! every charging operation as an `MpcEvent`, and every charge is a
@@ -137,20 +135,20 @@
 //!   restored session continues sampling, answering, and accounting
 //!   exactly where the original would have — `SessionStats`, query
 //!   receipts, and sampler outcomes are equal as values from that
-//!   point on, at every `MPC_WORKERS` setting.
+//!   point on, at every worker count.
 //! * **Monotonic stream epoch.** Every update submission bumps
 //!   [`Session::stream_epoch`], the epoch is embedded in the snapshot
 //!   header, and [`Session::restore_checked`] rejects a stale file
 //!   with the typed [`SnapshotError::EpochMismatch`] instead of
 //!   silently rewinding (and thereby forking) the stream history.
 //!
-//! Host knobs — worker count, pool — are deliberately *not*
-//! persisted: a snapshot taken at `MPC_WORKERS=4` restores into a
-//! serial process and vice versa, because execution mode never
-//! affects results. `tests/session_checkpoint.rs` pins the full
-//! kill/restore/continue equivalence; the checkpoint's per-maintainer
-//! section sizes land in `MaintainerStats::checkpoint_bytes` (which
-//! `==` ignores, keeping checkpointed and uninterrupted runs equal).
+//! The host worker count is deliberately *not* persisted: a snapshot
+//! taken at four workers restores into a serial session and vice
+//! versa, because execution mode never affects results.
+//! `tests/session_checkpoint.rs` pins the full kill/restore/continue
+//! equivalence; the checkpoint's per-maintainer section sizes land in
+//! `MaintainerStats::checkpoint_bytes` (which `==` ignores, keeping
+//! checkpointed and uninterrupted runs equal).
 //!
 //! # Examples
 //!
@@ -197,7 +195,6 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::Arc;
 
 /// A batch-dynamic graph structure that can be driven through the
 /// unified [`Session`] engine.
@@ -499,7 +496,7 @@ pub struct Session {
     max_batch: usize,
     normalize: bool,
     last_query_reports: Vec<QueryReport>,
-    pool: Option<Arc<WorkerPool>>,
+    pool: Option<WorkerPool>,
     /// Monotonic update-submission counter, embedded in snapshot
     /// headers so a stale checkpoint is typed-rejected at restore.
     stream_epoch: u64,
@@ -521,21 +518,19 @@ impl Session {
     /// auxiliary structures (≈ 2–3 words per update) are guaranteed
     /// to fit one machine.
     ///
-    /// The host worker count defaults to the `MPC_WORKERS`
-    /// environment variable (1 — fully serial — when unset); override
-    /// with [`Session::with_workers`]. Worker count never affects
-    /// results or accounting, only wall-clock (see the module-level
+    /// The host worker count is 1 — fully serial; raise it with
+    /// [`Session::with_workers`]. Worker count never affects results
+    /// or accounting, only wall-clock (see the module-level
     /// "Execution model" section).
     pub fn new(cfg: MpcConfig) -> Self {
         let max_batch = (cfg.local_capacity() / 4).max(1) as usize;
         Session::with_context(MpcContext::new(cfg), max_batch)
     }
 
-    /// An empty session over `ctx` — the one place a `Session` value
-    /// is built ([`Session::new`] and restore), so the host knobs are
-    /// derived in one place: worker count from `MPC_WORKERS`.
+    /// An empty, serial session over `ctx` — the one place a
+    /// `Session` value is built ([`Session::new`] and restore).
     fn with_context(ctx: MpcContext, max_batch: usize) -> Session {
-        let mut session = Session {
+        Session {
             ctx,
             maintainers: Vec::new(),
             stats: SessionStats::default(),
@@ -544,9 +539,7 @@ impl Session {
             last_query_reports: Vec::new(),
             pool: None,
             stream_epoch: 0,
-        };
-        session.set_workers(mpc_sim::workers_from_env().unwrap_or(1));
-        session
+        }
     }
 
     /// Overrides the chunk size (clamped to at least 1).
@@ -570,8 +563,7 @@ impl Session {
 
     /// Non-consuming form of [`Session::with_workers`].
     pub fn set_workers(&mut self, workers: usize) {
-        self.pool = (workers > 1).then(|| Arc::new(WorkerPool::new(workers)));
-        self.ctx.set_pool(self.pool.clone());
+        self.pool = (workers > 1).then(|| WorkerPool::new(workers));
     }
 
     /// The configured host worker count.
@@ -892,12 +884,12 @@ impl Session {
     /// Rebuilds a session from a [`Session::checkpoint`] file,
     /// decoding each maintainer through `registry`.
     ///
-    /// Host knobs are re-derived, not restored: the worker count
-    /// comes from `MPC_WORKERS` exactly as in [`Session::new`]
-    /// (execution mode never affects results), and the query-receipt
-    /// buffer starts empty. Everything the paper's accounting
-    /// observes — context counters, stats rollup, maintainer state,
-    /// randomness position — continues bit-identically.
+    /// Host knobs are not restored: the worker count is 1 exactly as
+    /// in [`Session::new`] (execution mode never affects results), and
+    /// the query-receipt buffer starts empty. Everything the paper's
+    /// accounting observes — context counters, stats rollup,
+    /// maintainer state, randomness position — continues
+    /// bit-identically.
     ///
     /// # Errors
     ///

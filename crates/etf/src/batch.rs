@@ -21,34 +21,8 @@ use crate::dist::{DistEtf, EdgeRec, Traversal};
 use crate::TourId;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
-use mpc_sim::{MpcContext, WorkerPool};
+use mpc_sim::MpcContext;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Entries per lane claim below which a parallel shard remap cannot
-/// amortize the scope's synchronization.
-const REMAP_PAR_MIN: usize = 4096;
-
-/// Applies the pure per-entry remap `f` to a shard, stealing entries
-/// across the host pool's lanes for large shards. Each entry is
-/// claimed by exactly one lane and `f` is position arithmetic with no
-/// cross-entry state, so the result is bit-identical to the serial
-/// walk (which is what small shards and `pool == None` get).
-fn remap_entries(
-    pool: Option<&WorkerPool>,
-    shard: &mut [(Edge, EdgeRec)],
-    f: impl Fn(&mut EdgeRec) + Sync,
-) {
-    match pool {
-        Some(pool) if pool.lanes() >= 2 && shard.len() >= REMAP_PAR_MIN => {
-            pool.steal_each(shard, |(_, rec)| f(rec));
-        }
-        _ => {
-            for (_, rec) in shard {
-                f(rec);
-            }
-        }
-    }
-}
 
 /// Per-tour remapping plan broadcast to all machines during a batch
 /// join: entry `x` of the tour maps to
@@ -104,15 +78,6 @@ impl DistEtf {
         ctx.exchange(2 * k);
         ctx.sort(8 * k);
         ctx.broadcast(4);
-        self.batch_join_pooled(edges, ctx.pool());
-    }
-
-    /// [`DistEtf::batch_join`] without the round charge, with an
-    /// optional host pool for the local shard-remap passes (step 3 of
-    /// the protocol — the "every machine remaps its own shard
-    /// locally" step, which is exactly the part a host thread per
-    /// span can execute).
-    fn batch_join_pooled(&mut self, edges: &[Edge], pool: Option<&WorkerPool>) {
         // --- validate forest structure over tours -----------------
         let mut tour_index: BTreeMap<TourId, usize> = BTreeMap::new();
         for &e in edges {
@@ -140,9 +105,9 @@ impl DistEtf {
         }
         for (_, comp) in comp_edges {
             if let [e] = comp[..] {
-                self.join_single(e, pool);
+                self.join_single(e);
             } else {
-                self.join_component(&comp, pool);
+                self.join_component(&comp);
             }
         }
     }
@@ -153,7 +118,7 @@ impl DistEtf {
     /// past the attach point shifts), the smaller tour is rerooted at
     /// its attach terminal and spliced into the gap. Produces exactly
     /// the tour [`DistEtf::join_component`] would.
-    fn join_single(&mut self, e: Edge, pool: Option<&WorkerPool>) {
+    fn join_single(&mut self, e: Edge) {
         let (tu, tv) = (self.tour_of(e.u()), self.tour_of(e.v()));
         let (root, child, u_root, v_child) = if self.tour_len(tu) >= self.tour_len(tv) {
             (tu, tv, e.u(), e.v())
@@ -168,21 +133,21 @@ impl DistEtf {
         // Root tail shift: positions strictly above the attach point
         // make room for the child block of w + 4 entries.
         if let Some(shard) = self.shard_mut(root) {
-            remap_entries(pool, shard, |rec| {
+            for (_, rec) in shard.iter_mut() {
                 for trav in [&mut rec.first, &mut rec.second] {
                     if trav.pos > c {
                         trav.pos += w + 4;
                     }
                 }
-            });
+            }
         }
         // Child block: old position x lands at c + 2 + x.
         let mut merged = self.take_shard(child);
-        remap_entries(pool, &mut merged, |rec| {
+        for (_, rec) in merged.iter_mut() {
             rec.tour = root;
             rec.first.pos += c + 2;
             rec.second.pos += c + 2;
-        });
+        }
         merged.reserve(1);
         self.add_adjacency(e);
         merged.push((
@@ -211,7 +176,7 @@ impl DistEtf {
     }
 
     /// Joins one auxiliary-tree component.
-    fn join_component(&mut self, comp: &[Edge], pool: Option<&WorkerPool>) {
+    fn join_component(&mut self, comp: &[Edge]) {
         // Auxiliary adjacency: tour -> (edge, local endpoint, remote
         // endpoint, remote tour).
         let mut aux: BTreeMap<TourId, Vec<(Edge, VertexId, VertexId, TourId)>> = BTreeMap::new();
@@ -357,26 +322,26 @@ impl DistEtf {
             Vec::with_capacity(child_edges as usize + new_recs.len());
         if rebuild {
             let mut shard = self.take_shard(root);
-            remap_entries(pool, &mut shard, |rec| {
+            for (_, rec) in shard.iter_mut() {
                 rec.first.pos = root_plan.map(rec.first.pos);
                 rec.second.pos = root_plan.map(rec.second.pos);
-            });
+            }
             merged = shard;
             merged.reserve(child_edges as usize + new_recs.len());
         } else if let Some(shard) = self.shard_mut(root) {
-            remap_entries(pool, shard, |rec| {
+            for (_, rec) in shard.iter_mut() {
                 rec.first.pos = root_plan.map(rec.first.pos);
                 rec.second.pos = root_plan.map(rec.second.pos);
-            });
+            }
         }
         for &t in &order[1..] {
             let plan = &plans[&t];
             let mut shard = self.take_shard(t);
-            remap_entries(pool, &mut shard, |rec| {
+            for (_, rec) in shard.iter_mut() {
                 rec.first.pos = plan.map(rec.first.pos);
                 rec.second.pos = plan.map(rec.second.pos);
                 rec.tour = new_tour;
-            });
+            }
             merged.append(&mut shard);
         }
         // The k new edges ride the same splice instead of k separate

@@ -265,100 +265,6 @@ pub fn preferential_attachment_stream(
     BatchStream { n, batches }
 }
 
-/// Power-law stream with adversarial churn (the stream shape the
-/// engine benchmark's `churn` workload runs from its own frozen copy):
-/// inserts pick endpoints degree-weighted (the repeated-endpoint
-/// trick), so degrees go heavy-tailed like
-/// [`preferential_attachment_stream`]; a `churn` fraction of updates
-/// instead *toggles* an edge from a bounded hot set — deleting it if
-/// live, re-inserting it if not — so the same cells are repeatedly
-/// written, exactly cancelled, and refilled, and hub vertices keep
-/// changing component membership. Every hot-set toggle of a live edge
-/// is a deletion that forces the replacement-edge search, and every
-/// re-insert rebuilds the same sketch levels the cancellation just
-/// cleared.
-///
-/// # Panics
-///
-/// Panics unless `n >= 2`, `batch_size >= 1`, and `churn` is in
-/// `[0, 1]`.
-pub fn powerlaw_churn_stream(
-    n: usize,
-    batches: usize,
-    batch_size: usize,
-    churn: f64,
-    seed: u64,
-) -> BatchStream {
-    assert!(n >= 2, "need at least 2 vertices");
-    assert!(batch_size >= 1, "batches must be nonempty");
-    assert!((0.0..=1.0).contains(&churn), "churn is a probability");
-    /// Hot-set size cap: small enough that toggles keep revisiting
-    /// the same edges (the adversarial part), large enough that one
-    /// batch cannot toggle the whole set twice.
-    const HOT_CAP: usize = 4096;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut live: BTreeSet<Edge> = BTreeSet::new();
-    // Degree-weighted endpoint pool; seeded uniform so the first
-    // inserts can pick anyone, then fed by actual endpoints.
-    let mut pool: Vec<u32> = (0..n as u32).collect();
-    let mut hot: Vec<Edge> = Vec::new();
-    let mut out = Vec::with_capacity(batches);
-    for _ in 0..batches {
-        let mut batch = Batch::new();
-        // One toggle per edge per batch: a batch is a set of updates,
-        // so the same edge must not be inserted and deleted in one.
-        let mut touched: BTreeSet<Edge> = BTreeSet::new();
-        while batch.len() < batch_size {
-            if !hot.is_empty() && rng.gen_bool(churn) {
-                let e = hot[rng.gen_range(0..hot.len())];
-                if !touched.insert(e) {
-                    continue;
-                }
-                if live.remove(&e) {
-                    batch.push(Update::Delete(e));
-                } else {
-                    live.insert(e);
-                    batch.push(Update::Insert(e));
-                }
-                continue;
-            }
-            // Fresh preferential insert; a few degree-weighted draws,
-            // then a uniform fallback so dense corners cannot stall.
-            let mut fresh = None;
-            for _ in 0..8 {
-                let a = pool[rng.gen_range(0..pool.len())];
-                let b = pool[rng.gen_range(0..pool.len())];
-                if a != b && !live.contains(&Edge::new(a, b)) {
-                    fresh = Some(Edge::new(a, b));
-                    break;
-                }
-            }
-            let Some(e) = fresh.or_else(|| random_absent_edge(&mut rng, n, &live)) else {
-                break;
-            };
-            if !touched.insert(e) {
-                continue;
-            }
-            live.insert(e);
-            pool.push(e.u());
-            pool.push(e.v());
-            if hot.len() < HOT_CAP {
-                hot.push(e);
-            } else {
-                // Reservoir-style replacement keeps the hot set biased
-                // toward hubs without growing it.
-                let k = rng.gen_range(0..4 * HOT_CAP);
-                if k < HOT_CAP {
-                    hot[k] = e;
-                }
-            }
-            batch.push(Update::Insert(e));
-        }
-        out.push(batch);
-    }
-    BatchStream { n, batches: out }
-}
-
 /// Random weighted mixed stream with weights uniform in
 /// `[1, max_weight]`. Deletions replay the live weight, as the model
 /// requires.
@@ -681,58 +587,6 @@ mod tests {
         let mean = 2.0 * edges.len() as f64 / 200.0;
         let max = *deg.iter().max().expect("nonempty") as f64;
         assert!(max > 3.0 * mean, "max degree {max} vs mean {mean}");
-    }
-
-    #[test]
-    fn powerlaw_churn_stream_is_valid_deterministic_and_churns() {
-        let s1 = powerlaw_churn_stream(256, 60, 32, 0.3, 0xE20);
-        let s2 = powerlaw_churn_stream(256, 60, 32, 0.3, 0xE20);
-        assert_eq!(s1.batches, s2.batches);
-        let snaps = s1.replay(); // panics if any update is invalid
-        assert_eq!(snaps.len(), 60);
-
-        let mut inserts: std::collections::BTreeMap<Edge, usize> = Default::default();
-        let mut deletes = 0usize;
-        for b in &s1.batches {
-            for u in b.iter() {
-                match u {
-                    Update::Insert(e) => *inserts.entry(e).or_default() += 1,
-                    Update::Delete(_) => deletes += 1,
-                }
-            }
-        }
-        assert!(deletes > 0, "churn produced no deletions");
-        assert!(
-            inserts.values().any(|&c| c >= 2),
-            "churn never re-inserted a deleted edge"
-        );
-
-        // Heavy tail: hubs accumulate degree well past the mean.
-        let last = snaps.last().expect("nonempty");
-        let mut deg = vec![0usize; 256];
-        let mut m = 0usize;
-        for e in last.edges() {
-            deg[e.u() as usize] += 1;
-            deg[e.v() as usize] += 1;
-            m += 1;
-        }
-        let mean = 2.0 * m as f64 / 256.0;
-        let max = *deg.iter().max().expect("nonempty") as f64;
-        assert!(max > 3.0 * mean, "max degree {max} vs mean {mean}");
-    }
-
-    #[test]
-    fn powerlaw_churn_stream_batches_touch_each_edge_once() {
-        let s = powerlaw_churn_stream(64, 40, 16, 0.6, 7);
-        for b in &s.batches {
-            let mut seen = BTreeSet::new();
-            for u in b.iter() {
-                let e = match u {
-                    Update::Insert(e) | Update::Delete(e) => e,
-                };
-                assert!(seen.insert(e), "edge {e} touched twice in one batch");
-            }
-        }
     }
 
     #[test]

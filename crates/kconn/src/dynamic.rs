@@ -289,9 +289,7 @@ fn boruvka_forest(bank: &SketchBank, n: usize, ctx: &mut MpcContext) -> Vec<Edge
             scratch.reset(level);
             // A group with no materialized member has the zero
             // sketch: an empty cut — nothing found, nothing failed.
-            // Host-parallel column merge (bit-identical; see
-            // SketchArena::merge_into_stealing).
-            if bank.merge_copy_into_stealing(&members, &mut scratch, ctx.pool()) > 0 {
+            if bank.merge_copy_into(&members, &mut scratch) > 0 {
                 match bank.sample_merged(&scratch) {
                     EdgeSample::Edge(e) => found.push(e),
                     EdgeSample::Empty => {}

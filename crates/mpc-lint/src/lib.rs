@@ -21,14 +21,14 @@
 //! |---|---|
 //! | `event-completeness` | Every mutating `MpcContext` primitive records an `MpcEvent`, every variant is recorded by some primitive, and every variant has an explicit `replay_inner` arm (no wildcard). A gap here is exactly the PR-6-style drift the serial-equivalence suite would only catch dynamically — and only if a test happens to exercise the missing primitive. |
 //! | `unsafe-hygiene` | `unsafe` is confined to an explicit allowlist — `crates/mpc/src/executor.rs`; every `unsafe` there carries a `// SAFETY:` argument within the preceding 8 lines; every other crate root carries `#![forbid(unsafe_code)]`. |
-//! | `determinism-hygiene` | No `Instant`/`SystemTime`, no default-hasher `HashMap`/`HashSet`, no raw `Mutex`/`RwLock`/`Condvar`/`std::thread::spawn` outside the executor, no `dbg!`/`println!` in library crates. Tool crates (`mpc-bench`, `mpc-lint`) and `#[cfg(test)]` code are out of scope. |
+//! | `determinism-hygiene` | No `Instant`/`SystemTime`, no default-hasher `HashMap`/`HashSet`, no raw `Mutex`/`RwLock`/`Condvar`/`std::thread::spawn` outside the executor, no `env::var`/`env::var_os`, no `dbg!`/`println!` in library crates. Tool crates (`mpc-bench`, `mpc-lint`) and `#[cfg(test)]` code are out of scope. |
 //! | `maintain-completeness` | Every production `impl Maintain` defines both `supports` and `answer` (the pair PR 6 had to retrofit). |
 //! | `io-hygiene` | `std::fs`/`std::io` are confined to `crates/mpc-snapshot` (the one sanctioned persistence path — the checksummed snapshot container behind `Session::checkpoint`/`restore`) and the tool crates. |
 //! | `allow-hygiene` | Meta rule: every inline allow must name a known rule and carry justification text. |
 //! | `panic-reachability` | The PR-3 de-panicking contract, interprocedurally: a hot entry point (`ingest`, `ingest_weighted`, `apply_batch`, `answer`, the merge/sample/converge-cast loops) must neither contain nor *reach*, through any chain of workspace calls, `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (but **not** `debug_assert!`). Local sites are reported at their line; reached ones print the shortest witness chain (`ExactMsf::apply_batch -> ExactMsf::one_iteration -> ...`). Site-level allows at the panic site are honored and routed around. |
 //! | `persist-symmetry` | Every `impl Persist` pair must round-trip: `save` and `load` agree on the word-kind sequence (`u32` vs 64-bit words), every field `save` writes is read back by `load`, and shared fields appear in the same order — the static mirror of the snapshot suite's byte-stability tests. |
 //! | `query-charging` | Every `Ok`-returning arm of `Maintain::answer` charges the accounting context (`exchange`/`broadcast`/`converge_cast`/`sort`/`gather`), directly or through a helper on the call graph — answering free of charge is an accounting leak. |
-//! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into`, its subtracting twin `subtract_copy_from`, and the sketch loops of `crates/sketch/src/kernels.rs`) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively; the stealing variant is exempt (it owns its scratch). |
+//! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into`, its subtracting twin `subtract_copy_from`, and the sketch loops of `crates/sketch/src/kernels.rs`) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively. |
 //!
 //! # The interprocedural phase
 //!
@@ -153,8 +153,9 @@ pub const RULES: &[(&str, &str)] = &[
         "Bans nondeterminism sources from maintainer/accounting crates: Instant/SystemTime \
          (host time), default-hasher HashMap/HashSet (RandomState randomizes iteration \
          order per process), raw Mutex/RwLock/Condvar/std::thread::spawn outside the \
-         executor (unordered host concurrency), and dbg!/println!-family macros in library \
-         crates. Tool crates (mpc-bench, mpc-lint) and #[cfg(test)] code are exempt.",
+         executor (unordered host concurrency), env::var/env::var_os (a host knob no caller \
+         can see), and dbg!/println!-family macros in library crates. Tool crates \
+         (mpc-bench, mpc-lint) and #[cfg(test)] code are exempt.",
     ),
     (
         RULE_MAINTAIN,
@@ -218,8 +219,7 @@ pub const RULES: &[(&str, &str)] = &[
          Vec::new/vec!/collect()/to_vec()/format!-style heap allocation there — or \
          reachable from there through workspace helpers — is a latency regression the \
          benchmark's `churn` workload would surface later. Flagged unless justified with \
-         `// lint: allow(alloc-hot-path): …` at the reported line. The stealing merge \
-         allocates span partials by design and is not a root.",
+         `// lint: allow(alloc-hot-path): …` at the reported line.",
     ),
 ];
 

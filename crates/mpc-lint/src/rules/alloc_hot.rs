@@ -10,9 +10,7 @@
 //! `collect()`/`to_vec()`/… in a loop body — or in anything a
 //! loop body calls — is either a regression or needs an explicit
 //! `// lint: allow(alloc-hot-path): …` justification at the reported
-//! line. The stealing merge (`merge_copy_into_stealing`) is *not* a
-//! root: its span partials are allocated once per steal scope on
-//! purpose.
+//! line.
 
 use crate::graph::Workspace;
 use crate::report::Finding;
@@ -122,16 +120,11 @@ mod tests {
     }
 
     #[test]
-    fn kernels_file_fns_are_roots_but_stealing_merge_is_not() {
+    fn kernels_file_fns_are_roots() {
         let dirty = run(&[(
             "crates/sketch/src/kernels.rs",
             "pub(crate) fn fold_cells(dst: &mut [u64]) { let t = vec![0u64; dst.len()]; }",
         )]);
         assert_eq!(dirty.len(), 1);
-        let stealing = run(&[(
-            "crates/sketch/src/arena.rs",
-            "pub fn merge_copy_into_stealing(n: usize) -> Vec<u64> { vec![0; n] }",
-        )]);
-        assert!(stealing.is_empty(), "span partials allocate by design");
     }
 }

@@ -6,10 +6,12 @@
 //! that means library crates must not consult host wall-clock time,
 //! must not iterate default-hasher maps (`RandomState` randomizes
 //! iteration order per process), must not spawn raw threads or share
-//! state through locks outside the executor (ordering races), and
-//! must not print (output interleaving under the worker pool, and a
-//! smell for debugging leftovers). Tool crates (`mpc-bench`,
-//! `mpc-lint`) and test/bench/example code are exempt by scope.
+//! state through locks outside the executor (ordering races), must
+//! not read environment variables (a host knob that changes behaviour
+//! behind every caller — the library reads none), and must not print
+//! (output interleaving under the worker pool, and a smell for
+//! debugging leftovers). Tool crates (`mpc-bench`, `mpc-lint`) and
+//! test/bench/example code are exempt by scope.
 
 use super::{find_seq, FileCtx};
 use crate::report::Finding;
@@ -110,6 +112,25 @@ pub fn check(ctx: &FileCtx, is_executor: bool) -> Vec<Finding> {
                     "spawn",
                     "raw `std::thread::spawn` outside the executor — unscoped threads \
                      escape the pool's panic containment and shutdown join"
+                        .to_string(),
+                );
+            }
+            "env"
+                if ["var", "var_os"].iter().any(|read| {
+                    !find_seq(
+                        tokens,
+                        (i, (i + 4).min(tokens.len())),
+                        &["env", ":", ":", read],
+                    )
+                    .is_empty()
+                }) =>
+            {
+                push(
+                    &mut seen,
+                    t.line,
+                    "env",
+                    "`env::var` in a library crate — an environment variable is a host \
+                     knob no caller can see or pin; take the value as a parameter"
                         .to_string(),
                 );
             }

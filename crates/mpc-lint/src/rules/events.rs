@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Methods that are part of the record/replay machinery itself (or
 /// host-execution glue) and legitimately mutate without recording.
-const INFRA_METHODS: &[&str] = &["record", "replay", "replay_inner", "take_log", "set_pool"];
+const INFRA_METHODS: &[&str] = &["record", "replay", "replay_inner", "take_log"];
 
 /// Checks the accounting-context source (`crates/mpc/src/context.rs`
 /// in the real workspace).

@@ -32,16 +32,14 @@ use crate::RULE_PANIC_REACH;
 /// and read entries `Session` dispatches (`ingest`,
 /// `ingest_weighted`, `answer`), the inherent `apply_batch` they
 /// delegate to, and the sketch-arena merge / sample / converge-cast
-/// entries that run inside work-stealing scopes.
+/// entries.
 pub const HOT_FNS: &[&str] = &[
     "apply_batch",
     "ingest",
     "ingest_weighted",
     "answer",
     "merge_into",
-    "merge_into_stealing",
     "merge_copy_into",
-    "merge_copy_into_stealing",
     "subtract_from",
     "subtract_copy_from",
     "sample_merged",

@@ -98,6 +98,7 @@ fn determinism_dirty_fixture_reports_exact_lines() {
             (RULE_DETERMINISM, 6), // HashMap (deduped per line)
             (RULE_DETERMINISM, 7), // thread::spawn
             (RULE_DETERMINISM, 8), // println!
+            (RULE_DETERMINISM, 9), // env::var
         ],
         "{findings:?}"
     );

@@ -1,5 +1,7 @@
 use std::collections::BTreeMap;
 
+pub const VERSION: &str = env!("CARGO_PKG_VERSION");
+
 pub fn stable() -> BTreeMap<u32, u32> {
     BTreeMap::new()
 }

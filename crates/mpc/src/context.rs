@@ -9,10 +9,8 @@
 
 use crate::config::MpcConfig;
 use crate::error::MpcError;
-use crate::executor::WorkerPool;
 use crate::primitives::{tree_fanout, tree_rounds};
 use crate::stats::{Op, PhaseReport, Stats};
-use std::sync::Arc;
 
 /// One recorded invocation of a mutating [`MpcContext`] operation.
 ///
@@ -79,7 +77,6 @@ pub struct MpcContext {
     phase_start_words: u64,
     parallel_stack: Vec<(u64, u64)>,
     log: Option<Vec<MpcEvent>>,
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl MpcContext {
@@ -96,24 +93,10 @@ impl MpcContext {
             phase_start_words: 0,
             parallel_stack: Vec::new(),
             log: None,
-            pool: None,
         }
     }
 
     // ----- parallel executor support ------------------------------
-
-    /// Attaches (or detaches) a host worker pool. Structures that
-    /// support intra-group work stealing pick it up via
-    /// [`MpcContext::pool`]; `None` (the default) means fully serial
-    /// host execution.
-    pub fn set_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
-        self.pool = pool;
-    }
-
-    /// The attached worker pool, if any.
-    pub fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_deref()
-    }
 
     /// Forks a recording context for one parallel branch.
     ///
@@ -476,8 +459,7 @@ impl MpcContext {
 // A checkpoint is only taken between batches, when no phase or
 // parallel scope is open and no branch log is being recorded, so only
 // the durable ledger travels: configuration, cumulative stats, and the
-// per-machine loads. The host worker pool is a runtime knob the
-// restoring host chooses afresh.
+// per-machine loads.
 impl mpc_snapshot::Persist for MpcContext {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         self.cfg.save(w);
@@ -512,7 +494,6 @@ impl mpc_snapshot::Persist for MpcContext {
             phase_start_words: 0,
             parallel_stack: Vec::new(),
             log: None,
-            pool: None,
         })
     }
 }

@@ -5,30 +5,24 @@
 //! max-compose across machine groups); this module is how the host
 //! *executes* it on more than one thread. A [`WorkerPool`] is a fixed
 //! set of OS threads spawned once and joined when the pool is dropped.
-//! Its public surface is one **scoped work-stealing primitive** in two
-//! forms, [`WorkerPool::scope_indices`] and [`WorkerPool::steal_each`]:
-//! lanes claim the next unclaimed task from a shared atomic counter,
-//! and the *calling* thread participates too, so a scope always makes
-//! progress even when every lane is busy with an outer scope (nested
-//! scopes cannot deadlock). A scope returns only when all its tasks
-//! have finished, so tasks borrow the caller's data; a task panic is
-//! re-raised on the calling thread after the rest have run. Both
-//! grains of the engine use it:
+//! Its public surface is one **scoped work-stealing primitive**,
+//! [`WorkerPool::steal_each`]: lanes claim the next unclaimed element
+//! from a shared atomic counter, and the *calling* thread participates
+//! too, so a scope always makes progress even when every lane is busy
+//! with an outer scope (nested scopes cannot deadlock). A scope
+//! returns only when all its tasks have finished, so tasks borrow the
+//! caller's data; a task panic is re-raised on the calling thread
+//! after the rest have run.
 //!
-//! * **Per-maintainer fan-out** — the Session engine (in
-//!   `mpc-stream-core`) lends each selected maintainer, with a forked
-//!   accounting context, to one `steal_each` element per chunk or
-//!   `ask_all`; the forks' event logs are replayed serially
-//!   afterwards, so the charged rounds/words stay bit-identical to
-//!   serial execution (see `MpcContext::fork_for_branch`).
-//! * **Intra-group work stealing** — inside a branch, pool-aware
-//!   structures open nested scopes over per-tour Euler-tour shards and
-//!   sketch-arena vertex blocks.
-//!
-//! Worker count selection: [`workers_from_env`] reads the
-//! `MPC_WORKERS` environment variable (the CI matrix runs the
-//! equivalence suites at `MPC_WORKERS=1` and `=4`); `1` means serial
-//! execution with no threads at all.
+//! It has one caller and one grain, the **per-maintainer fan-out**:
+//! the Session engine (in `mpc-stream-core`) lends each selected
+//! maintainer, with a forked accounting context, to one `steal_each`
+//! element per chunk or `ask_all`; the forks' event logs are replayed
+//! serially afterwards, so the charged rounds/words stay bit-identical
+//! to serial execution (see `MpcContext::fork_for_branch`). Inside a
+//! branch every maintainer is single-threaded, and the worker count is
+//! set in one place, `Session::with_workers` / `set_workers`; `1`
+//! means serial execution with no threads at all.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -51,14 +45,11 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 ///
 /// ```
 /// use mpc_sim::executor::WorkerPool;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// let pool = WorkerPool::new(2);
-/// let hits = AtomicUsize::new(0);
-/// pool.scope_indices(100, |_| {
-///     hits.fetch_add(1, Ordering::Relaxed);
-/// });
-/// assert_eq!(hits.load(Ordering::Relaxed), 100);
+/// let mut items: Vec<u64> = (0..100).collect();
+/// pool.steal_each(&mut items, |x| *x += 1);
+/// assert_eq!(items, (1..=100).collect::<Vec<u64>>());
 /// // Dropping the pool joins both threads.
 /// drop(pool);
 /// ```
@@ -107,10 +98,8 @@ impl WorkerPool {
     fn execute(&self, job: Job) {
         self.sender
             .as_ref()
-            // lint: allow(panic-reachability): pool lifecycle invariant — the sender is dropped only in Drop
             .expect("pool sender lives until drop")
             .send(job)
-            // lint: allow(panic-reachability): pool lifecycle invariant — workers outlive every queued job
             .expect("workers live until the pool is dropped");
     }
 
@@ -129,7 +118,7 @@ impl WorkerPool {
     ///
     /// Re-raises (as a new panic) if any task panicked; remaining
     /// tasks still run, and the pool stays usable.
-    pub fn scope_indices<F>(&self, n: usize, f: F)
+    fn scope_indices<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -155,7 +144,6 @@ impl WorkerPool {
         scope.run(f_static);
         scope.wait();
         if scope.panicked.load(Ordering::Acquire) {
-            // lint: allow(panic-reachability): deliberate relay — a lane panic must abort the whole steal scope, not vanish
             panic!("a worker lane panicked inside a parallel scope");
         }
     }
@@ -167,7 +155,8 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// As [`WorkerPool::scope_indices`].
+    /// Re-raises (as a new panic) if any task panicked; remaining
+    /// tasks still run, and the pool stays usable.
     pub fn steal_each<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
@@ -257,7 +246,7 @@ impl ScopeState {
                 self.panicked.store(true, Ordering::Release);
             }
             if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-                // lint: allow(panic-reachability): poison-free by construction — lane panics are caught before the lock
+                // Poison-free by construction: lane panics are caught before the lock.
                 let _guard = self.lock.lock().expect("scope lock");
                 self.cv.notify_all();
             }
@@ -265,24 +254,12 @@ impl ScopeState {
     }
 
     fn wait(&self) {
-        // lint: allow(panic-reachability): poison-free by construction — lane panics are caught before the lock
+        // Poison-free by construction: lane panics are caught before the lock.
         let mut guard = self.lock.lock().expect("scope lock");
         while self.done.load(Ordering::Acquire) < self.n {
-            // lint: allow(panic-reachability): poison-free by construction — lane panics are caught before the lock
             guard = self.cv.wait(guard).expect("scope condvar");
         }
     }
-}
-
-/// Reads the `MPC_WORKERS` environment variable: the default worker
-/// count for newly created `Session`s (and anything else that wants a
-/// host-wide setting). `None` when unset or unparsable; values are
-/// clamped to at least 1.
-pub fn workers_from_env() -> Option<usize> {
-    std::env::var("MPC_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|w| w.max(1))
 }
 
 #[cfg(test)]
@@ -369,18 +346,5 @@ mod tests {
         let mut items = vec![0u32; 64];
         pool.steal_each(&mut items, |x| *x += 1);
         assert!(items.iter().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn workers_from_env_parses_and_clamps() {
-        // Not set in the test environment by default; exercise the
-        // parser directly through a scoped set/remove.
-        std::env::set_var("MPC_WORKERS_TEST_PROBE", "0");
-        // workers_from_env reads MPC_WORKERS specifically; emulate its
-        // clamp contract on the parse result.
-        assert_eq!("3".trim().parse::<usize>().ok().map(|w| w.max(1)), Some(3));
-        assert_eq!("0".trim().parse::<usize>().ok().map(|w| w.max(1)), Some(1));
-        assert_eq!("x".trim().parse::<usize>().ok().map(|w| w.max(1)), None);
-        std::env::remove_var("MPC_WORKERS_TEST_PROBE");
     }
 }

@@ -49,7 +49,7 @@ pub mod stats;
 pub use config::MpcConfig;
 pub use context::{MpcContext, MpcEvent};
 pub use error::{MpcError, MpcStreamError};
-pub use executor::{workers_from_env, WorkerPool};
+pub use executor::WorkerPool;
 pub use group::MachineGroup;
 pub use stats::{
     BatchAudit, BatchReport, MaintainerStats, PhaseReport, QueryReport, SessionStats, Stats,

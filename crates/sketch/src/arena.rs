@@ -557,60 +557,6 @@ impl SketchArena {
         }
         sample_cells(&scratch.value_sum, &scratch.index_sum, &scratch.fp, family)
     }
-
-    /// [`SketchArena::merge_into`] with optional host work stealing:
-    /// for large member sets, the columns are split into contiguous
-    /// spans that the pool's lanes (and the calling thread) claim
-    /// self-scheduled, each accumulating into its **own** scratch
-    /// clone; the span partials are then folded into `scratch` in span
-    /// order. Cell merges are field / two's-complement additions —
-    /// associative and commutative — so the result is bit-identical to
-    /// the serial walk. With no pool (or a small member set, where the
-    /// scope overhead outweighs the walk) this *is* the serial walk.
-    pub fn merge_into_stealing(
-        &self,
-        members: &[u32],
-        scratch: &mut MergeScratch,
-        pool: Option<&mpc_sim::WorkerPool>,
-    ) -> usize {
-        /// Columns per span: small enough to balance skewed
-        /// components, large enough that a span amortizes the scope's
-        /// synchronization.
-        const SPAN: usize = 128;
-        let Some(pool) = pool else {
-            return self.merge_into(members, scratch);
-        };
-        if pool.lanes() < 2 || members.len() < 2 * SPAN {
-            return self.merge_into(members, scratch);
-        }
-        let mut spans: Vec<(&[u32], MergeScratch)> = members
-            .chunks(SPAN)
-            .map(|span| {
-                let mut partial = self.new_scratch();
-                partial.reset(scratch.copy);
-                (span, partial)
-            })
-            .collect();
-        pool.steal_each(&mut spans, |(span, partial)| {
-            self.merge_into(span, partial);
-        });
-        let mut absorbed = 0usize;
-        for (_, partial) in &spans {
-            kernels::fold_soa(
-                &mut scratch.value_sum,
-                &mut scratch.index_sum,
-                &mut scratch.fp,
-                &partial.value_sum,
-                &partial.index_sum,
-                &partial.fp,
-            );
-            scratch.live |= partial.live;
-            scratch.dense |= partial.dense;
-            absorbed += partial.absorbed;
-        }
-        scratch.absorbed += absorbed;
-        absorbed
-    }
 }
 
 // The pool travels wholesale: one contiguous `Vec<Cell>` write at save

@@ -170,19 +170,6 @@ impl SketchBank {
         self.arena.merge_into(members, scratch)
     }
 
-    /// [`SketchBank::merge_copy_into`] with optional host work
-    /// stealing over the member columns (see
-    /// [`SketchArena::merge_into_stealing`]); bit-identical to the
-    /// serial merge, `pool` or not.
-    pub fn merge_copy_into_stealing(
-        &self,
-        members: &[VertexId],
-        scratch: &mut MergeScratch,
-        pool: Option<&mpc_sim::WorkerPool>,
-    ) -> usize {
-        self.arena.merge_into_stealing(members, scratch, pool)
-    }
-
     /// Subtracts copy `scratch.copy()` of every materialized member
     /// column from `scratch`, returning how many columns were
     /// subtracted. The columns of a union of whole connected

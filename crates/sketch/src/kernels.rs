@@ -1,7 +1,6 @@
 //! The flat loops every sketch operation bottoms out in: the
 //! converge-cast column folds of [`SketchArena::merge_into`] and the
 //! subtracting fold of [`SketchArena::subtract_from`], the
-//! span-partial folds of the stealing merge, the
 //! `update`/`update_pair` cell write, and the zero-skip scan in front
 //! of `decode_parts` on the sample paths.
 //!
@@ -79,30 +78,6 @@ pub(crate) fn fold_cells(dst: &mut [Cell], src: &[Cell]) {
     debug_assert!(dst.len() == src.len());
     for (d, s) in dst.iter_mut().zip(src) {
         d.absorb(s);
-    }
-}
-
-/// Folds one struct-of-arrays column into another (the span-order
-/// partial fold of the stealing merge). All six slices must have
-/// equal length.
-pub(crate) fn fold_soa(
-    dst_vs: &mut [i64],
-    dst_is: &mut [i128],
-    dst_fp: &mut [M61],
-    src_vs: &[i64],
-    src_is: &[i128],
-    src_fp: &[M61],
-) {
-    debug_assert!(dst_vs.len() == src_vs.len() && dst_is.len() == src_is.len());
-    debug_assert!(dst_fp.len() == src_fp.len());
-    for (d, s) in dst_vs.iter_mut().zip(src_vs) {
-        *d = d.wrapping_add(*s);
-    }
-    for (d, s) in dst_is.iter_mut().zip(src_is) {
-        *d = d.wrapping_add(*s);
-    }
-    for (d, s) in dst_fp.iter_mut().zip(src_fp) {
-        *d += *s;
     }
 }
 

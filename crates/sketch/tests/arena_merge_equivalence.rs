@@ -1,7 +1,6 @@
-//! Arena merge equivalence and content pins: serial `merge_into`
-//! must equal `merge_into_stealing` across the span-split seams, the
-//! empty / full / cancelled live-mask extremes must sample and merge
-//! correctly, an arena snapshot must round-trip byte-stably, and the
+//! Arena merge equivalence and content pins: the empty / full /
+//! cancelled live-mask extremes must sample and merge correctly, an
+//! arena snapshot must round-trip byte-stably, and the
 //! snapshot content of one seeded stream is pinned against recorded
 //! constants. Also here: the zero-sum property behind
 //! `subtract_from` — a part's accumulator derived from its
@@ -76,74 +75,6 @@ fn random_stream(
     }
 }
 
-/// One merge observation: absorbed count, scratch cells, and
-/// the decoded sample.
-type MergeObservation = (
-    usize,
-    Vec<(i64, i128, mpc_hashing::field::M61)>,
-    SampleOutcome,
-);
-
-/// Merges a member set serially and with stealing and asserts
-/// scratch cells and samples agree.
-fn assert_merges_agree(
-    arena: &SketchArena,
-    members: &[u32],
-    pool: Option<&mpc_sim::WorkerPool>,
-    label: &str,
-) {
-    for copy in 0..arena.copies() {
-        let mut reference: Option<MergeObservation> = None;
-        for stealing in [false, true] {
-            let mut scratch: MergeScratch = arena.new_scratch();
-            scratch.reset(copy);
-            let absorbed = if stealing {
-                arena.merge_into_stealing(members, &mut scratch, pool)
-            } else {
-                arena.merge_into(members, &mut scratch)
-            };
-            let cells: Vec<_> = (0..scratch.levels()).map(|l| scratch.cell(l)).collect();
-            let sample = arena.sample_scratch(&scratch);
-            match &reference {
-                None => reference = Some((absorbed, cells, sample)),
-                Some((want_a, want_c, want_s)) => {
-                    assert_eq!(*want_a, absorbed, "{label}: absorbed (stealing={stealing})");
-                    assert_eq!(want_c, &cells, "{label}: cells (stealing={stealing})");
-                    assert_eq!(want_s, &sample, "{label}: sample (stealing={stealing})");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn serial_and_stealing_merges_agree_across_span_seams() {
-    // 300 members with SPAN=128 puts seams at 128 and 256 — member
-    // counts straddle the 2*SPAN stealing threshold and leave an
-    // unaligned 44-member tail span.
-    let n = 300u32;
-    let max_index = 1u64 << 12;
-    let arena = build_arena(n as usize, 2, max_index, 0xB0B, |arena, rng| {
-        random_stream(arena, rng, n, max_index, 2_000);
-    });
-    let pool = mpc_sim::WorkerPool::new(3);
-    let mut rng = StdRng::seed_from_u64(7);
-    for (count, label) in [
-        (1usize, "singleton"),
-        (64, "sub-span"),
-        (129, "one seam"),
-        (300, "full set with tail span"),
-    ] {
-        let mut members: Vec<u32> = (0..n).collect();
-        for i in 0..count {
-            let j = rng.gen_range(i..n as usize);
-            members.swap(i, j);
-        }
-        members.truncate(count);
-        assert_merges_agree(&arena, &members, Some(&pool), label);
-    }
-}
-
 #[test]
 fn empty_full_and_cancelled_mask_extremes() {
     let max_index = 1u64 << 6; // 9 levels: every level reachable.
@@ -172,7 +103,6 @@ fn empty_full_and_cancelled_mask_extremes() {
             "full column must not sample Zero"
         );
     }
-    assert_merges_agree(&arena, &[0, 1, 2, 3], None, "extremes merge");
     // The cancelled-and-empty member set must still sample Zero
     // through the union-mask path.
     let mut scratch = arena.new_scratch();

@@ -164,6 +164,8 @@ fn weighted_roster_run(workers: usize) -> WeightedObservables {
     session.register(ExactMsf::new(n));
     session.register(ApproxMsfWeight::new(n, 0.5, 4, 31));
     session.register(ApproxMsfForest::new(n, 0.5, 4, 32));
+    // The weight-oblivious side of the projection.
+    session.register(Connectivity::new(n, ConnectivityConfig::default(), 33));
 
     let stream = gen::random_weighted_insert_stream(n, 5, 9, 64, 0x3E1);
     let mut reports = Vec::new();
@@ -487,7 +489,8 @@ fn failing_ask_all_is_identical_at_every_worker_count() {
 
 /// One maintainer means one branch, and one branch always runs
 /// inline: a 4-worker session must equal the serial one without ever
-/// forking (its maintainer still steals through the context's pool).
+/// forking. True by construction — the session's fan-out is the only
+/// user of the pool, and a maintainer cannot reach it.
 #[test]
 fn single_maintainer_session_is_identical_at_four_workers() {
     let n = 32usize;
