@@ -130,6 +130,34 @@ fn bench_etf(c: &mut Criterion) {
             );
         });
     }
+    // The `churn` regime in isolation: one giant tour (a random-
+    // attachment tree on 16,384 vertices), `k` of its edges cut and
+    // re-joined per iteration. Most cuts detach a small subtree, so
+    // the cost should follow what is cut off, not the giant's length.
+    for k in [1usize, 8] {
+        g.bench_with_input(BenchmarkId::new("split_off_giant", k), &k, |b, &k| {
+            let n = 1 << 14;
+            let mut ctx = ctx_for(n);
+            let mut etf = DistEtf::new(n);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            let tree: Vec<Edge> = (1..n as u32)
+                .map(|v| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    Edge::new((x >> 33) as u32 % v, v)
+                })
+                .collect();
+            for chunk in tree.chunks(256) {
+                etf.batch_join(chunk, &mut ctx);
+            }
+            let mut at = 0;
+            b.iter(|| {
+                let cut: Vec<Edge> = (0..k).map(|i| tree[(at + i * 2039) % tree.len()]).collect();
+                at = (at + 7919) % tree.len();
+                black_box(etf.batch_split(&cut, &mut ctx));
+                etf.batch_join(&cut, &mut ctx);
+            });
+        });
+    }
     // Tour-count scaling: the measured operation always touches the
     // same 9 foreground trees (32 vertices each); only the number of
     // *unrelated* background tours varies. With per-tour sharded

@@ -17,7 +17,7 @@
 //! `O(k)` breakpoints) is the closed form of the paper's four-case
 //! shift-index / update-index procedure.
 
-use crate::dist::{DistEtf, EdgeRec, Traversal};
+use crate::dist::{DistEtf, EdgeRec, Shard, Traversal};
 use crate::TourId;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
@@ -390,11 +390,8 @@ impl DistEtf {
     }
 
     pub(crate) fn batch_split_uncharged(&mut self, edges: &[Edge]) -> Vec<TourId> {
-        // Group the deleted edges by tour and capture their intervals;
-        // each affected shard then drops its doomed edges in a single
-        // retain pass instead of k individual removals.
-        let mut by_tour: BTreeMap<TourId, Vec<(u64, u64)>> = BTreeMap::new();
-        let mut doomed: BTreeMap<TourId, BTreeSet<Edge>> = BTreeMap::new();
+        // Group the deleted edges by tour, each with its interval.
+        let mut by_tour: BTreeMap<TourId, Vec<(u64, u64, Edge)>> = BTreeMap::new();
         for &e in edges {
             let rec = *self
                 .edge_rec(e)
@@ -403,181 +400,135 @@ impl DistEtf {
             by_tour
                 .entry(rec.tour)
                 .or_default()
-                .push((rec.first.pos, rec.second.pos));
-            doomed.entry(rec.tour).or_default().insert(e);
-        }
-        for (&t, doomed_edges) in &doomed {
-            self.remove_edges_from_shard(t, doomed_edges);
+                .push((rec.first.pos, rec.second.pos, e));
         }
         let mut result_tours = Vec::new();
-        for (t, mut intervals) in by_tour {
-            intervals.sort_unstable();
-            result_tours.extend(self.split_tour(t, &intervals));
+        for (t, mut cuts) in by_tour {
+            cuts.sort_unstable();
+            result_tours.extend(self.split_tour(t, &cuts));
         }
         result_tours
     }
 
-    /// Splits one tour along a sorted laminar family of deleted-edge
-    /// intervals `(p_i, q_i)` (block `[p_i, q_i+1]` removed).
-    fn split_tour(&mut self, t: TourId, intervals: &[(u64, u64)]) -> Vec<TourId> {
-        const ROOT: usize = usize::MAX;
-        let n_int = intervals.len();
-        // Laminar nesting via a stack sweep.
-        let mut parent = vec![ROOT; n_int];
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n_int + 1]; // last = root region
-        let child_slot = |r: usize| if r == ROOT { n_int } else { r };
+    /// Cuts forest edges out of tour `t` in one compaction pass over
+    /// its shard. `cuts` holds `(first.pos, second.pos, edge)` per
+    /// deleted edge, sorted — a laminar family of intervals `(p, q)`
+    /// whose blocks `[p, q + 1]` leave the tour. The region inside
+    /// cut `i` gets a fresh tour id and the root region keeps `t`; the
+    /// *longest* region keeps the shard and member vectors and is
+    /// rewritten in place, the others are cut out of it. Returns the
+    /// resulting tours: fresh singletons, then regions, then the root.
+    pub(crate) fn split_tour(&mut self, t: TourId, cuts: &[(u64, u64, Edge)]) -> Vec<TourId> {
+        const DOOMED: usize = usize::MAX;
+        let k = cuts.len();
+        // Region slots: `i < k` is the inside of cut `i`, `k` the root
+        // region. `span` is a region before the cuts: the position in
+        // front of its first entry, and its length.
+        let root = k;
+        let old_len = self.tour_len(t);
+        let span = |r: usize| match cuts.get(r) {
+            Some(&(p, q, _)) => (p + 1, q - p - 2),
+            None => (0, old_len),
+        };
+        // One stack sweep flattens the family into sorted segments
+        // `(start, region, delta)`: a surviving entry at `x` belongs
+        // to the last segment starting at or before `x` and lands on
+        // `x - delta` — within a segment both the region and the
+        // words removed in front of `x` are constant. A deleted
+        // edge's own record is found at its `p`.
+        let mut removed = vec![0u64; k + 1]; // words cut out of each region
+        let mut segs = Vec::with_capacity(3 * k + 1);
+        segs.push((0, root, 0));
         let mut stack: Vec<usize> = Vec::new();
-        for (i, &(p, _q)) in intervals.iter().enumerate() {
+        for (i, p) in cuts.iter().map(|c| c.0).chain([u64::MAX]).enumerate() {
             while let Some(&top) = stack.last() {
-                if intervals[top].1 + 1 < p {
-                    stack.pop();
-                } else {
+                let (top_p, top_q, _) = cuts[top];
+                if top_q + 1 >= p {
                     break;
                 }
+                stack.pop();
+                let r = stack.last().copied().unwrap_or(root);
+                removed[r] += top_q - top_p + 2;
+                segs.push((top_q + 1, r, span(r).0 + removed[r]));
             }
-            parent[i] = stack.last().copied().unwrap_or(ROOT);
-            children[child_slot(parent[i])].push(i);
-            stack.push(i);
-        }
-        // Per-region cumulative removed-words tables: direct children
-        // sorted by start; entry `(end_of_block, cumulative_size)`.
-        let block_size = |i: usize| intervals[i].1 - intervals[i].0 + 2;
-        let region_table: Vec<Vec<(u64, u64)>> = (0..=n_int)
-            .map(|r| {
-                let mut cum = 0;
-                children[r]
-                    .iter()
-                    .map(|&c| {
-                        cum += block_size(c);
-                        (intervals[c].1 + 1, cum)
-                    })
-                    .collect()
-            })
-            .collect();
-        let removed_before = |r: usize, x: u64| -> u64 {
-            let table = &region_table[child_slot(r)];
-            match table.partition_point(|&(end, _)| end < x) {
-                0 => 0,
-                i => table[i - 1].1,
-            }
-        };
-        let base_sub = |r: usize| -> u64 {
-            if r == ROOT {
-                0
-            } else {
-                intervals[r].0 + 1
-            }
-        };
-        // Flatten the laminar family into sorted (start, region)
-        // segments so every locate is one binary search: segment `r`
-        // owns positions from its start up to the next start. (The
-        // deleted block positions themselves are never queried —
-        // their edges left the shard already.)
-        let segs: Vec<(u64, usize)> = {
-            let mut segs = Vec::with_capacity(2 * n_int + 1);
-            segs.push((0u64, ROOT));
-            let mut stack: Vec<usize> = Vec::new();
-            for (i, &(p, _)) in intervals.iter().enumerate() {
-                while let Some(&top) = stack.last() {
-                    if intervals[top].1 + 1 < p {
-                        stack.pop();
-                        let resume = stack.last().copied().unwrap_or(ROOT);
-                        segs.push((intervals[top].1 + 1, resume));
-                    } else {
-                        break;
-                    }
-                }
-                segs.push((p + 1, i));
+            if i < k {
+                segs.push((p, DOOMED, 0));
+                segs.push((p + 1, i, p + 1));
                 stack.push(i);
             }
-            while let Some(top) = stack.pop() {
-                let resume = stack.last().copied().unwrap_or(ROOT);
-                segs.push((intervals[top].1 + 1, resume));
+        }
+        let seg = |x: u64| segs[segs.partition_point(|s| s.0 <= x) - 1];
+        // Region lengths are read off the plan alone.
+        let len_of = |r: usize| span(r).1 - removed[r];
+        let keep = (0..=k).max_by_key(|&r| len_of(r)).unwrap_or(root);
+        let ids: Vec<TourId> = (0..k).map(|_| self.fresh_id()).chain([t]).collect();
+        // The pass: deleted records drop out, the kept region's
+        // records close ranks in place, the rest are pushed out (an
+        // indexed loop: `retain_mut` measured 1.5× slower on it).
+        let mut members = self.remove_tour_bookkeeping(t);
+        let mut shard = self.take_shard(t);
+        let mut entries: Vec<Shard> = vec![Vec::new(); k + 1];
+        let mut kept = 0;
+        for i in 0..shard.len() {
+            let (e, mut rec) = shard[i];
+            let (_, r, delta) = seg(rec.first.pos);
+            if r == DOOMED {
+                continue;
             }
-            segs
-        };
-        // Innermost deleted interval strictly containing position x.
-        let locate = |x: u64| -> usize {
-            let i = segs.partition_point(|&(start, _)| start <= x);
-            segs[i - 1].1
-        };
-        // Fresh tour ids per nonroot region.
-        let region_ids: Vec<TourId> = (0..n_int).map(|_| self.fresh_id()).collect();
-        let tour_of_region = |r: usize| -> TourId {
-            if r == ROOT {
-                t
+            rec.tour = ids[r];
+            rec.first.pos -= delta;
+            rec.second.pos -= seg(rec.second.pos).2;
+            if r == keep {
+                shard[kept] = (e, rec);
+                kept += 1;
             } else {
-                region_ids[r]
+                entries[r].push((e, rec));
             }
-        };
-        let old_members = self.remove_tour_bookkeeping(t);
-        // Remap surviving edges of this tour: partition its shard into
-        // one shard per region and splice each in — untouched tours'
-        // shards are never visited.
-        let old_shard = self.take_shard(t);
-        let mut region_entries: Vec<Vec<(Edge, EdgeRec)>> = vec![Vec::new(); n_int + 1];
-        for (edge, mut rec) in old_shard {
-            let r = locate(rec.first.pos);
-            rec.tour = tour_of_region(r);
-            for trav in [&mut rec.first, &mut rec.second] {
-                trav.pos = trav.pos - base_sub(r) - removed_before(r, trav.pos);
-            }
-            region_entries[child_slot(r)].push((edge, rec));
         }
-        let root_region_edges = region_entries[n_int].len() as u64;
-        // Region membership derives from the partitioned edges (every
-        // incident surviving edge lands on its vertex's region);
-        // edge-less members become fresh singletons.
-        let mut region_members: Vec<Vec<VertexId>> = region_entries
+        shard.truncate(kept);
+        // Only an endpoint of a deleted edge can have lost its last
+        // edge; each such vertex empties exactly once.
+        let mut left: Vec<VertexId> = Vec::new();
+        for &(_, _, e) in cuts {
+            self.remove_adjacency(e);
+            left.extend(
+                [e.u(), e.v()]
+                    .iter()
+                    .filter(|&&v| self.neighbors(v).is_empty()),
+            );
+        }
+        left.sort_unstable();
+        let mut result = Vec::with_capacity(left.len() + k + 1);
+        for &w in &left {
+            let id = self.fresh_id();
+            self.set_vertex_tour(w, id);
+            self.install_tour(id, 0, vec![w]);
+            result.push(id);
+        }
+        // Membership: a cut-out region's from its own entries, the
+        // kept region's is the old list minus everything that left.
+        let mut region_members: Vec<Vec<VertexId>> = entries
             .iter()
-            .map(|entries| DistEtf::members_of_entries(entries))
+            .map(|es| DistEtf::members_of_entries(es))
             .collect();
-        for (slot, entries) in region_entries.into_iter().enumerate() {
-            let id = if slot == n_int { t } else { region_ids[slot] };
-            self.splice_shard_entries(id, entries);
-        }
-        let mut singleton_ids = Vec::new();
-        for &w in &old_members {
-            if self.neighbors(w).is_empty() {
-                let id = self.fresh_id();
-                self.set_vertex_tour(w, id);
-                self.install_tour(id, 0, vec![w]);
-                singleton_ids.push(id);
-            }
-        }
-        // Region lengths.
-        let direct_removed =
-            |r: usize| -> u64 { children[child_slot(r)].iter().map(|&c| block_size(c)).sum() };
-        let mut result = singleton_ids;
-        for r in (0..n_int).map(Some).chain([None]) {
-            let (region, raw_len) = match r {
-                Some(i) => {
-                    let (p, q) = intervals[i];
-                    (i, q - p - 2)
-                }
-                None => {
-                    // Root region keeps whatever was not removed; its
-                    // raw length is derived from the member edges, but
-                    // it is easier to reconstruct as max position,
-                    // which equals raw region length after remap. Use
-                    // edge count × 4 (validated by the tour checker).
-                    (ROOT, 0)
-                }
-            };
-            let id = tour_of_region(region);
-            let members = std::mem::take(&mut region_members[child_slot(region)]);
+        left.extend(region_members.iter().flatten());
+        left.sort_unstable();
+        let mut next = left.iter().peekable();
+        members.retain(|v| next.next_if_eq(&v).is_none());
+        region_members[keep] = members;
+        entries[keep] = shard;
+        for (r, (es, members)) in entries.into_iter().zip(region_members).enumerate() {
+            self.put_shard(ids[r], es);
             if members.is_empty() {
                 continue;
             }
-            let len = match r {
-                Some(_) => raw_len - direct_removed(region),
-                None => 4 * root_region_edges,
-            };
-            for &w in &members {
-                self.set_vertex_tour(w, id);
+            if ids[r] != t {
+                for &w in &members {
+                    self.set_vertex_tour(w, ids[r]);
+                }
             }
-            self.install_tour(id, len, members);
-            result.push(id);
+            self.install_tour(ids[r], len_of(r), members);
+            result.push(ids[r]);
         }
         result
     }
@@ -738,6 +689,147 @@ mod tests {
         for v in 0..5u32 {
             assert_eq!(etf.tour_len(etf.tour_of(v)), 0);
         }
+    }
+
+    /// A path over `vs` (consecutive vertices joined), rooted at its
+    /// first vertex; returns its tour id.
+    fn rooted_path(etf: &mut DistEtf, c: &mut MpcContext, vs: std::ops::Range<u32>) -> TourId {
+        for i in vs.start..vs.end - 1 {
+            etf.join(Edge::new(i, i + 1), c);
+        }
+        etf.reroot(vs.start, c);
+        etf.tour_of(vs.start)
+    }
+
+    #[test]
+    fn split_next_to_the_root_keeps_the_detached_side_in_place() {
+        let mut c = ctx();
+        let mut etf = DistEtf::new(10);
+        let t = rooted_path(&mut etf, &mut c, 0..10);
+        // Root region {0, 1} is short; the region below the cut is the
+        // longest, so it inherits the vectors — under a fresh id.
+        let out = etf.batch_split(&[Edge::new(1, 2)], &mut c);
+        validate(&etf).expect("valid");
+        let below = etf.tour_of(2);
+        assert_eq!(out, vec![below, t]);
+        assert!(below > t);
+        assert_eq!(etf.tour_members(t), [0, 1]);
+        assert_eq!(etf.tour_len(t), 4);
+        assert_eq!(etf.tour_members(below), [2, 3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(etf.tour_len(below), 28);
+        assert!((2..10).all(|v| etf.tour_of(v) == below));
+        assert!(etf.tour_edges(below).all(|(_, rec)| rec.tour == below));
+    }
+
+    #[test]
+    fn split_nested_cuts_with_the_innermost_region_longest() {
+        let mut c = ctx();
+        let mut etf = DistEtf::new(12);
+        let t = rooted_path(&mut etf, &mut c, 0..10);
+        etf.join(Edge::new(2, 10), &mut c);
+        etf.reroot(0, &mut c);
+        // Cut (1,2) encloses cut (3,4): regions {0,1} (root), {2,3,10}
+        // and the innermost {4..9}, the longest.
+        let out = etf.batch_split(&[Edge::new(3, 4), Edge::new(1, 2)], &mut c);
+        validate(&etf).expect("valid");
+        let (outer, inner) = (etf.tour_of(2), etf.tour_of(4));
+        assert_eq!(out, vec![outer, inner, t]);
+        assert_eq!(inner, outer + 1);
+        assert_eq!(etf.tour_members(t), [0, 1]);
+        assert_eq!(etf.tour_len(t), 4);
+        assert_eq!(etf.tour_members(outer), [2, 3, 10]);
+        assert_eq!(etf.tour_len(outer), 8);
+        assert_eq!(etf.tour_members(inner), [4, 5, 6, 7, 8, 9]);
+        assert_eq!(etf.tour_len(inner), 20);
+        assert_eq!(etf.tour_of(10), outer);
+        assert_eq!(etf.tour_of(11), 11);
+    }
+
+    #[test]
+    fn split_into_equal_length_regions() {
+        let mut c = ctx();
+        let mut etf = DistEtf::new(4);
+        let t = rooted_path(&mut etf, &mut c, 0..4);
+        let out = etf.batch_split(&[Edge::new(1, 2)], &mut c);
+        validate(&etf).expect("valid");
+        let below = etf.tour_of(2);
+        assert_eq!(out, vec![below, t]);
+        assert_eq!((etf.tour_of(0), etf.tour_of(1)), (t, t));
+        assert_eq!(etf.tour_of(3), below);
+        assert_eq!(etf.tour_members(t), [0, 1]);
+        assert_eq!(etf.tour_members(below), [2, 3]);
+        assert_eq!((etf.tour_len(t), etf.tour_len(below)), (4, 4));
+    }
+
+    #[test]
+    fn split_star_centre_from_every_leaf_leaves_only_singletons() {
+        let mut c = ctx();
+        let mut etf = DistEtf::new(9);
+        let edges: Vec<Edge> = (1..9u32).map(|i| Edge::new(0, i)).collect();
+        etf.batch_join(&edges, &mut c);
+        let t = etf.tour_of(0);
+        let out = etf.batch_split(&edges, &mut c);
+        validate(&etf).expect("valid");
+        // Every region is empty: nine fresh singletons in ascending
+        // vertex order (after the eight unused region ids), no shard.
+        assert_eq!(out.len(), 9);
+        assert!(out.windows(2).all(|w| w[0] + 1 == w[1]));
+        assert_eq!(etf.edge_count(), 0);
+        assert!(etf.tours().all(|id| id != t));
+        for v in 0..9u32 {
+            assert_eq!(etf.tour_of(v), out[v as usize]);
+            assert_eq!(etf.tour_members(out[v as usize]), [v]);
+            assert_eq!(etf.tour_len(out[v as usize]), 0);
+            assert_eq!(etf.tour_edges(out[v as usize]).count(), 0);
+        }
+    }
+
+    #[test]
+    fn split_first_and_last_shard_records() {
+        let mut c = ctx();
+        let mut etf = DistEtf::new(8);
+        let t = rooted_path(&mut etf, &mut c, 0..8);
+        let shard: Vec<Edge> = etf.tour_edges(t).map(|(e, _)| e).collect();
+        let (first, last) = (shard[0], shard[shard.len() - 1]);
+        assert_eq!((first, last), (Edge::new(0, 1), Edge::new(6, 7)));
+        let out = etf.batch_split(&[last, first], &mut c);
+        validate(&etf).expect("valid");
+        // The root 0 and the leaf 7 fall off as singletons; the middle
+        // {1..6} is the region inside cut (0,1).
+        let middle = etf.tour_of(1);
+        assert_eq!(out, vec![etf.tour_of(0), etf.tour_of(7), middle]);
+        assert!(etf.tours().all(|id| id != t));
+        assert_eq!(etf.tour_members(middle), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(etf.tour_len(middle), 20);
+        assert_eq!(etf.tour_edges(middle).count(), 5);
+        assert_eq!(etf.tour_members(etf.tour_of(0)), [0]);
+        assert_eq!(etf.tour_members(etf.tour_of(7)), [7]);
+        assert_eq!(
+            (etf.tour_len(etf.tour_of(0)), etf.tour_len(etf.tour_of(7))),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn split_leaves_a_neighbour_tour_in_the_batch_untouched() {
+        let mut c = ctx();
+        let mut etf = DistEtf::new(12);
+        let a = rooted_path(&mut etf, &mut c, 0..6);
+        let b = rooted_path(&mut etf, &mut c, 6..12);
+        let before: Vec<(Edge, EdgeRec)> = etf.tour_edges(b).map(|(e, r)| (e, *r)).collect();
+        let out = etf.batch_split(&[Edge::new(3, 4)], &mut c);
+        validate(&etf).expect("valid");
+        let below = etf.tour_of(4);
+        assert_eq!(out, vec![below, a]);
+        assert_eq!(etf.tour_members(a), [0, 1, 2, 3]);
+        assert_eq!(etf.tour_len(a), 12);
+        assert_eq!(etf.tour_members(below), [4, 5]);
+        assert_eq!(etf.tour_len(below), 4);
+        let after: Vec<(Edge, EdgeRec)> = etf.tour_edges(b).map(|(e, r)| (e, *r)).collect();
+        assert_eq!(before, after);
+        assert_eq!(etf.tour_members(b), [6, 7, 8, 9, 10, 11]);
+        assert_eq!(etf.tour_len(b), 20);
+        assert!((6..12).all(|v| etf.tour_of(v) == b));
     }
 
     #[test]

@@ -301,12 +301,24 @@ impl DistEtf {
 
     /// Detaches a tour's whole edge shard (empty for singletons). The
     /// caller must re-home every record via
-    /// [`DistEtf::splice_shard_entries`] or
+    /// [`DistEtf::splice_shard_entries`], [`DistEtf::put_shard`] or
     /// [`DistEtf::insert_edge_rec`].
     pub(crate) fn take_shard(&mut self, t: TourId) -> Shard {
         let shard = self.shards.remove(&t).unwrap_or_default();
         self.edge_count -= shard.len();
         shard
+    }
+
+    /// Installs a whole shard — sorted by edge, every record labelled
+    /// `t` — for a tour that holds none: the inverse of
+    /// [`DistEtf::take_shard`]. An empty shard installs nothing.
+    pub(crate) fn put_shard(&mut self, t: TourId, shard: Shard) {
+        debug_assert!(shard.is_sorted_by(|a, b| a.0 < b.0), "unsorted shard");
+        debug_assert!(shard.iter().all(|(_, r)| r.tour == t), "mislabelled shard");
+        if !shard.is_empty() {
+            self.edge_count += shard.len();
+            self.shards.insert(t, shard);
+        }
     }
 
     /// Splices an entry list into tour `t`'s shard — the map-splice
@@ -362,22 +374,11 @@ impl DistEtf {
         self.adj[e.v() as usize].insert(e.u());
     }
 
-    /// Drops a set of edges from one tour's shard in a single retain
-    /// pass (and from the adjacency), cheaper than repeated
-    /// single-edge removals.
-    pub(crate) fn remove_edges_from_shard(&mut self, t: TourId, doomed: &BTreeSet<Edge>) {
-        for &e in doomed {
-            self.adj[e.u() as usize].remove(&e.v());
-            self.adj[e.v() as usize].remove(&e.u());
-        }
-        if let Some(shard) = self.shards.get_mut(&t) {
-            let before = shard.len();
-            shard.retain(|(e, _)| !doomed.contains(e));
-            self.edge_count -= before - shard.len();
-            if shard.is_empty() {
-                self.shards.remove(&t);
-            }
-        }
+    /// Drops `e` from the tree adjacency only (for callers that cut
+    /// the record itself out of its shard in bulk).
+    pub(crate) fn remove_adjacency(&mut self, e: Edge) {
+        self.adj[e.u() as usize].remove(&e.v());
+        self.adj[e.v() as usize].remove(&e.u());
     }
 
     pub(crate) fn insert_edge_rec(&mut self, e: Edge, rec: EdgeRec) {
@@ -391,21 +392,6 @@ impl DistEtf {
             Err(i) => {
                 shard.insert(i, (e, rec));
                 self.edge_count += 1;
-            }
-        }
-    }
-
-    pub(crate) fn remove_edge_rec(&mut self, e: Edge) {
-        self.adj[e.u() as usize].remove(&e.v());
-        self.adj[e.v() as usize].remove(&e.u());
-        let t = self.vertex_tour[e.u() as usize];
-        if let Some(shard) = self.shards.get_mut(&t) {
-            if let Ok(i) = shard.binary_search_by_key(&e, |&(k, _)| k) {
-                shard.remove(i);
-                self.edge_count -= 1;
-                if shard.is_empty() {
-                    self.shards.remove(&t);
-                }
             }
         }
     }
@@ -625,72 +611,6 @@ impl DistEtf {
         vs
     }
 
-    pub(crate) fn split_uncharged(&mut self, e: Edge) -> (TourId, TourId) {
-        let rec = *self.edge_rec(e).expect("split of non-tree edge");
-        self.remove_edge_rec(e);
-        let t = rec.tour;
-        let p = rec.first.pos;
-        let q = rec.second.pos;
-        let len = self.tour_len[&t];
-        let child_id = self.fresh_id();
-        let child_len = q - p - 2;
-        let old_members = self.members.remove(&t).expect("tour exists");
-        // Remap edge positions: partition the split tour's shard into
-        // the root-side and detached-side shards by map-splice. A
-        // vertex's side is derived from any incident surviving edge
-        // (all of them land on its side); edge-less members become
-        // fresh singletons.
-        let old_shard = self.take_shard(t);
-        let mut root_entries = Vec::new();
-        let mut child_entries = Vec::new();
-        for (edge, mut r) in old_shard {
-            let inside = r.first.pos > p && r.first.pos < q;
-            if inside {
-                r.tour = child_id;
-                r.shift(-((p + 1) as i64));
-                child_entries.push((edge, r));
-            } else {
-                for trav in [&mut r.first, &mut r.second] {
-                    if trav.pos > q + 1 {
-                        trav.pos -= q - p + 2;
-                    }
-                }
-                root_entries.push((edge, r));
-            }
-        }
-        let root_side = Self::members_of_entries(&root_entries);
-        let child_side = Self::members_of_entries(&child_entries);
-        self.splice_shard_entries(t, root_entries);
-        self.splice_shard_entries(child_id, child_entries);
-        // Install the new tours. Singletons get fresh tours of length 0.
-        for &w in &old_members {
-            if self.adj[w as usize].is_empty() {
-                let id = self.fresh_id();
-                self.vertex_tour[w as usize] = id;
-                self.tour_len.insert(id, 0);
-                self.members.insert(id, vec![w]);
-            }
-        }
-        let root_len = len - child_len - 4;
-        for &w in &child_side {
-            self.vertex_tour[w as usize] = child_id;
-        }
-        if !child_side.is_empty() {
-            self.tour_len.insert(child_id, child_len);
-            self.members.insert(child_id, child_side);
-        }
-        for &w in &root_side {
-            self.vertex_tour[w as usize] = t;
-        }
-        if root_side.is_empty() {
-            self.tour_len.remove(&t);
-        } else {
-            self.tour_len.insert(t, root_len);
-            self.members.insert(t, root_side);
-        }
-        (t, child_id)
-    }
-
     /// Cuts tree edge `e`, splitting one tour into two (paper
     /// Lemma 5.1 "Split"). Returns the two resulting tour ids (root
     /// side, detached side) — for endpoints that become singletons
@@ -704,7 +624,12 @@ impl DistEtf {
     pub fn split(&mut self, e: Edge, ctx: &mut MpcContext) -> (TourId, TourId) {
         ctx.exchange(4); // fetch the edge's traversal positions
         ctx.broadcast(6); // interval + new tour ids
-        self.split_uncharged(e)
+        let rec = *self.edge_rec(e).expect("split of non-tree edge");
+        // A one-cut split: the detached side is the cut's region,
+        // which takes the first id `split_tour` allocates.
+        let child = self.next_id;
+        self.split_tour(rec.tour, &[(rec.first.pos, rec.second.pos, e)]);
+        (rec.tour, child)
     }
 
     // ----- path identification (Lemma 7.2) -------------------------
@@ -786,6 +711,19 @@ impl mpc_snapshot::Persist for DistEtf {
         }
         if shards.values().map(Vec::len).sum::<usize>() != edge_count {
             return corrupt(format!("shards disagree with edge count {edge_count}"));
+        }
+        // Every shard lookup is a binary search by edge in the shard of
+        // the endpoints' tour, and splits subtract sorted member runs.
+        for (t, shard) in &shards {
+            if shard.iter().any(|(_, rec)| rec.tour != *t) {
+                return corrupt(format!("tour {t}: shard holds another tour's record"));
+            }
+            if !shard.is_sorted_by(|a, b| a.0 < b.0) {
+                return corrupt(format!("tour {t}: shard not strictly ascending by edge"));
+            }
+        }
+        if let Some((t, _)) = members.iter().find(|(_, m)| !m.is_sorted_by(|a, b| a < b)) {
+            return corrupt(format!("tour {t}: member list not strictly ascending"));
         }
         if !tour_len.keys().eq(members.keys()) {
             return corrupt("tour-length and member tables disagree on live tours".into());
@@ -1080,6 +1018,65 @@ mod tests {
         etf.reroot(1, &mut c);
         assert_eq!(etf.tour_len(etf.tour_of(1)), 0);
         validate(&etf).expect("valid");
+    }
+
+    /// Saves `etf` and loads it back, as a checkpoint cycle would.
+    fn reload(etf: &DistEtf) -> Result<DistEtf, mpc_snapshot::SnapshotError> {
+        let mut w = mpc_snapshot::SnapshotWriter::new(0);
+        mpc_snapshot::save_section(&mut w, "etf", etf);
+        let snap = mpc_snapshot::Snapshot::from_bytes(&w.finish())?;
+        mpc_snapshot::load_section(&snap, "etf")
+    }
+
+    /// A path 0-1-2-3-4 (one tour, four records) and the tour's id.
+    fn path_forest() -> (DistEtf, TourId) {
+        let mut c = ctx();
+        let mut etf = DistEtf::new(6);
+        for i in 0..4u32 {
+            etf.join(Edge::new(i, i + 1), &mut c);
+        }
+        let t = etf.tour_of(0);
+        assert_eq!(
+            reload(&etf).expect("a valid forest loads").words(),
+            etf.words()
+        );
+        (etf, t)
+    }
+
+    fn assert_corrupt(etf: &DistEtf, needle: &str) {
+        match reload(etf) {
+            Err(mpc_snapshot::SnapshotError::Corrupt(what)) => {
+                assert!(what.contains(needle), "{what:?} lacks {needle:?}")
+            }
+            other => panic!("expected Corrupt({needle}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn load_rejects_a_shard_out_of_edge_order() {
+        let (mut etf, t) = path_forest();
+        etf.shards.get_mut(&t).unwrap().swap(1, 2);
+        assert_corrupt(&etf, &format!("tour {t}: shard not strictly ascending"));
+    }
+
+    #[test]
+    fn load_rejects_a_record_labelled_with_another_tour() {
+        let (mut etf, t) = path_forest();
+        etf.shards.get_mut(&t).unwrap()[3].1.tour = 5;
+        assert_corrupt(
+            &etf,
+            &format!("tour {t}: shard holds another tour's record"),
+        );
+    }
+
+    #[test]
+    fn load_rejects_an_unsorted_member_list() {
+        let (mut etf, t) = path_forest();
+        etf.members.get_mut(&t).unwrap().swap(0, 4);
+        assert_corrupt(
+            &etf,
+            &format!("tour {t}: member list not strictly ascending"),
+        );
     }
 
     #[test]

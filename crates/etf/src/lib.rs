@@ -20,9 +20,13 @@
 //! `O(|tour|)` work per operation instead of `O(|forest|)` — and
 //! tour-id reassignment moves whole shards by splice (a sorted-run
 //! merge) rather than per-edge rewrites. Membership bookkeeping is
-//! sharded the same way (sorted member list per tour), and is derived
-//! from the partitioned edge shards during splits instead of
-//! per-vertex occurrence scans.
+//! sharded the same way (sorted member list per tour). A split is one
+//! compaction pass over the cut tour's shard: the *longest* resulting
+//! region keeps the shard and member vectors and is rewritten in
+//! place, and only the other regions' records are moved out; their
+//! member lists derive from those records, the kept region's is the
+//! old list minus what left, and only the endpoints of the deleted
+//! edges are examined for new singletons.
 //!
 //! Operations ([`DistEtf`]):
 //!
@@ -59,11 +63,14 @@
 //! sequence; the result is the same splice the paper describes,
 //! without its case analysis. Finally, where the paper's machines
 //! conceptually rewrite each edge record in place from the broadcast
-//! plan, the simulator moves whole shards by **map-splice**: a tour
-//! absorbed by a join (or a region produced by a split) has its
-//! entire record array remapped once and merged into the destination
-//! shard, which is the same `O(|affected tours|)` local work with far
-//! better constants than per-edge rewrites. All deviations are
+//! plan, a join moves whole shards by **map-splice**: a tour absorbed
+//! by a join has its entire record array remapped once and merged
+//! into the destination shard, which is the same
+//! `O(|affected tours|)` local work with far better constants than
+//! per-edge rewrites. A split does what the paper's machines do: the
+//! longest region's records are remapped where they lie, from the
+//! `O(k)`-word plan, and the smaller regions are cut out of the
+//! shard as whole arrays under fresh tour ids. All deviations are
 //! behaviour-preserving and are validated by the intrinsic tour
 //! checker, which also checks the shard ↔ bookkeeping invariants
 //! ([`tour::TourViolation::ShardMismatch`]).
