@@ -219,6 +219,27 @@ fn golden_arena() -> SketchArena {
     })
 }
 
+/// Format-independent content digest: FNV-1a over `is_materialized(v)`
+/// (one byte) and every `(value_sum, index_sum, fp)` cell triple of
+/// every vertex, copy and level in that order, little-endian. It reads
+/// the arena through its accessors only, so it moves when a cell or a
+/// block assignment moves and never when the snapshot encoding does.
+fn content_digest(arena: &SketchArena) -> u64 {
+    let mut bytes = Vec::new();
+    for v in 0..GOLDEN_N {
+        bytes.push(u8::from(arena.is_materialized(v)));
+        for copy in 0..arena.copies() {
+            for level in 0..arena.levels() {
+                let (value_sum, index_sum, fp) = arena.cell(v, copy, level);
+                bytes.extend_from_slice(&value_sum.to_le_bytes());
+                bytes.extend_from_slice(&index_sum.to_le_bytes());
+                bytes.extend_from_slice(&fp.value().to_le_bytes());
+            }
+        }
+    }
+    mpc_snapshot::fnv1a(&bytes)
+}
+
 #[test]
 fn snapshot_roundtrip_preserves_cells() {
     let arena = golden_arena();
@@ -243,6 +264,7 @@ fn snapshot_roundtrip_preserves_cells() {
 fn arena_bits_match_recorded_golden() {
     use mpc_hashing::field::M61;
     let arena = golden_arena();
+    assert_eq!(content_digest(&arena), 0x7ce8_50cc_6457_12e3);
     let bytes = snapshot_bytes(&arena);
     let snap = mpc_snapshot::Snapshot::from_bytes(&bytes).expect("readable");
     let mut r = snap.section("arena").expect("arena section");
