@@ -3,12 +3,15 @@
 //! payloads. See `crates/mpc-snapshot/README.md` for the byte-level
 //! specification.
 //!
-//! All integers are little-endian. The container is written in one
-//! piece by [`SnapshotWriter::finish`]/[`SnapshotWriter::write_to`]
-//! and fully validated (magic, version, table shape, every checksum)
-//! by [`Snapshot::from_bytes`] before any section is handed out.
+//! All integers are little-endian. The container is serialized by
+//! [`SnapshotWriter::finish`] (to bytes) or streamed section by
+//! section by [`SnapshotWriter::write_to`] (to a file), and fully
+//! validated (magic, version, table shape, every checksum) by
+//! [`Snapshot::from_bytes`]/[`Snapshot::read_from`] before any section
+//! is handed out. A parsed [`Snapshot`] holds the file's bytes once.
 
 use crate::error::SnapshotError;
+use std::ops::Range;
 use std::path::Path;
 
 /// The 8-byte file magic: `MPCSNAP` plus the container generation.
@@ -16,7 +19,7 @@ pub const MAGIC: [u8; 8] = *b"MPCSNAP1";
 
 /// The current format version. Bump on any incompatible change to
 /// the container layout *or* to any `Persist` encoding.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -183,14 +186,13 @@ impl SnapshotWriter {
             .collect()
     }
 
-    /// Serializes the container: header, section table (name, length,
-    /// FNV-1a checksum per section), then the payloads in table
-    /// order.
+    /// The header and the section table (name, length, FNV-1a
+    /// checksum per section): everything in front of the payloads.
     ///
     /// # Panics
     ///
     /// Panics if a section is still open.
-    pub fn finish(self) -> Vec<u8> {
+    fn header(&self) -> Vec<u8> {
         assert!(!self.open, "finish with a section still open");
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
@@ -203,42 +205,73 @@ impl SnapshotWriter {
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             out.extend_from_slice(&fnv1a(payload).to_le_bytes());
         }
+        out
+    }
+
+    /// Serializes the container: header, section table, then the
+    /// payloads in table order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a section is still open.
+    pub fn finish(self) -> Vec<u8> {
+        let mut out = self.header();
         for (_, payload) in &self.sections {
             out.extend_from_slice(payload);
         }
         out
     }
 
-    /// Serializes and writes the container to `path`, returning the
+    /// Writes the container to `path` — the bytes [`finish`] would
+    /// return, streamed: header and table, then each section payload
+    /// straight from its buffer, with no concatenated copy. Returns the
     /// total bytes written. The write goes through a `.tmp` sibling
     /// and an atomic rename, so a crash mid-write never leaves a
     /// half-snapshot under the final name.
     ///
+    /// [`finish`]: SnapshotWriter::finish
+    ///
     /// # Errors
     ///
     /// [`SnapshotError::Io`] on any filesystem failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a section is still open.
     pub fn write_to(self, path: &Path) -> Result<u64, SnapshotError> {
-        let bytes = self.finish();
+        use std::io::Write;
+        let io = |e: std::io::Error| SnapshotError::Io(e.to_string());
+        let header = self.header();
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        std::fs::rename(&tmp, path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Ok(bytes.len() as u64)
+        let mut file = std::fs::File::create(&tmp).map_err(io)?;
+        file.write_all(&header).map_err(io)?;
+        let mut written = header.len() as u64;
+        for (_, payload) in &self.sections {
+            file.write_all(payload).map_err(io)?;
+            written += payload.len() as u64;
+        }
+        drop(file);
+        std::fs::rename(&tmp, path).map_err(io)?;
+        Ok(written)
     }
 }
 
 /// A parsed, checksum-verified snapshot. Constructing one validates
 /// the whole container; [`Snapshot::section`] then hands out cursors
-/// over individual payloads.
+/// over individual payloads, which are ranges of the one buffer the
+/// snapshot owns.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     version: u32,
     epoch: u64,
-    sections: Vec<(String, Vec<u8>)>,
+    bytes: Vec<u8>,
+    sections: Vec<(String, Range<usize>)>,
 }
 
 impl Snapshot {
     /// Parses and fully validates a serialized snapshot: magic,
-    /// version, table shape, and every section's checksum.
+    /// version, table shape, and every section's checksum. Copies
+    /// `bytes` once; [`Snapshot::read_from`] does not copy at all.
     ///
     /// # Errors
     ///
@@ -246,6 +279,10 @@ impl Snapshot {
     /// [`SnapshotError::Corrupt`] on structural damage, or
     /// [`SnapshotError::ChecksumMismatch`] naming the damaged section.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        Snapshot::parse(bytes.to_vec())
+    }
+
+    fn parse(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
         let take = |at: &mut usize, n: usize| -> Result<&[u8], SnapshotError> {
             let end = at
                 .checked_add(n)
@@ -279,13 +316,13 @@ impl Snapshot {
         for (name, len, sum) in table {
             let len = usize::try_from(len)
                 .map_err(|_| SnapshotError::Corrupt(format!("section `{name}` length overflow")))?;
+            let start = at;
             let payload = take(&mut at, len)
-                .map_err(|_| SnapshotError::Corrupt(format!("section `{name}` truncated")))?
-                .to_vec();
-            if fnv1a(&payload) != sum {
+                .map_err(|_| SnapshotError::Corrupt(format!("section `{name}` truncated")))?;
+            if fnv1a(payload) != sum {
                 return Err(SnapshotError::ChecksumMismatch { section: name });
             }
-            sections.push((name, payload));
+            sections.push((name, start..at));
         }
         if at != bytes.len() {
             return Err(SnapshotError::Corrupt(format!(
@@ -296,19 +333,20 @@ impl Snapshot {
         Ok(Snapshot {
             version,
             epoch,
+            bytes,
             sections,
         })
     }
 
-    /// Reads and validates a snapshot file.
+    /// Reads and validates a snapshot file; the buffer it was read
+    /// into becomes the snapshot's own.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Io`] on filesystem failure, then everything
     /// [`Snapshot::from_bytes`] reports.
     pub fn read_from(path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Snapshot::from_bytes(&bytes)
+        Snapshot::parse(std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?)
     }
 
     /// The container format version.
@@ -331,7 +369,7 @@ impl Snapshot {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, b)| b.len() as u64)
+            .map(|(_, range)| range.len() as u64)
     }
 
     /// A cursor over one section's payload.
@@ -343,9 +381,9 @@ impl Snapshot {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(n, b)| SnapshotReader {
+            .map(|(n, range)| SnapshotReader {
                 section: n,
-                bytes: b,
+                bytes: &self.bytes[range.clone()],
                 at: 0,
             })
             .ok_or_else(|| SnapshotError::MissingSection(name.to_string()))
@@ -592,12 +630,16 @@ mod tests {
 
     #[test]
     fn unsupported_version_rejected() {
-        let mut bytes = SnapshotWriter::new(0).finish();
-        bytes[8] = 99; // version field follows the magic
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion(99))
-        ));
+        // No reader is kept for older encodings: version 1 (the dense
+        // arena pool) is as unsupported as a version from the future.
+        for version in [1u8, 99] {
+            let mut bytes = SnapshotWriter::new(0).finish();
+            bytes[8] = version; // version field follows the magic
+            assert_eq!(
+                Snapshot::from_bytes(&bytes).unwrap_err(),
+                SnapshotError::UnsupportedVersion(u32::from(version))
+            );
+        }
     }
 
     #[test]
@@ -649,13 +691,23 @@ mod tests {
         let dir = std::env::temp_dir().join("mpc-snapshot-format-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.snap");
-        let mut w = SnapshotWriter::new(3);
-        w.begin_section("s");
-        w.put_u32(77);
-        w.end_section();
-        let written = w.write_to(&path).unwrap();
+        let build = || {
+            let mut w = SnapshotWriter::new(3);
+            w.begin_section("s");
+            w.put_u32(77);
+            w.end_section();
+            w.begin_section("empty");
+            w.end_section();
+            w.begin_section("tail");
+            w.put_str("streamed");
+            w.end_section();
+            w
+        };
+        let written = build().write_to(&path).unwrap();
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
         assert!(!path.with_extension("tmp").exists());
+        // The streamed file is byte for byte what `finish` returns.
+        assert_eq!(std::fs::read(&path).unwrap(), build().finish());
         let snap = Snapshot::read_from(&path).unwrap();
         assert_eq!(snap.epoch(), 3);
         assert_eq!(snap.section("s").unwrap().take_u32().unwrap(), 77);

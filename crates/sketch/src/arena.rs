@@ -18,7 +18,9 @@
 //!   offset, plus a live-level bitmask per `(column, copy)`. A
 //!   vertex's block is appended on first touch (lazy materialization
 //!   is preserved); an update is one cache-line write at a computed
-//!   offset, and merges walk only the mask's set bits.
+//!   offset, merges walk only the mask's set bits, and a snapshot
+//!   carries the masks plus only the cells under their set bits — the
+//!   pool is dense in memory and sparse on disk.
 //! * [`MergeScratch`] — a zero-allocation merge accumulator: one
 //!   dense struct-of-arrays column (`value_sum` / `index_sum` /
 //!   fingerprint), reused across every component merge of a
@@ -167,6 +169,9 @@ impl Cell {
         fp: M61::ZERO,
     };
 
+    /// Size of the [`Persist`](mpc_snapshot::Persist) encoding.
+    const ENCODED_BYTES: usize = 32;
+
     #[inline]
     pub(crate) fn is_zero(&self) -> bool {
         self.value_sum == 0 && self.index_sum == 0 && self.fp.is_zero()
@@ -219,9 +224,9 @@ pub struct SketchArena {
     /// One live-level bitmask per `(vertex block, copy)`: bit `l` is
     /// set iff cell `l` of that column is nonzero. Merges walk only
     /// set bits, so a component merge touches live cells instead of
-    /// the whole dense column. Maintained only while `levels ≤ 64`
-    /// (always, for the `≤ 2^62`-sized index spaces the graph
-    /// sketches use); wider columns fall back to full scans.
+    /// the whole dense column, and a snapshot writes only those cells.
+    /// One word covers a column because `levels ≤ 64`: `new` and
+    /// `load` reject index spaces of `2^62` or more.
     live: Vec<u64>,
 }
 
@@ -233,13 +238,19 @@ impl SketchArena {
     ///
     /// # Panics
     ///
-    /// Panics if `copies == 0` or `max_index == 0`.
+    /// Panics if `copies == 0`, `max_index == 0`, or `max_index ≥
+    /// 2^62` (more than 64 levels: one mask word would not cover a
+    /// column).
     pub fn new(n: usize, copies: usize, max_index: u64, seed: u64) -> Self {
         assert!(copies >= 1, "need at least one sketch copy");
         let families: Vec<SketchFamily> = (0..copies)
             .map(|i| SketchFamily::new(max_index, seed + i as u64))
             .collect();
         let levels = families[0].levels();
+        assert!(
+            levels <= 64,
+            "index space {max_index} needs {levels} > 64 levels"
+        );
         SketchArena {
             copies,
             levels,
@@ -248,13 +259,6 @@ impl SketchArena {
             cells: Vec::new(),
             live: Vec::new(),
         }
-    }
-
-    /// Whether live-level masks are maintained (see
-    /// [`SketchArena::live`]).
-    #[inline]
-    fn masked(&self) -> bool {
-        self.levels <= 64
     }
 
     /// Number of independent copies.
@@ -267,6 +271,12 @@ impl SketchArena {
     #[inline]
     pub fn levels(&self) -> usize {
         self.levels
+    }
+
+    /// Nonzero cells in the pool — the popcount of the live-level
+    /// masks, and the number of cells a snapshot carries.
+    pub fn live_cells(&self) -> usize {
+        self.live.iter().map(|m| m.count_ones() as usize).sum()
     }
 
     /// The family randomness of copy `copy`.
@@ -297,9 +307,7 @@ impl SketchArena {
         self.base[v as usize] = blocks as u32;
         let new_len = self.cells.len() + self.block();
         self.cells.resize(new_len, Cell::ZERO);
-        if self.masked() {
-            self.live.resize((blocks + 1) * self.copies, 0);
-        }
+        self.live.resize((blocks + 1) * self.copies, 0);
         true
     }
 
@@ -316,13 +324,11 @@ impl SketchArena {
         term: M61,
     ) {
         self.cells[s].apply(weighted, delta, term);
-        if self.masked() {
-            let bit = 1u64 << level;
-            if self.cells[s].is_zero() {
-                self.live[mask_at] &= !bit;
-            } else {
-                self.live[mask_at] |= bit;
-            }
+        let bit = 1u64 << level;
+        if self.cells[s].is_zero() {
+            self.live[mask_at] &= !bit;
+        } else {
+            self.live[mask_at] |= bit;
         }
     }
 
@@ -430,7 +436,6 @@ impl SketchArena {
             copy: 0,
             absorbed: 0,
             live: 0,
-            dense: false,
             value_sum: vec![0; self.levels],
             index_sum: vec![0; self.levels],
             fp: vec![M61::ZERO; self.levels],
@@ -483,38 +488,28 @@ impl SketchArena {
                 continue;
             }
             let start = self.slot(v, copy, 0);
-            if self.masked() {
-                // Fold only the live levels of this column, extracting
-                // maximal contiguous runs of set bits so each run is
-                // one span fold. Levels never interact, so
-                // run folds are bit-identical to a per-bit walk.
-                let mut mask = self.live[self.mask_slot(v, copy)];
-                scratch.live |= mask;
-                while mask != 0 {
-                    let lo = mask.trailing_zeros() as usize;
-                    let run = (!(mask >> lo)).trailing_zeros() as usize;
-                    fold(
-                        &self.cells[start + lo..start + lo + run],
-                        &mut scratch.value_sum[lo..lo + run],
-                        &mut scratch.index_sum[lo..lo + run],
-                        &mut scratch.fp[lo..lo + run],
-                    );
-                    // Clear the run; `run` can be 64, which a shifted
-                    // mask cannot express.
-                    mask = if lo + run >= 64 {
-                        0
-                    } else {
-                        mask & !(((1u64 << run) - 1) << lo)
-                    };
-                }
-            } else {
-                scratch.dense = true;
+            // Fold only the live levels of this column, extracting
+            // maximal contiguous runs of set bits so each run is
+            // one span fold. Levels never interact, so
+            // run folds are bit-identical to a per-bit walk.
+            let mut mask = self.live[self.mask_slot(v, copy)];
+            scratch.live |= mask;
+            while mask != 0 {
+                let lo = mask.trailing_zeros() as usize;
+                let run = (!(mask >> lo)).trailing_zeros() as usize;
                 fold(
-                    &self.cells[start..start + self.levels],
-                    &mut scratch.value_sum,
-                    &mut scratch.index_sum,
-                    &mut scratch.fp,
+                    &self.cells[start + lo..start + lo + run],
+                    &mut scratch.value_sum[lo..lo + run],
+                    &mut scratch.index_sum[lo..lo + run],
+                    &mut scratch.fp[lo..lo + run],
                 );
+                // Clear the run; `run` can be 64, which a shifted
+                // mask cannot express.
+                mask = if lo + run >= 64 {
+                    0
+                } else {
+                    mask & !(((1u64 << run) - 1) << lo)
+                };
             }
             absorbed += 1;
         }
@@ -522,59 +517,71 @@ impl SketchArena {
         absorbed
     }
 
-    /// Queries the accumulated set sketch in `scratch`. When every
-    /// absorbed column carried a live mask, only levels in the union
-    /// mask are inspected (a level outside every member's mask is a
-    /// sum of zeros — provably zero even under cancellation), walked
-    /// from the sparsest down exactly like the dense scan.
+    /// Queries the accumulated set sketch in `scratch`. Only levels in
+    /// the union mask are inspected (a level outside every member's
+    /// mask is a sum of zeros — provably zero even under
+    /// cancellation), walked from the sparsest down.
     pub fn sample_scratch(&self, scratch: &MergeScratch) -> SampleOutcome {
         let family = &self.families[scratch.copy];
-        if self.masked() && !scratch.dense {
-            let mut any_nonzero = false;
-            let mut mask = scratch.live;
-            while mask != 0 {
-                let l = 63 - mask.leading_zeros() as usize;
-                mask &= !(1u64 << l);
-                let (value_sum, index_sum, fp) =
-                    (scratch.value_sum[l], scratch.index_sum[l], scratch.fp[l]);
-                if value_sum == 0 && index_sum == 0 && fp.is_zero() {
-                    continue;
-                }
-                any_nonzero = true;
-                if let crate::one_sparse::OneSparseDecode::One { index, weight } =
-                    decode_parts(value_sum, index_sum, fp, |i, w| {
-                        family.fingerprint().expected_one_sparse(i, w)
-                    })
-                {
-                    return SampleOutcome::Sample { index, weight };
-                }
+        let mut any_nonzero = false;
+        let mut mask = scratch.live;
+        while mask != 0 {
+            let l = 63 - mask.leading_zeros() as usize;
+            mask &= !(1u64 << l);
+            let (value_sum, index_sum, fp) =
+                (scratch.value_sum[l], scratch.index_sum[l], scratch.fp[l]);
+            if value_sum == 0 && index_sum == 0 && fp.is_zero() {
+                continue;
             }
-            return if any_nonzero {
-                SampleOutcome::Fail
-            } else {
-                SampleOutcome::Zero
-            };
+            any_nonzero = true;
+            if let Some((index, weight)) = decode_cell(value_sum, index_sum, fp, family) {
+                return SampleOutcome::Sample { index, weight };
+            }
         }
-        sample_cells(&scratch.value_sum, &scratch.index_sum, &scratch.fp, family)
+        if any_nonzero {
+            SampleOutcome::Fail
+        } else {
+            SampleOutcome::Zero
+        }
     }
 }
 
-// The pool travels wholesale: one contiguous `Vec<Cell>` write at save
-// and one at load, with the per-copy families re-derived from their
-// seeds. Loading cross-checks every structural invariant (block
-// arithmetic, base-table bounds, mask extent) so a corrupted snapshot
-// surfaces as a typed error instead of an out-of-bounds slot.
+/// The set bits of `mask`, ascending — the order a snapshot writes a
+/// column's live cells in.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let level = mask.trailing_zeros() as usize;
+        (mask != 0).then(|| {
+            mask &= mask - 1;
+            level
+        })
+    })
+}
+
+// The pool does not travel; its live cells do. A vertex of degree `d`
+// lights at most `min(d, levels)` cells per copy, so most of the dense
+// pool is zero. The section is `families`, `base`, the live-mask
+// table, then the cell under each set bit — block order, copy order,
+// ascending level — with no count: the masks announce it. Loading
+// rebuilds the dense pool from zeros and cross-checks every structural
+// invariant (mask extent, base-table bounds, run length, and that no
+// zero cell sits under a live bit) so a corrupted snapshot surfaces as
+// a typed error instead of an out-of-bounds slot or a mask that lies,
+// and save → load → save is byte-stable.
 impl mpc_snapshot::Persist for SketchArena {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         self.families.save(w);
         self.base.save(w);
-        self.cells.save(w);
         self.live.save(w);
+        for (column, &mask) in self.cells.chunks_exact(self.levels).zip(&self.live) {
+            for level in set_bits(mask) {
+                column[level].save(w);
+            }
+        }
     }
     fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
         let families = Vec::<SketchFamily>::load(r)?;
         let base = Vec::<u32>::load(r)?;
-        let cells = Vec::<Cell>::load(r)?;
         let live = Vec::<u64>::load(r)?;
         let corrupt = |what: String| Err(mpc_snapshot::SnapshotError::Corrupt(what));
         if families.is_empty() {
@@ -585,35 +592,54 @@ impl mpc_snapshot::Persist for SketchArena {
         if families.iter().any(|f| f.levels() != levels) {
             return corrupt("sketch arena copies disagree on level count".into());
         }
-        let block = copies * levels;
-        if cells.len() % block != 0 {
+        if levels > 64 {
+            return corrupt(format!("sketch arena with {levels} > 64 levels"));
+        }
+        if live.len() % copies != 0 {
             return corrupt(format!(
-                "cell pool length {} is not a multiple of the {block}-cell block",
-                cells.len()
+                "live-mask table has {} entries, not a multiple of {copies} copies",
+                live.len()
             ));
         }
-        let blocks = cells.len() / block;
+        let blocks = live.len() / copies;
+        if live
+            .iter()
+            .any(|m| (64 - m.leading_zeros()) as usize > levels)
+        {
+            return corrupt(format!("live mask with a bit at or past level {levels}"));
+        }
         if base
             .iter()
             .any(|&b| b != UNMATERIALIZED && b as usize >= blocks)
         {
             return corrupt(format!("base table points past {blocks} blocks"));
         }
-        let expected_masks = if levels <= 64 { blocks * copies } else { 0 };
-        if live.len() != expected_masks {
-            return corrupt(format!(
-                "live-mask table has {} entries, expected {expected_masks}",
-                live.len()
-            ));
-        }
-        Ok(SketchArena {
+        let mut arena = SketchArena {
             copies,
             levels,
             families,
             base,
-            cells,
+            cells: Vec::new(),
             live,
-        })
+        };
+        // Before the pool exists: a forged mask table must fail here,
+        // not after allocating `levels` cells per mask.
+        if r.remaining() / Cell::ENCODED_BYTES < arena.live_cells() {
+            return corrupt(format!(
+                "cell run shorter than the {} live cells the masks announce",
+                arena.live_cells()
+            ));
+        }
+        arena.cells = vec![Cell::ZERO; arena.live.len() * levels];
+        for (column, &mask) in arena.cells.chunks_exact_mut(levels).zip(&arena.live) {
+            for level in set_bits(mask) {
+                column[level] = Cell::load(r)?;
+                if column[level].is_zero() {
+                    return corrupt("zero cell under a live bit".into());
+                }
+            }
+        }
+        Ok(arena)
     }
 }
 
@@ -628,10 +654,6 @@ pub struct MergeScratch {
     /// level outside this union is a sum of zero cells, so the query
     /// scan can skip it without looking.
     pub(crate) live: u64,
-    /// Set when a column without a live mask was absorbed (arena with
-    /// `levels > 64`), invalidating `live` — queries fall back to the
-    /// dense scan.
-    pub(crate) dense: bool,
     pub(crate) value_sum: Vec<i64>,
     pub(crate) index_sum: Vec<i128>,
     pub(crate) fp: Vec<M61>,
@@ -644,7 +666,6 @@ impl MergeScratch {
         self.copy = copy;
         self.absorbed = 0;
         self.live = 0;
-        self.dense = false;
         self.value_sum.fill(0);
         self.index_sum.fill(0);
         self.fp.fill(M61::ZERO);
@@ -697,8 +718,8 @@ fn decode_cell(
     }
 }
 
-/// Samples a dense interleaved cell column (the arena's storage and
-/// the standalone sampler): the zero-skip scan hops
+/// Samples a dense interleaved cell column (an arena column or the
+/// standalone sampler's): the zero-skip scan hops
 /// from one nonzero cell to the next going down from the sparsest
 /// level; the first one-sparse recovery wins. `Zero` iff every cell
 /// is zero, `Fail` if nonzero cells exist but none decodes.
@@ -720,34 +741,178 @@ pub(crate) fn sample_cell_slice(cells: &[Cell], family: &SketchFamily) -> Sample
     }
 }
 
-/// Samples a dense cell column held as parallel slices (the scratch
-/// accumulator and the standalone sampler); same scan as
-/// [`sample_cell_slice`].
-pub(crate) fn sample_cells(
-    value_sum: &[i64],
-    index_sum: &[i128],
-    fp: &[M61],
-    family: &SketchFamily,
-) -> SampleOutcome {
-    let mut below = value_sum.len();
-    let mut any_nonzero = false;
-    while let Some(l) = kernels::top_nonzero_soa(value_sum, index_sum, fp, below) {
-        any_nonzero = true;
-        if let Some((index, weight)) = decode_cell(value_sum[l], index_sum[l], fp[l], family) {
-            return SampleOutcome::Sample { index, weight };
-        }
-        below = l;
-    }
-    if any_nonzero {
-        SampleOutcome::Fail
-    } else {
-        SampleOutcome::Zero
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use mpc_snapshot::{Persist, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+
+    /// One section's payload bytes, without the container around them.
+    fn payload(write: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(0);
+        w.begin_section("arena");
+        write(&mut w);
+        w.end_section();
+        let snap = Snapshot::from_bytes(&w.finish()).unwrap();
+        let mut r = snap.section("arena").unwrap();
+        r.take_bytes(r.remaining()).unwrap().to_vec()
+    }
+
+    /// Loads an arena from raw payload bytes — no checksum in the way —
+    /// and requires the payload to be consumed exactly.
+    fn load(bytes: &[u8]) -> Result<SketchArena, SnapshotError> {
+        let mut r = SnapshotReader::over("arena", bytes);
+        let arena = SketchArena::load(&mut r)?;
+        r.expect_end()?;
+        Ok(arena)
+    }
+
+    /// A hand-written version-2 section: two 9-level copies over
+    /// `[0, 64)` and whatever tables and cell run the caller claims.
+    fn forged(max_index: u64, base: &[u32], live: &[u64], cells: &[Cell]) -> Vec<u8> {
+        payload(|w| {
+            vec![
+                SketchFamily::new(max_index, 7),
+                SketchFamily::new(max_index, 8),
+            ]
+            .save(w);
+            base.to_vec().save(w);
+            live.to_vec().save(w);
+            cells.iter().for_each(|c| c.save(w));
+        })
+    }
+
+    fn corrupt_message(bytes: &[u8]) -> String {
+        match load(bytes) {
+            Err(SnapshotError::Corrupt(what)) => what,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// `bit set ⇔ cell nonzero`, over the whole pool.
+    fn assert_masks_agree(arena: &SketchArena) {
+        assert_eq!(arena.cells.len(), arena.live.len() * arena.levels);
+        for (column, &mask) in arena.cells.chunks_exact(arena.levels).zip(&arena.live) {
+            for (level, cell) in column.iter().enumerate() {
+                assert_eq!(mask >> level & 1 == 1, !cell.is_zero(), "level {level}");
+            }
+        }
+    }
+
+    /// Five vertices, two copies: vertex 0 never touched, vertex 1
+    /// materialized and empty, vertex 2 filled and cancelled back to
+    /// zero (bits set, then cleared), vertices 3 and 4 live.
+    fn small_arena() -> SketchArena {
+        let mut arena = SketchArena::new(5, 2, 64, 7);
+        for v in 1..5 {
+            arena.materialize(v);
+        }
+        for index in [3, 17, 40] {
+            arena.update(2, index, 2);
+            arena.update_pair(3, 4, index, 1, -1);
+        }
+        arena.update(4, 63, -5);
+        for index in [3, 17, 40] {
+            arena.update(2, index, -2);
+        }
+        arena
+    }
+
+    const ONE: Cell = Cell {
+        index_sum: 5,
+        value_sum: 1,
+        fp: M61::ONE,
+    };
+
+    #[test]
+    fn snapshot_restores_every_cell_and_mask() {
+        let arena = small_arena();
+        assert_masks_agree(&arena);
+        assert_eq!(arena.live[arena.mask_slot(2, 0)], 0, "cancelled column");
+        let live_cells = arena.live_cells();
+        assert!(live_cells > 0 && live_cells < arena.cells.len() / 2);
+        let bytes = payload(|w| arena.save(w));
+        // families, base and mask tables, then 32 bytes per live cell.
+        assert_eq!(bytes.len(), 40 + 28 + 72 + 32 * live_cells);
+        let restored = load(&bytes).expect("loadable");
+        assert_eq!(restored.base, arena.base);
+        assert_eq!(restored.live, arena.live);
+        assert_eq!(restored.cells, arena.cells);
+        for v in 0..5 {
+            assert_eq!(restored.is_materialized(v), arena.is_materialized(v));
+            for copy in 0..2 {
+                assert_eq!(
+                    restored.sample_column(v, copy),
+                    arena.sample_column(v, copy)
+                );
+            }
+        }
+        assert_eq!(payload(|w| restored.save(w)), bytes, "byte-stable");
+    }
+
+    #[test]
+    fn each_structural_lie_is_its_own_corrupt_error() {
+        // The honest baseline: one block, one live cell.
+        assert!(load(&forged(64, &[0], &[1, 0], &[ONE])).is_ok());
+        let cases: [(Vec<u8>, &str); 8] = [
+            (forged(64, &[0], &[1, 0, 0], &[ONE]), "not a multiple of 2"),
+            (forged(64, &[0], &[1 << 9, 0], &[ONE]), "at or past level 9"),
+            (forged(64, &[1], &[1, 0], &[ONE]), "points past 1 blocks"),
+            (forged(64, &[0], &[0b11, 0], &[ONE]), "cell run shorter"),
+            (forged(64, &[0], &[1, 0], &[Cell::ZERO]), "zero cell under"),
+            (forged(1 << 62, &[0], &[0, 0], &[]), "65 > 64 levels"),
+            // A mask table whose dense pool would be 9 cells per mask:
+            // refused on the missing run, before the pool is allocated.
+            (forged(64, &[0], &[0x1FF; 1 << 12], &[]), "36864 live cells"),
+            (
+                {
+                    let mut short = forged(64, &[0], &[0b11, 0], &[ONE, ONE]);
+                    short.pop();
+                    short
+                },
+                "cell run shorter",
+            ),
+        ];
+        for (bytes, expected) in &cases {
+            let what = corrupt_message(bytes);
+            assert!(what.contains(expected), "{expected:?} not in {what:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "> 64 levels")]
+    fn index_space_wider_than_one_mask_word_panics() {
+        SketchArena::new(1, 1, 1 << 62, 0);
+    }
+
+    /// The sweep: every single-bit flip and every whole-byte flip of a
+    /// small section either fails typed or loads an arena that is
+    /// exactly what the flipped bytes say — never a panic, never a
+    /// mask that disagrees with its cells.
+    #[test]
+    fn byte_sweep_never_panics_or_decodes_a_lie() {
+        let pristine = payload(|w| small_arena().save(w));
+        let (mut loaded, mut refused) = (0usize, 0usize);
+        for at in 0..pristine.len() {
+            for flip in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                let mut bytes = pristine.clone();
+                bytes[at] ^= flip;
+                match load(&bytes) {
+                    Ok(arena) => {
+                        assert_masks_agree(&arena);
+                        assert_eq!(payload(|w| arena.save(w)), bytes, "byte {at} ^ {flip:#x}");
+                        loaded += 1;
+                    }
+                    Err(SnapshotError::Corrupt(_)) => refused += 1,
+                    Err(other) => panic!("byte {at} ^ {flip:#x}: {other:?}"),
+                }
+            }
+        }
+        assert!(
+            loaded > 0 && refused > 0,
+            "{loaded} loaded, {refused} refused"
+        );
+    }
 
     #[test]
     fn family_matches_standalone_sampler_derivation() {

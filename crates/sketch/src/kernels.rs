@@ -116,16 +116,6 @@ pub(crate) fn top_nonzero_cells(cells: &[Cell], below: usize) -> Option<usize> {
     cells[..below].iter().rposition(|c| !c.is_zero())
 }
 
-/// [`top_nonzero_cells`] for a struct-of-arrays column (the merge
-/// scratch): the highest index strictly below `below` where any of
-/// the three columns is nonzero.
-pub(crate) fn top_nonzero_soa(vs: &[i64], is: &[i128], fp: &[M61], below: usize) -> Option<usize> {
-    debug_assert!(below <= vs.len() && vs.len() == is.len() && vs.len() == fp.len());
-    (0..below)
-        .rev()
-        .find(|&j| vs[j] != 0 || is[j] != 0 || !fp[j].is_zero())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,13 +189,6 @@ mod tests {
         assert_eq!(top_nonzero_cells(&cells, 8), Some(6));
         assert_eq!(top_nonzero_cells(&cells, 6), Some(3));
         assert_eq!(top_nonzero_cells(&cells, 3), None);
-
-        let vs = [0i64, 0, 0, 0];
-        let is = [0i128, 5, 0, 0];
-        let fp = [M61::ZERO, M61::ZERO, M61::ZERO, M61::new(2)];
-        assert_eq!(top_nonzero_soa(&vs, &is, &fp, 4), Some(3));
-        assert_eq!(top_nonzero_soa(&vs, &is, &fp, 3), Some(1));
-        assert_eq!(top_nonzero_soa(&vs, &is, &fp, 1), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Arena merge equivalence and content pins: the empty / full /
 //! cancelled live-mask extremes must sample and merge correctly, an
-//! arena snapshot must round-trip byte-stably, and the
-//! snapshot content of one seeded stream is pinned against recorded
+//! arena snapshot must round-trip byte-stably, and the cells and the
+//! snapshot bytes of one seeded stream are pinned against recorded
 //! constants. Also here: the zero-sum property behind
 //! `subtract_from` — a part's accumulator derived from its
 //! complement equals its direct merge.
@@ -247,6 +247,8 @@ fn snapshot_roundtrip_preserves_cells() {
     let snap = mpc_snapshot::Snapshot::from_bytes(&bytes).expect("readable");
     let mut r = snap.section("arena").expect("arena section");
     let restored = SketchArena::load(&mut r).expect("loadable");
+    assert_eq!(content_digest(&restored), content_digest(&arena));
+    assert_eq!(restored.live_cells(), arena.live_cells());
     assert_eq!(
         bytes,
         snapshot_bytes(&restored),
@@ -254,12 +256,14 @@ fn snapshot_roundtrip_preserves_cells() {
     );
 }
 
-/// Golden content pin: the arena's snapshot section bytes and one
-/// serial all-member merge, against constants recorded at the parent
-/// commit on an AVX2-dispatching host, where the since-deleted SSE2
-/// and AVX2 tiers and the scalar loops all produced these values. Any
-/// change to the cell arithmetic, the update path or the section
-/// encoding moves them.
+/// Golden content pin, in two halves. *The cells:* the content digest
+/// (recorded on the last commit of the version-1 encoding) and one
+/// serial all-member merge (recorded with the since-deleted SSE2 and
+/// AVX2 tiers present, which all produced these values) move with any
+/// change to the cell arithmetic or the update path, and with nothing
+/// else. *The encoding:* the section length and FNV pin the version-2
+/// bytes — tables, then the 256 live cells of 880 (version 1 wrote the
+/// whole pool: 29,024 bytes, FNV `0x1382_4857_6ab7_4ce4`).
 #[test]
 fn arena_bits_match_recorded_golden() {
     use mpc_hashing::field::M61;
@@ -269,8 +273,9 @@ fn arena_bits_match_recorded_golden() {
     let snap = mpc_snapshot::Snapshot::from_bytes(&bytes).expect("readable");
     let mut r = snap.section("arena").expect("arena section");
     let section = r.take_bytes(r.remaining()).expect("whole section");
-    assert_eq!(section.len(), 29_024);
-    assert_eq!(mpc_snapshot::fnv1a(section), 0x1382_4857_6ab7_4ce4);
+    assert_eq!(arena.live_cells(), 256);
+    assert_eq!(section.len(), 40 + 168 + 648 + 32 * 256);
+    assert_eq!(mpc_snapshot::fnv1a(section), 0x1506_436e_313e_f0e9);
 
     let members: Vec<u32> = (0..GOLDEN_N).collect();
     let mut scratch = arena.new_scratch();

@@ -243,6 +243,29 @@ fn double_checkpoint_is_byte_identical() {
     assert_eq!(a, b, "re-checkpoint of a restored session changed bytes");
 }
 
+/// The size of a fixed-seed checkpoint, pinned: the deterministic
+/// count the engine benchmark reports as `snapshot_bytes`, guarded
+/// here at a size a test can afford. The sketch arenas write their
+/// live-level masks and only the nonzero cells under them, so the
+/// file tracks the live state, not the dense `levels x cell` pool the
+/// ledger charges (format version 1 wrote that pool: 2,304,387 bytes for
+/// this session).
+#[test]
+fn checkpoint_size_is_pinned_for_a_fixed_seed_session() {
+    let stream = gen::random_insert_stream(24, 4, 10, 0x9A11);
+    let mut session = full_roster(1);
+    for batch in &stream.batches {
+        session.apply_batch(batch).expect("stream in regime");
+    }
+    let path = scratch("size");
+    let receipt = session.checkpoint(&path).expect("checkpoint succeeds");
+    let on_disk = std::fs::metadata(&path).expect("snapshot written").len();
+    std::fs::remove_file(&path).expect("scratch file removable");
+    assert_eq!(receipt.bytes, on_disk);
+    assert_eq!(receipt.bytes, 504_483);
+    assert_eq!(receipt.maintainers[0], ("connectivity".to_string(), 22_424));
+}
+
 /// A checkpoint taken at epoch `e` must refuse to pose as epoch `e'`:
 /// the guard is the typed `EpochMismatch`, not a silent stale resume.
 #[test]
