@@ -246,23 +246,12 @@ impl mpc_stream_core::Maintain for AgmBaseline {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for AgmBaseline {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        self.bank.save(w);
-        w.put_u64(self.last_query_rounds);
-        w.put_u64(self.sampler_failures);
-    }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        Ok(AgmBaseline {
-            n: r.take_usize()?,
-            bank: SketchBank::load(r)?,
-            last_query_rounds: r.take_u64()?,
-            sampler_failures: r.take_u64()?,
-        })
-    }
-}
+mpc_snapshot::persist_struct!(AgmBaseline {
+    n,
+    bank,
+    last_query_rounds,
+    sampler_failures
+});
 
 #[cfg(test)]
 mod tests {

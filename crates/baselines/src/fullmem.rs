@@ -247,26 +247,14 @@ pub fn exact_components(n: usize, edges: &BTreeSet<Edge>) -> Vec<VertexId> {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for FullMemoryBaseline {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        self.edges.save(w);
-        // `loads` is lazily sized to the cluster on first ingest;
-        // an empty vector is a legitimate pre-ingest state and
-        // round-trips verbatim.
-        self.loads.save(w);
-        w.put_u64(self.last_query_rounds);
-    }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        Ok(FullMemoryBaseline {
-            n: r.take_usize()?,
-            edges: BTreeSet::load(r)?,
-            loads: Vec::load(r)?,
-            last_query_rounds: r.take_u64()?,
-        })
-    }
-}
+// `loads` is lazily sized to the cluster on first ingest; an empty
+// vector is a legitimate pre-ingest state and round-trips verbatim.
+mpc_snapshot::persist_struct!(FullMemoryBaseline {
+    n,
+    edges,
+    loads,
+    last_query_rounds
+});
 
 #[cfg(test)]
 mod tests {

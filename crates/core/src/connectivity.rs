@@ -683,39 +683,23 @@ struct SplitPieces {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for Connectivity {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        self.comp.save(w);
-        self.etf.save(w);
-        self.bank.save(w);
-        w.put_usize(self.live_edges);
-        w.put_u64(self.sampler_failures);
+mpc_snapshot::persist_struct!(Connectivity {
+    n,
+    comp,
+    etf,
+    bank,
+    live_edges,
+    sampler_failures,
+} check |c| {
+    if c.comp.len() != c.n {
+        return Err(format!(
+            "connectivity label table covers {} of {} vertices",
+            c.comp.len(),
+            c.n
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let comp = Vec::<VertexId>::load(r)?;
-        let etf = DistEtf::load(r)?;
-        let bank = SketchBank::load(r)?;
-        let live_edges = r.take_usize()?;
-        let sampler_failures = r.take_u64()?;
-        if comp.len() != n {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "connectivity label table covers {} of {n} vertices",
-                comp.len()
-            )));
-        }
-        Ok(Connectivity {
-            n,
-            comp,
-            etf,
-            bank,
-            live_edges,
-            sampler_failures,
-        })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

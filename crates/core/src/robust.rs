@@ -230,41 +230,27 @@ impl RobustConnectivity {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for RobustConnectivity {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        self.instances.save(w);
-        w.put_usize(self.cursor);
-        w.put_u64(self.current_exposures);
-        w.put_u64(self.exposure_budget);
-        w.put_u64(self.total_exposures);
+mpc_snapshot::persist_struct!(RobustConnectivity {
+    instances,
+    cursor,
+    current_exposures,
+    exposure_budget,
+    total_exposures,
+} check |rc| {
+    if rc.instances.is_empty() || rc.exposure_budget == 0 {
+        return Err("robust-connectivity needs at least one instance and a positive budget".into());
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let instances = Vec::<Connectivity>::load(r)?;
-        let cursor = r.take_usize()?;
-        let current_exposures = r.take_u64()?;
-        let exposure_budget = r.take_u64()?;
-        let total_exposures = r.take_u64()?;
-        if instances.is_empty() || exposure_budget == 0 {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(
-                "robust-connectivity needs at least one instance and a positive budget".into(),
-            ));
-        }
-        if cursor >= instances.len() || current_exposures > exposure_budget {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "robust-connectivity cursor {cursor}/{} or exposures {current_exposures}/{exposure_budget} out of range",
-                instances.len()
-            )));
-        }
-        Ok(RobustConnectivity {
-            instances,
-            cursor,
-            current_exposures,
-            exposure_budget,
-            total_exposures,
-        })
+    if rc.cursor >= rc.instances.len() || rc.current_exposures > rc.exposure_budget {
+        return Err(format!(
+            "robust-connectivity cursor {}/{} or exposures {}/{} out of range",
+            rc.cursor,
+            rc.instances.len(),
+            rc.current_exposures,
+            rc.exposure_budget
+        ));
     }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

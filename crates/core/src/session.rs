@@ -274,8 +274,6 @@ pub trait Maintain: Any + Send {
     /// solutions answer in `O(1)` rounds, recompute-on-read
     /// structures pay their genuine recomputation.
     ///
-    /// The default supports nothing.
-    ///
     /// # Errors
     ///
     /// [`MpcStreamError::Unsupported`] for queries outside this
@@ -286,10 +284,7 @@ pub trait Maintain: Any + Send {
         &mut self,
         query: &QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<QueryResponse, MpcStreamError> {
-        let _ = ctx;
-        Err(unsupported_query(self.name(), query))
-    }
+    ) -> Result<QueryResponse, MpcStreamError>;
 
     /// Whether [`Maintain::answer`] can serve this query — the
     /// charge-free support probe [`Session::ask_all`] consults
@@ -299,12 +294,8 @@ pub trait Maintain: Any + Send {
     ///
     /// Must agree with [`Maintain::answer`]: `supports` returning
     /// `false` for a query `answer` would serve makes `ask_all` miss
-    /// that maintainer. The default supports nothing, matching the
-    /// default `answer`.
-    fn supports(&self, query: &QueryRequest) -> bool {
-        let _ = query;
-        false
-    }
+    /// that maintainer.
+    fn supports(&self, query: &QueryRequest) -> bool;
 
     /// Serializes this maintainer's complete accumulated state into
     /// the writer's open section — the save half of the
@@ -2104,6 +2095,18 @@ mod tests {
 
         fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
             route_batch(batch, self.n, ctx)
+        }
+
+        fn answer(
+            &mut self,
+            query: &QueryRequest,
+            _ctx: &mut MpcContext,
+        ) -> Result<QueryResponse, MpcStreamError> {
+            Err(unsupported_query(self.name, query))
+        }
+
+        fn supports(&self, _query: &QueryRequest) -> bool {
+            false
         }
 
         fn save_state(&self, w: &mut SnapshotWriter) {

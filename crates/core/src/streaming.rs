@@ -224,37 +224,17 @@ impl StreamingConnectivity {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for StreamingConnectivity {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        self.comp.save(w);
-        self.forest.save(w);
-        self.bank.save(w);
-        self.live.save(w);
+mpc_snapshot::persist_struct!(StreamingConnectivity { n, comp, forest, bank, live } check |sc| {
+    if sc.comp.len() != sc.n || sc.forest.len() != sc.n {
+        return Err(format!(
+            "streaming-connectivity tables cover {}/{} of {} vertices",
+            sc.comp.len(),
+            sc.forest.len(),
+            sc.n
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let comp = Vec::<VertexId>::load(r)?;
-        let forest = Vec::<BTreeSet<VertexId>>::load(r)?;
-        let bank = SketchBank::load(r)?;
-        let live = BTreeSet::<Edge>::load(r)?;
-        if comp.len() != n || forest.len() != n {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "streaming-connectivity tables cover {}/{} of {n} vertices",
-                comp.len(),
-                forest.len()
-            )));
-        }
-        Ok(StreamingConnectivity {
-            n,
-            comp,
-            forest,
-            bank,
-            live,
-        })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -279,46 +279,29 @@ impl VertexDynamicConnectivity {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for VertexDynamicConnectivity {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        self.inner.save(w);
-        self.active.save(w);
-        self.free.save(w);
-        w.put_u32(self.next_fresh);
-        w.put_usize(self.active_count);
-        self.degree.save(w);
+mpc_snapshot::persist_struct!(VertexDynamicConnectivity {
+    inner,
+    active,
+    free,
+    next_fresh,
+    active_count,
+    degree,
+} check |vd| {
+    let capacity = vd.inner.vertex_count();
+    if vd.active.len() != capacity || vd.degree.len() != capacity {
+        return Err(format!(
+            "vertex-dynamic tables cover {}/{} of {capacity} slots",
+            vd.active.len(),
+            vd.degree.len()
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let inner = Connectivity::load(r)?;
-        let active = Vec::<bool>::load(r)?;
-        let free = Vec::<VertexId>::load(r)?;
-        let next_fresh = r.take_u32()?;
-        let active_count = r.take_usize()?;
-        let degree = Vec::<u32>::load(r)?;
-        let capacity = inner.vertex_count();
-        if active.len() != capacity || degree.len() != capacity {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "vertex-dynamic tables cover {}/{} of {capacity} slots",
-                active.len(),
-                degree.len()
-            )));
-        }
-        if next_fresh as usize > capacity || active_count != active.iter().filter(|&&b| b).count() {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(
-                "vertex-dynamic slot bookkeeping is inconsistent".into(),
-            ));
-        }
-        Ok(VertexDynamicConnectivity {
-            inner,
-            active,
-            free,
-            next_fresh,
-            active_count,
-            degree,
-        })
+    if vd.next_fresh as usize > capacity
+        || vd.active_count != vd.active.iter().filter(|&&b| b).count()
+    {
+        return Err("vertex-dynamic slot bookkeeping is inconsistent".into());
     }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

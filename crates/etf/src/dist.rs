@@ -96,42 +96,17 @@ impl EdgeRec {
     }
 }
 
-impl mpc_snapshot::Persist for Traversal {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_u64(self.pos);
-        w.put_u32(self.from);
-    }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        Ok(Traversal {
-            pos: r.take_u64()?,
-            from: r.take_u32()?,
-        })
-    }
-}
+mpc_snapshot::persist_struct!(Traversal { pos, from });
 
-impl mpc_snapshot::Persist for EdgeRec {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_u64(self.tour);
-        self.first.save(w);
-        self.second.save(w);
+mpc_snapshot::persist_struct!(EdgeRec { tour, first, second } check |rec| {
+    if rec.first.pos >= rec.second.pos {
+        return Err(format!(
+            "edge record traversals out of order: {} >= {}",
+            rec.first.pos, rec.second.pos
+        ));
     }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let tour = r.take_u64()?;
-        let first = Traversal::load(r)?;
-        let second = Traversal::load(r)?;
-        if first.pos >= second.pos {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "edge record traversals out of order: {} >= {}",
-                first.pos, second.pos
-            )));
-        }
-        Ok(EdgeRec {
-            tour,
-            first,
-            second,
-        })
-    }
-}
+    Ok(())
+});
 
 /// A forest of Euler tours in the paper's distributed representation.
 ///
@@ -681,73 +656,54 @@ impl DistEtf {
 // shards, member lists — so it travels verbatim. Loading re-checks the
 // cross-structure invariants (lengths, key agreement, edge counts) the
 // mutation paths maintain.
-impl mpc_snapshot::Persist for DistEtf {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        self.vertex_tour.save(w);
-        self.adj.save(w);
-        self.shards.save(w);
-        w.put_usize(self.edge_count);
-        self.tour_len.save(w);
-        self.members.save(w);
-        w.put_u64(self.next_id);
+mpc_snapshot::persist_struct!(DistEtf {
+    n,
+    vertex_tour,
+    adj,
+    shards,
+    edge_count,
+    tour_len,
+    members,
+    next_id,
+} check |etf| {
+    let n = etf.n;
+    if etf.vertex_tour.len() != n || etf.adj.len() != n {
+        return Err(format!(
+            "forest over {n} vertices has {} tour ids and {} adjacency rows",
+            etf.vertex_tour.len(),
+            etf.adj.len()
+        ));
     }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let vertex_tour = Vec::<TourId>::load(r)?;
-        let adj = Vec::<BTreeSet<VertexId>>::load(r)?;
-        let shards = BTreeMap::<TourId, Shard>::load(r)?;
-        let edge_count = r.take_usize()?;
-        let tour_len = BTreeMap::<TourId, u64>::load(r)?;
-        let members = BTreeMap::<TourId, Vec<VertexId>>::load(r)?;
-        let next_id = r.take_u64()?;
-        let corrupt = |what: String| Err(mpc_snapshot::SnapshotError::Corrupt(what));
-        if vertex_tour.len() != n || adj.len() != n {
-            return corrupt(format!(
-                "forest over {n} vertices has {} tour ids and {} adjacency rows",
-                vertex_tour.len(),
-                adj.len()
-            ));
-        }
-        if shards.values().map(Vec::len).sum::<usize>() != edge_count {
-            return corrupt(format!("shards disagree with edge count {edge_count}"));
-        }
-        // Every shard lookup is a binary search by edge in the shard of
-        // the endpoints' tour, and splits subtract sorted member runs.
-        for (t, shard) in &shards {
-            if shard.iter().any(|(_, rec)| rec.tour != *t) {
-                return corrupt(format!("tour {t}: shard holds another tour's record"));
-            }
-            if !shard.is_sorted_by(|a, b| a.0 < b.0) {
-                return corrupt(format!("tour {t}: shard not strictly ascending by edge"));
-            }
-        }
-        if let Some((t, _)) = members.iter().find(|(_, m)| !m.is_sorted_by(|a, b| a < b)) {
-            return corrupt(format!("tour {t}: member list not strictly ascending"));
-        }
-        if !tour_len.keys().eq(members.keys()) {
-            return corrupt("tour-length and member tables disagree on live tours".into());
-        }
-        if vertex_tour.iter().any(|t| !tour_len.contains_key(t)) {
-            return corrupt("a vertex points at a dead tour".into());
-        }
-        if next_id < n as TourId {
-            return corrupt(format!(
-                "tour id allocator {next_id} behind the range 0..{n}"
-            ));
-        }
-        Ok(DistEtf {
-            n,
-            vertex_tour,
-            adj,
-            shards,
-            edge_count,
-            tour_len,
-            members,
-            next_id,
-        })
+    if etf.shards.values().map(Vec::len).sum::<usize>() != etf.edge_count {
+        return Err(format!("shards disagree with edge count {}", etf.edge_count));
     }
-}
+    // Every shard lookup is a binary search by edge in the shard of
+    // the endpoints' tour, and splits subtract sorted member runs.
+    for (t, shard) in &etf.shards {
+        if shard.iter().any(|(_, rec)| rec.tour != *t) {
+            return Err(format!("tour {t}: shard holds another tour's record"));
+        }
+        if !shard.is_sorted_by(|a, b| a.0 < b.0) {
+            return Err(format!("tour {t}: shard not strictly ascending by edge"));
+        }
+    }
+    if let Some((t, _)) = etf.members.iter().find(|(_, m)| !m.is_sorted_by(|a, b| a < b)) {
+        return Err(format!("tour {t}: member list not strictly ascending"));
+    }
+    if !etf.tour_len.keys().eq(etf.members.keys()) {
+        return Err("tour-length and member tables disagree on live tours".into());
+    }
+    if etf.vertex_tour.iter().any(|t| !etf.tour_len.contains_key(t)) {
+        return Err("a vertex points at a dead tour".into());
+    }
+    if etf.next_id < n as TourId {
+        return Err(format!(
+            "tour id allocator {} behind the range 0..{n}",
+            etf.next_id
+        ));
+    }
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

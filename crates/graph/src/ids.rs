@@ -110,22 +110,11 @@ impl Edge {
     }
 }
 
-impl mpc_snapshot::Persist for Edge {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_u32(self.u);
-        w.put_u32(self.v);
-    }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let u = r.take_u32()?;
-        let v = r.take_u32()?;
-        if u >= v {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "edge ({u},{v}) is not normalized"
-            )));
-        }
-        Ok(Edge { u, v })
-    }
-}
+mpc_snapshot::persist_struct!(Edge { u, v } check |e| if e.u < e.v {
+    Ok(())
+} else {
+    Err(format!("edge ({},{}) is not normalized", e.u, e.v))
+});
 
 impl std::fmt::Display for Edge {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -160,18 +149,7 @@ impl WeightedEdge {
     }
 }
 
-impl mpc_snapshot::Persist for WeightedEdge {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        self.edge.save(w);
-        w.put_u64(self.weight);
-    }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        Ok(WeightedEdge {
-            edge: Edge::load(r)?,
-            weight: r.take_u64()?,
-        })
-    }
-}
+mpc_snapshot::persist_struct!(WeightedEdge { edge, weight });
 
 impl From<WeightedEdge> for Edge {
     fn from(w: WeightedEdge) -> Edge {

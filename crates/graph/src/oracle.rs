@@ -86,30 +86,17 @@ impl UnionFind {
     }
 }
 
-impl mpc_snapshot::Persist for UnionFind {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        self.parent.save(w);
-        self.size.save(w);
-        w.put_usize(self.components);
+mpc_snapshot::persist_struct!(UnionFind { parent, size, components } check |uf| {
+    let n = uf.parent.len();
+    if uf.size.len() != n || uf.components > n || uf.parent.iter().any(|&p| p as usize >= n) {
+        return Err(format!(
+            "inconsistent union-find: {n} parents, {} sizes, {} components",
+            uf.size.len(),
+            uf.components
+        ));
     }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let parent = Vec::<u32>::load(r)?;
-        let size = Vec::<u32>::load(r)?;
-        let components = r.take_usize()?;
-        let n = parent.len();
-        if size.len() != n || components > n || parent.iter().any(|&p| p as usize >= n) {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "inconsistent union-find: {n} parents, {} sizes, {components} components",
-                size.len()
-            )));
-        }
-        Ok(UnionFind {
-            parent,
-            size,
-            components,
-        })
-    }
-}
+    Ok(())
+});
 
 /// Connected-component labels: `label[v]` is the smallest vertex id in
 /// `v`'s component, matching the paper's component-id convention

@@ -99,6 +99,7 @@ impl M61 {
     }
 }
 
+// By hand: a tuple struct has no field names to list.
 impl mpc_snapshot::Persist for M61 {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         w.put_u64(self.0);

@@ -148,7 +148,7 @@ impl FingerprintFamily {
 // Only the evaluation point and the table *extent* travel in a
 // snapshot; the power tables themselves are derived state, rebuilt on
 // load — the same split the MPC memory accounting uses (z counts, the
-// tables don't).
+// tables don't). By hand for that reason: `pow` is rebuilt, not read.
 impl mpc_snapshot::Persist for FingerprintFamily {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         self.z.save(w);
@@ -170,18 +170,7 @@ impl mpc_snapshot::Persist for FingerprintFamily {
     }
 }
 
-impl mpc_snapshot::Persist for Fingerprint {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        self.family.save(w);
-        self.acc.save(w);
-    }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        Ok(Fingerprint {
-            family: Arc::<FingerprintFamily>::load(r)?,
-            acc: M61::load(r)?,
-        })
-    }
-}
+mpc_snapshot::persist_struct!(Fingerprint { family, acc });
 
 /// A running fingerprint `Σ_i X_i · z^i` of an implicitly maintained
 /// integer vector `X`, updated coordinate-wise.

@@ -133,6 +133,8 @@ impl KWiseHash {
 
 // The drawn coefficients *are* the function: persisting them verbatim
 // makes a restored hash evaluate bit-identically without re-seeding.
+// By hand: `k` is range-checked before any coefficient is read, and the
+// fixed-size `coeffs` array travels without a length prefix.
 impl mpc_snapshot::Persist for KWiseHash {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         w.put_usize(self.k);

@@ -337,33 +337,16 @@ fn relaminate(n: usize, k: usize, cert: Certificate) -> Certificate {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for DynamicKConn {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        w.put_usize(self.k);
-        self.banks.save(w);
-        w.put_u64(self.last_query_rounds);
+mpc_snapshot::persist_struct!(DynamicKConn { n, k, banks, last_query_rounds } check |kc| {
+    if kc.k == 0 || kc.banks.len() != kc.k {
+        return Err(format!(
+            "dynamic k-connectivity holds {} banks for k = {}",
+            kc.banks.len(),
+            kc.k
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let k = r.take_usize()?;
-        let banks = Vec::<SketchBank>::load(r)?;
-        let last_query_rounds = r.take_u64()?;
-        if k == 0 || banks.len() != k {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "dynamic k-connectivity holds {} banks for k = {k}",
-                banks.len()
-            )));
-        }
-        Ok(DynamicKConn {
-            n,
-            k,
-            banks,
-            last_query_rounds,
-        })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

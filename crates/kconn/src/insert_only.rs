@@ -294,40 +294,24 @@ impl mpc_stream_core::Maintain for InsertOnlyKConn {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for InsertOnlyKConn {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        w.put_usize(self.k);
-        self.layer_uf.save(w);
-        self.layers.save(w);
-        self.live.save(w);
-        w.put_u64(self.discarded);
+mpc_snapshot::persist_struct!(InsertOnlyKConn {
+    n,
+    k,
+    layer_uf,
+    layers,
+    live,
+    discarded,
+} check |kc| {
+    if kc.k == 0 || kc.layer_uf.len() != kc.k || kc.layers.len() != kc.k {
+        return Err(format!(
+            "insert-only k-connectivity holds {}/{} layers for k = {}",
+            kc.layer_uf.len(),
+            kc.layers.len(),
+            kc.k
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let k = r.take_usize()?;
-        let layer_uf = Vec::<UnionFind>::load(r)?;
-        let layers = Vec::<Vec<Edge>>::load(r)?;
-        let live = std::collections::BTreeSet::<Edge>::load(r)?;
-        let discarded = r.take_u64()?;
-        if k == 0 || layer_uf.len() != k || layers.len() != k {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "insert-only k-connectivity holds {}/{} layers for k = {k}",
-                layer_uf.len(),
-                layers.len()
-            )));
-        }
-        Ok(InsertOnlyKConn {
-            n,
-            k,
-            layer_uf,
-            layers,
-            live,
-            discarded,
-        })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -338,59 +338,30 @@ impl mpc_stream_core::Maintain for AklyMatching {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for Guess {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.opt_guess);
-        w.put_u64(self.beta);
-        w.put_u64(self.gamma);
-        w.put_u64(self.seed);
-        w.put_u64(self.edge_space);
-        self.side_hash.save(w);
-        self.h_l.save(w);
-        self.h_r.save(w);
-        self.assign_hash.save(w);
-        self.samplers.save(w);
-        self.outcomes.save(w);
-        self.matcher.save(w);
-    }
+mpc_snapshot::persist_struct!(Guess {
+    opt_guess,
+    beta,
+    gamma,
+    seed,
+    edge_space,
+    side_hash,
+    h_l,
+    h_r,
+    assign_hash,
+    samplers,
+    outcomes,
+    matcher,
+});
 
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        Ok(Guess {
-            opt_guess: r.take_usize()?,
-            beta: r.take_u64()?,
-            gamma: r.take_u64()?,
-            seed: r.take_u64()?,
-            edge_space: r.take_u64()?,
-            side_hash: KWiseHash::load(r)?,
-            h_l: KWiseHash::load(r)?,
-            h_r: KWiseHash::load(r)?,
-            assign_hash: KWiseHash::load(r)?,
-            samplers: BTreeMap::load(r)?,
-            outcomes: BTreeMap::load(r)?,
-            matcher: MaximalMatching::load(r)?,
-        })
+mpc_snapshot::persist_struct!(AklyMatching { n, alpha, guesses } check |a| {
+    if a.alpha.is_nan() || a.alpha < 1.0 || a.guesses.is_empty() {
+        return Err(format!(
+            "akly matcher needs α ≥ 1 (got {}) and a non-empty guess ladder",
+            a.alpha
+        ));
     }
-}
-
-impl mpc_snapshot::Persist for AklyMatching {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        w.put_f64(self.alpha);
-        self.guesses.save(w);
-    }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let alpha = r.take_f64()?;
-        let guesses = Vec::<Guess>::load(r)?;
-        if alpha.is_nan() || alpha < 1.0 || guesses.is_empty() {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "akly matcher needs α ≥ 1 (got {alpha}) and a non-empty guess ladder"
-            )));
-        }
-        Ok(AklyMatching { n, alpha, guesses })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

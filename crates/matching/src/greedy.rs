@@ -130,33 +130,16 @@ impl CappedGreedyMatching {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for CappedGreedyMatching {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        w.put_usize(self.cap);
-        self.matched.save(w);
-        self.matching.save(w);
+mpc_snapshot::persist_struct!(CappedGreedyMatching { n, cap, matched, matching } check |g| {
+    if g.cap == 0 || g.matching.len() > g.cap {
+        return Err(format!(
+            "capped greedy matching holds {} edges against cap {}",
+            g.matching.len(),
+            g.cap
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let cap = r.take_usize()?;
-        let matched = BTreeSet::<VertexId>::load(r)?;
-        let matching = Vec::<Edge>::load(r)?;
-        if cap == 0 || matching.len() > cap {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "capped greedy matching holds {} edges against cap {cap}",
-                matching.len()
-            )));
-        }
-        Ok(CappedGreedyMatching {
-            n,
-            cap,
-            matched,
-            matching,
-        })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

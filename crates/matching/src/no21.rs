@@ -300,43 +300,30 @@ impl mpc_stream_core::Maintain for MaximalMatching {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for MaximalMatching {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        self.adj.save(w);
-        self.mate.save(w);
-        w.put_usize(self.edge_count);
-        w.put_u64(self.last_rematch_rounds);
+mpc_snapshot::persist_struct!(MaximalMatching {
+    n,
+    adj,
+    mate,
+    edge_count,
+    last_rematch_rounds,
+} check |m| {
+    if m.adj.len() != m.n || m.mate.len() != m.n {
+        return Err(format!(
+            "maximal matching tables cover {}/{} of {} vertices",
+            m.adj.len(),
+            m.mate.len(),
+            m.n
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let adj = Vec::<BTreeSet<VertexId>>::load(r)?;
-        let mate = Vec::<Option<VertexId>>::load(r)?;
-        let edge_count = r.take_usize()?;
-        let last_rematch_rounds = r.take_u64()?;
-        if adj.len() != n || mate.len() != n {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "maximal matching tables cover {}/{} of {n} vertices",
-                adj.len(),
-                mate.len()
-            )));
-        }
-        let degree_sum: usize = adj.iter().map(BTreeSet::len).sum();
-        if degree_sum != 2 * edge_count {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "maximal matching edge count {edge_count} disagrees with degree sum {degree_sum}"
-            )));
-        }
-        Ok(MaximalMatching {
-            n,
-            adj,
-            mate,
-            edge_count,
-            last_rematch_rounds,
-        })
+    let degree_sum: usize = m.adj.iter().map(BTreeSet::len).sum();
+    if degree_sum != 2 * m.edge_count {
+        return Err(format!(
+            "maximal matching edge count {} disagrees with degree sum {degree_sum}",
+            m.edge_count
+        ));
     }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -375,6 +375,7 @@ impl mpc_stream_core::Maintain for MatchingSizeEstimator {
 
 // ----- snapshot persistence ---------------------------------------
 
+// By hand: a tagged enum, not a field list.
 impl mpc_snapshot::Persist for StreamKind {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         w.put_u8(match self {
@@ -394,6 +395,7 @@ impl mpc_snapshot::Persist for StreamKind {
     }
 }
 
+// By hand: a tagged enum, one field list per variant.
 impl mpc_snapshot::Persist for Tester {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         match self {
@@ -463,46 +465,27 @@ impl mpc_snapshot::Persist for Tester {
     }
 }
 
-impl mpc_snapshot::Persist for MatchingSizeEstimator {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        self.kind.save(w);
-        w.put_f64(self.alpha);
-        self.testers.save(w);
+mpc_snapshot::persist_struct!(MatchingSizeEstimator { n, kind, alpha, testers } check |est| {
+    if est.alpha.is_nan() || est.alpha < 1.0 {
+        return Err(format!(
+            "matching-size estimator needs α ≥ 1, got {}",
+            est.alpha
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let kind = StreamKind::load(r)?;
-        let alpha = r.take_f64()?;
-        let testers = Vec::<(usize, Tester)>::load(r)?;
-        if alpha.is_nan() || alpha < 1.0 {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "matching-size estimator needs α ≥ 1, got {alpha}"
-            )));
+    // Every tester must match the estimator's declared stream
+    // contract — a mixed ladder cannot have come from save.
+    for (_, t) in &est.testers {
+        let consistent = matches!(
+            (est.kind, t),
+            (StreamKind::InsertionOnly, Tester::Insertion { .. })
+                | (StreamKind::Dynamic, Tester::Dynamic { .. })
+        );
+        if !consistent {
+            return Err("matching-size estimator holds a tester of the wrong stream kind".into());
         }
-        // Every tester must match the estimator's declared stream
-        // contract — a mixed ladder cannot have come from save.
-        for (_, t) in &testers {
-            let consistent = matches!(
-                (kind, t),
-                (StreamKind::InsertionOnly, Tester::Insertion { .. })
-                    | (StreamKind::Dynamic, Tester::Dynamic { .. })
-            );
-            if !consistent {
-                return Err(mpc_snapshot::SnapshotError::Corrupt(
-                    "matching-size estimator holds a tester of the wrong stream kind".into(),
-                ));
-            }
-        }
-        Ok(MatchingSizeEstimator {
-            n,
-            kind,
-            alpha,
-            testers,
-        })
     }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

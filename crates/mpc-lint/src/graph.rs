@@ -1,7 +1,7 @@
 //! The workspace symbol table and call graph.
 //!
-//! Interprocedural rules (panic-reachability, query-charging,
-//! alloc-hot-path) need to see *through* calls: a hot path that
+//! Interprocedural rules (panic-reachability, alloc-hot-path) need
+//! to see *through* calls: a hot path that
 //! delegates to a panicking helper is just as broken as one that
 //! unwraps inline. This module indexes every function item in the
 //! workspace — name, owning `impl` type, crate, visibility, body span
@@ -419,19 +419,6 @@ impl Workspace {
             impls,
             calls,
         }
-    }
-
-    /// Call edges of function `f` whose name token falls in
-    /// `[lo, hi)` (token indices of `f`'s file).
-    pub fn calls_in_range(
-        &self,
-        f: usize,
-        lo: usize,
-        hi: usize,
-    ) -> impl Iterator<Item = &CallSite> {
-        self.calls[f]
-            .iter()
-            .filter(move |c| lo <= c.token && c.token < hi)
     }
 }
 

@@ -22,26 +22,22 @@
 //! | `event-completeness` | Every mutating `MpcContext` primitive records an `MpcEvent`, every variant is recorded by some primitive, and every variant has an explicit `replay_inner` arm (no wildcard). A gap here is exactly the PR-6-style drift the serial-equivalence suite would only catch dynamically — and only if a test happens to exercise the missing primitive. |
 //! | `unsafe-hygiene` | `unsafe` is confined to an explicit allowlist — `crates/mpc/src/executor.rs`; every `unsafe` there carries a `// SAFETY:` argument within the preceding 8 lines; every other crate root carries `#![forbid(unsafe_code)]`. |
 //! | `determinism-hygiene` | No `Instant`/`SystemTime`, no default-hasher `HashMap`/`HashSet`, no raw `Mutex`/`RwLock`/`Condvar`/`std::thread::spawn` outside the executor, no `env::var`/`env::var_os`, no `dbg!`/`println!` in library crates. Tool crates (`mpc-bench`, `mpc-lint`) and `#[cfg(test)]` code are out of scope. |
-//! | `maintain-completeness` | Every production `impl Maintain` defines both `supports` and `answer` (the pair PR 6 had to retrofit). |
 //! | `io-hygiene` | `std::fs`/`std::io` are confined to `crates/mpc-snapshot` (the one sanctioned persistence path — the checksummed snapshot container behind `Session::checkpoint`/`restore`) and the tool crates. |
 //! | `allow-hygiene` | Meta rule: every inline allow must name a known rule and carry justification text. |
 //! | `panic-reachability` | The PR-3 de-panicking contract, interprocedurally: a hot entry point (`ingest`, `ingest_weighted`, `apply_batch`, `answer`, the merge/sample/converge-cast loops) must neither contain nor *reach*, through any chain of workspace calls, `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (but **not** `debug_assert!`). Local sites are reported at their line; reached ones print the shortest witness chain (`ExactMsf::apply_batch -> ExactMsf::one_iteration -> ...`). Site-level allows at the panic site are honored and routed around. |
-//! | `persist-symmetry` | Every `impl Persist` pair must round-trip: `save` and `load` agree on the word-kind sequence (`u32` vs 64-bit words), every field `save` writes is read back by `load`, and shared fields appear in the same order — the static mirror of the snapshot suite's byte-stability tests. |
-//! | `query-charging` | Every `Ok`-returning arm of `Maintain::answer` charges the accounting context (`exchange`/`broadcast`/`converge_cast`/`sort`/`gather`), directly or through a helper on the call graph — answering free of charge is an accounting leak. |
 //! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into`, its subtracting twin `subtract_copy_from`, and the sketch loops of `crates/sketch/src/kernels.rs`) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively. |
 //!
 //! # The interprocedural phase
 //!
-//! The first six rules are per-file. The last four run over a
+//! The first five rules are per-file. The last two run over a
 //! workspace-wide symbol table and call graph ([`graph::Workspace`]):
 //! every function is indexed with its owner `impl`, receiver, and
 //! arity; call sites resolve by name with receiver/arity ranking
 //! (dot-calls never resolve to associated functions), and unresolvable
 //! names over-approximate to every candidate. On top of the graph,
 //! [`summary`] computes per-function effect summaries — panics,
-//! allocates, charges — to a fixpoint, so a panic hidden two helpers
-//! deep is reported at the hot entry point with the shortest witness
-//! chain.
+//! allocates — to a fixpoint, so a panic hidden two helpers deep is
+//! reported at the hot entry point with the shortest witness chain.
 //!
 //! # The allowlist syntax
 //!
@@ -65,9 +61,9 @@
 //! `target/`, `vendor/` (clean-room stand-ins for external crates),
 //! and `fixtures/` (the linter's own seeded-violation test inputs).
 //! Rules then scope themselves by path: `event-completeness` reads
-//! `crates/mpc/src/context.rs`; `panic-reachability` and
-//! `maintain-completeness` cover library sources; `determinism-
-//! hygiene` covers library sources minus the tool crates;
+//! `crates/mpc/src/context.rs`; `panic-reachability` covers library
+//! sources; `determinism-hygiene` covers library sources minus the
+//! tool crates;
 //! `io-hygiene` covers library sources minus the tool crates and the
 //! snapshot crate; `unsafe-hygiene` covers everything walked.
 //!
@@ -79,10 +75,16 @@
 //! pooled runner asserts that a replayed branch charges exactly the
 //! rounds and words its fork recorded (the differential fork/replay
 //! audit).
-//! Conversely, one interprocedural rule is the static mirror of an
-//! existing runtime suite: `persist-symmetry` mirrors the snapshot
-//! byte-stability tests (a drifted `save`/`load` pair fails both, but
-//! the lint names the field without running anything).
+//!
+//! Three invariants that used to be rules here are now held elsewhere
+//! (ROADMAP 4(e)): `Persist` save/load symmetry by construction
+//! (`mpc_snapshot::persist_struct!` states each layout once) and, for
+//! the by-hand remainder, by `tests/snapshot_roundtrip.rs`;
+//! `supports`/`answer` pairing by the compiler (both are required
+//! methods of `Maintain`); and "no answer is free" by the executed
+//! matrix in `tests/session_query_plane.rs`, whose roster is asserted
+//! equal to `full_registry()`. `alloc-hot-path` stays: no counting-
+//! allocator test exists, so the lint is that invariant's only guard.
 //!
 //! # CLI
 //!
@@ -114,18 +116,12 @@ pub const RULE_EVENT: &str = "event-completeness";
 pub const RULE_UNSAFE: &str = "unsafe-hygiene";
 /// Rule id: no wall-clock / default hashers / raw threads / prints.
 pub const RULE_DETERMINISM: &str = "determinism-hygiene";
-/// Rule id: `supports`/`answer` implemented together.
-pub const RULE_MAINTAIN: &str = "maintain-completeness";
 /// Rule id: `std::fs`/`std::io` confined to the snapshot crate.
 pub const RULE_IO: &str = "io-hygiene";
 /// Meta rule id: well-formed, justified allow comments.
 pub const RULE_ALLOW_HYGIENE: &str = "allow-hygiene";
 /// Rule id: hot paths neither contain nor reach a panic.
 pub const RULE_PANIC_REACH: &str = "panic-reachability";
-/// Rule id: `Persist::save`/`load` mirror each other field-for-field.
-pub const RULE_PERSIST: &str = "persist-symmetry";
-/// Rule id: `Maintain::answer` charges the context before `Ok`.
-pub const RULE_QUERY_CHARGE: &str = "query-charging";
 /// Rule id: no heap allocation reachable from the merge loops.
 pub const RULE_ALLOC_HOT: &str = "alloc-hot-path";
 
@@ -158,13 +154,6 @@ pub const RULES: &[(&str, &str)] = &[
          (mpc-bench, mpc-lint) and #[cfg(test)] code are exempt.",
     ),
     (
-        RULE_MAINTAIN,
-        "Every production `impl Maintain` must define both `supports` and `answer`. The \
-         trait defaults exist so new maintainers compile early, but a shipped maintainer \
-         with only one of the pair breaks the query plane's charge-free probe contract \
-         (supports decides before charging; answer does the charged work).",
-    ),
-    (
         RULE_IO,
         "Confines `std::fs`/`std::io` to crates/mpc-snapshot (the one sanctioned \
          persistence path: the checksummed, versioned snapshot container behind \
@@ -192,27 +181,6 @@ pub const RULES: &[(&str, &str)] = &[
          two helpers deep loses the branch exactly the same way.",
     ),
     (
-        RULE_PERSIST,
-        "The static twin of the snapshot byte-stability property suite: inside each \
-         `impl Persist`, save's ordered write stream (w.put_*/field.save) and load's \
-         ordered read stream (r.take_*/T::load with recovered binding names) must mirror \
-         each other — same primitive wire kinds in the same sequence (u64 and usize share \
-         a wire word; skipped for enum impls that branch via match), every named field \
-         written by save read back by load, and shared field names in the same order. \
-         Derived writes (self.pow.len()) and reconstructed load-side fields are exempt \
-         by construction.",
-    ),
-    (
-        RULE_QUERY_CHARGE,
-        "Maintained answers are 'O(1) rounds' only because every Maintain::answer charges \
-         the accounting context; an arm returning Ok without a charge is not faster, it is \
-         unaccounted, and the rounds/words ledger silently undercounts. The rule splits \
-         each production answer body into match arms and requires a charge point — \
-         exchange/broadcast/converge_cast/sort/gather directly, or a call into a helper \
-         whose transitive summary charges — before every Ok return (a charge before the \
-         match covers all arms; Err arms are exempt).",
-    ),
-    (
         RULE_ALLOC_HOT,
         "The sketch loops (crates/sketch/src/kernels.rs), merge_copy_into and subtract_copy_from run inside the \
          converge-cast inner loop with preallocated scratch; any \
@@ -237,8 +205,6 @@ pub struct FileRoles {
     pub panics: bool,
     /// `determinism-hygiene`.
     pub determinism: bool,
-    /// `maintain-completeness`.
-    pub maintain: bool,
     /// `io-hygiene`.
     pub io: bool,
     /// This file is the sanctioned executor (lock/spawn exemption and
@@ -257,7 +223,6 @@ pub fn roles_for(rel_path: &str) -> FileRoles {
         events: rel_path == "crates/mpc/src/context.rs",
         panics: in_crate_src && !tool_crate,
         determinism: in_crate_src && !tool_crate,
-        maintain: in_crate_src && !tool_crate,
         io: in_crate_src && !tool_crate && !rel_path.starts_with("crates/mpc-snapshot/"),
         is_executor: rel_path == "crates/mpc/src/executor.rs",
     }
@@ -274,8 +239,7 @@ pub fn lint_source(rel_path: &str, source: &str) -> (Vec<Finding>, Vec<AppliedAl
 /// Lints a set of `(rel_path, source)` files as one workspace: the
 /// per-file rules run on each file, then the symbol table / call
 /// graph is built across all of them and the interprocedural rules
-/// (panic-reachability, persist-symmetry, query-charging,
-/// alloc-hot-path) run over the whole set. Allow
+/// (panic-reachability, alloc-hot-path) run over the whole set. Allow
 /// comments suppress findings of both phases.
 pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAllow>) {
     // Phase 1: per-file rules, with each file's parsed allows kept
@@ -299,9 +263,6 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
         if roles.determinism {
             findings.extend(rules::determinism::check(&ctx, roles.is_executor));
         }
-        if roles.maintain {
-            findings.extend(rules::maintain::check(&ctx));
-        }
         if roles.io {
             findings.extend(rules::io_hygiene::check(&ctx));
         }
@@ -320,8 +281,6 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
     let ws = Workspace::build(indexed);
     let sums = summary::compute(&ws);
     findings.extend(rules::panic_reach::check(&ws, &sums));
-    findings.extend(rules::persist::check(&ws));
-    findings.extend(rules::query_charge::check(&ws, &sums));
     findings.extend(rules::alloc_hot::check(&ws, &sums));
 
     // Allows apply per file, to findings of either phase.
@@ -472,7 +431,7 @@ mod tests {
         let lint = roles_for("crates/mpc-lint/src/main.rs");
         assert!(!lint.determinism);
         let test = roles_for("tests/determinism.rs");
-        assert!(!test.determinism && !test.panics && !test.maintain && !test.io);
+        assert!(!test.determinism && !test.panics && !test.io);
         let facade = roles_for("src/lib.rs");
         assert!(facade.determinism && facade.io);
         let snap = roles_for("crates/mpc-snapshot/src/format.rs");
@@ -513,12 +472,9 @@ mod tests {
             RULE_EVENT,
             RULE_UNSAFE,
             RULE_DETERMINISM,
-            RULE_MAINTAIN,
             RULE_IO,
             RULE_ALLOW_HYGIENE,
             RULE_PANIC_REACH,
-            RULE_PERSIST,
-            RULE_QUERY_CHARGE,
             RULE_ALLOC_HOT,
         ];
         assert_eq!(consts.len(), RULES.len(), "registry size drifted");

@@ -6,10 +6,7 @@ pub mod alloc_hot;
 pub mod determinism;
 pub mod events;
 pub mod io_hygiene;
-pub mod maintain;
 pub mod panic_reach;
-pub mod persist;
-pub mod query_charge;
 pub mod unsafety;
 
 use crate::lexer::Lexed;

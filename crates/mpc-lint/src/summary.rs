@@ -1,11 +1,10 @@
 //! Per-function effect summaries over the call graph.
 //!
-//! Each function gets a *local* fact set — panicking constructs,
-//! heap-allocating constructs, accounting-context charge calls, found
-//! by the same token patterns the body-local rules use — and a
-//! *transitive* effect vector computed to fixpoint over
-//! [`Workspace::calls`]: a function panics if its body panics or any
-//! callee panics, and likewise for allocation and charging. Rules
+//! Each function gets a *local* fact set — panicking constructs and
+//! heap-allocating constructs, found by the same token patterns the
+//! body-local rules use — and a *transitive* effect vector computed
+//! to fixpoint over [`Workspace::calls`]: a function panics if its
+//! body panics or any callee panics, and likewise for allocation. Rules
 //! then ask reachability questions (`does this hot path reach a
 //! panic?`) and print the witness chain.
 //!
@@ -52,10 +51,6 @@ const ALLOC_PATTERNS: &[(&[&str], &str)] = &[
     (&[".", "collect", "("], ".collect()"),
 ];
 
-/// `MpcContext` methods that charge rounds/words. Calling any of
-/// these (directly or transitively) satisfies `query-charging`.
-pub const CHARGE_METHODS: &[&str] = &["exchange", "broadcast", "converge_cast", "sort", "gather"];
-
 /// One construct occurrence inside a function body.
 #[derive(Debug, Clone)]
 pub struct Site {
@@ -74,8 +69,6 @@ pub struct FnFacts {
     pub panic_sites: Vec<Site>,
     /// Heap-allocating constructs in the body.
     pub alloc_sites: Vec<Site>,
-    /// Charging-method call tokens in the body.
-    pub charge_sites: Vec<usize>,
 }
 
 /// Transitive effects of one function.
@@ -85,8 +78,6 @@ pub struct Effects {
     pub panics: bool,
     /// Body or any transitive callee heap-allocates.
     pub allocates: bool,
-    /// Body or any transitive callee charges the context.
-    pub charges: bool,
 }
 
 /// Local facts plus fixpoint effects for every workspace function.
@@ -173,11 +164,6 @@ pub fn compute(ws: &Workspace) -> Summaries {
                 });
             }
         }
-        for m in CHARGE_METHODS {
-            for hit in find_seq(tokens, f.body, &[".", m, "("]) {
-                ff.charge_sites.push(hit);
-            }
-        }
         ff.panic_sites.sort_by_key(|s| s.token);
         ff.alloc_sites.sort_by_key(|s| s.token);
         facts.push(ff);
@@ -188,7 +174,6 @@ pub fn compute(ws: &Workspace) -> Summaries {
         .map(|f| Effects {
             panics: !f.panic_sites.is_empty(),
             allocates: !f.alloc_sites.is_empty(),
-            charges: !f.charge_sites.is_empty(),
         })
         .collect();
     // Fixpoint: propagate callee effects up. Terminates because each
@@ -199,13 +184,9 @@ pub fn compute(ws: &Workspace) -> Summaries {
             for c in calls {
                 let e = effects[c.callee];
                 let mine = &mut effects[i];
-                if (e.panics && !mine.panics)
-                    || (e.allocates && !mine.allocates)
-                    || (e.charges && !mine.charges)
-                {
+                if (e.panics && !mine.panics) || (e.allocates && !mine.allocates) {
                     mine.panics |= e.panics;
                     mine.allocates |= e.allocates;
-                    mine.charges |= e.charges;
                     changed = true;
                 }
             }
@@ -314,7 +295,6 @@ mod tests {
         let s = compute(&w);
         let top = idx(&w, "top");
         assert!(s.effects[top].panics && s.effects[top].allocates);
-        assert!(!s.effects[top].charges);
         assert!(s.facts[top].panic_sites.is_empty(), "top is clean locally");
         let (chain, site) = s.chain(&w, top, Effect::Panic).unwrap();
         assert_eq!(s.render_chain(&w, &chain), "top -> mid -> deep");
@@ -325,12 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn recursion_terminates_and_charges_propagate() {
-        let w = ws("pub fn a(ctx: &mut C) { b(ctx); }\n\
-                    fn b(ctx: &mut C) { a(ctx); ctx.exchange(1); }");
+    fn recursion_terminates_and_allocations_propagate() {
+        let w = ws("pub fn a(out: &mut Out) { b(out); }\n\
+                    fn b(out: &mut Out) { a(out); out.v = Vec::new(); }");
         let s = compute(&w);
-        assert!(s.effects[idx(&w, "a")].charges);
-        assert!(s.effects[idx(&w, "b")].charges);
+        assert!(s.effects[idx(&w, "a")].allocates);
+        assert!(s.effects[idx(&w, "b")].allocates);
         assert!(!s.effects[idx(&w, "a")].panics);
     }
 

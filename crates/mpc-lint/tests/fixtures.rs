@@ -8,8 +8,7 @@
 
 use mpc_lint::report::{AppliedAllow, Finding, Report};
 use mpc_lint::{
-    lint_source, RULE_ALLOW_HYGIENE, RULE_DETERMINISM, RULE_EVENT, RULE_IO, RULE_MAINTAIN,
-    RULE_UNSAFE,
+    lint_source, RULE_ALLOW_HYGIENE, RULE_DETERMINISM, RULE_EVENT, RULE_IO, RULE_UNSAFE,
 };
 
 fn fixture(name: &str) -> String {
@@ -102,20 +101,6 @@ fn determinism_dirty_fixture_reports_exact_lines() {
         ],
         "{findings:?}"
     );
-}
-
-#[test]
-fn maintain_clean_fixture_passes() {
-    let (findings, _) = run("crates/msf/src/exact.rs", "maintain_clean.rs");
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn maintain_dirty_fixture_names_the_type_and_method() {
-    let (findings, _) = run("crates/msf/src/exact.rs", "maintain_dirty.rs");
-    assert_eq!(keys(&findings), vec![(RULE_MAINTAIN, 1)], "{findings:?}");
-    assert!(findings[0].message.contains("HalfWired"));
-    assert!(findings[0].message.contains("`answer`"));
 }
 
 #[test]
@@ -253,7 +238,7 @@ fn real_workspace_is_clean() {
 
 // ----- interprocedural families (call-graph rules) ----------------
 
-use mpc_lint::{RULE_ALLOC_HOT, RULE_PANIC_REACH, RULE_PERSIST, RULE_QUERY_CHARGE};
+use mpc_lint::{RULE_ALLOC_HOT, RULE_PANIC_REACH};
 
 #[test]
 fn panic_reach_clean_fixture_passes() {
@@ -284,57 +269,6 @@ fn panic_reach_dirty_fixture_prints_the_two_call_deep_chain() {
 }
 
 #[test]
-fn persist_clean_fixture_passes() {
-    let (findings, _) = run("crates/mpc/src/stats.rs", "persist_clean.rs");
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn persist_dirty_fixture_reports_kind_drift_and_the_dropped_field() {
-    let (findings, _) = run("crates/mpc/src/stats.rs", "persist_dirty.rs");
-    let persist: Vec<_> = findings.iter().filter(|f| f.rule == RULE_PERSIST).collect();
-    assert_eq!(persist.len(), 3, "{persist:?}");
-    // Wire-kind drift: save writes u32 where load reads the u64 word.
-    assert!(
-        persist.iter().any(|f| f.message.contains("Wire")
-            && f.message.contains("(u32) at position 1")
-            && f.message.contains("round-trip")),
-        "{persist:?}"
-    );
-    // Length drift plus the missing field, each named.
-    assert!(
-        persist
-            .iter()
-            .any(|f| f.message.contains("Ledger") && f.message.contains("never reads")),
-        "{persist:?}"
-    );
-    assert!(
-        persist
-            .iter()
-            .any(|f| f.message.contains("`words`") && f.message.contains("never read by load")),
-        "{persist:?}"
-    );
-}
-
-#[test]
-fn query_charge_clean_fixture_passes_with_direct_and_helper_charges() {
-    let (findings, _) = run("crates/msf/src/exact.rs", "query_charge_clean.rs");
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn query_charge_dirty_fixture_flags_only_the_uncharged_arm() {
-    let (findings, _) = run("crates/msf/src/exact.rs", "query_charge_dirty.rs");
-    assert_eq!(
-        keys(&findings),
-        vec![(RULE_QUERY_CHARGE, 7)],
-        "{findings:?}"
-    );
-    assert!(findings[0].message.contains("Estimator"));
-    assert!(findings[0].message.contains("ledger"));
-}
-
-#[test]
 fn alloc_hot_clean_fixture_passes() {
     let (findings, _) = run("crates/sketch/src/kernels.rs", "alloc_hot_clean.rs");
     assert!(findings.is_empty(), "{findings:?}");
@@ -359,39 +293,6 @@ fn alloc_hot_dirty_fixture_reports_local_and_transitive_allocations() {
     assert!(findings
         .iter()
         .any(|f| f.message.contains("fold_cells -> scratch") && f.message.contains("vec!")));
-}
-
-/// Mutation drill on the **real** stats source: delete one load read
-/// from `MaintainerStats` and persist-symmetry must name the field.
-#[test]
-fn deleting_a_real_persist_load_read_names_the_field() {
-    let path = format!("{}/../mpc/src/stats.rs", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let clean = lint_source("crates/mpc/src/stats.rs", &source).0;
-    let persist: Vec<_> = clean.iter().filter(|f| f.rule == RULE_PERSIST).collect();
-    assert!(
-        persist.is_empty(),
-        "real stats.rs is not clean: {persist:?}"
-    );
-
-    let read = "            checkpoint_bytes: Persist::load(r)?,\n";
-    assert_eq!(
-        source.matches(read).count(),
-        1,
-        "load read shape changed — update this drill"
-    );
-    let mutated = source.replace(read, "");
-    let findings = lint_source("crates/mpc/src/stats.rs", &mutated).0;
-    let hit = findings
-        .iter()
-        .find(|f| f.rule == RULE_PERSIST)
-        .expect("mutated stats must fail persist-symmetry");
-    assert!(
-        hit.message.contains("`checkpoint_bytes`"),
-        "{}",
-        hit.message
-    );
-    assert!(hit.message.contains("MaintainerStats"), "{}", hit.message);
 }
 
 /// Mutation drill on the **real** MSF source: turn a helper's typed

@@ -15,7 +15,8 @@
 //!
 //! This crate sits *below* everything else: it knows nothing about
 //! graphs, sketches, or sessions. Each workspace crate implements
-//! [`Persist`] for its own types (private fields stay private), the
+//! [`Persist`] for its own types (private fields stay private; through
+//! [`persist_struct!`] wherever the type is a plain field list), the
 //! session layer in `mpc-stream-core` assembles whole-session
 //! snapshots from named sections, and the `io-hygiene` lint rule
 //! confines `std::fs`/`std::io` to this crate plus the tool crates —

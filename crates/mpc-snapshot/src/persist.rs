@@ -129,6 +129,13 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
         for _ in 0..len {
             let k = K::load(r)?;
             let v = V::load(r)?;
+            // `save` iterates the map, so keys arrive strictly
+            // ascending; anything else would drop an entry silently.
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(SnapshotError::Corrupt(
+                    "map keys are not strictly ascending".into(),
+                ));
+            }
             out.insert(k, v);
         }
         Ok(out)
@@ -146,7 +153,14 @@ impl<T: Persist + Ord> Persist for BTreeSet<T> {
         let len = r.take_usize()?;
         let mut out = BTreeSet::new();
         for _ in 0..len {
-            out.insert(T::load(r)?);
+            let item = T::load(r)?;
+            // Same rule as the map: `save` writes a set in order.
+            if out.last().is_some_and(|last| *last >= item) {
+                return Err(SnapshotError::Corrupt(
+                    "set elements are not strictly ascending".into(),
+                ));
+            }
+            out.insert(item);
         }
         Ok(out)
     }
@@ -180,6 +194,70 @@ impl<T: Persist> Persist for Arc<T> {
     fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(Arc::new(T::load(r)?))
     }
+}
+
+/// Implements [`Persist`] for a struct from **one** list of its fields.
+///
+/// `save` writes each listed field through its own [`Persist`] impl in
+/// list order; `load` reads them back in the same order into a struct
+/// literal. The two halves cannot drift apart because there is only
+/// one statement of the layout, and a field missing from the list is a
+/// compile error in the literal.
+///
+/// The optional `check |s| <expr>` clause runs on the decoded value
+/// before it is returned; `<expr>` is a `Result<(), String>` (a block
+/// with early `return`s is fine) and an `Err` becomes
+/// [`SnapshotError::Corrupt`](crate::SnapshotError::Corrupt) carrying
+/// that message.
+///
+/// Types that are not "fields in order, then validate" — tagged enums,
+/// state rebuilt on load, loaders that must validate before they
+/// allocate — implement [`Persist`] by hand; see the crate README.
+///
+/// # Examples
+///
+/// ```
+/// use mpc_snapshot::{load_section, persist_struct, save_section, Snapshot, SnapshotWriter};
+///
+/// struct Span {
+///     lo: u64,
+///     hi: u64,
+/// }
+/// persist_struct!(Span { lo, hi } check |s| if s.lo <= s.hi {
+///     Ok(())
+/// } else {
+///     Err(format!("span {}..{} is reversed", s.lo, s.hi))
+/// });
+///
+/// let mut w = SnapshotWriter::new(0);
+/// save_section(&mut w, "span", &Span { lo: 2, hi: 9 });
+/// let snap = Snapshot::from_bytes(&w.finish())?;
+/// let span: Span = load_section(&snap, "span")?;
+/// assert_eq!((span.lo, span.hi), (2, 9));
+/// # Ok::<(), mpc_snapshot::SnapshotError>(())
+/// ```
+#[macro_export]
+macro_rules! persist_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        $crate::persist_struct!($ty { $($field),+ } check |_loaded| ::std::result::Result::Ok(()));
+    };
+    ($ty:ident { $($field:ident),+ $(,)? } check |$s:ident| $check:expr) => {
+        impl $crate::Persist for $ty {
+            fn save(&self, w: &mut $crate::SnapshotWriter) {
+                $($crate::Persist::save(&self.$field, w);)+
+            }
+            fn load(
+                r: &mut $crate::SnapshotReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::SnapshotError> {
+                fn check($s: &$ty) -> ::std::result::Result<(), ::std::string::String> {
+                    $check
+                }
+                let loaded = $ty { $($field: $crate::Persist::load(r)?,)+ };
+                check(&loaded).map_err($crate::SnapshotError::Corrupt)?;
+                ::std::result::Result::Ok(loaded)
+            }
+        }
+    };
 }
 
 /// Saves one value as the entire content of a named section.
@@ -245,6 +323,86 @@ mod tests {
         round_trip(&(1u64, String::from("x")));
         round_trip(&(1u64, 2u32, vec![false, true]));
         round_trip(&Arc::new(11u64));
+    }
+
+    /// Loads a `T` from a section holding exactly `words`.
+    fn load_words<T: Persist>(words: &[u64]) -> Result<T, SnapshotError> {
+        let mut w = SnapshotWriter::new(0);
+        w.begin_section("t");
+        for &word in words {
+            w.put_u64(word);
+        }
+        w.end_section();
+        load_section(&Snapshot::from_bytes(&w.finish()).unwrap(), "t")
+    }
+
+    #[test]
+    fn unordered_or_duplicate_keys_are_corrupt() {
+        // No `save` writes these: it iterates the collection, so keys
+        // are strictly ascending. Loaded as-is, `(5,1), (2,7), (5,9)`
+        // would come back as `{2: 7, 5: 9}` — an entry gone.
+        for map in [
+            &[3, 5, 1, 2, 7, 5, 9][..],
+            &[2, 5, 1, 2, 7],
+            &[2, 5, 1, 5, 9],
+        ] {
+            let res = load_words::<BTreeMap<u64, u64>>(map);
+            assert!(matches!(res, Err(SnapshotError::Corrupt(_))), "{map:?}");
+        }
+        for set in [&[3, 5, 2, 5][..], &[2, 5, 2], &[2, 5, 5]] {
+            let res = load_words::<BTreeSet<u64>>(set);
+            assert!(matches!(res, Err(SnapshotError::Corrupt(_))), "{set:?}");
+        }
+        let ok: BTreeMap<u64, u64> = load_words(&[2, 2, 7, 5, 9]).unwrap();
+        assert_eq!(ok, BTreeMap::from([(2, 7), (5, 9)]));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Plain {
+        id: u32,
+        tags: Vec<u64>,
+    }
+    crate::persist_struct!(Plain { id, tags });
+
+    #[derive(Debug, PartialEq)]
+    struct Span {
+        lo: u64,
+        hi: u64,
+    }
+    crate::persist_struct!(Span { lo, hi } check |s| {
+        if s.lo > s.hi {
+            return Err(format!("span {}..{} is reversed", s.lo, s.hi));
+        }
+        Ok(())
+    });
+
+    #[test]
+    fn persist_struct_round_trips_and_writes_fields_in_list_order() {
+        let plain = Plain {
+            id: 7,
+            tags: vec![3, 1],
+        };
+        round_trip(&plain);
+        round_trip(&Span { lo: 2, hi: 9 });
+
+        let mut whole = SnapshotWriter::new(0);
+        save_section(&mut whole, "t", &plain);
+        let mut by_field = SnapshotWriter::new(0);
+        by_field.begin_section("t");
+        plain.id.save(&mut by_field);
+        plain.tags.save(&mut by_field);
+        by_field.end_section();
+        assert_eq!(whole.finish(), by_field.finish());
+    }
+
+    #[test]
+    fn persist_struct_check_and_truncation_are_corrupt() {
+        match load_words::<Span>(&[9, 2]) {
+            Err(SnapshotError::Corrupt(msg)) => assert_eq!(msg, "span 9..2 is reversed"),
+            other => panic!("reversed span must be Corrupt, got {other:?}"),
+        }
+        let res = load_words::<Span>(&[9]);
+        assert!(matches!(res, Err(SnapshotError::Corrupt(_))), "{res:?}");
     }
 
     #[test]

@@ -103,35 +103,15 @@ impl MpcConfig {
     }
 }
 
-impl mpc_snapshot::Persist for MpcConfig {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        w.put_f64(self.phi);
-        w.put_u64(self.local_capacity);
-        w.put_usize(self.machines);
-        w.put_bool(self.strict);
+mpc_snapshot::persist_struct!(MpcConfig { n, phi, local_capacity, machines, strict } check |c| {
+    if c.n < 2 || !(c.phi > 0.0 && c.phi < 1.0) || c.local_capacity < 4 || c.machines < 1 {
+        return Err(format!(
+            "invalid cluster configuration: n={}, phi={}, s={}, machines={}",
+            c.n, c.phi, c.local_capacity, c.machines
+        ));
     }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let phi = r.take_f64()?;
-        let local_capacity = r.take_u64()?;
-        let machines = r.take_usize()?;
-        let strict = r.take_bool()?;
-        if n < 2 || !(phi > 0.0 && phi < 1.0) || local_capacity < 4 || machines < 1 {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "invalid cluster configuration: n={n}, phi={phi}, \
-                 s={local_capacity}, machines={machines}"
-            )));
-        }
-        Ok(MpcConfig {
-            n,
-            phi,
-            local_capacity,
-            machines,
-            strict,
-        })
-    }
-}
+    Ok(())
+});
 
 /// Constant slack folded into the default machine count on top of the
 /// asymptotic `n · log³ n` budget. The asymptotic budget undercounts

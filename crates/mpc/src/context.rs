@@ -459,7 +459,8 @@ impl MpcContext {
 // A checkpoint is only taken between batches, when no phase or
 // parallel scope is open and no branch log is being recorded, so only
 // the durable ledger travels: configuration, cumulative stats, and the
-// per-machine loads.
+// per-machine loads. By hand: the transient fields are reset on load,
+// not read.
 impl mpc_snapshot::Persist for MpcContext {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         self.cfg.save(w);

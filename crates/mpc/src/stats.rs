@@ -485,6 +485,7 @@ impl SessionStats {
 // fabricate, so it is *not* serialized: `Session::restore` re-binds
 // each entry's name from the restored maintainer's `Maintain::name()`.
 
+// By hand: a tagged enum, not a field list.
 impl Persist for Op {
     fn save(&self, w: &mut SnapshotWriter) {
         w.put_u8(match self {
@@ -507,29 +508,17 @@ impl Persist for Op {
     }
 }
 
-impl Persist for Stats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.rounds.save(w);
-        self.words_communicated.save(w);
-        self.peak_round_words.save(w);
-        self.rounds_by_op.save(w);
-        self.peak_machine_words.save(w);
-        self.peak_total_words.save(w);
-        self.violations.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Stats {
-            rounds: Persist::load(r)?,
-            words_communicated: Persist::load(r)?,
-            peak_round_words: Persist::load(r)?,
-            rounds_by_op: Persist::load(r)?,
-            peak_machine_words: Persist::load(r)?,
-            peak_total_words: Persist::load(r)?,
-            violations: Persist::load(r)?,
-        })
-    }
-}
+mpc_snapshot::persist_struct!(Stats {
+    rounds,
+    words_communicated,
+    peak_round_words,
+    rounds_by_op,
+    peak_machine_words,
+    peak_total_words,
+    violations,
+});
 
+// By hand: `name` is rebound on restore, not read (see above).
 impl Persist for MaintainerStats {
     fn save(&self, w: &mut SnapshotWriter) {
         self.batches.save(w);
@@ -562,38 +551,20 @@ impl Persist for MaintainerStats {
     }
 }
 
-impl Persist for SessionStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.batches.save(w);
-        self.updates.save(w);
-        self.maintainer_batches.save(w);
-        self.rounds.save(w);
-        self.words.save(w);
-        self.l0_failures.save(w);
-        self.capacity_violations.save(w);
-        self.max_batch_rounds.save(w);
-        self.queries.save(w);
-        self.query_rounds.save(w);
-        self.query_words.save(w);
-        self.per_maintainer.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SessionStats {
-            batches: Persist::load(r)?,
-            updates: Persist::load(r)?,
-            maintainer_batches: Persist::load(r)?,
-            rounds: Persist::load(r)?,
-            words: Persist::load(r)?,
-            l0_failures: Persist::load(r)?,
-            capacity_violations: Persist::load(r)?,
-            max_batch_rounds: Persist::load(r)?,
-            queries: Persist::load(r)?,
-            query_rounds: Persist::load(r)?,
-            query_words: Persist::load(r)?,
-            per_maintainer: Persist::load(r)?,
-        })
-    }
-}
+mpc_snapshot::persist_struct!(SessionStats {
+    batches,
+    updates,
+    maintainer_batches,
+    rounds,
+    words,
+    l0_failures,
+    capacity_violations,
+    max_batch_rounds,
+    queries,
+    query_rounds,
+    query_words,
+    per_maintainer,
+});
 
 #[cfg(test)]
 mod tests {

@@ -448,65 +448,27 @@ pub fn unit_weighted(batch: &Batch) -> WeightedBatch {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for ThresholdStack {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        w.put_f64(self.eps);
-        // The threshold ladder is saved verbatim (not recomputed from
-        // ε) so the restored instance compares weights against
-        // bit-identical floats.
-        self.thresholds.save(w);
-        self.instances.save(w);
+// The threshold ladder is saved verbatim (not recomputed from ε) so the
+// restored instance compares weights against bit-identical floats.
+mpc_snapshot::persist_struct!(ThresholdStack { n, eps, thresholds, instances } check |st| {
+    if !st.eps.is_finite()
+        || st.eps <= 0.0
+        || st.thresholds.is_empty()
+        || st.thresholds.len() != st.instances.len()
+    {
+        return Err(format!(
+            "threshold stack holds {} thresholds / {} instances at eps {}",
+            st.thresholds.len(),
+            st.instances.len(),
+            st.eps
+        ));
     }
+    Ok(())
+});
 
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let eps = r.take_f64()?;
-        let thresholds = Vec::<f64>::load(r)?;
-        let instances = Vec::<Connectivity>::load(r)?;
-        if !eps.is_finite()
-            || eps <= 0.0
-            || thresholds.is_empty()
-            || thresholds.len() != instances.len()
-        {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "threshold stack holds {} thresholds / {} instances at eps {eps}",
-                thresholds.len(),
-                instances.len()
-            )));
-        }
-        Ok(ThresholdStack {
-            n,
-            eps,
-            thresholds,
-            instances,
-        })
-    }
-}
+mpc_snapshot::persist_struct!(ApproxMsfWeight { stack });
 
-impl mpc_snapshot::Persist for ApproxMsfWeight {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        self.stack.save(w);
-    }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        Ok(ApproxMsfWeight {
-            stack: ThresholdStack::load(r)?,
-        })
-    }
-}
-
-impl mpc_snapshot::Persist for ApproxMsfForest {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        self.stack.save(w);
-    }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        Ok(ApproxMsfForest {
-            stack: ThresholdStack::load(r)?,
-        })
-    }
-}
+mpc_snapshot::persist_struct!(ApproxMsfForest { stack });
 
 #[cfg(test)]
 mod tests {

@@ -182,27 +182,17 @@ impl mpc_stream_core::Maintain for Bipartiteness {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for Bipartiteness {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        self.graph.save(w);
-        self.cover.save(w);
+mpc_snapshot::persist_struct!(Bipartiteness { n, graph, cover } check |b| {
+    if b.graph.vertex_count() != b.n || b.cover.vertex_count() != 2 * b.n {
+        return Err(format!(
+            "bipartiteness tester holds a {}-vertex graph and {}-vertex cover for n = {}",
+            b.graph.vertex_count(),
+            b.cover.vertex_count(),
+            b.n
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let graph = Connectivity::load(r)?;
-        let cover = Connectivity::load(r)?;
-        if graph.vertex_count() != n || cover.vertex_count() != 2 * n {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "bipartiteness tester holds a {}-vertex graph and {}-vertex cover for n = {n}",
-                graph.vertex_count(),
-                cover.vertex_count()
-            )));
-        }
-        Ok(Bipartiteness { n, graph, cover })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -474,41 +474,25 @@ impl ExactMsf {
 
 // ----- snapshot persistence ---------------------------------------
 
-impl mpc_snapshot::Persist for ExactMsf {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_usize(self.n);
-        self.comp.save(w);
-        self.etf.save(w);
-        self.weights.save(w);
-        w.put_usize(self.last_iterations);
-        self.seen.save(w);
+mpc_snapshot::persist_struct!(ExactMsf {
+    n,
+    comp,
+    etf,
+    weights,
+    last_iterations,
+    seen,
+} check |m| {
+    // A forest on n vertices has at most n-1 edges.
+    if m.comp.len() != m.n || m.weights.len() >= m.n.max(1) {
+        return Err(format!(
+            "exact-msf holds {} labels and {} forest edges for n = {}",
+            m.comp.len(),
+            m.weights.len(),
+            m.n
+        ));
     }
-
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let n = r.take_usize()?;
-        let comp = Vec::<VertexId>::load(r)?;
-        let etf = DistEtf::load(r)?;
-        let weights = BTreeMap::<Edge, u64>::load(r)?;
-        let last_iterations = r.take_usize()?;
-        let seen = BTreeSet::<Edge>::load(r)?;
-        // A forest on n vertices has at most n-1 edges.
-        if comp.len() != n || weights.len() >= n.max(1) {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "exact-msf holds {} labels and {} forest edges for n = {n}",
-                comp.len(),
-                weights.len()
-            )));
-        }
-        Ok(ExactMsf {
-            n,
-            comp,
-            etf,
-            weights,
-            last_iterations,
-            seen,
-        })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

@@ -126,7 +126,8 @@ impl SketchFamily {
 
 // Families are pure functions of `(max_index, seed)`: the snapshot
 // carries those two words and the load path re-derives the level hash
-// and power tables, so a restored family samples bit-identically.
+// and power tables, so a restored family samples bit-identically. By
+// hand for that reason: the struct is rebuilt, not read.
 impl mpc_snapshot::Persist for SketchFamily {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         w.put_u64(self.max_index);
@@ -195,20 +196,11 @@ impl Cell {
     }
 }
 
-impl mpc_snapshot::Persist for Cell {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        w.put_i128(self.index_sum);
-        w.put_i64(self.value_sum);
-        self.fp.save(w);
-    }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        Ok(Cell {
-            index_sum: r.take_i128()?,
-            value_sum: r.take_i64()?,
-            fp: M61::load(r)?,
-        })
-    }
-}
+mpc_snapshot::persist_struct!(Cell {
+    index_sum,
+    value_sum,
+    fp
+});
 
 /// The contiguous cell pool of a whole sketch bank: `copies`
 /// families and, per materialized vertex, one dense block of
@@ -567,7 +559,8 @@ fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
 // invariant (mask extent, base-table bounds, run length, and that no
 // zero cell sits under a live bit) so a corrupted snapshot surfaces as
 // a typed error instead of an out-of-bounds slot or a mask that lies,
-// and save → load → save is byte-stable.
+// and save → load → save is byte-stable. By hand: the checks run
+// *between* reads, before the pool they size is allocated.
 impl mpc_snapshot::Persist for SketchArena {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         self.families.save(w);

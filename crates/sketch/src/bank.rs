@@ -218,6 +218,7 @@ impl SketchBank {
     }
 }
 
+// By hand: `copies` and `words_per_vertex` are re-derived on load.
 impl mpc_snapshot::Persist for SketchBank {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         w.put_usize(self.n);

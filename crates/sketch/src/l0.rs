@@ -224,24 +224,16 @@ impl L0Sampler {
     }
 }
 
-impl mpc_snapshot::Persist for L0Sampler {
-    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        self.family.save(w);
-        self.cells.save(w);
+mpc_snapshot::persist_struct!(L0Sampler { family, cells } check |s| {
+    if s.cells.len() != s.family.levels() {
+        return Err(format!(
+            "sampler column has {} cells for a {}-level family",
+            s.cells.len(),
+            s.family.levels()
+        ));
     }
-    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
-        let family = SketchFamily::load(r)?;
-        let cells = Vec::<Cell>::load(r)?;
-        if cells.len() != family.levels() {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
-                "sampler column has {} cells for a {}-level family",
-                cells.len(),
-                family.levels()
-            )));
-        }
-        Ok(L0Sampler { family, cells })
-    }
-}
+    Ok(())
+});
 
 #[cfg(test)]
 mod tests {

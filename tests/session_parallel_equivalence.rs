@@ -387,6 +387,18 @@ impl Maintain for Hog {
         Ok(())
     }
 
+    fn answer(
+        &mut self,
+        query: &QueryRequest,
+        _ctx: &mut MpcContext,
+    ) -> Result<QueryResponse, MpcStreamError> {
+        Err(mpc_stream::core_alg::unsupported_query(self.name, query))
+    }
+
+    fn supports(&self, _query: &QueryRequest) -> bool {
+        false
+    }
+
     fn save_state(&self, _w: &mut mpc_stream::snapshot::SnapshotWriter) {}
 }
 

@@ -319,7 +319,14 @@ proptest! {
         session.register(AgmBaseline::new(n, 12));
         session.register(FullMemoryBaseline::new(n));
         let count = session.maintainer_count();
-        prop_assert_eq!(count, 16);
+        // The sweep covers the registered vocabulary exactly: a new
+        // maintainer kind cannot ship without being asked everything.
+        let names: BTreeSet<&str> = (0..count)
+            .map(|id| session.maintainer(id).expect("registered").name())
+            .collect();
+        let registered: BTreeSet<&str> =
+            mpc_stream::full_registry().names().into_iter().collect();
+        prop_assert_eq!(names, registered);
 
         for batch in &batches {
             session.apply_batch(batch).expect("insert-only simple stream");
@@ -487,8 +494,10 @@ impl Maintain for NoisyDecliner {
         )))
     }
 
-    // Default `supports`: false for every query. `ask_all` must trust
-    // the probe and never call `answer` at all.
+    // `ask_all` must trust the probe and never call `answer` at all.
+    fn supports(&self, _query: &QueryRequest) -> bool {
+        false
+    }
 }
 
 /// Regression: `ask_all` must consult `supports` *before* opening a
