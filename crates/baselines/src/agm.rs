@@ -174,10 +174,6 @@ impl mpc_stream_core::Maintain for AgmBaseline {
         "agm-baseline"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         AgmBaseline::words(self)
     }

@@ -160,10 +160,6 @@ impl mpc_stream_core::Maintain for FullMemoryBaseline {
         "fullmem-baseline"
     }
 
-    fn n(&self) -> usize {
-        self.n
-    }
-
     fn words(&self) -> u64 {
         FullMemoryBaseline::words(self)
     }

@@ -190,12 +190,16 @@ impl Connectivity {
                 groups.entry(uf.find(v)).or_default().push(v);
             }
             let mut found: Vec<Edge> = Vec::new();
+            let mut any_failed = false;
             for (_, members) in groups {
                 scratch.reset(level);
                 if conn.bank.merge_copy_into(&members, &mut scratch) > 0 {
                     match conn.bank.sample_merged(&scratch) {
                         EdgeSample::Edge(e) => found.push(e),
-                        EdgeSample::Fail => conn.sampler_failures += 1,
+                        EdgeSample::Fail => {
+                            any_failed = true;
+                            conn.sampler_failures += 1;
+                        }
                         EdgeSample::Empty => {}
                     }
                 }
@@ -207,7 +211,10 @@ impl Connectivity {
                     accepted.push(e);
                 }
             }
-            if accepted.is_empty() {
+            // Stop only on certified convergence, as `AgmBaseline`
+            // does: a level whose samplers failed proves nothing, and
+            // the next level holds an independent copy.
+            if accepted.is_empty() && !any_failed {
                 break;
             }
             // A level can accept up to n/2 edges — more than one
@@ -1001,6 +1008,32 @@ mod tests {
             .expect("dynamic after bootstrap");
         let live: Vec<Edge> = edges.into_iter().filter(|&e| e != forest[0]).collect();
         check_against_oracle(&conn, &live, n);
+    }
+
+    /// Two `K8`s joined by 8 bridges: at seed 23 a level accepts no
+    /// edge only because a supernode's sampler failed, and the
+    /// cascade must go on to the next copy instead of reporting two
+    /// components.
+    #[test]
+    fn from_graph_continues_past_a_level_whose_samplers_failed() {
+        let n = 16;
+        let clique = |base: u32| {
+            (0..8u32).flat_map(move |a| (a + 1..8).map(move |b| Edge::new(base + a, base + b)))
+        };
+        let edges: Vec<Edge> = clique(0)
+            .chain(clique(8))
+            .chain((0..8u32).map(|i| Edge::new(i, i + 8)))
+            .collect();
+        let mut ctx = ctx_for(n);
+        let conn = Connectivity::from_graph(
+            n,
+            ConnectivityConfig::default(),
+            23,
+            edges.iter().copied(),
+            &mut ctx,
+        )
+        .expect("bootstrap");
+        check_against_oracle(&conn, &edges, n);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! * [`Maintain`] — the trait every algorithm structure implements:
 //!   `ingest(&Batch, &mut MpcContext) -> Result<(), MpcStreamError>`
-//!   (the single write entry) plus `n()`, `name()`, `words()`, and
+//!   (the single write entry) plus `name()`, `words()`, and
 //!   `validate()` hooks. Weighted-aware maintainers (the MSF family)
 //!   additionally override `ingest_weighted`; everyone else sees the
 //!   weight-stripped projection. The read side is
@@ -94,12 +94,14 @@
 //! branch has nothing to overlap with, so a one-maintainer session is
 //! the same program at every worker count.
 //!
-//! **Why the accounting is unchanged:** a forked context records
-//! every charging operation as an `MpcEvent`, and every charge is a
-//! pure function of the configuration and the call arguments, so
-//! replay reproduces rounds, words, peaks, violations, and
-//! per-maintainer breakdowns bit-for-bit; thread scheduling can
-//! reorder *execution*, never *measurement*. Results are therefore
+//! **Why the accounting is unchanged:** every `MpcContext` primitive
+//! is one `MpcEvent` passed to the ledger's single charging entry,
+//! which records the event on a forked context and which replay runs
+//! again on the master. Every charge is a pure function of the
+//! configuration and the event, so replay reproduces rounds, words,
+//! peaks, violations, and per-maintainer breakdowns bit-for-bit;
+//! thread scheduling can reorder *execution*, never *measurement*.
+//! Results are therefore
 //! identical at every worker count, which
 //! `tests/session_parallel_equivalence.rs` pins suite-wide, error
 //! paths included. The one caveat: in strict mode an error can be
@@ -216,9 +218,6 @@ use std::path::Path;
 pub trait Maintain: Any + Send {
     /// A short stable name for reports and diagnostics.
     fn name(&self) -> &'static str;
-
-    /// Number of vertices (or vertex slots) this maintainer covers.
-    fn n(&self) -> usize;
 
     /// Current memory footprint of the maintained state, in words.
     fn words(&self) -> u64;
@@ -1127,7 +1126,7 @@ impl Session {
                 Ok(value) => {
                     let measured = audit.finish(m.name(), 0, 0, &self.ctx);
                     // Differential fork/replay audit: every charge is a
-                    // pure function of (config, args), so what the fork
+                    // pure function of (config, event), so what the fork
                     // recorded must be exactly what replay re-charged.
                     debug_assert!(
                         forked.is_none_or(
@@ -1407,10 +1406,6 @@ impl Maintain for Connectivity {
         "connectivity"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         Connectivity::words(self)
     }
@@ -1471,10 +1466,6 @@ impl Maintain for Connectivity {
 impl Maintain for StreamingConnectivity {
     fn name(&self) -> &'static str {
         "streaming-connectivity"
-    }
-
-    fn n(&self) -> usize {
-        self.vertex_count()
     }
 
     fn words(&self) -> u64 {
@@ -1551,10 +1542,6 @@ impl Maintain for RobustConnectivity {
         "robust-connectivity"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         RobustConnectivity::words(self)
     }
@@ -1617,10 +1604,6 @@ impl Maintain for RobustConnectivity {
 impl Maintain for VertexDynamicConnectivity {
     fn name(&self) -> &'static str {
         "vertex-dynamic-connectivity"
-    }
-
-    fn n(&self) -> usize {
-        self.capacity()
     }
 
     fn words(&self) -> u64 {
@@ -1962,7 +1945,6 @@ mod tests {
         // The dynamic escape hatch still works by id.
         let dynamic = session.maintainer(h.id()).expect("registered");
         assert_eq!(dynamic.name(), "connectivity");
-        assert_eq!(dynamic.n(), 8);
         assert_eq!(dynamic.l0_failures(), 0);
         assert!(session.maintainer(9).is_none());
         assert!(format!("{session:?}").contains("connectivity"));
@@ -2083,10 +2065,6 @@ mod tests {
     impl Maintain for FixedState {
         fn name(&self) -> &'static str {
             self.name
-        }
-
-        fn n(&self) -> usize {
-            self.n
         }
 
         fn words(&self) -> u64 {

@@ -223,10 +223,6 @@ impl mpc_stream_core::Maintain for DynamicKConn {
         "kconn-dynamic"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         DynamicKConn::words(self)
     }

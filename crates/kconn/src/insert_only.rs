@@ -231,10 +231,6 @@ impl mpc_stream_core::Maintain for InsertOnlyKConn {
         "kconn-insert-only"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         InsertOnlyKConn::words(self)
     }

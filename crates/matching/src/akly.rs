@@ -290,10 +290,6 @@ impl mpc_stream_core::Maintain for AklyMatching {
         "matching-akly"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         AklyMatching::words(self)
     }

@@ -38,31 +38,17 @@ pub use tester::{MatchingSizeEstimator, StreamKind};
 /// `matching-estimator-dynamic`) — into a
 /// [`MaintainerRegistry`](mpc_stream_core::MaintainerRegistry).
 ///
-/// Both estimator kinds decode the same struct; the stream-kind tag
-/// inside the payload must agree with the name the section was saved
-/// under, which the loaders cross-check.
+/// Both estimator kinds share one loader: the stream-kind tag inside
+/// the payload decides the decoded `name()`, and `Session::restore`
+/// refuses a section whose decoded name differs from its saved one.
 pub fn register_snapshot_loaders(reg: &mut mpc_stream_core::MaintainerRegistry) {
     use mpc_snapshot::Persist;
     reg.register("matching-akly", |r| Ok(Box::new(AklyMatching::load(r)?)));
     reg.register("matching-maximal", |r| {
         Ok(Box::new(MaximalMatching::load(r)?))
     });
-    reg.register("matching-estimator-insert", |r| {
-        let m = MatchingSizeEstimator::load(r)?;
-        if m.kind() != StreamKind::InsertionOnly {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(
-                "estimator saved as insertion-only decodes as dynamic".into(),
-            ));
-        }
-        Ok(Box::new(m))
-    });
-    reg.register("matching-estimator-dynamic", |r| {
-        let m = MatchingSizeEstimator::load(r)?;
-        if m.kind() != StreamKind::Dynamic {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(
-                "estimator saved as dynamic decodes as insertion-only".into(),
-            ));
-        }
-        Ok(Box::new(m))
-    });
+    let estimator: mpc_stream_core::MaintainerLoader =
+        |r| Ok(Box::new(MatchingSizeEstimator::load(r)?));
+    reg.register("matching-estimator-insert", estimator);
+    reg.register("matching-estimator-dynamic", estimator);
 }

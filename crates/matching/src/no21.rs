@@ -243,10 +243,6 @@ impl mpc_stream_core::Maintain for MaximalMatching {
         "matching-maximal"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         MaximalMatching::words(self)
     }

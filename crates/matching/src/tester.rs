@@ -333,10 +333,6 @@ impl mpc_stream_core::Maintain for MatchingSizeEstimator {
         }
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         MatchingSizeEstimator::words(self)
     }

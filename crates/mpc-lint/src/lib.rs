@@ -1,25 +1,21 @@
-//! `mpc-lint` — an offline workspace invariant linter for accounting
-//! completeness, determinism, and unsafe hygiene.
+//! `mpc-lint` — an offline workspace invariant linter for panic
+//! freedom, allocation-free hot loops, determinism, and unsafe hygiene.
 //!
 //! The compiler cannot see the invariants this workspace actually
-//! rests on: that every mutating [`MpcContext`] primitive is mirrored
-//! in the `MpcEvent` record/replay log (or the parallel executor
-//! silently drifts from serial accounting), that hot paths stay
-//! panic-free, that same-seed runs stay bit-identical across worker
-//! counts. `mpc-lint` turns those conventions into machine-enforced
-//! rules, the same way the deterministic-MPC line of work (Nowicki,
-//! arXiv:1912.04239; Pai–Pemmaraju, arXiv:2205.12686) turns
-//! randomized guarantees into failure-free ones. It is clean-room and
-//! dependency-free — its own lightweight lexer, no `syn`, no registry
-//! access — and runs over the whole workspace in well under a second.
-//!
-//! [`MpcContext`]: https://docs.rs/mpc-sim (crates/mpc/src/context.rs)
+//! rests on: that no hot entry point reaches a panic through any chain
+//! of helpers, that the merge loops never allocate, that same-seed
+//! runs stay bit-identical across worker counts. `mpc-lint` turns
+//! those conventions into machine-enforced rules, the same way the
+//! deterministic-MPC line of work (Nowicki, arXiv:1912.04239;
+//! Pai–Pemmaraju, arXiv:2205.12686) turns randomized guarantees into
+//! failure-free ones. It is clean-room and dependency-free — its own
+//! lightweight lexer, no `syn`, no registry access — and runs over the
+//! whole workspace in well under a second.
 //!
 //! # The invariant catalog
 //!
 //! | rule id | invariant |
 //! |---|---|
-//! | `event-completeness` | Every mutating `MpcContext` primitive records an `MpcEvent`, every variant is recorded by some primitive, and every variant has an explicit `replay_inner` arm (no wildcard). A gap here is exactly the PR-6-style drift the serial-equivalence suite would only catch dynamically — and only if a test happens to exercise the missing primitive. |
 //! | `unsafe-hygiene` | `unsafe` is confined to an explicit allowlist — `crates/mpc/src/executor.rs`; every `unsafe` there carries a `// SAFETY:` argument within the preceding 8 lines; every other crate root carries `#![forbid(unsafe_code)]`. |
 //! | `determinism-hygiene` | No `Instant`/`SystemTime`, no default-hasher `HashMap`/`HashSet`, no raw `Mutex`/`RwLock`/`Condvar`/`std::thread::spawn` outside the executor, no `env::var`/`env::var_os`, no `dbg!`/`println!` in library crates. Tool crates (`mpc-bench`, `mpc-lint`) and `#[cfg(test)]` code are out of scope. |
 //! | `io-hygiene` | `std::fs`/`std::io` are confined to `crates/mpc-snapshot` (the one sanctioned persistence path — the checksummed snapshot container behind `Session::checkpoint`/`restore`) and the tool crates. |
@@ -29,7 +25,7 @@
 //!
 //! # The interprocedural phase
 //!
-//! The first five rules are per-file. The last two run over a
+//! The first four rules are per-file. The last two run over a
 //! workspace-wide symbol table and call graph ([`graph::Workspace`]):
 //! every function is indexed with its owner `impl`, receiver, and
 //! arity; call sites resolve by name with receiver/arity ranking
@@ -60,12 +56,11 @@
 //! The linter walks every `.rs` file under the workspace root except
 //! `target/`, `vendor/` (clean-room stand-ins for external crates),
 //! and `fixtures/` (the linter's own seeded-violation test inputs).
-//! Rules then scope themselves by path: `event-completeness` reads
-//! `crates/mpc/src/context.rs`; `panic-reachability` covers library
-//! sources; `determinism-hygiene` covers library sources minus the
-//! tool crates;
-//! `io-hygiene` covers library sources minus the tool crates and the
-//! snapshot crate; `unsafe-hygiene` covers everything walked.
+//! Rules then scope themselves by path: `panic-reachability` covers
+//! library sources; `determinism-hygiene` covers library sources minus
+//! the tool crates; `io-hygiene` covers library sources minus the
+//! tool crates and the snapshot crate; `unsafe-hygiene` covers
+//! everything walked.
 //!
 //! # Runtime counterparts
 //!
@@ -76,14 +71,17 @@
 //! rounds and words its fork recorded (the differential fork/replay
 //! audit).
 //!
-//! Three invariants that used to be rules here are now held elsewhere
-//! (ROADMAP 4(e)): `Persist` save/load symmetry by construction
-//! (`mpc_snapshot::persist_struct!` states each layout once) and, for
-//! the by-hand remainder, by `tests/snapshot_roundtrip.rs`;
-//! `supports`/`answer` pairing by the compiler (both are required
-//! methods of `Maintain`); and "no answer is free" by the executed
-//! matrix in `tests/session_query_plane.rs`, whose roster is asserted
-//! equal to `full_registry()`. `alloc-hot-path` stays: no counting-
+//! Four invariants that used to be rules here are now held elsewhere
+//! (ROADMAP 4(e)): record/replay completeness of the accounting ledger
+//! by the compiler (every `MpcContext` primitive is a call of the one
+//! exhaustive `apply(MpcEvent)` that `replay` also runs, and clippy
+//! denies a wildcard arm there); `Persist` save/load symmetry by
+//! construction (`mpc_snapshot::persist_struct!` states each layout
+//! once) and, for the by-hand remainder, by
+//! `tests/snapshot_roundtrip.rs`; `supports`/`answer` pairing by the
+//! compiler (both are required methods of `Maintain`); and "no answer
+//! is free" by the executed matrix in `tests/session_query_plane.rs`,
+//! whose roster is asserted equal to `full_registry()`. `alloc-hot-path` stays: no counting-
 //! allocator test exists, so the lint is that invariant's only guard.
 //!
 //! # CLI
@@ -92,7 +90,7 @@
 //! cargo run -p mpc-lint --              # warn mode: report, exit 0
 //! cargo run -p mpc-lint -- --deny       # CI mode: exit 2 on findings
 //! cargo run -p mpc-lint -- --json       # machine-readable report
-//! cargo run -p mpc-lint -- --explain event-completeness
+//! cargo run -p mpc-lint -- --explain panic-reachability
 //! ```
 
 #![forbid(unsafe_code)]
@@ -110,8 +108,6 @@ use report::{AppliedAllow, Finding, Report};
 use rules::FileCtx;
 use std::path::{Path, PathBuf};
 
-/// Rule id: `MpcContext` ↔ `MpcEvent` ↔ `replay_inner` completeness.
-pub const RULE_EVENT: &str = "event-completeness";
 /// Rule id: `unsafe` confinement + `// SAFETY:` + `forbid(unsafe_code)`.
 pub const RULE_UNSAFE: &str = "unsafe-hygiene";
 /// Rule id: no wall-clock / default hashers / raw threads / prints.
@@ -127,16 +123,6 @@ pub const RULE_ALLOC_HOT: &str = "alloc-hot-path";
 
 /// Every rule id with a one-paragraph explanation (`--explain`).
 pub const RULES: &[(&str, &str)] = &[
-    (
-        RULE_EVENT,
-        "Cross-references the mutating methods of MpcContext against the MpcEvent enum \
-         variants, the self.record(..) call sites, and the replay_inner match arms. The \
-         parallel executor reproduces branch accounting by replaying event logs; a primitive \
-         missing any leg of that triangle (no record call, orphaned variant, missing replay \
-         arm, or a wildcard arm) makes parallel accounting drift from serial without a \
-         compile error. This is the rule that would have caught a PR-6-style drift before \
-         the equivalence suite did.",
-    ),
     (
         RULE_UNSAFE,
         "Confines `unsafe` to the reviewed allowlist — crates/mpc/src/executor.rs (the \
@@ -199,8 +185,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 /// Which rule families apply to a workspace-relative path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileRoles {
-    /// `event-completeness` (the accounting context source only).
-    pub events: bool,
     /// `panic-reachability` (which files can hold hot roots).
     pub panics: bool,
     /// `determinism-hygiene`.
@@ -220,7 +204,6 @@ pub fn roles_for(rel_path: &str) -> FileRoles {
     let tool_crate =
         rel_path.starts_with("crates/bench/") || rel_path.starts_with("crates/mpc-lint/");
     FileRoles {
-        events: rel_path == "crates/mpc/src/context.rs",
         panics: in_crate_src && !tool_crate,
         determinism: in_crate_src && !tool_crate,
         io: in_crate_src && !tool_crate && !rel_path.starts_with("crates/mpc-snapshot/"),
@@ -257,9 +240,6 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
             test_ranges: &file.test_ranges,
         };
         let roles = roles_for(rel_path);
-        if roles.events {
-            findings.extend(rules::events::check(&ctx));
-        }
         if roles.determinism {
             findings.extend(rules::determinism::check(&ctx, roles.is_executor));
         }
@@ -341,14 +321,12 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
         sources.push((rel.replace('\\', "/"), source));
     }
     let mut report = Report::default();
-    let mut saw_context = false;
     // One pass over the whole set, so the interprocedural rules see
     // every cross-crate call edge.
     let (findings, applied) = lint_sources(&sources);
     report.findings.extend(findings);
     report.allows.extend(applied);
     for (rel, source) in &sources {
-        saw_context |= rel == "crates/mpc/src/context.rs";
         if needs_forbid(rel) {
             let lexed = lexer::lex(source);
             let ctx = FileCtx {
@@ -359,15 +337,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
             report.findings.extend(rules::unsafety::check_forbid(&ctx));
         }
         report.files_scanned += 1;
-    }
-    if !saw_context {
-        report.findings.push(Finding {
-            rule: RULE_EVENT,
-            file: "crates/mpc/src/context.rs".to_string(),
-            line: 1,
-            message: "accounting context source not found — event-completeness could not run"
-                .to_string(),
-        });
     }
     report.finalize();
     Ok(report)
@@ -423,9 +392,9 @@ mod tests {
     #[test]
     fn roles_scope_rules_by_path() {
         let ctx = roles_for("crates/mpc/src/context.rs");
-        assert!(ctx.events && ctx.determinism && !ctx.is_executor);
+        assert!(ctx.determinism && !ctx.is_executor);
         let exec = roles_for("crates/mpc/src/executor.rs");
-        assert!(exec.is_executor && !exec.events);
+        assert!(exec.is_executor);
         let bench = roles_for("crates/bench/src/experiments/micro.rs");
         assert!(!bench.determinism && !bench.panics);
         let lint = roles_for("crates/mpc-lint/src/main.rs");
@@ -469,7 +438,6 @@ mod tests {
     #[test]
     fn rule_registry_is_complete_and_unique() {
         let consts = [
-            RULE_EVENT,
             RULE_UNSAFE,
             RULE_DETERMINISM,
             RULE_IO,

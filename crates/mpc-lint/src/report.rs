@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule id (e.g. `event-completeness`).
+    /// Stable rule id (e.g. `panic-reachability`).
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub file: String,

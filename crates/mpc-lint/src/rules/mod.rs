@@ -4,7 +4,6 @@
 
 pub mod alloc_hot;
 pub mod determinism;
-pub mod events;
 pub mod io_hygiene;
 pub mod panic_reach;
 pub mod unsafety;
@@ -85,46 +84,9 @@ pub(crate) fn site_allow(
     })
 }
 
-/// `snake_case` → `CamelCase` (for primitive → event-variant names).
-pub(crate) fn camel(name: &str) -> String {
-    name.split('_')
-        .map(|w| {
-            let mut c = w.chars();
-            match c.next() {
-                Some(f) => f.to_ascii_uppercase().to_string() + c.as_str(),
-                None => String::new(),
-            }
-        })
-        .collect()
-}
-
-/// `CamelCase` → `snake_case` (for event-variant → primitive names).
-pub(crate) fn snake(name: &str) -> String {
-    let mut out = String::new();
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_uppercase() {
-            if i > 0 {
-                out.push('_');
-            }
-            out.push(c.to_ascii_lowercase());
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn case_conversions_roundtrip() {
-        assert_eq!(camel("converge_cast"), "ConvergeCast");
-        assert_eq!(snake("ConvergeCast"), "converge_cast");
-        assert_eq!(camel("sort"), "Sort");
-        assert_eq!(snake("ParallelBegin"), "parallel_begin");
-    }
 
     #[test]
     fn find_seq_matches_idents_and_puncts() {

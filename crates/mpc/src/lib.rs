@@ -21,7 +21,11 @@
 //!   standard MPC costs (sorting and converge-cast in `O(1/φ)`
 //!   rounds \[GSZ'11\], broadcast trees of fan-out `Θ(s)`), tracks
 //!   per-machine and total memory high-water marks, and reports
-//!   per-phase round/communication summaries.
+//!   per-phase round/communication summaries. Each primitive is one
+//!   [`context::MpcEvent`] applied by the ledger's single charging
+//!   entry, which a forked context records through and
+//!   [`MpcContext::replay`](context::MpcContext::replay) re-runs, so a
+//!   parallel branch charges exactly what serial execution would.
 //!
 //! # Examples
 //!

@@ -289,10 +289,6 @@ impl mpc_stream_core::Maintain for ApproxMsfWeight {
         "msf-approx-weight"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         ApproxMsfWeight::words(self)
     }
@@ -350,10 +346,6 @@ impl mpc_stream_core::Maintain for ApproxMsfForest {
 
     fn name(&self) -> &'static str {
         "msf-approx-forest"
-    }
-
-    fn n(&self) -> usize {
-        self.vertex_count()
     }
 
     fn words(&self) -> u64 {

@@ -132,10 +132,6 @@ impl mpc_stream_core::Maintain for Bipartiteness {
         "bipartiteness"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         Bipartiteness::words(self)
     }

@@ -47,10 +47,6 @@ impl mpc_stream_core::Maintain for ExactMsf {
         "msf-exact"
     }
 
-    fn n(&self) -> usize {
-        self.vertex_count()
-    }
-
     fn words(&self) -> u64 {
         ExactMsf::words(self)
     }

@@ -373,10 +373,6 @@ impl Maintain for Hog {
         self.name
     }
 
-    fn n(&self) -> usize {
-        16
-    }
-
     fn words(&self) -> u64 {
         self.state
     }

@@ -465,10 +465,6 @@ impl Maintain for NoisyDecliner {
         "noisy-decliner"
     }
 
-    fn n(&self) -> usize {
-        4
-    }
-
     fn words(&self) -> u64 {
         1
     }
