@@ -8,13 +8,12 @@
 //! This is exactly the comparison of Section 2.1: same total memory,
 //! logarithmically slower queries.
 
-use mpc_graph::ids::{Edge, VertexId};
+use mpc_graph::ids::VertexId;
 use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::Batch;
 use mpc_sim::MpcContext;
-use mpc_sketch::vertex::EdgeSample;
+use mpc_sketch::cascade::{self, Untouched};
 use mpc_sketch::SketchBank;
-use std::collections::BTreeMap;
 
 /// The sketch-only baseline.
 ///
@@ -99,69 +98,33 @@ impl AgmBaseline {
         self.bank.words()
     }
 
-    /// Recomputes component labels from scratch: one Borůvka level
-    /// per sketch copy, each costing a converge-cast plus a broadcast
-    /// — `Θ(log n)` MPC rounds in total.
+    /// Recomputes component labels from scratch with the
+    /// [`mpc_sketch::cascade`] Borůvka: one level per sketch copy,
+    /// each costing a converge-cast plus a broadcast — `Θ(log n)` MPC
+    /// rounds in total. A never-touched vertex keeps the cascade
+    /// running to its last copy ([`Untouched::Unresolved`], this
+    /// baseline's rule until ROADMAP 2(b) re-records the benchmark
+    /// baselines).
     pub fn query_components(&mut self, ctx: &mut MpcContext) -> Vec<VertexId> {
         let rounds_before = ctx.rounds();
         let mut uf = UnionFind::new(self.n);
-        let sketch_words = self.bank.words_per_vertex() / self.bank.copies().max(1) as u64;
-        let mut scratch = self.bank.new_scratch();
-        for level in 0..self.bank.copies() {
-            if uf.component_count() == 1 {
-                break;
-            }
-            // Merge sketches per current supernode, query each — one
-            // reusable accumulator, no per-component sketch clones.
-            ctx.converge_cast(self.n as u64, sketch_words);
-            let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-            for v in 0..self.n as u32 {
-                groups.entry(uf.find(v)).or_default().push(v);
-            }
-            let mut progress = false;
-            let mut any_failed = false;
-            let mut found: Vec<Edge> = Vec::new();
-            for (_, members) in groups {
-                scratch.reset(level);
-                if self.bank.merge_copy_into(&members, &mut scratch) > 0 {
-                    match self.bank.sample_merged(&scratch) {
-                        EdgeSample::Edge(e) => found.push(e),
-                        EdgeSample::Empty => {}
-                        EdgeSample::Fail => {
-                            any_failed = true;
-                            self.sampler_failures += 1;
-                        }
-                    }
-                } else {
-                    any_failed = true;
-                }
-            }
-            ctx.sort(2 * found.len() as u64 + 1);
-            ctx.broadcast(2);
-            for e in found {
-                if uf.union(e.u(), e.v()) {
-                    progress = true;
-                }
-            }
-            // Stop only on *certified* convergence: every supernode's
-            // cut sampled Empty (exact, Lemma 3.5) and nothing merged.
-            // An unproductive level with sampler failures must not end
-            // the cascade — later levels hold independent copies.
-            if !progress && !any_failed {
-                break;
-            }
-        }
+        let (n, bank) = (self.n as u64, &self.bank);
+        self.sampler_failures += cascade::run(
+            bank,
+            &mut uf,
+            Untouched::Unresolved,
+            |members, _, s| {
+                bank.merge_copy_into(members, s);
+            },
+            |e| Some((e.u(), e.v())),
+            |found, _| {
+                ctx.converge_cast(n, bank.words_per_copy());
+                ctx.sort(2 * found as u64 + 1);
+                ctx.broadcast(2);
+            },
+        );
         self.last_query_rounds = ctx.rounds() - rounds_before;
-        // Labels: minimum vertex id per component.
-        let mut min_of: BTreeMap<u32, u32> = BTreeMap::new();
-        for v in 0..self.n as u32 {
-            let r = uf.find(v);
-            min_of
-                .entry(r)
-                .and_modify(|m| *m = (*m).min(v))
-                .or_insert(v);
-        }
-        (0..self.n as u32).map(|v| min_of[&uf.find(v)]).collect()
+        uf.min_labels()
     }
 }
 
@@ -253,6 +216,7 @@ mpc_snapshot::persist_struct!(AgmBaseline {
 mod tests {
     use super::*;
     use mpc_graph::gen;
+    use mpc_graph::ids::Edge;
     use mpc_graph::oracle;
     use mpc_sim::MpcConfig;
 

@@ -231,14 +231,7 @@ pub fn exact_components(n: usize, edges: &BTreeSet<Edge>) -> Vec<VertexId> {
     for e in edges {
         uf.union(e.u(), e.v());
     }
-    let mut min_of: Vec<VertexId> = (0..n as u32).collect();
-    for v in 0..n as u32 {
-        let r = uf.find(v);
-        if v < min_of[r as usize] {
-            min_of[r as usize] = v;
-        }
-    }
-    (0..n as u32).map(|v| min_of[uf.find(v) as usize]).collect()
+    uf.min_labels()
 }
 
 // ----- snapshot persistence ---------------------------------------

@@ -5,9 +5,9 @@ use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::{Batch, Update};
 use mpc_sim::{MpcContext, MpcError, MpcStreamError};
-use mpc_sketch::vertex::EdgeSample;
-use mpc_sketch::SketchBank;
-use std::collections::BTreeMap;
+use mpc_sketch::cascade::{self, Untouched};
+use mpc_sketch::{MergeScratch, SketchBank};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning knobs for [`Connectivity`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -147,13 +147,17 @@ impl Connectivity {
 
     /// Bootstraps the structure from an arbitrary starting graph —
     /// the paper's pre-computation phase (end of Section 1.1): run a
-    /// known static algorithm once (`O(log n)` rounds, here AGM-style
-    /// Borůvka over the freshly built sketches), install its spanning
-    /// forest through `batch_join`s, and continue dynamically.
+    /// known static algorithm once (`O(log n)` rounds, here the
+    /// [`mpc_sketch::cascade`] Borůvka over the freshly built
+    /// sketches), install its spanning forest through `batch_join`s,
+    /// and continue dynamically.
     ///
     /// # Errors
     ///
-    /// Propagates resource violations.
+    /// * [`MpcStreamError::InvalidBatch`] on an endpoint outside
+    ///   `[0, n)` or a repeated edge, before writing it to the
+    ///   sketches (the contract of [`Connectivity::apply_batch`]).
+    /// * Resource violations, propagated.
     pub fn from_graph(
         n: usize,
         cfg: ConnectivityConfig,
@@ -165,78 +169,37 @@ impl Connectivity {
         // Load every edge into the sketches (one routing round: the
         // edges arrive distributed, each machine ingests its own).
         ctx.exchange(1);
-        let mut count = 0usize;
+        let mut seen: BTreeSet<Edge> = BTreeSet::new();
         for e in edges {
-            if (e.v() as usize) >= n {
+            if (e.v() as usize) >= n || !seen.insert(e) {
                 return Err(invalid_update(e));
             }
             conn.bank.insert_edge(e);
-            count += 1;
         }
-        conn.live_edges = count;
-        // Static Borůvka: each level merges component sketches and
-        // samples an outgoing edge per component — Θ(log n) levels,
-        // each a converge-cast + a forest splice.
-        let sketch_words = conn.bank.words_per_vertex() / conn.bank.copies().max(1) as u64;
+        conn.live_edges = seen.len();
+        // Static Borůvka, Θ(log n) levels, each a converge-cast + a
+        // forest splice. A level can accept up to n/2 edges — more
+        // than one coordinator holds at small s — so it splices in
+        // machine-sized chunks (~6 words of plan per edge).
+        let chunk = (ctx.config().local_capacity() / 8).max(1) as usize;
         let mut uf = UnionFind::new(n);
-        let mut scratch = conn.bank.new_scratch();
-        for level in 0..conn.bank.copies() {
-            if uf.component_count() == 1 {
-                break;
-            }
-            ctx.converge_cast(n as u64, sketch_words);
-            let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-            for v in 0..n as u32 {
-                groups.entry(uf.find(v)).or_default().push(v);
-            }
-            let mut found: Vec<Edge> = Vec::new();
-            let mut any_failed = false;
-            for (_, members) in groups {
-                scratch.reset(level);
-                if conn.bank.merge_copy_into(&members, &mut scratch) > 0 {
-                    match conn.bank.sample_merged(&scratch) {
-                        EdgeSample::Edge(e) => found.push(e),
-                        EdgeSample::Fail => {
-                            any_failed = true;
-                            conn.sampler_failures += 1;
-                        }
-                        EdgeSample::Empty => {}
-                    }
+        let (bank, etf) = (&conn.bank, &mut conn.etf);
+        conn.sampler_failures += cascade::run(
+            bank,
+            &mut uf,
+            Untouched::Empty,
+            |members, _, s| {
+                bank.merge_copy_into(members, s);
+            },
+            |e| Some((e.u(), e.v())),
+            |_, accepted| {
+                ctx.converge_cast(n as u64, bank.words_per_copy());
+                for part in accepted.chunks(chunk) {
+                    etf.batch_join(part, ctx);
                 }
-            }
-            // Keep only edges that still merge distinct components.
-            let mut accepted: Vec<Edge> = Vec::new();
-            for e in found {
-                if uf.union(e.u(), e.v()) {
-                    accepted.push(e);
-                }
-            }
-            // Stop only on certified convergence, as `AgmBaseline`
-            // does: a level whose samplers failed proves nothing, and
-            // the next level holds an independent copy.
-            if accepted.is_empty() && !any_failed {
-                break;
-            }
-            // A level can accept up to n/2 edges — more than one
-            // coordinator can hold at small s. Splice in machine-sized
-            // chunks (each chunk's plan is ~6 words per edge).
-            let chunk = (ctx.config().local_capacity() / 8).max(1) as usize;
-            for part in accepted.chunks(chunk) {
-                conn.etf.batch_join(part, ctx);
-            }
-        }
-        // Component labels from the final union-find.
-        let mut min_of: BTreeMap<u32, u32> = BTreeMap::new();
-        for v in 0..n as u32 {
-            let r = uf.find(v);
-            min_of
-                .entry(r)
-                .and_modify(|m| *m = (*m).min(v))
-                .or_insert(v);
-        }
-        for v in 0..n as u32 {
-            conn.comp[v as usize] = min_of[&uf.find(v)];
-        }
+            },
+        );
+        conn.comp = uf.min_labels();
         ctx.sort(n as u64);
         conn.account(ctx)?;
         Ok(conn)
@@ -512,7 +475,9 @@ impl Connectivity {
     }
 
     /// Borůvka over the split pieces using one fresh sketch copy per
-    /// level (Section 6.3, "Constructing F_H").
+    /// level (Section 6.3, "Constructing F_H"): the
+    /// [`mpc_sketch::cascade`] driver over piece indices, with this
+    /// function supplying each supernode's merge.
     ///
     /// **Zero-sum shortcut.** Every tour `batch_split` cut was, by the
     /// spanning-forest invariant, a whole connected component, so the
@@ -538,10 +503,7 @@ impl Connectivity {
             .map(|(i, p)| (p.tour, i as u32))
             .collect();
         let member_total: u64 = pieces.iter().map(|p| p.size as u64).sum();
-        let sketch_words = self.bank.words_per_vertex() / self.bank.copies().max(1) as u64;
-        let mut uf = UnionFind::new(pieces.len());
-        let mut replacements: Vec<Edge> = Vec::new();
-        let mut exhausted: Vec<bool> = vec![false; pieces.len()];
+        let sketch_words = self.bank.words_per_copy();
         // One converge-cast merges every piece's sketches (all `t`
         // copies) in parallel, and the merged sketches — `O(k·log³n)`
         // words — are collected at the coordinator, which then runs
@@ -553,104 +515,65 @@ impl Connectivity {
         // sketches; the depth is governed by a single copy's size).
         ctx.converge_cast(member_total.max(1), sketch_words);
         ctx.exchange(pieces.len() as u64 * sketch_words * self.bank.copies() as u64);
-        // One reusable merge accumulator serves every supernode of
-        // every level — the cascade allocates nothing per component.
-        let mut scratch = self.bank.new_scratch();
+        let (bank, etf) = (&self.bank, &self.etf);
         #[cfg(debug_assertions)]
-        let mut reference = self.bank.new_scratch();
-        for level in 0..self.bank.copies() {
-            // Group pieces by their current supernode.
-            let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-            for i in 0..pieces.len() as u32 {
-                groups.entry(uf.find(i)).or_default().push(i);
-            }
-            if groups.len() <= 1 {
-                break;
-            }
-            let mut progress = false;
-            let mut unions: Vec<Edge> = Vec::new();
-            for (root, group) in &groups {
-                if exhausted[*root as usize] {
-                    continue;
+        let mut reference = bank.new_scratch();
+        let mut replacements: Vec<Edge> = Vec::new();
+        // Replacement edges never leave an origin, so a supernode's
+        // pieces share one.
+        let merge = |group: &[u32], roots: &[u32], scratch: &mut MergeScratch| {
+            if !group.iter().any(|&pi| pieces[pi as usize].largest) {
+                for &pi in group {
+                    bank.merge_copy_into(&pieces[pi as usize].members, scratch);
                 }
-                // Supernode sketch at this level, accumulated straight
-                // into the scratch. Replacement edges never leave an
-                // origin, so a supernode's pieces share one.
-                scratch.reset(level);
-                let mut absorbed = 0usize;
-                if group.iter().any(|&pi| pieces[pi as usize].largest) {
-                    // Holds the origin's largest piece: minus the sum
-                    // of the sibling pieces outside this supernode.
-                    for &pj in &split.origins[&pieces[group[0] as usize].origin] {
-                        if uf.find(pj) != *root {
-                            absorbed += self
-                                .bank
-                                .subtract_copy_from(&pieces[pj as usize].members, &mut scratch);
-                        }
-                    }
-                    // The all-members merge this replaces, kept as the
-                    // reference it must equal cell for cell (the tours
-                    // still carry their post-split ids here).
-                    #[cfg(debug_assertions)]
-                    {
-                        reference.reset(level);
-                        for &pi in group {
-                            let members = self.etf.tour_members(pieces[pi as usize].tour);
-                            self.bank.merge_copy_into(members, &mut reference);
-                        }
-                        debug_assert!(
-                            (0..scratch.levels()).all(|l| scratch.cell(l) == reference.cell(l)),
-                            "derived accumulator of supernode {root} differs from its members' \
-                             merge at copy {level}: an origin tour's columns do not sum to zero"
-                        );
-                    }
-                } else {
-                    for &pi in group {
-                        absorbed += self
-                            .bank
-                            .merge_copy_into(&pieces[pi as usize].members, &mut scratch);
-                    }
-                }
-                // Nothing folded in means a zero accumulator either
-                // way (all-untouched members, or no sibling outside):
-                // `None` and `Empty` both mark a complete component.
-                let outcome = (absorbed > 0).then(|| self.bank.sample_merged(&scratch));
-                match outcome {
-                    None | Some(EdgeSample::Empty) => {
-                        // No outgoing edge: this supernode is a
-                        // complete component.
-                        exhausted[*root as usize] = true;
-                    }
-                    Some(EdgeSample::Fail) => {
-                        // Retry at the next level with fresh
-                        // randomness.
-                        self.sampler_failures += 1;
-                    }
-                    Some(EdgeSample::Edge(e)) => {
-                        unions.push(e);
-                    }
+                return;
+            }
+            // Holds the origin's largest piece: minus the sum of the
+            // sibling pieces outside this supernode.
+            let root = roots[group[0] as usize];
+            for &pj in &split.origins[&pieces[group[0] as usize].origin] {
+                if roots[pj as usize] != root {
+                    bank.subtract_copy_from(&pieces[pj as usize].members, scratch);
                 }
             }
-            for e in unions {
-                let ta = self.etf.tour_of(e.u());
-                let tb = self.etf.tour_of(e.v());
-                let (Some(&ia), Some(&ib)) = (piece_index.get(&ta), piece_index.get(&tb)) else {
-                    debug_assert!(false, "sampled edge {e} leaves the affected component");
-                    continue;
-                };
-                if uf.union(ia, ib) {
-                    // Exhaustion marks belong to supernodes; a merged
-                    // supernode must be re-probed.
-                    let r = uf.find(ia);
-                    exhausted[r as usize] = false;
-                    replacements.push(e);
-                    progress = true;
+            // The all-members merge this replaces, kept as the
+            // reference it must equal cell for cell (the tours still
+            // carry their post-split ids here).
+            #[cfg(debug_assertions)]
+            {
+                reference.reset(scratch.copy());
+                for &pi in group {
+                    bank.merge_copy_into(
+                        etf.tour_members(pieces[pi as usize].tour),
+                        &mut reference,
+                    );
                 }
+                debug_assert!(
+                    (0..scratch.levels()).all(|l| scratch.cell(l) == reference.cell(l)),
+                    "derived accumulator of supernode {root} differs from its members' merge at \
+                     copy {}: an origin tour's columns do not sum to zero",
+                    scratch.copy()
+                );
             }
-            if !progress && groups.keys().all(|&r| exhausted[r as usize]) {
-                break;
-            }
-        }
+        };
+        let nodes_of = |e: Edge| {
+            let ends = piece_index
+                .get(&etf.tour_of(e.u()))
+                .zip(piece_index.get(&etf.tour_of(e.v())));
+            debug_assert!(
+                ends.is_some(),
+                "sampled edge {e} leaves the affected component"
+            );
+            ends.map(|(&a, &b)| (a, b))
+        };
+        self.sampler_failures += cascade::run(
+            bank,
+            &mut UnionFind::new(pieces.len()),
+            Untouched::Empty,
+            merge,
+            nodes_of,
+            |_, accepted| replacements.extend_from_slice(accepted),
+        );
         // Distribute the replacement set once (the subsequent
         // batch_join charges its own splice rounds).
         ctx.sort(2 * replacements.len() as u64 + 1);
@@ -1034,6 +957,35 @@ mod tests {
         )
         .expect("bootstrap");
         check_against_oracle(&conn, &edges, n);
+    }
+
+    /// Two `K4`s joined by `(0, 4)`, listed twice. Loaded twice, the
+    /// bridge's cut coordinate carries `±2`, every copy samples `Fail`,
+    /// and every seed reported two components; the bootstrap now
+    /// rejects the repeat, as `apply_batch` does.
+    #[test]
+    fn from_graph_rejects_a_repeated_edge() {
+        let k4 =
+            |b: u32| (0..4u32).flat_map(move |a| (a + 1..4).map(move |c| Edge::new(b + a, b + c)));
+        let bridge = Edge::new(0, 4);
+        let edges: Vec<Edge> = k4(0).chain(k4(4)).chain([bridge, bridge]).collect();
+        for seed in 0..8 {
+            let mut ctx = ctx_for(8);
+            let err = Connectivity::from_graph(
+                8,
+                ConnectivityConfig::default(),
+                seed,
+                edges.iter().copied(),
+                &mut ctx,
+            )
+            .map(|c| c.component_count())
+            .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                invalid_update(bridge).to_string(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

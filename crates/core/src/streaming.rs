@@ -20,6 +20,7 @@ use crate::connectivity::invalid_update;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::update::Update;
 use mpc_sim::MpcStreamError;
+use mpc_sketch::cascade;
 use mpc_sketch::vertex::EdgeSample;
 use mpc_sketch::SketchBank;
 use std::collections::{BTreeSet, VecDeque};
@@ -186,37 +187,28 @@ impl StreamingConnectivity {
         }
         // Split F along {u,v} (lines 6–7) and search for a
         // replacement by merging Z_u's sketches (line 8), retrying
-        // across the independent copies.
+        // across the independent copies until one is not `Fail`.
         self.forest[u as usize].remove(&v);
         self.forest[v as usize].remove(&u);
         let z_u = self.tree_of(u);
-        let mut replacement = None;
         let mut scratch = self.bank.new_scratch();
-        for copy in 0..self.bank.copies() {
-            scratch.reset(copy);
-            let absorbed = self.bank.merge_copy_into(&z_u, &mut scratch);
-            match (absorbed > 0).then(|| self.bank.sample_merged(&scratch)) {
-                Some(EdgeSample::Edge(r)) => {
-                    replacement = Some(r);
-                    break;
-                }
-                None | Some(EdgeSample::Empty) => break, // certified no cut edge
-                Some(EdgeSample::Fail) => continue,      // retry with fresh copy
-            }
-        }
-        match replacement {
-            Some(r) => {
-                // Line 15: add {a,b} to F; component ids unchanged.
-                self.forest[r.u() as usize].insert(r.v());
-                self.forest[r.v() as usize].insert(r.u());
-            }
-            None => {
-                // Lines 11–12: the component splits; relabel each side.
-                let z_u = self.tree_of(u);
-                let z_v = self.tree_of(v);
-                self.relabel(&z_u);
-                self.relabel(&z_v);
-            }
+        let outcome = (0..self.bank.copies())
+            .map(|copy| {
+                cascade::probe(&self.bank, &mut scratch, copy, |s| {
+                    self.bank.merge_copy_into(&z_u, s);
+                })
+            })
+            .find(|&sample| sample != EdgeSample::Fail);
+        if let Some(EdgeSample::Edge(r)) = outcome {
+            // Line 15: add {a,b} to F; component ids unchanged.
+            self.forest[r.u() as usize].insert(r.v());
+            self.forest[r.v() as usize].insert(r.u());
+        } else {
+            // Lines 11–12: the component splits; relabel each side.
+            let z_u = self.tree_of(u);
+            let z_v = self.tree_of(v);
+            self.relabel(&z_u);
+            self.relabel(&z_v);
         }
         Ok(())
     }

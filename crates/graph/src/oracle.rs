@@ -84,6 +84,28 @@ impl UnionFind {
     pub fn component_count(&self) -> usize {
         self.components
     }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// Whether there are no elements.
+    pub fn is_empty(&self) -> bool {
+        self.parent.is_empty()
+    }
+
+    /// Labels every element with the smallest element of its set —
+    /// the paper's component-id convention (Section 4.2).
+    pub fn min_labels(&mut self) -> Vec<VertexId> {
+        let n = self.parent.len() as u32;
+        let mut min_of_root: Vec<VertexId> = (0..n).collect();
+        for v in 0..n {
+            let r = self.find(v) as usize;
+            min_of_root[r] = min_of_root[r].min(v);
+        }
+        (0..n).map(|v| min_of_root[self.find(v) as usize]).collect()
+    }
 }
 
 mpc_snapshot::persist_struct!(UnionFind { parent, size, components } check |uf| {
@@ -106,20 +128,7 @@ pub fn components(n: usize, edges: impl IntoIterator<Item = Edge>) -> Vec<Vertex
     for e in edges {
         uf.union(e.u(), e.v());
     }
-    // Map each root to the minimum vertex id in its set.
-    let mut min_of_root: Vec<VertexId> = (0..n as u32).collect();
-    for v in 0..n as u32 {
-        let r = uf.find(v);
-        if v < min_of_root[r as usize] {
-            min_of_root[r as usize] = v;
-        }
-    }
-    (0..n as u32)
-        .map(|v| {
-            let r = uf.find(v);
-            min_of_root[r as usize]
-        })
-        .collect()
+    uf.min_labels()
 }
 
 /// Number of connected components of the graph.

@@ -190,14 +190,7 @@ impl Certificate {
                 uf.union(e.u(), e.v());
             }
         }
-        let mut min_of = vec![u32::MAX; self.n];
-        for v in 0..self.n as u32 {
-            let r = uf.find(v) as usize;
-            min_of[r] = min_of[r].min(v);
-        }
-        (0..self.n as u32)
-            .map(|v| min_of[uf.find(v) as usize])
-            .collect()
+        uf.min_labels()
     }
 
     /// Checks the structural invariants: every layer is a forest, the

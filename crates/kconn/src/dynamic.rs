@@ -21,9 +21,9 @@ use mpc_graph::ids::Edge;
 use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::Batch;
 use mpc_sim::{MpcContext, MpcStreamError};
-use mpc_sketch::vertex::EdgeSample;
+use mpc_sketch::cascade::{self, Untouched};
 use mpc_sketch::SketchBank;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// Dynamic-stream `k`-edge-connectivity via sketch peeling.
 ///
@@ -98,7 +98,9 @@ impl DynamicKConn {
     ///
     /// # Panics
     ///
-    /// Panics if an edge endpoint is `>= n`.
+    /// Panics if an edge endpoint is `>= n`, or if an edge is listed
+    /// twice (its cut coordinate would carry `±2`, which no sampler
+    /// decodes as an edge).
     pub fn from_graph(
         n: usize,
         k: usize,
@@ -108,8 +110,10 @@ impl DynamicKConn {
     ) -> Self {
         let mut kc = DynamicKConn::new(n, k, seed);
         ctx.exchange(1);
+        let mut seen: BTreeSet<Edge> = BTreeSet::new();
         for e in edges {
             assert!((e.v() as usize) < n, "edge {e:?} outside [0, {n})");
+            assert!(seen.insert(e), "edge {e:?} repeated");
             for bank in &mut kc.banks {
                 bank.insert_edge(e);
             }
@@ -261,55 +265,25 @@ impl mpc_stream_core::Maintain for DynamicKConn {
 }
 
 /// Extracts a maximal spanning forest from a sketch bank with the
-/// Borůvka cascade: one sketch copy per level, one converge-cast +
-/// sort + broadcast per level.
+/// [`mpc_sketch::cascade`] Borůvka: one sketch copy per level, one
+/// converge-cast + sort + broadcast per level.
 fn boruvka_forest(bank: &SketchBank, n: usize, ctx: &mut MpcContext) -> Vec<Edge> {
-    let mut uf = UnionFind::new(n);
     let mut forest = Vec::new();
-    let sketch_words = bank.words_per_vertex() / bank.copies().max(1) as u64;
-    let mut scratch = bank.new_scratch();
-    for level in 0..bank.copies() {
-        if uf.component_count() == 1 {
-            break;
-        }
-        ctx.converge_cast(n as u64, sketch_words);
-        // BTreeMap: deterministic iteration keeps the whole peel
-        // reproducible from the seeds (DESIGN.md determinism rule).
-        let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for v in 0..n as u32 {
-            groups.entry(uf.find(v)).or_default().push(v);
-        }
-        let mut found: Vec<Edge> = Vec::new();
-        let mut any_failed = false;
-        for (_, members) in groups {
-            scratch.reset(level);
-            // A group with no materialized member has the zero
-            // sketch: an empty cut — nothing found, nothing failed.
-            if bank.merge_copy_into(&members, &mut scratch) > 0 {
-                match bank.sample_merged(&scratch) {
-                    EdgeSample::Edge(e) => found.push(e),
-                    EdgeSample::Empty => {}
-                    EdgeSample::Fail => any_failed = true,
-                }
-            }
-        }
-        ctx.sort(2 * found.len() as u64 + 1);
-        ctx.broadcast(2);
-        let progressed = !found.is_empty();
-        for e in found {
-            if uf.union(e.u(), e.v()) {
-                forest.push(e);
-            }
-        }
-        // Terminate only on certainty: no component produced an edge
-        // and none *failed* — every remaining cut is provably empty.
-        // A Fail is a recoverable sampler failure: spend the next
-        // (independent) copy on it, as the paper's Section 6.3 copy
-        // budget intends.
-        if !progressed && !any_failed {
-            break;
-        }
-    }
+    cascade::run(
+        bank,
+        &mut UnionFind::new(n),
+        Untouched::Empty,
+        |members, _, s| {
+            bank.merge_copy_into(members, s);
+        },
+        |e| Some((e.u(), e.v())),
+        |found, accepted| {
+            ctx.converge_cast(n as u64, bank.words_per_copy());
+            ctx.sort(2 * found as u64 + 1);
+            ctx.broadcast(2);
+            forest.extend_from_slice(accepted);
+        },
+    );
     forest
 }
 
@@ -517,6 +491,18 @@ mod tests {
     fn from_graph_panics_on_out_of_range() {
         let mut c = ctx();
         let _ = DynamicKConn::from_graph(4, 1, 1, [e(0, 9)], &mut c);
+    }
+
+    /// Two `K4`s joined by `(0, 4)`, listed twice: before the check,
+    /// every run reported `MinCut::Exact(0)` for a graph whose bridge
+    /// gives it min cut 1.
+    #[test]
+    #[should_panic(expected = "repeated")]
+    fn from_graph_panics_on_a_repeated_edge() {
+        let mut c = ctx();
+        let k4 = |b: u32| (0..4u32).flat_map(move |a| (a + 1..4).map(move |d| e(b + a, b + d)));
+        let edges: Vec<Edge> = k4(0).chain(k4(4)).chain([e(0, 4), e(0, 4)]).collect();
+        let _ = DynamicKConn::from_graph(8, 2, 1, edges, &mut c);
     }
 
     #[test]

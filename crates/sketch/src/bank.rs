@@ -87,6 +87,12 @@ impl SketchBank {
         self.words_per_vertex
     }
 
+    /// Words one copy of one vertex's column costs: the message size
+    /// of a Borůvka level's converge-cast, which merges one copy.
+    pub fn words_per_copy(&self) -> u64 {
+        self.words_per_vertex / self.copies.max(1) as u64
+    }
+
     /// The underlying columnar arena (read-only).
     pub fn arena(&self) -> &SketchArena {
         &self.arena

@@ -17,6 +17,12 @@
 //! * [`bank::SketchBank`] — `t = Θ(log n)` independent sketch copies
 //!   per vertex, lazily materialized, as required by the
 //!   batch-deletion algorithm of the paper's Section 6.3.
+//! * [`cascade`] — the Borůvka cascade over a bank's copies (Section
+//!   6.3; the copies boost Lemma 3.1's sampler), written once with its
+//!   one stop rule: one group left, or a level with no union and no
+//!   `Fail`. It is model-free, so this crate needs no `mpc-sim`:
+//!   probes charge nothing, and each caller charges its rounds per
+//!   level.
 //!
 //! All sketches are **linear**: merging two sketches of vectors `X`
 //! and `Y` (same seed family) yields a sketch of `X + Y` exactly
@@ -79,6 +85,7 @@
 
 pub mod arena;
 pub mod bank;
+pub mod cascade;
 pub mod kernels;
 pub mod l0;
 pub mod one_sparse;
