@@ -1,8 +1,10 @@
 //! Criterion benches for the extension layers (experiments E13–E15's
 //! wall-clock complement): certificate cascade throughput, sketch
-//! peeling, robust-wrapper overhead, and vertex churn.
+//! peeling, the query round's sketch recomputes, robust-wrapper
+//! overhead, and vertex churn.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mpc_baselines::AgmBaseline;
 use mpc_graph::ids::Edge;
 use mpc_graph::update::Batch;
 use mpc_kconn::{DynamicKConn, InsertOnlyKConn};
@@ -10,6 +12,8 @@ use mpc_sim::{MpcConfig, MpcContext};
 use mpc_stream_core::{
     Connectivity, ConnectivityConfig, RobustConnectivity, VertexDynamicConnectivity,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn ctx_for(n: usize) -> MpcContext {
@@ -53,6 +57,50 @@ fn bench_kconn(c: &mut Criterion) {
             b.iter(|| black_box(kc.certificate(&mut ctx).edge_count()));
         });
     }
+    g.finish();
+}
+
+/// A churned sparse graph on `n` vertices: random edges among the
+/// first `7n/8` (the rest stay isolated, never touched), then every
+/// seventh edge deleted — disconnected, like the `fanout` workload's.
+fn churned(n: u32) -> (Batch, Batch) {
+    let mut rng = StdRng::seed_from_u64(0xFA40);
+    let reach = n - n / 8;
+    let mut edges: Vec<Edge> = Vec::new();
+    while edges.len() < (n + n / 4) as usize {
+        let (a, b) = (rng.gen_range(0..reach), rng.gen_range(0..reach));
+        if a != b && !edges.contains(&Edge::new(a, b)) {
+            edges.push(Edge::new(a, b));
+        }
+    }
+    let deleted = edges.iter().copied().step_by(7);
+    (
+        Batch::inserting(edges.iter().copied()),
+        Batch::deleting(deleted),
+    )
+}
+
+/// The query round's two sketch recomputes at `fanout`'s shape
+/// (n = 1 024, 8 copies, a churned graph with isolated vertices): the
+/// k = 2 certificate peel and the AGM baseline's component labels.
+fn bench_query_round(c: &mut Criterion) {
+    let n = 1024;
+    let (inserts, deletes) = churned(n as u32);
+    let mut g = c.benchmark_group("query_round");
+    g.bench_function("kconn_peel_fanout_shape", |b| {
+        let mut ctx = ctx_for(n);
+        let mut kc = DynamicKConn::with_copies(n, 2, 8, 5);
+        kc.apply_batch(&inserts, &mut ctx).expect("in range");
+        kc.apply_batch(&deletes, &mut ctx).expect("live edges");
+        b.iter(|| black_box(kc.certificate(&mut ctx).edge_count()));
+    });
+    g.bench_function("agm_components_fanout_shape", |b| {
+        let mut ctx = ctx_for(n);
+        let mut agm = AgmBaseline::new(n, 5);
+        agm.apply_batch(&inserts, &mut ctx);
+        agm.apply_batch(&deletes, &mut ctx);
+        b.iter(|| black_box(agm.query_components(&mut ctx)[0]));
+    });
     g.finish();
 }
 
@@ -136,6 +184,7 @@ fn bench_vertex_churn(c: &mut Criterion) {
 criterion_group!(
     extension_benches,
     bench_kconn,
+    bench_query_round,
     bench_robust,
     bench_vertex_churn
 );

@@ -10,6 +10,8 @@
 //!   view of the edge list (parallel edges add capacity).
 //! * [`edge_connectivity`] — `min(λ(G), components-aware)`: the size
 //!   of the smallest edge cut, `0` for disconnected graphs.
+//! * [`edge_connectivity_capped`] — `min(λ(G), cap)`, in `O(n + m)`
+//!   for `cap ≤ 2`.
 //! * [`bridges`] — cut edges, via one DFS low-link pass.
 //! * [`is_k_edge_connected`] — convenience predicate on top of
 //!   [`edge_connectivity`].
@@ -124,6 +126,39 @@ pub fn global_min_cut(n: usize, edges: &[Edge]) -> u64 {
 /// ```
 pub fn edge_connectivity(n: usize, edges: &[Edge]) -> u64 {
     global_min_cut(n, edges)
+}
+
+/// `min(λ(G), cap)`: the edge connectivity truncated at `cap`.
+///
+/// # Performance
+///
+/// For `cap ≤ 2` this is one union-find pass plus one [`bridges`]
+/// pass, `O(n + m)`: a connected graph on `n ≥ 2` vertices without a
+/// bridge has `λ ≥ 2`. For `cap ≥ 3` it runs [`global_min_cut`]'s
+/// Stoer–Wagner, `O(n³)` time and `n²` words.
+///
+/// # Examples
+///
+/// ```
+/// use mpc_graph::cuts::edge_connectivity_capped;
+/// use mpc_graph::ids::Edge;
+///
+/// let cycle: Vec<Edge> = (0..5).map(|i| Edge::new(i, (i + 1) % 5)).collect();
+/// assert_eq!(edge_connectivity_capped(5, &cycle, 1), 1);
+/// assert_eq!(edge_connectivity_capped(5, &cycle, 2), 2);
+/// assert_eq!(edge_connectivity_capped(5, &cycle[1..], 2), 1);
+/// ```
+pub fn edge_connectivity_capped(n: usize, edges: &[Edge], cap: u64) -> u64 {
+    if cap > 2 {
+        return edge_connectivity(n, edges).min(cap);
+    }
+    if cap == 0 || n <= 1 || crate::oracle::component_count(n, edges.iter().copied()) > 1 {
+        return 0;
+    }
+    if cap == 2 && !bridges(n, edges).is_empty() {
+        return 1;
+    }
+    cap
 }
 
 /// `true` iff the graph is `k`-edge-connected (every cut has at
@@ -340,6 +375,35 @@ mod tests {
         // Disconnected graph is only 0-edge-connected.
         assert!(is_k_edge_connected(4, &[e(0, 1)], 0));
         assert!(!is_k_edge_connected(4, &[e(0, 1)], 1));
+    }
+
+    /// The `O(n + m)` path for `cap ≤ 2` agrees with Stoer–Wagner,
+    /// parallel edges and tiny vertex counts included.
+    #[test]
+    fn capped_connectivity_matches_stoer_wagner() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        for trial in 0..300 {
+            let n = rng.gen_range(0..10usize);
+            let mut edges = Vec::new();
+            let p = rng.gen_range(0.1..0.7);
+            for a in 0..n as u32 {
+                for b in (a + 1)..n as u32 {
+                    while rng.gen_bool(p) {
+                        edges.push(e(a, b));
+                    }
+                }
+            }
+            let lambda = edge_connectivity(n, &edges);
+            for cap in 0..4u64 {
+                assert_eq!(
+                    edge_connectivity_capped(n, &edges, cap),
+                    lambda.min(cap),
+                    "trial {trial} cap {cap}: n={n} edges={edges:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -104,6 +104,12 @@ impl Certificate {
     /// Returns `None` when `j > k`: the certificate only preserves
     /// cuts up to size `k`, so the question is outside its
     /// resolution.
+    ///
+    /// # Performance
+    ///
+    /// `O(n + m)` for `j ≤ 2`; a Stoer–Wagner over the certificate,
+    /// `O(n³)` time and `n²` words, for `j ≥ 3` (see
+    /// [`cuts::edge_connectivity_capped`]).
     pub fn is_k_edge_connected(&self, j: u64) -> Option<bool> {
         if j == 0 {
             return Some(true);
@@ -111,13 +117,20 @@ impl Certificate {
         if j > self.k() as u64 {
             return None;
         }
-        Some(cuts::edge_connectivity(self.n, &self.edges()) >= j)
+        Some(cuts::edge_connectivity_capped(self.n, &self.edges(), j) >= j)
     }
 
     /// The global minimum cut of the underlying graph, exactly if it
     /// is below `k` and as the lower bound `AtLeast(k)` otherwise.
+    ///
+    /// # Performance
+    ///
+    /// `O(n + m)` for `k ≤ 2`: disconnected is `Exact(0)`, a bridge is
+    /// `Exact(1)`, anything else `AtLeast(k)`. For `k ≥ 3` it runs a
+    /// Stoer–Wagner over the certificate, `O(n³)` time and `n²` words
+    /// (see [`cuts::edge_connectivity_capped`]).
     pub fn min_cut(&self) -> MinCut {
-        let lambda = cuts::edge_connectivity(self.n, &self.edges());
+        let lambda = cuts::edge_connectivity_capped(self.n, &self.edges(), self.k() as u64);
         if lambda < self.k() as u64 {
             MinCut::Exact(lambda)
         } else {
@@ -365,6 +378,59 @@ mod tests {
         }
     }
 
+    /// For `k ≤ 2` the linear-time answers equal the Stoer–Wagner
+    /// ones they replace.
+    #[test]
+    fn small_k_answers_match_stoer_wagner_on_random_graphs() {
+        use crate::InsertOnlyKConn;
+        use mpc_graph::update::Batch;
+        use mpc_sim::{MpcConfig, MpcContext};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(404);
+        for trial in 0..60 {
+            let n = rng.gen_range(2..12usize);
+            let p = rng.gen_range(0.1..0.6);
+            let edges: Vec<Edge> = (0..n as u32)
+                .flat_map(|a| (a + 1..n as u32).map(move |b| e(a, b)))
+                .filter(|_| rng.gen_bool(p))
+                .collect();
+            for k in [1usize, 2] {
+                let mut ctx =
+                    MpcContext::new(MpcConfig::builder(n, 0.5).local_capacity(1 << 14).build());
+                let mut kc = InsertOnlyKConn::new(n, k);
+                kc.apply_batch(&Batch::inserting(edges.iter().copied()), &mut ctx)
+                    .unwrap();
+                let cert = kc.certificate();
+                let lambda = cuts::edge_connectivity(n, &cert.edges());
+                let expect = if lambda < k as u64 {
+                    MinCut::Exact(lambda)
+                } else {
+                    MinCut::AtLeast(k as u64)
+                };
+                assert_eq!(cert.min_cut(), expect, "trial {trial} k {k}: {edges:?}");
+                for j in 1..=k as u64 {
+                    assert_eq!(cert.is_k_edge_connected(j), Some(lambda >= j));
+                }
+            }
+        }
+    }
+
+    /// A connected cycle at the benchmark's `n`: Stoer–Wagner's dense
+    /// matrix would be `n²` words (2 GiB); the bridge pass answers in
+    /// linear time.
+    #[test]
+    fn large_cycle_certificate_answers_in_linear_time() {
+        let n = 16_384u32;
+        let path: Vec<Edge> = (0..n - 1).map(|i| e(i, i + 1)).collect();
+        let cycle = Certificate::from_layers(n as usize, vec![path.clone(), vec![e(0, n - 1)]]);
+        assert_eq!(cycle.min_cut(), MinCut::AtLeast(2));
+        assert_eq!(cycle.is_k_edge_connected(2), Some(true));
+        let open = Certificate::from_layers(n as usize, vec![path, vec![]]);
+        assert_eq!(open.min_cut(), MinCut::Exact(1));
+        assert_eq!(open.is_k_edge_connected(2), Some(false));
+    }
+
     #[test]
     fn validate_rejects_cycle_in_layer() {
         let bad = Certificate::from_layers(3, vec![vec![e(0, 1), e(1, 2), e(0, 2)]]);
@@ -375,6 +441,35 @@ mod tests {
     fn validate_rejects_duplicate_across_layers() {
         let bad = Certificate::from_layers(3, vec![vec![e(0, 1)], vec![e(0, 1)]]);
         assert!(bad.validate().unwrap_err().contains("two layers"));
+    }
+
+    /// Two violations each; `validate` names the one it meets first,
+    /// scanning layers in order and, per edge, the repeat before the
+    /// cycle. The messages are pinned verbatim.
+    #[test]
+    fn validate_reports_the_first_of_two_violations() {
+        let cases = [
+            // A repeat across layers, then a cycle in the same layer.
+            (
+                vec![vec![e(0, 1)], vec![e(0, 1), e(2, 3), e(3, 4), e(2, 4)]],
+                "edge Edge { u: 0, v: 1 } appears in two layers (second: F_1)",
+            ),
+            // A cycle, then a repeat in a later layer.
+            (
+                vec![vec![e(0, 1), e(1, 2), e(0, 2)], vec![e(0, 1)]],
+                "layer F_0 is not a forest: Edge { u: 0, v: 2 } closes a cycle",
+            ),
+            // A repeat inside one layer (which also closes a cycle),
+            // then a repeat across layers.
+            (
+                vec![vec![e(0, 1), e(1, 2), e(0, 1)], vec![e(1, 2)]],
+                "edge Edge { u: 0, v: 1 } appears in two layers (second: F_0)",
+            ),
+        ];
+        for (layers, expected) in cases {
+            let cert = Certificate::from_layers(5, layers);
+            assert_eq!(cert.validate(), Err(expected.to_string()));
+        }
     }
 
     #[test]

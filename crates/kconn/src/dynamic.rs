@@ -7,11 +7,13 @@
 //! `Õ(k·n)` words.
 //!
 //! A certificate query **peels** (\[AGM12\] Section 3.2): layer `i`
-//! clones bank `i`, linearly *subtracts* the already-extracted
-//! forests `F_1 ∪ … ∪ F_{i-1}` (sketch linearity, the paper's Remark
-//! 3.2, makes this a plain sequence of `delete_edge` updates), and
-//! runs the Borůvka cascade to extract a maximal spanning forest of
-//! `G ∖ (F_1 ∪ … ∪ F_{i-1})`. The query costs `Θ(k·log n)` MPC rounds
+//! runs the Borůvka cascade over bank `i` *minus* the
+//! already-extracted forests `F_1 ∪ … ∪ F_{i-1}` to extract a maximal
+//! spanning forest of `G ∖ (F_1 ∪ … ∪ F_{i-1})`. The residual is a
+//! view, not a copy: sketch linearity (the paper's Remark 3.2) lets
+//! each group's merge subtract the peeled edges that leave the group
+//! straight from the merge scratch, so bank `i` is read, never
+//! cloned. The query costs `Θ(k·log n)` MPC rounds
 //! — the price of not maintaining the forests explicitly under
 //! deletions, and the concrete gap the paper's Section 9 poses as an
 //! open problem.
@@ -184,28 +186,31 @@ impl DynamicKConn {
     /// a fresh sketch copy); [`Certificate::validate`] can be used to
     /// detect the rare failure.
     pub fn certificate(&self, ctx: &mut MpcContext) -> Certificate {
-        let mut layers: Vec<Vec<Edge>> = Vec::with_capacity(self.k);
-        let mut peeled: Vec<Edge> = Vec::new();
-        for bank in &self.banks {
-            // Subtract the already-extracted forests: route the O(k·n)
-            // peeled edges to the shards, subtract locally.
-            let mut residual = bank.clone();
-            ctx.sort(2 * peeled.len() as u64 + 1);
-            for &e in &peeled {
-                residual.delete_edge(e);
-            }
-            let forest = boruvka_forest(&residual, self.n, ctx);
-            peeled.extend(forest.iter().copied());
-            layers.push(forest);
-        }
-        let mut cert = Certificate::from_layers(self.n, layers);
+        let cert = Certificate::from_layers(self.n, self.peel(Vec::new(), ctx));
         // In the rare event a sampler stalled early, re-sort the
         // layer edges so the laminar maximality invariant holds (the
         // cut guarantee only needs edge-disjoint maximal forests).
         if cert.validate().is_err() {
-            cert = relaminate(self.n, self.k, cert);
+            return relaminate(self.n, self.k, cert);
         }
         cert
+    }
+
+    /// The layers [`DynamicKConn::certificate`] peels, with `peeled`
+    /// already subtracted from every bank before layer 1 (empty
+    /// outside tests).
+    fn peel(&self, mut peeled: Vec<Edge>, ctx: &mut MpcContext) -> Vec<Vec<Edge>> {
+        let mut layers: Vec<Vec<Edge>> = Vec::with_capacity(self.k);
+        for bank in &self.banks {
+            // Subtract the already-extracted forests: route the O(k·n)
+            // peeled edges to the shards, which subtract them from
+            // each merge as it is built.
+            ctx.sort(2 * peeled.len() as u64 + 1);
+            let forest = boruvka_forest(bank, &PeeledRows::new(self.n, &peeled), self.n, ctx);
+            peeled.extend(forest.iter().copied());
+            layers.push(forest);
+        }
+        layers
     }
 
     /// Like [`DynamicKConn::certificate`] but records the consumed
@@ -264,17 +269,80 @@ impl mpc_stream_core::Maintain for DynamicKConn {
     }
 }
 
-/// Extracts a maximal spanning forest from a sketch bank with the
-/// [`mpc_sketch::cascade`] Borůvka: one sketch copy per level, one
-/// converge-cast + sort + broadcast per level.
-fn boruvka_forest(bank: &SketchBank, n: usize, ctx: &mut MpcContext) -> Vec<Edge> {
+/// The peeled edges grouped by endpoint (compressed rows): row `v`
+/// lists every peeled edge at `v`, once per occurrence.
+struct PeeledRows<'a> {
+    peeled: &'a [Edge],
+    /// Row `v` is `slots[start[v]..start[v + 1]]`.
+    start: Vec<usize>,
+    /// Indices into `peeled`.
+    slots: Vec<u32>,
+}
+
+impl<'a> PeeledRows<'a> {
+    fn new(n: usize, peeled: &'a [Edge]) -> Self {
+        let mut start = vec![0usize; n + 1];
+        for e in peeled {
+            start[e.u() as usize + 1] += 1;
+            start[e.v() as usize + 1] += 1;
+        }
+        for v in 1..=n {
+            start[v] += start[v - 1];
+        }
+        let mut next = start.clone();
+        let mut slots = vec![0u32; 2 * peeled.len()];
+        for (i, e) in (0u32..).zip(peeled) {
+            for v in [e.u(), e.v()] {
+                slots[next[v as usize]] = i;
+                next[v as usize] += 1;
+            }
+        }
+        PeeledRows {
+            peeled,
+            start,
+            slots,
+        }
+    }
+
+    fn row(&self, v: u32) -> impl Iterator<Item = Edge> + '_ {
+        let v = v as usize;
+        self.slots[self.start[v]..self.start[v + 1]]
+            .iter()
+            .map(|&i| self.peeled[i as usize])
+    }
+}
+
+/// Extracts a maximal spanning forest of the bank's graph minus the
+/// `peeled` edges with the [`mpc_sketch::cascade`] Borůvka: one sketch
+/// copy per level, one converge-cast + sort + broadcast per level.
+///
+/// The residual is never built. A group's merge adds its members'
+/// columns, then subtracts each peeled edge at a member whose other
+/// endpoint lies outside the group; an edge inside the group would be
+/// subtracted at both ends and cancel (Lemma 3.3). Sketches are
+/// linear, so every probe decodes what a probe of the residual bank
+/// would.
+fn boruvka_forest(
+    bank: &SketchBank,
+    peeled: &PeeledRows<'_>,
+    n: usize,
+    ctx: &mut MpcContext,
+) -> Vec<Edge> {
     let mut forest = Vec::new();
     cascade::run(
         bank,
         &mut UnionFind::new(n),
         Untouched::Empty,
-        |members, _, s| {
+        |members, roots, s| {
             bank.merge_copy_into(members, s);
+            for &v in members {
+                for e in peeled.row(v) {
+                    let other = if e.u() == v { e.v() } else { e.u() };
+                    if roots[other as usize] != roots[v as usize] {
+                        bank.update_edge_into(e, v, -1, s);
+                    }
+                }
+            }
         },
         |e| Some((e.u(), e.v())),
         |found, accepted| {
@@ -428,6 +496,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The clone-and-subtract peel the residual view replaced, kept as
+    /// its reference: layer `i` clones bank `i`, deletes every peeled
+    /// edge from the copy, and runs the cascade over the copy.
+    fn peel_by_clone(
+        kc: &DynamicKConn,
+        mut peeled: Vec<Edge>,
+        ctx: &mut MpcContext,
+    ) -> Vec<Vec<Edge>> {
+        let mut layers: Vec<Vec<Edge>> = Vec::with_capacity(kc.k);
+        for bank in &kc.banks {
+            let mut residual = bank.clone();
+            ctx.sort(2 * peeled.len() as u64 + 1);
+            for &e in &peeled {
+                residual.delete_edge(e);
+            }
+            let forest = boruvka_forest(&residual, &PeeledRows::new(kc.n, &[]), kc.n, ctx);
+            peeled.extend(forest.iter().copied());
+            layers.push(forest);
+        }
+        layers
+    }
+
+    /// The residual view peels the layers the clone peels, at the same
+    /// rounds and words, on random dynamic streams. Three copies stall
+    /// cascades often enough to need `relaminate`. A forged peeled edge
+    /// at a never-touched vertex — which the clone materializes — must
+    /// come out the same too.
+    #[test]
+    fn residual_view_peels_what_the_clone_peels() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2718);
+        let (mut relaminated, mut forged_peeled) = (0, 0);
+        for trial in 0..36u64 {
+            let n = rng.gen_range(8..24usize);
+            let k = 1 + trial as usize % 3;
+            let copies = if trial % 2 == 0 { 3 } else { 8 };
+            let mut kc = DynamicKConn::with_copies(n, k, copies, trial * 97 + 5);
+            // The stream never touches vertex n - 1.
+            let untouched = n as u32 - 1;
+            let forged = e(rng.gen_range(0..untouched), untouched);
+            let mut live: Vec<Edge> = Vec::new();
+            for phase in 0..4 {
+                let mut batch = Batch::new();
+                for _ in 0..3 * n {
+                    if phase == 3 && !live.is_empty() && rng.gen_bool(0.5) {
+                        let ed = live.swap_remove(rng.gen_range(0..live.len()));
+                        batch.push(mpc_graph::update::Update::Delete(ed));
+                        continue;
+                    }
+                    let (a, b) = (rng.gen_range(0..untouched), rng.gen_range(0..untouched));
+                    if a != b && !live.contains(&e(a, b)) && rng.gen_bool(0.3) {
+                        live.push(e(a, b));
+                        batch.push(mpc_graph::update::Update::Insert(e(a, b)));
+                    }
+                }
+                kc.apply_batch(&batch, &mut ctx()).expect("valid stream");
+                for initial in [vec![], vec![forged]] {
+                    let (mut view_ctx, mut clone_ctx) = (ctx(), ctx());
+                    let view = kc.peel(initial.clone(), &mut view_ctx);
+                    let clone = peel_by_clone(&kc, initial.clone(), &mut clone_ctx);
+                    let at = format!("trial {trial} phase {phase} initial {initial:?}");
+                    assert_eq!(view, clone, "{at}");
+                    assert_eq!(view_ctx.stats().rounds, clone_ctx.stats().rounds, "{at}");
+                    assert_eq!(
+                        view_ctx.stats().words_communicated,
+                        clone_ctx.stats().words_communicated,
+                        "{at}"
+                    );
+                    if initial.is_empty() {
+                        let mut query_ctx = ctx();
+                        kc.certificate_mut(&mut query_ctx);
+                        assert_eq!(kc.last_query_rounds(), clone_ctx.stats().rounds, "{at}");
+                        if Certificate::from_layers(n, view).validate().is_err() {
+                            relaminated += 1;
+                        }
+                    } else if view.iter().flatten().any(|&x| x == forged) {
+                        forged_peeled += 1;
+                    }
+                }
+            }
+        }
+        assert!(relaminated > 0, "no stalled peel needed relaminate");
+        assert!(forged_peeled > 0, "the forged edge was never sampled");
     }
 
     #[test]

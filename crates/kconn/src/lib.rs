@@ -30,9 +30,10 @@
 //!   state is `k` independent banks of AGM vertex sketches, updated
 //!   in `O(1)` rounds per batch with `Õ(kn)` total words. A
 //!   certificate query *peels* forests out of the sketches: layer `i`
-//!   clones bank `i`, linearly subtracts the already-extracted
-//!   forests `F_1..F_{i-1}`, and runs the Borůvka cascade — `Θ(k log
-//!   n)` MPC rounds per query. The gap between the two query costs is
+//!   runs the Borůvka cascade over bank `i` minus the
+//!   already-extracted forests `F_1..F_{i-1}`, subtracting them from
+//!   each group's merge scratch rather than from a copy of the bank
+//!   — `Θ(k log n)` MPC rounds per query. The gap between the two query costs is
 //!   precisely why the paper leaves constant-round dynamic
 //!   `k`-connectivity open.
 //!

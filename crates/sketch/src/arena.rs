@@ -26,6 +26,8 @@
 //!   fingerprint), reused across every component merge of a
 //!   converge-cast. Merging a member streams its live cells into the
 //!   accumulator; no sketch is ever cloned.
+//!   [`SketchArena::update_scratch`] writes one update into it, so a
+//!   merge can read a residual graph without copying the pool.
 //!
 //! The **accounted** shape is unchanged: the MPC memory accounting
 //! still charges the paper's dense `levels × cell` layout per
@@ -459,6 +461,34 @@ impl SketchArena {
     /// same order.
     pub fn subtract_from(&self, members: &[u32], scratch: &mut MergeScratch) -> usize {
         self.fold_members(members, scratch, kernels::unfold_cells_soa)
+    }
+
+    /// Applies one `X[index] += delta` to `scratch` at its copy — the
+    /// cell write of [`SketchArena::update`] aimed at the accumulator
+    /// instead of a pool column. It sets the level's bit in the union
+    /// mask and counts as one absorbed column (a one-coordinate
+    /// vector), so a probe of a group that absorbed only such updates
+    /// still samples. Sums wrap and fingerprints add in a field, so
+    /// the accumulator does not depend on where this falls among the
+    /// member folds.
+    pub fn update_scratch(&self, scratch: &mut MergeScratch, index: u64, delta: i64) {
+        debug_assert!(
+            index < self.families[0].max_index,
+            "index {index} out of range"
+        );
+        let family = &self.families[scratch.copy];
+        let level = family.level_of(index);
+        let mut cell = Cell {
+            index_sum: scratch.index_sum[level],
+            value_sum: scratch.value_sum[level],
+            fp: scratch.fp[level],
+        };
+        cell.apply(index as i128, delta, family.term(index));
+        scratch.index_sum[level] = cell.index_sum;
+        scratch.value_sum[level] = cell.value_sum;
+        scratch.fp[level] = cell.fp;
+        scratch.live |= 1u64 << level;
+        scratch.absorbed += 1;
     }
 
     /// The column walk shared by [`SketchArena::merge_into`] and

@@ -188,6 +188,23 @@ impl SketchBank {
         self.arena.subtract_from(members, scratch)
     }
 
+    /// Applies to `scratch` (at its copy) the change
+    /// `update_edge(e, delta)` makes to endpoint `at`'s column — `+delta`
+    /// at the larger endpoint, `-delta` at the smaller (Lemma 3.3) —
+    /// without writing the bank. A merge followed by this call equals
+    /// the merge of a bank that received the update, on every level
+    /// that can be nonzero (see [`SketchArena::update_scratch`]); that
+    /// is how a caller samples a residual graph without cloning the
+    /// bank.
+    pub fn update_edge_into(&self, e: Edge, at: VertexId, delta: i64, scratch: &mut MergeScratch) {
+        debug_assert!(
+            at == e.u() || at == e.v(),
+            "{at} is not an endpoint of {e:?}"
+        );
+        let signed = if at == e.v() { delta } else { -delta };
+        self.arena.update_scratch(scratch, e.index(self.n), signed);
+    }
+
     /// Samples the set sketch accumulated in `scratch` (the cut of
     /// the merged vertex set, Lemma 3.3).
     pub fn sample_merged(&self, scratch: &MergeScratch) -> EdgeSample {
@@ -387,6 +404,53 @@ mod tests {
             bank.sample_merged(&scratch),
             EdgeSample::Edge(Edge::new(2, 11))
         );
+    }
+
+    /// Merging members and then applying an edge deletion at each
+    /// member endpoint equals merging the members of a clone that
+    /// received the deletions: cell for cell, sample for sample, and
+    /// on whether anything was absorbed — including a deleted edge
+    /// whose endpoints were never touched.
+    #[test]
+    fn update_edge_into_equals_merging_an_updated_clone() {
+        let mut bank = SketchBank::new(16, 3, 21);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0), (2, 9)] {
+            bank.insert_edge(Edge::new(a, b));
+        }
+        let removed = [Edge::new(1, 2), Edge::new(2, 9), Edge::new(5, 6)];
+        let mut residual = bank.clone();
+        for &e in &removed {
+            residual.delete_edge(e);
+        }
+        let groups: [&[u32]; 7] = [
+            &[0, 1],
+            &[2],
+            &[1, 2, 3],
+            &[0, 1, 2, 3, 9],
+            &[5],
+            &[5, 6],
+            &[7],
+        ];
+        for members in groups {
+            for copy in 0..3 {
+                let mut want = residual.new_scratch();
+                want.reset(copy);
+                residual.merge_copy_into(members, &mut want);
+                let mut got = bank.new_scratch();
+                got.reset(copy);
+                bank.merge_copy_into(members, &mut got);
+                for &e in &removed {
+                    for at in [e.u(), e.v()].into_iter().filter(|v| members.contains(v)) {
+                        bank.update_edge_into(e, at, -1, &mut got);
+                    }
+                }
+                for level in 0..got.levels() {
+                    assert_eq!(got.cell(level), want.cell(level), "{members:?} copy {copy}");
+                }
+                assert_eq!(bank.sample_merged(&got), residual.sample_merged(&want));
+                assert_eq!(got.absorbed() == 0, want.absorbed() == 0, "{members:?}");
+            }
+        }
     }
 
     #[test]

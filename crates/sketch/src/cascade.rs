@@ -4,7 +4,9 @@
 //! sampler). It runs over the nodes `0..k` of a [`UnionFind`]
 //! (vertices, or the pieces a forest split left) and spends copy `i`
 //! on level `i`. A level groups the nodes by root, probes each group
-//! once, and unions the sampled edges in ascending root order.
+//! once, and unions the sampled edges in ascending root order. The
+//! grouping is one counting pass over the roots into reused buffers,
+//! `O(k)` per level.
 //!
 //! **The one stop rule:** one group left, or a level that accepted no
 //! union and saw no `Fail`. Only an all-zero sketch samples `Empty`,
@@ -68,7 +70,7 @@ pub fn run(
     let k = uf.len();
     let mut scratch = bank.new_scratch();
     let mut roots: Vec<u32> = Vec::with_capacity(k);
-    let mut order: Vec<u32> = (0..k as u32).collect();
+    let (mut order, mut next): (Vec<u32>, Vec<usize>) = (vec![0; k], vec![0; k + 1]);
     let mut exhausted = vec![false; k];
     let (mut found, mut accepted): (Vec<Edge>, Vec<Edge>) = (Vec::new(), Vec::new());
     let mut failures = 0u64;
@@ -78,7 +80,20 @@ pub fn run(
         }
         roots.clear();
         roots.extend((0..k as u32).map(|v| uf.find(v)));
-        order.sort_unstable_by_key(|&v| (roots[v as usize], v));
+        // Counting pass (every root is `< k`): `next[r]` starts at
+        // the first slot of root `r`'s run, and nodes are placed in
+        // ascending order — (root, node) order in O(k).
+        next.fill(0);
+        for &r in &roots {
+            next[r as usize + 1] += 1;
+        }
+        for r in 1..=k {
+            next[r] += next[r - 1];
+        }
+        for (v, &r) in (0..k as u32).zip(&roots) {
+            order[next[r as usize]] = v;
+            next[r as usize] += 1;
+        }
         found.clear();
         let mut unresolved = false;
         for group in order.chunk_by(|&a, &b| roots[a as usize] == roots[b as usize]) {

@@ -22,7 +22,8 @@
 //!   one stop rule: one group left, or a level with no union and no
 //!   `Fail`. It is model-free, so this crate needs no `mpc-sim`:
 //!   probes charge nothing, and each caller charges its rounds per
-//!   level.
+//!   level. Each level groups the nodes by one counting pass over
+//!   their roots into reused buffers, `O(k)` for `k` nodes.
 //!
 //! All sketches are **linear**: merging two sketches of vectors `X`
 //! and `Y` (same seed family) yields a sketch of `X + Y` exactly
@@ -42,6 +43,15 @@
 //! writes; a Borůvka component merge streams member columns into a
 //! reusable [`arena::MergeScratch`] accumulator with zero allocations
 //! and zero sketch clones.
+//!
+//! A merge can also take single updates:
+//! [`SketchBank::update_edge_into`] applies to the scratch what
+//! `delete_edge` / `insert_edge` would have written to one endpoint's
+//! column, and sets that level's bit in the scratch's union mask. By
+//! linearity the scratch then holds the merge of a bank that received
+//! the update, so a caller samples a residual graph — the bank minus
+//! a few edges — without cloning the bank (`mpc-kconn`'s certificate
+//! peel does this per layer).
 //!
 //! **Host representation vs accounted shape.** [`L0Sampler::words`]
 //! and the bank's word counts report the paper's *dense* `levels ×
