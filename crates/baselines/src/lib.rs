@@ -13,8 +13,6 @@
 //!   label propagation. The paper's headline against this line of
 //!   work is the *total memory* column: `Õ(n)` versus `Θ(n+m)`.
 
-#![forbid(unsafe_code)]
-
 pub mod agm;
 pub mod fullmem;
 

@@ -7,6 +7,12 @@
 //! cargo run --release -p mpc-bench --bin experiments -- e1 e4 e10
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::print_stdout,
+    reason = "a tool binary: it times the experiments and prints their tables"
+)]
+
 use mpc_bench::experiments;
 use std::time::Instant;
 

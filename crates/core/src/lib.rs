@@ -97,8 +97,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod connectivity;
 pub mod query;
 pub mod robust;

@@ -75,8 +75,6 @@
 //! checker, which also checks the shard ↔ bookkeeping invariants
 //! ([`tour::TourViolation::ShardMismatch`]).
 
-#![forbid(unsafe_code)]
-
 pub mod batch;
 pub mod dist;
 pub mod tour;

@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn index_is_injective_small() {
         let n = 20;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for a in 0..n as u32 {
             for b in (a + 1)..n as u32 {
                 assert!(seen.insert(Edge::new(a, b).index(n)));

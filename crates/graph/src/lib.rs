@@ -34,8 +34,6 @@
 //! assert_eq!((e.u(), e.v()), (1, 3)); // normalized
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod cuts;
 pub mod dynamic;
 pub mod gen;

@@ -25,8 +25,6 @@
 //! assert_eq!(x, h.eval(17)); // deterministic
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod field;
 pub mod fingerprint;
 pub mod kwise;

@@ -63,8 +63,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod certificate;
 pub mod dynamic;
 pub mod insert_only;

@@ -33,7 +33,6 @@ use std::collections::{BTreeMap, BTreeSet};
 struct Guess {
     /// The OPT' guess this instance was parameterized for (kept for
     /// diagnostics and the experiment harness).
-    #[allow(dead_code)]
     opt_guess: usize,
     beta: u64,
     gamma: u64,

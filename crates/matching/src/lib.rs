@@ -20,8 +20,6 @@
 //!   estimators of Theorems 8.5/8.6 (\[AKL'21\]-style `Tester`
 //!   subroutines at geometric guesses, with induced vertex sampling).
 
-#![forbid(unsafe_code)]
-
 pub mod akly;
 pub mod greedy;
 pub mod no21;

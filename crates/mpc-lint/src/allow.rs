@@ -131,20 +131,20 @@ pub fn apply(
 mod tests {
     use super::*;
 
-    const RULES: &[&str] = &["determinism-hygiene", "panic-reachability"];
+    const RULES: &[&str] = &["panic-reachability", "alloc-hot-path"];
 
     #[test]
     fn justified_allow_suppresses_and_is_recorded() {
         let comments = vec![(
             4u32,
-            " lint: allow(determinism-hygiene): lookup-only map, never iterated".to_string(),
+            " lint: allow(panic-reachability): documented precondition, never empty".to_string(),
         )];
         let mut meta = Vec::new();
         let allows = collect(&comments, RULES, "f.rs", &mut meta);
         assert!(meta.is_empty());
         assert_eq!(allows.len(), 1);
         let findings = vec![Finding {
-            rule: "determinism-hygiene",
+            rule: "panic-reachability",
             file: "f.rs".into(),
             line: 5,
             message: "m".into(),
@@ -153,13 +153,13 @@ mod tests {
         let kept = apply(findings, &allows, "f.rs", &mut applied);
         assert!(kept.is_empty());
         assert_eq!(applied.len(), 1);
-        assert!(applied[0].justification.contains("never iterated"));
+        assert!(applied[0].justification.contains("never empty"));
     }
 
     #[test]
     fn unjustified_or_unknown_allows_become_findings() {
         let comments = vec![
-            (1u32, " lint: allow(determinism-hygiene)".to_string()),
+            (1u32, " lint: allow(panic-reachability)".to_string()),
             (
                 2u32,
                 " lint: allow(not-a-rule): some justification".to_string(),

@@ -3,12 +3,12 @@
 //! The linter deliberately avoids `syn` (this environment has no
 //! registry access) and full parsing: every rule in this crate needs
 //! only a comment-and-literal-free token stream with line numbers,
-//! plus the line comments themselves (for `// SAFETY:` and
-//! `// lint: allow(...)` detection). The lexer therefore handles the
-//! parts of Rust lexical structure that would otherwise produce false
-//! positives — nested block comments, string/raw-string/byte-string
-//! literals, char literals vs. lifetimes — and flattens everything
-//! else to identifiers and single-character punctuation.
+//! plus the line comments themselves (for `// lint: allow(...)`
+//! detection). The lexer therefore handles the parts of Rust lexical
+//! structure that would otherwise produce false positives — nested
+//! block comments, string/raw-string/byte-string literals, char
+//! literals vs. lifetimes — and flattens everything else to
+//! identifiers and single-character punctuation.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,16 +58,6 @@ pub struct Lexed {
     /// `(line, text)` for every `//` comment, text excluding the
     /// leading slashes (doc comments included).
     pub line_comments: Vec<(u32, String)>,
-}
-
-impl Lexed {
-    /// The comment text on `line`, if any.
-    pub fn comment_on(&self, line: u32) -> Option<&str> {
-        self.line_comments
-            .iter()
-            .find(|(l, _)| *l == line)
-            .map(|(_, t)| t.as_str())
-    }
 }
 
 /// Lexes `source` into tokens and line comments.
@@ -368,11 +358,13 @@ mod tests {
 
     #[test]
     fn line_comments_are_captured_with_lines() {
-        let src = "let x = 1; // SAFETY: fine\n// lint: allow(x): because\n";
+        let src = "let x = 1; // trailing note\n// lint: allow(x): because\n";
         let l = lex(src);
         assert_eq!(l.line_comments.len(), 2);
-        assert!(l.comment_on(1).unwrap().contains("SAFETY:"));
-        assert!(l.comment_on(2).unwrap().contains("lint: allow"));
+        assert_eq!(l.line_comments[0].0, 1);
+        assert!(l.line_comments[0].1.contains("trailing note"));
+        assert_eq!(l.line_comments[1].0, 2);
+        assert!(l.line_comments[1].1.contains("lint: allow"));
     }
 
     #[test]

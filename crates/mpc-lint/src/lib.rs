@@ -1,10 +1,9 @@
 //! `mpc-lint` — an offline workspace invariant linter for panic
-//! freedom, allocation-free hot loops, determinism, and unsafe hygiene.
+//! freedom and allocation-free hot loops.
 //!
-//! The compiler cannot see the invariants this workspace actually
-//! rests on: that no hot entry point reaches a panic through any chain
-//! of helpers, that the merge loops never allocate, that same-seed
-//! runs stay bit-identical across worker counts. `mpc-lint` turns
+//! The compiler cannot see two invariants this workspace rests on:
+//! that no hot entry point reaches a panic through any chain of
+//! helpers, and that the merge loops never allocate. `mpc-lint` turns
 //! those conventions into machine-enforced rules, the same way the
 //! deterministic-MPC line of work (Nowicki, arXiv:1912.04239;
 //! Pai–Pemmaraju, arXiv:2205.12686) turns randomized guarantees into
@@ -16,16 +15,13 @@
 //!
 //! | rule id | invariant |
 //! |---|---|
-//! | `unsafe-hygiene` | `unsafe` is confined to an explicit allowlist — `crates/mpc/src/executor.rs`; every `unsafe` there carries a `// SAFETY:` argument within the preceding 8 lines; every other crate root carries `#![forbid(unsafe_code)]`. |
-//! | `determinism-hygiene` | No `Instant`/`SystemTime`, no default-hasher `HashMap`/`HashSet`, no raw `Mutex`/`RwLock`/`Condvar`/`std::thread::spawn` outside the executor, no `env::var`/`env::var_os`, no `dbg!`/`println!` in library crates. Tool crates (`mpc-bench`, `mpc-lint`) and `#[cfg(test)]` code are out of scope. |
-//! | `io-hygiene` | `std::fs`/`std::io` are confined to `crates/mpc-snapshot` (the one sanctioned persistence path — the checksummed snapshot container behind `Session::checkpoint`/`restore`) and the tool crates. |
 //! | `allow-hygiene` | Meta rule: every inline allow must name a known rule and carry justification text. |
 //! | `panic-reachability` | The PR-3 de-panicking contract, interprocedurally: a hot entry point (`ingest`, `ingest_weighted`, `apply_batch`, `answer`, the merge/sample/converge-cast loops) must neither contain nor *reach*, through any chain of workspace calls, `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (but **not** `debug_assert!`). Local sites are reported at their line; reached ones print the shortest witness chain (`ExactMsf::apply_batch -> ExactMsf::one_iteration -> ...`). Site-level allows at the panic site are honored and routed around. |
 //! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into`, its subtracting twin `subtract_copy_from`, and the sketch loops of `crates/sketch/src/kernels.rs`) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively. |
 //!
 //! # The interprocedural phase
 //!
-//! The first four rules are per-file. The last two run over a
+//! `allow-hygiene` is per-file. The other two run over a
 //! workspace-wide symbol table and call graph ([`graph::Workspace`]):
 //! every function is indexed with its owner `impl`, receiver, and
 //! arity; call sites resolve by name with receiver/arity ranking
@@ -41,8 +37,8 @@
 //! directly above:
 //!
 //! ```text
-//! // lint: allow(determinism-hygiene): lookup-only map keyed by edge,
-//! let cache: HashMap<Edge, u64> = HashMap::new();
+//! // lint: allow(panic-reachability): documented precondition, len checked above
+//! let head = xs.first().expect("non-empty");
 //! ```
 //!
 //! The justification after the closing parenthesis is **mandatory**
@@ -56,11 +52,8 @@
 //! The linter walks every `.rs` file under the workspace root except
 //! `target/`, `vendor/` (clean-room stand-ins for external crates),
 //! and `fixtures/` (the linter's own seeded-violation test inputs).
-//! Rules then scope themselves by path: `panic-reachability` covers
-//! library sources; `determinism-hygiene` covers library sources minus
-//! the tool crates; `io-hygiene` covers library sources minus the
-//! tool crates and the snapshot crate; `unsafe-hygiene` covers
-//! everything walked.
+//! Hot roots are looked for only in library sources outside the tool
+//! crates (`mpc-bench`, `mpc-lint`); see [`FileRoles`].
 //!
 //! # Runtime counterparts
 //!
@@ -71,9 +64,16 @@
 //! rounds and words its fork recorded (the differential fork/replay
 //! audit).
 //!
-//! Four invariants that used to be rules here are now held elsewhere
-//! (ROADMAP 4(e)): record/replay completeness of the accounting ledger
-//! by the compiler (every `MpcContext` primitive is a call of the one
+//! Seven invariants that used to be rules here are now held elsewhere
+//! (ROADMAP 4(e)). Determinism, I/O and unsafe hygiene are compiler
+//! configuration: the root `clippy.toml` bans the clock, default
+//! hashers, raw locks and threads, the environment, file I/O and the
+//! standard streams, and `[workspace.lints]` forbids `unsafe` and
+//! denies prints, `dbg!`, undocumented `unsafe` blocks and reasonless
+//! `#[allow]`s; the executor and the snapshot container opt out where
+//! they live with `#[expect(..., reason = "...")]`. The other four
+//! are held as follows: record/replay completeness of the accounting
+//! ledger by the compiler (every `MpcContext` primitive is a call of the one
 //! exhaustive `apply(MpcEvent)` that `replay` also runs, and clippy
 //! denies a wildcard arm there); `Persist` save/load symmetry by
 //! construction (`mpc_snapshot::persist_struct!` states each layout
@@ -81,8 +81,10 @@
 //! `tests/snapshot_roundtrip.rs`; `supports`/`answer` pairing by the
 //! compiler (both are required methods of `Maintain`); and "no answer
 //! is free" by the executed matrix in `tests/session_query_plane.rs`,
-//! whose roster is asserted equal to `full_registry()`. `alloc-hot-path` stays: no counting-
-//! allocator test exists, so the lint is that invariant's only guard.
+//! whose roster is asserted equal to `full_registry()`.
+//! `alloc-hot-path` stays: a counting `#[global_allocator]` needs
+//! `unsafe impl GlobalAlloc`, which the workspace forbids everywhere
+//! but `mpc-sim`, and `mpc-sim` cannot reach the sketch merge path.
 //!
 //! # CLI
 //!
@@ -93,7 +95,10 @@
 //! cargo run -p mpc-lint -- --explain panic-reachability
 //! ```
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a tool crate: it walks and reads the workspace sources"
+)]
 
 pub mod allow;
 pub mod graph;
@@ -105,15 +110,8 @@ pub mod summary;
 
 use graph::{FileIndex, Workspace};
 use report::{AppliedAllow, Finding, Report};
-use rules::FileCtx;
 use std::path::{Path, PathBuf};
 
-/// Rule id: `unsafe` confinement + `// SAFETY:` + `forbid(unsafe_code)`.
-pub const RULE_UNSAFE: &str = "unsafe-hygiene";
-/// Rule id: no wall-clock / default hashers / raw threads / prints.
-pub const RULE_DETERMINISM: &str = "determinism-hygiene";
-/// Rule id: `std::fs`/`std::io` confined to the snapshot crate.
-pub const RULE_IO: &str = "io-hygiene";
 /// Meta rule id: well-formed, justified allow comments.
 pub const RULE_ALLOW_HYGIENE: &str = "allow-hygiene";
 /// Rule id: hot paths neither contain nor reach a panic.
@@ -123,31 +121,6 @@ pub const RULE_ALLOC_HOT: &str = "alloc-hot-path";
 
 /// Every rule id with a one-paragraph explanation (`--explain`).
 pub const RULES: &[(&str, &str)] = &[
-    (
-        RULE_UNSAFE,
-        "Confines `unsafe` to the reviewed allowlist — crates/mpc/src/executor.rs (the \
-         work-stealing executor) — requires a `// SAFETY:` comment within 8 lines above \
-         every unsafe use there, and requires `#![forbid(unsafe_code)]` on every other \
-         crate root so the confinement is also compiler-enforced.",
-    ),
-    (
-        RULE_DETERMINISM,
-        "Bans nondeterminism sources from maintainer/accounting crates: Instant/SystemTime \
-         (host time), default-hasher HashMap/HashSet (RandomState randomizes iteration \
-         order per process), raw Mutex/RwLock/Condvar/std::thread::spawn outside the \
-         executor (unordered host concurrency), env::var/env::var_os (a host knob no caller \
-         can see), and dbg!/println!-family macros in library crates. Tool crates \
-         (mpc-bench, mpc-lint) and #[cfg(test)] code are exempt.",
-    ),
-    (
-        RULE_IO,
-        "Confines `std::fs`/`std::io` to crates/mpc-snapshot (the one sanctioned \
-         persistence path: the checksummed, versioned snapshot container behind \
-         Session::checkpoint / Session::restore) and the tool crates (mpc-bench, \
-         mpc-lint). File I/O anywhere else is either a second, unversioned persistence \
-         path that restore would silently drop, or a hidden host dependency in code \
-         that must stay a pure function of its seeds. Test code is exempt.",
-    ),
     (
         RULE_ALLOW_HYGIENE,
         "Meta rule for the allowlist mechanism itself: `// lint: allow(<rule>)` must name a \
@@ -185,15 +158,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 /// Which rule families apply to a workspace-relative path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileRoles {
-    /// `panic-reachability` (which files can hold hot roots).
+    /// `panic-reachability` and `alloc-hot-path` (which files can
+    /// hold hot roots).
     pub panics: bool,
-    /// `determinism-hygiene`.
-    pub determinism: bool,
-    /// `io-hygiene`.
-    pub io: bool,
-    /// This file is the sanctioned executor (lock/spawn exemption and
-    /// the `// SAFETY:` regime instead of an outright unsafe ban).
-    pub is_executor: bool,
 }
 
 /// Resolves rule scoping for one workspace-relative path
@@ -205,9 +172,6 @@ pub fn roles_for(rel_path: &str) -> FileRoles {
         rel_path.starts_with("crates/bench/") || rel_path.starts_with("crates/mpc-lint/");
     FileRoles {
         panics: in_crate_src && !tool_crate,
-        determinism: in_crate_src && !tool_crate,
-        io: in_crate_src && !tool_crate && !rel_path.starts_with("crates/mpc-snapshot/"),
-        is_executor: rel_path == "crates/mpc/src/executor.rs",
     }
 }
 
@@ -219,34 +183,20 @@ pub fn lint_source(rel_path: &str, source: &str) -> (Vec<Finding>, Vec<AppliedAl
     lint_sources(&[(rel_path.to_string(), source.to_string())])
 }
 
-/// Lints a set of `(rel_path, source)` files as one workspace: the
-/// per-file rules run on each file, then the symbol table / call
+/// Lints a set of `(rel_path, source)` files as one workspace: each
+/// file's allow comments are parsed, then the symbol table / call
 /// graph is built across all of them and the interprocedural rules
 /// (panic-reachability, alloc-hot-path) run over the whole set. Allow
-/// comments suppress findings of both phases.
+/// comments suppress their findings.
 pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAllow>) {
-    // Phase 1: per-file rules, with each file's parsed allows kept
-    // for post-hoc application to interprocedural findings.
+    // Phase 1: index each file and keep its parsed allows for
+    // post-hoc application to interprocedural findings.
     let mut indexed = Vec::with_capacity(files.len());
     let mut per_file_allows = Vec::with_capacity(files.len());
-    let mut findings = Vec::new();
     let mut meta = Vec::new();
     let rule_ids: Vec<&'static str> = RULES.iter().map(|(id, _)| *id).collect();
     for (rel_path, source) in files {
         let file = FileIndex::new(rel_path, source);
-        let ctx = FileCtx {
-            rel_path,
-            lexed: &file.lexed,
-            test_ranges: &file.test_ranges,
-        };
-        let roles = roles_for(rel_path);
-        if roles.determinism {
-            findings.extend(rules::determinism::check(&ctx, roles.is_executor));
-        }
-        if roles.io {
-            findings.extend(rules::io_hygiene::check(&ctx));
-        }
-        findings.extend(rules::unsafety::check(&ctx));
         per_file_allows.push(allow::collect(
             &file.lexed.line_comments,
             &rule_ids,
@@ -260,10 +210,10 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
     // effect summaries feed the interprocedural rules.
     let ws = Workspace::build(indexed);
     let sums = summary::compute(&ws);
-    findings.extend(rules::panic_reach::check(&ws, &sums));
+    let mut findings = rules::panic_reach::check(&ws, &sums);
     findings.extend(rules::alloc_hot::check(&ws, &sums));
 
-    // Allows apply per file, to findings of either phase.
+    // Allows apply per file.
     let mut applied = Vec::new();
     let mut kept = Vec::new();
     for (fi, (rel_path, _)) in files.iter().enumerate() {
@@ -293,19 +243,6 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
     (kept, applied)
 }
 
-/// Crate roots that must carry `#![forbid(unsafe_code)]`: every
-/// `crates/<name>/src/lib.rs` except mpc-sim's (the executor is
-/// allowlisted), plus the facade.
-fn needs_forbid(rel_path: &str) -> bool {
-    if rel_path == "src/lib.rs" {
-        return true;
-    }
-    let Some(rest) = rel_path.strip_prefix("crates/") else {
-        return false;
-    };
-    rest.ends_with("/src/lib.rs") && !rest.starts_with("mpc/")
-}
-
 /// Lints the whole workspace rooted at `root`.
 ///
 /// # Errors
@@ -320,24 +257,14 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
         let source = std::fs::read_to_string(root.join(rel))?;
         sources.push((rel.replace('\\', "/"), source));
     }
-    let mut report = Report::default();
     // One pass over the whole set, so the interprocedural rules see
     // every cross-crate call edge.
-    let (findings, applied) = lint_sources(&sources);
-    report.findings.extend(findings);
-    report.allows.extend(applied);
-    for (rel, source) in &sources {
-        if needs_forbid(rel) {
-            let lexed = lexer::lex(source);
-            let ctx = FileCtx {
-                rel_path: rel,
-                lexed: &lexed,
-                test_ranges: &[],
-            };
-            report.findings.extend(rules::unsafety::check_forbid(&ctx));
-        }
-        report.files_scanned += 1;
-    }
+    let (findings, allows) = lint_sources(&sources);
+    let mut report = Report {
+        findings,
+        allows,
+        files_scanned: sources.len(),
+    };
     report.finalize();
     Ok(report)
 }
@@ -391,35 +318,12 @@ mod tests {
 
     #[test]
     fn roles_scope_rules_by_path() {
-        let ctx = roles_for("crates/mpc/src/context.rs");
-        assert!(ctx.determinism && !ctx.is_executor);
-        let exec = roles_for("crates/mpc/src/executor.rs");
-        assert!(exec.is_executor);
-        let bench = roles_for("crates/bench/src/experiments/micro.rs");
-        assert!(!bench.determinism && !bench.panics);
-        let lint = roles_for("crates/mpc-lint/src/main.rs");
-        assert!(!lint.determinism);
-        let test = roles_for("tests/determinism.rs");
-        assert!(!test.determinism && !test.panics && !test.io);
-        let facade = roles_for("src/lib.rs");
-        assert!(facade.determinism && facade.io);
-        let snap = roles_for("crates/mpc-snapshot/src/format.rs");
-        assert!(
-            snap.determinism && !snap.io,
-            "snapshot crate may touch disk"
-        );
-        assert!(roles_for("crates/core/src/session.rs").io);
-        assert!(!roles_for("crates/bench/src/experiments/micro.rs").io);
-    }
-
-    #[test]
-    fn forbid_required_everywhere_but_mpc_sim() {
-        assert!(needs_forbid("crates/graph/src/lib.rs"));
-        assert!(needs_forbid("src/lib.rs"));
-        assert!(needs_forbid("crates/mpc-lint/src/lib.rs"));
-        assert!(!needs_forbid("crates/mpc/src/lib.rs"));
-        assert!(!needs_forbid("crates/graph/src/ids.rs"));
-        assert!(needs_forbid("crates/sketch/src/lib.rs"));
+        assert!(roles_for("crates/mpc/src/context.rs").panics);
+        assert!(roles_for("crates/mpc-snapshot/src/format.rs").panics);
+        assert!(roles_for("src/lib.rs").panics);
+        assert!(!roles_for("crates/bench/src/experiments/micro.rs").panics);
+        assert!(!roles_for("crates/mpc-lint/src/main.rs").panics);
+        assert!(!roles_for("tests/determinism.rs").panics);
     }
 
     #[test]
@@ -437,14 +341,7 @@ mod tests {
     /// registering it (or vice versa) fails here, not in the field.
     #[test]
     fn rule_registry_is_complete_and_unique() {
-        let consts = [
-            RULE_UNSAFE,
-            RULE_DETERMINISM,
-            RULE_IO,
-            RULE_ALLOW_HYGIENE,
-            RULE_PANIC_REACH,
-            RULE_ALLOC_HOT,
-        ];
+        let consts = [RULE_ALLOW_HYGIENE, RULE_PANIC_REACH, RULE_ALLOC_HOT];
         assert_eq!(consts.len(), RULES.len(), "registry size drifted");
         for id in consts {
             let hits = RULES.iter().filter(|(r, _)| *r == id).count();
@@ -462,17 +359,23 @@ mod tests {
     #[test]
     fn lint_source_applies_allows_and_reports_malformed_ones() {
         let src = "\
-// lint: allow(determinism-hygiene): lookup-only, never iterated anywhere
-use std::collections::HashMap;
-// lint: allow(determinism-hygiene)
-use std::time::Instant;
+pub fn apply_batch(xs: &[u32]) -> u32 {
+    // lint: allow(panic-reachability): caller guarantees a non-empty batch
+    let head = *xs.first().unwrap();
+    // lint: allow(panic-reachability)
+    head + *xs.last().unwrap()
+}
 ";
         let (findings, applied) = lint_source("crates/core/src/x.rs", src);
         assert_eq!(applied.len(), 1, "justified allow fired: {applied:?}");
-        // Surviving: the Instant finding (unjustified allow does not
+        // Surviving: the second unwrap (unjustified allow does not
         // suppress) plus the allow-hygiene meta finding.
         assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings.iter().any(|f| f.rule == RULE_DETERMINISM));
-        assert!(findings.iter().any(|f| f.rule == RULE_ALLOW_HYGIENE));
+        assert!(findings
+            .iter()
+            .any(|f| f.rule == RULE_PANIC_REACH && f.line == 5));
+        assert!(findings
+            .iter()
+            .any(|f| f.rule == RULE_ALLOW_HYGIENE && f.line == 4));
     }
 }

@@ -1,5 +1,5 @@
-//! `mpc-lint` CLI: lint the workspace for accounting, determinism,
-//! and unsafe-hygiene invariants.
+//! `mpc-lint` CLI: lint the workspace for panic-reachability and
+//! allocation-free hot paths.
 //!
 //! ```text
 //! mpc-lint [ROOT] [--deny] [--json] [--explain <rule>]
@@ -8,7 +8,11 @@
 //! Exit codes: `0` clean (or warn mode), `2` findings under `--deny`,
 //! `1` usage or I/O error.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool: its report is its output"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,58 +1,9 @@
 //! The rule catalog. Each rule lives in its own module and produces
-//! [`Finding`](crate::report::Finding)s; scoping (which rules see
-//! which files) is decided by [`crate::lint_source`].
+//! [`Finding`](crate::report::Finding)s from the workspace call graph
+//! and its effect summaries.
 
 pub mod alloc_hot;
-pub mod determinism;
-pub mod io_hygiene;
 pub mod panic_reach;
-pub mod unsafety;
-
-use crate::lexer::Lexed;
-
-/// Everything a per-file rule needs to know about one source file.
-pub struct FileCtx<'a> {
-    /// Workspace-relative path, `/`-separated.
-    pub rel_path: &'a str,
-    /// The lexed source.
-    pub lexed: &'a Lexed,
-    /// `#[cfg(test)]`/`#[test]` line ranges (rules skip these).
-    pub test_ranges: &'a [(u32, u32)],
-}
-
-/// Searches `tokens[range]` for the token sequence `pattern`, where
-/// each pattern element matches an identifier (`"name"`) or a single
-/// punctuation character (`"."`, `"!"`, …). Returns matching start
-/// indices.
-pub(crate) fn find_seq(
-    tokens: &[crate::lexer::Token],
-    range: (usize, usize),
-    pattern: &[&str],
-) -> Vec<usize> {
-    let mut out = Vec::new();
-    let (lo, hi) = range;
-    if pattern.is_empty() || hi > tokens.len() {
-        return out;
-    }
-    'outer: for i in lo..hi.saturating_sub(pattern.len() - 1) {
-        for (k, p) in pattern.iter().enumerate() {
-            let t = &tokens[i + k];
-            let ok = if p.len() == 1
-                && !p.chars().next().unwrap().is_ascii_alphanumeric()
-                && *p != "_"
-            {
-                t.is_punct(p.chars().next().unwrap())
-            } else {
-                t.is_ident(p)
-            };
-            if !ok {
-                continue 'outer;
-            }
-        }
-        out.push(i);
-    }
-    out
-}
 
 /// The justified `// lint: allow(<rule>): …` comment sitting on
 /// `line` or the line above in `file`, as (comment line,
@@ -82,20 +33,4 @@ pub(crate) fn site_allow(
             .trim();
         (just.chars().count() >= crate::allow::MIN_JUSTIFICATION).then(|| (*l, just.to_string()))
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn find_seq_matches_idents_and_puncts() {
-        let l = crate::lexer::lex("self.record(MpcEvent::Sort(w));");
-        let hits = find_seq(
-            &l.tokens,
-            (0, l.tokens.len()),
-            &["self", ".", "record", "(", "MpcEvent", ":", ":", "Sort"],
-        );
-        assert_eq!(hits.len(), 1);
-    }
 }

@@ -17,7 +17,7 @@
 //! own witness chain.
 
 use crate::graph::Workspace;
-use crate::rules::find_seq;
+use crate::lexer::Token;
 
 /// Macros that abort (`debug_assert!*` are distinct identifiers and
 /// stay legal).
@@ -204,6 +204,36 @@ pub fn compute(ws: &Workspace) -> Summaries {
     }
 }
 
+/// Searches `tokens[range]` for the token sequence `pattern`, where
+/// each pattern element matches an identifier (`"name"`) or a single
+/// punctuation character (`"."`, `"!"`, …). Returns matching start
+/// indices.
+fn find_seq(tokens: &[Token], range: (usize, usize), pattern: &[&str]) -> Vec<usize> {
+    let mut out = Vec::new();
+    let (lo, hi) = range;
+    if pattern.is_empty() || hi > tokens.len() {
+        return out;
+    }
+    'outer: for i in lo..hi.saturating_sub(pattern.len() - 1) {
+        for (k, p) in pattern.iter().enumerate() {
+            let t = &tokens[i + k];
+            let ok = if p.len() == 1
+                && !p.chars().next().unwrap().is_ascii_alphanumeric()
+                && *p != "_"
+            {
+                t.is_punct(p.chars().next().unwrap())
+            } else {
+                t.is_ident(p)
+            };
+            if !ok {
+                continue 'outer;
+            }
+        }
+        out.push(i);
+    }
+    out
+}
+
 /// Which effect a chain query is about.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
@@ -321,5 +351,16 @@ mod tests {
         let s = compute(&w);
         assert!(!s.effects[idx(&w, "a")].panics);
         assert!(!s.effects[idx(&w, "boom")].panics, "test fns excluded");
+    }
+
+    #[test]
+    fn find_seq_matches_idents_and_puncts() {
+        let l = crate::lexer::lex("self.record(MpcEvent::Sort(w));");
+        let hits = find_seq(
+            &l.tokens,
+            (0, l.tokens.len()),
+            &["self", ".", "record", "(", "MpcEvent", ":", ":", "Sort"],
+        );
+        assert_eq!(hits.len(), 1);
     }
 }

@@ -1,6 +1,5 @@
-// lint: allow(determinism-hygiene): seeded-hasher build, keys never iterated
-use std::collections::HashMap;
-
-pub fn lookup_only() -> usize {
-    HashMap::<u32, u32>::new().len() // lint: allow(determinism-hygiene): length query only, no iteration order observed
+pub fn apply_batch(xs: &[u32]) -> u32 {
+    // lint: allow(panic-reachability): caller checks the batch is non-empty
+    let head = *xs.first().unwrap();
+    head + *xs.last().expect("non-empty") // lint: allow(panic-reachability): same non-empty precondition as the head
 }

@@ -1,9 +1,10 @@
-// lint: allow(determinism-hygiene)
-use std::collections::HashMap;
-// lint: allow(made-up-rule): a justification that is long enough
-use std::time::Instant;
-
-pub fn f() -> HashMap<u32, u32> {
-    let _ = Instant::now();
-    HashMap::new()
+pub fn apply_batch(xs: &[u32]) -> u32 {
+    // lint: allow(panic-reachability)
+    let head = *xs.first().unwrap();
+    // lint: allow(made-up-rule): a justification that is long enough
+    let tail = *xs.last().unwrap();
+    head + tail + pick(xs)
+}
+fn pick(xs: &[u32]) -> u32 {
+    xs.iter().copied().max().expect("non-empty")
 }

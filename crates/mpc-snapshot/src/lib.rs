@@ -18,9 +18,9 @@
 //! [`Persist`] for its own types (private fields stay private; through
 //! [`persist_struct!`] wherever the type is a plain field list), the
 //! session layer in `mpc-stream-core` assembles whole-session
-//! snapshots from named sections, and the `io-hygiene` lint rule
-//! confines `std::fs`/`std::io` to this crate plus the tool crates —
-//! algorithm crates serialize through [`SnapshotWriter`], never
+//! snapshots from named sections, and the workspace `clippy.toml`
+//! bans file I/O outside this crate's two file functions and the tool
+//! crates — algorithm crates serialize through [`SnapshotWriter`], never
 //! through the filesystem directly.
 //!
 //! # Encoding rules
@@ -50,8 +50,6 @@
 //! assert_eq!(loads, vec![3, 1, 4]);
 //! # Ok::<(), mpc_snapshot::SnapshotError>(())
 //! ```
-
-#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod format;

@@ -24,6 +24,13 @@
 //! set in one place, `Session::with_workers` / `set_workers`; `1`
 //! means serial execution with no threads at all.
 
+#![expect(
+    unsafe_code,
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the executor is the workspace's one home for threads, locks and unsafe"
+)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -128,12 +135,12 @@ impl WorkerPool {
         let scope = Arc::new(ScopeState::new(n));
         // Erase the closure's lifetime so helper jobs can carry it
         // through the 'static queue.
+        let f_ref: &(dyn Fn(usize) + Sync) = &f;
         // SAFETY: the erased reference never outlives `f`. This
         // function does not return until `scope.wait()` has seen every
         // claimed index complete, and a helper that arrives after the
         // scope is exhausted finds the claim counter spent and never
         // touches `f`; `F: Sync` makes the sharing across lanes sound.
-        let f_ref: &(dyn Fn(usize) + Sync) = &f;
         let f_static: &'static (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<_, &'static (dyn Fn(usize) + Sync)>(f_ref) };
         let helpers = self.lanes.min(n.saturating_sub(1));

@@ -16,8 +16,6 @@
 //!   (Section 7.3) via the bipartite double cover: `G` is bipartite
 //!   iff `cc(G') = 2·cc(G)`.
 
-#![forbid(unsafe_code)]
-
 pub mod approx;
 pub mod bipartite;
 pub mod exact;

@@ -352,7 +352,7 @@ mod tests {
         // Different seeds should sample different coordinates — the
         // "random edge" property the replacement-edge search relies on.
         let support: Vec<u64> = (0..64).map(|i| i * 1000 + 13).collect();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for seed in 0..64 {
             let mut s = L0Sampler::new(1 << 20, seed);
             for &i in &support {

@@ -91,8 +91,6 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod arena;
 pub mod bank;
 pub mod cascade;

@@ -354,7 +354,7 @@ mod tests {
                 sketches[e.v() as usize].insert_edge(e);
             }
             // Merge per current component, query, union.
-            let mut comp_sketch: std::collections::HashMap<u32, VertexSketch> = Default::default();
+            let mut comp_sketch: std::collections::BTreeMap<u32, VertexSketch> = Default::default();
             for v in 0..n as u32 {
                 let root = uf.find(v);
                 comp_sketch

@@ -12,6 +12,8 @@
 //! degrees, like a crawled social network); the follow-on stream mixes
 //! insertions and deletions.
 
+#![expect(clippy::print_stdout, reason = "an example: it prints what it shows")]
+
 use mpc_stream::core_alg::{Connectivity, ConnectivityConfig};
 use mpc_stream::graph::gen;
 use mpc_stream::graph::ids::Edge;

@@ -15,6 +15,8 @@
 //! and prints size, measured approximation ratio, and memory — the
 //! `Õ(n/α)` vs `Õ(max{n²/α³, n/α})` trade-off of the theorems.
 
+#![expect(clippy::print_stdout, reason = "an example: it prints what it shows")]
+
 use mpc_stream::graph::gen;
 use mpc_stream::graph::ids::Edge;
 use mpc_stream::graph::oracle;

@@ -15,6 +15,8 @@
 //! * a [`RobustConnectivity`] over the full capacity space, showing
 //!   what the adaptive-adversary guarantee costs in memory.
 
+#![expect(clippy::print_stdout, reason = "an example: it prints what it shows")]
+
 use mpc_stream::core_alg::{ConnectivityConfig, RobustConnectivity, VertexDynamicConnectivity};
 use mpc_stream::graph::ids::Edge;
 use mpc_stream::graph::update::Batch;

@@ -18,6 +18,8 @@
 //! The maintainers run in parallel on disjoint machine groups, so
 //! every batch costs the *maximum* maintainer's rounds, not the sum.
 
+#![expect(clippy::print_stdout, reason = "an example: it prints what it shows")]
+
 use mpc_stream::graph::gen;
 use mpc_stream::graph::oracle;
 use mpc_stream::prelude::*;

@@ -21,6 +21,8 @@
 //! the measured shape of the paper's Section 9 open problem (cheap
 //! updates, expensive dynamic cut queries).
 
+#![expect(clippy::print_stdout, reason = "an example: it prints what it shows")]
+
 use mpc_stream::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

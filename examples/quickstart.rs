@@ -12,6 +12,8 @@
 //! printing the per-batch round counts and memory — the quantities
 //! Theorem 1.1 bounds.
 
+#![expect(clippy::print_stdout, reason = "an example: it prints what it shows")]
+
 use mpc_stream::graph::gen;
 use mpc_stream::prelude::*;
 

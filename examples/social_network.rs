@@ -15,6 +15,8 @@
 //! against the store-everything `Θ(n+m)` baseline the prior work uses
 //! (kept on the legacy per-structure API — both surfaces coexist).
 
+#![expect(clippy::print_stdout, reason = "an example: it prints what it shows")]
+
 use mpc_stream::baselines::FullMemoryBaseline;
 use mpc_stream::graph::gen;
 use mpc_stream::prelude::*;

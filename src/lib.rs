@@ -69,8 +69,6 @@
 //! and fails with the same [`prelude::MpcStreamError`], message for
 //! message.
 
-#![forbid(unsafe_code)]
-
 pub use mpc_baselines as baselines;
 pub use mpc_etf as etf;
 pub use mpc_graph as graph;

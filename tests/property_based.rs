@@ -221,7 +221,7 @@ proptest! {
                 // tours forming a forest over tours.
                 let mut batch: Vec<Edge> = Vec::new();
                 let mut uf = UnionFind::new(n);
-                let mut index: std::collections::HashMap<u64, u32> = Default::default();
+                let mut index: std::collections::BTreeMap<u64, u32> = Default::default();
                 for (a, b) in pairs {
                     if a == b {
                         continue;

@@ -8,6 +8,11 @@
 //! (stale epoch, unknown maintainer, corrupt bytes) must all surface
 //! as typed `SnapshotError`s, never as garbage state.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "drives checkpoints through real files and inspects them on disk"
+)]
+
 use mpc_stream::graph::gen;
 use mpc_stream::prelude::*;
 use std::path::PathBuf;

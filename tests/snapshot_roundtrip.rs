@@ -6,6 +6,11 @@
 //! its registered [`MaintainerLoader`] — the contract
 //! `Session::checkpoint` / `Session::restore` is built on.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "cleans up the snapshot file the round trip wrote"
+)]
+
 use mpc_stream::graph::gen;
 use mpc_stream::prelude::*;
 use mpc_stream::snapshot::{Snapshot, SnapshotWriter};
