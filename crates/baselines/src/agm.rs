@@ -11,7 +11,7 @@
 use mpc_graph::ids::VertexId;
 use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::Batch;
-use mpc_sim::MpcContext;
+use mpc_sim::{MpcContext, MpcStreamError};
 use mpc_sketch::cascade::{self, Untouched};
 use mpc_sketch::SketchBank;
 
@@ -32,9 +32,10 @@ use mpc_sketch::SketchBank;
 /// agm.apply_batch(
 ///     &Batch::inserting([Edge::new(0, 1), Edge::new(1, 2)]),
 ///     &mut ctx,
-/// );
+/// )?;
 /// let labels = agm.query_components(&mut ctx);
 /// assert_eq!(labels[0], labels[2]);
+/// # Ok::<(), mpc_sim::MpcStreamError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct AgmBaseline {
@@ -63,16 +64,21 @@ impl AgmBaseline {
         self.n
     }
 
-    /// Updates the sketches — `O(1)` rounds, identical to the
-    /// paper's update path.
-    pub fn apply_batch(&mut self, batch: &Batch, ctx: &mut MpcContext) {
-        ctx.exchange(2 * batch.len() as u64 + 1);
-        ctx.broadcast(2);
-        self.ingest_updates(batch);
-    }
-
-    /// The shard-local sketch updates of a routed batch.
-    fn ingest_updates(&mut self, batch: &Batch) {
+    /// Routes the batch and updates the sketches — `O(1)` rounds,
+    /// identical to the paper's update path.
+    ///
+    /// # Errors
+    ///
+    /// * [`MpcStreamError::InvalidBatch`] on an endpoint outside
+    ///   `[0, n)` (state unchanged).
+    /// * [`MpcStreamError::Capacity`] when the batch cannot fit one
+    ///   machine.
+    pub fn apply_batch(
+        &mut self,
+        batch: &Batch,
+        ctx: &mut MpcContext,
+    ) -> Result<(), MpcStreamError> {
+        mpc_stream_core::route_batch(batch, self.n, ctx)?;
         for u in batch.iter() {
             if u.is_insert() {
                 self.bank.insert_edge(u.edge());
@@ -80,6 +86,7 @@ impl AgmBaseline {
                 self.bank.delete_edge(u.edge());
             }
         }
+        Ok(())
     }
 
     /// Rounds consumed by the last [`AgmBaseline::query_components`].
@@ -145,17 +152,8 @@ impl mpc_stream_core::Maintain for AgmBaseline {
         self.sampler_failure_count()
     }
 
-    /// The unified ingest adds the endpoint/legality gate the paper's
-    /// baseline left to the caller; the sketch-update path is the
-    /// same `O(1)`-round routing as [`AgmBaseline::apply_batch`].
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
-        mpc_stream_core::route_batch(batch, self.n, ctx)?;
-        self.ingest_updates(batch);
-        Ok(())
+    fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
@@ -177,7 +175,7 @@ impl mpc_stream_core::Maintain for AgmBaseline {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, mpc_sim::MpcStreamError> {
+    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
         use mpc_stream_core::{ensure_vertex_in, QueryRequest, QueryResponse};
         match *query {
             QueryRequest::Connected(u, v) => {
@@ -232,7 +230,7 @@ mod tests {
         let mut c = ctx();
         let mut agm = AgmBaseline::new(n, 17);
         for (batch, snap) in stream.batches.iter().zip(&snaps) {
-            agm.apply_batch(batch, &mut c);
+            agm.apply_batch(batch, &mut c).expect("valid stream");
             let labels = agm.query_components(&mut c);
             let expect = oracle::components(n, snap.edges());
             assert_eq!(labels, expect);
@@ -248,12 +246,43 @@ mod tests {
         agm.apply_batch(
             &Batch::inserting((0..n as u32 - 1).map(|i| Edge::new(i, i + 1))),
             &mut c,
-        );
+        )
+        .expect("valid stream");
         let _ = agm.query_components(&mut c);
         let path_rounds = agm.last_query_rounds();
         // Queries must cost at least a couple of levels (vs O(1) for
         // the paper's maintained labelling).
         assert!(path_rounds >= 2 * c.config().round_budget_per_primitive() / 2);
         assert!(agm.words() > 0);
+    }
+
+    /// The inherent write path is the gated one: an endpoint outside
+    /// `[0, n)` or a batch too big for one machine is refused before
+    /// any sketch or counter moves.
+    #[test]
+    fn apply_batch_gates_its_input() {
+        let n = 8;
+        let mut c = MpcContext::new(
+            MpcConfig::builder(64, 0.5)
+                .local_capacity(16)
+                .machines(8)
+                .build(),
+        );
+        let mut agm = AgmBaseline::new(n, 3);
+        agm.apply_batch(&Batch::inserting([Edge::new(0, 1)]), &mut c)
+            .expect("in range");
+        let (mut before, rounds) = (agm.clone(), c.rounds());
+        let err = agm
+            .apply_batch(&Batch::inserting([Edge::new(2, n as u32)]), &mut c)
+            .expect_err("endpoint out of range");
+        assert!(matches!(err, MpcStreamError::InvalidBatch(_)), "{err}");
+        let big = Batch::inserting((0..8u32).map(|i| Edge::new(i, (i + 1) % 8)));
+        let err = agm.apply_batch(&big, &mut c).expect_err("cannot fit");
+        assert!(matches!(err, MpcStreamError::Capacity(_)), "{err}");
+        assert_eq!(c.rounds(), rounds, "a refused batch charges nothing");
+        assert_eq!(
+            agm.query_components(&mut c),
+            before.query_components(&mut c)
+        );
     }
 }

@@ -11,7 +11,7 @@
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::Batch;
-use mpc_sim::MpcContext;
+use mpc_sim::{MpcContext, MpcStreamError};
 use std::collections::BTreeSet;
 
 /// The store-everything baseline.
@@ -28,8 +28,9 @@ use std::collections::BTreeSet;
 ///     MpcConfig::builder(8, 0.5).local_capacity(1 << 12).build(),
 /// );
 /// let mut fm = FullMemoryBaseline::new(8);
-/// fm.apply_batch(&Batch::inserting([Edge::new(0, 1)]), &mut ctx);
+/// fm.apply_batch(&Batch::inserting([Edge::new(0, 1)]), &mut ctx)?;
 /// assert_eq!(fm.words(), 8 + 2);
+/// # Ok::<(), mpc_sim::MpcStreamError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct FullMemoryBaseline {
@@ -61,7 +62,20 @@ impl FullMemoryBaseline {
     /// shard). Memory is accounted incrementally — one label word per
     /// vertex plus two words per edge at its smaller endpoint's
     /// shard; this is the `Θ(n+m)` footprint the paper improves on.
-    pub fn apply_batch(&mut self, batch: &Batch, ctx: &mut MpcContext) {
+    ///
+    /// # Errors
+    ///
+    /// * [`MpcStreamError::InvalidBatch`] on an endpoint outside
+    ///   `[0, n)` (state unchanged).
+    /// * [`MpcStreamError::Capacity`] when the batch cannot fit one
+    ///   machine.
+    pub fn apply_batch(
+        &mut self,
+        batch: &Batch,
+        ctx: &mut MpcContext,
+    ) -> Result<(), MpcStreamError> {
+        mpc_stream_core::ensure_endpoints_in(batch, self.n)?;
+        ctx.ensure_batch_fits(2 * batch.len() as u64 + 1)?;
         ctx.exchange(2 * batch.len() as u64);
         let machines = ctx.config().machines().min(self.n);
         if self.loads.len() != machines {
@@ -93,6 +107,7 @@ impl FullMemoryBaseline {
             // Permissive accounting: the point is the measured total.
             let _ = ctx.set_load(m, self.loads[m]);
         }
+        Ok(())
     }
 
     /// Total memory in words (`n + 2m`).
@@ -164,18 +179,8 @@ impl mpc_stream_core::Maintain for FullMemoryBaseline {
         FullMemoryBaseline::words(self)
     }
 
-    /// The unified ingest adds the endpoint/legality gate; the edge
-    /// store update is the same `O(1)`-round routed append/remove as
-    /// [`FullMemoryBaseline::apply_batch`].
-    fn ingest(
-        &mut self,
-        batch: &Batch,
-        ctx: &mut MpcContext,
-    ) -> Result<(), mpc_sim::MpcStreamError> {
-        mpc_stream_core::ensure_endpoints_in(batch, self.n)?;
-        ctx.ensure_batch_fits(2 * batch.len() as u64 + 1)?;
-        self.apply_batch(batch, ctx);
-        Ok(())
+    fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
+        self.apply_batch(batch, ctx)
     }
 
     fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
@@ -195,7 +200,7 @@ impl mpc_stream_core::Maintain for FullMemoryBaseline {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, mpc_sim::MpcStreamError> {
+    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
         use mpc_stream_core::{ensure_vertex_in, QueryRequest, QueryResponse};
         match *query {
             QueryRequest::Connected(u, v) => {
@@ -264,7 +269,7 @@ mod tests {
         let mut c = ctx();
         let mut fm = FullMemoryBaseline::new(n);
         for (batch, snap) in stream.batches.iter().zip(&snaps) {
-            fm.apply_batch(batch, &mut c);
+            fm.apply_batch(batch, &mut c).expect("valid stream");
             let labels = fm.query_components(&mut c);
             assert_eq!(labels, oracle::components(n, snap.edges()));
         }
@@ -279,9 +284,38 @@ mod tests {
         fm.apply_batch(
             &Batch::inserting((0..32u32).map(|i| Edge::new(i, i + 32))),
             &mut c,
-        );
+        )
+        .expect("valid stream");
         assert_eq!(fm.words(), w0 + 64);
         assert_eq!(fm.edge_count(), 32);
+    }
+
+    /// The inherent write path is the gated one: an out-of-range edge
+    /// is refused instead of stored (where the next query would index
+    /// past its labels), and so is a batch too big for one machine.
+    #[test]
+    fn apply_batch_gates_its_input() {
+        let n = 8;
+        let mut c = MpcContext::new(
+            MpcConfig::builder(64, 0.5)
+                .local_capacity(16)
+                .machines(8)
+                .build(),
+        );
+        let mut fm = FullMemoryBaseline::new(n);
+        fm.apply_batch(&Batch::inserting([Edge::new(0, 1)]), &mut c)
+            .expect("in range");
+        let rounds = c.rounds();
+        let err = fm
+            .apply_batch(&Batch::inserting([Edge::new(2, n as u32)]), &mut c)
+            .expect_err("endpoint out of range");
+        assert!(matches!(err, MpcStreamError::InvalidBatch(_)), "{err}");
+        let big = Batch::inserting((0..8u32).map(|i| Edge::new(i, (i + 1) % 8)));
+        let err = fm.apply_batch(&big, &mut c).expect_err("cannot fit");
+        assert!(matches!(err, MpcStreamError::Capacity(_)), "{err}");
+        assert_eq!(c.rounds(), rounds, "a refused batch charges nothing");
+        assert_eq!(fm.edge_count(), 1);
+        assert_eq!(fm.query_components(&mut c), vec![0, 0, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]

@@ -97,8 +97,8 @@ fn bench_query_round(c: &mut Criterion) {
     g.bench_function("agm_components_fanout_shape", |b| {
         let mut ctx = ctx_for(n);
         let mut agm = AgmBaseline::new(n, 5);
-        agm.apply_batch(&inserts, &mut ctx);
-        agm.apply_batch(&deletes, &mut ctx);
+        agm.apply_batch(&inserts, &mut ctx).expect("in range");
+        agm.apply_batch(&deletes, &mut ctx).expect("live edges");
         b.iter(|| black_box(agm.query_components(&mut ctx)[0]));
     });
     g.finish();

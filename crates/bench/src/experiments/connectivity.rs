@@ -127,7 +127,7 @@ pub fn e2_memory_vs_m() -> Vec<Table> {
     let mut next_cp = 0;
     for batch in &stream.batches {
         conn.apply_batch(batch, &mut ctx).expect("within model");
-        full.apply_batch(batch, &mut ctx);
+        full.apply_batch(batch, &mut ctx).expect("within model");
         while next_cp < checkpoints.len() && conn.live_edge_count() >= checkpoints[next_cp] {
             let m = conn.live_edge_count();
             t.row(vec![
@@ -176,7 +176,7 @@ pub fn e2x_memory_crossover() -> Vec<Table> {
     let mut next_cp = 0;
     for batch in &stream.batches {
         conn.apply_batch(batch, &mut ctx).expect("within model");
-        full.apply_batch(batch, &mut ctx);
+        full.apply_batch(batch, &mut ctx).expect("within model");
         while next_cp < checkpoints.len() && conn.live_edge_count() >= checkpoints[next_cp] {
             let m = conn.live_edge_count();
             let (ours, theirs) = (conn.words(), full.words());
@@ -220,8 +220,8 @@ pub fn e3_baseline_comparison() -> Vec<Table> {
             let mut full = FullMemoryBaseline::new(n);
             for batch in &stream.batches {
                 conn.apply_batch(batch, &mut ctx).expect("within model");
-                agm.apply_batch(batch, &mut ctx);
-                full.apply_batch(batch, &mut ctx);
+                agm.apply_batch(batch, &mut ctx).expect("within model");
+                full.apply_batch(batch, &mut ctx).expect("within model");
             }
             // Query cost: ours maintains the labelling — 0 extra
             // rounds; the baselines recompute.
@@ -329,7 +329,7 @@ pub fn e12_ablation() -> Vec<Table> {
         let mut total = 0u64;
         for b in &stream.batches {
             ctx2.begin_phase("agm");
-            agm.apply_batch(b, &mut ctx2);
+            agm.apply_batch(b, &mut ctx2).expect("within model");
             let _ = agm.query_components(&mut ctx2);
             total += ctx2.end_phase().rounds;
         }

@@ -179,17 +179,11 @@ impl RobustConnectivity {
                 )));
             }
         }
-        // All instances ingest the batch; branches run in parallel.
-        ctx.parallel_begin();
-        let result: Result<(), MpcStreamError> = (|| {
-            for inst in &mut self.instances {
-                ctx.parallel_branch();
-                inst.apply_batch(batch, ctx)?;
-            }
-            Ok(())
-        })();
-        ctx.parallel_end();
-        result?;
+        // All R instances ingest the batch, in parallel on disjoint
+        // machine groups.
+        ctx.parallel(&mut self.instances, |inst, ctx| {
+            inst.apply_batch(batch, ctx)
+        })?;
         if consuming {
             self.current_exposures += 1;
             self.total_exposures += 1;
@@ -346,19 +340,6 @@ mod tests {
         );
         // The refused batch was not applied anywhere.
         assert!(r.connected(t3.u(), t3.v()));
-    }
-
-    /// A rejected batch still closes the parallel scope it opened, so
-    /// the caller's next unbalanced `parallel_end` is caught.
-    #[test]
-    #[should_panic(expected = "parallel_end without parallel_begin")]
-    fn rejected_batch_closes_its_parallel_scope() {
-        let mut c = ctx();
-        let mut r = rc(8, 2, 1);
-        let batch = Batch::inserting([Edge::new(0, 1)]);
-        r.apply_batch(&batch, &mut c).unwrap();
-        assert!(r.apply_batch(&batch, &mut c).is_err(), "duplicate insert");
-        c.parallel_end();
     }
 
     #[test]

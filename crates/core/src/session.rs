@@ -70,11 +70,13 @@
 //! machine groups) is independent of how the simulation is executed
 //! on the host. There is **one fan-out skeleton** — chunk ingest and
 //! [`Session::ask_all`] are the same function with a different job —
-//! and it alone opens a parallel scope: per selected maintainer, in
-//! registration order, it audits the branch, obtains the branch's
-//! charges on the master context, settles the report into the rollup,
-//! and closes the branch. Host modes differ only in the **branch
-//! runner**, i.e. in how the charges are obtained:
+//! and it is the session's one [`MpcContext::parallel`] composition,
+//! one branch per selected maintainer in registration order: it
+//! audits the branch, obtains the branch's charges on the master
+//! context and settles the report into the rollup, and `parallel`
+//! closes the branch — and the scope, on the first `Err` too. Host
+//! modes differ only in the **branch runner**, i.e. in how the
+//! charges are obtained:
 //!
 //! * **Inline**: the job runs on the calling thread directly against
 //!   the master context — no fork, no event log, no synchronization.
@@ -1065,15 +1067,15 @@ impl Session {
         self.audit_capacity()
     }
 
-    /// The fan-out skeleton — the one place independent branches are
-    /// composed (rounds by max, words by sum), for chunk ingest and
-    /// [`Session::ask_all`] alike. `select` is consulted for every
-    /// maintainer before the scope opens; per selected maintainer, in
-    /// registration order: audit, obtain `job`'s charges on the master
-    /// context, `settle` the measured branch (a [`BatchReport`] whose
-    /// job-specific `updates` / `l0_failures` are left zero) into the
-    /// rollup, close the branch. The first failing branch keeps its
-    /// partial charges and aborts the fan-out.
+    /// The fan-out skeleton — the session's one
+    /// [`MpcContext::parallel`] composition (rounds by max, words by
+    /// sum), for chunk ingest and [`Session::ask_all`] alike. `select`
+    /// is consulted for every maintainer before the scope opens; each
+    /// selected maintainer is one branch, in registration order: audit,
+    /// obtain `job`'s charges on the master context, `settle` the
+    /// measured branch (a [`BatchReport`] whose job-specific `updates` /
+    /// `l0_failures` are left zero) into the rollup. The first failing
+    /// branch keeps its partial charges and aborts the fan-out.
     ///
     /// The branch runner is chosen here: with a pool and at least two
     /// selected branches, [`prerun_branches`] has already run every
@@ -1097,55 +1099,44 @@ impl Session {
             _ => Vec::new(),
         }
         .into_iter();
-        let mut failure = None;
-        self.ctx.parallel_begin();
-        for (id, m) in self.maintainers.iter_mut().enumerate() {
-            if !selected[id] {
+        self.ctx.parallel(
+            self.maintainers
+                .iter_mut()
+                .enumerate()
                 // Skipped before the branch opens: free by construction.
-                continue;
-            }
-            let audit = BatchAudit::begin(&self.ctx);
-            let mut forked = None;
-            let result = match prerun.next() {
-                None => job(m.as_mut(), &mut self.ctx),
-                Some(pre) => {
-                    forked = Some(pre.forked);
-                    match (pre.result, self.ctx.replay(&pre.log)) {
-                        (Ok(value), Ok(())) => Ok(value),
-                        // Replay can fail where the fork did not (strict
-                        // mode, co-scheduled machines: the fork saw the
-                        // pre-chunk loads, the master sees the replayed
-                        // siblings' too) — the master is authoritative.
-                        (Ok(_), Err(e)) => Err(MpcStreamError::from(e)),
-                        // The failing branch's partial work stays charged.
-                        (Err(e), _) => Err(e),
+                .filter(|&(id, _)| selected[id]),
+            |(id, m), ctx| {
+                let audit = BatchAudit::begin(ctx);
+                let mut forked = None;
+                let value = match prerun.next() {
+                    None => job(m.as_mut(), ctx)?,
+                    Some(pre) => {
+                        forked = Some(pre.forked);
+                        match (pre.result, ctx.replay(&pre.log)) {
+                            (Ok(value), Ok(())) => value,
+                            // Replay can fail where the fork did not (strict
+                            // mode, co-scheduled machines: the fork saw the
+                            // pre-chunk loads, the master sees the replayed
+                            // siblings' too) — the master is authoritative.
+                            (Ok(_), Err(e)) => return Err(MpcStreamError::from(e)),
+                            // The failing branch's partial work stays charged.
+                            (Err(e), _) => return Err(e),
+                        }
                     }
-                }
-            };
-            match result {
-                Ok(value) => {
-                    let measured = audit.finish(m.name(), 0, 0, &self.ctx);
-                    // Differential fork/replay audit: every charge is a
-                    // pure function of (config, event), so what the fork
-                    // recorded must be exactly what replay re-charged.
-                    debug_assert!(
-                        forked.is_none_or(
-                            |f| (f.rounds, f.words) == (measured.rounds, measured.words)
-                        ),
-                        "fork/replay accounting drift for `{}`",
-                        m.name()
-                    );
-                    settle(&mut self.stats, id, measured, value);
-                    self.ctx.parallel_branch();
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        self.ctx.parallel_end();
-        failure.map_or(Ok(()), Err)
+                };
+                let measured = audit.finish(m.name(), 0, 0, ctx);
+                // Differential fork/replay audit: every charge is a
+                // pure function of (config, event), so what the fork
+                // recorded must be exactly what replay re-charged.
+                debug_assert!(
+                    forked.is_none_or(|f| (f.rounds, f.words) == (measured.rounds, measured.words)),
+                    "fork/replay accounting drift for `{}`",
+                    m.name()
+                );
+                settle(&mut self.stats, id, measured, value);
+                Ok(())
+            },
+        )
     }
 
     /// Audits every maintainer's standing state against **its own**

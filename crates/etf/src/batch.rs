@@ -105,74 +105,19 @@ impl DistEtf {
         }
         for (_, comp) in comp_edges {
             if let [e] = comp[..] {
-                self.join_single(e);
+                // The dominant component shape: the larger tour anchors
+                // in place, the smaller is spliced into it — exactly the
+                // tour `join_component` would produce.
+                let (u, v) = e.endpoints();
+                if self.tour_len(self.tour_of(u)) >= self.tour_len(self.tour_of(v)) {
+                    self.link(u, v);
+                } else {
+                    self.link(v, u);
+                }
             } else {
                 self.join_component(&comp);
             }
         }
-    }
-
-    /// Joins one single-edge auxiliary component — the dominant
-    /// component shape — without the general auxiliary-tree
-    /// machinery: the larger tour anchors in place (only its tail
-    /// past the attach point shifts), the smaller tour is rerooted at
-    /// its attach terminal and spliced into the gap. Produces exactly
-    /// the tour [`DistEtf::join_component`] would.
-    fn join_single(&mut self, e: Edge) {
-        let (tu, tv) = (self.tour_of(e.u()), self.tour_of(e.v()));
-        let (root, child, u_root, v_child) = if self.tour_len(tu) >= self.tour_len(tv) {
-            (tu, tv, e.u(), e.v())
-        } else {
-            (tv, tu, e.v(), e.u())
-        };
-        self.reroot_uncharged(v_child);
-        let root_len = self.tour_len(root);
-        let w = self.tour_len(child);
-        let (f_u, _) = self.f_l(u_root);
-        let c = if f_u % 2 == 1 { f_u - 1 } else { f_u };
-        // Root tail shift: positions strictly above the attach point
-        // make room for the child block of w + 4 entries.
-        if let Some(shard) = self.shard_mut(root) {
-            for (_, rec) in shard.iter_mut() {
-                for trav in [&mut rec.first, &mut rec.second] {
-                    if trav.pos > c {
-                        trav.pos += w + 4;
-                    }
-                }
-            }
-        }
-        // Child block: old position x lands at c + 2 + x.
-        let mut merged = self.take_shard(child);
-        for (_, rec) in merged.iter_mut() {
-            rec.tour = root;
-            rec.first.pos += c + 2;
-            rec.second.pos += c + 2;
-        }
-        merged.reserve(1);
-        self.add_adjacency(e);
-        merged.push((
-            e,
-            EdgeRec {
-                tour: root,
-                first: Traversal {
-                    pos: c + 1,
-                    from: u_root,
-                },
-                second: Traversal {
-                    pos: c + w + 3,
-                    from: v_child,
-                },
-            },
-        ));
-        self.splice_shard_entries(root, merged);
-        // Membership: only the child's members change tour; its
-        // sorted run merges into the root's list in place.
-        let extra = self.remove_tour_bookkeeping(child);
-        for &x in &extra {
-            self.set_vertex_tour(x, root);
-        }
-        self.merge_members_into(root, extra);
-        self.set_tour_len(root, root_len + w + 4);
     }
 
     /// Joins one auxiliary-tree component.

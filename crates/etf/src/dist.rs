@@ -78,17 +78,6 @@ impl EdgeRec {
         (self.first.pos + 1, self.second.pos)
     }
 
-    fn shift(&mut self, delta: i64) {
-        // lint: allow(panic-reachability): position arithmetic invariant — shifts never move a record below zero
-        self.first.pos = self.first.pos.checked_add_signed(delta).expect("underflow");
-        self.second.pos = self
-            .second
-            .pos
-            .checked_add_signed(delta)
-            // lint: allow(panic-reachability): position arithmetic invariant — shifts never move a record below zero
-            .expect("underflow");
-    }
-
     fn normalize(&mut self) {
         if self.first.pos > self.second.pos {
             std::mem::swap(&mut self.first, &mut self.second);
@@ -276,8 +265,7 @@ impl DistEtf {
 
     /// Detaches a tour's whole edge shard (empty for singletons). The
     /// caller must re-home every record via
-    /// [`DistEtf::splice_shard_entries`], [`DistEtf::put_shard`] or
-    /// [`DistEtf::insert_edge_rec`].
+    /// [`DistEtf::splice_shard_entries`] or [`DistEtf::put_shard`].
     pub(crate) fn take_shard(&mut self, t: TourId) -> Shard {
         let shard = self.shards.remove(&t).unwrap_or_default();
         self.edge_count -= shard.len();
@@ -354,21 +342,6 @@ impl DistEtf {
     pub(crate) fn remove_adjacency(&mut self, e: Edge) {
         self.adj[e.u() as usize].remove(&e.v());
         self.adj[e.v() as usize].remove(&e.u());
-    }
-
-    pub(crate) fn insert_edge_rec(&mut self, e: Edge, rec: EdgeRec) {
-        self.adj[e.u() as usize].insert(e.v());
-        self.adj[e.v() as usize].insert(e.u());
-        let shard = self.shards.entry(rec.tour).or_default();
-        match shard.binary_search_by_key(&e, |&(k, _)| k) {
-            Ok(_) => {
-                debug_assert!(false, "edge {e} inserted twice");
-            }
-            Err(i) => {
-                shard.insert(i, (e, rec));
-                self.edge_count += 1;
-            }
-        }
     }
 
     /// Drops a tour's membership and length records, returning its
@@ -502,76 +475,80 @@ impl DistEtf {
 
     // ----- single-edge join / split -------------------------------
 
-    pub(crate) fn join_uncharged(&mut self, e: Edge) {
-        let (u, v) = e.endpoints();
-        let (tu, tv) = (self.tour_of(u), self.tour_of(v));
-        // lint: allow(panic-reachability): documented forest precondition — batch_join validates acyclicity upstream
-        assert_ne!(tu, tv, "join would create a cycle: {e}");
-        // lint: allow(panic-reachability): documented forest precondition — batch_join validates duplicates upstream
-        assert!(!self.contains_edge(e), "edge {e} already in the forest");
-        // Root the v-side tour at v, then splice it after u's arrival.
-        self.reroot_uncharged(v);
-        let len_v = self.tour_len[&tv];
-        let (f_u, _) = self.f_l(u);
+    /// Links the tree edge `{root_end, child_end}` between two tours:
+    /// `root_end`'s tour anchors in place (only its tail past the
+    /// attach point shifts), `child_end`'s tour is rerooted at
+    /// `child_end` and spliced into the gap. The one single-edge splice
+    /// of [`DistEtf::join`] and `batch_join`.
+    pub(crate) fn link(&mut self, root_end: VertexId, child_end: VertexId) {
+        let (root, child) = (self.tour_of(root_end), self.tour_of(child_end));
+        self.reroot_uncharged(child_end);
+        let root_len = self.tour_len(root);
+        let w = self.tour_len(child);
+        let (f_u, _) = self.f_l(root_end);
         let c = if f_u % 2 == 1 { f_u - 1 } else { f_u };
-        // Shift u-side entries after the splice point (u's shard only).
-        if let Some(shard) = self.shard_mut(tu) {
+        // Root tail shift: positions strictly above the attach point
+        // make room for the child block of w + 4 entries.
+        if let Some(shard) = self.shard_mut(root) {
             for (_, rec) in shard.iter_mut() {
                 for trav in [&mut rec.first, &mut rec.second] {
                     if trav.pos > c {
-                        trav.pos += len_v + 4;
+                        trav.pos += w + 4;
                     }
                 }
             }
         }
-        // Move the v-side shard wholesale into the splice window.
-        let mut moved_shard = self.take_shard(tv);
-        for (_, rec) in moved_shard.iter_mut() {
-            rec.tour = tu;
-            rec.shift((c + 2) as i64);
+        // Child block: old position x lands at c + 2 + x.
+        let mut merged = self.take_shard(child);
+        for (_, rec) in merged.iter_mut() {
+            rec.tour = root;
+            rec.first.pos += c + 2;
+            rec.second.pos += c + 2;
         }
-        self.splice_shard_entries(tu, moved_shard);
-        // Insert the new edge's two traversals.
-        self.insert_edge_rec(
+        let e = Edge::new(root_end, child_end);
+        self.add_adjacency(e);
+        merged.push((
             e,
             EdgeRec {
-                tour: tu,
+                tour: root,
                 first: Traversal {
                     pos: c + 1,
-                    from: u,
+                    from: root_end,
                 },
                 second: Traversal {
-                    pos: c + len_v + 3,
-                    from: v,
+                    pos: c + w + 3,
+                    from: child_end,
                 },
             },
-        );
-        // Merge membership and length: splice the sorted member runs.
-        // lint: allow(panic-reachability): membership invariant — tour_of returned tv, so its member list exists
-        let mut moved = self.members.remove(&tv).expect("tour exists");
-        for &w in &moved {
-            self.vertex_tour[w as usize] = tu;
+        ));
+        self.splice_shard_entries(root, merged);
+        // Membership: only the child's members change tour; its
+        // sorted run merges into the root's list in place.
+        let extra = self.remove_tour_bookkeeping(child);
+        for &x in &extra {
+            self.set_vertex_tour(x, root);
         }
-        // lint: allow(panic-reachability): membership invariant — tour_of returned tu, so its member list exists
-        let target = self.members.get_mut(&tu).expect("tour exists");
-        target.append(&mut moved);
-        target.sort_unstable();
-        self.tour_len.remove(&tv);
-        // lint: allow(panic-reachability): membership invariant — tour_of returned tu, so its length entry exists
-        *self.tour_len.get_mut(&tu).expect("tour exists") += len_v + 4;
+        self.merge_members_into(root, extra);
+        self.set_tour_len(root, root_len + w + 4);
     }
 
-    /// Links `e`, merging two tours (paper Lemma 5.1 "Join"). `O(1)`
-    /// rounds.
+    /// Links `e`, merging two tours (paper Lemma 5.1 "Join"); `u`'s
+    /// tour is the root. `O(1)` rounds.
     ///
     /// # Panics
     ///
-    /// Panics if the endpoints are already connected or the edge is
-    /// already present.
+    /// Panics if the endpoints are already connected (an edge already
+    /// in the forest included).
     pub fn join(&mut self, e: Edge, ctx: &mut MpcContext) {
         ctx.exchange(4); // fetch f/ℓ of both endpoints
         ctx.broadcast(6); // rotation + splice instruction
-        self.join_uncharged(e);
+        let (u, v) = e.endpoints();
+        assert_ne!(
+            self.tour_of(u),
+            self.tour_of(v),
+            "join would create a cycle: {e}"
+        );
+        self.link(u, v);
     }
 
     /// Builds a sorted member list from a region's edge endpoints.

@@ -20,13 +20,11 @@
 //! gather the new outcomes `Y`, insert `Y` into `H`, and run the
 //! maximal-matching substrate — `O(log 1/κ)` rounds end to end.
 
-use crate::no21::MaximalMatching;
+use crate::sparsifier::PairSparsifier;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::update::Batch;
 use mpc_hashing::kwise::KWiseHash;
 use mpc_sim::{MpcContext, MpcStreamError};
-use mpc_sketch::l0::{L0Sampler, SampleOutcome};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One guess `OPT'` of the maximum matching size.
 #[derive(Debug, Clone)]
@@ -37,14 +35,14 @@ struct Guess {
     beta: u64,
     gamma: u64,
     seed: u64,
+    /// `n²`, the samplers' index space (part of the snapshot layout;
+    /// the sparsifier derives it from `n`).
     edge_space: u64,
     side_hash: KWiseHash,
     h_l: KWiseHash,
     h_r: KWiseHash,
     assign_hash: KWiseHash,
-    samplers: BTreeMap<(u64, u64), L0Sampler>,
-    outcomes: BTreeMap<(u64, u64), Option<Edge>>,
-    matcher: MaximalMatching,
+    sparsifier: PairSparsifier,
 }
 
 impl Guess {
@@ -61,9 +59,7 @@ impl Guess {
             h_l: KWiseHash::from_seed(2, seed ^ 0x1eff),
             h_r: KWiseHash::from_seed(2, seed ^ 0x417e),
             assign_hash: KWiseHash::from_seed(2, seed ^ 0xac7e),
-            samplers: BTreeMap::new(),
-            outcomes: BTreeMap::new(),
-            matcher: MaximalMatching::new(n),
+            sparsifier: PairSparsifier::new(n),
         }
     }
 
@@ -91,72 +87,19 @@ impl Guess {
         (0..self.gamma).any(|g| self.assign_hash.eval_range(i * self.gamma + g, self.beta) == j)
     }
 
-    fn sampler_outcome(sampler: &L0Sampler, n: usize) -> Option<Edge> {
-        match sampler.sample() {
-            SampleOutcome::Sample { index, weight } if weight.abs() == 1 => {
-                Some(Edge::from_index(index, n))
-            }
-            _ => None,
-        }
-    }
-
+    /// The batch's active updates, each with its active pair, feed
+    /// the pair sparsifier.
     fn apply_batch(&mut self, n: usize, batch: &Batch, ctx: &mut MpcContext) {
-        // Identify active updates and their pairs.
-        let mut affected: BTreeSet<(u64, u64)> = BTreeSet::new();
-        let mut active_updates: Vec<(Edge, i64, (u64, u64))> = Vec::new();
-        for u in batch.iter() {
-            let e = u.edge();
-            if let Some((i, j)) = self.pair_of(e) {
-                if self.is_active(i, j) {
-                    affected.insert((i, j));
-                    active_updates.push((e, if u.is_insert() { 1 } else { -1 }, (i, j)));
-                }
-            }
-        }
-        if affected.is_empty() {
-            return;
-        }
-        ctx.exchange(2 * affected.len() as u64);
-        // Old outcomes X, deleted from H.
-        let mut deletions: Vec<Edge> = Vec::new();
-        for &p in &affected {
-            if let Some(Some(old)) = self.outcomes.get(&p) {
-                deletions.push(*old);
-            }
-        }
-        // Update the samplers.
-        for (e, delta, p) in active_updates {
-            let seed = self.seed ^ (p.0 << 20) ^ p.1 ^ 0xeb1e;
-            let edge_space = self.edge_space;
-            let sampler = self
-                .samplers
-                .entry(p)
-                .or_insert_with(|| L0Sampler::new(edge_space, seed));
-            sampler.update(e.index(n), delta);
-        }
-        // New outcomes Y, inserted into H.
-        ctx.exchange(2 * affected.len() as u64);
-        let mut insertions: Vec<Edge> = Vec::new();
-        for &p in &affected {
-            let new = self
-                .samplers
-                .get(&p)
-                .and_then(|s| Self::sampler_outcome(s, n));
-            let old = self.outcomes.insert(p, new).flatten();
-            let _ = old; // already queued for deletion above
-            if let Some(e) = new {
-                insertions.push(e);
-            }
-        }
-        // Keep H consistent: delete all old outcomes of affected
-        // pairs, insert all new ones (unchanged outcomes are a
-        // delete+insert pair, harmless for the matcher).
-        self.matcher.apply_edge_lists(&insertions, &deletions, ctx);
-    }
-
-    fn words(&self) -> u64 {
-        let sampler_words: u64 = self.samplers.values().map(L0Sampler::words).sum();
-        sampler_words + 3 * self.outcomes.len() as u64 + self.matcher.words()
+        let updates = batch
+            .iter()
+            .filter_map(|u| {
+                let (i, j) = self.pair_of(u.edge())?;
+                self.is_active(i, j).then_some((u, (i, j)))
+            })
+            .collect();
+        let seed = self.seed;
+        self.sparsifier
+            .apply(n, updates, |(i, j)| seed ^ (i << 20) ^ j ^ 0xeb1e, ctx);
     }
 }
 
@@ -245,20 +188,18 @@ impl AklyMatching {
     ) -> Result<(), MpcStreamError> {
         mpc_stream_core::route_batch(batch, self.n, ctx)?;
         // The Θ(log n) guesses run in parallel (Section 8.1).
-        ctx.parallel_begin();
-        for guess in &mut self.guesses {
-            guess.apply_batch(self.n, batch, ctx);
-            ctx.parallel_branch();
-        }
-        ctx.parallel_end();
-        Ok(())
+        let n = self.n;
+        ctx.parallel(&mut self.guesses, |guess, ctx| {
+            guess.apply_batch(n, batch, ctx);
+            Ok(())
+        })
     }
 
     /// The best maximal matching across all guesses' sparsifiers.
     pub fn matching(&self) -> Vec<Edge> {
         self.guesses
             .iter()
-            .map(|g| g.matcher.matching())
+            .map(|g| g.sparsifier.matcher().matching())
             .max_by_key(Vec::len)
             .unwrap_or_default()
     }
@@ -276,7 +217,7 @@ impl AklyMatching {
     /// Total memory in words across all guesses
     /// (`Õ(max{n²/α³, n/α})`).
     pub fn words(&self) -> u64 {
-        self.guesses.iter().map(Guess::words).sum()
+        self.guesses.iter().map(|g| g.sparsifier.words()).sum()
     }
 }
 
@@ -343,9 +284,7 @@ mpc_snapshot::persist_struct!(Guess {
     h_l,
     h_r,
     assign_hash,
-    samplers,
-    outcomes,
-    matcher,
+    sparsifier,
 });
 
 mpc_snapshot::persist_struct!(AklyMatching { n, alpha, guesses } check |a| {

@@ -23,6 +23,7 @@
 pub mod akly;
 pub mod greedy;
 pub mod no21;
+mod sparsifier;
 pub mod tester;
 
 pub use akly::AklyMatching;

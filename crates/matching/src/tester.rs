@@ -21,14 +21,12 @@
 //!   collisions).
 
 use crate::greedy::CappedGreedyMatching;
-use crate::no21::MaximalMatching;
+use crate::sparsifier::PairSparsifier;
 use mpc_graph::ids::Edge;
 use mpc_graph::update::Batch;
 use mpc_hashing::field::P;
 use mpc_hashing::kwise::KWiseHash;
 use mpc_sim::{MpcContext, MpcStreamError};
-use mpc_sketch::l0::{L0Sampler, SampleOutcome};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Which stream model an estimator instance supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +54,7 @@ enum Tester {
         groups: u64,
         group_hash: KWiseHash,
         seed: u64,
-        samplers: BTreeMap<(u64, u64), L0Sampler>,
-        outcomes: BTreeMap<(u64, u64), Option<Edge>>,
-        matcher: MaximalMatching,
+        sparsifier: PairSparsifier,
     },
 }
 
@@ -91,59 +87,21 @@ impl Tester {
                 groups,
                 group_hash,
                 seed,
-                samplers,
-                outcomes,
-                matcher,
+                sparsifier,
                 ..
             } => {
-                let mut affected: BTreeSet<(u64, u64)> = BTreeSet::new();
-                let mut updates: Vec<(Edge, i64, (u64, u64))> = Vec::new();
-                for u in batch.iter() {
-                    let e = u.edge();
-                    if !Self::sampled(sample_hash, *threshold, e.u())
-                        || !Self::sampled(sample_hash, *threshold, e.v())
-                    {
-                        continue;
-                    }
-                    let ga = group_hash.eval_range(e.u() as u64, *groups);
-                    let gb = group_hash.eval_range(e.v() as u64, *groups);
-                    let pair = (ga.min(gb), ga.max(gb));
-                    affected.insert(pair);
-                    updates.push((e, if u.is_insert() { 1 } else { -1 }, pair));
-                }
-                if affected.is_empty() {
-                    return;
-                }
-                ctx.exchange(2 * affected.len() as u64);
-                let mut deletions = Vec::new();
-                for &p in &affected {
-                    if let Some(Some(old)) = outcomes.get(&p) {
-                        deletions.push(*old);
-                    }
-                }
-                let edge_space = (*n as u64) * (*n as u64);
-                for (e, delta, p) in updates {
-                    let s = *seed ^ (p.0 << 24) ^ p.1 ^ 0x7e57;
-                    samplers
-                        .entry(p)
-                        .or_insert_with(|| L0Sampler::new(edge_space, s))
-                        .update(e.index(*n), delta);
-                }
-                ctx.exchange(2 * affected.len() as u64);
-                let mut insertions = Vec::new();
-                for &p in &affected {
-                    let new = samplers.get(&p).and_then(|s| match s.sample() {
-                        SampleOutcome::Sample { index, weight } if weight.abs() == 1 => {
-                            Some(Edge::from_index(index, *n))
-                        }
-                        _ => None,
-                    });
-                    outcomes.insert(p, new);
-                    if let Some(e) = new {
-                        insertions.push(e);
-                    }
-                }
-                matcher.apply_edge_lists(&insertions, &deletions, ctx);
+                let sampled = |v: u32| Self::sampled(sample_hash, *threshold, v);
+                let updates = batch
+                    .iter()
+                    .filter(|u| sampled(u.edge().u()) && sampled(u.edge().v()))
+                    .map(|u| {
+                        let ga = group_hash.eval_range(u.edge().u() as u64, *groups);
+                        let gb = group_hash.eval_range(u.edge().v() as u64, *groups);
+                        (u, (ga.min(gb), ga.max(gb)))
+                    })
+                    .collect();
+                let seed = *seed;
+                sparsifier.apply(*n, updates, |(a, b)| seed ^ (a << 24) ^ b ^ 0x7e57, ctx);
             }
         }
     }
@@ -151,23 +109,16 @@ impl Tester {
     fn passes(&self) -> bool {
         match self {
             Tester::Insertion { k, greedy, .. } => greedy.len() >= (*k).div_ceil(2),
-            Tester::Dynamic { k, matcher, .. } => matcher.matching_size() >= (*k).div_ceil(4),
+            Tester::Dynamic { k, sparsifier, .. } => {
+                sparsifier.matcher().matching_size() >= (*k).div_ceil(4)
+            }
         }
     }
 
     fn words(&self) -> u64 {
         match self {
             Tester::Insertion { greedy, .. } => greedy.words(),
-            Tester::Dynamic {
-                samplers,
-                outcomes,
-                matcher,
-                ..
-            } => {
-                samplers.values().map(L0Sampler::words).sum::<u64>()
-                    + 3 * outcomes.len() as u64
-                    + matcher.words()
-            }
+            Tester::Dynamic { sparsifier, .. } => sparsifier.words(),
         }
     }
 }
@@ -236,9 +187,7 @@ impl MatchingSizeEstimator {
                     groups: (2 * k as u64).max(2),
                     group_hash: KWiseHash::from_seed(2, tseed ^ 0xdead_beef),
                     seed: tseed,
-                    samplers: BTreeMap::new(),
-                    outcomes: BTreeMap::new(),
-                    matcher: MaximalMatching::new(n),
+                    sparsifier: PairSparsifier::new(n),
                 },
             };
             testers.push((o, tester));
@@ -290,13 +239,10 @@ impl MatchingSizeEstimator {
         }
         mpc_stream_core::route_batch(batch, self.n, ctx)?;
         // The O(log n) testers run in parallel (Section 8.2).
-        ctx.parallel_begin();
-        for (_, t) in &mut self.testers {
+        ctx.parallel(&mut self.testers, |(_, t), ctx| {
             t.apply_batch(batch, ctx);
-            ctx.parallel_branch();
-        }
-        ctx.parallel_end();
-        Ok(())
+            Ok(())
+        })
     }
 
     /// The current estimate: the largest passing guess (0 for an
@@ -415,9 +361,7 @@ impl mpc_snapshot::Persist for Tester {
                 groups,
                 group_hash,
                 seed,
-                samplers,
-                outcomes,
-                matcher,
+                sparsifier,
             } => {
                 w.put_u8(1);
                 w.put_usize(*k);
@@ -427,9 +371,7 @@ impl mpc_snapshot::Persist for Tester {
                 w.put_u64(*groups);
                 group_hash.save(w);
                 w.put_u64(*seed);
-                samplers.save(w);
-                outcomes.save(w);
-                matcher.save(w);
+                sparsifier.save(w);
             }
         }
     }
@@ -450,9 +392,7 @@ impl mpc_snapshot::Persist for Tester {
                 groups: r.take_u64()?,
                 group_hash: KWiseHash::load(r)?,
                 seed: r.take_u64()?,
-                samplers: BTreeMap::load(r)?,
-                outcomes: BTreeMap::load(r)?,
-                matcher: MaximalMatching::load(r)?,
+                sparsifier: PairSparsifier::load(r)?,
             }),
             t => Err(mpc_snapshot::SnapshotError::Corrupt(format!(
                 "invalid tester tag {t}"

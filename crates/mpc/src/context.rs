@@ -15,6 +15,13 @@
 //! log, so live execution and replay cannot disagree: an event without
 //! a charging arm does not compile, and no code outside the module can
 //! reach a counter.
+//!
+//! Independent instances compose through one combinator,
+//! [`MpcContext::parallel`], which opens a parallel scope, closes a
+//! branch after each instance's work, and closes the scope on every
+//! exit, the first `Err` included. It is the only way to emit the
+//! three scope events outside a replayed log, so an unbalanced scope
+//! cannot be written.
 
 use crate::config::MpcConfig;
 use crate::error::MpcError;
@@ -50,11 +57,11 @@ pub enum MpcEvent {
     Free(usize, u64),
     /// [`MpcContext::set_load`]
     SetLoad(usize, u64),
-    /// [`MpcContext::parallel_begin`]
+    /// [`MpcContext::parallel`] opens its scope
     ParallelBegin,
-    /// [`MpcContext::parallel_branch`]
+    /// [`MpcContext::parallel`] closes a branch after its work
     ParallelBranch,
-    /// [`MpcContext::parallel_end`]
+    /// [`MpcContext::parallel`] closes its scope
     ParallelEnd,
     /// [`MpcContext::begin_phase`]
     BeginPhase(String),
@@ -88,35 +95,34 @@ impl MpcContext {
 
     // ----- parallel composition -----------------------------------
 
-    /// Opens a parallel scope: independent algorithm instances (the
-    /// paper's "run Θ(log n) instances in parallel") run their work
-    /// between [`MpcContext::parallel_branch`] calls, and on
-    /// [`MpcContext::parallel_end`] the scope contributes the
-    /// **maximum** branch round count instead of the sum. Words
-    /// (communication volume) still accumulate across branches — all
-    /// of it really moves. Per-op round attribution keeps counting
-    /// serial-equivalent work.
-    pub fn parallel_begin(&mut self) {
+    /// Runs independent algorithm instances in parallel (the paper's
+    /// "run Θ(log n) instances in parallel" on disjoint machine
+    /// groups): `branch` runs once per item of `branches`, in order,
+    /// and the whole call contributes the **maximum** branch round
+    /// count instead of the sum. Words (communication volume) still
+    /// accumulate across branches — all of it really moves. Per-op
+    /// round attribution keeps counting serial-equivalent work. Calls
+    /// nest: an inner composition is part of its branch's work.
+    ///
+    /// # Errors
+    ///
+    /// The first `Err` a branch returns, after which no further branch
+    /// runs. The failing branch's partial work still counts as one
+    /// more branch, and the scope is closed on this exit too.
+    pub fn parallel<I: IntoIterator, E>(
+        &mut self,
+        branches: I,
+        mut branch: impl FnMut(I::Item, &mut MpcContext) -> Result<(), E>,
+    ) -> Result<(), E> {
         let _ = self.apply(MpcEvent::ParallelBegin);
-    }
-
-    /// Marks the end of one parallel branch (call after each branch's
-    /// work).
-    ///
-    /// # Panics
-    ///
-    /// Panics outside a parallel scope.
-    pub fn parallel_branch(&mut self) {
-        let _ = self.apply(MpcEvent::ParallelBranch);
-    }
-
-    /// Closes the scope, committing the maximum branch's rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no scope is open.
-    pub fn parallel_end(&mut self) {
+        let result = branches.into_iter().try_for_each(|b| {
+            branch(b, self)?;
+            let _ = self.apply(MpcEvent::ParallelBranch);
+            Ok(())
+        });
+        // Trailing work, a failed branch's included, counts as a branch.
         let _ = self.apply(MpcEvent::ParallelEnd);
+        result
     }
 
     // ----- round-charged primitives -------------------------------
@@ -434,8 +440,8 @@ mod ledger {
                     let (saved, max) = self
                         .parallel_stack
                         .last_mut()
-                        // lint: allow(panic-reachability): documented "# Panics" contract — an unbalanced scope is a programmer error
-                        .expect("parallel_branch outside a parallel scope");
+                        // lint: allow(panic-reachability): scope invariant — only `parallel` emits scope events, always balanced; a replayed log is a recording of it
+                        .expect("ParallelBranch outside a parallel scope");
                     *max = (*max).max(self.stats.rounds - *saved);
                     self.stats.rounds = *saved;
                 }
@@ -443,8 +449,8 @@ mod ledger {
                     let (saved, max) = self
                         .parallel_stack
                         .pop()
-                        // lint: allow(panic-reachability): documented "# Panics" contract — an unbalanced scope is a programmer error
-                        .expect("parallel_end without parallel_begin");
+                        // lint: allow(panic-reachability): scope invariant — only `parallel` emits scope events, always balanced; a replayed log is a recording of it
+                        .expect("ParallelEnd without ParallelBegin");
                     // Any trailing un-branched work counts as one more branch.
                     let trailing = self.stats.rounds - saved;
                     self.stats.rounds = saved + max.max(trailing);
@@ -621,17 +627,33 @@ mod tests {
         ));
     }
 
+    /// `k` one-word exchanges: `k` rounds, `k` words.
+    fn exchanges(c: &mut MpcContext, k: u64) {
+        for _ in 0..k {
+            c.exchange(1);
+        }
+    }
+
+    /// Whether `c` has no open parallel scope: closing one more panics.
+    fn scope_is_closed(c: &MpcContext) -> bool {
+        let mut probe = c.clone();
+        std::panic::catch_unwind(move || {
+            let _ = probe.replay(&[MpcEvent::ParallelEnd]);
+        })
+        .is_err()
+    }
+
     #[test]
     fn parallel_scope_takes_max_not_sum() {
         let mut c = ctx();
         c.begin_phase("par");
-        c.parallel_begin();
-        c.exchange(5); // branch 1: 1 round
-        c.parallel_branch();
-        c.exchange(5);
-        c.exchange(5); // branch 2: 2 rounds
-        c.parallel_branch();
-        c.parallel_end();
+        c.parallel([1, 2], |k, c| {
+            for _ in 0..k {
+                c.exchange(5);
+            }
+            Ok::<_, MpcError>(())
+        })
+        .unwrap();
         let r = c.end_phase();
         assert_eq!(r.rounds, 2, "max of branches, not sum");
         assert_eq!(r.words, 15, "all communication counted");
@@ -641,27 +663,75 @@ mod tests {
     fn nested_parallel_scopes() {
         let mut c = ctx();
         c.begin_phase("nested");
-        c.parallel_begin();
-        c.exchange(1);
-        c.parallel_begin();
-        c.exchange(1);
-        c.parallel_branch();
-        c.exchange(1);
-        c.exchange(1);
-        c.parallel_branch();
-        c.parallel_end(); // inner contributes 2
-        c.parallel_branch(); // outer branch 1: 1 + 2 = 3
-        c.exchange(1);
-        c.parallel_branch(); // outer branch 2: 1
-        c.parallel_end();
+        // Outer branch 1: 1 + max(1, 2) = 3; outer branch 2: 1.
+        c.parallel([Some([1, 2]), None], |inner, c| {
+            c.exchange(1);
+            match inner {
+                Some(ks) => c.parallel(ks, |k, c| {
+                    exchanges(c, k);
+                    Ok::<_, MpcError>(())
+                }),
+                None => Ok(()),
+            }
+        })
+        .unwrap();
         assert_eq!(c.end_phase().rounds, 3);
+        assert!(scope_is_closed(&c));
     }
 
     #[test]
-    #[should_panic(expected = "parallel_end without parallel_begin")]
-    fn unbalanced_parallel_end_panics() {
+    fn parallel_closes_its_scope_when_a_branch_errs() {
+        // Branch i charges i + 1 rounds, then the branch at `fail_at`
+        // errs: the branches up to it count, by max, and none after.
+        for fail_at in [0, 2, 4] {
+            let mut c = ctx();
+            c.begin_phase("par");
+            let result = c.parallel(0..5, |i, c| {
+                exchanges(c, i + 1);
+                if i == fail_at {
+                    Err(i)
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(result, Err(fail_at));
+            assert!(scope_is_closed(&c), "open after an error at {fail_at}");
+            let r = c.end_phase();
+            assert_eq!(r.rounds, fail_at + 1);
+            assert_eq!(r.words, (fail_at + 1) * (fail_at + 2) / 2);
+        }
+    }
+
+    #[test]
+    fn nested_parallel_errors_close_both_scopes() {
+        // Outer branch 0 runs an inner composition that charges 1 then
+        // 3 rounds and errs in its second branch: both scopes close,
+        // the outer one at 1 + max(1, 3) = 4, and outer branch 1 never
+        // runs.
         let mut c = ctx();
-        c.parallel_end();
+        c.begin_phase("nested");
+        let result = c.parallel([[1, 3], [9, 9]], |ks, c| {
+            c.exchange(1);
+            c.parallel(ks, |k, c| {
+                exchanges(c, k);
+                if k == 3 {
+                    Err("inner")
+                } else {
+                    Ok(())
+                }
+            })
+        });
+        assert_eq!(result, Err("inner"));
+        assert!(scope_is_closed(&c));
+        let r = c.end_phase();
+        assert_eq!(r.rounds, 4, "max of max");
+        assert_eq!(r.words, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "ParallelEnd without ParallelBegin")]
+    fn unbalanced_replayed_parallel_end_panics() {
+        let _ = ctx().replay(&[MpcEvent::ParallelEnd]);
     }
 
     #[test]
@@ -679,14 +749,16 @@ mod tests {
         let script = |c: &mut MpcContext| -> Result<(), MpcError> {
             c.begin_phase("batch");
             c.sort(100);
-            c.parallel_begin();
-            c.converge_cast(64, 4);
-            c.alloc_vertex(5, 10)?;
-            c.parallel_branch();
-            c.broadcast(8);
-            c.exchange(3);
-            c.parallel_branch();
-            c.parallel_end();
+            c.parallel([true, false], |first, c| {
+                if first {
+                    c.converge_cast(64, 4);
+                    c.alloc_vertex(5, 10)
+                } else {
+                    c.broadcast(8);
+                    c.exchange(3);
+                    Ok(())
+                }
+            })?;
             c.gather(16)?;
             c.free_vertex(5, 4);
             c.set_load(0, 7)?;
@@ -714,18 +786,21 @@ mod tests {
         let mut c = ctx();
         c.alloc(0, 12).unwrap();
         c.begin_phase("outer");
-        c.parallel_begin();
-        let fork = c.fork_for_branch();
-        assert_eq!(fork.load(0), 12, "loads carry over");
-        assert_eq!(fork.total_load(), 12);
-        // The fork has no open scope or phase: branch-local scopes
-        // balance from zero regardless of the master's state.
-        let mut fork = fork;
-        fork.parallel_begin();
-        fork.exchange(1);
-        fork.parallel_branch();
-        fork.parallel_end();
-        c.parallel_end();
+        c.parallel([()], |(), c| {
+            let mut fork = c.fork_for_branch();
+            assert_eq!(fork.load(0), 12, "loads carry over");
+            assert_eq!(fork.total_load(), 12);
+            // The fork has no open scope or phase, whatever the
+            // master's state: its own compositions start from zero.
+            assert!(scope_is_closed(&fork));
+            fork.parallel([()], |(), f| {
+                f.exchange(1);
+                Ok::<_, MpcError>(())
+            })?;
+            assert!(scope_is_closed(&fork));
+            Ok::<_, MpcError>(())
+        })
+        .unwrap();
         let _ = c.end_phase();
     }
 

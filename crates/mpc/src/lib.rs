@@ -26,6 +26,10 @@
 //!   entry, which a forked context records through and
 //!   [`MpcContext::replay`](context::MpcContext::replay) re-runs, so a
 //!   parallel branch charges exactly what serial execution would.
+//!   Independent instances compose through
+//!   [`MpcContext::parallel`](context::MpcContext::parallel), rounds
+//!   by max and words by sum; it opens and closes the parallel scope
+//!   itself, on every exit, so no caller can leave one unbalanced.
 //!
 //! # Examples
 //!

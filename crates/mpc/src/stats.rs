@@ -181,8 +181,8 @@ impl std::fmt::Display for BatchReport {
 /// Delta-measures one batch against a context's cumulative counters:
 /// [`BatchAudit::begin`] snapshots rounds/words/violations, and
 /// [`BatchAudit::finish`] turns the deltas into a [`BatchReport`].
-/// Works inside parallel scopes as long as begin/finish bracket a
-/// single branch's work.
+/// Works inside [`MpcContext::parallel`](crate::context::MpcContext::parallel)
+/// as long as begin/finish bracket a single branch's work.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchAudit {
     rounds: u64,

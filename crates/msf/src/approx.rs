@@ -64,24 +64,20 @@ impl ThresholdStack {
         // The t+1 threshold instances are independent and run in
         // parallel (the paper's Section 7.2 construction): the batch
         // costs the maximum instance's rounds, not the sum.
-        ctx.parallel_begin();
-        let result = (|| {
-            for (i, conn) in self.instances.iter_mut().enumerate() {
-                let w_i = self.thresholds[i];
+        ctx.parallel(
+            self.instances.iter_mut().zip(&self.thresholds),
+            |(conn, &w_i), ctx| {
                 let sub: Batch = batch
                     .iter()
                     .filter(|u| (u.weighted_edge().weight as f64) <= w_i)
                     .map(|u| u.unweighted())
                     .collect();
-                if !sub.is_empty() {
-                    conn.apply_batch(&sub, ctx)?;
+                if sub.is_empty() {
+                    return Ok(());
                 }
-                ctx.parallel_branch();
-            }
-            Ok(())
-        })();
-        ctx.parallel_end();
-        result
+                conn.apply_batch(&sub, ctx)
+            },
+        )
     }
 
     fn weight_estimate(&self) -> f64 {

@@ -84,16 +84,10 @@ impl Bipartiteness {
         };
         let cover_batch: Batch = batch.iter().flat_map(lift).collect();
         // G and its double cover are maintained in parallel.
-        ctx.parallel_begin();
-        let result = (|| {
-            self.graph.apply_batch(batch, ctx)?;
-            ctx.parallel_branch();
-            self.cover.apply_batch(&cover_batch, ctx)?;
-            ctx.parallel_branch();
-            Ok(())
-        })();
-        ctx.parallel_end();
-        result
+        ctx.parallel(
+            [(&mut self.graph, batch), (&mut self.cover, &cover_batch)],
+            |(conn, batch), ctx| conn.apply_batch(batch, ctx),
+        )
     }
 
     /// Whether the current graph is bipartite (constant query time).

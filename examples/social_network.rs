@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "cut"
         };
         let reports = session.apply_batch(batch)?;
-        baseline.apply_batch(batch, &mut baseline_ctx);
+        baseline.apply_batch(batch, &mut baseline_ctx)?;
         let c = session.get(conn);
         println!(
             " {:>5} | {:>12} | {:>6} | {:>11} | {:>12} | {:>13}",

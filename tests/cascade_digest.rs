@@ -141,10 +141,12 @@ fn agm_query_digest_is_pinned() {
         for (n, edges) in graphs(seed) {
             let mut ctx = ctx_for(n);
             let mut agm = AgmBaseline::new(n, seed);
-            agm.apply_batch(&Batch::inserting(edges.iter().copied()), &mut ctx);
+            agm.apply_batch(&Batch::inserting(edges.iter().copied()), &mut ctx)
+                .expect("valid stream");
             fold_labels(&mut d, &agm.query_components(&mut ctx));
             fold(&mut d, agm.last_query_rounds());
-            agm.apply_batch(&Batch::deleting(every(&edges, 3, 1)), &mut ctx);
+            agm.apply_batch(&Batch::deleting(every(&edges, 3, 1)), &mut ctx)
+                .expect("live edges");
             fold_labels(&mut d, &agm.query_components(&mut ctx));
             fold(&mut d, agm.last_query_rounds());
             fold(&mut d, agm.sampler_failure_count());

@@ -23,8 +23,8 @@ fn all_three_agree_with_the_oracle() {
     let mut full = FullMemoryBaseline::new(n);
     for (batch, snap) in stream.batches.iter().zip(&snaps) {
         ours.apply_batch(batch, &mut ctx).expect("ours");
-        agm.apply_batch(batch, &mut ctx);
-        full.apply_batch(batch, &mut ctx);
+        agm.apply_batch(batch, &mut ctx).expect("agm");
+        full.apply_batch(batch, &mut ctx).expect("full");
         let expect = oracle::components(n, snap.edges());
         assert_eq!(ours.component_labels(), &expect[..], "ours diverged");
         assert_eq!(agm.query_components(&mut ctx), expect, "agm diverged");
@@ -42,7 +42,7 @@ fn our_queries_are_constant_rounds_agm_queries_are_not() {
     let batchify = gen::path_stream(n, 16, false);
     for batch in &batchify.batches {
         ours.apply_batch(batch, &mut ctx).expect("ours");
-        agm.apply_batch(batch, &mut ctx);
+        agm.apply_batch(batch, &mut ctx).expect("agm");
     }
     // Our query: the labelling is maintained — zero additional rounds.
     ctx.begin_phase("our-query");
@@ -71,7 +71,7 @@ fn total_memory_ours_flat_baseline_linear_in_m() {
     let mut full_words = Vec::new();
     for batch in &stream.batches {
         ours.apply_batch(batch, &mut ctx).expect("ours");
-        full.apply_batch(batch, &mut ctx);
+        full.apply_batch(batch, &mut ctx).expect("full");
         ours_words.push(ours.words());
         full_words.push(full.words());
     }

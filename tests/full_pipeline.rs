@@ -36,7 +36,7 @@ fn all_consumers_agree_on_one_stream() {
     for (i, (batch, snap)) in stream.batches.iter().zip(&snaps).enumerate() {
         conn.apply_batch(batch, &mut ctx).expect("conn");
         robust.apply_batch(batch, &mut ctx).expect("robust");
-        agm.apply_batch(batch, &mut ctx);
+        agm.apply_batch(batch, &mut ctx).expect("agm");
         bip.apply_batch(batch, &mut ctx).expect("bipartiteness");
         kc.apply_batch(batch, &mut ctx).expect("kconn");
 

@@ -140,7 +140,7 @@ fn direct_context_queries_match_session_driven_ones() {
     let mut session = Session::new(cfg(n)).with_normalization(false);
     let via = session.register(AgmBaseline::new(n, 9));
     for (batch, snap) in stream.batches.iter().zip(&snaps) {
-        agm.apply_batch(batch, &mut ctx);
+        agm.apply_batch(batch, &mut ctx).expect("valid stream");
         session.apply_batch(batch).expect("valid stream");
         let direct = agm.query_components(&mut ctx);
         let driven = session.query(via, |b, ctx| b.query_components(ctx));
