@@ -122,7 +122,8 @@ fn bench_etf(c: &mut Criterion) {
                     (ctx, etf, batch)
                 },
                 |(mut ctx, mut etf, batch)| {
-                    etf.batch_join(&batch, &mut ctx);
+                    etf.batch_join(&batch, &mut ctx)
+                        .expect("batch fits one machine");
                     etf.batch_split(&batch, &mut ctx);
                     (ctx, etf)
                 },
@@ -147,14 +148,16 @@ fn bench_etf(c: &mut Criterion) {
                 })
                 .collect();
             for chunk in tree.chunks(256) {
-                etf.batch_join(chunk, &mut ctx);
+                etf.batch_join(chunk, &mut ctx)
+                    .expect("batch fits one machine");
             }
             let mut at = 0;
             b.iter(|| {
                 let cut: Vec<Edge> = (0..k).map(|i| tree[(at + i * 2039) % tree.len()]).collect();
                 at = (at + 7919) % tree.len();
                 black_box(etf.batch_split(&cut, &mut ctx));
-                etf.batch_join(&cut, &mut ctx);
+                etf.batch_join(&cut, &mut ctx)
+                    .expect("batch fits one machine");
             });
         });
     }
@@ -195,7 +198,8 @@ fn bench_etf(c: &mut Criterion) {
                         (ctx, etf, batch)
                     },
                     |(mut ctx, mut etf, batch)| {
-                        etf.batch_join(&batch, &mut ctx);
+                        etf.batch_join(&batch, &mut ctx)
+                            .expect("batch fits one machine");
                         etf.batch_split(&batch, &mut ctx);
                         (ctx, etf)
                     },

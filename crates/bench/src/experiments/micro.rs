@@ -112,7 +112,8 @@ pub fn e11_etf_ops() -> Vec<Table> {
             })
             .collect();
         ctx.begin_phase("join");
-        etf.batch_join(&batch, &mut ctx);
+        etf.batch_join(&batch, &mut ctx)
+            .expect("batch fits one machine");
         let join_rounds = ctx.end_phase().rounds;
         validate(&etf).expect("valid after batch join");
         ctx.begin_phase("split");
@@ -121,7 +122,8 @@ pub fn e11_etf_ops() -> Vec<Table> {
         validate(&etf).expect("valid after batch split");
         // Single-edge op for comparison.
         ctx.begin_phase("single");
-        etf.batch_join(&batch[..1], &mut ctx);
+        etf.batch_join(&batch[..1], &mut ctx)
+            .expect("batch fits one machine");
         let single_rounds = ctx.end_phase().rounds;
         etf.batch_split(&batch[..1], &mut ctx);
         t.row(vec![
@@ -179,7 +181,8 @@ fn e11b_tour_scaling() -> Table {
         let mut best = std::time::Duration::MAX;
         for _ in 0..50 {
             let t0 = std::time::Instant::now();
-            etf.batch_join(&batch, &mut ctx);
+            etf.batch_join(&batch, &mut ctx)
+                .expect("batch fits one machine");
             etf.batch_split(&batch, &mut ctx);
             best = best.min(t0.elapsed());
         }

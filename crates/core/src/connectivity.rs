@@ -183,6 +183,7 @@ impl Connectivity {
         // machine-sized chunks (~6 words of plan per edge).
         let chunk = (ctx.config().local_capacity() / 8).max(1) as usize;
         let mut uf = UnionFind::new(n);
+        let mut spliced = Ok(());
         let (bank, etf) = (&conn.bank, &mut conn.etf);
         conn.sampler_failures += cascade::run(
             bank,
@@ -195,10 +196,13 @@ impl Connectivity {
             |_, accepted| {
                 ctx.converge_cast(n as u64, bank.words_per_copy());
                 for part in accepted.chunks(chunk) {
-                    etf.batch_join(part, ctx);
+                    if spliced.is_ok() {
+                        spliced = etf.batch_join(part, ctx).map(drop);
+                    }
                 }
             },
         );
+        spliced?;
         conn.comp = uf.min_labels();
         ctx.sort(n as u64);
         conn.account(ctx)?;
@@ -252,11 +256,19 @@ impl Connectivity {
         if self.live_edges + ins.len() < del.len() {
             return Err(invalid_update(del[0]));
         }
+        // Insertions add only edges of `ins`, so the tree edges among
+        // the deletions are known now; their split gathers 4 words each.
+        let tree: Vec<Edge> = del
+            .iter()
+            .copied()
+            .filter(|&e| self.etf.contains_edge(e))
+            .collect();
+        ctx.ensure_batch_fits(4 * tree.len() as u64)?;
         if !ins.is_empty() {
             self.insert_edges(&ins, ctx)?;
         }
         if !del.is_empty() {
-            self.delete_edges(&del, ctx);
+            self.delete_edges(&del, &tree, ctx)?;
         }
         self.account(ctx)?;
         Ok(())
@@ -313,75 +325,40 @@ impl Connectivity {
         // broadcast tree; every machine updates its own sketches.
         ctx.exchange(4 * k);
         ctx.broadcast(2);
-        // Coordinator builds the auxiliary graph H over component ids
-        // (Claim 6.1: it has O(k) nodes, fits one machine). The gather
-        // is the last step that can fail, so it is charged ahead of
-        // the sketch writes (which charge nothing themselves).
+        // The coordinator gathers the endpoints' component ids, and
+        // `batch_join` builds the auxiliary graph H over their tours
+        // (Claim 6.1: O(k) nodes, fits one machine) and splices along
+        // its spanning forest F_H. Both gathers can fail, so they run
+        // ahead of the sketch writes (which charge nothing themselves).
         ctx.gather(2 * k)?;
+        let f_h = self.etf.batch_join(edges, ctx)?;
         for &e in edges {
             self.bank.insert_edge(e);
         }
         self.live_edges += edges.len();
-        let mut index: BTreeMap<VertexId, u32> = BTreeMap::new();
-        for &e in edges {
-            for c in [self.comp[e.u() as usize], self.comp[e.v() as usize]] {
-                let next = index.len() as u32;
-                index.entry(c).or_insert(next);
-            }
-        }
-        let mut uf = UnionFind::new(index.len());
-        let mut f_h: Vec<Edge> = Vec::new();
-        for &e in edges {
-            let a = index[&self.comp[e.u() as usize]];
-            let b = index[&self.comp[e.v() as usize]];
-            if a != b && uf.union(a, b) {
-                f_h.push(e);
-            }
-        }
-        // Splice the Euler tours along F_H.
-        self.etf.batch_join(&f_h, ctx);
-        // Component relabelling: each merged group takes the minimum
-        // id; broadcast the O(k)-entry map, applied locally.
-        let mut group_min: BTreeMap<u32, VertexId> = BTreeMap::new();
-        for (&c, &i) in &index {
-            let root = uf.find(i);
-            group_min
-                .entry(root)
-                .and_modify(|m| *m = (*m).min(c))
-                .or_insert(c);
-        }
-        let mut relabel: BTreeMap<VertexId, VertexId> = BTreeMap::new();
-        for (&c, &i) in &index {
-            let target = group_min[&uf.find(i)];
-            if target != c {
-                relabel.insert(c, target);
-            }
-        }
-        if !relabel.is_empty() {
-            ctx.sort(2 * relabel.len() as u64);
+        // Each merged group takes its tour's label. Merging g
+        // components relabels g − 1 of them, one per F_H edge: the map
+        // is broadcast and applied to the merged tours' members only —
+        // O(affected) work, not O(n).
+        if !f_h.is_empty() {
+            ctx.sort(2 * f_h.len() as u64);
             ctx.broadcast(2);
-            // Every vertex whose label changes sits in a tour that
-            // gained an F_H edge, so only those tours' members are
-            // visited — O(affected) work, not O(n).
-            let mut merged_tours: Vec<TourId> =
-                f_h.iter().map(|e| self.etf.tour_of(e.u())).collect();
-            merged_tours.sort_unstable();
-            merged_tours.dedup();
-            for t in merged_tours {
-                for &w in self.etf.tour_members(t) {
-                    let cv = &mut self.comp[w as usize];
-                    if let Some(&nc) = relabel.get(cv) {
-                        *cv = nc;
-                    }
-                }
-            }
+            self.etf
+                .label_tours(f_h.iter().map(|e| self.etf.tour_of(e.u())), &mut self.comp);
         }
         Ok(())
     }
 
-    /// Section 6.3: batch deletions. Infallible: `apply_batch` has
-    /// already checked the batch against the live-edge count.
-    fn delete_edges(&mut self, edges: &[Edge], ctx: &mut MpcContext) {
+    /// Section 6.3: batch deletions; `tree` holds those of `edges` that
+    /// are forest edges. `apply_batch` has checked the batch against
+    /// the live-edge count and `tree` against the machine, so neither
+    /// gather can fail.
+    fn delete_edges(
+        &mut self,
+        edges: &[Edge],
+        tree: &[Edge],
+        ctx: &mut MpcContext,
+    ) -> Result<(), MpcError> {
         let k = edges.len() as u64;
         ctx.exchange(4 * k);
         ctx.broadcast(2);
@@ -390,38 +367,22 @@ impl Connectivity {
         }
         self.live_edges -= edges.len();
         // Non-tree deletions need nothing further.
-        let tree: Vec<Edge> = edges
-            .iter()
-            .copied()
-            .filter(|&e| self.etf.contains_edge(e))
-            .collect();
         if tree.is_empty() {
-            return;
+            return Ok(());
         }
         // Split the tours along the deleted tree edges and capture
         // what the search and the relabel need of each piece before
         // the replacement join renames tours.
-        let tours = self.etf.batch_split(&tree, ctx);
+        let tours = self.etf.try_batch_split(tree, ctx)?;
         let split = self.capture_pieces(&tours);
-        // Replacement-edge search (Borůvka over the pieces).
+        // Replacement-edge search (Borůvka over the pieces). The
+        // replacements form a forest over the pieces, so every one is
+        // joined: one label per final tour is the pieces less the joins.
         let replacements = self.find_replacements(&split, ctx);
-        self.etf.batch_join(&replacements, ctx);
-        // New component ids: the pieces that ended in one tour take
-        // the smallest of their smallest members.
-        let finals: Vec<TourId> = split
-            .pieces
-            .iter()
-            .map(|p| self.etf.tour_of(p.first))
-            .collect();
-        let mut label: BTreeMap<TourId, VertexId> = BTreeMap::new();
-        for (p, &t) in split.pieces.iter().zip(&finals) {
-            label
-                .entry(t)
-                .and_modify(|m| *m = (*m).min(p.first))
-                .or_insert(p.first);
-        }
-        for (p, &t) in split.pieces.iter().zip(&finals) {
-            let new_c = label[&t];
+        let joined = self.etf.batch_join(&replacements, ctx)?;
+        for p in &split.pieces {
+            let t = self.etf.tour_of(p.first);
+            let new_c = self.etf.tour_label(t);
             if !p.largest {
                 for &v in &p.members {
                     self.comp[v as usize] = new_c;
@@ -430,13 +391,12 @@ impl Connectivity {
                 // The origin's minimum vertex was cut away from its
                 // largest piece: the one case that piece's members
                 // are visited, through the final tour that holds them.
-                for &w in self.etf.tour_members(t) {
-                    self.comp[w as usize] = new_c;
-                }
+                self.etf.label_tours([t], &mut self.comp);
             }
         }
-        ctx.sort(2 * label.len() as u64);
+        ctx.sort(2 * (split.pieces.len() - joined.len()) as u64);
         ctx.broadcast(2);
+        Ok(())
     }
 
     /// Describes the tours `batch_split` returned. Must run before any
@@ -588,7 +548,7 @@ struct Piece {
     /// Its tour id between the split and the replacement join.
     tour: TourId,
     /// Smallest member (tour member lists are sorted): stands in for
-    /// the piece in `tour_of` lookups and in the new-label minimum.
+    /// the piece in `tour_of` lookups.
     first: VertexId,
     /// Label of the tour it was cut from (the pre-split `comp` of any
     /// member) — pieces with equal origins partition that tour.
@@ -664,6 +624,15 @@ mod tests {
             "forest spans all components"
         );
         validate(conn.etf()).expect("tours valid");
+        // Every label is its tour's smallest member.
+        let etf = conn.etf();
+        for v in 0..n as u32 {
+            assert_eq!(
+                conn.component_labels()[v as usize],
+                etf.tour_members(etf.tour_of(v))[0],
+                "label of {v}"
+            );
+        }
     }
 
     #[test]

@@ -18,21 +18,27 @@
 //!
 //! The update protocol follows the paper exactly:
 //!
-//! * **Insertions** (Section 6.1): update sketches; build the
-//!   auxiliary graph `H` on the touched components at a coordinator
-//!   (it has `O(k)` nodes and edges — Claim 6.1); compute a spanning
-//!   forest `F_H`; splice the corresponding Euler tours in one
-//!   `batch_join`; broadcast the component-relabeling map.
+//! * **Insertions** (Section 6.1): one `batch_join` of the inserted
+//!   edges builds the auxiliary graph `H` on the touched tours at a
+//!   coordinator (it has `O(k)` nodes and edges — Claim 6.1), keeps a
+//!   spanning forest `F_H` of it and splices those Euler tours; update
+//!   sketches; broadcast the component-relabeling map. A component's
+//!   id is its tour's smallest member, the first entry of the tour's
+//!   sorted member list ([`mpc_etf::DistEtf::tour_label`]), so each
+//!   merged tour's members read it there.
 //! * **Deletions** (Section 6.3): update sketches; `batch_split` the
 //!   tours along the deleted tree edges; converge-cast the merged
 //!   sketches of every resulting piece; run Borůvka over the pieces
 //!   at the coordinator, consuming sketch copy `i` at level `i`;
-//!   `batch_join` the replacement edges; broadcast new component ids.
+//!   `batch_join` the replacement edges; broadcast each final tour's
+//!   label as its new component id.
 //!
 //! A batch is checked against the dynamic-graph contract (no duplicate
-//! of a tree edge, no more deletions than live edges) *before* the
-//! first sketch write, so an `Err(InvalidBatch)` leaves the persisted
-//! state byte-identical.
+//! of a tree edge, no more deletions than live edges) and its tree
+//! deletions against the machine (their split gathers `4` words each)
+//! *before* the first sketch write, and the insertion join, whose
+//! gather can also fail, runs before the sketch writes too: an `Err`
+//! leaves the persisted state byte-identical.
 //!
 //! ## A deletion costs what it cuts off
 //!

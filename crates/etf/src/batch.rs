@@ -1,8 +1,9 @@
 //! Batch join and split of Euler tours (paper Sections 6.2–6.3).
 //!
-//! `batch_join` splices up to `k` trees together along `k` new edges
-//! in a constant number of rounds; `batch_split` removes `k` tree
-//! edges at once. Both follow the paper's protocol shape:
+//! `batch_join` splices trees together along the spanning forest
+//! `F_H` that `k` candidate edges induce over the touched tours, in a
+//! constant number of rounds; `try_batch_split` removes `k` tree edges
+//! at once. Both follow the paper's protocol shape:
 //!
 //! 1. the coordinator gathers `O(k)` words (tour ids, lengths,
 //!    terminal `f`-values / traversal positions),
@@ -21,7 +22,7 @@ use crate::dist::{DistEtf, EdgeRec, Shard, Traversal};
 use crate::TourId;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
-use mpc_sim::MpcContext;
+use mpc_sim::{MpcContext, MpcError};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-tour remapping plan broadcast to all machines during a batch
@@ -51,57 +52,57 @@ impl NodePlan {
 }
 
 impl DistEtf {
-    /// Splices trees together along `edges` in `O(1)` rounds
-    /// (Lemma 6.4). The edges must form a forest over the current
-    /// tours: every edge connects two distinct tours and no subset
-    /// closes a cycle — the connectivity layer guarantees this by
-    /// first computing a spanning forest `F_H` of the auxiliary graph
-    /// (Claim 6.1).
+    /// The batch join of Section 6.1 in `O(1)` rounds (Lemma 6.4).
+    /// The candidates induce the auxiliary graph `H` over the tours
+    /// they touch — `O(k)` nodes, so it fits one machine (Claim 6.1) —
+    /// and the edges kept are a spanning forest `F_H` of it: in order,
+    /// each candidate that joins two tours not yet joined in this call.
+    /// A candidate inside one tour, or closing a cycle of `H`, is passed
+    /// over. Only `F_H` is charged and spliced; it is returned in
+    /// candidate order. Fed `(weight, edge)`-sorted candidates, `F_H`
+    /// is Kruskal's choice on the tour quotient.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if an edge connects vertices of the same tour or if the
-    /// auxiliary graph contains a cycle or duplicate edge.
-    pub fn batch_join(&mut self, edges: &[Edge], ctx: &mut MpcContext) {
-        if edges.is_empty() {
-            return;
+    /// [`MpcError::GatherTooLarge`] if the `4·|F_H|`-word gather does
+    /// not fit one machine. It is charged before the forest changes, so
+    /// the forest is then untouched.
+    pub fn batch_join(
+        &mut self,
+        candidates: &[Edge],
+        ctx: &mut MpcContext,
+    ) -> Result<Vec<Edge>, MpcError> {
+        // --- F_H: one union-find over the touched tours ---------------
+        let mut tour_index: BTreeMap<TourId, u32> = BTreeMap::new();
+        let mut uf = UnionFind::new(2 * candidates.len());
+        let mut kept: Vec<(Edge, u32)> = Vec::new();
+        for &e in candidates {
+            let [a, b] = [e.u(), e.v()].map(|v| {
+                let next = tour_index.len() as u32;
+                *tour_index.entry(self.tour_of(v)).or_insert(next)
+            });
+            if uf.union(a, b) {
+                kept.push((e, a));
+            }
         }
-        let k = edges.len() as u64;
+        if kept.is_empty() {
+            return Ok(Vec::new());
+        }
+        let k = kept.len() as u64;
         // Round cost: gather edge endpoints + tour ids; multicast the
         // rotation and splice plans (O(k) records, delivered to the
         // machines holding each tour's shard by a constant-round
         // sort-based multicast [GSZ'11]); re-gather terminal
         // f-values; broadcast O(1) control words.
-        // lint: allow(panic-reachability): capacity precondition — MSF batches are sized to one machine by the caller
-        ctx.gather(4 * k).expect("batch fits one machine");
+        ctx.gather(4 * k)?;
         ctx.sort(4 * k);
         ctx.exchange(2 * k);
         ctx.sort(8 * k);
         ctx.broadcast(4);
-        // --- validate forest structure over tours -----------------
-        let mut tour_index: BTreeMap<TourId, usize> = BTreeMap::new();
-        for &e in edges {
-            for v in [e.u(), e.v()] {
-                let t = self.tour_of(v);
-                let next = tour_index.len();
-                tour_index.entry(t).or_insert(next);
-            }
-        }
-        let mut uf = UnionFind::new(tour_index.len());
-        for &e in edges {
-            let a = tour_index[&self.tour_of(e.u())] as u32;
-            let b = tour_index[&self.tour_of(e.v())] as u32;
-            // lint: allow(panic-reachability): documented "# Panics" precondition — ExactMsf rejects non-forest batches upstream
-            assert!(
-                a != b && uf.union(a, b),
-                "batch_join edges must form a forest over tours (edge {e})"
-            );
-        }
-        // --- group edges into auxiliary components ----------------
+        // --- group F_H into the components of H -----------------------
         let mut comp_edges: BTreeMap<u32, Vec<Edge>> = BTreeMap::new();
-        for &e in edges {
-            let root = uf.find(tour_index[&self.tour_of(e.u())] as u32);
-            comp_edges.entry(root).or_default().push(e);
+        for &(e, a) in &kept {
+            comp_edges.entry(uf.find(a)).or_default().push(e);
         }
         for (_, comp) in comp_edges {
             if let [e] = comp[..] {
@@ -118,6 +119,7 @@ impl DistEtf {
                 self.join_component(&comp);
             }
         }
+        Ok(kept.into_iter().map(|(e, _)| e).collect())
     }
 
     /// Joins one auxiliary-tree component.
@@ -319,19 +321,40 @@ impl DistEtf {
     /// (Section 6.3). Returns the ids of all resulting tours
     /// (including fresh singleton tours).
     ///
+    /// # Errors
+    ///
+    /// [`MpcError::GatherTooLarge`] if the `4k`-word gather does not
+    /// fit one machine. It is charged before the forest changes, so the
+    /// forest is then untouched.
+    ///
     /// # Panics
     ///
     /// Panics if any edge is not a forest edge.
-    pub fn batch_split(&mut self, edges: &[Edge], ctx: &mut MpcContext) -> Vec<TourId> {
+    pub fn try_batch_split(
+        &mut self,
+        edges: &[Edge],
+        ctx: &mut MpcContext,
+    ) -> Result<Vec<TourId>, MpcError> {
         if edges.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let k = edges.len() as u64;
-        // lint: allow(panic-reachability): capacity precondition — MSF batches are sized to one machine by the caller
-        ctx.gather(4 * k).expect("batch fits one machine");
+        ctx.gather(4 * k)?;
         ctx.sort(8 * k);
         ctx.broadcast(4);
-        self.batch_split_uncharged(edges)
+        Ok(self.batch_split_uncharged(edges))
+    }
+
+    /// [`DistEtf::try_batch_split`] for drivers that size their batches
+    /// to one machine (tests and benches).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gather does not fit one machine or if any edge is
+    /// not a forest edge.
+    pub fn batch_split(&mut self, edges: &[Edge], ctx: &mut MpcContext) -> Vec<TourId> {
+        self.try_batch_split(edges, ctx)
+            .expect("batch fits one machine")
     }
 
     pub(crate) fn batch_split_uncharged(&mut self, edges: &[Edge]) -> Vec<TourId> {
@@ -498,7 +521,7 @@ mod tests {
     fn batch_join_two_singletons() {
         let mut c = ctx();
         let mut etf = DistEtf::new(4);
-        etf.batch_join(&[Edge::new(0, 1)], &mut c);
+        etf.batch_join(&[Edge::new(0, 1)], &mut c).unwrap();
         validate(&etf).expect("valid");
         assert_eq!(etf.tour_of(0), etf.tour_of(1));
         assert_eq!(etf.tour_len(etf.tour_of(0)), 4);
@@ -509,7 +532,7 @@ mod tests {
         let mut c = ctx();
         let mut etf = DistEtf::new(8);
         let edges: Vec<Edge> = (0..7u32).map(|i| Edge::new(i, i + 1)).collect();
-        etf.batch_join(&edges, &mut c);
+        etf.batch_join(&edges, &mut c).unwrap();
         validate(&etf).expect("valid");
         assert_eq!(etf.tour_len(etf.tour_of(0)), 28);
     }
@@ -519,7 +542,7 @@ mod tests {
         let mut c = ctx();
         let mut etf = DistEtf::new(9);
         let edges: Vec<Edge> = (1..9u32).map(|i| Edge::new(0, i)).collect();
-        etf.batch_join(&edges, &mut c);
+        etf.batch_join(&edges, &mut c).unwrap();
         validate(&etf).expect("valid");
         assert_eq!(etf.occurrences(0).len(), 16);
     }
@@ -535,7 +558,8 @@ mod tests {
             }
         }
         // Join them at interior vertices in one batch.
-        etf.batch_join(&[Edge::new(1, 6), Edge::new(5, 10)], &mut c);
+        etf.batch_join(&[Edge::new(1, 6), Edge::new(5, 10)], &mut c)
+            .unwrap();
         validate(&etf).expect("valid");
         assert_eq!(etf.tour_of(0), etf.tour_of(11));
         assert_eq!(etf.tour_len(etf.tour_of(0)), 4 * 11);
@@ -549,7 +573,8 @@ mod tests {
             etf.join(Edge::new(i, i + 1), &mut c);
         }
         // Three separate trees all attach to vertex 1.
-        etf.batch_join(&[Edge::new(1, 5), Edge::new(1, 6), Edge::new(1, 7)], &mut c);
+        etf.batch_join(&[Edge::new(1, 5), Edge::new(1, 6), Edge::new(1, 7)], &mut c)
+            .unwrap();
         validate(&etf).expect("valid");
         assert_eq!(etf.tour_members(etf.tour_of(1)).len(), 6);
     }
@@ -567,17 +592,58 @@ mod tests {
         etf.batch_join(
             &[Edge::new(2, 4), Edge::new(6, 9), Edge::new(11, 13)],
             &mut c,
-        );
+        )
+        .unwrap();
         validate(&etf).expect("valid");
         assert_eq!(etf.tour_len(etf.tour_of(0)), 4 * 15);
     }
 
     #[test]
-    #[should_panic(expected = "forest over tours")]
-    fn batch_join_cycle_panics() {
+    fn batch_join_keeps_a_spanning_forest_of_the_candidates() {
         let mut c = ctx();
-        let mut etf = DistEtf::new(4);
-        etf.batch_join(&[Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)], &mut c);
+        let mut etf = DistEtf::new(6);
+        etf.join(Edge::new(3, 4), &mut c);
+        etf.join(Edge::new(4, 5), &mut c);
+        // (3,5) lies inside one tour and (0,2) closes the cycle 0-1-2
+        // of the auxiliary graph: both are passed over.
+        let candidates = [
+            Edge::new(0, 1),
+            Edge::new(3, 5),
+            Edge::new(1, 2),
+            Edge::new(0, 2),
+            Edge::new(2, 3),
+        ];
+        let kept = etf.batch_join(&candidates, &mut c).unwrap();
+        validate(&etf).expect("valid");
+        assert_eq!(kept, [Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 3)]);
+        assert_eq!(etf.edge_count(), 5);
+        assert_eq!(etf.tour_len(etf.tour_of(0)), 20);
+        // Nothing left to join: no edge kept, nothing charged.
+        let rounds = c.stats().rounds;
+        assert!(etf.batch_join(&candidates, &mut c).unwrap().is_empty());
+        assert_eq!(c.stats().rounds, rounds);
+    }
+
+    #[test]
+    fn oversized_batches_fail_before_the_forest_changes() {
+        let mut c = MpcContext::new(MpcConfig::builder(16, 0.5).local_capacity(8).build());
+        let mut etf = DistEtf::new(8);
+        let path: Vec<Edge> = (0..3u32).map(|i| Edge::new(i, i + 1)).collect();
+        let too_large = MpcError::GatherTooLarge {
+            words: 12,
+            capacity: 8,
+        };
+        assert_eq!(etf.batch_join(&path, &mut c), Err(too_large.clone()));
+        validate(&etf).expect("valid");
+        assert_eq!(etf.edge_count(), 0);
+        // Two, then one, fit; splitting all three does not.
+        etf.batch_join(&path[..2], &mut c).unwrap();
+        etf.batch_join(&path[2..], &mut c).unwrap();
+        let tour = etf.tour_of(0);
+        assert_eq!(etf.try_batch_split(&path, &mut c), Err(too_large));
+        validate(&etf).expect("valid");
+        assert_eq!(etf.tour_members(tour), [0, 1, 2, 3]);
+        assert_eq!(etf.tour_len(tour), 12);
     }
 
     #[test]
@@ -627,7 +693,7 @@ mod tests {
         let mut c = ctx();
         let mut etf = DistEtf::new(5);
         let edges: Vec<Edge> = (0..4u32).map(|i| Edge::new(i, i + 1)).collect();
-        etf.batch_join(&edges, &mut c);
+        etf.batch_join(&edges, &mut c).unwrap();
         let out = etf.batch_split(&edges, &mut c);
         validate(&etf).expect("valid");
         assert_eq!(out.len(), 5);
@@ -711,7 +777,7 @@ mod tests {
         let mut c = ctx();
         let mut etf = DistEtf::new(9);
         let edges: Vec<Edge> = (1..9u32).map(|i| Edge::new(0, i)).collect();
-        etf.batch_join(&edges, &mut c);
+        etf.batch_join(&edges, &mut c).unwrap();
         let t = etf.tour_of(0);
         let out = etf.batch_split(&edges, &mut c);
         validate(&etf).expect("valid");
@@ -814,7 +880,7 @@ mod tests {
                         batch.push(Edge::new(a, b));
                     }
                     if !batch.is_empty() {
-                        etf.batch_join(&batch, &mut c);
+                        etf.batch_join(&batch, &mut c).unwrap();
                         live.extend(&batch);
                     }
                 } else {
@@ -837,7 +903,7 @@ mod tests {
         let mut etf = DistEtf::new(64);
         let edges: Vec<Edge> = (0..32u32).map(|i| Edge::new(2 * i, 2 * i + 1)).collect();
         c.begin_phase("batch-join");
-        etf.batch_join(&edges, &mut c);
+        etf.batch_join(&edges, &mut c).unwrap();
         let r = c.end_phase();
         let budget = 5 * c.config().round_budget_per_primitive();
         assert!(r.rounds <= budget, "join {} > {budget}", r.rounds);

@@ -197,6 +197,35 @@ impl DistEtf {
         &self.members[&t]
     }
 
+    /// The label of tour `t`'s component: its smallest member, the
+    /// first entry of its sorted member list.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown tour id.
+    pub fn tour_label(&self, t: TourId) -> VertexId {
+        self.members[&t][0]
+    }
+
+    /// Writes [`DistEtf::tour_label`] into `labels` at every member of
+    /// each of `tours` (a repeated tour is visited once). Only those
+    /// tours' members are touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown tour id or a member outside `labels`.
+    pub fn label_tours(&self, tours: impl IntoIterator<Item = TourId>, labels: &mut [VertexId]) {
+        let mut tours: Vec<TourId> = tours.into_iter().collect();
+        tours.sort_unstable();
+        tours.dedup();
+        for t in tours {
+            let label = self.tour_label(t);
+            for &v in self.tour_members(t) {
+                labels[v as usize] = label;
+            }
+        }
+    }
+
     /// All live tour ids.
     pub fn tours(&self) -> impl Iterator<Item = TourId> + '_ {
         self.tour_len.keys().copied()

@@ -33,10 +33,16 @@
 //! * `reroot` — rotate a tour to start at a given vertex
 //!   (Lemma 5.1 "Rooting").
 //! * `join` / `split` — link/cut a single edge (Lemma 5.1).
-//! * `batch_join` — splice up to `k` trees along `k` new edges in one
-//!   shot via the auxiliary-sequence construction of Section 6.2.
-//! * `batch_split` — remove `k` tree edges in one shot, the laminar
-//!   inverse of `batch_join` (Section 6.3).
+//! * `batch_join` — keep a spanning forest `F_H` of the auxiliary
+//!   graph that `k` candidate edges induce over the tours (Section
+//!   6.1, Claim 6.1) and splice along it in one shot via the
+//!   auxiliary-sequence construction of Section 6.2.
+//! * `try_batch_split` — remove `k` tree edges in one shot, the
+//!   laminar inverse of `batch_join` (Section 6.3); `batch_split` is
+//!   its panicking form for drivers that size batches to one machine.
+//! * `tour_label` / `label_tours` — the component-label rule: a
+//!   tree's label is its smallest member, the first entry of its
+//!   tour's sorted member list.
 //! * `identify_path` — report the tree path between two vertices by a
 //!   purely local per-edge interval test (Lemma 7.2, used by the
 //!   exact-MSF algorithm).

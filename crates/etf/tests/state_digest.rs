@@ -54,7 +54,7 @@ fn fold(digest: &mut u64, word: u64) {
 }
 
 /// Up to `want` random edges that form a forest over the current
-/// tours (what `batch_join` requires of its caller).
+/// tours (so `batch_join` keeps every one).
 fn pick_joinable(etf: &DistEtf, n: usize, want: usize, rng: &mut SplitMix64) -> Vec<Edge> {
     let mut index: BTreeMap<TourId, u32> = BTreeMap::new();
     let mut uf = UnionFind::new(n);
@@ -113,7 +113,7 @@ fn run_stream(n: usize, steps: usize, seed: u64) -> u64 {
                     etf.join(e, &mut ctx);
                 }
             } else {
-                etf.batch_join(&batch, &mut ctx);
+                etf.batch_join(&batch, &mut ctx).expect("fits one machine");
             }
             live.extend(&batch);
         } else {

@@ -5,10 +5,13 @@
 //! `k` weighted insertions is processed in a constant number of
 //! per-iteration rounds:
 //!
-//! 1. **Cross-component edges** (Case 1 of Section 7.1.2): the
-//!    coordinator gathers the `O(k)` candidate edges, runs Kruskal on
-//!    the component quotient, and splices the winners' Euler tours in
-//!    one `batch_join`.
+//! 1. **Cross-component edges** (Case 1 of Section 7.1.2): Section
+//!    6.1's join step in Kruskal order. The coordinator gathers the
+//!    `O(k)` candidate edges and hands them, sorted by `(weight,
+//!    edge)`, to one `batch_join`, which keeps and splices each that
+//!    joins two components not yet joined — Kruskal on the component
+//!    quotient (the view of Jurdziński–Nowicki, arXiv:1707.08484).
+//!    Every merged tour's members take its smallest member as label.
 //! 2. **Intra-component edges** (Case 2): all remaining candidates
 //!    run `Identify-Path` *in parallel* (one broadcast of all
 //!    endpoints' `f/ℓ` values; every machine tests its own edges);
@@ -27,7 +30,6 @@
 
 use mpc_etf::DistEtf;
 use mpc_graph::ids::{Edge, VertexId, WeightedEdge};
-use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::WeightedBatch;
 use mpc_sim::{MpcContext, MpcStreamError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -299,72 +301,32 @@ impl ExactMsf {
     ) -> Result<Vec<WeightedEdge>, MpcStreamError> {
         let k = cand.len() as u64;
         // --- Case 1: cross-component candidates -------------------
+        // Kruskal on the component quotient: in `(weight, edge)` order,
+        // `batch_join` keeps each candidate that joins two components
+        // not yet joined (Section 6.1's join step).
         ctx.gather(3 * k)?;
         cand.sort_by_key(|we| (we.weight, we.edge));
-        let mut index: BTreeMap<VertexId, u32> = BTreeMap::new();
-        for we in &cand {
-            for c in [
-                self.comp[we.edge.u() as usize],
-                self.comp[we.edge.v() as usize],
-            ] {
-                let next = index.len() as u32;
-                index.entry(c).or_insert(next);
-            }
-        }
-        let mut uf = UnionFind::new(index.len());
-        let mut joins: Vec<WeightedEdge> = Vec::new();
-        let mut rest: Vec<WeightedEdge> = Vec::new();
+        let edges: Vec<Edge> = cand.iter().map(|we| we.edge).collect();
+        let joined = self.etf.batch_join(&edges, ctx)?;
+        let mut rest: Vec<WeightedEdge> = Vec::with_capacity(cand.len() - joined.len());
+        let mut next_joined = joined.iter().peekable();
         for we in cand {
-            let a = index[&self.comp[we.edge.u() as usize]];
-            let b = index[&self.comp[we.edge.v() as usize]];
-            if a != b && uf.union(a, b) {
-                joins.push(we);
+            if next_joined.next_if_eq(&&we.edge).is_some() {
+                self.weights.insert(we.edge, we.weight);
             } else {
                 rest.push(we);
             }
         }
-        if !joins.is_empty() {
-            let edges: Vec<Edge> = joins.iter().map(|we| we.edge).collect();
-            self.etf.batch_join(&edges, ctx);
-            for we in &joins {
-                self.weights.insert(we.edge, we.weight);
-            }
-            // Component relabel (minimum id per merged group).
-            let mut group_min: BTreeMap<u32, VertexId> = BTreeMap::new();
-            for (&c, &i) in &index {
-                let root = uf.find(i);
-                group_min
-                    .entry(root)
-                    .and_modify(|m| *m = (*m).min(c))
-                    .or_insert(c);
-            }
-            let relabel: BTreeMap<VertexId, VertexId> = index
-                .iter()
-                .filter_map(|(&c, &i)| {
-                    let target = group_min[&uf.find(i)];
-                    (target != c).then_some((c, target))
-                })
-                .collect();
-            ctx.sort(2 * relabel.len() as u64 + 1);
+        if !joined.is_empty() {
+            // Each merged group takes its tour's label: g components
+            // merged relabel g − 1, one per joined edge. Only the
+            // merged tours' members are visited, not all n.
+            ctx.sort(2 * joined.len() as u64 + 1);
             ctx.broadcast(2);
-            if !relabel.is_empty() {
-                // Relabelled components all live in tours that gained
-                // a join edge — visit only those members, not all n.
-                let mut merged_tours: Vec<mpc_etf::TourId> = joins
-                    .iter()
-                    .map(|we| self.etf.tour_of(we.edge.u()))
-                    .collect();
-                merged_tours.sort_unstable();
-                merged_tours.dedup();
-                for t in merged_tours {
-                    for &w in self.etf.tour_members(t) {
-                        let cv = &mut self.comp[w as usize];
-                        if let Some(&nc) = relabel.get(cv) {
-                            *cv = nc;
-                        }
-                    }
-                }
-            }
+            self.etf.label_tours(
+                joined.iter().map(|e| self.etf.tour_of(e.u())),
+                &mut self.comp,
+            );
         }
         // --- Case 2: intra-component candidates -------------------
         if rest.is_empty() {
@@ -447,22 +409,11 @@ impl ExactMsf {
             let weight = self.weights.remove(&e).ok_or_else(no_convergence)?;
             reactivated.push(WeightedEdge { edge: e, weight });
         }
-        let pieces = self.etf.batch_split(&cut_list, ctx);
-        // Temporary component ids for the pieces (minimum member).
-        let mut relabels = 0u64;
-        for p in pieces {
-            let members = self.etf.tour_members(p);
-            // A memberless piece has nothing to relabel.
-            let Some(&new_c) = members.first() else {
-                continue;
-            };
-            for &v in members {
-                self.comp[v as usize] = new_c;
-            }
-            relabels += 1;
-        }
-        ctx.sort(2 * relabels);
+        // Temporary component ids for the pieces: their tours' labels.
+        let pieces = self.etf.try_batch_split(&cut_list, ctx)?;
+        ctx.sort(2 * pieces.len() as u64);
         ctx.broadcast(2);
+        self.etf.label_tours(pieces, &mut self.comp);
         reactivated.extend(swappers);
         Ok(reactivated)
     }
@@ -495,7 +446,7 @@ mod tests {
     use super::*;
     use mpc_etf::tour::validate;
     use mpc_graph::gen;
-    use mpc_graph::oracle;
+    use mpc_graph::oracle::{self, UnionFind};
     use mpc_sim::MpcConfig;
 
     fn ctx_for(n: usize) -> MpcContext {
@@ -518,6 +469,15 @@ mod tests {
             "forest must span"
         );
         validate(msf.etf_ref()).expect("tours valid");
+        // Every label is its tour's smallest member.
+        for v in 0..n as u32 {
+            let etf = msf.etf_ref();
+            assert_eq!(
+                msf.component_of(v),
+                etf.tour_members(etf.tour_of(v))[0],
+                "label of {v}"
+            );
+        }
     }
 
     impl ExactMsf {
@@ -653,7 +613,6 @@ mod tests {
     #[test]
     fn from_graph_equals_kruskal_and_continues_dynamically() {
         use mpc_graph::gen;
-        use mpc_graph::oracle;
         let n = 32;
         let stream = gen::random_weighted_insert_stream(n, 4, 10, 50, 77);
         let mut edges: Vec<WeightedEdge> = Vec::new();
@@ -667,14 +626,14 @@ mod tests {
         );
         let mut msf =
             ExactMsf::from_graph(n, edges.iter().copied(), &mut ctx).expect("valid stream");
-        assert_eq!(msf.weight(), oracle::msf_weight(n, edges.iter().copied()));
+        check_exact(&msf, &edges, n);
         // Dynamic continuation from the bootstrapped state.
         let extra = WeightedEdge::new(0, 31, 1);
         if !edges.iter().any(|w| w.edge == extra.edge) {
             msf.apply_batch(&WeightedBatch::inserting([extra]), &mut ctx)
                 .expect("insert");
             edges.push(extra);
-            assert_eq!(msf.weight(), oracle::msf_weight(n, edges.iter().copied()));
+            check_exact(&msf, &edges, n);
         }
     }
 }

@@ -274,3 +274,61 @@ fn apply_batch_replacement_digest_is_pinned() {
         "apply_batch digest moved: {d:#018x}"
     );
 }
+
+/// `ExactMsf` over weighted insert streams on few vertices: once the
+/// early batches connect them, most candidates close a cycle, so every
+/// batch mixes cross-component joins with intra-component candidates,
+/// and the lighter of those swap out a forest edge. Per batch the
+/// rounds, words, forest weight, labels and persisted bytes are folded.
+///
+/// The constant was recorded on the commit before the join step and the
+/// label rule moved into `mpc-etf`.
+#[test]
+fn exact_msf_digest_is_pinned() {
+    use mpc_stream::snapshot::SnapshotWriter;
+    let mut d = FNV_OFFSET;
+    let mut swaps = 0;
+    for seed in 0..SEEDS {
+        for n in [12usize, 20] {
+            let mut rng = SplitMix64(seed.wrapping_mul(0x5EED) ^ 0x0E5A_C7F5);
+            let mut ctx = ctx_for(n);
+            let mut msf = ExactMsf::new(n);
+            let mut seen: Vec<Edge> = Vec::new();
+            for _ in 0..10 {
+                let mut batch: Vec<WeightedEdge> = Vec::new();
+                for _ in 0..1 + rng.below(8) {
+                    let (a, b) = (rng.below(n) as u32, rng.below(n) as u32);
+                    if a == b || seen.contains(&Edge::new(a, b)) {
+                        continue;
+                    }
+                    let e = Edge::new(a, b);
+                    seen.push(e);
+                    let weight = 1 + rng.below(40) as u64;
+                    batch.push(WeightedEdge::new(e.u(), e.v(), weight));
+                }
+                msf.apply_batch(&WeightedBatch::inserting(batch), &mut ctx)
+                    .expect("fresh edges in range");
+                fold_ledger(&mut d, &ctx);
+                fold(&mut d, msf.weight());
+                fold(&mut d, msf.last_iterations() as u64);
+                swaps += usize::from(msf.last_iterations() > 1);
+                let labels: Vec<VertexId> = (0..n as u32).map(|v| msf.component_of(v)).collect();
+                fold_labels(&mut d, &labels);
+                let mut w = SnapshotWriter::new(0);
+                w.begin_section("state");
+                msf.save_state(&mut w);
+                w.end_section();
+                let bytes = w.finish();
+                fold(&mut d, bytes.len() as u64);
+                for &b in &bytes {
+                    fold(&mut d, u64::from(b));
+                }
+            }
+        }
+    }
+    assert!(swaps > 0, "no batch swapped a forest edge");
+    assert_eq!(
+        d, 0xdd61_ec6f_d210_d6b1,
+        "ExactMsf digest moved: {d:#018x} ({swaps} swapping batches)"
+    );
+}

@@ -503,3 +503,75 @@ fn every_failure_is_one_stream_error_with_a_pinned_message() {
         "capacity: gather of 16 words cannot fit in one machine (cap 8)"
     );
 }
+
+/// A maintainer's state as a single-section snapshot container.
+fn state_bytes(m: &impl Maintain) -> Vec<u8> {
+    let mut w = mpc_stream::snapshot::SnapshotWriter::new(0);
+    w.begin_section("state");
+    m.save_state(&mut w);
+    w.end_section();
+    w.finish()
+}
+
+/// Batches small enough for the update gather that the Euler-tour
+/// splice cannot hold at `s = 8`: three disjoint insertions gather 6
+/// words of endpoints but join 12 words of tour plan, and three
+/// tree-edge deletions split 12. Both are refused with the splice's
+/// gather error, inherently and through a `Session` whose chunks are
+/// three updates (`max_batch > s/4`), before the first write.
+#[test]
+fn euler_tour_gather_fails_as_an_error_before_any_write() {
+    const N: usize = 16;
+    let tiny = MpcConfig::builder(N, 0.5).local_capacity(8).build();
+    let expect = MpcStreamError::Capacity(MpcError::GatherTooLarge {
+        words: 12,
+        capacity: 8,
+    });
+    let path: Vec<Edge> = (0..3u32).map(|i| Edge::new(i, i + 1)).collect();
+    let cases = [
+        (
+            "three disjoint insertions",
+            vec![],
+            Batch::inserting((4..7u32).map(|i| Edge::new(2 * i, 2 * i + 1))),
+        ),
+        (
+            "three tree-edge deletions",
+            vec![
+                Batch::inserting(path[..2].iter().copied()),
+                Batch::inserting(path[2..].iter().copied()),
+            ],
+            Batch::deleting(path.iter().copied()),
+        ),
+    ];
+    for (what, warmup, bad) in cases {
+        let mut ctx = MpcContext::new(tiny.clone());
+        let mut conn = Connectivity::new(N, ConnectivityConfig::default(), 1);
+        for b in &warmup {
+            conn.apply_batch(b, &mut ctx).expect("warmup");
+        }
+        let before = state_bytes(&conn);
+        assert_eq!(
+            conn.apply_batch(&bad, &mut ctx),
+            Err(expect.clone()),
+            "{what}"
+        );
+        assert_eq!(state_bytes(&conn), before, "{what}: state moved on Err");
+
+        let mut session = Session::new(tiny.clone()).with_max_batch(3);
+        let h = session.register(Connectivity::new(N, ConnectivityConfig::default(), 1));
+        for b in &warmup {
+            session.apply(b.iter()).expect("warmup");
+        }
+        let before = state_bytes(session.get(h));
+        assert_eq!(
+            session.apply(bad.iter()).err(),
+            Some(expect.clone()),
+            "{what} (session)"
+        );
+        assert_eq!(
+            state_bytes(session.get(h)),
+            before,
+            "{what} (session): state moved on Err"
+        );
+    }
+}

@@ -239,7 +239,7 @@ proptest! {
                     }
                 }
                 if !batch.is_empty() {
-                    etf.batch_join(&batch, &mut ctx);
+                    etf.batch_join(&batch, &mut ctx).expect("batch fits one machine");
                     live.extend(&batch);
                 }
             } else if !live.is_empty() {

@@ -280,7 +280,7 @@ proptest! {
                     continue;
                 }
                 let snap = snapshot_untouched(&etf, &used);
-                etf.batch_join(&batch, &mut ctx);
+                etf.batch_join(&batch, &mut ctx).expect("batch fits one machine");
                 live.extend(&batch);
                 for (t, (len, members, recs)) in &snap {
                     prop_assert_eq!(etf.tour_len(*t), *len, "length of untouched tour changed");
