@@ -13,6 +13,19 @@
 //!   label propagation. The paper's headline against this line of
 //!   work is the *total memory* column: `Õ(n)` versus `Θ(n+m)`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 pub mod agm;
 pub mod fullmem;
 

@@ -499,6 +499,10 @@ impl Connectivity {
             // The all-members merge this replaces, kept as the
             // reference it must equal cell for cell (the tours still
             // carry their post-split ids here).
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+            )]
             #[cfg(debug_assertions)]
             {
                 reference.reset(scratch.copy());
@@ -516,6 +520,10 @@ impl Connectivity {
                 );
             }
         };
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+        )]
         let nodes_of = |e: Edge| {
             let ends = piece_index
                 .get(&etf.tour_of(e.u()))

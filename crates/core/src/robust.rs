@@ -78,6 +78,10 @@ impl RobustConnectivity {
     /// # Panics
     ///
     /// Panics if `instances == 0` or `exposure_budget == 0`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — an empty instance set or exposure budget is a construction bug"
+    )]
     pub fn new(
         n: usize,
         instances: usize,

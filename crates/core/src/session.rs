@@ -361,6 +361,10 @@ impl MaintainerRegistry {
     ///
     /// Panics on a duplicate name — two crates claiming one kind is a
     /// wiring bug, not a recoverable condition.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" contract — two crates claiming one kind is a wiring bug"
+    )]
     pub fn register(&mut self, name: &'static str, loader: MaintainerLoader) {
         let prev = self.loaders.insert(name, loader);
         assert!(
@@ -626,13 +630,20 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if the handle was issued by a *different* session (the
-    /// only way its index or type can disagree with this session's
-    /// registry).
+    /// Panics if the handle's index is out of range for this session,
+    /// or names a maintainer of another type — which only a handle
+    /// issued by a *different* session can do. The check does not
+    /// catch every foreign handle: one of the same type at an index
+    /// this session also holds silently reads this session's
+    /// maintainer. A handle is only meaningful on the session that
+    /// issued it.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented \"# Panics\" contract — only a handle from another session can name a maintainer of another type; a same-type foreign handle passes this check unnoticed"
+    )]
     pub fn get<M: Maintain>(&self, handle: Handle<M>) -> &M {
         let m: &dyn Any = self.maintainers[handle.id].as_ref();
         m.downcast_ref::<M>()
-            // lint: allow(panic-reachability): documented "# Panics" contract — a foreign session's handle is a programmer error
             .expect("a typed Handle always matches its own session's registry; this handle was issued by a different Session")
     }
 
@@ -647,6 +658,10 @@ impl Session {
     /// # Panics
     ///
     /// As [`Session::get`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented \"# Panics\" contract — only a handle from another session can name a maintainer of another type; a same-type foreign handle passes this check unnoticed"
+    )]
     pub fn query<M: Maintain, R>(
         &mut self,
         handle: Handle<M>,
@@ -655,7 +670,6 @@ impl Session {
         let m: &mut dyn Any = self.maintainers[handle.id].as_mut();
         let m = m
             .downcast_mut::<M>()
-            // lint: allow(panic-reachability): documented "# Panics" contract — a foreign session's handle is a programmer error
             .expect("a typed Handle always matches its own session's registry; this handle was issued by a different Session");
         f(m, &mut self.ctx)
     }
@@ -679,9 +693,9 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// As [`Session::get`], for a foreign handle (the handle's type
-    /// is checked against the registry before the question is
-    /// routed).
+    /// As [`Session::get`]: the handle's index and type are checked
+    /// against the registry before the question is routed, so a
+    /// same-type handle from another session is not caught.
     pub fn ask<M: Maintain>(
         &mut self,
         handle: Handle<M>,
@@ -1081,6 +1095,10 @@ impl Session {
     /// selected branches, [`prerun_branches`] has already run every
     /// job against a fork and the skeleton replays each log in the
     /// job's place; otherwise the job runs inline against the master.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     fn fan_out<T: Send>(
         &mut self,
         select: impl Fn(&dyn Maintain) -> bool,
@@ -1179,10 +1197,13 @@ impl Session {
             }
             for (machine, &used) in per_machine.iter().enumerate() {
                 if used > s {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "arithmetic invariant — used > 0 implies a contributing maintainer exists"
+                    )]
                     let id = (0..self.maintainers.len())
                         .filter(|&i| groups[i].start() == machine)
                         .max_by_key(|&i| self.maintainers[i].words())
-                        // lint: allow(panic-reachability): arithmetic invariant — used > 0 implies a contributing maintainer exists
                         .expect("an overcommitted machine hosts a maintainer");
                     if self.ctx.config().strict() {
                         return Err(MpcStreamError::Capacity(MpcError::ClusterMemoryExceeded {

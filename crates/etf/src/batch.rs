@@ -190,9 +190,12 @@ impl DistEtf {
             let parent = self.tour_of(u);
             let (f_u, _) = self.f_l(u);
             let c = if f_u % 2 == 1 { f_u - 1 } else { f_u };
+            #[expect(
+                clippy::expect_used,
+                reason = "traversal invariant — silently dropping a child would corrupt the merge plan"
+            )]
             children
                 .get_mut(&parent)
-                // lint: allow(panic-reachability): traversal invariant — silently dropping a child would corrupt the merge plan
                 .expect("parent visited")
                 .push(Child { c, child, u, v });
         }
@@ -250,8 +253,12 @@ impl DistEtf {
                 running += w + 4;
                 breakpoints.push((ch.c, running));
             }
-            // lint: allow(panic-reachability): map invariant — every tour in `order` received a plan in the pre-order pass
-            plans.get_mut(&t).expect("inserted above").breakpoints = breakpoints;
+            #[expect(
+                clippy::expect_used,
+                reason = "map invariant — every tour in `order` received a plan in the pre-order pass"
+            )]
+            let plan = plans.get_mut(&t).expect("inserted above");
+            plan.breakpoints = breakpoints;
         }
         // Local application: tours outside the component are never
         // visited, and the root adapts to the merge shape. When the
@@ -263,7 +270,10 @@ impl DistEtf {
         // pass is cheaper than merging into the root.
         let child_edges: u64 = order[1..].iter().map(|&t| self.tour_len(t) / 4).sum();
         let rebuild = child_edges >= self.tour_len(root) / 4;
-        // lint: allow(panic-reachability): map invariant — the root is in `order`, so the pre-order pass planned it
+        #[expect(
+            clippy::expect_used,
+            reason = "map invariant — the root is in `order`, so the pre-order pass planned it"
+        )]
         let root_plan = plans.remove(&root).expect("root planned");
         let mut merged: Vec<(Edge, EdgeRec)> =
             Vec::with_capacity(child_edges as usize + new_recs.len());
@@ -352,6 +362,10 @@ impl DistEtf {
     ///
     /// Panics if the gather does not fit one machine or if any edge is
     /// not a forest edge.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented \"# Panics\" precondition — for drivers that size their batches to one machine; the rest call try_batch_split"
+    )]
     pub fn batch_split(&mut self, edges: &[Edge], ctx: &mut MpcContext) -> Vec<TourId> {
         self.try_batch_split(edges, ctx)
             .expect("batch fits one machine")
@@ -361,9 +375,12 @@ impl DistEtf {
         // Group the deleted edges by tour, each with its interval.
         let mut by_tour: BTreeMap<TourId, Vec<(u64, u64, Edge)>> = BTreeMap::new();
         for &e in edges {
+            #[expect(
+                clippy::panic,
+                reason = "documented \"# Panics\" precondition — ExactMsf deletes only tracked tree edges"
+            )]
             let rec = *self
                 .edge_rec(e)
-                // lint: allow(panic-reachability): documented "# Panics" precondition — ExactMsf deletes only tracked tree edges
                 .unwrap_or_else(|| panic!("batch_split of non-tree edge {e}"));
             by_tour
                 .entry(rec.tour)

@@ -304,6 +304,10 @@ impl DistEtf {
     /// Installs a whole shard — sorted by edge, every record labelled
     /// `t` — for a tour that holds none: the inverse of
     /// [`DistEtf::take_shard`]. An empty shard installs nothing.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub(crate) fn put_shard(&mut self, t: TourId, shard: Shard) {
         debug_assert!(shard.is_sorted_by(|a, b| a.0 < b.0), "unsorted shard");
         debug_assert!(shard.iter().all(|(_, r)| r.tour == t), "mislabelled shard");
@@ -320,6 +324,10 @@ impl DistEtf {
     /// shard then merges the two sorted arrays in one linear pass
     /// (or, for a constant-size run, a few sorted inserts). Records
     /// must already carry tour id `t`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub(crate) fn splice_shard_entries(&mut self, t: TourId, mut entries: Shard) {
         if entries.is_empty() {
             return;
@@ -385,6 +393,10 @@ impl DistEtf {
     }
 
     /// Installs a tour's bookkeeping; `members` must be sorted.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub(crate) fn install_tour(&mut self, t: TourId, len: u64, members: Vec<VertexId>) {
         debug_assert!(members.is_sorted(), "tour members must stay sorted");
         self.tour_len.insert(t, len);
@@ -399,6 +411,10 @@ impl DistEtf {
     /// Merges a sorted member run into a live tour's member list
     /// (per-entry sorted inserts for a constant-size run, one linear
     /// run merge otherwise).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub(crate) fn merge_members_into(&mut self, t: TourId, extra: Vec<VertexId>) {
         debug_assert!(extra.is_sorted(), "member runs stay sorted");
         let members = self.members.entry(t).or_default();
@@ -432,7 +448,10 @@ impl DistEtf {
         }
         let shard = &self.shards[&self.vertex_tour[v as usize]];
         for &w in adj {
-            // lint: allow(panic-reachability): adjacency and tour shards are mutated in lockstep — a missing edge is corruption
+            #[expect(
+                clippy::expect_used,
+                reason = "adjacency and tour shards are mutated in lockstep — a missing edge is corruption"
+            )]
             let rec = *shard_get(shard, Edge::new(v, w)).expect("adjacent edge in shard");
             for t in [rec.first, rec.second] {
                 if t.from == v {
@@ -483,7 +502,10 @@ impl DistEtf {
             return;
         }
         // Only the rerooted tour's shard is touched.
-        // lint: allow(panic-reachability): shard invariant — every nonempty tour owns exactly one shard
+        #[expect(
+            clippy::expect_used,
+            reason = "shard invariant — every nonempty tour owns exactly one shard"
+        )]
         let shard = self.shards.get_mut(&t).expect("nonempty tour has a shard");
         for (_, rec) in shard.iter_mut() {
             for trav in [&mut rec.first, &mut rec.second] {
@@ -568,6 +590,10 @@ impl DistEtf {
     ///
     /// Panics if the endpoints are already connected (an edge already
     /// in the forest included).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — joining two vertices of one tour would close a cycle"
+    )]
     pub fn join(&mut self, e: Edge, ctx: &mut MpcContext) {
         ctx.exchange(4); // fetch f/ℓ of both endpoints
         ctx.broadcast(6); // rotation + splice instruction
@@ -605,6 +631,10 @@ impl DistEtf {
     pub fn split(&mut self, e: Edge, ctx: &mut MpcContext) -> (TourId, TourId) {
         ctx.exchange(4); // fetch the edge's traversal positions
         ctx.broadcast(6); // interval + new tour ids
+        #[expect(
+            clippy::expect_used,
+            reason = "documented \"# Panics\" precondition — splitting a non-forest edge is a caller bug"
+        )]
         let rec = *self.edge_rec(e).expect("split of non-tree edge");
         // A one-cut split: the detached side is the cut's region,
         // which takes the first id `split_tour` allocates.
@@ -624,6 +654,10 @@ impl DistEtf {
     /// # Panics
     ///
     /// Panics if `u` and `v` are in different tours.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — a tree path needs both ends in one tour"
+    )]
     pub fn identify_path(&self, u: VertexId, v: VertexId, ctx: &mut MpcContext) -> Vec<Edge> {
         assert_eq!(
             self.tour_of(u),

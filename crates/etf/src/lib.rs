@@ -81,6 +81,19 @@
 //! checker, which also checks the shard ↔ bookkeeping invariants
 //! ([`tour::TourViolation::ShardMismatch`]).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 pub mod batch;
 pub mod dist;
 pub mod tour;

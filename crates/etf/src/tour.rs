@@ -178,6 +178,10 @@ pub fn validate(etf: &DistEtf) -> Result<(), TourViolation> {
         }
         if entries.len() as u64 != len {
             // An entry beyond `len` exists.
+            #[expect(
+                clippy::expect_used,
+                reason = "every position is odd or its successor, so all are ≥ 1; with 1..=len present, a larger count means an entry beyond len"
+            )]
             let (&pos, _) = entries
                 .iter()
                 .find(|(&p, _)| p > len)

@@ -32,6 +32,10 @@ impl BatchStream {
         let mut g = DynamicGraph::new(self.n);
         let mut snapshots = Vec::with_capacity(self.batches.len());
         for b in &self.batches {
+            #[expect(
+                clippy::expect_used,
+                reason = "the generators emit valid streams by construction"
+            )]
             g.apply(b).expect("generated stream must be valid");
             snapshots.push(g.clone());
         }
@@ -96,6 +100,7 @@ pub fn random_mixed_stream(
                 }
             } else {
                 let k = rng.gen_range(0..live.len());
+                #[expect(clippy::expect_used, reason = "k < live.len(), drawn just above")]
                 let e = *live.iter().nth(k).expect("index in range");
                 live.remove(&e);
                 batch.push(Update::Delete(e));
@@ -152,6 +157,10 @@ pub fn star_stream(n: usize, batch_size: usize, delete_phase: bool) -> BatchStre
 /// replacement-edge search of Section 6.3 heavily: every bridge
 /// deletion splits a component and the sketches must certify there is
 /// no replacement.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a generator parameter outside its range is a caller bug"
+)]
 pub fn merge_split_stream(
     k: usize,
     c: usize,
@@ -227,6 +236,10 @@ pub fn densifying_stream(n: usize, target_m: usize, batch_size: usize, seed: u64
 /// trick). Produces the heavy-tailed degree distributions of real
 /// social graphs; used by the workload sweeps as the "realistic"
 /// shape alongside paths, stars, and G(n,m).
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a generator parameter outside its range is a caller bug"
+)]
 pub fn preferential_attachment_stream(
     n: usize,
     attach: usize,
@@ -293,8 +306,10 @@ pub fn random_weighted_stream(
                 }
             } else {
                 let k = rng.gen_range(0..live.len());
+                #[expect(clippy::expect_used, reason = "k < live.len(), drawn just above")]
                 let e = *live.iter().nth(k).expect("index in range");
                 live.remove(&e);
+                #[expect(clippy::expect_used, reason = "every live edge has a tracked weight")]
                 let w = weights.remove(&e).expect("weight tracked");
                 batch.push(WeightedUpdate::Delete(WeightedEdge { edge: e, weight: w }));
             }
@@ -351,10 +366,19 @@ pub fn bipartite_stream_with_violation(
                 violation_edge = Some(bad);
             }
         } else if violation_edge.is_some() && bi == inject_at.unwrap_or(usize::MAX) + 2 {
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by violation_edge.is_some() in the branch condition"
+            )]
             let bad = violation_edge.take().expect("violation edge present");
             live.remove(&bad);
             batch.push(Update::Delete(bad));
-            violation_window = Some((inject_at.expect("inject_at set"), bi));
+            #[expect(
+                clippy::expect_used,
+                reason = "violation_edge is only set in the inject_at batch"
+            )]
+            let at = inject_at.expect("inject_at set");
+            violation_window = Some((at, bi));
         }
         while batch.len() < batch_size {
             let a = rng.gen_range(0..half as u32);
@@ -420,6 +444,10 @@ pub fn planted_matching_stream(
 ///
 /// Panics if a jump is `0` or `≥ n/2` (which would create duplicate
 /// or self-loop edges), or if `batch_size == 0`.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented \"# Panics\" precondition — a jump that would repeat an edge or close a self-loop is a caller bug"
+)]
 pub fn circulant_stream(n: usize, jumps: &[usize], batch_size: usize, seed: u64) -> BatchStream {
     assert!(batch_size >= 1, "batches must be nonempty");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -455,6 +483,10 @@ pub fn circulant_stream(n: usize, jumps: &[usize], batch_size: usize, seed: u64)
 /// # Panics
 ///
 /// Panics if `c < 2` or `batch_size == 0`.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented \"# Panics\" precondition — a clique needs two vertices and a batch one update"
+)]
 pub fn barbell_stream(c: usize, p: usize, batch_size: usize, delete_phase: bool) -> BatchStream {
     assert!(c >= 2, "cliques need at least 2 vertices");
     assert!(batch_size >= 1, "batches must be nonempty");

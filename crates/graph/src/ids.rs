@@ -33,8 +33,11 @@ impl Edge {
     ///
     /// Panics on self-loops (`u == v`); the model's graphs are simple.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — graphs are simple, a self-loop is a caller bug"
+    )]
     pub fn new(a: VertexId, b: VertexId) -> Self {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — graphs are simple, a self-loop is a caller bug
         assert!(a != b, "self-loop {{{a},{a}}} is not a valid edge");
         if a < b {
             Edge { u: a, v: b }
@@ -67,6 +70,10 @@ impl Edge {
     ///
     /// Panics if `x` is not an endpoint of this edge.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" precondition — asking a non-endpoint for its other end is a caller bug"
+    )]
     pub fn other(self, x: VertexId) -> VertexId {
         if x == self.u {
             self.v
@@ -90,6 +97,10 @@ impl Edge {
     /// (paper Section 3.1). The encoding is injective for `u < v < n`
     /// and fits in a `u64` for all practical `n`.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub fn index(self, n: usize) -> u64 {
         debug_assert!((self.v as usize) < n, "edge {self} out of range for n={n}");
         self.u as u64 * n as u64 + self.v as u64
@@ -101,10 +112,13 @@ impl Edge {
     ///
     /// Panics if the index does not decode to a normalized edge.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — a non-decoding index is a caller bug"
+    )]
     pub fn from_index(index: u64, n: usize) -> Self {
         let u = (index / n as u64) as VertexId;
         let v = (index % n as u64) as VertexId;
-        // lint: allow(panic-reachability): documented "# Panics" precondition — a non-decoding index is a caller bug
         assert!(u < v, "index {index} does not decode to a normalized edge");
         Edge { u, v }
     }

@@ -34,6 +34,19 @@
 //! assert_eq!((e.u(), e.v()), (1, 3)); // normalized
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 pub mod cuts;
 pub mod dynamic;
 pub mod gen;

@@ -271,12 +271,21 @@ impl Blossom {
             if seen[b] {
                 return b;
             }
-            b = self.parent[self.matched[b].expect("alternating path invariant")];
+            #[expect(
+                clippy::expect_used,
+                reason = "blossom invariant — every base on an alternating path but the root is matched"
+            )]
+            let m = self.matched[b].expect("alternating path invariant");
+            b = self.parent[m];
         }
     }
 
     fn mark_path(&mut self, mut v: usize, b: usize, mut child: usize) {
         while self.base[v] != b {
+            #[expect(
+                clippy::expect_used,
+                reason = "blossom invariant — every vertex on a blossom path below its base is matched"
+            )]
             let mv = self.matched[v].expect("matched along blossom path");
             self.blossom[self.base[v]] = true;
             self.blossom[self.base[mv]] = true;

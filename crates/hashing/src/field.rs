@@ -56,6 +56,10 @@ impl M61 {
     /// the claim; release builds trust it, so callers must only pass
     /// values below [`P`].
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub fn from_reduced(v: u64) -> Self {
         debug_assert!(v < P, "from_reduced got unreduced value {v}");
         M61(v)
@@ -86,6 +90,10 @@ impl M61 {
     /// # Panics
     ///
     /// Panics if `self` is zero (zero has no inverse).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — zero has no inverse"
+    )]
     pub fn inverse(self) -> Self {
         assert!(self.0 != 0, "zero has no multiplicative inverse");
         // Fermat: a^(p-2) = a^{-1} mod p.

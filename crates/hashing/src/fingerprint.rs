@@ -255,6 +255,10 @@ impl Fingerprint {
     ///
     /// Panics if the two fingerprints use different evaluation points.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — fingerprints of different families cannot be summed"
+    )]
     pub fn merge(&mut self, other: &Fingerprint) {
         assert_eq!(
             self.family.z, other.family.z,

@@ -47,10 +47,12 @@ impl KWiseHash {
     /// # Panics
     ///
     /// Panics if `k == 0` or `k > KWiseHash::MAX_K`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — k is a compile-time family parameter"
+    )]
     pub fn new<R: Rng + ?Sized>(k: usize, rng: &mut R) -> Self {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — k is a compile-time family parameter
         assert!(k >= 1, "independence parameter k must be at least 1");
-        // lint: allow(panic-reachability): documented "# Panics" precondition — k is a compile-time family parameter
         assert!(
             k <= Self::MAX_K,
             "independence parameter k above {}",
@@ -99,8 +101,11 @@ impl KWiseHash {
     ///
     /// Panics if `range == 0`.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — a zero range is a caller bug"
+    )]
     pub fn eval_range(&self, key: u64, range: u64) -> u64 {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — a zero range is a caller bug
         assert!(range > 0, "range must be positive");
         // Multiply-shift style range reduction; bias is O(range / P),
         // negligible for the ranges used here.

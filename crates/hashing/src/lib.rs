@@ -25,6 +25,19 @@
 //! assert_eq!(x, h.eval(17)); // deterministic
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 pub mod field;
 pub mod fingerprint;
 pub mod kwise;

@@ -81,6 +81,10 @@ impl DynamicKConn {
     /// # Panics
     ///
     /// Panics if `k == 0` or `copies == 0`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — k is a construction parameter"
+    )]
     pub fn with_copies(n: usize, k: usize, copies: usize, seed: u64) -> Self {
         assert!(k >= 1, "k must be at least 1");
         DynamicKConn {
@@ -103,6 +107,10 @@ impl DynamicKConn {
     /// Panics if an edge endpoint is `>= n`, or if an edge is listed
     /// twice (its cut coordinate would carry `±2`, which no sampler
     /// decodes as an edge).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — the bootstrap graph is simple and inside [0, n)"
+    )]
     pub fn from_graph(
         n: usize,
         k: usize,

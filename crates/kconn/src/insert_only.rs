@@ -67,6 +67,10 @@ impl InsertOnlyKConn {
     /// # Panics
     ///
     /// Panics if `k == 0`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — k is a construction parameter"
+    )]
     pub fn new(n: usize, k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
         InsertOnlyKConn {

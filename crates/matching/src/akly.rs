@@ -142,6 +142,10 @@ impl AklyMatching {
     /// # Panics
     ///
     /// Panics unless `α ≥ 1`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — α is a construction parameter"
+    )]
     pub fn new(n: usize, alpha: f64, seed: u64) -> Self {
         assert!(alpha >= 1.0, "α must be at least 1, got {alpha}");
         let mut guesses = Vec::new();

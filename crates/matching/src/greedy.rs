@@ -46,6 +46,10 @@ impl CappedGreedyMatching {
     /// # Panics
     ///
     /// Panics if `cap == 0`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — the cap is a construction parameter"
+    )]
     pub fn new(n: usize, cap: usize) -> Self {
         assert!(cap >= 1, "cap must be positive");
         CappedGreedyMatching {
@@ -57,6 +61,10 @@ impl CappedGreedyMatching {
     }
 
     /// Convenience constructor with the paper's cap `⌈c·n/α⌉`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "α below 1 is a construction bug, as in new"
+    )]
     pub fn for_alpha(n: usize, alpha: f64) -> Self {
         assert!(alpha >= 1.0, "α must be at least 1");
         let cap = ((n as f64 / (2.0 * alpha)).ceil() as usize).max(1);

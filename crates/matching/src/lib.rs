@@ -20,6 +20,19 @@
 //!   estimators of Theorems 8.5/8.6 (\[AKL'21\]-style `Tester`
 //!   subroutines at geometric guesses, with induced vertex sampling).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 pub mod akly;
 pub mod greedy;
 pub mod no21;

@@ -161,6 +161,10 @@ impl MatchingSizeEstimator {
     /// # Panics
     ///
     /// Panics unless `α ≥ 1`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — α is a construction parameter"
+    )]
     pub fn new(n: usize, alpha: f64, kind: StreamKind, seed: u64) -> Self {
         assert!(alpha >= 1.0, "α must be at least 1, got {alpha}");
         let mut testers = Vec::new();

@@ -84,6 +84,10 @@ impl SnapshotWriter {
     /// Panics if a section is already open, on a duplicate name, or
     /// on an over-long name — all caller bugs, not data-dependent
     /// conditions.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" contract — caller bugs, not data-dependent conditions"
+    )]
     pub fn begin_section(&mut self, name: &str) {
         assert!(!self.open, "begin_section with a section already open");
         assert!(
@@ -103,12 +107,21 @@ impl SnapshotWriter {
     /// # Panics
     ///
     /// Panics if no section is open.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" contract — unbalanced section calls are a caller bug"
+    )]
     pub fn end_section(&mut self) -> u64 {
         assert!(self.open, "end_section without begin_section");
         self.open = false;
         self.sections.last().map_or(0, |(_, b)| b.len() as u64)
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::expect_used,
+        reason = "every put_* needs an open section (a caller bug otherwise), and an open section is the last one"
+    )]
     fn buf(&mut self) -> &mut Vec<u8> {
         assert!(self.open, "put_* outside an open section");
         &mut self
@@ -192,6 +205,10 @@ impl SnapshotWriter {
     /// # Panics
     ///
     /// Panics if a section is still open.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" contract — finishing inside a section is a caller bug"
+    )]
     fn header(&self) -> Vec<u8> {
         assert!(!self.open, "finish with a section still open");
         let mut out = Vec::new();
@@ -261,6 +278,14 @@ impl SnapshotWriter {
     }
 }
 
+/// Takes the `N` bytes at `*at` and advances past them, or `None` when
+/// fewer remain.
+fn take_array<const N: usize>(bytes: &[u8], at: &mut usize) -> Option<[u8; N]> {
+    let (head, _) = bytes.get(*at..)?.split_first_chunk::<N>()?;
+    *at += N;
+    Some(*head)
+}
+
 /// A parsed, checksum-verified snapshot. Constructing one validates
 /// the whole container; [`Snapshot::section`] then hands out cursors
 /// over individual payloads, which are ranges of the one buffer the
@@ -288,11 +313,12 @@ impl Snapshot {
     }
 
     fn parse(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
+        let truncated = || SnapshotError::Corrupt("truncated header/table".into());
         let take = |at: &mut usize, n: usize| -> Result<&[u8], SnapshotError> {
             let end = at
                 .checked_add(n)
                 .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| SnapshotError::Corrupt("truncated header/table".into()))?;
+                .ok_or_else(truncated)?;
             let s = &bytes[*at..end];
             *at = end;
             Ok(s)
@@ -301,20 +327,20 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let mut at = MAGIC.len();
-        let version = u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("sized"));
+        let version = u32::from_le_bytes(take_array(&bytes, &mut at).ok_or_else(truncated)?);
         if version != FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let epoch = u64::from_le_bytes(take(&mut at, 8)?.try_into().expect("sized"));
-        let count = u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("sized")) as usize;
+        let epoch = u64::from_le_bytes(take_array(&bytes, &mut at).ok_or_else(truncated)?);
+        let count = u32::from_le_bytes(take_array(&bytes, &mut at).ok_or_else(truncated)?) as usize;
         let mut table: Vec<(String, u64, u64)> = Vec::new();
         for _ in 0..count {
-            let name_len = u16::from_le_bytes(take(&mut at, 2)?.try_into().expect("sized"));
+            let name_len = u16::from_le_bytes(take_array(&bytes, &mut at).ok_or_else(truncated)?);
             let name = std::str::from_utf8(take(&mut at, usize::from(name_len))?)
                 .map_err(|_| SnapshotError::Corrupt("non-UTF-8 section name".into()))?
                 .to_string();
-            let len = u64::from_le_bytes(take(&mut at, 8)?.try_into().expect("sized"));
-            let sum = u64::from_le_bytes(take(&mut at, 8)?.try_into().expect("sized"));
+            let len = u64::from_le_bytes(take_array(&bytes, &mut at).ok_or_else(truncated)?);
+            let sum = u64::from_le_bytes(take_array(&bytes, &mut at).ok_or_else(truncated)?);
             table.push((name, len, sum));
         }
         let mut sections = Vec::with_capacity(count);
@@ -452,6 +478,11 @@ impl<'a> SnapshotReader<'a> {
         Ok(s)
     }
 
+    /// Takes the next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        take_array(self.bytes, &mut self.at).ok_or_else(|| self.truncated())
+    }
+
     /// Takes one byte.
     ///
     /// # Errors
@@ -467,9 +498,7 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// As [`SnapshotReader::take_bytes`].
     pub fn take_u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take_bytes(4)?.try_into().expect("sized"),
-        ))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Takes a little-endian `u64`.
@@ -478,9 +507,7 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// As [`SnapshotReader::take_bytes`].
     pub fn take_u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take_bytes(8)?.try_into().expect("sized"),
-        ))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Takes a little-endian `i64`.
@@ -489,9 +516,7 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// As [`SnapshotReader::take_bytes`].
     pub fn take_i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(
-            self.take_bytes(8)?.try_into().expect("sized"),
-        ))
+        Ok(i64::from_le_bytes(self.take_array()?))
     }
 
     /// Takes a little-endian `i128`.
@@ -500,9 +525,7 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// As [`SnapshotReader::take_bytes`].
     pub fn take_i128(&mut self) -> Result<i128, SnapshotError> {
-        Ok(i128::from_le_bytes(
-            self.take_bytes(16)?.try_into().expect("sized"),
-        ))
+        Ok(i128::from_le_bytes(self.take_array()?))
     }
 
     /// Takes a `u64` and narrows it to the host `usize`.

@@ -51,6 +51,19 @@
 //! # Ok::<(), mpc_snapshot::SnapshotError>(())
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 pub mod error;
 pub mod format;
 pub mod persist;

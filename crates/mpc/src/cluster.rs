@@ -72,6 +72,10 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `machines == 0`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — a cluster without machines is a construction bug"
+    )]
     pub fn new(machines: usize, capacity: u64) -> Self {
         assert!(machines > 0, "cluster needs at least one machine");
         Cluster {

@@ -34,6 +34,10 @@ impl MpcConfig {
     /// # Panics
     ///
     /// Panics unless `0 < φ < 1` and `n ≥ 2`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — n and φ are construction parameters"
+    )]
     pub fn builder(n: usize, phi: f64) -> MpcConfigBuilder {
         assert!(n >= 2, "need at least two vertices, got {n}");
         assert!(
@@ -135,6 +139,10 @@ pub struct MpcConfigBuilder {
 
 impl MpcConfigBuilder {
     /// Overrides the local memory capacity `s` (default `⌈n^φ⌉`).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a capacity below 4 words is a configuration bug"
+    )]
     pub fn local_capacity(mut self, words: u64) -> Self {
         assert!(words >= 4, "local capacity must be at least 4 words");
         self.local_capacity = Some(words);
@@ -145,6 +153,10 @@ impl MpcConfigBuilder {
     /// [`STATE_SLACK`]` · n · ⌈log2 n⌉³` total words — the paper's
     /// `O(n log³ n)` budget with the sketch bank's constants folded
     /// in).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a cluster without machines is a configuration bug"
+    )]
     pub fn machines(mut self, machines: usize) -> Self {
         assert!(machines >= 1, "need at least one machine");
         self.machines = Some(machines);

@@ -85,11 +85,14 @@ impl MpcContext {
     /// # Panics
     ///
     /// Panics if no phase is active.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented \"# Panics\" contract — unbalanced phase calls are a caller bug"
+    )]
     pub fn end_phase(&mut self) -> PhaseReport {
         self.apply(MpcEvent::EndPhase)
             .ok()
             .flatten()
-            // lint: allow(panic-reachability): documented "# Panics" contract — unbalanced phase calls are a caller bug
             .expect("end_phase without begin_phase")
     }
 
@@ -419,8 +422,11 @@ mod ledger {
                     self.total_load += words;
                     self.observe_load(m)?;
                 }
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "documented \"# Panics\" contract — over-freeing is an accounting bug, not a data error"
+                )]
                 MpcEvent::Free(m, words) => {
-                    // lint: allow(panic-reachability): documented "# Panics" contract — over-freeing is an accounting bug, not a data error
                     assert!(
                         self.loads[m] >= words,
                         "machine {m} frees {words} words but holds {}",
@@ -437,19 +443,25 @@ mod ledger {
                 }
                 MpcEvent::ParallelBegin => self.parallel_stack.push((self.stats.rounds, 0)),
                 MpcEvent::ParallelBranch => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "scope invariant — only `parallel` emits scope events, always balanced; a replayed log is a recording of it"
+                    )]
                     let (saved, max) = self
                         .parallel_stack
                         .last_mut()
-                        // lint: allow(panic-reachability): scope invariant — only `parallel` emits scope events, always balanced; a replayed log is a recording of it
                         .expect("ParallelBranch outside a parallel scope");
                     *max = (*max).max(self.stats.rounds - *saved);
                     self.stats.rounds = *saved;
                 }
                 MpcEvent::ParallelEnd => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "scope invariant — only `parallel` emits scope events, always balanced; a replayed log is a recording of it"
+                    )]
                     let (saved, max) = self
                         .parallel_stack
                         .pop()
-                        // lint: allow(panic-reachability): scope invariant — only `parallel` emits scope events, always balanced; a replayed log is a recording of it
                         .expect("ParallelEnd without ParallelBegin");
                     // Any trailing un-branched work counts as one more branch.
                     let trailing = self.stats.rounds - saved;

@@ -76,6 +76,10 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawns a pool of `lanes` worker threads (at least 1).
+    #[expect(
+        clippy::expect_used,
+        reason = "a pool that cannot start its threads has no recovery"
+    )]
     pub fn new(lanes: usize) -> Self {
         let lanes = lanes.max(1);
         let (sender, receiver) = channel::<Job>();
@@ -102,6 +106,10 @@ impl WorkerPool {
     }
 
     /// Enqueues a scope helper for the next idle worker.
+    #[expect(
+        clippy::expect_used,
+        reason = "the sender and the workers live until the pool is dropped"
+    )]
     fn execute(&self, job: Job) {
         self.sender
             .as_ref()
@@ -125,6 +133,10 @@ impl WorkerPool {
     ///
     /// Re-raises (as a new panic) if any task panicked; remaining
     /// tasks still run, and the pool stays usable.
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract — a lane's panic is re-raised on the caller"
+    )]
     fn scope_indices<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -183,6 +195,10 @@ impl WorkerPool {
             let item = unsafe { &mut *(base as *mut T).add(i) };
             f(item);
         });
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+        )]
         #[cfg(debug_assertions)]
         for (i, c) in claims.iter().enumerate() {
             let n = c.load(Ordering::Relaxed);
@@ -204,6 +220,10 @@ impl Drop for WorkerPool {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "poison-free by construction: jobs run outside the lock"
+)]
 fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
     loop {
         let job = {
@@ -243,6 +263,10 @@ impl ScopeState {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "poison-free by construction: lane panics are caught before the lock"
+    )]
     fn run(&self, f: &(dyn Fn(usize) + Sync)) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -260,6 +284,10 @@ impl ScopeState {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "poison-free by construction: lane panics are caught before the lock"
+    )]
     fn wait(&self) {
         // Poison-free by construction: lane panics are caught before the lock.
         let mut guard = self.lock.lock().expect("scope lock");

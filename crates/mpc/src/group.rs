@@ -35,8 +35,11 @@ impl MachineGroup {
     ///
     /// Panics if `machines == 0` (every group owns at least one
     /// machine).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — partition never produces empty groups"
+    )]
     pub fn new(start: usize, machines: usize) -> Self {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — partition never produces empty groups
         assert!(machines >= 1, "a machine group cannot be empty");
         MachineGroup { start, machines }
     }
@@ -74,11 +77,14 @@ impl MachineGroup {
     /// # Panics
     ///
     /// Panics if `total == 0` while `parts > 0`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — cluster sizes are validated at config build time"
+    )]
     pub fn partition(total: usize, parts: usize) -> Vec<MachineGroup> {
         if parts == 0 {
             return Vec::new();
         }
-        // lint: allow(panic-reachability): documented "# Panics" precondition — cluster sizes are validated at config build time
         assert!(total >= 1, "cannot partition an empty cluster");
         if parts > total {
             return (0..parts)

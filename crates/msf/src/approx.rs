@@ -32,12 +32,18 @@ struct ThresholdStack {
 }
 
 impl ThresholdStack {
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "ε and W are construction parameters of the public constructors"
+    )]
     fn new(n: usize, eps: f64, max_weight: u64, seed: u64) -> Self {
         assert!(eps > 0.0, "ε must be positive, got {eps}");
         assert!(max_weight >= 1, "weights live in [1, W] with W ≥ 1");
-        let mut thresholds = vec![1.0];
-        while *thresholds.last().expect("nonempty") < max_weight as f64 {
-            thresholds.push(thresholds.last().expect("nonempty") * (1.0 + eps));
+        let mut top = 1.0;
+        let mut thresholds = vec![top];
+        while top < max_weight as f64 {
+            top *= 1.0 + eps;
+            thresholds.push(top);
         }
         let instances = (0..thresholds.len())
             .map(|i| {
@@ -250,11 +256,14 @@ impl ApproxMsfForest {
     }
 
     /// Component id in the top (full) graph.
+    #[expect(
+        clippy::expect_used,
+        reason = "ThresholdStack construction always materializes at least one instance"
+    )]
     pub fn component_of(&self, v: VertexId) -> VertexId {
         self.stack
             .instances
             .last()
-            // lint: allow(panic-reachability): ThresholdStack construction always materializes at least one instance
             .expect("at least one instance")
             .component_of(v)
     }

@@ -16,6 +16,19 @@
 //!   (Section 7.3) via the bipartite double cover: `G` is bipartite
 //!   iff `cc(G') = 2·cc(G)`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 pub mod approx;
 pub mod bipartite;
 pub mod exact;

@@ -63,8 +63,11 @@ impl SketchFamily {
     /// # Panics
     ///
     /// Panics if `max_index == 0`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — an empty index space is a construction bug"
+    )]
     pub fn new(max_index: u64, seed: u64) -> Self {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — an empty index space is a construction bug
         assert!(max_index > 0, "need a nonempty index space");
         let levels = (64 - max_index.leading_zeros()) + 2;
         SketchFamily {
@@ -235,6 +238,10 @@ impl SketchArena {
     /// Panics if `copies == 0`, `max_index == 0`, or `max_index ≥
     /// 2^62` (more than 64 levels: one mask word would not cover a
     /// column).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — copies and the index space are construction parameters"
+    )]
     pub fn new(n: usize, copies: usize, max_index: u64, seed: u64) -> Self {
         assert!(copies >= 1, "need at least one sketch copy");
         let families: Vec<SketchFamily> = (0..copies)
@@ -335,6 +342,10 @@ impl SketchArena {
     /// Pool offset of cell `(v, copy, level)`; `v` must be
     /// materialized.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     fn slot(&self, v: u32, copy: usize, level: usize) -> usize {
         debug_assert!(self.is_materialized(v), "vertex {v} not materialized");
         self.base[v as usize] as usize * self.block() + copy * self.levels + level
@@ -347,8 +358,11 @@ impl SketchArena {
     /// # Panics
     ///
     /// Panics if `index` is outside the family index space.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — the bank derives indices from the shared family"
+    )]
     pub fn update(&mut self, v: u32, index: u64, delta: i64) {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — the bank derives indices from the shared family
         assert!(
             index < self.families[0].max_index,
             "index {index} out of range {}",
@@ -374,14 +388,16 @@ impl SketchArena {
     /// # Panics
     ///
     /// Panics if `index` is out of range or `a == b`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — the bank derives indices from the shared family, and Edge's invariant keeps endpoints distinct"
+    )]
     pub fn update_pair(&mut self, a: u32, b: u32, index: u64, delta_a: i64, delta_b: i64) {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — the bank derives indices from the shared family
         assert!(
             index < self.families[0].max_index,
             "index {index} out of range {}",
             self.families[0].max_index
         );
-        // lint: allow(panic-reachability): documented "# Panics" precondition — Edge's invariant keeps endpoints distinct
         assert_ne!(a, b, "pair update requires distinct vertices");
         let weighted = index as i128;
         for copy in 0..self.copies {
@@ -471,6 +487,10 @@ impl SketchArena {
     /// still samples. Sums wrap and fingerprints add in a field, so
     /// the accumulator does not depend on where this falls among the
     /// member folds.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub fn update_scratch(&self, scratch: &mut MergeScratch, index: u64, delta: i64) {
         debug_assert!(
             index < self.families[0].max_index,
@@ -496,6 +516,10 @@ impl SketchArena {
     /// materialized member column through `fold` into the scratch
     /// columns.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     fn fold_members(
         &self,
         members: &[u32],

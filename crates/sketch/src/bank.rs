@@ -55,6 +55,10 @@ impl SketchBank {
     /// # Panics
     ///
     /// Panics if `copies == 0`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — copies is a construction parameter"
+    )]
     pub fn new(n: usize, copies: usize, seed: u64) -> Self {
         assert!(copies >= 1, "need at least one sketch copy");
         let arena = SketchArena::new(n, copies, (n as u64) * (n as u64), seed);
@@ -196,6 +200,10 @@ impl SketchBank {
     /// that can be nonzero (see [`SketchArena::update_scratch`]); that
     /// is how a caller samples a residual graph without cloning the
     /// bank.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub fn update_edge_into(&self, e: Edge, at: VertexId, delta: i64, scratch: &mut MergeScratch) {
         debug_assert!(
             at == e.u() || at == e.v(),
@@ -225,6 +233,10 @@ impl SketchBank {
         if self.merge_copy_into(members, &mut scratch) == 0 {
             return None;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "merge_copy_into absorbed a member, so one is materialized"
+        )]
         let rep = members
             .iter()
             .copied()

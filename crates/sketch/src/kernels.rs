@@ -48,6 +48,10 @@ impl KernelKind {
 /// columns: `vs[j] += src[j].value_sum`, `is[j] += src[j].index_sum`,
 /// `fp[j] += src[j].fp` (field add). All four slices must have equal
 /// length.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+)]
 pub(crate) fn fold_cells_soa(src: &[Cell], vs: &mut [i64], is: &mut [i128], fp: &mut [M61]) {
     debug_assert!(vs.len() == src.len() && is.len() == src.len() && fp.len() == src.len());
     for (((c, v), i), f) in src.iter().zip(vs).zip(is).zip(fp) {
@@ -63,6 +67,10 @@ pub(crate) fn fold_cells_soa(src: &[Cell], vs: &mut [i64], is: &mut [i128], fp: 
 /// exact inverses of the adds above, so an accumulator built by
 /// subtracting columns equals, bit for bit, the negation of the one
 /// built by adding them. All four slices must have equal length.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+)]
 pub(crate) fn unfold_cells_soa(src: &[Cell], vs: &mut [i64], is: &mut [i128], fp: &mut [M61]) {
     debug_assert!(vs.len() == src.len() && is.len() == src.len() && fp.len() == src.len());
     for (((c, v), i), f) in src.iter().zip(vs).zip(is).zip(fp) {
@@ -74,6 +82,10 @@ pub(crate) fn unfold_cells_soa(src: &[Cell], vs: &mut [i64], is: &mut [i128], fp
 
 /// Folds one interleaved cell column into another (`dst[j] +=
 /// src[j]`, component-wise). Both slices must have equal length.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+)]
 pub(crate) fn fold_cells(dst: &mut [Cell], src: &[Cell]) {
     debug_assert!(dst.len() == src.len());
     for (d, s) in dst.iter_mut().zip(src) {

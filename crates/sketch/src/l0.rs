@@ -100,6 +100,10 @@ impl L0Sampler {
 
     /// Builds a sampler directly from a family and its dense cell
     /// column (the bank's merge paths materialize results this way).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub(crate) fn from_raw(
         family: SketchFamily,
         value_sum: Vec<i64>,
@@ -156,8 +160,11 @@ impl L0Sampler {
     /// # Panics
     ///
     /// Panics if `index >= max_index`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — the family fixes the index space at construction"
+    )]
     pub fn update(&mut self, index: u64, delta: i64) {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — the family fixes the index space at construction
         assert!(
             index < self.family.max_index(),
             "index {index} out of range {}",
@@ -178,6 +185,10 @@ impl L0Sampler {
     /// # Panics
     ///
     /// Panics if the families differ or `index` is out of range.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — the family fixes the index space at construction"
+    )]
     pub fn update_pair(
         a: &mut L0Sampler,
         b: &mut L0Sampler,
@@ -203,6 +214,10 @@ impl L0Sampler {
     /// # Panics
     ///
     /// Panics if the families differ.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — samplers of different families cannot be summed"
+    )]
     pub fn merge(&mut self, other: &L0Sampler) {
         assert!(
             self.family.same_family(&other.family),

@@ -97,6 +97,10 @@ impl VertexSketch {
     }
 
     /// The `±1` delta vertex `v` contributes at edge `e`'s coordinate.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     fn sign(v: VertexId, e: Edge) -> i64 {
         if v == e.v() {
             1 // larger endpoint
@@ -111,8 +115,11 @@ impl VertexSketch {
     /// # Panics
     ///
     /// Panics if the sketch's vertex is not an endpoint of `e`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — incidence is guaranteed by the routing layer"
+    )]
     pub fn insert_edge(&mut self, e: Edge) {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — incidence is guaranteed by the routing layer
         assert!(e.touches(self.vertex), "{e} not incident to sketch vertex");
         self.inner
             .update(e.index(self.n), Self::sign(self.vertex, e));
@@ -123,8 +130,11 @@ impl VertexSketch {
     /// # Panics
     ///
     /// Panics if the sketch's vertex is not an endpoint of `e`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — incidence is guaranteed by the routing layer"
+    )]
     pub fn delete_edge(&mut self, e: Edge) {
-        // lint: allow(panic-reachability): documented "# Panics" precondition — incidence is guaranteed by the routing layer
         assert!(e.touches(self.vertex), "{e} not incident to sketch vertex");
         self.inner
             .update(e.index(self.n), -Self::sign(self.vertex, e));
@@ -139,6 +149,10 @@ impl VertexSketch {
     ///
     /// Panics unless `a` sketches `e.u()` and `b` sketches `e.v()` in
     /// the same family.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — the pair's vertices are the edge's endpoints"
+    )]
     pub fn update_edge_pair(a: &mut VertexSketch, b: &mut VertexSketch, e: Edge, delta: i64) {
         assert_eq!(
             (a.vertex, b.vertex),
@@ -156,6 +170,10 @@ impl VertexSketch {
     /// # Panics
     ///
     /// Panics if the families differ.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — sketches of different graph sizes cannot be summed"
+    )]
     pub fn merge(&mut self, other: &VertexSketch) {
         assert_eq!(self.n, other.n, "sketches must target the same graph size");
         self.inner.merge(&other.inner);

@@ -15,6 +15,8 @@
 
 use mpc_stream::graph::gen;
 use mpc_stream::prelude::*;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -322,48 +324,121 @@ fn restore_with_missing_loader_fails_typed() {
     std::fs::remove_file(&path).expect("scratch file removable");
 }
 
-/// Bit flips must never decode: the header magic and the per-section
-/// checksums are both load-bearing.
+/// Prefix lengths at which the container's header fields and section
+/// table entries end, and each section's payload range. Layout: magic
+/// (8 bytes), version (u32), epoch (u64), section count (u32), then per
+/// section its name length (u16), name, payload length (u64) and
+/// checksum (u64); the payloads follow in table order.
+fn container_layout(bytes: &[u8]) -> (Vec<usize>, Vec<Range<usize>>) {
+    let le = |at: usize, width: usize| {
+        let word = bytes[at..at + width]
+            .iter()
+            .rev()
+            .fold(0u64, |acc, &b| acc << 8 | u64::from(b));
+        usize::try_from(word).expect("field fits usize")
+    };
+    assert_eq!(bytes[..8], mpc_stream::snapshot::MAGIC);
+    let mut bounds = vec![8, 12, 20, 24];
+    let mut at = 24;
+    let mut lens = Vec::new();
+    for _ in 0..le(20, 4) {
+        let name_len = le(at, 2);
+        at += 2;
+        bounds.push(at);
+        at += name_len;
+        bounds.push(at);
+        lens.push(le(at, 8));
+        at += 8;
+        bounds.push(at);
+        at += 8;
+        bounds.push(at);
+    }
+    let sections = lens
+        .into_iter()
+        .map(|len| {
+            at += len;
+            at - len..at
+        })
+        .collect();
+    assert_eq!(at, bytes.len(), "payloads end the container");
+    (bounds, sections)
+}
+
+/// Damaged containers must never decode and never panic. The header
+/// magic and the per-section checksums are both load-bearing; the
+/// sweep cuts a two-maintainer checkpoint at every header-field and
+/// section-table boundary and at each section's first and last byte
+/// (±1), and flips one bit at each section's first and last payload
+/// byte.
 #[test]
 fn corrupt_bytes_fail_typed() {
     let n = 16usize;
     let mut session = Session::new(cfg(n));
+    session.register(Connectivity::new(n, ConnectivityConfig::default(), 5));
     session.register(FullMemoryBaseline::new(n));
     session
-        .apply([Update::Insert(Edge::new(0, 1))])
+        .apply([
+            Update::Insert(Edge::new(0, 1)),
+            Update::Insert(Edge::new(1, 2)),
+        ])
+        .expect("legal batch");
+    session
+        .apply([Update::Delete(Edge::new(0, 1))])
         .expect("legal batch");
     let path = scratch("corrupt");
     session.checkpoint(&path).expect("checkpoint succeeds");
     let pristine = std::fs::read(&path).expect("snapshot readable");
     let registry = mpc_stream::full_registry();
+    let restore = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).expect("scratch writable");
+        catch_unwind(AssertUnwindSafe(|| {
+            Session::restore(&path, &registry).err()
+        }))
+    };
 
     // Clobbered magic: rejected before anything is decoded.
     let mut bad_magic = pristine.clone();
     bad_magic[0] ^= 0xFF;
-    std::fs::write(&path, &bad_magic).expect("scratch writable");
     assert_eq!(
-        Session::restore(&path, &registry).expect_err("magic must be checked"),
-        SnapshotError::BadMagic
+        restore(&bad_magic).expect("no panic"),
+        Some(SnapshotError::BadMagic)
     );
 
+    let (bounds, sections) = container_layout(&pristine);
+    assert!(sections.len() >= 4, "session, context and two maintainers");
+    let mut cuts: Vec<usize> = bounds;
+    let mut flips = Vec::new();
+    for range in sections.iter().filter(|r| !r.is_empty()) {
+        let (first, last) = (range.start, range.end - 1);
+        cuts.extend([first - 1, first, first + 1, last - 1, last, last + 1]);
+        flips.extend([first, last]);
+    }
+    // A mid-file flip and an eight-byte truncation, as before the sweep.
+    flips.push(pristine.len() / 2);
+    cuts.push(pristine.len() - 8);
+    cuts.retain(|&cut| cut < pristine.len());
+    cuts.sort_unstable();
+    cuts.dedup();
+
+    // Truncation: an `Err`, not a partial session.
+    for &cut in &cuts {
+        match restore(&pristine[..cut]) {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("snapshot cut to {cut} bytes decoded cleanly"),
+            Err(_) => panic!("snapshot cut to {cut} bytes panicked"),
+        }
+    }
     // A payload bit flip: caught by a section checksum (or, if it
     // lands in the section table, by a structural decode error) —
     // always an `Err`, never a quietly wrong session.
-    let mut flipped = pristine.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0x01;
-    std::fs::write(&path, &flipped).expect("scratch writable");
-    assert!(
-        Session::restore(&path, &registry).is_err(),
-        "mid-file bit flip decoded cleanly"
-    );
-
-    // Truncation: an `Err`, not a partial session.
-    let truncated = &pristine[..pristine.len() - 8];
-    std::fs::write(&path, truncated).expect("scratch writable");
-    assert!(
-        Session::restore(&path, &registry).is_err(),
-        "truncated snapshot decoded cleanly"
-    );
+    for &at in &flips {
+        let mut flipped = pristine.clone();
+        flipped[at] ^= 0x01;
+        match restore(&flipped) {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("bit flip at byte {at} decoded cleanly"),
+            Err(_) => panic!("bit flip at byte {at} panicked"),
+        }
+    }
     std::fs::remove_file(&path).expect("scratch file removable");
 }
