@@ -1,7 +1,7 @@
 //! Experiments E1–E16 (indexed in the README's experiment table;
-//! E13–E16 are the extension experiments). Host throughput, the
-//! executor's scaling and the durability soak are measured by the
-//! engine benchmark in `benchmark/`, not here.
+//! E13–E16 are the extension experiments). Host throughput and the
+//! durability soak are measured by the engine benchmark in
+//! `benchmark/`, not here.
 
 pub mod connectivity;
 pub mod extensions;

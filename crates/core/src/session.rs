@@ -67,53 +67,23 @@
 //! # Execution model
 //!
 //! The *accounted* parallelism above (rounds max-composing across
-//! machine groups) is independent of how the simulation is executed
-//! on the host. There is **one fan-out skeleton** — chunk ingest and
-//! [`Session::ask_all`] are the same function with a different job —
-//! and it is the session's one [`MpcContext::parallel`] composition,
-//! one branch per selected maintainer in registration order: it
-//! audits the branch, obtains the branch's charges on the master
-//! context and settles the report into the rollup, and `parallel`
-//! closes the branch — and the scope, on the first `Err` too. Host
-//! modes differ only in the **branch runner**, i.e. in how the
-//! charges are obtained:
+//! machine groups) is a property of the model, not of the host: the
+//! session is serial. There is **one fan-out skeleton** — chunk
+//! ingest and [`Session::ask_all`] are the same function with a
+//! different job — and it is the session's one
+//! [`MpcContext::parallel`] composition, one branch per selected
+//! maintainer in registration order. Each branch audits itself, runs
+//! its job on the calling thread directly against the master context,
+//! and settles the report into the rollup; `parallel` closes the
+//! branch, and the scope on the first `Err` too. No library code
+//! starts a thread, so every answer and every charge is a function of
+//! the configuration, the seeds and the stream alone.
 //!
-//! * **Inline**: the job runs on the calling thread directly against
-//!   the master context — no fork, no event log, no synchronization.
-//! * **Pooled**: before the scope opens, every selected branch runs
-//!   its job against a forked recording context
-//!   (`MpcContext::fork_for_branch`), the branches stolen across the
-//!   [`WorkerPool`] lanes and the calling thread by one scoped
-//!   `WorkerPool::steal_each` (maintainers are borrowed in place and
-//!   never leave the session); the skeleton then *replays* each
-//!   branch's log where the inline runner would have run the job.
-//!   This is the only place a second host thread is used: inside a
-//!   branch every maintainer is single-threaded.
-//!
-//! The runner is chosen from what the code can observe, not by an
-//! option: pooled needs a pool ([`Session::with_workers`] `≥ 2`; the
-//! default is 1) **and at least two selected branches** — a single
-//! branch has nothing to overlap with, so a one-maintainer session is
-//! the same program at every worker count.
-//!
-//! **Why the accounting is unchanged:** every `MpcContext` primitive
-//! is one `MpcEvent` passed to the ledger's single charging entry,
-//! which records the event on a forked context and which replay runs
-//! again on the master. Every charge is a pure function of the
-//! configuration and the event, so replay reproduces rounds, words,
-//! peaks, violations, and per-maintainer breakdowns bit-for-bit;
-//! thread scheduling can reorder *execution*, never *measurement*.
-//! Results are therefore
-//! identical at every worker count, which
-//! `tests/session_parallel_equivalence.rs` pins suite-wide, error
-//! paths included. The one caveat: in strict mode an error can be
-//! *detected* at a different point than inline execution would detect
-//! it when co-scheduled maintainers share machines (a fork sees
-//! pre-chunk loads), and on any `Err` the set of maintainers that
-//! ingested the failing chunk may differ — the session is documented
-//! inconsistent-on-`Err` under both runners. A *panic* in a pooled
-//! branch re-raises from the steal scope on the calling thread once
-//! the other branches have finished, with the maintainer list intact.
+//! On `Err` the branches ahead of the failing one have ingested the
+//! chunk and are absorbed into the rollup, the failing branch keeps
+//! its partial charges in the raw context counters, and the branches
+//! behind it never run: the session is inconsistent-on-`Err`, like any
+//! multi-structure transaction without rollback.
 //!
 //! # Durability
 //!
@@ -139,16 +109,13 @@
 //!   restored session continues sampling, answering, and accounting
 //!   exactly where the original would have — `SessionStats`, query
 //!   receipts, and sampler outcomes are equal as values from that
-//!   point on, at every worker count.
+//!   point on.
 //! * **Monotonic stream epoch.** Every update submission bumps
 //!   [`Session::stream_epoch`], the epoch is embedded in the snapshot
 //!   header, and [`Session::restore_checked`] rejects a stale file
 //!   with the typed [`SnapshotError::EpochMismatch`] instead of
 //!   silently rewinding (and thereby forking) the stream history.
 //!
-//! The host worker count is deliberately *not* persisted: a snapshot
-//! taken at four workers restores into a serial session and vice
-//! versa, because execution mode never affects results.
 //! `tests/session_checkpoint.rs` pins the full kill/restore/continue
 //! equivalence; the checkpoint's per-maintainer section sizes land in
 //! `MaintainerStats::checkpoint_bytes` (which `==` ignores, keeping
@@ -189,8 +156,8 @@ use crate::vertex_dynamic::VertexDynamicConnectivity;
 use mpc_graph::ids::VertexId;
 use mpc_graph::update::{Batch, Update, WeightedBatch, WeightedUpdate};
 use mpc_sim::{
-    BatchAudit, BatchReport, MachineGroup, MpcConfig, MpcContext, MpcError, MpcEvent,
-    MpcStreamError, QueryReport, SessionStats, WorkerPool,
+    BatchAudit, BatchReport, MachineGroup, MpcConfig, MpcContext, MpcError, MpcStreamError,
+    QueryReport, SessionStats,
 };
 use mpc_snapshot::{
     load_section, save_section, Persist, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
@@ -213,10 +180,9 @@ use std::path::Path;
 /// The `Any` supertrait is an implementation detail of the typed
 /// [`Handle`] accessors ([`Session::get`] and friends re-express the
 /// downcast internally, where handle provenance makes it infallible).
-/// The `Send` supertrait is what lets the pooled branch runner lend a
-/// maintainer to a worker lane for the duration of one branch (a
-/// scoped `&mut` borrow — the box never leaves the session);
-/// maintainers are plain owned state, so this is free.
+/// The `Send` supertrait keeps [`Session`] `Send`, so a caller may
+/// move a whole session to another thread; maintainers are plain
+/// owned state, so this is free.
 pub trait Maintain: Any + Send {
     /// A short stable name for reports and diagnostics.
     fn name(&self) -> &'static str;
@@ -289,9 +255,8 @@ pub trait Maintain: Any + Send {
 
     /// Whether [`Maintain::answer`] can serve this query — the
     /// charge-free support probe [`Session::ask_all`] consults
-    /// *before* opening a parallel branch, so non-supporters never
-    /// enter the fan-out at all (they are skipped, not charged, and
-    /// never lent to a worker lane).
+    /// *before* opening the maintainer's branch, so non-supporters
+    /// never enter the fan-out at all (they are skipped, not charged).
     ///
     /// Must agree with [`Maintain::answer`]: `supports` returning
     /// `false` for a query `answer` would serve makes `ask_all` miss
@@ -480,10 +445,10 @@ impl<M: Maintain> From<Handle<M>> for MaintainerId {
 /// maintainers against the cluster's total capacity; overruns are an
 /// error in strict mode and a recorded violation otherwise.
 ///
-/// On `Err`, maintainers earlier in registration order may have
-/// ingested the failing chunk while later ones have not — the session
-/// is left consistent only on `Ok`, like any multi-structure
-/// transaction without rollback. Validate with
+/// On `Err`, the maintainers ahead of the failing one in registration
+/// order have ingested the failing chunk and the later ones have not —
+/// the session is left consistent only on `Ok`, like any
+/// multi-structure transaction without rollback. Validate with
 /// [`Session::validate_all`] before trusting answers after an error.
 pub struct Session {
     ctx: MpcContext,
@@ -492,7 +457,6 @@ pub struct Session {
     max_batch: usize,
     normalize: bool,
     last_query_reports: Vec<QueryReport>,
-    pool: Option<WorkerPool>,
     /// Monotonic update-submission counter, embedded in snapshot
     /// headers so a stale checkpoint is typed-rejected at restore.
     stream_epoch: u64,
@@ -513,17 +477,12 @@ impl Session {
     /// The default chunk size is `s / 4` updates — a batch whose
     /// auxiliary structures (≈ 2–3 words per update) are guaranteed
     /// to fit one machine.
-    ///
-    /// The host worker count is 1 — fully serial; raise it with
-    /// [`Session::with_workers`]. Worker count never affects results
-    /// or accounting, only wall-clock (see the module-level
-    /// "Execution model" section).
     pub fn new(cfg: MpcConfig) -> Self {
         let max_batch = (cfg.local_capacity() / 4).max(1) as usize;
         Session::with_context(MpcContext::new(cfg), max_batch)
     }
 
-    /// An empty, serial session over `ctx` — the one place a
+    /// An empty session over `ctx` — the one place a
     /// `Session` value is built ([`Session::new`] and restore).
     fn with_context(ctx: MpcContext, max_batch: usize) -> Session {
         Session {
@@ -533,7 +492,6 @@ impl Session {
             max_batch,
             normalize: true,
             last_query_reports: Vec::new(),
-            pool: None,
             stream_epoch: 0,
         }
     }
@@ -545,27 +503,20 @@ impl Session {
         self
     }
 
-    /// Sets the host worker count (clamped to at least 1). `1` is the
-    /// fully serial engine — no threads, no pool; `w ≥ 2` spawns a
-    /// `w`-lane [`WorkerPool`] over which chunk and `ask_all` fan-outs
-    /// of two or more branches pre-run their branches. Execution
-    /// results and all accounting are bit-identical at every worker
-    /// count.
+    /// Does nothing: the session is serial (see the module-level
+    /// "Execution model" section). Kept so existing callers compile.
+    #[doc(hidden)]
+    #[deprecated(note = "the session is serial; this is a no-op")]
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.set_workers(workers);
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
-    /// Non-consuming form of [`Session::with_workers`].
-    pub fn set_workers(&mut self, workers: usize) {
-        self.pool = (workers > 1).then(|| WorkerPool::new(workers));
-    }
-
-    /// The configured host worker count.
-    pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, |pool| pool.lanes())
-    }
+    /// Does nothing: the session is serial. Kept so existing callers
+    /// compile.
+    #[doc(hidden)]
+    #[deprecated(note = "the session is serial; this is a no-op")]
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// Enables or disables submission-level normalization (default:
     /// enabled). Disabled, every submitted update is forwarded
@@ -750,7 +701,7 @@ impl Session {
     /// per-answer receipts are in [`Session::query_reports`].
     ///
     /// Support is decided by [`Maintain::supports`] *before* the
-    /// parallel scope opens: a non-supporting maintainer is never
+    /// maintainer's branch opens: a non-supporting maintainer is never
     /// invoked, never charged, and never gets a branch — the
     /// "non-supporters are free" contract holds even for a maintainer
     /// whose `answer` would (incorrectly) charge before declining.
@@ -890,9 +841,7 @@ impl Session {
     /// Rebuilds a session from a [`Session::checkpoint`] file,
     /// decoding each maintainer through `registry`.
     ///
-    /// Host knobs are not restored: the worker count is 1 exactly as
-    /// in [`Session::new`] (execution mode never affects results), and
-    /// the query-receipt buffer starts empty. Everything the paper's
+    /// The query-receipt buffer starts empty. Everything the paper's
     /// accounting observes — context counters, stats rollup,
     /// maintainer state, randomness position — continues
     /// bit-identically.
@@ -1083,75 +1032,36 @@ impl Session {
 
     /// The fan-out skeleton — the session's one
     /// [`MpcContext::parallel`] composition (rounds by max, words by
-    /// sum), for chunk ingest and [`Session::ask_all`] alike. `select`
-    /// is consulted for every maintainer before the scope opens; each
-    /// selected maintainer is one branch, in registration order: audit,
-    /// obtain `job`'s charges on the master context, `settle` the
-    /// measured branch (a [`BatchReport`] whose job-specific `updates` /
-    /// `l0_failures` are left zero) into the rollup. The first failing
-    /// branch keeps its partial charges and aborts the fan-out.
-    ///
-    /// The branch runner is chosen here: with a pool and at least two
-    /// selected branches, [`prerun_branches`] has already run every
-    /// job against a fork and the skeleton replays each log in the
-    /// job's place; otherwise the job runs inline against the master.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
-    fn fan_out<T: Send>(
+    /// sum), for chunk ingest and [`Session::ask_all`] alike. Each
+    /// maintainer that `select` accepts is one branch, in registration
+    /// order: audit, run `job` inline against the master context,
+    /// `settle` the measured branch (a [`BatchReport`] whose
+    /// job-specific `updates` / `l0_failures` are left zero) into the
+    /// rollup. `select` is consulted just before a maintainer's branch
+    /// would open, so a rejected maintainer never gets one. The first
+    /// failing branch keeps its partial charges and aborts the fan-out;
+    /// the maintainers behind it are neither consulted nor run.
+    fn fan_out<T>(
         &mut self,
         select: impl Fn(&dyn Maintain) -> bool,
-        job: impl Fn(&mut dyn Maintain, &mut MpcContext) -> Result<T, MpcStreamError> + Sync,
+        job: impl Fn(&mut dyn Maintain, &mut MpcContext) -> Result<T, MpcStreamError>,
         mut settle: impl FnMut(&mut SessionStats, MaintainerId, BatchReport, T),
     ) -> Result<(), MpcStreamError> {
-        let selected: Vec<bool> = self
-            .maintainers
-            .iter()
-            .map(|m| select(m.as_ref()))
-            .collect();
-        let mut prerun = match &self.pool {
-            Some(pool) if selected.iter().filter(|&&s| s).count() >= 2 => {
-                prerun_branches(pool, &self.ctx, &mut self.maintainers, &selected, &job)
-            }
-            _ => Vec::new(),
-        }
-        .into_iter();
         self.ctx.parallel(
             self.maintainers
                 .iter_mut()
                 .enumerate()
                 // Skipped before the branch opens: free by construction.
-                .filter(|&(id, _)| selected[id]),
+                .filter(|(_, m)| select(m.as_ref())),
             |(id, m), ctx| {
                 let audit = BatchAudit::begin(ctx);
-                let mut forked = None;
-                let value = match prerun.next() {
-                    None => job(m.as_mut(), ctx)?,
-                    Some(pre) => {
-                        forked = Some(pre.forked);
-                        match (pre.result, ctx.replay(&pre.log)) {
-                            (Ok(value), Ok(())) => value,
-                            // Replay can fail where the fork did not (strict
-                            // mode, co-scheduled machines: the fork saw the
-                            // pre-chunk loads, the master sees the replayed
-                            // siblings' too) — the master is authoritative.
-                            (Ok(_), Err(e)) => return Err(MpcStreamError::from(e)),
-                            // The failing branch's partial work stays charged.
-                            (Err(e), _) => return Err(e),
-                        }
-                    }
-                };
-                let measured = audit.finish(m.name(), 0, 0, ctx);
-                // Differential fork/replay audit: every charge is a
-                // pure function of (config, event), so what the fork
-                // recorded must be exactly what replay re-charged.
-                debug_assert!(
-                    forked.is_none_or(|f| (f.rounds, f.words) == (measured.rounds, measured.words)),
-                    "fork/replay accounting drift for `{}`",
-                    m.name()
+                let value = job(m.as_mut(), ctx)?;
+                settle(
+                    &mut self.stats,
+                    id,
+                    audit.finish(m.name(), 0, 0, ctx),
+                    value,
                 );
-                settle(&mut self.stats, id, measured, value);
                 Ok(())
             },
         )
@@ -1221,55 +1131,10 @@ impl Session {
     }
 }
 
-/// What the pooled runner hands the skeleton for one branch: the job's
-/// result, the fork's recorded charges to replay in its place, and
-/// what the fork itself measured, for the debug drift audit.
-struct PreRun<T> {
-    result: Result<T, MpcStreamError>,
-    log: Vec<MpcEvent>,
-    forked: BatchReport,
-}
-
-/// The pooled branch runner: runs `job` for every selected maintainer
-/// against its own forked recording context, inside one steal scope
-/// over the pool lanes and the calling thread. One [`PreRun`] per
-/// selected maintainer, in registration order.
-fn prerun_branches<T: Send>(
-    pool: &WorkerPool,
-    ctx: &MpcContext,
-    maintainers: &mut [Box<dyn Maintain>],
-    selected: &[bool],
-    job: &(impl Fn(&mut dyn Maintain, &mut MpcContext) -> Result<T, MpcStreamError> + Sync),
-) -> Vec<PreRun<T>> {
-    let mut lanes: Vec<(&mut dyn Maintain, MpcContext, Result<T, MpcStreamError>)> = maintainers
-        .iter_mut()
-        .zip(selected)
-        .filter(|(_, &selected)| selected)
-        .map(|(m, _)| {
-            let never_ran = MpcStreamError::Internal(format!("branch `{}` never ran", m.name()));
-            (m.as_mut(), ctx.fork_for_branch(), Err(never_ran))
-        })
-        .collect();
-    pool.steal_each(&mut lanes, |(m, fork, result)| {
-        *result = job(&mut **m, fork)
-    });
-    // Every fork started from `ctx`'s counters, which have not moved.
-    let start = BatchAudit::begin(ctx);
-    lanes
-        .into_iter()
-        .map(|(m, mut fork, result)| PreRun {
-            result,
-            forked: start.finish(m.name(), 0, 0, &fork),
-            log: fork.take_log(),
-        })
-        .collect()
-}
-
 /// Batches the front door can cut and the fan-out can drive: the
 /// update type with its normalization and constructor, length, and
-/// the ingest dispatch. `Sync` lets pooled branches share one chunk by
-/// reference.
-trait BatchLike: Sync {
+/// the ingest dispatch.
+trait BatchLike {
     type Update: Copy;
     fn normalize(updates: impl IntoIterator<Item = Self::Update>) -> Vec<Self::Update>;
     fn from_updates(updates: Vec<Self::Update>) -> Self;

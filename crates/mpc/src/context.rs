@@ -33,12 +33,13 @@ pub use ledger::MpcContext;
 /// the ledger charges.
 ///
 /// A forked context (see [`MpcContext::fork_for_branch`]) records
-/// every event it applies; the parallel executor then feeds the log
-/// back through [`MpcContext::replay`] on the master context, which
-/// applies the identical events in the identical order. All charges
-/// are pure functions of the configuration and the event, so a
-/// replayed log charges bit-identical rounds, words, peaks, and
-/// violations to running the branch serially.
+/// every event it applies, and [`MpcContext::replay`] feeds such a log
+/// back through the same charging entry on another context, in the
+/// identical order. All charges are pure functions of the
+/// configuration and the event, so a replayed log charges
+/// bit-identical rounds, words, peaks, and violations to running the
+/// work directly. No session forks: its branches run inline against
+/// the master context; the log exists for tracing tools.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpcEvent {
     /// [`MpcContext::exchange`]
@@ -293,22 +294,21 @@ mod ledger {
             }
         }
 
-        // ----- parallel executor support --------------------------
+        // ----- event recording and replay ---------------------------
 
-        /// Forks a recording context for one parallel branch.
+        /// Forks a recording context.
         ///
         /// The fork carries the master's configuration, cumulative
         /// stats, and machine loads (so capacity checks and peak
         /// observation see the true cluster state), but starts with an
         /// empty parallel stack, no active phase, and an **event log**:
-        /// every event applied to the fork is recorded. The branch runs
-        /// its maintainer compute against the fork on a worker thread;
-        /// the executor then discards the fork's counters and calls
-        /// [`MpcContext::replay`] with [`MpcContext::take_log`]'s
-        /// events on the master, inside the master's own parallel
-        /// scope, in registration order. Because every charge is a pure
-        /// function of `(config, event)`, the master ends up with
-        /// exactly the counters serial execution would have produced.
+        /// every event applied to the fork is recorded. Passing
+        /// [`MpcContext::take_log`]'s events to [`MpcContext::replay`]
+        /// on the master charges it exactly what running the same work
+        /// directly would have, because every charge is a pure function
+        /// of `(config, event)`. The session never forks (its branches
+        /// run inline); tracing tools use the pair to time the ledger
+        /// apart from the work.
         pub fn fork_for_branch(&self) -> MpcContext {
             let mut fork = self.clone();
             fork.parallel_stack.clear();

@@ -25,7 +25,7 @@
 //!   [`context::MpcEvent`] applied by the ledger's single charging
 //!   entry, which a forked context records through and
 //!   [`MpcContext::replay`](context::MpcContext::replay) re-runs, so a
-//!   parallel branch charges exactly what serial execution would.
+//!   recorded log charges exactly what direct execution did.
 //!   Independent instances compose through
 //!   [`MpcContext::parallel`](context::MpcContext::parallel), rounds
 //!   by max and words by sum; it opens and closes the parallel scope
@@ -62,7 +62,6 @@ pub mod cluster;
 pub mod config;
 pub mod context;
 pub mod error;
-pub mod executor;
 pub mod group;
 pub mod primitives;
 pub mod stats;
@@ -70,7 +69,6 @@ pub mod stats;
 pub use config::MpcConfig;
 pub use context::{MpcContext, MpcEvent};
 pub use error::{MpcError, MpcStreamError};
-pub use executor::WorkerPool;
 pub use group::MachineGroup;
 pub use stats::{
     BatchAudit, BatchReport, MaintainerStats, PhaseReport, QueryReport, SessionStats, Stats,

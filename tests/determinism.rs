@@ -99,20 +99,18 @@ fn akly_matching_runs_are_identical() {
     assert_eq!(run(), run());
 }
 
-/// Same seeds, different executors: the full Session pipeline is a
-/// pure function of its seeds *and nothing else* — in particular not
-/// of the host worker count, which only changes which thread runs
-/// each maintainer's branch before the event logs are replayed.
+/// Same seeds, two fresh sessions: the full Session pipeline is a
+/// pure function of its seeds *and nothing else*.
 #[test]
-fn session_runs_are_identical_across_worker_counts() {
+fn session_runs_are_identical() {
     use mpc_stream::prelude::*;
     let n = 48;
     let stream = gen::random_mixed_stream(n, 8, 10, 0.6, 0x90D);
-    let run = |workers: usize| {
+    let run = || {
         let cfg = MpcConfig::builder(2 * n, 0.5)
             .local_capacity(1 << 16)
             .build();
-        let mut session = Session::new(cfg).with_workers(workers);
+        let mut session = Session::new(cfg);
         let conn = session.register(Connectivity::new(n, ConnectivityConfig::default(), 0x5EED));
         session.register(DynamicKConn::new(n, 3, 0xACE));
         let akly = session.register(AklyMatching::new(n, 2.0, 0xBEE));
@@ -130,9 +128,7 @@ fn session_runs_are_identical_across_worker_counts() {
             .expect("answered");
         (trace, cuts, session.stats().clone())
     };
-    let serial = run(1);
-    assert_eq!(run(2), serial, "2 workers diverged from serial");
-    assert_eq!(run(4), serial, "4 workers diverged from serial");
+    assert_eq!(run(), run());
 }
 
 /// A restored maintainer's RNG streams continue *exactly* where the

@@ -4,7 +4,7 @@
 //! sixteen-maintainer roster twice — once uninterrupted, once as
 //! checkpoint → drop → restore → continue — and demands bit-identical
 //! batch reports, query answers, receipts, rolled-up `SessionStats`,
-//! and stream epochs, at 1, 2, and 4 workers. The failure paths
+//! and stream epochs. The failure paths
 //! (stale epoch, unknown maintainer, corrupt bytes) must all surface
 //! as typed `SnapshotError`s, never as garbage state.
 
@@ -19,8 +19,6 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
 fn cfg(n: usize) -> MpcConfig {
     MpcConfig::builder(2 * n, 0.5)
         .local_capacity(1 << 16)
@@ -33,11 +31,11 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mpc-snap-test-{}-{tag}.snap", std::process::id()))
 }
 
-/// The full sixteen-kind roster from the parallel-equivalence
-/// harness: one registration function keeps the twin runs identical.
-fn full_roster(workers: usize) -> Session {
+/// The full sixteen-kind roster: one registration function keeps the
+/// twin runs identical.
+fn full_roster() -> Session {
     let n = 24usize;
-    let mut session = Session::new(cfg(n)).with_workers(workers);
+    let mut session = Session::new(cfg(n));
     session.register(Connectivity::new(n, ConnectivityConfig::default(), 1));
     session.register(StreamingConnectivity::new(n, 2));
     session.register(RobustConnectivity::new(
@@ -112,8 +110,8 @@ fn finish(mut session: Session, reports: Vec<Vec<BatchReport>>) -> Observables {
 }
 
 /// The uninterrupted twin.
-fn uninterrupted(workers: usize, batches: &[Batch]) -> Observables {
-    let mut session = full_roster(workers);
+fn uninterrupted(batches: &[Batch]) -> Observables {
+    let mut session = full_roster();
     let mut reports = Vec::new();
     for batch in batches {
         reports.push(session.apply_batch(batch).expect("stream in regime"));
@@ -123,10 +121,10 @@ fn uninterrupted(workers: usize, batches: &[Batch]) -> Observables {
 
 /// The crashed twin: run half the stream, checkpoint, *drop the
 /// session entirely*, restore from disk, and finish the stream.
-fn crash_and_recover(workers: usize, batches: &[Batch], tag: &str) -> Observables {
+fn crash_and_recover(batches: &[Batch], tag: &str) -> Observables {
     let path = scratch(tag);
     let split = batches.len() / 2;
-    let mut session = full_roster(workers);
+    let mut session = full_roster();
     let mut reports = Vec::new();
     for batch in &batches[..split] {
         reports.push(session.apply_batch(batch).expect("stream in regime"));
@@ -145,7 +143,6 @@ fn crash_and_recover(workers: usize, batches: &[Batch], tag: &str) -> Observable
 
     let mut session = Session::restore(&path, &mpc_stream::full_registry()).expect("restore");
     std::fs::remove_file(&path).expect("scratch file removable");
-    session.set_workers(workers);
     assert_eq!(session.maintainer_count(), 16);
     for batch in &batches[split..] {
         reports.push(session.apply_batch(batch).expect("stream in regime"));
@@ -154,16 +151,14 @@ fn crash_and_recover(workers: usize, batches: &[Batch], tag: &str) -> Observable
 }
 
 #[test]
-fn crash_recovery_is_bit_identical_at_every_worker_count() {
+fn crash_recovery_is_bit_identical() {
     let stream = gen::random_insert_stream(24, 6, 10, 0x9A11);
-    for workers in WORKER_COUNTS {
-        let full = uninterrupted(workers, &stream.batches);
-        let recovered = crash_and_recover(workers, &stream.batches, &format!("recover-w{workers}"));
-        assert_eq!(
-            recovered, full,
-            "{workers}-worker recovery diverged from the uninterrupted run"
-        );
-    }
+    let full = uninterrupted(&stream.batches);
+    let recovered = crash_and_recover(&stream.batches, "recover");
+    assert_eq!(
+        recovered, full,
+        "recovery diverged from the uninterrupted run"
+    );
 }
 
 /// Deletions exercise sketch recovery and rematch control flow — the
@@ -172,7 +167,7 @@ fn crash_recovery_is_bit_identical_at_every_worker_count() {
 fn crash_recovery_survives_deletions() {
     let n = 32usize;
     let build = || {
-        let mut s = Session::new(cfg(n)).with_workers(2);
+        let mut s = Session::new(cfg(n));
         s.register(Connectivity::new(n, ConnectivityConfig::default(), 21));
         s.register(AklyMatching::new(n, 2.0, 22));
         s.register(DynamicKConn::new(n, 2, 23));
@@ -211,7 +206,6 @@ fn crash_recovery_survives_deletions() {
     drop(crashed);
     let mut resumed = Session::restore(&path, &mpc_stream::full_registry()).expect("restore");
     std::fs::remove_file(&path).expect("scratch file removable");
-    resumed.set_workers(2);
     for batch in &stream.batches[split..] {
         reports.push(resumed.apply_batch(batch).expect("stream in regime"));
     }
@@ -233,7 +227,7 @@ fn crash_recovery_survives_deletions() {
 #[test]
 fn double_checkpoint_is_byte_identical() {
     let stream = gen::random_insert_stream(24, 4, 10, 0x9A11);
-    let mut session = full_roster(1);
+    let mut session = full_roster();
     for batch in &stream.batches {
         session.apply_batch(batch).expect("stream in regime");
     }
@@ -260,7 +254,7 @@ fn double_checkpoint_is_byte_identical() {
 #[test]
 fn checkpoint_size_is_pinned_for_a_fixed_seed_session() {
     let stream = gen::random_insert_stream(24, 4, 10, 0x9A11);
-    let mut session = full_roster(1);
+    let mut session = full_roster();
     for batch in &stream.batches {
         session.apply_batch(batch).expect("stream in regime");
     }

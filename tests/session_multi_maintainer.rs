@@ -2,7 +2,10 @@
 //! drives heterogeneous maintainers over **one** shared stream on
 //! **one** accounted cluster, and every maintainer's answers match
 //! its sequential oracle; every failure mode surfaces as the
-//! workspace-wide `MpcStreamError` instead of a panic.
+//! workspace-wide `MpcStreamError` instead of a panic. A failing
+//! fan-out leaves a pinned state behind: the branches ahead of the
+//! failure are absorbed, the failing one keeps its partial charges,
+//! and the ones behind it never run.
 
 use mpc_stream::graph::gen;
 use mpc_stream::graph::oracle;
@@ -330,4 +333,167 @@ fn kconn_pair_in_one_session_agrees_on_min_cut() {
     let mut peel_ctx = MpcContext::new(cfg(n));
     let dy_cut = session.get(dy).certificate(&mut peel_ctx).min_cut();
     assert_eq!(dy_cut, MinCut::AtLeast(2));
+}
+
+// ----- failure paths: what a failing fan-out leaves behind ------------
+
+/// A middle maintainer rejects the chunk (`InsertOnlyKConn` fed a
+/// deletion): the branch before it is charged and absorbed, the one
+/// after it never runs.
+#[test]
+fn middle_branch_rejection_absorbs_only_the_branch_ahead() {
+    let n = 16usize;
+    let mut session = Session::new(cfg(n));
+    let first = session.register(Connectivity::new(n, ConnectivityConfig::default(), 51));
+    session.register(InsertOnlyKConn::new(n, 2));
+    let last = session.register(AgmBaseline::new(n, 52));
+    session
+        .apply((0..8u32).map(|i| Update::Insert(Edge::new(i, i + 1))))
+        .expect("insert-only prefix");
+    let before = session.stats().clone();
+    let err = session
+        .apply([
+            Update::Insert(Edge::new(9, 10)),
+            Update::Delete(Edge::new(0, 1)),
+        ])
+        .expect_err("the insert-only certificate rejects deletions");
+    assert!(matches!(err, MpcStreamError::Unsupported(_)), "{err}");
+    let after = session.stats();
+    assert_eq!(
+        after.per_maintainer[first.id()].batches,
+        before.per_maintainer[first.id()].batches + 1,
+        "the branch ahead of the failure was absorbed"
+    );
+    assert_eq!(
+        after.per_maintainer[last.id()],
+        before.per_maintainer[last.id()],
+        "the branch behind the failure was never charged"
+    );
+    assert_eq!(
+        after.batches, before.batches,
+        "a failed chunk is not a batch"
+    );
+}
+
+/// A maintainer that parks `alloc` words on machine 0 per batch and
+/// reports `state` standing words — co-scheduled instances collide on
+/// that machine, so a strict cluster overruns inside a branch.
+struct Hog {
+    name: &'static str,
+    alloc: u64,
+    state: u64,
+}
+
+impl Maintain for Hog {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn words(&self) -> u64 {
+        self.state
+    }
+
+    fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
+        ctx.exchange(batch.len() as u64);
+        ctx.alloc(0, self.alloc)?;
+        Ok(())
+    }
+
+    fn answer(
+        &mut self,
+        query: &QueryRequest,
+        _ctx: &mut MpcContext,
+    ) -> Result<QueryResponse, MpcStreamError> {
+        Err(mpc_stream::core_alg::unsupported_query(self.name, query))
+    }
+
+    fn supports(&self, _query: &QueryRequest) -> bool {
+        false
+    }
+
+    fn save_state(&self, _w: &mut mpc_stream::snapshot::SnapshotWriter) {}
+}
+
+fn strict_cluster() -> MpcConfig {
+    MpcConfig::builder(16, 0.5)
+        .local_capacity(64)
+        .machines(4)
+        .strict(true)
+        .build()
+}
+
+/// Strict mode, overrun inside a branch: three hogs each park 40
+/// words on machine 0 of a 64-word machine. The second hog's `alloc`
+/// fails; the first hog's batch is absorbed, the third is never
+/// charged.
+#[test]
+fn strict_overrun_inside_a_branch_stops_the_fan_out() {
+    let mut session = Session::new(strict_cluster());
+    for name in ["hog-a", "hog-b", "hog-c"] {
+        session.register(Hog {
+            name,
+            alloc: 40,
+            state: 1,
+        });
+    }
+    let err = session
+        .apply([Update::Insert(Edge::new(0, 1))])
+        .expect_err("machine 0 cannot hold two hogs");
+    match &err {
+        MpcStreamError::Capacity(MpcError::LocalMemoryExceeded { machine, used, .. }) => {
+            assert_eq!((*machine, *used), (0, 80));
+        }
+        other => panic!("expected LocalMemoryExceeded, got {other:?}"),
+    }
+    assert_eq!(session.stats().per_maintainer[0].batches, 1);
+    assert_eq!(session.stats().per_maintainer[2].batches, 0);
+}
+
+/// Strict mode, overrun at the post-chunk audit: every branch
+/// succeeds, then the middle hog's standing state overflows its
+/// machine group and the audit names it.
+#[test]
+fn strict_overrun_at_audit_names_the_maintainer() {
+    let mut session = Session::new(strict_cluster());
+    for (name, state) in [("lean-a", 10), ("fat", 500), ("lean-b", 10)] {
+        session.register(Hog {
+            name,
+            alloc: 1,
+            state,
+        });
+    }
+    let err = session
+        .apply([Update::Insert(Edge::new(0, 1))])
+        .expect_err("500 standing words overflow any group of this cluster");
+    match &err {
+        MpcStreamError::Capacity(MpcError::ClusterMemoryExceeded { maintainer, .. }) => {
+            assert_eq!(maintainer, "fat");
+        }
+        other => panic!("expected ClusterMemoryExceeded, got {other:?}"),
+    }
+    assert_eq!(session.stats().batches, 1, "the chunk itself completed");
+}
+
+/// A failing `ask_all`: the middle supporter covers fewer vertices,
+/// so `Connected(0, 20)` is out of range for it alone. The first
+/// answer is receipted and rolled up, the failure aborts the fan-out,
+/// the third supporter is never charged.
+#[test]
+fn failing_ask_all_receipts_only_the_answer_ahead() {
+    let mut session = Session::new(cfg(24));
+    session.register(Connectivity::new(24, ConnectivityConfig::default(), 61));
+    session.register(StreamingConnectivity::new(16, 62));
+    let last = session.register(AgmBaseline::new(24, 63));
+    session
+        .apply((0..10u32).map(|i| Update::Insert(Edge::new(i, i + 1))))
+        .expect("edges inside every maintainer's range");
+    let err = session
+        .ask_all(&QueryRequest::Connected(0, 20))
+        .expect_err("vertex 20 is outside the 16-vertex maintainer");
+    assert!(matches!(err, MpcStreamError::InvalidBatch(_)), "{err}");
+    let receipts = session.query_reports();
+    assert_eq!(receipts.len(), 1, "{receipts:?}");
+    assert_eq!(receipts[0].maintainer, "connectivity");
+    assert_eq!(session.stats().queries, 1);
+    assert_eq!(session.stats().per_maintainer[last.id()].queries, 0);
 }
