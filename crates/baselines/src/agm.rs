@@ -10,7 +10,7 @@
 
 use mpc_graph::ids::VertexId;
 use mpc_graph::oracle::UnionFind;
-use mpc_graph::update::Batch;
+use mpc_graph::update::{Batch, Update};
 use mpc_sim::{MpcContext, MpcStreamError};
 use mpc_sketch::cascade::{self, Untouched};
 use mpc_sketch::SketchBank;
@@ -79,13 +79,7 @@ impl AgmBaseline {
         ctx: &mut MpcContext,
     ) -> Result<(), MpcStreamError> {
         mpc_stream_core::route_batch(batch, self.n, ctx)?;
-        for u in batch.iter() {
-            if u.is_insert() {
-                self.bank.insert_edge(u.edge());
-            } else {
-                self.bank.delete_edge(u.edge());
-            }
-        }
+        self.bank.update_edges(batch.iter().map(Update::signed));
         Ok(())
     }
 

@@ -319,7 +319,8 @@ pub fn e16_preprocessing() -> Vec<Table> {
         // routing round; replay pays per batch.
         let mut ctx = experiment_context(n, 0.5);
         ctx.begin_phase("bootstrap");
-        let kb = DynamicKConn::from_graph(n, 2, 0xE16, edges.iter().copied(), &mut ctx);
+        let kb = DynamicKConn::from_graph(n, 2, 0xE16, edges.iter().copied(), &mut ctx)
+            .expect("bootstrap");
         let boot_rounds = ctx.end_phase().rounds;
         let mut ctx2 = experiment_context(n, 0.5);
         let mut ki = DynamicKConn::new(n, 2, 0xE16);

@@ -7,7 +7,7 @@ use mpc_graph::update::{Batch, Update};
 use mpc_sim::{MpcContext, MpcError, MpcStreamError};
 use mpc_sketch::cascade::{self, Untouched};
 use mpc_sketch::{MergeScratch, SketchBank};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Tuning knobs for [`Connectivity`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -38,6 +38,25 @@ pub struct Connectivity {
     /// retry levels absorb) — surfaced so the failure-probability
     /// envelope is observable instead of silently retried away.
     sampler_failures: u64,
+    /// The per-machine loads [`Connectivity::account`]'s walk would
+    /// report, kept between batches so a batch charges only its delta.
+    /// Derived state: never persisted, absent after `new`, `from_graph`
+    /// and a restore, and emptied by any `Err`.
+    loads: LoadCache,
+}
+
+/// The cached per-machine load vector of a [`Connectivity`]; `None`
+/// until a batch succeeds. Its snapshot encoding is empty, so a
+/// restored structure rebuilds it with one full walk and the snapshot
+/// bytes do not depend on it.
+#[derive(Debug, Clone, Default)]
+struct LoadCache(Option<Vec<u64>>);
+
+impl mpc_snapshot::Persist for LoadCache {
+    fn save(&self, _: &mut mpc_snapshot::SnapshotWriter) {}
+    fn load(_: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
+        Ok(LoadCache(None))
+    }
 }
 
 impl Connectivity {
@@ -53,6 +72,7 @@ impl Connectivity {
             bank: SketchBank::new(n, copies, seed),
             live_edges: 0,
             sampler_failures: 0,
+            loads: LoadCache::default(),
         }
     }
 
@@ -118,16 +138,24 @@ impl Connectivity {
 
     /// Reports the per-machine sharded footprint into the context's
     /// memory accounting (vertex state on the vertex's shard, edge
-    /// state on the smaller endpoint's shard).
+    /// state on the smaller endpoint's shard), from a full `O(n +
+    /// forest)` walk of the structure. [`Connectivity::apply_batch`]
+    /// reports the same loads, in the same `set_load` order, from a
+    /// cached vector it moves by each batch's delta; this walk is that
+    /// cache's reference and its rebuild.
     ///
     /// # Errors
     ///
     /// Propagates strict-mode capacity violations.
     pub fn account(&self, ctx: &mut MpcContext) -> Result<(), MpcError> {
-        // Only the machines hosting vertex shards can hold state
-        // (machine_of_vertex maps into 0..min(n, machines)).
-        let machines = ctx.config().machines().min(self.n);
-        let mut loads = vec![0u64; machines];
+        set_loads(&self.machine_loads(ctx), ctx)
+    }
+
+    /// The walk behind [`Connectivity::account`]. Only the machines
+    /// hosting vertex shards can hold state (`machine_of_vertex` maps
+    /// into `0..min(n, machines)`).
+    fn machine_loads(&self, ctx: &MpcContext) -> Vec<u64> {
+        let mut loads = vec![0u64; ctx.config().machines().min(self.n)];
         let per_vertex_sketch = self.bank.words_per_vertex();
         for v in 0..self.n as u32 {
             let m = ctx.config().machine_of_vertex(v);
@@ -137,12 +165,9 @@ impl Connectivity {
             }
         }
         for e in self.etf.forest_edges() {
-            loads[ctx.config().machine_of_vertex(e.u())] += 6;
+            loads[ctx.config().machine_of_vertex(e.u())] += FOREST_EDGE_WORDS;
         }
-        for (m, w) in loads.into_iter().enumerate() {
-            ctx.set_load(m, w)?;
-        }
-        Ok(())
+        loads
     }
 
     /// Bootstraps the structure from an arbitrary starting graph —
@@ -155,8 +180,8 @@ impl Connectivity {
     /// # Errors
     ///
     /// * [`MpcStreamError::InvalidBatch`] on an endpoint outside
-    ///   `[0, n)` or a repeated edge, before writing it to the
-    ///   sketches (the contract of [`Connectivity::apply_batch`]).
+    ///   `[0, n)` or a repeated edge, before any edge is written to
+    ///   the sketches (the contract of [`Connectivity::apply_batch`]).
     /// * Resource violations, propagated.
     pub fn from_graph(
         n: usize,
@@ -169,14 +194,9 @@ impl Connectivity {
         // Load every edge into the sketches (one routing round: the
         // edges arrive distributed, each machine ingests its own).
         ctx.exchange(1);
-        let mut seen: BTreeSet<Edge> = BTreeSet::new();
-        for e in edges {
-            if (e.v() as usize) >= n || !seen.insert(e) {
-                return Err(invalid_update(e));
-            }
-            conn.bank.insert_edge(e);
-        }
-        conn.live_edges = seen.len();
+        let loaded = crate::simple_graph_in(edges, n)?;
+        conn.bank.update_edges(loaded.iter().map(|&e| (e, 1)));
+        conn.live_edges = loaded.len();
         // Static Borůvka, Θ(log n) levels, each a converge-cast + a
         // forest splice. A level can accept up to n/2 edges — more
         // than one coordinator holds at small s — so it splices in
@@ -247,6 +267,9 @@ impl Connectivity {
         batch: &Batch,
         ctx: &mut MpcContext,
     ) -> Result<(), MpcStreamError> {
+        // The cached loads leave before anything can fail and come
+        // back only with `Ok`, so an `Err` leaves the cache empty.
+        let cached = self.loads.0.take();
         let (ins, del) = self.normalize(batch)?;
         // Every contract check runs before the first mutation, so a
         // rejected batch leaves sketches, forest and labels untouched.
@@ -264,13 +287,28 @@ impl Connectivity {
             .filter(|&e| self.etf.contains_edge(e))
             .collect();
         ctx.ensure_batch_fits(4 * tree.len() as u64)?;
+        let mut loads = match cached {
+            Some(loads) if loads.len() == ctx.config().machines().min(self.n) => loads,
+            _ => self.machine_loads(ctx),
+        };
         if !ins.is_empty() {
-            self.insert_edges(&ins, ctx)?;
+            self.insert_edges(&ins, &mut loads, ctx)?;
         }
         if !del.is_empty() {
-            self.delete_edges(&del, &tree, ctx)?;
+            self.delete_edges(&del, &tree, &mut loads, ctx)?;
         }
-        self.account(ctx)?;
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+        )]
+        {
+            debug_assert!(
+                loads == self.machine_loads(ctx),
+                "cached machine loads drifted from the full walk"
+            );
+        }
+        set_loads(&loads, ctx)?;
+        self.loads.0 = Some(loads);
         Ok(())
     }
 
@@ -290,35 +328,59 @@ impl Connectivity {
 
     /// Computes the net effect of a batch: an edge toggled an even
     /// number of times is a no-op; odd, its final operation wins.
+    /// Survivors keep the arrival order of their final operations.
+    /// One sort of `(edge, arrival index)` groups each edge's updates
+    /// into a run in arrival order.
     fn normalize(&self, batch: &Batch) -> Result<(Vec<Edge>, Vec<Edge>), MpcStreamError> {
-        let mut last: BTreeMap<Edge, (Update, usize)> = BTreeMap::new();
-        let mut count: BTreeMap<Edge, usize> = BTreeMap::new();
+        let mut runs: Vec<(Edge, u32)> = Vec::with_capacity(batch.len());
         for (i, u) in batch.iter().enumerate() {
             let e = u.edge();
             if (e.v() as usize) >= self.n {
                 return Err(invalid_update(e));
             }
-            last.insert(e, (u, i));
-            *count.entry(e).or_insert(0) += 1;
+            runs.push((e, i as u32));
+        }
+        runs.sort_unstable();
+        let mut survives = vec![false; batch.len()];
+        for run in runs.chunk_by(|a, b| a.0 == b.0) {
+            if run.len() % 2 == 1 {
+                survives[run[run.len() - 1].1 as usize] = true;
+            }
         }
         let mut ins = Vec::new();
         let mut del = Vec::new();
-        let mut ordered: Vec<(Edge, (Update, usize))> = last.into_iter().collect();
-        ordered.sort_by_key(|(_, (_, i))| *i);
-        for (e, (u, _)) in ordered {
-            if count[&e].is_multiple_of(2) {
-                continue; // cancelled inside the batch
-            }
+        for (u, _) in batch.iter().zip(survives).filter(|&(_, keep)| keep) {
             match u {
-                Update::Insert(_) => ins.push(e),
-                Update::Delete(_) => del.push(e),
+                Update::Insert(e) => ins.push(e),
+                Update::Delete(e) => del.push(e),
             }
         }
         Ok((ins, del))
     }
 
+    /// Adds to `loads` the sketch column of every endpoint of `edges`
+    /// that the sketch write is about to materialize — call it just
+    /// before that write.
+    fn charge_fresh_columns(&self, edges: &[Edge], loads: &mut [u64], ctx: &MpcContext) {
+        let mut fresh: Vec<VertexId> = edges
+            .iter()
+            .flat_map(|e| [e.u(), e.v()])
+            .filter(|&v| !self.bank.is_materialized(v))
+            .collect();
+        fresh.sort_unstable();
+        fresh.dedup();
+        for v in fresh {
+            loads[ctx.config().machine_of_vertex(v)] += self.bank.words_per_vertex();
+        }
+    }
+
     /// Section 6.1: batch insertions.
-    fn insert_edges(&mut self, edges: &[Edge], ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
+    fn insert_edges(
+        &mut self,
+        edges: &[Edge],
+        loads: &mut [u64],
+        ctx: &mut MpcContext,
+    ) -> Result<(), MpcStreamError> {
         let k = edges.len() as u64;
         // Route each update to its endpoints' shard machines (one
         // point-to-point round) plus O(1) control words on the
@@ -332,9 +394,9 @@ impl Connectivity {
         // ahead of the sketch writes (which charge nothing themselves).
         ctx.gather(2 * k)?;
         let f_h = self.etf.batch_join(edges, ctx)?;
-        for &e in edges {
-            self.bank.insert_edge(e);
-        }
+        charge_forest(&f_h, loads, ctx, |m, w| m + w);
+        self.charge_fresh_columns(edges, loads, ctx);
+        self.bank.update_edges(edges.iter().map(|&e| (e, 1)));
         self.live_edges += edges.len();
         // Each merged group takes its tour's label. Merging g
         // components relabels g − 1 of them, one per F_H edge: the map
@@ -357,14 +419,14 @@ impl Connectivity {
         &mut self,
         edges: &[Edge],
         tree: &[Edge],
+        loads: &mut [u64],
         ctx: &mut MpcContext,
     ) -> Result<(), MpcError> {
         let k = edges.len() as u64;
         ctx.exchange(4 * k);
         ctx.broadcast(2);
-        for &e in edges {
-            self.bank.delete_edge(e);
-        }
+        self.charge_fresh_columns(edges, loads, ctx);
+        self.bank.update_edges(edges.iter().map(|&e| (e, -1)));
         self.live_edges -= edges.len();
         // Non-tree deletions need nothing further.
         if tree.is_empty() {
@@ -374,12 +436,14 @@ impl Connectivity {
         // what the search and the relabel need of each piece before
         // the replacement join renames tours.
         let tours = self.etf.try_batch_split(tree, ctx)?;
+        charge_forest(tree, loads, ctx, |m, w| m - w);
         let split = self.capture_pieces(&tours);
         // Replacement-edge search (Borůvka over the pieces). The
         // replacements form a forest over the pieces, so every one is
         // joined: one label per final tour is the pieces less the joins.
         let replacements = self.find_replacements(&split, ctx);
         let joined = self.etf.batch_join(&replacements, ctx)?;
+        charge_forest(&joined, loads, ctx, |m, w| m + w);
         for p in &split.pieces {
             let t = self.etf.tour_of(p.first);
             let new_c = self.etf.tour_label(t);
@@ -550,6 +614,27 @@ impl Connectivity {
     }
 }
 
+/// Words a forest edge holds on its smaller endpoint's shard.
+const FOREST_EDGE_WORDS: u64 = 6;
+
+/// Reports `loads` machine by machine, in ascending order.
+fn set_loads(loads: &[u64], ctx: &mut MpcContext) -> Result<(), MpcError> {
+    for (m, &w) in loads.iter().enumerate() {
+        ctx.set_load(m, w)?;
+    }
+    Ok(())
+}
+
+/// Moves the shard load of each forest edge in `edges` by
+/// [`FOREST_EDGE_WORDS`] with `op` (add for a joined edge, subtract
+/// for a cut one).
+fn charge_forest(edges: &[Edge], loads: &mut [u64], ctx: &MpcContext, op: fn(u64, u64) -> u64) {
+    for e in edges {
+        let m = ctx.config().machine_of_vertex(e.u());
+        loads[m] = op(loads[m], FOREST_EDGE_WORDS);
+    }
+}
+
 /// One tour left behind by `batch_split`, as the replacement search
 /// and the relabel see it once joins have renamed the tour.
 struct Piece {
@@ -588,6 +673,7 @@ mpc_snapshot::persist_struct!(Connectivity {
     bank,
     live_edges,
     sampler_failures,
+    loads,
 } check |c| {
     if c.comp.len() != c.n {
         return Err(format!(
@@ -1127,6 +1213,71 @@ mod tests {
             conn.apply_update(Update::Insert(cut), &mut ctx).unwrap();
             check_against_oracle(&conn, &live, n);
             assert_eq!(conn.component_labels(), &labels[..]);
+        }
+    }
+
+    /// The two `BTreeMap`s (last update, count) that
+    /// `Connectivity::normalize` replaced, kept as its reference.
+    fn normalize_reference(
+        n: usize,
+        batch: &Batch,
+    ) -> Result<(Vec<Edge>, Vec<Edge>), MpcStreamError> {
+        use std::collections::BTreeMap;
+        let mut last: BTreeMap<Edge, (Update, usize)> = BTreeMap::new();
+        let mut count: BTreeMap<Edge, usize> = BTreeMap::new();
+        for (i, u) in batch.iter().enumerate() {
+            let e = u.edge();
+            if (e.v() as usize) >= n {
+                return Err(invalid_update(e));
+            }
+            last.insert(e, (u, i));
+            *count.entry(e).or_insert(0) += 1;
+        }
+        let mut ins = Vec::new();
+        let mut del = Vec::new();
+        let mut ordered: Vec<(Edge, (Update, usize))> = last.into_iter().collect();
+        ordered.sort_by_key(|(_, (_, i))| *i);
+        for (e, (u, _)) in ordered {
+            if count[&e].is_multiple_of(2) {
+                continue;
+            }
+            match u {
+                Update::Insert(_) => ins.push(e),
+                Update::Delete(_) => del.push(e),
+            }
+        }
+        Ok((ins, del))
+    }
+
+    /// Random batches over few edges — odd and even toggle runs,
+    /// repeated same-direction updates, the occasional endpoint
+    /// outside `[0, n)` — normalize to the reference's survivors in
+    /// the reference's order, or to its error.
+    #[test]
+    fn normalization_matches_the_btree_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let n = 8;
+        let conn = Connectivity::new(n, ConnectivityConfig::default(), 20);
+        let mut rng = StdRng::seed_from_u64(0xB0D5);
+        for round in 0..400 {
+            let len = rng.gen_range(0..40usize);
+            let updates: Vec<Update> = (0..len)
+                .map(|_| {
+                    let a = rng.gen_range(0..5u32);
+                    let b = if rng.gen_bool(0.01) { 9 } else { a + 1 };
+                    let e = Edge::new(a, b);
+                    if rng.gen_bool(0.5) {
+                        Update::Insert(e)
+                    } else {
+                        Update::Delete(e)
+                    }
+                })
+                .collect();
+            let batch = Batch::from_updates(updates);
+            let got = conn.normalize(&batch).map_err(|e| e.to_string());
+            let want = normalize_reference(n, &batch).map_err(|e| e.to_string());
+            assert_eq!(got, want, "round {round}");
         }
     }
 

@@ -127,8 +127,8 @@ pub use connectivity::{Connectivity, ConnectivityConfig};
 pub use query::{canonical_component_count, unsupported_query, QueryRequest, QueryResponse};
 pub use robust::RobustConnectivity;
 pub use session::{
-    ensure_endpoints_in, ensure_vertex_in, route_batch, CheckpointReceipt, Handle, Maintain,
-    MaintainerId, MaintainerLoader, MaintainerRegistry, Session,
+    ensure_endpoints_in, ensure_vertex_in, route_batch, simple_graph_in, CheckpointReceipt, Handle,
+    Maintain, MaintainerId, MaintainerLoader, MaintainerRegistry, Session,
 };
 pub use streaming::StreamingConnectivity;
 pub use vertex_dynamic::VertexDynamicConnectivity;

@@ -1217,6 +1217,32 @@ pub fn ensure_endpoints_in(batch: &Batch, n: usize) -> Result<(), MpcStreamError
     Ok(())
 }
 
+/// Collects a bootstrap graph, checking that it is simple and inside
+/// `[0, n)` — the validation in front of the `from_graph`
+/// constructors, which load the returned edges (in arrival order) only
+/// once every one has passed.
+///
+/// # Errors
+///
+/// [`MpcStreamError::InvalidBatch`] naming the first edge, in arrival
+/// order, with an endpoint outside `[0, n)` or listed a second time (a
+/// repeat would put `±2` on its cut coordinate, which no sampler
+/// decodes as an edge).
+pub fn simple_graph_in(
+    edges: impl IntoIterator<Item = mpc_graph::ids::Edge>,
+    n: usize,
+) -> Result<Vec<mpc_graph::ids::Edge>, MpcStreamError> {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut loaded = Vec::new();
+    for e in edges {
+        if (e.v() as usize) >= n || !seen.insert(e) {
+            return Err(crate::connectivity::invalid_update(e));
+        }
+        loaded.push(e);
+    }
+    Ok(loaded)
+}
+
 /// Validates a query's vertex argument against `[0, n)` — the
 /// query-side sibling of [`ensure_endpoints_in`], used by every
 /// [`Maintain::answer`] implementation whose storage would otherwise
@@ -1257,23 +1283,43 @@ pub fn route_batch(batch: &Batch, n: usize, ctx: &mut MpcContext) -> Result<(), 
 /// order: a duplicate same-direction update or a reweight pair is the
 /// *caller's* statement, forwarded for each maintainer to accept or
 /// reject under its own contract.
+///
+/// One sort of `(edge, arrival index)` lays each edge's updates out as
+/// a run in arrival order; each run replays the edge's undo stack in
+/// its own prefix, and what is left on the stack survives.
 fn normalize<U: Copy>(
     updates: impl IntoIterator<Item = U>,
     edge_of: impl Fn(&U) -> mpc_graph::ids::Edge,
     undoes: impl Fn(&U, &U) -> bool,
 ) -> Vec<U> {
-    let mut pending: BTreeMap<mpc_graph::ids::Edge, Vec<(U, usize)>> = BTreeMap::new();
-    for (i, u) in updates.into_iter().enumerate() {
-        let stack = pending.entry(edge_of(&u)).or_default();
-        if stack.last().is_some_and(|(last, _)| undoes(last, &u)) {
-            stack.pop();
-        } else {
-            stack.push((u, i));
+    let mut updates: Vec<U> = updates.into_iter().collect();
+    let mut runs: Vec<(mpc_graph::ids::Edge, u32)> = updates
+        .iter()
+        .enumerate()
+        .map(|(i, u)| (edge_of(u), i as u32))
+        .collect();
+    runs.sort_unstable();
+    let mut survives = vec![false; updates.len()];
+    for run in runs.chunk_by_mut(|a, b| a.0 == b.0) {
+        // `run[..top]` is the stack: arrival indices of the edge's
+        // surviving updates, oldest first.
+        let mut top = 0;
+        for j in 0..run.len() {
+            let i = run[j].1;
+            if top > 0 && undoes(&updates[run[top - 1].1 as usize], &updates[i as usize]) {
+                top -= 1;
+            } else {
+                run[top].1 = i;
+                top += 1;
+            }
+        }
+        for &(_, i) in &run[..top] {
+            survives[i as usize] = true;
         }
     }
-    let mut ordered: Vec<(U, usize)> = pending.into_values().flatten().collect();
-    ordered.sort_by_key(|&(_, i)| i);
-    ordered.into_iter().map(|(u, _)| u).collect()
+    let mut keep = survives.into_iter();
+    updates.retain(|_| keep.next().unwrap_or(false));
+    updates
 }
 
 // ----- Maintain impls for the core maintainers --------------------
@@ -1665,6 +1711,78 @@ mod tests {
                 WeightedUpdate::Insert(WeightedEdge::new(0, 1, 9)),
             ]
         );
+    }
+
+    /// The per-edge `BTreeMap` of undo stacks that [`normalize`]
+    /// replaced, kept as its reference.
+    fn normalize_reference<U: Copy>(
+        updates: impl IntoIterator<Item = U>,
+        edge_of: impl Fn(&U) -> Edge,
+        undoes: impl Fn(&U, &U) -> bool,
+    ) -> Vec<U> {
+        let mut pending: BTreeMap<Edge, Vec<(U, usize)>> = BTreeMap::new();
+        for (i, u) in updates.into_iter().enumerate() {
+            let stack = pending.entry(edge_of(&u)).or_default();
+            if stack.last().is_some_and(|(last, _)| undoes(last, &u)) {
+                stack.pop();
+            } else {
+                stack.push((u, i));
+            }
+        }
+        let mut ordered: Vec<(U, usize)> = pending.into_values().flatten().collect();
+        ordered.sort_by_key(|&(_, i)| i);
+        ordered.into_iter().map(|(u, _)| u).collect()
+    }
+
+    /// Random batches over few edges and two weights — duplicates,
+    /// odd and even toggle runs, reweight pairs, empty batches — give
+    /// the sort-based normalization and the `BTreeMap` reference the
+    /// same survivors in the same order, unweighted and weighted.
+    #[test]
+    fn normalization_matches_the_btree_reference() {
+        use mpc_graph::ids::WeightedEdge;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0DD5);
+        for round in 0..400 {
+            let edges = rng.gen_range(1..6u32);
+            let len = rng.gen_range(0..40usize);
+            let weighted: Vec<WeightedUpdate> = (0..len)
+                .map(|_| {
+                    let a = rng.gen_range(0..edges);
+                    let we = WeightedEdge::new(a, a + 1, rng.gen_range(1..3));
+                    if rng.gen_bool(0.5) {
+                        WeightedUpdate::Insert(we)
+                    } else {
+                        WeightedUpdate::Delete(we)
+                    }
+                })
+                .collect();
+            let want = normalize_reference(
+                weighted.iter().copied(),
+                |u| u.weighted_edge().edge,
+                |a, b| {
+                    a.is_insert() != b.is_insert()
+                        && a.weighted_edge().weight == b.weighted_edge().weight
+                },
+            );
+            assert_eq!(
+                WeightedBatch::normalize(weighted.iter().copied()),
+                want,
+                "round {round}: weighted"
+            );
+            let unweighted: Vec<Update> = weighted.iter().map(|u| u.unweighted()).collect();
+            let want = normalize_reference(
+                unweighted.iter().copied(),
+                |u| u.edge(),
+                |a, b| a.is_insert() != b.is_insert(),
+            );
+            assert_eq!(
+                Batch::normalize(unweighted.iter().copied()),
+                want,
+                "round {round}: unweighted"
+            );
+        }
     }
 
     #[test]

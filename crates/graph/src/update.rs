@@ -31,6 +31,17 @@ impl Update {
     pub fn is_insert(self) -> bool {
         matches!(self, Update::Insert(_))
     }
+
+    /// The update as a signed coordinate change of the edge vector:
+    /// `(e, 1)` for an insertion, `(e, -1)` for a deletion — the form
+    /// a linear sketch ingests.
+    #[inline]
+    pub fn signed(self) -> (Edge, i64) {
+        match self {
+            Update::Insert(e) => (e, 1),
+            Update::Delete(e) => (e, -1),
+        }
+    }
 }
 
 impl std::fmt::Display for Update {

@@ -21,11 +21,10 @@
 use crate::certificate::Certificate;
 use mpc_graph::ids::Edge;
 use mpc_graph::oracle::UnionFind;
-use mpc_graph::update::Batch;
+use mpc_graph::update::{Batch, Update};
 use mpc_sim::{MpcContext, MpcStreamError};
 use mpc_sketch::cascade::{self, Untouched};
 use mpc_sketch::SketchBank;
-use std::collections::BTreeSet;
 
 /// Dynamic-stream `k`-edge-connectivity via sketch peeling.
 ///
@@ -102,33 +101,26 @@ impl DynamicKConn {
     /// Section 1.1): one routing round loads every edge into its
     /// endpoints' shards, which ingest locally.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if an edge endpoint is `>= n`, or if an edge is listed
-    /// twice (its cut coordinate would carry `±2`, which no sampler
-    /// decodes as an edge).
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "documented \"# Panics\" precondition — the bootstrap graph is simple and inside [0, n)"
-    )]
+    /// [`MpcStreamError::InvalidBatch`] if an edge endpoint is `>= n`,
+    /// or if an edge is listed twice (its cut coordinate would carry
+    /// `±2`, which no sampler decodes as an edge). Every edge is
+    /// checked before anything is charged or written.
     pub fn from_graph(
         n: usize,
         k: usize,
         seed: u64,
         edges: impl IntoIterator<Item = Edge>,
         ctx: &mut MpcContext,
-    ) -> Self {
+    ) -> Result<Self, MpcStreamError> {
+        let loaded = mpc_stream_core::simple_graph_in(edges, n)?;
         let mut kc = DynamicKConn::new(n, k, seed);
         ctx.exchange(1);
-        let mut seen: BTreeSet<Edge> = BTreeSet::new();
-        for e in edges {
-            assert!((e.v() as usize) < n, "edge {e:?} outside [0, {n})");
-            assert!(seen.insert(e), "edge {e:?} repeated");
-            for bank in &mut kc.banks {
-                bank.insert_edge(e);
-            }
+        for bank in &mut kc.banks {
+            bank.update_edges(loaded.iter().map(|&e| (e, 1)));
         }
-        kc
+        Ok(kc)
     }
 
     /// Number of vertices.
@@ -175,14 +167,8 @@ impl DynamicKConn {
         // One routing of the batch to the vertex shards; each shard
         // updates its columns in all k banks locally.
         mpc_stream_core::route_batch(batch, self.n, ctx)?;
-        for u in batch.iter() {
-            for bank in &mut self.banks {
-                if u.is_insert() {
-                    bank.insert_edge(u.edge());
-                } else {
-                    bank.delete_edge(u.edge());
-                }
-            }
+        for bank in &mut self.banks {
+            bank.update_edges(batch.iter().map(Update::signed));
         }
         Ok(())
     }
@@ -640,7 +626,8 @@ mod tests {
         let n = 16u32;
         let mut c = ctx();
         let cycle: Vec<Edge> = (0..n).map(|i| e(i, (i + 1) % n)).collect();
-        let mut kc = DynamicKConn::from_graph(n as usize, 2, 8, cycle.iter().copied(), &mut c);
+        let mut kc = DynamicKConn::from_graph(n as usize, 2, 8, cycle.iter().copied(), &mut c)
+            .expect("a simple graph inside [0, n)");
         assert_eq!(kc.certificate(&mut c).is_k_edge_connected(2), Some(true));
         // Continue dynamically from the bootstrapped state.
         kc.apply_batch(&Batch::deleting([e(0, 1)]), &mut c)
@@ -648,23 +635,32 @@ mod tests {
         assert_eq!(kc.certificate(&mut c).is_k_edge_connected(2), Some(false));
     }
 
+    /// A rejected bootstrap charges nothing: the context's rounds and
+    /// words are what they were.
+    fn assert_rejected(result: Result<DynamicKConn, MpcStreamError>, c: &MpcContext) {
+        assert!(matches!(result, Err(MpcStreamError::InvalidBatch(_))));
+        assert_eq!(c.rounds(), 0);
+        assert_eq!(c.stats().words_communicated, 0);
+    }
+
     #[test]
-    #[should_panic(expected = "outside")]
-    fn from_graph_panics_on_out_of_range() {
+    fn from_graph_rejects_out_of_range() {
         let mut c = ctx();
-        let _ = DynamicKConn::from_graph(4, 1, 1, [e(0, 9)], &mut c);
+        // The bad edge comes last, behind edges that would be loaded.
+        let result = DynamicKConn::from_graph(4, 1, 1, [e(0, 1), e(2, 3), e(0, 9)], &mut c);
+        assert_rejected(result, &c);
     }
 
     /// Two `K4`s joined by `(0, 4)`, listed twice: before the check,
     /// every run reported `MinCut::Exact(0)` for a graph whose bridge
     /// gives it min cut 1.
     #[test]
-    #[should_panic(expected = "repeated")]
-    fn from_graph_panics_on_a_repeated_edge() {
+    fn from_graph_rejects_a_repeated_edge() {
         let mut c = ctx();
         let k4 = |b: u32| (0..4u32).flat_map(move |a| (a + 1..4).map(move |d| e(b + a, b + d)));
         let edges: Vec<Edge> = k4(0).chain(k4(4)).chain([e(0, 4), e(0, 4)]).collect();
-        let _ = DynamicKConn::from_graph(8, 2, 1, edges, &mut c);
+        let result = DynamicKConn::from_graph(8, 2, 1, edges, &mut c);
+        assert_rejected(result, &c);
     }
 
     #[test]

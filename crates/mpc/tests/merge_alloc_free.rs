@@ -1,9 +1,12 @@
-//! The sketch merge path never touches the heap.
+//! The sketch merge and write paths never touch the heap.
 //!
 //! A counting global allocator measures what the merge, subtract,
 //! scratch-update and sample calls of `mpc-sketch` allocate once a bank
 //! is materialized: exactly nothing. Between them these calls reach
-//! every function of `crates/sketch/src/kernels.rs`. The test lives in
+//! every function of `crates/sketch/src/kernels.rs`. The batched edge
+//! write (`SketchBank::update_edges`) plans its cell writes in a fixed
+//! stack buffer; a batch that overflows the buffer many times over
+//! allocates nothing either. The test lives in
 //! `mpc-sim` because it is the one crate whose lint table lets a test
 //! opt out of `unsafe_code`, which a `GlobalAlloc` impl needs.
 //!
@@ -110,4 +113,28 @@ fn sketch_merge_path_does_not_allocate() {
         black_box(sampler.sample());
     });
     assert_eq!(allocs, 0, "the sketch merge path allocated {allocs} times");
+}
+
+#[test]
+fn batched_sketch_write_does_not_allocate() {
+    let n: u32 = 64;
+    let mut bank = SketchBank::new(n as usize, 8, 11);
+    let edges: Vec<Edge> = (0..n - 1).map(|v| Edge::new(v, v + 1)).collect();
+    bank.update_edges(edges.iter().map(|&e| (e, 1)));
+    let words = bank.words();
+    // 126 updates × 8 copies × 2 cells: the plan buffer fills and
+    // flushes many times inside one call.
+    let allocs = allocations(|| {
+        bank.update_edges(
+            edges
+                .iter()
+                .map(|&e| (e, -1))
+                .chain(edges.iter().map(|&e| (e, 1))),
+        );
+    });
+    assert_eq!(
+        allocs, 0,
+        "the batched sketch write allocated {allocs} times"
+    );
+    assert_eq!(bank.words(), words);
 }

@@ -17,10 +17,16 @@
 //!   accumulator), keyed by a dense `(vertex block, copy, level)`
 //!   offset, plus a live-level bitmask per `(column, copy)`. A
 //!   vertex's block is appended on first touch (lazy materialization
-//!   is preserved); an update is one cache-line write at a computed
-//!   offset, merges walk only the mask's set bits, and a snapshot
-//!   carries the masks plus only the cells under their set bits — the
-//!   pool is dense in memory and sparse on disk.
+//!   is preserved). Every write goes through one batched path,
+//!   [`SketchArena::update_columns`]: it first *plans* each update's
+//!   cell writes — per copy the level and fingerprint term, evaluated
+//!   once for both endpoints, and each column's pool offset — into a
+//!   fixed stack buffer, then *applies* the buffer in one tight loop
+//!   of one-cache-line writes, so the pool's cache misses overlap
+//!   instead of waiting behind the hashing. Merges walk only the mask's
+//!   set bits, and a snapshot carries the masks plus only the cells
+//!   under their set bits — the pool is dense in memory and sparse on
+//!   disk.
 //! * [`MergeScratch`] — a zero-allocation merge accumulator: one
 //!   dense struct-of-arrays column (`value_sum` / `index_sum` /
 //!   fingerprint), reused across every component merge of a
@@ -152,6 +158,45 @@ impl mpc_snapshot::Persist for SketchFamily {
 
 /// Sentinel for a never-touched vertex (no block allocated).
 const UNMATERIALIZED: u32 = u32::MAX;
+
+/// Cell writes a [`WritePlan`] holds before it is applied: 128 × 40
+/// bytes (5 KiB) of stack. An edge update plans two writes per copy.
+const PLAN_WRITES: usize = 128;
+
+/// One planned cell write of [`SketchArena::update_columns`]:
+/// `X[index] += delta` at level `level` of the column whose live mask
+/// sits at `mask` (its cells start at `mask · levels`).
+#[derive(Debug, Clone, Copy)]
+struct PlannedWrite {
+    mask: usize,
+    level: u32,
+    index: u64,
+    delta: i64,
+    term: M61,
+}
+
+/// The fixed stack buffer of planned writes, filled by the plan pass
+/// and emptied by [`SketchArena::flush`].
+struct WritePlan {
+    writes: [PlannedWrite; PLAN_WRITES],
+    len: usize,
+}
+
+impl WritePlan {
+    fn new() -> Self {
+        const EMPTY: PlannedWrite = PlannedWrite {
+            mask: 0,
+            level: 0,
+            index: 0,
+            delta: 0,
+            term: M61::ZERO,
+        };
+        WritePlan {
+            writes: [EMPTY; PLAN_WRITES],
+            len: 0,
+        }
+    }
+}
 
 /// One one-sparse cell: the value sum, index-weighted sum, and
 /// fingerprint accumulator, interleaved so a cell is exactly 32
@@ -312,27 +357,6 @@ impl SketchArena {
         true
     }
 
-    /// Applies one cell write at pool offset `s` and keeps the
-    /// live-level mask of `(block base `mask_at`, level)` current.
-    #[inline]
-    fn write_cell(
-        &mut self,
-        s: usize,
-        mask_at: usize,
-        level: usize,
-        weighted: i128,
-        delta: i64,
-        term: M61,
-    ) {
-        self.cells[s].apply(weighted, delta, term);
-        let bit = 1u64 << level;
-        if self.cells[s].is_zero() {
-            self.live[mask_at] &= !bit;
-        } else {
-            self.live[mask_at] |= bit;
-        }
-    }
-
     /// Mask-vector offset of `(v, copy)`.
     #[inline]
     fn mask_slot(&self, v: u32, copy: usize) -> usize {
@@ -352,65 +376,121 @@ impl SketchArena {
     }
 
     /// Applies `X_v[index] += delta` to **all** copies of vertex `v`'s
-    /// column (one level/term evaluation per copy). The vertex must be
-    /// materialized.
+    /// column (one level/term evaluation per copy), materializing `v`
+    /// first if it never was. The one-column case of
+    /// [`SketchArena::update_columns`].
     ///
     /// # Panics
     ///
     /// Panics if `index` is outside the family index space.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "documented \"# Panics\" precondition — the bank derives indices from the shared family"
-    )]
     pub fn update(&mut self, v: u32, index: u64, delta: i64) {
-        assert!(
-            index < self.families[0].max_index,
-            "index {index} out of range {}",
-            self.families[0].max_index
-        );
-        let weighted = index as i128;
-        for copy in 0..self.copies {
-            let family = &self.families[copy];
-            let level = family.level_of(index);
-            let term = family.term(index);
-            let s = self.slot(v, copy, level);
-            let m = self.mask_slot(v, copy);
-            self.write_cell(s, m, level, weighted, delta, term);
-        }
+        self.update_columns([(index, [(v, delta)])]);
     }
 
     /// Applies `X_a[index] += delta_a` and `X_b[index] += delta_b` to
     /// all copies of two distinct vertices' columns, evaluating the
     /// level hash and the fingerprint term **once per copy** for the
-    /// pair — the edge-update fast path. Both vertices must be
-    /// materialized.
+    /// pair, and materializing `a`, then `b`, if they never were. The
+    /// one-pair case of [`SketchArena::update_columns`].
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range or `a == b`.
     #[expect(
         clippy::disallowed_macros,
-        reason = "documented \"# Panics\" precondition — the bank derives indices from the shared family, and Edge's invariant keeps endpoints distinct"
+        reason = "documented \"# Panics\" precondition — Edge's invariant keeps endpoints distinct"
     )]
     pub fn update_pair(&mut self, a: u32, b: u32, index: u64, delta_a: i64, delta_b: i64) {
-        assert!(
-            index < self.families[0].max_index,
-            "index {index} out of range {}",
-            self.families[0].max_index
-        );
         assert_ne!(a, b, "pair update requires distinct vertices");
-        let weighted = index as i128;
-        for copy in 0..self.copies {
-            let family = &self.families[copy];
-            let level = family.level_of(index);
-            let term = family.term(index);
-            let sa = self.slot(a, copy, level);
-            let ma = self.mask_slot(a, copy);
-            self.write_cell(sa, ma, level, weighted, delta_a, term);
-            let sb = self.slot(b, copy, level);
-            let mb = self.mask_slot(b, copy);
-            self.write_cell(sb, mb, level, weighted, delta_b, term);
+        self.update_columns([(index, [(a, delta_a), (b, delta_b)])]);
+    }
+
+    /// The batched write path every pool write goes through. Each
+    /// update `(index, [(v, delta); N])` applies `X_v[index] += delta`
+    /// to all copies of each listed column. Returns how many vertex
+    /// blocks were newly appended.
+    ///
+    /// Three passes per update, the last two over a fixed stack buffer
+    /// of 128 planned cell writes that is applied whenever it fills:
+    ///
+    /// 1. *materialize* the listed columns in order, so block
+    ///    numbering — and with it `base` and the snapshot — follows
+    ///    arrival order exactly as one-at-a-time writes would;
+    /// 2. *plan*, per copy, the level and fingerprint term (evaluated
+    ///    once for all `N` columns) and each column's mask slot — pure
+    ///    hashing, no pool access;
+    /// 3. *apply* the planned cell writes in one tight loop, keeping
+    ///    each live-level bit current. The pool is far larger than
+    ///    cache, and a loop with no hashing between its writes keeps
+    ///    many of their cache misses in flight at once.
+    ///
+    /// Cell adds commute (wrapping integers and `GF(2^61 − 1)`) and a
+    /// live bit is a function of its cell's final value, so the result
+    /// is bit-identical to applying the updates one at a time. The
+    /// buffer lives on the stack: the write path never touches the
+    /// heap beyond the pool growth of a first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an `index` is outside the family index space.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented \"# Panics\" precondition — the bank derives indices from the shared family"
+    )]
+    pub fn update_columns<const N: usize>(
+        &mut self,
+        updates: impl IntoIterator<Item = (u64, [(u32, i64); N])>,
+    ) -> usize {
+        let mut plan = WritePlan::new();
+        let mut fresh = 0usize;
+        for (index, columns) in updates {
+            assert!(
+                index < self.families[0].max_index,
+                "index {index} out of range {}",
+                self.families[0].max_index
+            );
+            for &(v, _) in &columns {
+                fresh += usize::from(self.materialize(v));
+            }
+            for copy in 0..self.copies {
+                let family = &self.families[copy];
+                let level = family.level_of(index) as u32;
+                let term = family.term(index);
+                if plan.len + N > PLAN_WRITES {
+                    self.flush(&mut plan);
+                }
+                for &(v, delta) in &columns {
+                    plan.writes[plan.len] = PlannedWrite {
+                        mask: self.mask_slot(v, copy),
+                        level,
+                        index,
+                        delta,
+                        term,
+                    };
+                    plan.len += 1;
+                }
+            }
         }
+        self.flush(&mut plan);
+        fresh
+    }
+
+    /// Applies the planned cell writes in order — pool offset
+    /// `mask · levels + level`, then the live bit from the cell's new
+    /// value — and empties the plan.
+    #[inline]
+    fn flush(&mut self, plan: &mut WritePlan) {
+        for w in &plan.writes[..plan.len] {
+            let cell = &mut self.cells[w.mask * self.levels + w.level as usize];
+            cell.apply(w.index as i128, w.delta, w.term);
+            let bit = 1u64 << w.level;
+            if cell.is_zero() {
+                self.live[w.mask] &= !bit;
+            } else {
+                self.live[w.mask] |= bit;
+            }
+        }
+        plan.len = 0;
     }
 
     /// The raw cell triple at `(v, copy, level)` (zero for

@@ -16,6 +16,13 @@
 //! converge-cast merges component columns without cloning a single
 //! sketch. See the [`arena`](crate::arena) module docs for the
 //! layout.
+//!
+//! **Writes** take a whole batch: [`SketchBank::update_edges`] hands
+//! `(edge, ±1)` pairs to the arena's batched write, which plans every
+//! cell offset in a fixed stack buffer before touching the pool and
+//! leaves the cells bit-identical to one-at-a-time writes.
+//! [`SketchBank::insert_edge`] / [`SketchBank::delete_edge`] are its
+//! one-update case.
 
 use crate::arena::{MergeScratch, SketchArena};
 use crate::l0::L0Sampler;
@@ -23,6 +30,11 @@ use crate::vertex::{EdgeSample, VertexSketch};
 use mpc_graph::ids::{Edge, VertexId};
 
 /// A bank of `t` independent sketch copies for each of `n` vertices.
+///
+/// Maintainers write a batch at a time through
+/// [`SketchBank::update_edges`]; per-edge callers use
+/// [`SketchBank::insert_edge`] / [`SketchBank::delete_edge`], the same
+/// write path at batch size one.
 ///
 /// # Examples
 ///
@@ -104,27 +116,36 @@ impl SketchBank {
 
     /// Records an edge insertion in **both** endpoints' sketch
     /// columns (all copies), one level-hash/fingerprint evaluation
-    /// per copy for the pair.
+    /// per copy for the pair — the one-update case of
+    /// [`SketchBank::update_edges`].
     pub fn insert_edge(&mut self, e: Edge) {
-        self.update_edge(e, 1);
+        self.update_edges([(e, 1)]);
     }
 
-    /// Records an edge deletion in both endpoints' sketch columns.
+    /// Records an edge deletion in both endpoints' sketch columns —
+    /// the one-update case of [`SketchBank::update_edges`].
     pub fn delete_edge(&mut self, e: Edge) {
-        self.update_edge(e, -1);
+        self.update_edges([(e, -1)]);
     }
 
-    fn update_edge(&mut self, e: Edge, delta: i64) {
-        if self.arena.materialize(e.u()) {
-            self.words += self.words_per_vertex;
-        }
-        if self.arena.materialize(e.v()) {
-            self.words += self.words_per_vertex;
-        }
+    /// Records a batch of edge updates, `(e, +1)` an insertion and
+    /// `(e, −1)` a deletion, in both endpoints' columns (all copies).
+    /// Endpoints are materialized `e.u()` first, then `e.v()`, in
+    /// arrival order, and the cells end bit-identical to applying the
+    /// updates one at a time; the write itself plans every cell offset
+    /// before touching the pool (see
+    /// [`SketchArena::update_columns`]) and allocates nothing beyond a
+    /// first touch's column.
+    pub fn update_edges(&mut self, updates: impl IntoIterator<Item = (Edge, i64)>) {
+        let n = self.n;
         // Sign convention (Lemma 3.3): the larger endpoint carries
         // `+delta` at the edge coordinate, the smaller `-delta`.
-        self.arena
-            .update_pair(e.v(), e.u(), e.index(self.n), delta, -delta);
+        let fresh = self.arena.update_columns(
+            updates
+                .into_iter()
+                .map(|(e, delta)| (e.index(n), [(e.u(), -delta), (e.v(), delta)])),
+        );
+        self.words += fresh as u64 * self.words_per_vertex;
     }
 
     /// Whether vertex `v` has ever been touched by an update.

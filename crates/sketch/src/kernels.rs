@@ -1,8 +1,8 @@
 //! The flat loops every sketch operation bottoms out in: the
 //! converge-cast column folds of [`SketchArena::merge_into`] and the
-//! subtracting fold of [`SketchArena::subtract_from`], the
-//! `update`/`update_pair` cell write, and the zero-skip scan in front
-//! of `decode_parts` on the sample paths.
+//! subtracting fold of [`SketchArena::subtract_from`], the cell write
+//! of [`SketchArena::update_columns`]' apply loop, and the zero-skip
+//! scan in front of `decode_parts` on the sample paths.
 //!
 //! There is one implementation, in safe scalar Rust, written over
 //! zips with simple per-field bodies so LLVM can auto-vectorize it.
@@ -16,6 +16,7 @@
 //!
 //! [`SketchArena::merge_into`]: crate::arena::SketchArena::merge_into
 //! [`SketchArena::subtract_from`]: crate::arena::SketchArena::subtract_from
+//! [`SketchArena::update_columns`]: crate::arena::SketchArena::update_columns
 
 use crate::arena::Cell;
 use mpc_hashing::field::M61;
@@ -108,7 +109,8 @@ pub(crate) fn fp_delta(term: M61, delta: i64) -> M61 {
     }
 }
 
-/// The one-cell write behind `update`/`update_pair`: applies
+/// The one-cell write behind every pool write (the apply loop of
+/// `SketchArena::update_columns`) and the scratch update: applies
 /// `X[index] += delta` to a cell given the widened index `weighted`
 /// and the fingerprint term — value/index wrapping adds plus the
 /// [`fp_delta`] field add.

@@ -39,8 +39,10 @@
 //! [`arena::SketchFamily`] per copy holding the level hash and the
 //! fingerprint point with its power tables — seeded **once per copy**
 //! rather than once per materialized sketch. An edge update is one
-//! level-hash/fingerprint evaluation per copy and four direct array
-//! writes; a Borůvka component merge streams member columns into a
+//! level-hash/fingerprint evaluation per copy and two planned cell
+//! writes (plus their live-mask bits), applied a stack buffer at a
+//! time by [`SketchBank::update_edges`]; a Borůvka component merge
+//! streams member columns into a
 //! reusable [`arena::MergeScratch`] accumulator with zero allocations
 //! and zero sketch clones.
 //!

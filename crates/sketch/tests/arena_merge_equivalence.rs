@@ -4,7 +4,9 @@
 //! snapshot bytes of one seeded stream are pinned against recorded
 //! constants. Also here: the zero-sum property behind
 //! `subtract_from` — a part's accumulator derived from its
-//! complement equals its direct merge.
+//! complement equals its direct merge. And the batched write path: a
+//! bank fed whole batches through `update_edges` equals one fed the
+//! same updates one at a time, cell for cell and byte for byte.
 
 use mpc_sketch::l0::SampleOutcome;
 use mpc_sketch::{MergeScratch, SketchArena};
@@ -306,4 +308,80 @@ fn arena_bits_match_recorded_golden() {
             weight: -1
         }
     );
+}
+
+/// Serializes a bank to snapshot bytes.
+fn bank_bytes(bank: &mpc_sketch::SketchBank) -> Vec<u8> {
+    let mut w = SnapshotWriter::new(0);
+    w.begin_section("bank");
+    bank.save(&mut w);
+    w.end_section();
+    w.finish()
+}
+
+/// `update_edges` over a whole batch equals `insert_edge` /
+/// `delete_edge` one update at a time: content digest, live cells,
+/// accounted words and snapshot bytes, after every batch. The batches
+/// mix random inserts and deletes with a repeated edge, an insert and
+/// a delete of one edge, endpoints never touched before (the vertex
+/// range widens batch by batch), a batch of one, and batches far
+/// longer than the write path's stack buffer. At 70 copies one edge
+/// alone (140 cell writes) overflows that buffer.
+#[test]
+fn batched_writes_equal_one_at_a_time_writes() {
+    use mpc_graph::ids::Edge;
+    use mpc_sketch::SketchBank;
+    const LENS: [usize; 7] = [1, 3, 17, 1, 90, 300, 2];
+    for (seed, copies) in [(1u64, 3usize), (2, 8), (3, 70)] {
+        let mut rng = StdRng::seed_from_u64(0xBA7C ^ seed);
+        let mut batched = SketchBank::new(GOLDEN_N as usize, copies, seed);
+        let mut single = batched.clone();
+        let mut batches_with_fresh_endpoints = 0;
+        for (b, &len) in LENS.iter().enumerate() {
+            let hi = (8 + 6 * b as u32).min(GOLDEN_N);
+            let random_edge = |rng: &mut StdRng| {
+                let a = rng.gen_range(0..hi);
+                Edge::new(a, (a + 1 + rng.gen_range(0..hi - 1)) % hi)
+            };
+            let mut batch: Vec<(Edge, i64)> = Vec::new();
+            while batch.len() < len {
+                let e = random_edge(&mut rng);
+                match rng.gen_range(0..4) {
+                    0 => batch.extend([(e, 1), (e, -1)]),
+                    1 => batch.extend([(e, 1), (e, 1)]),
+                    2 => batch.push((e, -1)),
+                    _ => batch.push((e, 1)),
+                }
+            }
+            batch.truncate(len);
+            let words_before = batched.words();
+            batched.update_edges(batch.iter().copied());
+            batches_with_fresh_endpoints += usize::from(batched.words() > words_before);
+            for &(e, delta) in &batch {
+                if delta > 0 {
+                    single.insert_edge(e);
+                } else {
+                    single.delete_edge(e);
+                }
+            }
+            let at = format!("seed {seed} copies {copies} batch {b}");
+            assert_eq!(
+                content_digest(batched.arena()),
+                content_digest(single.arena()),
+                "{at}: cells"
+            );
+            assert_eq!(
+                batched.arena().live_cells(),
+                single.arena().live_cells(),
+                "{at}: live cells"
+            );
+            assert_eq!(batched.words(), single.words(), "{at}: words");
+            assert_eq!(bank_bytes(&batched), bank_bytes(&single), "{at}: snapshot");
+        }
+        assert!(batched.arena().live_cells() > 0);
+        assert!(
+            batches_with_fresh_endpoints >= 4,
+            "seed {seed}: {batches_with_fresh_endpoints} batches touched a fresh endpoint"
+        );
+    }
 }
