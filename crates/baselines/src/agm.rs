@@ -138,6 +138,7 @@ impl mpc_stream_core::Maintain for AgmBaseline {
         "agm-baseline"
     }
 
+    /// `O(1)`: the bank counter.
     fn words(&self) -> u64 {
         AgmBaseline::words(self)
     }

@@ -175,6 +175,7 @@ impl mpc_stream_core::Maintain for FullMemoryBaseline {
         "fullmem-baseline"
     }
 
+    /// `O(1)`: the vertex and edge counts.
     fn words(&self) -> u64 {
         FullMemoryBaseline::words(self)
     }

@@ -188,6 +188,12 @@ pub trait Maintain: Any + Send {
     fn name(&self) -> &'static str;
 
     /// Current memory footprint of the maintained state, in words.
+    ///
+    /// The session's capacity audit calls this after every chunk of
+    /// every batch, so it must not walk per-item state (vertices,
+    /// edges, samplers): keep counters, and sum at most over a
+    /// structure's constant or logarithmic number of parts. Each
+    /// shipped impl states its cost in one line.
     fn words(&self) -> u64;
 
     /// Cumulative `ℓ0`-sampler failures absorbed so far (0 for
@@ -1329,6 +1335,7 @@ impl Maintain for Connectivity {
         "connectivity"
     }
 
+    /// `O(1)`: a vertex count plus the ETF and bank counters.
     fn words(&self) -> u64 {
         Connectivity::words(self)
     }
@@ -1391,6 +1398,7 @@ impl Maintain for StreamingConnectivity {
         "streaming-connectivity"
     }
 
+    /// `O(1)`: the forest-edge count is kept on link and cut.
     fn words(&self) -> u64 {
         StreamingConnectivity::words(self)
     }
@@ -1465,6 +1473,7 @@ impl Maintain for RobustConnectivity {
         "robust-connectivity"
     }
 
+    /// `O(R)`: one O(1) count per independent instance.
     fn words(&self) -> u64 {
         RobustConnectivity::words(self)
     }
@@ -1529,6 +1538,7 @@ impl Maintain for VertexDynamicConnectivity {
         "vertex-dynamic-connectivity"
     }
 
+    /// `O(1)`: the inner structure's count plus the slot count.
     fn words(&self) -> u64 {
         VertexDynamicConnectivity::words(self)
     }

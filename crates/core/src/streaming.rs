@@ -51,6 +51,10 @@ pub struct StreamingConnectivity {
     comp: Vec<VertexId>,
     /// Spanning-forest adjacency (the paper stores `F` explicitly).
     forest: Vec<BTreeSet<VertexId>>,
+    /// Number of edges in `forest`, kept on link and cut so
+    /// [`StreamingConnectivity::words`] needs no walk. Derived state:
+    /// never persisted, recounted on restore.
+    forest_edges: usize,
     bank: SketchBank,
     live: BTreeSet<Edge>,
 }
@@ -66,6 +70,7 @@ impl StreamingConnectivity {
             n,
             comp: (0..n as u32).collect(),
             forest: vec![BTreeSet::new(); n],
+            forest_edges: 0,
             bank: SketchBank::new(n, log_n + 6, seed),
             live: BTreeSet::new(),
         }
@@ -112,10 +117,26 @@ impl StreamingConnectivity {
     }
 
     /// Memory footprint in words: `C`, `F`, and the sketches —
-    /// `O(n log³ n)` (paper Lemma 4.1).
+    /// `O(n log³ n)` (paper Lemma 4.1). `O(1)`: the forest-edge count
+    /// is kept on link and cut.
     pub fn words(&self) -> u64 {
-        let forest_words: u64 = 2 * self.spanning_forest().len() as u64;
-        self.n as u64 + forest_words + self.bank.words()
+        self.n as u64 + 2 * self.forest_edges as u64 + self.bank.words()
+    }
+
+    /// Adds `{u, v}` to `F`.
+    fn link(&mut self, u: VertexId, v: VertexId) {
+        if self.forest[u as usize].insert(v) {
+            self.forest[v as usize].insert(u);
+            self.forest_edges += 1;
+        }
+    }
+
+    /// Removes `{u, v}` from `F`.
+    fn cut(&mut self, u: VertexId, v: VertexId) {
+        if self.forest[u as usize].remove(&v) {
+            self.forest[v as usize].remove(&u);
+            self.forest_edges -= 1;
+        }
     }
 
     /// Vertices of the forest tree containing `v` (the set `Z_v` of
@@ -167,8 +188,7 @@ impl StreamingConnectivity {
         let (u, v) = e.endpoints();
         if self.comp[u as usize] != self.comp[v as usize] {
             // Line 6: {u,v} joins F; merge component ids (lines 7–9).
-            self.forest[u as usize].insert(v);
-            self.forest[v as usize].insert(u);
+            self.link(u, v);
             let members = self.tree_of(u);
             self.relabel(&members);
         }
@@ -188,8 +208,7 @@ impl StreamingConnectivity {
         // Split F along {u,v} (lines 6–7) and search for a
         // replacement by merging Z_u's sketches (line 8), retrying
         // across the independent copies until one is not `Fail`.
-        self.forest[u as usize].remove(&v);
-        self.forest[v as usize].remove(&u);
+        self.cut(u, v);
         let z_u = self.tree_of(u);
         let mut scratch = self.bank.new_scratch();
         let outcome = (0..self.bank.copies())
@@ -201,8 +220,7 @@ impl StreamingConnectivity {
             .find(|&sample| sample != EdgeSample::Fail);
         if let Some(EdgeSample::Edge(r)) = outcome {
             // Line 15: add {a,b} to F; component ids unchanged.
-            self.forest[r.u() as usize].insert(r.v());
-            self.forest[r.v() as usize].insert(r.u());
+            self.link(r.u(), r.v());
         } else {
             // Lines 11–12: the component splits; relabel each side.
             let z_u = self.tree_of(u);
@@ -216,17 +234,44 @@ impl StreamingConnectivity {
 
 // ----- snapshot persistence ---------------------------------------
 
-mpc_snapshot::persist_struct!(StreamingConnectivity { n, comp, forest, bank, live } check |sc| {
-    if sc.comp.len() != sc.n || sc.forest.len() != sc.n {
-        return Err(format!(
-            "streaming-connectivity tables cover {}/{} of {} vertices",
-            sc.comp.len(),
-            sc.forest.len(),
-            sc.n
-        ));
+// By hand: `forest_edges` is derived, so it is recounted on load
+// instead of saved, and the snapshot bytes do not depend on it.
+impl mpc_snapshot::Persist for StreamingConnectivity {
+    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
+        self.n.save(w);
+        self.comp.save(w);
+        self.forest.save(w);
+        self.bank.save(w);
+        self.live.save(w);
     }
-    Ok(())
-});
+
+    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
+        let n = usize::load(r)?;
+        let comp = Vec::load(r)?;
+        let forest: Vec<BTreeSet<VertexId>> = Vec::load(r)?;
+        let bank = SketchBank::load(r)?;
+        let live = BTreeSet::load(r)?;
+        if comp.len() != n || forest.len() != n {
+            return Err(mpc_snapshot::SnapshotError::Corrupt(format!(
+                "streaming-connectivity tables cover {}/{} of {n} vertices",
+                comp.len(),
+                forest.len(),
+            )));
+        }
+        let forest_edges = (0..)
+            .zip(&forest)
+            .map(|(u, adj): (VertexId, _)| adj.range(u + 1..).count())
+            .sum();
+        Ok(StreamingConnectivity {
+            n,
+            comp,
+            forest,
+            forest_edges,
+            bank,
+            live,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -319,6 +364,44 @@ mod tests {
         assert!(sc.apply(Update::Insert(e)).is_err());
         assert_eq!(sc.live_edge_count(), 1);
         assert!(sc.words() > 0);
+    }
+
+    /// The count-based `words` against a walk of the forest.
+    fn assert_words_match_walk(sc: &StreamingConnectivity) {
+        let walked = sc.n as u64 + 2 * sc.spanning_forest().len() as u64 + sc.bank.words();
+        assert_eq!(
+            sc.words(),
+            walked,
+            "forest-edge count drifted from the walk"
+        );
+    }
+
+    #[test]
+    fn words_match_the_forest_walk_through_churn_and_restore() {
+        use mpc_snapshot::{load_section, save_section, Snapshot, SnapshotWriter};
+        let n = 40;
+        let stream = gen::random_mixed_stream(n, 16, 8, 0.6, 31);
+        let mut sc = StreamingConnectivity::new(n, 6);
+        let mut deleted_tree_edge = false;
+        for (i, batch) in stream.batches.iter().enumerate() {
+            for u in batch.iter() {
+                let before = sc.spanning_forest();
+                sc.apply(u).unwrap();
+                deleted_tree_edge |= !u.is_insert() && before.contains(&u.edge());
+                assert_words_match_walk(&sc);
+            }
+            if i % 4 == 3 {
+                let mut w = SnapshotWriter::new(0);
+                save_section(&mut w, "sc", &sc);
+                let bytes = w.finish();
+                sc = load_section(&Snapshot::from_bytes(&bytes).unwrap(), "sc").unwrap();
+                assert_words_match_walk(&sc);
+                let mut again = SnapshotWriter::new(0);
+                save_section(&mut again, "sc", &sc);
+                assert_eq!(again.finish(), bytes, "save → load → save is byte-stable");
+            }
+        }
+        assert!(deleted_tree_edge, "the stream must cut forest edges");
     }
 
     #[test]

@@ -226,6 +226,7 @@ impl mpc_stream_core::Maintain for DynamicKConn {
         "kconn-dynamic"
     }
 
+    /// `O(k)`: one O(1) bank counter per layer.
     fn words(&self) -> u64 {
         DynamicKConn::words(self)
     }

@@ -235,6 +235,7 @@ impl mpc_stream_core::Maintain for InsertOnlyKConn {
         "kconn-insert-only"
     }
 
+    /// `O(k)`: one length per forest layer plus the live-set size.
     fn words(&self) -> u64 {
         InsertOnlyKConn::words(self)
     }

@@ -219,9 +219,15 @@ impl AklyMatching {
     }
 
     /// Total memory in words across all guesses
-    /// (`Õ(max{n²/α³, n/α})`).
+    /// (`Õ(max{n²/α³, n/α})`). `O(guesses)`: one constant-time
+    /// sparsifier count per guess.
     pub fn words(&self) -> u64 {
-        self.guesses.iter().map(|g| g.sparsifier.words()).sum()
+        self.sparsifiers().map(PairSparsifier::words).sum()
+    }
+
+    /// Every guess's pair sparsifier.
+    pub(crate) fn sparsifiers(&self) -> impl Iterator<Item = &PairSparsifier> {
+        self.guesses.iter().map(|g| &g.sparsifier)
     }
 }
 
@@ -234,6 +240,7 @@ impl mpc_stream_core::Maintain for AklyMatching {
         "matching-akly"
     }
 
+    /// `O(guesses)`: one O(1) sparsifier count per `OPT'` guess.
     fn words(&self) -> u64 {
         AklyMatching::words(self)
     }

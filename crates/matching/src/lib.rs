@@ -10,7 +10,8 @@
 //!   substrate standing in for Nowicki–Onak \[NO21\]
 //!   (Proposition 8.4). Same interface and cost envelope; free
 //!   vertices are re-matched by synchronized greedy proposal rounds.
-//!   This is a documented substitution — see DESIGN.md.
+//!   This is a documented substitution: the [`no21`] module docs
+//!   give the mechanism and why its batch work is exact.
 //! * [`akly::AklyMatching`] — the dynamic-stream `O(α)`-approximate
 //!   matcher of Theorem 8.2 (\[AKLY16\]): random bipartition, `β`
 //!   vertex groups per side, `γ` random *active pairs* per group,

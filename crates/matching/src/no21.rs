@@ -5,14 +5,30 @@
 //! explicitly stored graph `H` that processes a batch of `O(s^{1-κ})`
 //! insertions/deletions in `O(log 1/κ)` rounds and maintains a
 //! maximal matching in `Õ(|E(H)|)` total memory. We provide the same
-//! contract with a simpler mechanism (a documented substitution, see
-//! DESIGN.md): after applying the batch, free vertices are re-matched
-//! by synchronized rounds of greedy proposals — every free vertex
-//! proposes to its smallest free neighbor, every free vertex accepts
-//! its smallest proposer. Each round matches at least the
-//! lexicographically smallest free–free edge, and empirically the
-//! loop ends in a handful of rounds (measured and reported by
+//! contract with a simpler mechanism, a substitution this module
+//! documents: after applying the batch, free vertices are
+//! re-matched by synchronized rounds of greedy proposals — every free
+//! vertex with a free neighbor proposes to its smallest free
+//! neighbor, and proposals are accepted in `(target, proposer)`
+//! order. Each round matches at least the lexicographically smallest
+//! free–free edge, and empirically the loop ends in a handful of
+//! rounds (measured and reported by
 //! [`MaximalMatching::last_rematch_rounds`]).
+//!
+//! **Batch-proportional rematch.** The proposal rounds never scan
+//! all `n` vertices. The batch's edits report the vertices they
+//! touch: both endpoints of an edge actually inserted, and both
+//! endpoints of a *matched* edge deleted (a duplicate insert or a
+//! missing delete touches nothing). The matching is maximal on entry,
+//! so after the edits every free–free edge is either new or has an
+//! endpoint the batch freed: round 1's proposers are all among the
+//! touched vertices and the free neighbors of the free ones. The free
+//! set only shrinks inside the rematch, so round `r + 1`'s proposers
+//! are a subset of round `r`'s, and each later round scans only the
+//! previous round's proposers. The proposal lists, and with them the
+//! matches, the round count and both per-round exchange charges, are
+//! exactly those of a full scan. A restored snapshot is checked for
+//! the maximality this argument starts from.
 //!
 //! The only property the downstream analyses need (Lemma 8.3 /
 //! \[AKL'17\]) is **maximality**, which holds exactly on exit and is
@@ -142,14 +158,15 @@ impl MaximalMatching {
         ctx: &mut MpcContext,
     ) -> Result<(), MpcStreamError> {
         mpc_stream_core::route_batch(batch, self.n, ctx)?;
+        let mut touched = Vec::with_capacity(2 * batch.len());
         for u in batch.iter() {
             if u.is_insert() {
-                self.insert_edge_inner(u.edge());
+                self.insert_edge_inner(u.edge(), &mut touched);
             } else {
-                self.delete_edge_inner(u.edge());
+                self.delete_edge_inner(u.edge(), &mut touched);
             }
         }
-        self.rematch(ctx);
+        self.rematch(touched, ctx);
         Ok(())
     }
 
@@ -167,24 +184,32 @@ impl MaximalMatching {
         let k = (insertions.len() + deletions.len()) as u64;
         ctx.exchange(2 * k + 1);
         ctx.broadcast(2);
+        let mut touched = Vec::with_capacity(2 * (insertions.len() + deletions.len()));
         for &e in deletions {
-            self.delete_edge_inner(e);
+            self.delete_edge_inner(e, &mut touched);
         }
         for &e in insertions {
-            self.insert_edge_inner(e);
+            self.insert_edge_inner(e, &mut touched);
         }
-        self.rematch(ctx);
+        self.rematch(touched, ctx);
     }
 
-    fn insert_edge_inner(&mut self, e: Edge) {
+    /// Inserts `e` into `H`; a new edge reports both endpoints to
+    /// `touched`, a duplicate reports nothing.
+    fn insert_edge_inner(&mut self, e: Edge, touched: &mut Vec<VertexId>) {
         let (u, v) = e.endpoints();
         if self.adj[u as usize].insert(v) {
             self.adj[v as usize].insert(u);
             self.edge_count += 1;
+            touched.extend([u, v]);
         }
     }
 
-    fn delete_edge_inner(&mut self, e: Edge) {
+    /// Deletes `e` from `H`; deleting a matched edge frees both
+    /// endpoints and reports them to `touched`. An unmatched or
+    /// missing edge reports nothing: removing it creates no free–free
+    /// edge.
+    fn delete_edge_inner(&mut self, e: Edge, touched: &mut Vec<VertexId>) {
         let (u, v) = e.endpoints();
         if self.adj[u as usize].remove(&v) {
             self.adj[v as usize].remove(&u);
@@ -192,43 +217,73 @@ impl MaximalMatching {
             if self.mate[u as usize] == Some(v) {
                 self.mate[u as usize] = None;
                 self.mate[v as usize] = None;
+                touched.extend([u, v]);
             }
         }
     }
 
-    /// Synchronized greedy proposal rounds until maximal.
-    fn rematch(&mut self, ctx: &mut MpcContext) {
+    fn is_free(&self, v: VertexId) -> bool {
+        self.mate[v as usize].is_none()
+    }
+
+    /// The smallest free neighbor of `v`, the target of its proposal.
+    fn smallest_free_neighbor(&self, v: VertexId) -> Option<VertexId> {
+        self.adj[v as usize]
+            .iter()
+            .copied()
+            .find(|&w| self.is_free(w))
+    }
+
+    /// Synchronized greedy proposal rounds until maximal, scanning
+    /// only candidates derived from the batch's `touched` vertices
+    /// (the module docs give the exactness argument).
+    fn rematch(&mut self, touched: Vec<VertexId>, ctx: &mut MpcContext) {
         self.last_rematch_rounds = 0;
-        loop {
-            // Proposal phase: every free vertex with a free neighbor
-            // proposes to its smallest free neighbor.
-            let mut proposals: Vec<(VertexId, VertexId)> = Vec::new(); // (target, proposer)
-            for v in 0..self.n as u32 {
-                if self.mate[v as usize].is_some() {
-                    continue;
-                }
-                if let Some(&w) = self.adj[v as usize]
-                    .iter()
-                    .find(|&&w| self.mate[w as usize].is_none())
-                {
-                    proposals.push((w, v));
-                }
+        // Round 1's candidates: the touched vertices and the free
+        // neighbors of the free ones — every endpoint of a free–free
+        // edge is among them.
+        let mut proposers = touched;
+        for i in 0..proposers.len() {
+            let t = proposers[i];
+            if self.is_free(t) {
+                proposers.extend(self.adj[t as usize].iter().filter(|&&w| self.is_free(w)));
             }
+        }
+        proposers.sort_unstable();
+        proposers.dedup();
+        loop {
+            // Proposal phase: every free candidate with a free
+            // neighbor proposes to its smallest free neighbor; the
+            // proposers are next round's candidates.
+            let mut proposals = Vec::with_capacity(proposers.len());
+            proposers.retain(|&v| {
+                let target = if self.is_free(v) {
+                    self.smallest_free_neighbor(v)
+                } else {
+                    None
+                };
+                proposals.extend(target.map(|w| (w, v)));
+                target.is_some()
+            });
             if proposals.is_empty() {
                 break;
             }
-            self.last_rematch_rounds += 1;
-            ctx.exchange(2 * proposals.len() as u64);
-            ctx.exchange(proposals.len() as u64);
-            // Acceptance phase: every free vertex accepts its
-            // smallest proposer; both sides re-check freeness as
-            // matches are committed in id order.
-            proposals.sort_unstable();
-            for (target, proposer) in proposals {
-                if self.mate[target as usize].is_none() && self.mate[proposer as usize].is_none() {
-                    self.mate[target as usize] = Some(proposer);
-                    self.mate[proposer as usize] = Some(target);
-                }
+            self.accept(proposals, ctx);
+        }
+    }
+
+    /// One round's charges and acceptance phase: every free vertex
+    /// accepts its smallest proposer; both sides re-check freeness as
+    /// matches are committed in `(target, proposer)` order.
+    fn accept(&mut self, mut proposals: Vec<(VertexId, VertexId)>, ctx: &mut MpcContext) {
+        self.last_rematch_rounds += 1;
+        ctx.exchange(2 * proposals.len() as u64);
+        ctx.exchange(proposals.len() as u64);
+        proposals.sort_unstable();
+        for (target, proposer) in proposals {
+            if self.is_free(target) && self.is_free(proposer) {
+                self.mate[target as usize] = Some(proposer);
+                self.mate[proposer as usize] = Some(target);
             }
         }
     }
@@ -243,6 +298,7 @@ impl mpc_stream_core::Maintain for MaximalMatching {
         "matching-maximal"
     }
 
+    /// `O(1)`: the vertex and edge counts.
     fn words(&self) -> u64 {
         MaximalMatching::words(self)
     }
@@ -302,24 +358,63 @@ mpc_snapshot::persist_struct!(MaximalMatching {
     mate,
     edge_count,
     last_rematch_rounds,
-} check |m| {
-    if m.adj.len() != m.n || m.mate.len() != m.n {
-        return Err(format!(
-            "maximal matching tables cover {}/{} of {} vertices",
-            m.adj.len(),
-            m.mate.len(),
-            m.n
-        ));
+} check |m| m.check_restored());
+
+impl MaximalMatching {
+    /// The restore check: the tables cover `n` vertices, `H` is a
+    /// symmetric loop-free graph whose degree sum matches the edge
+    /// count, and the matching is a symmetric set of `H`'s edges that
+    /// leaves no free–free edge — the maximality the touched-set
+    /// rematch starts from. `O(n + m log Δ)`.
+    fn check_restored(&self) -> Result<(), String> {
+        if self.adj.len() != self.n || self.mate.len() != self.n {
+            return Err(format!(
+                "maximal matching tables cover {}/{} of {} vertices",
+                self.adj.len(),
+                self.mate.len(),
+                self.n
+            ));
+        }
+        let degree_sum: usize = self.adj.iter().map(BTreeSet::len).sum();
+        if degree_sum != 2 * self.edge_count {
+            return Err(format!(
+                "maximal matching edge count {} disagrees with degree sum {degree_sum}",
+                self.edge_count
+            ));
+        }
+        for (v, (neighbors, mate)) in (0..).zip(self.adj.iter().zip(&self.mate)) {
+            if let Some(&w) = neighbors
+                .iter()
+                .find(|&&w| w == v || self.adj.get(w as usize).is_none_or(|a| !a.contains(&v)))
+            {
+                return Err(format!(
+                    "maximal matching stores {v}–{w} without its reverse"
+                ));
+            }
+            match *mate {
+                Some(w) if !neighbors.contains(&w) => {
+                    return Err(format!(
+                        "maximal matching mate {w} of {v} is not a neighbor"
+                    ));
+                }
+                Some(w) if self.mate[w as usize] != Some(v) => {
+                    return Err(format!(
+                        "maximal matching mate table is asymmetric at {v}–{w}"
+                    ));
+                }
+                Some(_) => {}
+                None => {
+                    if let Some(w) = self.smallest_free_neighbor(v) {
+                        return Err(format!(
+                            "maximal matching leaves the free–free edge {v}–{w}"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
-    let degree_sum: usize = m.adj.iter().map(BTreeSet::len).sum();
-    if degree_sum != 2 * m.edge_count {
-        return Err(format!(
-            "maximal matching edge count {} disagrees with degree sum {degree_sum}",
-            m.edge_count
-        ));
-    }
-    Ok(())
-});
+}
 
 #[cfg(test)]
 mod tests {
@@ -334,6 +429,230 @@ mod tests {
 
     fn ctx() -> MpcContext {
         MpcContext::new(MpcConfig::builder(256, 0.5).local_capacity(1 << 14).build())
+    }
+
+    /// The full-scan rematch the touched-set version replaced: every
+    /// round scans all `n` vertices. Kept as the exactness reference.
+    fn rematch_full_scan(mm: &mut MaximalMatching, ctx: &mut MpcContext) {
+        mm.last_rematch_rounds = 0;
+        loop {
+            let mut proposals: Vec<(VertexId, VertexId)> = Vec::new();
+            for v in 0..mm.n as u32 {
+                if mm.mate[v as usize].is_some() {
+                    continue;
+                }
+                if let Some(&w) = mm.adj[v as usize]
+                    .iter()
+                    .find(|&&w| mm.mate[w as usize].is_none())
+                {
+                    proposals.push((w, v));
+                }
+            }
+            if proposals.is_empty() {
+                break;
+            }
+            mm.last_rematch_rounds += 1;
+            ctx.exchange(2 * proposals.len() as u64);
+            ctx.exchange(proposals.len() as u64);
+            proposals.sort_unstable();
+            for (target, proposer) in proposals {
+                if mm.mate[target as usize].is_none() && mm.mate[proposer as usize].is_none() {
+                    mm.mate[target as usize] = Some(proposer);
+                    mm.mate[proposer as usize] = Some(target);
+                }
+            }
+        }
+    }
+
+    /// `apply_batch` with the full-scan rematch.
+    fn reference_apply_batch(mm: &mut MaximalMatching, batch: &Batch, ctx: &mut MpcContext) {
+        mpc_stream_core::route_batch(batch, mm.n, ctx).expect("in-range batch");
+        let mut ignored = Vec::new();
+        for u in batch.iter() {
+            if u.is_insert() {
+                mm.insert_edge_inner(u.edge(), &mut ignored);
+            } else {
+                mm.delete_edge_inner(u.edge(), &mut ignored);
+            }
+        }
+        rematch_full_scan(mm, ctx);
+    }
+
+    /// `apply_edge_lists` with the full-scan rematch.
+    fn reference_apply_edge_lists(
+        mm: &mut MaximalMatching,
+        insertions: &[Edge],
+        deletions: &[Edge],
+        ctx: &mut MpcContext,
+    ) {
+        let k = (insertions.len() + deletions.len()) as u64;
+        ctx.exchange(2 * k + 1);
+        ctx.broadcast(2);
+        let mut ignored = Vec::new();
+        for &e in deletions {
+            mm.delete_edge_inner(e, &mut ignored);
+        }
+        for &e in insertions {
+            mm.insert_edge_inner(e, &mut ignored);
+        }
+        rematch_full_scan(mm, ctx);
+    }
+
+    fn save_load(mm: &MaximalMatching) -> MaximalMatching {
+        use mpc_snapshot::{load_section, save_section, Snapshot, SnapshotWriter};
+        let mut w = SnapshotWriter::new(0);
+        save_section(&mut w, "mm", mm);
+        let bytes = w.finish();
+        let loaded: MaximalMatching =
+            load_section(&Snapshot::from_bytes(&bytes).expect("container"), "mm").expect("valid");
+        let mut again = SnapshotWriter::new(0);
+        save_section(&mut again, "mm", &loaded);
+        assert_eq!(again.finish(), bytes, "save → load → save is byte-stable");
+        loaded
+    }
+
+    /// A random edge of `0..n`, `u < v`.
+    fn random_edge(rng: &mut StdRng, n: u32) -> Edge {
+        let a = rng.gen_range(0..n);
+        let b = (a + rng.gen_range(1..n)) % n;
+        Edge::new(a, b)
+    }
+
+    /// A random set-semantic batch over `mm`'s graph: fresh and
+    /// duplicate inserts, deletes of matched, unmatched and missing
+    /// edges, and insert+delete pairs of one edge.
+    fn random_updates(rng: &mut StdRng, mm: &MaximalMatching) -> Vec<Update> {
+        let n = mm.n as u32;
+        let matched = mm.matching();
+        let mut out = Vec::new();
+        for _ in 0..rng.gen_range(0..12) {
+            match rng.gen_range(0..6) {
+                0 | 1 => out.push(Update::Insert(random_edge(rng, n))),
+                2 if !matched.is_empty() => {
+                    out.push(Update::Delete(matched[rng.gen_range(0..matched.len())]));
+                }
+                3 => {
+                    // Duplicate insert (live edge or repeated in batch).
+                    let v = rng.gen_range(0..n);
+                    let e = mm.adj[v as usize]
+                        .iter()
+                        .next()
+                        .map_or_else(|| random_edge(rng, n), |&w| Edge::new(v, w));
+                    out.extend([Update::Insert(e), Update::Insert(e)]);
+                }
+                4 => {
+                    let e = random_edge(rng, n);
+                    if rng.gen_bool(0.5) {
+                        out.extend([Update::Insert(e), Update::Delete(e)]);
+                    } else {
+                        out.extend([Update::Delete(e), Update::Insert(e)]);
+                    }
+                }
+                _ => out.push(Update::Delete(random_edge(rng, n))),
+            }
+        }
+        out
+    }
+
+    fn assert_same(
+        fast: &MaximalMatching,
+        slow: &MaximalMatching,
+        cf: &MpcContext,
+        cs: &MpcContext,
+    ) {
+        assert_eq!(fast.mate, slow.mate, "matchings diverged");
+        assert_eq!(fast.adj, slow.adj);
+        assert_eq!(fast.edge_count, slow.edge_count);
+        assert_eq!(fast.last_rematch_rounds, slow.last_rematch_rounds);
+        assert_eq!(cf.rounds(), cs.rounds());
+        assert_eq!(cf.stats(), cs.stats(), "rounds and words diverged");
+        assert!(fast.is_maximal());
+    }
+
+    #[test]
+    fn touched_set_rematch_matches_the_full_scan_reference() {
+        let mut rng = StdRng::seed_from_u64(0x7e57);
+        for trial in 0..24 {
+            let n = [2, 5, 16, 40][trial % 4];
+            let (mut cf, mut cs) = (ctx(), ctx());
+            let mut fast = MaximalMatching::new(n);
+            let mut slow = MaximalMatching::new(n);
+            for step in 0..40 {
+                if step % 13 == 12 {
+                    fast = save_load(&fast);
+                    slow = save_load(&slow);
+                }
+                let updates = random_updates(&mut rng, &fast);
+                if step % 2 == 0 {
+                    let batch = Batch::from_updates(updates);
+                    fast.apply_batch(&batch, &mut cf).expect("in-range batch");
+                    reference_apply_batch(&mut slow, &batch, &mut cs);
+                } else {
+                    let (ins, del): (Vec<Update>, Vec<Update>) =
+                        updates.into_iter().partition(|u| u.is_insert());
+                    let ins: Vec<Edge> = ins.into_iter().map(Update::edge).collect();
+                    let del: Vec<Edge> = del.into_iter().map(Update::edge).collect();
+                    fast.apply_edge_lists(&ins, &del, &mut cf);
+                    reference_apply_edge_lists(&mut slow, &ins, &del, &mut cs);
+                }
+                assert_same(&fast, &slow, &cf, &cs);
+            }
+        }
+    }
+
+    fn corrupt_load(mm: &MaximalMatching) -> Result<MaximalMatching, mpc_snapshot::SnapshotError> {
+        use mpc_snapshot::{load_section, save_section, Snapshot, SnapshotWriter};
+        let mut w = SnapshotWriter::new(0);
+        save_section(&mut w, "mm", mm);
+        let bytes = w.finish();
+        load_section(&Snapshot::from_bytes(&bytes).expect("container"), "mm")
+    }
+
+    #[test]
+    fn restore_rejects_what_the_rematch_cannot_start_from() {
+        let mut c = ctx();
+        let mut mm = MaximalMatching::new(6);
+        mm.apply_batch(
+            &Batch::inserting([Edge::new(0, 1), Edge::new(1, 2), Edge::new(3, 4)]),
+            &mut c,
+        )
+        .expect("valid");
+        assert!(corrupt_load(&mm).is_ok());
+        let rejected = |bad: &MaximalMatching, what: &str| {
+            assert!(
+                matches!(
+                    corrupt_load(bad),
+                    Err(mpc_snapshot::SnapshotError::Corrupt(_))
+                ),
+                "{what} must not load"
+            );
+        };
+        // Asymmetric mate: 2 claims its neighbor 1, which is matched
+        // to 0.
+        assert_eq!(mm.mate_of(1), Some(0));
+        let mut bad = mm.clone();
+        bad.mate[2] = Some(1);
+        rejected(&bad, "an asymmetric mate");
+        // A mate that is not a neighbor: 2 and 5 share no edge.
+        let mut bad = mm.clone();
+        bad.mate[2] = Some(5);
+        bad.mate[5] = Some(2);
+        rejected(&bad, "a non-neighbor mate");
+        // A free–free edge: unmatch 3–4.
+        let mut bad = mm.clone();
+        bad.mate[3] = None;
+        bad.mate[4] = None;
+        rejected(&bad, "a free–free edge");
+        // A one-sided adjacency entry.
+        let mut bad = mm.clone();
+        bad.adj[5].insert(2);
+        bad.adj[2].remove(&1);
+        rejected(&bad, "an asymmetric adjacency");
+        // An out-of-range neighbor.
+        let mut bad = mm.clone();
+        bad.adj[5].insert(9);
+        bad.adj[2].remove(&1);
+        rejected(&bad, "an out-of-range neighbor");
     }
 
     #[test]

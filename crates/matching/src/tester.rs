@@ -260,9 +260,20 @@ impl MatchingSizeEstimator {
             .unwrap_or(0)
     }
 
-    /// Total memory in words across all testers.
+    /// Total memory in words across all testers. `O(testers)`: each
+    /// tester's count is constant-time.
     pub fn words(&self) -> u64 {
         self.testers.iter().map(|(_, t)| t.words()).sum()
+    }
+
+    /// The dynamic testers' pair sparsifiers (none for an
+    /// insertion-only estimator).
+    #[cfg(test)]
+    pub(crate) fn sparsifiers(&self) -> impl Iterator<Item = &PairSparsifier> {
+        self.testers.iter().filter_map(|(_, t)| match t {
+            Tester::Dynamic { sparsifier, .. } => Some(sparsifier),
+            Tester::Insertion { .. } => None,
+        })
     }
 
     /// Number of vertices.
@@ -283,6 +294,7 @@ impl mpc_stream_core::Maintain for MatchingSizeEstimator {
         }
     }
 
+    /// `O(testers)`: one O(1) count per geometric guess.
     fn words(&self) -> u64 {
         MatchingSizeEstimator::words(self)
     }

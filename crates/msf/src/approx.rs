@@ -294,6 +294,7 @@ impl mpc_stream_core::Maintain for ApproxMsfWeight {
         "msf-approx-weight"
     }
 
+    /// `O(log_{1+ε} W)`: one O(1) count per weight threshold.
     fn words(&self) -> u64 {
         ApproxMsfWeight::words(self)
     }
@@ -353,6 +354,7 @@ impl mpc_stream_core::Maintain for ApproxMsfForest {
         "msf-approx-forest"
     }
 
+    /// `O(log_{1+ε} W)`: one O(1) count per weight threshold.
     fn words(&self) -> u64 {
         ApproxMsfForest::words(self)
     }

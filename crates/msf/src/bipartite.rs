@@ -126,6 +126,7 @@ impl mpc_stream_core::Maintain for Bipartiteness {
         "bipartiteness"
     }
 
+    /// `O(1)`: two connectivity counts.
     fn words(&self) -> u64 {
         Bipartiteness::words(self)
     }

@@ -49,6 +49,7 @@ impl mpc_stream_core::Maintain for ExactMsf {
         "msf-exact"
     }
 
+    /// `O(1)`: the vertex, ETF and weight-map counts.
     fn words(&self) -> u64 {
         ExactMsf::words(self)
     }
