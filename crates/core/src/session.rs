@@ -110,7 +110,9 @@
 //!   exactly where the original would have — `SessionStats`, query
 //!   receipts, and sampler outcomes are equal as values from that
 //!   point on.
-//! * **Monotonic stream epoch.** Every update submission bumps
+//! * **Monotonic stream epoch.** Every update submission, and every
+//!   [`Session::query`] (its closure holds the maintainer mutably and
+//!   may write, as `add_vertices` does), bumps
 //!   [`Session::stream_epoch`], the epoch is embedded in the snapshot
 //!   header, and [`Session::restore_checked`] rejects a stale file
 //!   with the typed [`SnapshotError::EpochMismatch`] instead of
@@ -612,6 +614,10 @@ impl Session {
     /// prefer [`Session::ask`], which also receipts the charge; this
     /// is the escape hatch for structure-specific protocols.
     ///
+    /// The closure may mutate the maintainer, so every call bumps
+    /// [`Session::stream_epoch`]: a checkpoint taken before it is stale
+    /// for [`Session::restore_checked`].
+    ///
     /// # Panics
     ///
     /// As [`Session::get`].
@@ -628,6 +634,7 @@ impl Session {
         let m = m
             .downcast_mut::<M>()
             .expect("a typed Handle always matches its own session's registry; this handle was issued by a different Session");
+        self.stream_epoch += 1;
         f(m, &mut self.ctx)
     }
 
@@ -786,9 +793,10 @@ impl Session {
         Ok(())
     }
 
-    /// The monotonic update-submission counter: bumped by every
-    /// [`Session::apply`] / [`Session::apply_weighted`] call and
-    /// embedded in every checkpoint's header. Pass the value returned
+    /// The monotonic write counter: bumped by every
+    /// [`Session::apply`] / [`Session::apply_weighted`] call and every
+    /// [`Session::query`] (whose closure may write), and embedded in
+    /// every checkpoint's header. Pass the value returned
     /// by the latest [`Session::checkpoint`] to
     /// [`Session::restore_checked`] to reject stale files.
     pub fn stream_epoch(&self) -> u64 {

@@ -73,9 +73,21 @@ pub struct EdgeRec {
 impl EdgeRec {
     /// Entries `first.pos + 1 .. = second.pos` are exactly the
     /// subtree below this edge (the side of its far endpoint). Used
-    /// by `identify_path` and the split operations.
+    /// by [`EdgeRec::on_path`] and the split operations.
     pub fn subtree_interval(&self) -> (u64, u64) {
         (self.first.pos + 1, self.second.pos)
+    }
+
+    /// Whether this edge lies on the tree path between two vertices
+    /// of its tour, given their first and last occurrences
+    /// ([`DistEtf::f_l`]) — the local test of Lemma 7.2: the path
+    /// crosses the edge iff exactly one endpoint lies in the subtree
+    /// below it. Each machine evaluates it on its own edges after one
+    /// broadcast of `f/ℓ`; a vertex with itself has the empty path.
+    pub fn on_path(&self, (fu, lu): (u64, u64), (fv, lv): (u64, u64)) -> bool {
+        // The subtree's entries are (first.pos, second.pos].
+        let below = |f: u64, l: u64| f > self.first.pos && l <= self.second.pos;
+        below(fu, lu) != below(fv, lv)
     }
 
     fn normalize(&mut self) {
@@ -121,8 +133,9 @@ mpc_snapshot::persist_struct!(EdgeRec { tour, first, second } check |rec| {
 /// etf.join(Edge::new(0, 1), &mut ctx);
 /// etf.join(Edge::new(1, 2), &mut ctx);
 /// assert_eq!(etf.tour_of(0), etf.tour_of(2));
-/// let path = etf.identify_path(0, 2, &mut ctx);
-/// assert_eq!(path.len(), 2);
+/// let (f0, f2) = (etf.f_l(0), etf.f_l(2));
+/// let path = etf.tour_edges(etf.tour_of(0)).filter(|(_, r)| r.on_path(f0, f2));
+/// assert_eq!(path.count(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DistEtf {
@@ -642,54 +655,6 @@ impl DistEtf {
         self.split_tour(rec.tour, &[(rec.first.pos, rec.second.pos, e)]);
         (rec.tour, child)
     }
-
-    // ----- path identification (Lemma 7.2) -------------------------
-
-    /// Reports all tree edges on the unique path between `u` and `v`,
-    /// which must share a tour. Each edge decides membership locally:
-    /// the edge's subtree interval contains exactly one of `u`, `v`
-    /// iff the path crosses it. `O(1)` rounds: broadcast
-    /// `f/ℓ` of `u` and `v`; every machine tests its own edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` and `v` are in different tours.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "documented \"# Panics\" precondition — a tree path needs both ends in one tour"
-    )]
-    pub fn identify_path(&self, u: VertexId, v: VertexId, ctx: &mut MpcContext) -> Vec<Edge> {
-        assert_eq!(
-            self.tour_of(u),
-            self.tour_of(v),
-            "identify_path endpoints must be connected"
-        );
-        ctx.exchange(4);
-        ctx.broadcast(4); // f(u), ℓ(u), f(v), ℓ(v)
-        self.identify_path_local(u, v)
-    }
-
-    /// Round-free variant of [`DistEtf::identify_path`] for callers
-    /// that batch many path queries under a single broadcast charge
-    /// (the exact-MSF Case-2 step, Section 7.1.2).
-    pub fn identify_path_local(&self, u: VertexId, v: VertexId) -> Vec<Edge> {
-        if u == v {
-            return Vec::new();
-        }
-        let t = self.tour_of(u);
-        let (fu, lu) = self.f_l(u);
-        let (fv, lv) = self.f_l(v);
-        let in_subtree = |p: u64, q: u64, f: u64, l: u64| f > p && l <= q;
-        self.tour_edges(t)
-            .filter(|(_, r)| {
-                let (lo, hi) = r.subtree_interval();
-                // subtree entries are lo..=hi; interval delimiters are
-                // (first.pos, second.pos] = (lo-1, hi].
-                in_subtree(lo - 1, hi, fu, lu) != in_subtree(lo - 1, hi, fv, lv)
-            })
-            .map(|(e, _)| e)
-            .collect()
-    }
 }
 
 // The whole sharded representation is plain data — tour ids, sorted
@@ -876,17 +841,26 @@ mod tests {
         assert_eq!(etf.tour_len(etf.tour_of(0)), 36);
     }
 
+    /// The tree edges on the path between `u` and `v`, by
+    /// [`EdgeRec::on_path`] over their tour's shard.
+    fn path(etf: &DistEtf, u: VertexId, v: VertexId) -> Vec<Edge> {
+        let (fu, fv) = (etf.f_l(u), etf.f_l(v));
+        etf.tour_edges(etf.tour_of(u))
+            .filter(|(_, r)| r.on_path(fu, fv))
+            .map(|(e, _)| e)
+            .collect()
+    }
+
     #[test]
-    fn identify_path_on_path_graph() {
+    fn path_on_path_graph() {
         let mut c = ctx();
         let mut etf = DistEtf::new(8);
         for i in 0..7u32 {
             etf.join(Edge::new(i, i + 1), &mut c);
         }
-        let mut path = etf.identify_path(2, 6, &mut c);
-        path.sort();
+        // A shard iterates in edge order, so the path comes sorted.
         assert_eq!(
-            path,
+            path(&etf, 2, 6),
             vec![
                 Edge::new(2, 3),
                 Edge::new(3, 4),
@@ -894,11 +868,11 @@ mod tests {
                 Edge::new(5, 6)
             ]
         );
-        assert!(etf.identify_path(3, 3, &mut c).is_empty());
+        assert!(path(&etf, 3, 3).is_empty());
     }
 
     #[test]
-    fn identify_path_through_branching() {
+    fn path_through_branching() {
         let mut c = ctx();
         let mut etf = DistEtf::new(8);
         // Star with center 0 plus a tail 1-5-6.
@@ -907,10 +881,8 @@ mod tests {
         }
         etf.join(Edge::new(1, 5), &mut c);
         etf.join(Edge::new(5, 6), &mut c);
-        let mut path = etf.identify_path(6, 3, &mut c);
-        path.sort();
         assert_eq!(
-            path,
+            path(&etf, 6, 3),
             vec![
                 Edge::new(0, 1),
                 Edge::new(0, 3),
@@ -928,14 +900,6 @@ mod tests {
         etf.join(Edge::new(0, 1), &mut c);
         etf.join(Edge::new(1, 2), &mut c);
         etf.join(Edge::new(0, 2), &mut c);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be connected")]
-    fn path_across_tours_panics() {
-        let mut c = ctx();
-        let etf = DistEtf::new(4);
-        let _ = etf.identify_path(0, 1, &mut c);
     }
 
     #[test]

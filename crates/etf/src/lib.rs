@@ -43,9 +43,10 @@
 //! * `tour_label` / `label_tours` — the component-label rule: a
 //!   tree's label is its smallest member, the first entry of its
 //!   tour's sorted member list.
-//! * `identify_path` — report the tree path between two vertices by a
-//!   purely local per-edge interval test (Lemma 7.2, used by the
-//!   exact-MSF algorithm).
+//! * [`EdgeRec::on_path`](dist::EdgeRec::on_path) — whether a tree
+//!   edge lies on the path between two vertices, by a purely local
+//!   interval test on their first and last occurrences (Lemma 7.2,
+//!   used by the exact-MSF algorithm).
 //!
 //! Every operation takes an [`MpcContext`](mpc_sim::MpcContext) and
 //! charges the broadcast/gather rounds the paper's protocol would

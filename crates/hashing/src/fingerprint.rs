@@ -13,14 +13,14 @@
 //!
 //! The family randomness (the evaluation point and its derived power
 //! tables) lives in a [`FingerprintFamily`], seeded **once** and
-//! shared by every accumulator of the family — the columnar sketch
-//! arena holds one family per sketch copy and stores only the bare
-//! field accumulators per cell.
+//! shared by every accumulator of the family. An accumulator is a bare
+//! field value that [`accumulate`] folds `term(index) · delta` into —
+//! the columnar sketch arena holds one family per sketch copy and one
+//! such value per cell.
 
 use crate::field::{M61, P};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Number of radix-256 digit tables covering a full `u64` exponent.
 const RADIX_BLOCKS: usize = 8;
@@ -170,125 +170,6 @@ impl mpc_snapshot::Persist for FingerprintFamily {
     }
 }
 
-mpc_snapshot::persist_struct!(Fingerprint { family, acc });
-
-/// A running fingerprint `Σ_i X_i · z^i` of an implicitly maintained
-/// integer vector `X`, updated coordinate-wise.
-///
-/// # Examples
-///
-/// ```
-/// use mpc_hashing::fingerprint::Fingerprint;
-///
-/// let mut a = Fingerprint::from_seed(9);
-/// let mut b = a.fresh(); // same evaluation point, zero accumulator
-/// a.update(3, 1);
-/// b.update(3, -1);
-/// a.merge(&b);
-/// assert!(a.is_zero()); // X + (-X) = 0
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fingerprint {
-    /// Shared family randomness (evaluation point + power tables).
-    family: Arc<FingerprintFamily>,
-    /// Accumulated value `Σ X_i z^i`.
-    acc: M61,
-}
-
-impl Fingerprint {
-    /// Creates a fingerprint with a random evaluation point drawn from
-    /// `rng` and a zero accumulator.
-    pub fn new<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Fingerprint {
-            family: Arc::new(FingerprintFamily::new(rng)),
-            acc: M61::ZERO,
-        }
-    }
-
-    /// Creates a fingerprint deterministically from a seed.
-    pub fn from_seed(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Fingerprint::new(&mut rng)
-    }
-
-    /// Returns a zero-accumulator fingerprint sharing this one's
-    /// evaluation point. Only fingerprints with the same evaluation
-    /// point may be merged.
-    pub fn fresh(&self) -> Self {
-        Fingerprint {
-            family: Arc::clone(&self.family),
-            acc: M61::ZERO,
-        }
-    }
-
-    /// The shared family randomness.
-    #[inline]
-    pub fn family(&self) -> &Arc<FingerprintFamily> {
-        &self.family
-    }
-
-    /// `z^index` via the shared power tables.
-    #[inline]
-    pub fn term(&self, index: u64) -> M61 {
-        self.family.term(index)
-    }
-
-    /// Applies `X[index] += delta`.
-    #[inline]
-    pub fn update(&mut self, index: u64, delta: i64) {
-        let term = self.term(index);
-        self.apply_term(term, delta);
-    }
-
-    /// Applies a precomputed `z^index` term with coefficient `delta`
-    /// (the pair-update fast path: one `term` serves both endpoint
-    /// sketches of an edge).
-    #[inline]
-    pub fn apply_term(&mut self, term: M61, delta: i64) {
-        self.acc = accumulate(self.acc, term, delta);
-    }
-
-    /// Merges another fingerprint of the same family (vector
-    /// addition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two fingerprints use different evaluation points.
-    #[inline]
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "documented \"# Panics\" precondition — fingerprints of different families cannot be summed"
-    )]
-    pub fn merge(&mut self, other: &Fingerprint) {
-        assert_eq!(
-            self.family.z, other.family.z,
-            "cannot merge fingerprints with different evaluation points"
-        );
-        self.acc += other.acc;
-    }
-
-    /// The accumulated field value.
-    #[inline]
-    pub fn value(&self) -> M61 {
-        self.acc
-    }
-
-    /// Whether the accumulator is zero (true for the zero vector;
-    /// false positives have probability `≤ support / (2^61-1)`).
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        self.acc.is_zero()
-    }
-
-    /// The fingerprint a one-sparse vector with value `weight` at
-    /// `index` would have. Comparing against [`Fingerprint::value`]
-    /// is the one-sparse recovery test.
-    #[inline]
-    pub fn expected_one_sparse(&self, index: u64, weight: i64) -> M61 {
-        self.family.expected_one_sparse(index, weight)
-    }
-}
-
 /// Folds `acc += term · delta` with fast paths for the `±1` deltas
 /// the graph sketches emit almost exclusively.
 #[inline]
@@ -304,45 +185,38 @@ pub fn accumulate(acc: M61, term: M61, delta: i64) -> M61 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn zero_vector_is_zero() {
-        let f = Fingerprint::from_seed(1);
-        assert!(f.is_zero());
+    /// The fingerprint of the vector `updates` describes: a fold of
+    /// [`accumulate`] over the family's terms, as every sketch cell
+    /// keeps it.
+    fn fold(fam: &FingerprintFamily, updates: &[(u64, i64)]) -> M61 {
+        updates
+            .iter()
+            .fold(M61::ZERO, |acc, &(i, d)| accumulate(acc, fam.term(i), d))
     }
 
     #[test]
     fn update_then_cancel() {
-        let mut f = Fingerprint::from_seed(2);
-        f.update(10, 3);
-        assert!(!f.is_zero());
-        f.update(10, -3);
-        assert!(f.is_zero());
+        let fam = FingerprintFamily::from_seed(2);
+        assert!(!fold(&fam, &[(10, 3)]).is_zero());
+        assert!(fold(&fam, &[(10, 3), (10, -3)]).is_zero());
     }
 
     #[test]
     fn linearity_under_merge() {
-        let base = Fingerprint::from_seed(3);
-        let mut direct = base.fresh();
-        let mut a = base.fresh();
-        let mut b = base.fresh();
-        for (i, d) in [(1u64, 2i64), (5, -1), (9, 4), (5, 1)] {
-            direct.update(i, d);
-        }
-        a.update(1, 2);
-        a.update(5, -1);
-        b.update(9, 4);
-        b.update(5, 1);
-        a.merge(&b);
-        assert_eq!(a.value(), direct.value());
+        let fam = FingerprintFamily::from_seed(3);
+        let direct = fold(&fam, &[(1, 2), (5, -1), (9, 4), (5, 1)]);
+        let a = fold(&fam, &[(1, 2), (5, -1)]);
+        let b = fold(&fam, &[(9, 4), (5, 1)]);
+        assert_eq!(a + b, direct);
     }
 
     #[test]
     fn one_sparse_expectation_matches() {
-        let mut f = Fingerprint::from_seed(4);
-        f.update(42, -7);
-        assert_eq!(f.value(), f.expected_one_sparse(42, -7));
-        assert_ne!(f.value(), f.expected_one_sparse(42, 7));
-        assert_ne!(f.value(), f.expected_one_sparse(41, -7));
+        let fam = FingerprintFamily::from_seed(4);
+        let f = fold(&fam, &[(42, -7)]);
+        assert_eq!(f, fam.expected_one_sparse(42, -7));
+        assert_ne!(f, fam.expected_one_sparse(42, 7));
+        assert_ne!(f, fam.expected_one_sparse(41, -7));
     }
 
     #[test]
@@ -350,12 +224,30 @@ mod tests {
         // Not a statistical test: just check a handful of seeds never
         // collide (failure probability ~ 2^-60 each).
         for seed in 0..32 {
-            let mut f = Fingerprint::from_seed(seed);
-            f.update(7, 1);
-            f.update(13, 1);
+            let fam = FingerprintFamily::from_seed(seed);
             // A two-sparse vector with sum 2 and index-sum 20 would be
             // mistaken for one-sparse value 2 at index 10.
-            assert_ne!(f.value(), f.expected_one_sparse(10, 2), "seed {seed}");
+            let f = fold(&fam, &[(7, 1), (13, 1)]);
+            assert_ne!(f, fam.expected_one_sparse(10, 2), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn accumulate_fast_paths_equal_the_general_product() {
+        let fam = FingerprintFamily::from_seed(6);
+        for (acc, index) in [
+            (M61::ZERO, 0u64),
+            (M61::new(12345), 77),
+            (M61::new(P - 1), 1 << 40),
+        ] {
+            let term = fam.term(index);
+            for delta in [1i64, -1, 2, -2, 0, i64::MAX, i64::MIN] {
+                assert_eq!(
+                    accumulate(acc, term, delta),
+                    acc + term * M61::from_i64(delta),
+                    "delta {delta}"
+                );
+            }
         }
     }
 
@@ -408,21 +300,5 @@ mod tests {
             assert_eq!(bounded.term(i), full.term(i), "exponent {i}");
             assert_eq!(bounded.term(i), bounded.point().pow(i), "exponent {i}");
         }
-    }
-
-    #[test]
-    fn family_is_shared_not_copied() {
-        let a = Fingerprint::from_seed(5);
-        let b = a.fresh();
-        assert!(Arc::ptr_eq(a.family(), b.family()));
-        assert_eq!(a.family().point(), b.family().point());
-    }
-
-    #[test]
-    #[should_panic(expected = "different evaluation points")]
-    fn merging_unrelated_fingerprints_panics() {
-        let mut a = Fingerprint::from_seed(5);
-        let b = Fingerprint::from_seed(6);
-        a.merge(&b);
     }
 }

@@ -12,8 +12,11 @@
 //!   level assignment needs; the matching testers of Section 8 use
 //!   four-wise families.
 //! * [`fingerprint`] — linear polynomial fingerprints used by the
-//!   one-sparse recovery test inside each sampler level. Linearity is
-//!   what makes the sketches mergeable (Remark 3.2 of the paper).
+//!   one-sparse recovery test inside each sampler level: a seeded
+//!   [`FingerprintFamily`](fingerprint::FingerprintFamily) supplies the
+//!   terms `z^i`, and [`accumulate`](fingerprint::accumulate) folds
+//!   them into a cell's bare field accumulator. Linearity is what
+//!   makes the sketches mergeable (Remark 3.2 of the paper).
 //!
 //! # Examples
 //!
@@ -43,5 +46,4 @@ pub mod fingerprint;
 pub mod kwise;
 
 pub use field::M61;
-pub use fingerprint::Fingerprint;
 pub use kwise::KWiseHash;

@@ -52,10 +52,6 @@ pub enum MpcEvent {
     Sort(u64),
     /// [`MpcContext::gather`]
     Gather(u64),
-    /// [`MpcContext::alloc`] with the machine already resolved
-    Alloc(usize, u64),
-    /// [`MpcContext::free`] with the machine already resolved
-    Free(usize, u64),
     /// [`MpcContext::set_load`]
     SetLoad(usize, u64),
     /// [`MpcContext::parallel`] opens its scope
@@ -187,45 +183,11 @@ impl MpcContext {
 
     // ----- memory accounting --------------------------------------
 
-    /// Records `words` words allocated on machine `m`.
-    ///
-    /// # Errors
-    ///
-    /// In strict mode, returns [`MpcError::LocalMemoryExceeded`] if
-    /// the machine overflows `s`; in permissive mode the overflow is
-    /// recorded in [`Stats::violations`].
-    pub fn alloc(&mut self, m: usize, words: u64) -> Result<(), MpcError> {
-        self.apply(MpcEvent::Alloc(m, words)).map(drop)
-    }
-
-    /// Records `words` words freed on machine `m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more words are freed than were allocated (an
-    /// accounting bug in the calling algorithm).
-    pub fn free(&mut self, m: usize, words: u64) {
-        let _ = self.apply(MpcEvent::Free(m, words));
-    }
-
-    /// Records `words` allocated on the shard machine of vertex `v`.
-    ///
-    /// # Errors
-    ///
-    /// As [`MpcContext::alloc`].
-    pub fn alloc_vertex(&mut self, v: u32, words: u64) -> Result<(), MpcError> {
-        self.alloc(self.config().machine_of_vertex(v), words)
-    }
-
-    /// Records `words` freed on the shard machine of vertex `v`.
-    pub fn free_vertex(&mut self, v: u32, words: u64) {
-        self.free(self.config().machine_of_vertex(v), words);
-    }
-
     /// Replaces the tracked load of machine `m` with an absolute
     /// word count (convenient for state-holding structures that
     /// re-report their sharded footprint after each batch), observing
-    /// peaks and violations like [`MpcContext::alloc`].
+    /// the machine's peak and its capacity: the one way a maintainer
+    /// reports memory.
     ///
     /// # Errors
     ///
@@ -417,24 +379,6 @@ mod ledger {
                     }
                     self.stats.charge(Op::Gather, 1, words);
                 }
-                MpcEvent::Alloc(m, words) => {
-                    self.loads[m] += words;
-                    self.total_load += words;
-                    self.observe_load(m)?;
-                }
-                #[expect(
-                    clippy::disallowed_macros,
-                    reason = "documented \"# Panics\" contract — over-freeing is an accounting bug, not a data error"
-                )]
-                MpcEvent::Free(m, words) => {
-                    assert!(
-                        self.loads[m] >= words,
-                        "machine {m} frees {words} words but holds {}",
-                        self.loads[m]
-                    );
-                    self.loads[m] -= words;
-                    self.total_load -= words;
-                }
                 MpcEvent::SetLoad(m, words) => {
                     let old = self.loads[m];
                     self.loads[m] = words;
@@ -484,7 +428,7 @@ mod ledger {
         }
 
         /// Observes machine `m`'s new load: the peak and capacity check
-        /// the `Alloc` and `SetLoad` arms of [`MpcContext::apply`] share.
+        /// of the `SetLoad` arm of [`MpcContext::apply`].
         fn observe_load(&mut self, m: usize) -> Result<(), MpcError> {
             let used = self.loads[m];
             let cap = self.cfg.local_capacity();
@@ -602,10 +546,10 @@ mod tests {
     #[test]
     fn memory_accounting_tracks_peaks() {
         let mut c = ctx();
-        c.alloc(0, 10).unwrap();
-        c.alloc(1, 20).unwrap();
-        c.free(0, 5);
-        c.alloc(0, 2).unwrap();
+        c.set_load(0, 10).unwrap();
+        c.set_load(1, 20).unwrap();
+        c.set_load(0, 5).unwrap();
+        c.set_load(0, 7).unwrap();
         assert_eq!(c.load(0), 7);
         assert_eq!(c.total_load(), 27);
         assert_eq!(c.stats().peak_machine_words, 20);
@@ -620,7 +564,7 @@ mod tests {
                 .machines(4)
                 .build(),
         );
-        c.alloc(2, 9).unwrap();
+        c.set_load(2, 9).unwrap();
         assert_eq!(c.stats().violations, vec![(2, 9, 8)]);
     }
 
@@ -634,7 +578,7 @@ mod tests {
                 .build(),
         );
         assert!(matches!(
-            c.alloc(1, 9),
+            c.set_load(1, 9),
             Err(MpcError::LocalMemoryExceeded { machine: 1, .. })
         ));
     }
@@ -747,13 +691,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "frees")]
-    fn over_free_panics() {
-        let mut c = ctx();
-        c.free(0, 1);
-    }
-
-    #[test]
     fn fork_replay_matches_direct_execution() {
         // Run the same operation sequence (a) directly on one context
         // and (b) on a fork whose log is replayed onto a second
@@ -764,7 +701,7 @@ mod tests {
             c.parallel([true, false], |first, c| {
                 if first {
                     c.converge_cast(64, 4);
-                    c.alloc_vertex(5, 10)
+                    c.set_load(c.config().machine_of_vertex(5), 10)
                 } else {
                     c.broadcast(8);
                     c.exchange(3);
@@ -772,7 +709,7 @@ mod tests {
                 }
             })?;
             c.gather(16)?;
-            c.free_vertex(5, 4);
+            c.set_load(c.config().machine_of_vertex(5), 6)?;
             c.set_load(0, 7)?;
             let _ = c.end_phase();
             Ok(())
@@ -796,7 +733,7 @@ mod tests {
     #[test]
     fn fork_starts_with_clean_scope_but_keeps_loads() {
         let mut c = ctx();
-        c.alloc(0, 12).unwrap();
+        c.set_load(0, 12).unwrap();
         c.begin_phase("outer");
         c.parallel([()], |(), c| {
             let mut fork = c.fork_for_branch();
@@ -826,7 +763,7 @@ mod tests {
         let master = MpcContext::new(cfg);
         let mut fork = master.fork_for_branch();
         fork.exchange(2);
-        let err = fork.alloc(1, 9);
+        let err = fork.set_load(1, 9);
         assert!(matches!(err, Err(MpcError::LocalMemoryExceeded { .. })));
         let log = fork.take_log();
         let mut replayed = master;
@@ -853,11 +790,12 @@ mod tests {
     }
 
     #[test]
-    fn vertex_alloc_routes_to_shard() {
+    fn vertex_load_routes_to_shard() {
         let mut c = MpcContext::new(MpcConfig::builder(100, 0.5).machines(10).build());
-        c.alloc_vertex(23, 4).unwrap();
+        c.set_load(c.config().machine_of_vertex(23), 4).unwrap();
         assert_eq!(c.load(3), 4);
-        c.free_vertex(23, 4);
+        assert_eq!(c.total_load(), 4);
+        c.set_load(c.config().machine_of_vertex(23), 0).unwrap();
         assert_eq!(c.load(3), 0);
     }
 }

@@ -623,7 +623,7 @@ mod tests {
         let audit = BatchAudit::begin(&ctx);
         ctx.exchange(5);
         ctx.exchange(2);
-        ctx.alloc(0, 20).unwrap(); // permissive violation
+        ctx.set_load(0, 20).unwrap(); // permissive violation
         let r = audit.finish("test", 4, 1, &ctx);
         assert_eq!(r.maintainer, "test");
         assert_eq!(r.updates, 4);

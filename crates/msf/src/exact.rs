@@ -343,7 +343,7 @@ impl ExactMsf {
         // order, so the tour's edge array is scanned once for all of
         // them (not once per candidate) and each edge's weight is
         // looked up at most once per pass — the membership test is
-        // Lemma 7.2's interval disjunction, evaluated per candidate.
+        // Lemma 7.2's `EdgeRec::on_path`, evaluated per candidate.
         let mut by_tour: BTreeMap<mpc_etf::TourId, Vec<usize>> = BTreeMap::new();
         for (i, we) in rest.iter().enumerate() {
             by_tour
@@ -361,25 +361,19 @@ impl ExactMsf {
                 })
                 .collect();
             for (pe, rec) in self.etf.tour_edges(tour) {
-                let (lo, hi) = rec.subtree_interval();
-                // Entries (lo-1, hi] are the subtree below `pe`; the
-                // edge is on a candidate's path iff it separates the
-                // candidate's endpoints.
                 let mut weighted: Option<WeightedEdge> = None;
-                for (&i, &((fu, lu), (fv, lv))) in cands.iter().zip(&spans) {
-                    let in_u = fu > lo - 1 && lu <= hi;
-                    let in_v = fv > lo - 1 && lv <= hi;
-                    if in_u == in_v {
+                for (&i, &(u, v)) in cands.iter().zip(&spans) {
+                    if !rec.on_path(u, v) {
                         continue;
                     }
-                    let on_path = *weighted.get_or_insert_with(|| WeightedEdge {
+                    let path_edge = *weighted.get_or_insert_with(|| WeightedEdge {
                         edge: pe,
                         weight: self.weights[&pe],
                     });
                     if heaviest[i]
-                        .is_none_or(|h| (on_path.weight, on_path.edge) > (h.weight, h.edge))
+                        .is_none_or(|h| (path_edge.weight, path_edge.edge) > (h.weight, h.edge))
                     {
-                        heaviest[i] = Some(on_path);
+                        heaviest[i] = Some(path_edge);
                     }
                 }
             }

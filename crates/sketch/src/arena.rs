@@ -220,6 +220,12 @@ impl Cell {
         fp: M61::ZERO,
     };
 
+    /// Number of `u64` memory words one cell occupies (for the MPC
+    /// memory accounting): value sum, two words of index sum, and the
+    /// fingerprint accumulator. The shared evaluation point is counted
+    /// once per sketch family, not per cell.
+    pub(crate) const WORDS: u64 = 4;
+
     /// Size of the [`Persist`](mpc_snapshot::Persist) encoding.
     const ENCODED_BYTES: usize = 32;
 
@@ -329,6 +335,16 @@ impl SketchArena {
     #[inline]
     pub fn family(&self, copy: usize) -> &SketchFamily {
         &self.families[copy]
+    }
+
+    /// Number of vertices the arena has a base entry for.
+    pub(crate) fn vertices(&self) -> usize {
+        self.base.len()
+    }
+
+    /// Number of materialized vertex blocks in the pool.
+    pub(crate) fn blocks(&self) -> usize {
+        self.live.len() / self.copies
     }
 
     /// Cells per vertex block.
@@ -757,6 +773,18 @@ impl mpc_snapshot::Persist for SketchArena {
                 arena.live_cells()
             ));
         }
+        // Each block belongs to exactly one vertex: two vertices on one
+        // block would write into each other's columns, and a block no
+        // vertex names would be carried forever.
+        let mut owned = vec![false; blocks];
+        for &b in arena.base.iter().filter(|&&b| b != UNMATERIALIZED) {
+            if std::mem::replace(&mut owned[b as usize], true) {
+                return corrupt(format!("two vertices share block {b}"));
+            }
+        }
+        if let Some(b) = owned.iter().position(|&o| !o) {
+            return corrupt(format!("block {b} belongs to no vertex"));
+        }
         arena.cells = vec![Cell::ZERO; arena.live.len() * levels];
         for (column, &mask) in arena.cells.chunks_exact_mut(levels).zip(&arena.live) {
             for level in set_bits(mask) {
@@ -981,10 +1009,18 @@ mod tests {
     fn each_structural_lie_is_its_own_corrupt_error() {
         // The honest baseline: one block, one live cell.
         assert!(load(&forged(64, &[0], &[1, 0], &[ONE])).is_ok());
-        let cases: [(Vec<u8>, &str); 8] = [
+        let cases: [(Vec<u8>, &str); 10] = [
             (forged(64, &[0], &[1, 0, 0], &[ONE]), "not a multiple of 2"),
             (forged(64, &[0], &[1 << 9, 0], &[ONE]), "at or past level 9"),
             (forged(64, &[1], &[1, 0], &[ONE]), "points past 1 blocks"),
+            (
+                forged(64, &[0, 0], &[1, 0], &[ONE]),
+                "two vertices share block 0",
+            ),
+            (
+                forged(64, &[0, UNMATERIALIZED], &[1, 0, 1, 0], &[ONE, ONE]),
+                "block 1 belongs to no vertex",
+            ),
             (forged(64, &[0], &[0b11, 0], &[ONE]), "cell run shorter"),
             (forged(64, &[0], &[1, 0], &[Cell::ZERO]), "zero cell under"),
             (forged(1 << 62, &[0], &[0, 0], &[]), "65 > 64 levels"),
@@ -1050,11 +1086,12 @@ mod tests {
         let sampler = L0Sampler::new(1 << 16, 42);
         assert_eq!(family.levels(), sampler.levels());
         for i in [0u64, 1, 999, 65535] {
-            let mut a = sampler.fresh();
-            let mut b = sampler.fresh();
-            a.update(i, 1);
-            L0Sampler::update_pair(&mut b, &mut sampler.fresh(), i, 1, -1);
-            assert_eq!(a, b, "index {i}");
+            assert_eq!(
+                family.level_of(i),
+                sampler.family().level_of(i),
+                "index {i}"
+            );
+            assert_eq!(family.term(i), sampler.family().term(i), "index {i}");
         }
     }
 

@@ -274,7 +274,10 @@ impl SketchBank {
     }
 }
 
-// By hand: `copies` and `words_per_vertex` are re-derived on load.
+// By hand: `copies` and `words_per_vertex` are re-derived on load,
+// and the bank's own words are checked against the arena they
+// describe: its vertex count, its index space `n²`, and one column
+// cost per materialized block.
 impl mpc_snapshot::Persist for SketchBank {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         w.put_usize(self.n);
@@ -285,15 +288,36 @@ impl mpc_snapshot::Persist for SketchBank {
         let n = r.take_usize()?;
         let arena = SketchArena::load(r)?;
         let words = r.take_u64()?;
+        let corrupt = |what: String| Err(mpc_snapshot::SnapshotError::Corrupt(what));
         if n == 0 {
-            return Err(mpc_snapshot::SnapshotError::Corrupt(
-                "sketch bank over an empty vertex set".into(),
+            return corrupt("sketch bank over an empty vertex set".into());
+        }
+        if n != arena.vertices() {
+            return corrupt(format!(
+                "sketch bank over {n} vertices holds an arena over {}",
+                arena.vertices()
             ));
         }
+        let edge_space = (n as u64).checked_mul(n as u64);
         let copies = arena.copies();
+        if let Some(f) = (0..copies)
+            .map(|c| arena.family(c))
+            .find(|f| Some(f.max_index()) != edge_space)
+        {
+            return corrupt(format!(
+                "sketch family over {} coordinates in a bank over {n} vertices",
+                f.max_index()
+            ));
+        }
         // The cached per-column cost is derived state, re-probed the
         // same way the constructor does.
         let words_per_vertex = VertexSketch::new(n, 0, 0).words() * copies as u64;
+        if words != arena.blocks() as u64 * words_per_vertex {
+            return corrupt(format!(
+                "sketch bank claims {words} words for {} blocks of {words_per_vertex}",
+                arena.blocks()
+            ));
+        }
         Ok(SketchBank {
             n,
             copies,
@@ -308,6 +332,7 @@ impl mpc_snapshot::Persist for SketchBank {
 mod tests {
     use super::*;
     use crate::vertex::EdgeSample;
+    use mpc_snapshot::{Persist, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
     #[test]
     fn lazy_materialization_costs_nothing_upfront() {
@@ -495,5 +520,70 @@ mod tests {
         let b = VertexSketch::new(64, 0, 124);
         assert_ne!(a, b);
         drop(bank);
+    }
+
+    /// One section's payload bytes, without the container around them.
+    fn payload(write: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(0);
+        w.begin_section("bank");
+        write(&mut w);
+        w.end_section();
+        let snap = Snapshot::from_bytes(&w.finish()).unwrap();
+        let mut r = snap.section("bank").unwrap();
+        r.take_bytes(r.remaining()).unwrap().to_vec()
+    }
+
+    /// Writes a bank section by hand — `n`, an arena, `words` — and
+    /// loads it back, requiring the payload to be consumed exactly.
+    fn reload(
+        n: usize,
+        arena: &SketchArena,
+        words: u64,
+    ) -> (Vec<u8>, Result<SketchBank, SnapshotError>) {
+        let bytes = payload(|w| {
+            w.put_usize(n);
+            arena.save(w);
+            w.put_u64(words);
+        });
+        let mut r = SnapshotReader::over("bank", &bytes);
+        let loaded = SketchBank::load(&mut r).and_then(|bank| r.expect_end().map(|()| bank));
+        (bytes, loaded)
+    }
+
+    /// A 6-vertex, 2-copy bank with three materialized vertices.
+    fn small_bank() -> SketchBank {
+        let mut bank = SketchBank::new(6, 2, 5);
+        bank.update_edges([(Edge::new(0, 3), 1), (Edge::new(3, 5), 1)]);
+        bank
+    }
+
+    #[test]
+    fn each_inconsistent_table_is_corrupt() {
+        let bank = small_bank();
+        // The honest section loads and saves back byte for byte.
+        let (bytes, loaded) = reload(6, bank.arena(), bank.words());
+        let loaded = loaded.expect("an honest bank loads");
+        assert_eq!(payload(|w| loaded.save(w)), bytes);
+        assert_eq!(payload(|w| bank.save(w)), bytes);
+        let cases = [
+            (
+                reload(7, bank.arena(), bank.words()).1,
+                "over 7 vertices holds an arena over 6",
+            ),
+            // Six vertices, but families over 64 coordinates, not 36.
+            (
+                reload(6, &SketchArena::new(6, 2, 64, 5), 0).1,
+                "family over 64 coordinates",
+            ),
+            (reload(6, bank.arena(), bank.words() + 1).1, "for 3 blocks"),
+        ];
+        for (loaded, expected) in cases {
+            match loaded {
+                Err(SnapshotError::Corrupt(what)) => {
+                    assert!(what.contains(expected), "{expected:?} not in {what:?}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
     }
 }

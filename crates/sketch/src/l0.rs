@@ -152,7 +152,7 @@ impl L0Sampler {
     /// dense layout, which is both what the model's machines budget
     /// for and (since the columnar refactor) the host layout itself.
     pub fn words(&self) -> u64 {
-        self.family.levels() as u64 * crate::one_sparse::OneSparseCell::WORDS + 2
+        self.family.levels() as u64 * Cell::WORDS + 2
     }
 
     /// Applies `X[index] += delta`.
@@ -173,39 +173,6 @@ impl L0Sampler {
         let level = self.family.level_of(index);
         let term = self.family.term(index);
         self.cells[level].apply(index as i128, delta, term);
-    }
-
-    /// Applies `X[index] += delta_a` to `a` and `X[index] += delta_b`
-    /// to `b`, which must belong to the same family: the level hash
-    /// and the fingerprint term are computed once and applied to both
-    /// — the fast path for edge updates, where the two endpoint
-    /// sketches of one copy always receive the same coordinate with
-    /// opposite signs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the families differ or `index` is out of range.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "documented \"# Panics\" precondition — the family fixes the index space at construction"
-    )]
-    pub fn update_pair(
-        a: &mut L0Sampler,
-        b: &mut L0Sampler,
-        index: u64,
-        delta_a: i64,
-        delta_b: i64,
-    ) {
-        assert!(
-            a.family.same_family(&b.family),
-            "pair update requires samplers of one family"
-        );
-        assert!(index < a.family.max_index(), "index {index} out of range");
-        let level = a.family.level_of(index);
-        let term = a.family.term(index);
-        let weighted = index as i128;
-        a.cells[level].apply(weighted, delta_a, term);
-        b.cells[level].apply(weighted, delta_b, term);
     }
 
     /// Merges a sampler of the same family (vector addition): one

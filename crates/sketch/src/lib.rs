@@ -3,9 +3,9 @@
 //! This crate implements the sketching toolkit of the paper's
 //! Section 3.1:
 //!
-//! * [`one_sparse::OneSparseCell`] — exact recovery of vectors with at
-//!   most one nonzero coordinate (count / index-sum / fingerprint
-//!   triple).
+//! * [`one_sparse::decode_parts`] — exact recovery of vectors with at
+//!   most one nonzero coordinate from one cell's count / index-sum /
+//!   fingerprint triple.
 //! * [`l0::L0Sampler`] — the `ℓ0`-sampler of Lemma 3.1
 //!   (\[CJ19\]): geometric sub-sampling levels, each holding a
 //!   one-sparse cell. On query it returns a (near-)uniform nonzero
@@ -118,5 +118,4 @@ pub use arena::{MergeScratch, SketchArena, SketchFamily};
 pub use bank::SketchBank;
 pub use kernels::KernelKind;
 pub use l0::{L0Sampler, SampleOutcome};
-pub use one_sparse::OneSparseCell;
 pub use vertex::VertexSketch;

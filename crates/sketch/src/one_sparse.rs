@@ -1,14 +1,15 @@
 //! One-sparse vector recovery.
 //!
-//! A [`OneSparseCell`] summarizes an integer vector `X` with three
-//! linear quantities: the value sum `Σ X_i`, the index-weighted sum
-//! `Σ i·X_i`, and a polynomial fingerprint. If `X` has exactly one
-//! nonzero coordinate the cell recovers it exactly; vectors that are
-//! not one-sparse are rejected with failure probability
-//! `≤ support(X) / (2^61 - 1)` (Schwartz–Zippel on the fingerprint).
+//! Every sampler level keeps one cell — the arena's interleaved
+//! `Cell` — summarizing an integer vector `X` with three linear
+//! quantities: the value sum `Σ X_i`, the index-weighted sum
+//! `Σ i·X_i`, and a polynomial fingerprint `Σ X_i · z^i`. If `X` has
+//! exactly one nonzero coordinate, [`decode_parts`] recovers it
+//! exactly; vectors that are not one-sparse are rejected with failure
+//! probability `≤ support(X) / (2^61 - 1)` (Schwartz–Zippel on the
+//! fingerprint).
 
 use mpc_hashing::field::M61;
-use mpc_hashing::fingerprint::Fingerprint;
 
 /// Decoded content of a one-sparse cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,105 +28,11 @@ pub enum OneSparseDecode {
     Many,
 }
 
-/// A linear summary that exactly recovers one-sparse vectors.
-///
-/// # Examples
-///
-/// ```
-/// use mpc_sketch::one_sparse::{OneSparseCell, OneSparseDecode};
-///
-/// let mut c = OneSparseCell::from_seed(7);
-/// c.update(99, -2);
-/// assert_eq!(
-///     c.decode(),
-///     OneSparseDecode::One { index: 99, weight: -2 }
-/// );
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OneSparseCell {
-    value_sum: i64,
-    index_sum: i128,
-    fingerprint: Fingerprint,
-}
-
-impl OneSparseCell {
-    /// Number of `u64` memory words one cell occupies (for the MPC
-    /// memory accounting): value sum, two words of index sum, and the
-    /// fingerprint accumulator. The shared evaluation point is counted
-    /// once per sketch family, not per cell.
-    pub const WORDS: u64 = 4;
-
-    /// Creates an empty cell with a seeded fingerprint family.
-    pub fn from_seed(seed: u64) -> Self {
-        OneSparseCell {
-            value_sum: 0,
-            index_sum: 0,
-            fingerprint: Fingerprint::from_seed(seed),
-        }
-    }
-
-    /// Creates an empty cell sharing this cell's fingerprint family.
-    pub fn fresh(&self) -> Self {
-        OneSparseCell {
-            value_sum: 0,
-            index_sum: 0,
-            fingerprint: self.fingerprint.fresh(),
-        }
-    }
-
-    /// Applies `X[index] += delta`.
-    pub fn update(&mut self, index: u64, delta: i64) {
-        self.value_sum += delta;
-        self.index_sum += index as i128 * delta as i128;
-        self.fingerprint.update(index, delta);
-    }
-
-    /// Applies `X[index] += delta` with a precomputed fingerprint
-    /// term `z^index` (the pair-update fast path).
-    pub fn update_with_term(&mut self, index: u64, delta: i64, term: mpc_hashing::field::M61) {
-        self.value_sum += delta;
-        self.index_sum += index as i128 * delta as i128;
-        self.fingerprint.apply_term(term, delta);
-    }
-
-    /// The fingerprint term `z^index` of this cell's family.
-    pub fn term(&self, index: u64) -> mpc_hashing::field::M61 {
-        self.fingerprint.term(index)
-    }
-
-    /// Merges another cell of the same family (vector addition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the families differ.
-    pub fn merge(&mut self, other: &OneSparseCell) {
-        self.value_sum += other.value_sum;
-        self.index_sum += other.index_sum;
-        self.fingerprint.merge(&other.fingerprint);
-    }
-
-    /// Whether every linear counter is zero (true zero vector, or an
-    /// astronomically unlikely fingerprint collision).
-    pub fn is_zero(&self) -> bool {
-        self.value_sum == 0 && self.index_sum == 0 && self.fingerprint.is_zero()
-    }
-
-    /// Decodes the cell.
-    pub fn decode(&self) -> OneSparseDecode {
-        decode_parts(
-            self.value_sum,
-            self.index_sum,
-            self.fingerprint.value(),
-            |index, weight| self.fingerprint.expected_one_sparse(index, weight),
-        )
-    }
-}
-
 /// Decodes a bare cell triple (the storage the columnar arena keeps
 /// per cell): the value sum, index-weighted sum, and fingerprint
 /// accumulator, with the family's expected-fingerprint oracle
-/// supplied by the caller. This is the one recovery routine shared by
-/// [`OneSparseCell::decode`] and every arena/scratch query path.
+/// supplied by the caller. This is the one recovery routine of every
+/// sampler column, arena column and merge scratch.
 pub fn decode_parts(
     value_sum: i64,
     index_sum: i128,
@@ -153,15 +60,45 @@ pub fn decode_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Cell;
+    use mpc_hashing::fingerprint::FingerprintFamily;
+
+    /// An arena cell with the family that fills it: the storage and
+    /// update routine every sampler level uses.
+    struct Level {
+        cell: Cell,
+        family: FingerprintFamily,
+    }
+
+    impl Level {
+        fn from_seed(seed: u64) -> Self {
+            Level {
+                cell: Cell::ZERO,
+                family: FingerprintFamily::from_seed(seed),
+            }
+        }
+
+        fn update(&mut self, index: u64, delta: i64) {
+            let term = self.family.term(index);
+            self.cell.apply(index as i128, delta, term);
+        }
+
+        fn decode(&self) -> OneSparseDecode {
+            let c = &self.cell;
+            decode_parts(c.value_sum, c.index_sum, c.fp, |i, w| {
+                self.family.expected_one_sparse(i, w)
+            })
+        }
+    }
 
     #[test]
     fn empty_decodes_zero() {
-        assert_eq!(OneSparseCell::from_seed(1).decode(), OneSparseDecode::Zero);
+        assert_eq!(Level::from_seed(1).decode(), OneSparseDecode::Zero);
     }
 
     #[test]
     fn single_update_recovered() {
-        let mut c = OneSparseCell::from_seed(2);
+        let mut c = Level::from_seed(2);
         c.update(7, 5);
         assert_eq!(
             c.decode(),
@@ -174,7 +111,7 @@ mod tests {
 
     #[test]
     fn negative_weight_recovered() {
-        let mut c = OneSparseCell::from_seed(3);
+        let mut c = Level::from_seed(3);
         c.update(0, -1);
         assert_eq!(
             c.decode(),
@@ -187,7 +124,7 @@ mod tests {
 
     #[test]
     fn cancellation_returns_to_zero() {
-        let mut c = OneSparseCell::from_seed(4);
+        let mut c = Level::from_seed(4);
         c.update(11, 1);
         c.update(12, 1);
         c.update(11, -1);
@@ -198,7 +135,7 @@ mod tests {
     #[test]
     fn two_sparse_rejected() {
         for seed in 0..16 {
-            let mut c = OneSparseCell::from_seed(seed);
+            let mut c = Level::from_seed(seed);
             c.update(3, 1);
             c.update(9, 1);
             assert_eq!(c.decode(), OneSparseDecode::Many, "seed {seed}");
@@ -209,7 +146,7 @@ mod tests {
     fn adversarial_index_mean_rejected() {
         // {3: +1, 9: +1} has value_sum 2, index_sum 12, candidate 6 —
         // only the fingerprint catches this.
-        let mut c = OneSparseCell::from_seed(5);
+        let mut c = Level::from_seed(5);
         c.update(3, 1);
         c.update(9, 1);
         assert!(matches!(c.decode(), OneSparseDecode::Many));
@@ -217,13 +154,12 @@ mod tests {
 
     #[test]
     fn merge_is_vector_addition() {
-        let base = OneSparseCell::from_seed(6);
-        let mut a = base.fresh();
-        let mut b = base.fresh();
+        let mut a = Level::from_seed(6);
+        let mut b = Level::from_seed(6);
         a.update(5, 2);
         b.update(5, -2);
         b.update(8, 1);
-        a.merge(&b);
+        a.cell.absorb(&b.cell);
         assert_eq!(
             a.decode(),
             OneSparseDecode::One {
@@ -235,19 +171,11 @@ mod tests {
 
     #[test]
     fn mixed_sign_cancel_to_one_sparse() {
-        let mut c = OneSparseCell::from_seed(7);
+        let mut c = Level::from_seed(7);
         // value_sum becomes 0 while vector is 2-sparse: must not be
         // decoded as Zero or One.
         c.update(2, 1);
         c.update(4, -1);
         assert_eq!(c.decode(), OneSparseDecode::Many);
-    }
-
-    #[test]
-    #[should_panic(expected = "different evaluation points")]
-    fn cross_family_merge_panics() {
-        let mut a = OneSparseCell::from_seed(8);
-        let b = OneSparseCell::from_seed(9);
-        a.merge(&b);
     }
 }

@@ -81,16 +81,6 @@ impl VertexSketch {
         self.vertex
     }
 
-    /// A zero sketch for vertex `v` in this sketch's family (shares
-    /// all seeded randomness; no re-seeding work).
-    pub fn fresh_for(&self, v: VertexId) -> VertexSketch {
-        VertexSketch {
-            n: self.n,
-            vertex: v,
-            inner: self.inner.fresh(),
-        }
-    }
-
     /// Memory footprint in `u64` words.
     pub fn words(&self) -> u64 {
         self.inner.words() + 1
@@ -138,30 +128,6 @@ impl VertexSketch {
         assert!(e.touches(self.vertex), "{e} not incident to sketch vertex");
         self.inner
             .update(e.index(self.n), -Self::sign(self.vertex, e));
-    }
-
-    /// Records an edge update in both endpoints' sketches of one
-    /// copy at once (`delta = +1` insert, `-1` delete): the level and
-    /// fingerprint term are computed once — the sketches share their
-    /// family — and applied with the endpoint signs.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `a` sketches `e.u()` and `b` sketches `e.v()` in
-    /// the same family.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "documented \"# Panics\" precondition — the pair's vertices are the edge's endpoints"
-    )]
-    pub fn update_edge_pair(a: &mut VertexSketch, b: &mut VertexSketch, e: Edge, delta: i64) {
-        assert_eq!(
-            (a.vertex, b.vertex),
-            (e.u(), e.v()),
-            "pair update endpoints must match the edge"
-        );
-        let index = e.index(a.n);
-        // Sign convention: the larger endpoint (v) carries +1.
-        L0Sampler::update_pair(&mut b.inner, &mut a.inner, index, delta, -delta);
     }
 
     /// Merges another vertex's sketch (same seed family): the result

@@ -154,8 +154,8 @@ proptest! {
     }
 
     /// Euler-tour forests stay intrinsically valid under arbitrary
-    /// single-op sequences, and identify_path equals the unique tree
-    /// path computed by BFS.
+    /// single-op sequences, and the edges `EdgeRec::on_path` selects
+    /// are the unique tree path computed by BFS.
     #[test]
     fn etf_ops_stay_valid(ops in proptest::collection::vec((0u32..16, 0u32..16, any::<bool>()), 1..40)) {
         let n = 16usize;
@@ -174,7 +174,7 @@ proptest! {
             }
             validate(&etf).expect("valid after op");
         }
-        // Check identify_path against BFS on the forest.
+        // Check the path test against BFS on the forest.
         let adj = {
             let mut adj = vec![Vec::new(); n];
             for e in &live {
@@ -186,7 +186,12 @@ proptest! {
         for u in 0..n as u32 {
             for v in 0..n as u32 {
                 if u < v && etf.tour_of(u) == etf.tour_of(v) {
-                    let mut path = etf.identify_path(u, v, &mut ctx);
+                    let (fu, fv) = (etf.f_l(u), etf.f_l(v));
+                    let mut path: Vec<Edge> = etf
+                        .tour_edges(etf.tour_of(u))
+                        .filter(|(_, r)| r.on_path(fu, fv))
+                        .map(|(e, _)| e)
+                        .collect();
                     path.sort();
                     let mut expect = bfs_path(&adj, u, v);
                     expect.sort();

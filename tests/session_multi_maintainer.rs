@@ -395,7 +395,7 @@ impl Maintain for Hog {
 
     fn ingest(&mut self, batch: &Batch, ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
         ctx.exchange(batch.len() as u64);
-        ctx.alloc(0, self.alloc)?;
+        ctx.set_load(0, ctx.load(0) + self.alloc)?;
         Ok(())
     }
 
