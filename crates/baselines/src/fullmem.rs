@@ -167,10 +167,6 @@ impl FullMemoryBaseline {
 }
 
 impl mpc_stream_core::Maintain for FullMemoryBaseline {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         "fullmem-baseline"
     }
@@ -184,16 +180,6 @@ impl mpc_stream_core::Maintain for FullMemoryBaseline {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(
-            query,
-            QueryRequest::Connected(..)
-                | QueryRequest::ComponentOf(..)
-                | QueryRequest::ComponentCount
-        )
-    }
-
     /// Recompute-on-read, like the stored-graph regimes the paper
     /// compares against: every connectivity answer pays the measured
     /// label-propagation rounds at `Θ(m)` words per round.
@@ -201,32 +187,9 @@ impl mpc_stream_core::Maintain for FullMemoryBaseline {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
-        use mpc_stream_core::{ensure_vertex_in, QueryRequest, QueryResponse};
-        match *query {
-            QueryRequest::Connected(u, v) => {
-                ensure_vertex_in(u.max(v), self.n)?;
-                let labels = self.query_components(ctx);
-                Ok(QueryResponse::Bool(
-                    labels[u as usize] == labels[v as usize],
-                ))
-            }
-            QueryRequest::ComponentOf(v) => {
-                ensure_vertex_in(v, self.n)?;
-                let labels = self.query_components(ctx);
-                Ok(QueryResponse::Vertex(labels[v as usize]))
-            }
-            QueryRequest::ComponentCount => {
-                let labels = self.query_components(ctx);
-                Ok(QueryResponse::Count(
-                    mpc_stream_core::canonical_component_count(&labels),
-                ))
-            }
-            _ => Err(mpc_stream_core::unsupported_query(
-                "fullmem-baseline",
-                query,
-            )),
-        }
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
+        let n = self.n;
+        crate::answer_recomputed(query, n, ctx, |ctx| self.query_components(ctx))
     }
 }
 

@@ -36,9 +36,36 @@ pub use fullmem::FullMemoryBaseline;
 /// `fullmem-baseline` — into a
 /// [`MaintainerRegistry`](mpc_stream_core::MaintainerRegistry).
 pub fn register_snapshot_loaders(reg: &mut mpc_stream_core::MaintainerRegistry) {
-    use mpc_snapshot::Persist;
-    reg.register("agm-baseline", |r| Ok(Box::new(AgmBaseline::load(r)?)));
-    reg.register("fullmem-baseline", |r| {
-        Ok(Box::new(FullMemoryBaseline::load(r)?))
-    });
+    use mpc_stream_core::load_boxed;
+    reg.register("agm-baseline", load_boxed::<AgmBaseline>);
+    reg.register("fullmem-baseline", load_boxed::<FullMemoryBaseline>);
+}
+
+/// The recompute-on-read answers both baselines give to the three
+/// connectivity questions (Section 2.1): every answer, point queries
+/// included, pays the full relabelling `components` charges, where a
+/// maintained labelling answers in `O(1)` rounds
+/// ([`mpc_stream_core::answer_maintained`]). Vertex arguments are
+/// checked against `[0, n)` before anything is charged; `None` (no
+/// charge) for every other question.
+fn answer_recomputed(
+    query: &mpc_stream_core::QueryRequest,
+    n: usize,
+    ctx: &mut mpc_sim::MpcContext,
+    components: impl FnOnce(&mut mpc_sim::MpcContext) -> Vec<mpc_graph::ids::VertexId>,
+) -> Option<Result<mpc_stream_core::QueryResponse, mpc_sim::MpcStreamError>> {
+    use mpc_stream_core::{ensure_vertex_in, QueryRequest, QueryResponse};
+    Some(match *query {
+        QueryRequest::Connected(u, v) => ensure_vertex_in(u.max(v), n).map(|()| {
+            let labels = components(ctx);
+            QueryResponse::Bool(labels[u as usize] == labels[v as usize])
+        }),
+        QueryRequest::ComponentOf(v) => {
+            ensure_vertex_in(v, n).map(|()| QueryResponse::Vertex(components(ctx)[v as usize]))
+        }
+        QueryRequest::ComponentCount => Ok(QueryResponse::Count(
+            mpc_stream_core::canonical_component_count(&components(ctx)),
+        )),
+        _ => return None,
+    })
 }

@@ -229,26 +229,6 @@ impl Connectivity {
         Ok(conn)
     }
 
-    /// Counts components with the model's reporting mechanism
-    /// (Section 1.1: "reporting the connected components can be
-    /// easily done by sorting the labels"), charging the
-    /// constant-round sort. Equals [`Connectivity::component_count`].
-    pub fn query_component_count(&self, ctx: &mut MpcContext) -> usize {
-        ctx.sort(self.n as u64);
-        self.component_count()
-    }
-
-    /// Emits the spanning forest in the model's output placement
-    /// (Section 1.2: the solution's edges are sorted onto the first
-    /// `Õ(n/s)` machines) and charges the constant-round sort this
-    /// costs. The returned edges equal
-    /// [`Connectivity::spanning_forest`].
-    pub fn query_spanning_forest(&self, ctx: &mut MpcContext) -> Vec<Edge> {
-        let forest = self.spanning_forest();
-        ctx.sort(2 * forest.len() as u64);
-        forest
-    }
-
     // ----- updates -------------------------------------------------
 
     /// Processes one update batch in `O(1/φ)` rounds (Theorem 6.7).
@@ -688,6 +668,7 @@ mpc_snapshot::persist_struct!(Connectivity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Maintain, QueryRequest, QueryResponse};
     use mpc_etf::tour::validate;
     use mpc_graph::gen;
     use mpc_graph::oracle;
@@ -962,9 +943,12 @@ mod tests {
         )
         .unwrap();
         ctx.begin_phase("count");
-        let count = conn.query_component_count(&mut ctx);
+        let count = Maintain::answer(&mut conn, &QueryRequest::ComponentCount, &mut ctx);
         let r = ctx.end_phase();
-        assert_eq!(count, conn.component_count());
+        assert_eq!(
+            count,
+            Some(Ok(QueryResponse::Count(conn.component_count() as u64)))
+        );
         assert!(r.rounds >= 1);
     }
 
@@ -1062,9 +1046,13 @@ mod tests {
         )
         .unwrap();
         ctx.begin_phase("query");
-        let forest = conn.query_spanning_forest(&mut ctx);
+        let forest = Maintain::answer(&mut conn, &QueryRequest::SpanningForest, &mut ctx);
         let r = ctx.end_phase();
-        assert_eq!(forest.len(), 8);
+        assert_eq!(
+            forest,
+            Some(Ok(QueryResponse::Edges(conn.spanning_forest())))
+        );
+        assert_eq!(conn.spanning_forest().len(), 8);
         assert!(r.rounds >= 1 && r.rounds <= ctx.config().round_budget_per_primitive() + 3);
     }
 

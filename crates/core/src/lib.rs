@@ -124,11 +124,14 @@ pub mod streaming;
 pub mod vertex_dynamic;
 
 pub use connectivity::{Connectivity, ConnectivityConfig};
-pub use query::{canonical_component_count, unsupported_query, QueryRequest, QueryResponse};
+pub use query::{
+    answer_maintained, canonical_component_count, unsupported_query, QueryRequest, QueryResponse,
+};
 pub use robust::RobustConnectivity;
 pub use session::{
-    ensure_endpoints_in, ensure_vertex_in, route_batch, simple_graph_in, CheckpointReceipt, Handle,
-    Maintain, MaintainerId, MaintainerLoader, MaintainerRegistry, Session,
+    ensure_endpoints_in, ensure_vertex_in, load_boxed, route_batch, simple_graph_in,
+    CheckpointReceipt, Handle, Maintain, MaintainerId, MaintainerLoader, MaintainerRegistry,
+    SaveState, Session,
 };
 pub use streaming::StreamingConnectivity;
 pub use vertex_dynamic::VertexDynamicConnectivity;

@@ -5,12 +5,10 @@
 //! cut bounds — and treats answering as a protocol phase with a round
 //! cost, not a host-side peek. [`QueryRequest`] names those questions
 //! once for every maintainer; [`QueryResponse`] carries the answers.
-//! A maintainer opts into the queries it can answer by overriding
-//! [`Maintain::answer`](crate::Maintain::answer) and charging the
-//! answer's rounds and communication through the [`MpcContext`](
-//! mpc_sim::MpcContext) it is handed; everything else reports
-//! [`MpcStreamError::Unsupported`](mpc_sim::MpcStreamError) without
-//! touching the context.
+//! A maintainer's [`Maintain::answer`](crate::Maintain::answer) is the
+//! one place its vocabulary is written: the questions it answers,
+//! charging their rounds and communication through the [`MpcContext`],
+//! and `None` for the rest, with the context untouched.
 //!
 //! The design rule for charges: structures that *maintain* their
 //! solution (the paper's contribution) answer in `O(1)` rounds —
@@ -20,15 +18,18 @@
 //! the labels"). Recompute-on-read structures (the baselines, the
 //! dynamic k-connectivity peel) pay their genuine `Θ(log n)` or
 //! `Θ(k log n)` recomputation rounds. The asymmetry is the point of
-//! the comparison, and the query plane makes it measurable.
+//! the comparison, and the query plane makes it measurable: every
+//! maintained labelling answers the four connectivity questions
+//! through [`answer_maintained`].
 
+use crate::session::ensure_vertex_in;
 use mpc_graph::ids::{Edge, VertexId};
-use mpc_sim::MpcStreamError;
+use mpc_sim::{MpcContext, MpcStreamError};
 
-/// The uniform "this maintainer cannot serve this query" error every
-/// [`Maintain::answer`](crate::Maintain::answer) implementation
-/// returns for queries outside its vocabulary — *before* charging
-/// anything, so `Session::ask_all` skips non-supporters for free.
+/// The uniform "this maintainer cannot serve this query" error:
+/// what `Session::ask` returns when a maintainer's
+/// [`Maintain::answer`](crate::Maintain::answer) declines (returns
+/// `None`).
 pub fn unsupported_query(maintainer: &str, query: &QueryRequest) -> MpcStreamError {
     MpcStreamError::Unsupported(format!("{maintainer} cannot answer {query}"))
 }
@@ -45,11 +46,52 @@ pub fn canonical_component_count(labels: &[VertexId]) -> u64 {
         .count() as u64
 }
 
+/// The maintained-solution answers to the four connectivity questions,
+/// read off a canonical labelling: `Connected` and `ComponentOf`
+/// route the question to the vertex's shard and the answer back (one
+/// exchange), `ComponentCount` sorts the labels (Section 1.1) and
+/// `SpanningForest` sorts the forest's edges into the output
+/// placement (Section 1.2). `forest` runs only for that question.
+/// `None`, with `ctx` untouched, for every other question.
+///
+/// # Errors
+///
+/// [`MpcStreamError::InvalidBatch`] for a vertex outside the
+/// labelling, before any charge.
+pub fn answer_maintained(
+    query: &QueryRequest,
+    labels: &[VertexId],
+    forest: impl FnOnce() -> Vec<Edge>,
+    ctx: &mut MpcContext,
+) -> Option<Result<QueryResponse, MpcStreamError>> {
+    Some(match *query {
+        QueryRequest::Connected(u, v) => ensure_vertex_in(u.max(v), labels.len()).map(|()| {
+            ctx.exchange(2);
+            QueryResponse::Bool(labels[u as usize] == labels[v as usize])
+        }),
+        QueryRequest::ComponentOf(v) => ensure_vertex_in(v, labels.len()).map(|()| {
+            ctx.exchange(2);
+            QueryResponse::Vertex(labels[v as usize])
+        }),
+        QueryRequest::ComponentCount => {
+            ctx.sort(labels.len() as u64);
+            Ok(QueryResponse::Count(canonical_component_count(labels)))
+        }
+        QueryRequest::SpanningForest => {
+            let forest = forest();
+            ctx.sort(2 * forest.len() as u64);
+            Ok(QueryResponse::Edges(forest))
+        }
+        _ => return None,
+    })
+}
+
 /// A typed question against a maintainer's current state.
 ///
 /// Not every maintainer answers every query; `Session::ask_all`
-/// fans a request to every maintainer that supports it, and
-/// `Session::ask` returns `Unsupported` for the rest.
+/// fans a request to every maintainer and collects the answers, and
+/// `Session::ask` returns `Unsupported` for a question outside the
+/// maintainer's vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryRequest {
     /// Are `u` and `v` in the same connected component?

@@ -41,11 +41,14 @@
 //! # Query charging
 //!
 //! [`Session::ask`] routes a [`QueryRequest`] to one maintainer;
-//! [`Session::ask_all`] fans it to every maintainer that supports it
-//! (the rest answer `Unsupported` without charging), with rounds
+//! [`Session::ask_all`] fans it to every maintainer, with rounds
 //! composing by max across the fan-out — the cross-checking mode for
-//! running a maintainer against its baselines on one cluster. Every
-//! answer is charged on the session's cluster and receipted as a
+//! running a maintainer against its baselines on one cluster.
+//! [`Maintain::answer`] alone decides support: a maintainer declines by
+//! returning `None` before charging anything, `ask` reports the decline
+//! as `Unsupported`, `ask_all` skips it, and a decline that did charge
+//! is an error. Every answer is
+//! charged on the session's cluster and receipted as a
 //! [`QueryReport`]; the [`SessionStats::per_maintainer`] breakdown
 //! separates ingest rounds from query rounds, which is exactly where
 //! the maintained-solution vs recompute-on-read asymmetry (paper
@@ -71,10 +74,10 @@
 //! session is serial. There is **one fan-out skeleton** — chunk
 //! ingest and [`Session::ask_all`] are the same function with a
 //! different job — and it is the session's one
-//! [`MpcContext::parallel`] composition, one branch per selected
-//! maintainer in registration order. Each branch audits itself, runs
-//! its job on the calling thread directly against the master context,
-//! and settles the report into the rollup; `parallel` closes the
+//! [`MpcContext::parallel`] composition, one branch per maintainer in
+//! registration order. Each branch audits itself, runs its job on the
+//! calling thread directly against the master context, and settles
+//! the report into the rollup; `parallel` closes the
 //! branch, and the scope on the first `Err` too. No library code
 //! starts a thread, so every answer and every charge is a function of
 //! the configuration, the seeds and the stream alone.
@@ -92,8 +95,10 @@
 //! banks, Euler-tour shards, per-copy randomness seeds) — into one
 //! `mpc-snapshot` container, and [`Session::restore`] rebuilds it
 //! through a [`MaintainerRegistry`] mapping each [`Maintain::name`]
-//! to its decoder. Three contracts make the checkpoint a *true*
-//! suspend point rather than an approximate save:
+//! to its decoder. A maintainer's saved state is its [`Persist`]
+//! encoding ([`SaveState`]), and its decoder is [`load_boxed`]. Three
+//! contracts make the checkpoint a *true* suspend point rather than an
+//! approximate save:
 //!
 //! * **Host-side, zero charged rounds.** Checkpointing is an
 //!   operational concern of the simulation host, not a protocol phase
@@ -151,7 +156,7 @@
 //! ```
 
 use crate::connectivity::Connectivity;
-use crate::query::{canonical_component_count, unsupported_query, QueryRequest, QueryResponse};
+use crate::query::{answer_maintained, unsupported_query, QueryRequest, QueryResponse};
 use crate::robust::RobustConnectivity;
 use crate::streaming::StreamingConnectivity;
 use crate::vertex_dynamic::VertexDynamicConnectivity;
@@ -184,8 +189,10 @@ use std::path::Path;
 /// downcast internally, where handle provenance makes it infallible).
 /// The `Send` supertrait keeps [`Session`] `Send`, so a caller may
 /// move a whole session to another thread; maintainers are plain
-/// owned state, so this is free.
-pub trait Maintain: Any + Send {
+/// owned state, so this is free. The [`SaveState`] supertrait is the
+/// save half of [`Session::checkpoint`]; every shipped maintainer gets
+/// it from its [`Persist`] impl.
+pub trait Maintain: Any + Send + SaveState {
     /// A short stable name for reports and diagnostics.
     fn name(&self) -> &'static str;
 
@@ -238,57 +245,68 @@ pub trait Maintain: Any + Send {
 
     /// Answers a typed [`QueryRequest`] against the current state,
     /// charging the answer's rounds and communication through `ctx` —
-    /// the read-side counterpart of [`Maintain::ingest`].
+    /// the read-side counterpart of [`Maintain::ingest`], and the one
+    /// place a maintainer's query vocabulary is written.
     ///
-    /// Implementors must decide support *before* charging: a query
-    /// this maintainer cannot serve returns
-    /// [`MpcStreamError::Unsupported`] with the context untouched
-    /// (that is what lets [`Session::ask_all`] skip non-supporting
-    /// maintainers for free). Supported answers must charge at least
-    /// the rounds of routing the question and the answer — maintained
-    /// solutions answer in `O(1)` rounds, recompute-on-read
-    /// structures pay their genuine recomputation.
+    /// A query outside this maintainer's vocabulary returns `None`
+    /// *before* anything is charged: [`Session::ask`] reports it as
+    /// [`MpcStreamError::Unsupported`], and [`Session::ask_all`] asks
+    /// every maintainer, skips a `None` that left the context's rounds
+    /// and words unchanged, and fails with [`MpcStreamError::Internal`]
+    /// on one that did not. Answers must charge at least the rounds of
+    /// routing the question and the answer — maintained solutions
+    /// answer in `O(1)` rounds ([`answer_maintained`]),
+    /// recompute-on-read structures pay their genuine recomputation.
     ///
     /// # Errors
     ///
-    /// [`MpcStreamError::Unsupported`] for queries outside this
-    /// maintainer's vocabulary; [`MpcStreamError::InvalidBatch`] for
-    /// malformed arguments (e.g. an out-of-range vertex); any other
-    /// variant as the answering protocol requires.
+    /// `Some(Err(_))`: [`MpcStreamError::InvalidBatch`] for malformed
+    /// arguments (e.g. an out-of-range vertex); any other variant as
+    /// the answering protocol requires.
     fn answer(
         &mut self,
         query: &QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<QueryResponse, MpcStreamError>;
+    ) -> Option<Result<QueryResponse, MpcStreamError>>;
+}
 
-    /// Whether [`Maintain::answer`] can serve this query — the
-    /// charge-free support probe [`Session::ask_all`] consults
-    /// *before* opening the maintainer's branch, so non-supporters
-    /// never enter the fan-out at all (they are skipped, not charged).
-    ///
-    /// Must agree with [`Maintain::answer`]: `supports` returning
-    /// `false` for a query `answer` would serve makes `ask_all` miss
-    /// that maintainer.
-    fn supports(&self, query: &QueryRequest) -> bool;
-
-    /// Serializes this maintainer's complete accumulated state into
-    /// the writer's open section — the save half of the
-    /// checkpoint/restore contract ([`Session::checkpoint`]).
-    ///
-    /// Implementations delegate to the type's
-    /// [`Persist`] impl; the load half is a
-    /// [`MaintainerLoader`] registered under this maintainer's
-    /// [`Maintain::name`] in a [`MaintainerRegistry`]. The pair must
-    /// round-trip: restoring what `save_state` wrote yields a
-    /// maintainer that answers, samples, and accounts bit-identically
-    /// to the original from that point on.
+/// The save half of the checkpoint/restore contract
+/// ([`Session::checkpoint`]): serializes a maintainer's complete
+/// accumulated state into the writer's open section.
+///
+/// Every [`Persist`] type has it as its `Persist::save`; the load half
+/// is [`load_boxed`], registered under the maintainer's
+/// [`Maintain::name`] in a [`MaintainerRegistry`]. The pair must
+/// round-trip: restoring what `save_state` wrote yields a maintainer
+/// that answers, samples, and accounts bit-identically to the original
+/// from that point on.
+pub trait SaveState {
+    /// Writes the state into `w`'s open section.
     fn save_state(&self, w: &mut SnapshotWriter);
 }
 
+impl<T: Persist> SaveState for T {
+    fn save_state(&self, w: &mut SnapshotWriter) {
+        self.save(w);
+    }
+}
+
 /// Decodes one maintainer's state from its snapshot section — the
-/// restore half of [`Maintain::save_state`], registered per
+/// restore half of [`SaveState::save_state`], registered per
 /// maintainer kind in a [`MaintainerRegistry`].
 pub type MaintainerLoader = fn(&mut SnapshotReader<'_>) -> Result<Box<dyn Maintain>, SnapshotError>;
+
+/// The [`MaintainerLoader`] of a [`Persist`] maintainer: its
+/// `Persist::load`, boxed. Register it as `load_boxed::<M>`.
+///
+/// # Errors
+///
+/// Whatever `M::load` reports for a malformed section.
+pub fn load_boxed<M: Maintain + Persist>(
+    r: &mut SnapshotReader<'_>,
+) -> Result<Box<dyn Maintain>, SnapshotError> {
+    Ok(Box::new(M::load(r)?))
+}
 
 /// Maps [`Maintain::name`] strings to their snapshot decoders.
 ///
@@ -315,16 +333,16 @@ impl MaintainerRegistry {
     /// `robust-connectivity`, and `vertex-dynamic-connectivity`.
     pub fn core() -> Self {
         let mut reg = Self::new();
-        reg.register("connectivity", |r| Ok(Box::new(Connectivity::load(r)?)));
-        reg.register("streaming-connectivity", |r| {
-            Ok(Box::new(StreamingConnectivity::load(r)?))
-        });
-        reg.register("robust-connectivity", |r| {
-            Ok(Box::new(RobustConnectivity::load(r)?))
-        });
-        reg.register("vertex-dynamic-connectivity", |r| {
-            Ok(Box::new(VertexDynamicConnectivity::load(r)?))
-        });
+        reg.register("connectivity", load_boxed::<Connectivity>);
+        reg.register(
+            "streaming-connectivity",
+            load_boxed::<StreamingConnectivity>,
+        );
+        reg.register("robust-connectivity", load_boxed::<RobustConnectivity>);
+        reg.register(
+            "vertex-dynamic-connectivity",
+            load_boxed::<VertexDynamicConnectivity>,
+        );
         reg
     }
 
@@ -689,7 +707,10 @@ impl Session {
             .ok_or_else(|| MpcStreamError::Internal(format!("no maintainer with id {id}")))?;
         let rounds = self.ctx.stats().rounds;
         let words = self.ctx.stats().words_communicated;
-        let response = m.answer(query, &mut self.ctx)?;
+        let Some(response) = m.answer(query, &mut self.ctx) else {
+            return Err(unsupported_query(m.name(), query));
+        };
+        let response = response?;
         let report = QueryReport {
             maintainer: m.name(),
             query: query.to_string(),
@@ -702,27 +723,27 @@ impl Session {
         Ok(response)
     }
 
-    /// Fans a [`QueryRequest`] to **every** maintainer that supports
-    /// it, in a parallel scope — the maintainers answer on their
-    /// disjoint machine groups, so the fan-out costs the *maximum*
-    /// answerer's rounds while all communication is accounted. This
-    /// is the cross-checking mode: one call compares a maintainer's
-    /// answer against its baselines on one accounted cluster.
+    /// Fans a [`QueryRequest`] to **every** maintainer, in a parallel
+    /// scope — the maintainers answer on their disjoint machine groups,
+    /// so the fan-out costs the *maximum* answerer's rounds while all
+    /// communication is accounted. This is the cross-checking mode:
+    /// one call compares a maintainer's answer against its baselines
+    /// on one accounted cluster.
     ///
     /// Returns `(id, response)` pairs in registration order, one per
-    /// supporting maintainer (empty if none support the query); the
+    /// answering maintainer (empty if none answers the query); the
     /// per-answer receipts are in [`Session::query_reports`].
     ///
-    /// Support is decided by [`Maintain::supports`] *before* the
-    /// maintainer's branch opens: a non-supporting maintainer is never
-    /// invoked, never charged, and never gets a branch — the
-    /// "non-supporters are free" contract holds even for a maintainer
-    /// whose `answer` would (incorrectly) charge before declining.
+    /// Each maintainer's [`Maintain::answer`] decides: a decline
+    /// (`None`) that charged nothing is skipped — no answer, no
+    /// receipt, no per-maintainer count, and a branch that adds nothing
+    /// to the max-composed rounds.
     ///
     /// # Errors
     ///
-    /// The first *real* failure (anything but `Unsupported`) aborts
-    /// the fan-out.
+    /// The first failing answer aborts the fan-out; a decline that
+    /// charged the context first is [`MpcStreamError::Internal`] naming
+    /// the maintainer.
     pub fn ask_all(
         &mut self,
         query: &QueryRequest,
@@ -732,13 +753,17 @@ impl Session {
         let mut responses = Vec::new();
         let mut reports = Vec::new();
         let outcome = self.fan_out(
-            |m| m.supports(query),
-            // Defensive: a claimed supporter that still declines is
-            // treated as free (its contract says ctx is untouched).
-            |m, ctx| match m.answer(query, ctx) {
-                Ok(response) => Ok(Some(response)),
-                Err(MpcStreamError::Unsupported(_)) => Ok(None),
-                Err(e) => Err(e),
+            |m, ctx| {
+                let charged = |ctx: &MpcContext| (ctx.rounds(), ctx.stats().words_communicated);
+                let before = charged(ctx);
+                match m.answer(query, ctx) {
+                    Some(answer) => answer.map(Some),
+                    None if charged(ctx) == before => Ok(None),
+                    None => Err(MpcStreamError::Internal(format!(
+                        "{} charged before declining {query}",
+                        m.name()
+                    ))),
+                }
             },
             |stats, id, measured, response| {
                 if let Some(response) = response {
@@ -1022,7 +1047,6 @@ impl Session {
         // stats, but the session rollup only counts chunks every
         // maintainer ingested.
         self.fan_out(
-            |_| true,
             |m, ctx| {
                 let l0_before = m.l0_failures();
                 chunk.ingest_into(m, ctx)?;
@@ -1047,27 +1071,19 @@ impl Session {
     /// The fan-out skeleton — the session's one
     /// [`MpcContext::parallel`] composition (rounds by max, words by
     /// sum), for chunk ingest and [`Session::ask_all`] alike. Each
-    /// maintainer that `select` accepts is one branch, in registration
-    /// order: audit, run `job` inline against the master context,
-    /// `settle` the measured branch (a [`BatchReport`] whose
-    /// job-specific `updates` / `l0_failures` are left zero) into the
-    /// rollup. `select` is consulted just before a maintainer's branch
-    /// would open, so a rejected maintainer never gets one. The first
-    /// failing branch keeps its partial charges and aborts the fan-out;
-    /// the maintainers behind it are neither consulted nor run.
+    /// maintainer is one branch, in registration order: audit, run
+    /// `job` inline against the master context, `settle` the measured
+    /// branch (a [`BatchReport`] whose job-specific `updates` /
+    /// `l0_failures` are left zero) into the rollup. The first failing
+    /// branch keeps its partial charges and aborts the fan-out; the
+    /// maintainers behind it never run.
     fn fan_out<T>(
         &mut self,
-        select: impl Fn(&dyn Maintain) -> bool,
         job: impl Fn(&mut dyn Maintain, &mut MpcContext) -> Result<T, MpcStreamError>,
         mut settle: impl FnMut(&mut SessionStats, MaintainerId, BatchReport, T),
     ) -> Result<(), MpcStreamError> {
-        self.ctx.parallel(
-            self.maintainers
-                .iter_mut()
-                .enumerate()
-                // Skipped before the branch opens: free by construction.
-                .filter(|(_, m)| select(m.as_ref())),
-            |(id, m), ctx| {
+        self.ctx
+            .parallel(self.maintainers.iter_mut().enumerate(), |(id, m), ctx| {
                 let audit = BatchAudit::begin(ctx);
                 let value = job(m.as_mut(), ctx)?;
                 settle(
@@ -1077,8 +1093,7 @@ impl Session {
                     value,
                 );
                 Ok(())
-            },
-        )
+            })
     }
 
     /// Audits every maintainer's standing state against **its own**
@@ -1356,48 +1371,15 @@ impl Maintain for Connectivity {
         self.apply_batch(batch, ctx)
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        Persist::save(self, w);
-    }
-
-    fn supports(&self, query: &QueryRequest) -> bool {
-        matches!(
-            query,
-            QueryRequest::Connected(..)
-                | QueryRequest::ComponentOf(..)
-                | QueryRequest::ComponentCount
-                | QueryRequest::SpanningForest
-        )
-    }
-
-    /// Maintained solution ⇒ `O(1)`-round answers: point queries
-    /// route the question to the vertex shard and the answer back
-    /// (one exchange); whole-solution reports charge the paper's
-    /// output sort (Section 1.1).
+    /// Maintained solution ⇒ `O(1)`-round answers
+    /// ([`answer_maintained`]).
     fn answer(
         &mut self,
         query: &QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<QueryResponse, MpcStreamError> {
-        match *query {
-            QueryRequest::Connected(u, v) => {
-                ensure_vertex_in(u.max(v), self.vertex_count())?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Bool(self.connected(u, v)))
-            }
-            QueryRequest::ComponentOf(v) => {
-                ensure_vertex_in(v, self.vertex_count())?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Vertex(self.component_of(v)))
-            }
-            QueryRequest::ComponentCount => {
-                Ok(QueryResponse::Count(self.query_component_count(ctx) as u64))
-            }
-            QueryRequest::SpanningForest => {
-                Ok(QueryResponse::Edges(self.query_spanning_forest(ctx)))
-            }
-            _ => Err(unsupported_query(Maintain::name(self), query)),
-        }
+    ) -> Option<Result<QueryResponse, MpcStreamError>> {
+        let forest = || self.spanning_forest();
+        answer_maintained(query, self.component_labels(), forest, ctx)
     }
 }
 
@@ -1427,20 +1409,6 @@ impl Maintain for StreamingConnectivity {
         Ok(())
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        Persist::save(self, w);
-    }
-
-    fn supports(&self, query: &QueryRequest) -> bool {
-        matches!(
-            query,
-            QueryRequest::Connected(..)
-                | QueryRequest::ComponentOf(..)
-                | QueryRequest::ComponentCount
-                | QueryRequest::SpanningForest
-        )
-    }
-
     /// Same maintained-solution charges as `Connectivity` (the
     /// Section 4 reference maintains labels and forest too; only its
     /// *update* path is sequential).
@@ -1448,31 +1416,9 @@ impl Maintain for StreamingConnectivity {
         &mut self,
         query: &QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<QueryResponse, MpcStreamError> {
-        match *query {
-            QueryRequest::Connected(u, v) => {
-                ensure_vertex_in(u.max(v), self.vertex_count())?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Bool(self.connected(u, v)))
-            }
-            QueryRequest::ComponentOf(v) => {
-                ensure_vertex_in(v, self.vertex_count())?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Vertex(self.component_of(v)))
-            }
-            QueryRequest::ComponentCount => {
-                ctx.sort(self.vertex_count() as u64);
-                Ok(QueryResponse::Count(canonical_component_count(
-                    self.component_labels(),
-                )))
-            }
-            QueryRequest::SpanningForest => {
-                let forest = self.spanning_forest();
-                ctx.sort(2 * forest.len() as u64);
-                Ok(QueryResponse::Edges(forest))
-            }
-            _ => Err(unsupported_query(Maintain::name(self), query)),
-        }
+    ) -> Option<Result<QueryResponse, MpcStreamError>> {
+        let forest = || self.spanning_forest();
+        answer_maintained(query, self.component_labels(), forest, ctx)
     }
 }
 
@@ -1494,20 +1440,6 @@ impl Maintain for RobustConnectivity {
         self.apply_batch(batch, ctx)
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        Persist::save(self, w);
-    }
-
-    fn supports(&self, query: &QueryRequest) -> bool {
-        matches!(
-            query,
-            QueryRequest::Connected(..)
-                | QueryRequest::ComponentOf(..)
-                | QueryRequest::ComponentCount
-                | QueryRequest::SpanningForest
-        )
-    }
-
     /// Answers from the currently exposed instance at the maintained-
     /// solution charges; reads burn no adaptivity budget (only
     /// consuming deletions do).
@@ -1515,29 +1447,9 @@ impl Maintain for RobustConnectivity {
         &mut self,
         query: &QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<QueryResponse, MpcStreamError> {
-        match *query {
-            QueryRequest::Connected(u, v) => {
-                ensure_vertex_in(u.max(v), self.vertex_count())?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Bool(self.connected(u, v)))
-            }
-            QueryRequest::ComponentOf(v) => {
-                ensure_vertex_in(v, self.vertex_count())?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Vertex(self.component_of(v)))
-            }
-            QueryRequest::ComponentCount => {
-                ctx.sort(self.vertex_count() as u64);
-                Ok(QueryResponse::Count(self.component_count() as u64))
-            }
-            QueryRequest::SpanningForest => {
-                let forest = self.spanning_forest();
-                ctx.sort(2 * forest.len() as u64);
-                Ok(QueryResponse::Edges(forest))
-            }
-            _ => Err(unsupported_query(Maintain::name(self), query)),
-        }
+    ) -> Option<Result<QueryResponse, MpcStreamError>> {
+        let forest = || self.spanning_forest();
+        answer_maintained(query, self.component_labels(), forest, ctx)
     }
 }
 
@@ -1559,54 +1471,33 @@ impl Maintain for VertexDynamicConnectivity {
         self.apply_batch(batch, ctx)
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        Persist::save(self, w);
-    }
-
-    fn supports(&self, query: &QueryRequest) -> bool {
-        matches!(
-            query,
-            QueryRequest::Connected(..)
-                | QueryRequest::ComponentOf(..)
-                | QueryRequest::ComponentCount
-                | QueryRequest::SpanningForest
-        )
-    }
-
     /// Point queries on inactive vertices are `InvalidBatch` (the
-    /// vertex-set contract), charged like the other maintained
-    /// connectivity structures otherwise.
+    /// vertex-set contract), checked before any charge; otherwise the
+    /// inner structure answers at the maintained-solution charges,
+    /// except that the component count leaves out the inactive slots.
     fn answer(
         &mut self,
         query: &QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<QueryResponse, MpcStreamError> {
-        match *query {
-            QueryRequest::Connected(u, v) => {
-                ensure_vertex_in(u.max(v), self.capacity())?;
-                // Validate fully before charging: an inactive
-                // endpoint must not leak unreceipted rounds.
-                let connected = self.connected(u, v)?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Bool(connected))
-            }
+    ) -> Option<Result<QueryResponse, MpcStreamError>> {
+        let active = match *query {
+            QueryRequest::Connected(u, v) => ensure_vertex_in(u.max(v), self.capacity())
+                .and_then(|()| self.connected(u, v).map(drop)),
             QueryRequest::ComponentOf(v) => {
-                ensure_vertex_in(v, self.capacity())?;
-                let comp = self.component_of(v)?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Vertex(comp))
+                ensure_vertex_in(v, self.capacity()).and_then(|()| self.component_of(v).map(drop))
             }
             QueryRequest::ComponentCount => {
                 ctx.sort(self.capacity() as u64);
-                Ok(QueryResponse::Count(self.component_count() as u64))
+                return Some(Ok(QueryResponse::Count(self.component_count() as u64)));
             }
-            QueryRequest::SpanningForest => {
-                let forest = self.spanning_forest();
-                ctx.sort(2 * forest.len() as u64);
-                Ok(QueryResponse::Edges(forest))
-            }
-            _ => Err(unsupported_query(Maintain::name(self), query)),
+            _ => Ok(()),
+        };
+        if let Err(e) = active {
+            return Some(Err(e));
         }
+        let inner = self.connectivity();
+        let forest = || inner.spanning_forest();
+        answer_maintained(query, inner.component_labels(), forest, ctx)
     }
 }
 
@@ -2045,7 +1936,7 @@ mod tests {
         let sum: u64 = session.query_reports().iter().map(|r| r.rounds).sum();
         assert!(phase < sum, "phase {phase} should be < serial sum {sum}");
         assert_eq!(session.stats().query_rounds, phase);
-        // A query nobody supports fans out to an empty answer set.
+        // A query every maintainer declines fans out to an empty answer set.
         let none = session
             .ask_all(&QueryRequest::MatchingSize)
             .expect("unsupported everywhere is not an error");
@@ -2090,16 +1981,14 @@ mod tests {
 
         fn answer(
             &mut self,
-            query: &QueryRequest,
+            _query: &QueryRequest,
             _ctx: &mut MpcContext,
-        ) -> Result<QueryResponse, MpcStreamError> {
-            Err(unsupported_query(self.name, query))
+        ) -> Option<Result<QueryResponse, MpcStreamError>> {
+            None
         }
+    }
 
-        fn supports(&self, _query: &QueryRequest) -> bool {
-            false
-        }
-
+    impl SaveState for FixedState {
         fn save_state(&self, w: &mut SnapshotWriter) {
             w.put_u64(self.state_words);
         }

@@ -1,7 +1,7 @@
 //! Seeded workload generators.
 //!
-//! Each generator produces the batch streams used by the experiments
-//! in `EXPERIMENTS.md` (E1–E12). All are deterministic functions of an
+//! Each generator produces the batch streams used by `mpc-bench`'s
+//! experiments E1–E16. All are deterministic functions of an
 //! explicit `u64` seed and model an **oblivious adversary** — batches
 //! are fixed up front and never depend on the algorithm's answers,
 //! matching the paper's adversary model (Section 1.2).

@@ -17,7 +17,7 @@
 //! * [`cuts`] — cut oracles (Stoer–Wagner global min cut, edge
 //!   connectivity, bridges) backing the `mpc-kconn` extension crate.
 //! * [`gen`] — seeded workload generators producing the batch streams
-//!   used by the experiments in `EXPERIMENTS.md`.
+//!   used by `mpc-bench`'s experiments E1–E16.
 //!
 //! # Examples
 //!

@@ -10,7 +10,8 @@
 //! * [`greedy_maximal_matching`] / [`maximum_matching`] — matching
 //!   ground truth for the Section 8 algorithms; the maximum matching
 //!   is computed exactly with Edmonds' blossom algorithm so measured
-//!   approximation ratios in `EXPERIMENTS.md` are against true `OPT`.
+//!   approximation ratios of `mpc-bench`'s matching experiments
+//!   (E7–E9) are against true `OPT`.
 
 use crate::ids::{Edge, VertexId, WeightedEdge};
 use std::collections::VecDeque;

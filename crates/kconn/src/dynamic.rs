@@ -218,10 +218,6 @@ impl DynamicKConn {
 }
 
 impl mpc_stream_core::Maintain for DynamicKConn {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         "kconn-dynamic"
     }
@@ -235,11 +231,6 @@ impl mpc_stream_core::Maintain for DynamicKConn {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(query, QueryRequest::MinCutLowerBound)
-    }
-
     /// The recompute-on-read side of the open problem: a cut query
     /// peels a fresh certificate at its genuine `Θ(k log n)` round
     /// cost (the charge the insert-only cascade's maintained
@@ -248,9 +239,9 @@ impl mpc_stream_core::Maintain for DynamicKConn {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
-        match *query {
+        Some(match *query {
             QueryRequest::MinCutLowerBound => {
                 let cert = self.certificate_mut(ctx);
                 let (lower, exact) = match cert.min_cut() {
@@ -259,8 +250,8 @@ impl mpc_stream_core::Maintain for DynamicKConn {
                 };
                 Ok(QueryResponse::MinCut { lower, exact })
             }
-            _ => Err(mpc_stream_core::unsupported_query("kconn-dynamic", query)),
-        }
+            _ => return None,
+        })
     }
 }
 

@@ -227,10 +227,6 @@ impl InsertOnlyKConn {
 }
 
 impl mpc_stream_core::Maintain for InsertOnlyKConn {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         "kconn-insert-only"
     }
@@ -250,14 +246,6 @@ impl mpc_stream_core::Maintain for InsertOnlyKConn {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(
-            query,
-            QueryRequest::MinCutLowerBound | QueryRequest::SpanningForest
-        )
-    }
-
     /// The certificate is maintained by the cascade, so cut answers
     /// cost only gathering the `O(k·n)`-edge certificate to read off
     /// the bound — constant rounds, against the dynamic peeler's
@@ -267,9 +255,9 @@ impl mpc_stream_core::Maintain for InsertOnlyKConn {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
-        match *query {
+        Some(match *query {
             QueryRequest::MinCutLowerBound => {
                 let cert = self.certificate();
                 ctx.sort(2 * cert.edge_count() as u64 + 1);
@@ -285,11 +273,8 @@ impl mpc_stream_core::Maintain for InsertOnlyKConn {
                 ctx.sort(2 * forest.len() as u64 + 1);
                 Ok(QueryResponse::Edges(forest))
             }
-            _ => Err(mpc_stream_core::unsupported_query(
-                "kconn-insert-only",
-                query,
-            )),
-        }
+            _ => return None,
+        })
     }
 }
 

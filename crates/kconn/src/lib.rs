@@ -88,9 +88,7 @@ pub use insert_only::InsertOnlyKConn;
 /// `kconn-insert-only` — into a
 /// [`MaintainerRegistry`](mpc_stream_core::MaintainerRegistry).
 pub fn register_snapshot_loaders(reg: &mut mpc_stream_core::MaintainerRegistry) {
-    use mpc_snapshot::Persist;
-    reg.register("kconn-dynamic", |r| Ok(Box::new(DynamicKConn::load(r)?)));
-    reg.register("kconn-insert-only", |r| {
-        Ok(Box::new(InsertOnlyKConn::load(r)?))
-    });
+    use mpc_stream_core::load_boxed;
+    reg.register("kconn-dynamic", load_boxed::<DynamicKConn>);
+    reg.register("kconn-insert-only", load_boxed::<InsertOnlyKConn>);
 }

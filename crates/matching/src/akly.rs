@@ -232,10 +232,6 @@ impl AklyMatching {
 }
 
 impl mpc_stream_core::Maintain for AklyMatching {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         "matching-akly"
     }
@@ -249,14 +245,6 @@ impl mpc_stream_core::Maintain for AklyMatching {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(
-            query,
-            QueryRequest::MatchingSize | QueryRequest::MatchingEdges
-        )
-    }
-
     /// The reported matching is the best guess's: every guess
     /// converge-casts its size, the coordinator picks the winner, and
     /// the edge report additionally pays the output sort.
@@ -264,9 +252,9 @@ impl mpc_stream_core::Maintain for AklyMatching {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
-        match *query {
+        Some(match *query {
             QueryRequest::MatchingSize => {
                 ctx.converge_cast(self.guess_count() as u64, 1);
                 ctx.broadcast(1);
@@ -278,8 +266,8 @@ impl mpc_stream_core::Maintain for AklyMatching {
                 ctx.sort(2 * matching.len() as u64 + 1);
                 Ok(QueryResponse::Edges(matching))
             }
-            _ => Err(mpc_stream_core::unsupported_query("matching-akly", query)),
-        }
+            _ => return None,
+        })
     }
 }
 

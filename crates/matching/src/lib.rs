@@ -55,13 +55,10 @@ pub use tester::{MatchingSizeEstimator, StreamKind};
 /// the payload decides the decoded `name()`, and `Session::restore`
 /// refuses a section whose decoded name differs from its saved one.
 pub fn register_snapshot_loaders(reg: &mut mpc_stream_core::MaintainerRegistry) {
-    use mpc_snapshot::Persist;
-    reg.register("matching-akly", |r| Ok(Box::new(AklyMatching::load(r)?)));
-    reg.register("matching-maximal", |r| {
-        Ok(Box::new(MaximalMatching::load(r)?))
-    });
-    let estimator: mpc_stream_core::MaintainerLoader =
-        |r| Ok(Box::new(MatchingSizeEstimator::load(r)?));
+    use mpc_stream_core::load_boxed;
+    reg.register("matching-akly", load_boxed::<AklyMatching>);
+    reg.register("matching-maximal", load_boxed::<MaximalMatching>);
+    let estimator = load_boxed::<MatchingSizeEstimator>;
     reg.register("matching-estimator-insert", estimator);
     reg.register("matching-estimator-dynamic", estimator);
 }

@@ -290,10 +290,6 @@ impl MaximalMatching {
 }
 
 impl mpc_stream_core::Maintain for MaximalMatching {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         "matching-maximal"
     }
@@ -315,14 +311,6 @@ impl mpc_stream_core::Maintain for MaximalMatching {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(
-            query,
-            QueryRequest::MatchingSize | QueryRequest::MatchingEdges
-        )
-    }
-
     /// The matching is maintained explicitly: its size is one
     /// converge-cast of per-shard matched counts, the edge list is
     /// the model's output sort.
@@ -330,9 +318,9 @@ impl mpc_stream_core::Maintain for MaximalMatching {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
-        match *query {
+        Some(match *query {
             QueryRequest::MatchingSize => {
                 ctx.converge_cast(self.n as u64, 1);
                 Ok(QueryResponse::Count(self.matching_size() as u64))
@@ -342,11 +330,8 @@ impl mpc_stream_core::Maintain for MaximalMatching {
                 ctx.sort(2 * matching.len() as u64 + 1);
                 Ok(QueryResponse::Edges(matching))
             }
-            _ => Err(mpc_stream_core::unsupported_query(
-                "matching-maximal",
-                query,
-            )),
-        }
+            _ => return None,
+        })
     }
 }
 

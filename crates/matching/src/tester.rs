@@ -283,10 +283,6 @@ impl MatchingSizeEstimator {
 }
 
 impl mpc_stream_core::Maintain for MatchingSizeEstimator {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         match self.kind {
             StreamKind::InsertionOnly => "matching-estimator-insert",
@@ -303,11 +299,6 @@ impl mpc_stream_core::Maintain for MatchingSizeEstimator {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(query, QueryRequest::MatchingSize)
-    }
-
     /// The estimate is the largest passing guess: every tester
     /// reports its pass/fail bit in one converge-cast and the
     /// coordinator takes the maximum (Section 8.2).
@@ -315,19 +306,16 @@ impl mpc_stream_core::Maintain for MatchingSizeEstimator {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
-        match *query {
+        Some(match *query {
             QueryRequest::MatchingSize => {
                 ctx.converge_cast(self.tester_count() as u64, 1);
                 ctx.broadcast(1);
                 Ok(QueryResponse::Count(self.estimate() as u64))
             }
-            _ => Err(mpc_stream_core::unsupported_query(
-                mpc_stream_core::Maintain::name(self),
-                query,
-            )),
-        }
+            _ => return None,
+        })
     }
 }
 

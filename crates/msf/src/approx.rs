@@ -241,7 +241,8 @@ impl ApproxMsfForest {
     /// standard repair: it keeps exactly `cc(G_{i-1}) − cc(G_i)`
     /// edges per level — the count the weight analysis relies on —
     /// while guaranteeing a forest. Cost: `t` dependent rounds per
-    /// query instead of one (documented deviation, see DESIGN.md).
+    /// query instead of one (a deviation from the paper's one-shot
+    /// test).
     pub fn forest(&self) -> Vec<(Edge, f64)> {
         let mut out: Vec<(Edge, f64)> = Vec::new();
         let mut uf = mpc_graph::oracle::UnionFind::new(self.stack.n);
@@ -286,10 +287,6 @@ impl ApproxMsfForest {
 }
 
 impl mpc_stream_core::Maintain for ApproxMsfWeight {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         "msf-approx-weight"
     }
@@ -316,11 +313,6 @@ impl mpc_stream_core::Maintain for ApproxMsfWeight {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(query, QueryRequest::ForestWeight)
-    }
-
     /// The estimate reads every threshold instance's component count:
     /// the label sorts run in parallel across the `t + 1` instances
     /// (one sort's rounds), and the `t + 1` counts converge-cast to
@@ -329,27 +321,20 @@ impl mpc_stream_core::Maintain for ApproxMsfWeight {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
-        match *query {
+        Some(match *query {
             QueryRequest::ForestWeight => {
                 ctx.sort(self.stack.n as u64);
                 ctx.converge_cast(self.instance_count() as u64, 1);
                 Ok(QueryResponse::Weight(self.weight_estimate()))
             }
-            _ => Err(mpc_stream_core::unsupported_query(
-                "msf-approx-weight",
-                query,
-            )),
-        }
+            _ => return None,
+        })
     }
 }
 
 impl mpc_stream_core::Maintain for ApproxMsfForest {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         "msf-approx-forest"
     }
@@ -376,16 +361,6 @@ impl mpc_stream_core::Maintain for ApproxMsfForest {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(
-            query,
-            QueryRequest::SpanningForest
-                | QueryRequest::ForestWeight
-                | QueryRequest::ComponentOf(..)
-        )
-    }
-
     /// The forest report pays the documented `t` dependent rounds of
     /// the level-by-level sweep (one broadcast per level) plus the
     /// output sort; the weight estimate and point queries charge like
@@ -394,9 +369,9 @@ impl mpc_stream_core::Maintain for ApproxMsfForest {
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
         use mpc_stream_core::{ensure_vertex_in, QueryRequest, QueryResponse};
-        match *query {
+        Some(match *query {
             QueryRequest::SpanningForest => {
                 for _ in 0..self.stack.instances.len() {
                     ctx.broadcast(1);
@@ -410,16 +385,12 @@ impl mpc_stream_core::Maintain for ApproxMsfForest {
                 ctx.converge_cast(self.stack.instances.len() as u64, 1);
                 Ok(QueryResponse::Weight(self.stack.weight_estimate()))
             }
-            QueryRequest::ComponentOf(v) => {
-                ensure_vertex_in(v, self.stack.n)?;
+            QueryRequest::ComponentOf(v) => ensure_vertex_in(v, self.stack.n).map(|()| {
                 ctx.exchange(2);
-                Ok(QueryResponse::Vertex(self.component_of(v)))
-            }
-            _ => Err(mpc_stream_core::unsupported_query(
-                "msf-approx-forest",
-                query,
-            )),
-        }
+                QueryResponse::Vertex(self.component_of(v))
+            }),
+            _ => return None,
+        })
     }
 }
 

@@ -118,10 +118,6 @@ impl Bipartiteness {
 }
 
 impl mpc_stream_core::Maintain for Bipartiteness {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         "bipartiteness"
     }
@@ -139,35 +135,25 @@ impl mpc_stream_core::Maintain for Bipartiteness {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(
-            query,
-            QueryRequest::IsBipartite | QueryRequest::ComponentCount
-        )
-    }
-
     /// Bipartiteness compares the component counts of `G` and the
     /// double cover `G'` (Lemma 7.4): two label sorts (parallel, but
-    /// charged as one phase here) plus the two-count gather.
+    /// charged as one phase here) plus the two-count gather. The
+    /// component count is `G`'s own maintained answer.
     fn answer(
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
         use mpc_stream_core::{QueryRequest, QueryResponse};
-        match *query {
+        Some(match *query {
             QueryRequest::IsBipartite => {
                 ctx.sort(2 * self.n as u64); // the cover's labels dominate
                 ctx.converge_cast(2, 1);
                 Ok(QueryResponse::Bool(self.is_bipartite()))
             }
-            QueryRequest::ComponentCount => {
-                ctx.sort(self.n as u64);
-                Ok(QueryResponse::Count(self.component_count() as u64))
-            }
-            _ => Err(mpc_stream_core::unsupported_query("bipartiteness", query)),
-        }
+            QueryRequest::ComponentCount => return self.graph.answer(query, ctx),
+            _ => return None,
+        })
     }
 }
 

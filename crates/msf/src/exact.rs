@@ -41,10 +41,6 @@ fn no_convergence() -> MpcStreamError {
 }
 
 impl mpc_stream_core::Maintain for ExactMsf {
-    fn save_state(&self, w: &mut mpc_snapshot::SnapshotWriter) {
-        mpc_snapshot::Persist::save(self, w);
-    }
-
     fn name(&self) -> &'static str {
         "msf-exact"
     }
@@ -73,55 +69,22 @@ impl mpc_stream_core::Maintain for ExactMsf {
         self.apply_batch(batch, ctx)
     }
 
-    fn supports(&self, query: &mpc_stream_core::QueryRequest) -> bool {
-        use mpc_stream_core::QueryRequest;
-        matches!(
-            query,
-            QueryRequest::Connected(..)
-                | QueryRequest::ComponentOf(..)
-                | QueryRequest::ComponentCount
-                | QueryRequest::ForestWeight
-                | QueryRequest::SpanningForest
-        )
-    }
-
-    /// Maintained forest ⇒ `O(1)`-round answers: point queries are
-    /// one exchange, the weight is one converge-cast of per-shard
-    /// partial sums, and whole-solution reports charge the output
-    /// sort.
+    /// Maintained forest ⇒ `O(1)`-round answers: the weight is one
+    /// converge-cast of per-shard partial sums, and the connectivity
+    /// questions are read off the maintained labels and forest
+    /// ([`mpc_stream_core::answer_maintained`]).
     fn answer(
         &mut self,
         query: &mpc_stream_core::QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<mpc_stream_core::QueryResponse, MpcStreamError> {
-        use mpc_stream_core::{ensure_vertex_in, QueryRequest, QueryResponse};
-        match *query {
-            QueryRequest::Connected(u, v) => {
-                ensure_vertex_in(u.max(v), self.n)?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Bool(self.connected(u, v)))
-            }
-            QueryRequest::ComponentOf(v) => {
-                ensure_vertex_in(v, self.n)?;
-                ctx.exchange(2);
-                Ok(QueryResponse::Vertex(self.component_of(v)))
-            }
-            QueryRequest::ComponentCount => {
-                ctx.sort(self.n as u64);
-                // The forest spans: cc = n − |F|.
-                Ok(QueryResponse::Count((self.n - self.weights.len()) as u64))
-            }
-            QueryRequest::ForestWeight => {
-                ctx.converge_cast(self.n as u64, 1);
-                Ok(QueryResponse::Weight(self.weight() as f64))
-            }
-            QueryRequest::SpanningForest => {
-                let forest: Vec<Edge> = self.etf.forest_edges().collect();
-                ctx.sort(2 * forest.len() as u64);
-                Ok(QueryResponse::Edges(forest))
-            }
-            _ => Err(mpc_stream_core::unsupported_query("msf-exact", query)),
+    ) -> Option<Result<mpc_stream_core::QueryResponse, MpcStreamError>> {
+        use mpc_stream_core::{answer_maintained, QueryRequest, QueryResponse};
+        if *query == QueryRequest::ForestWeight {
+            ctx.converge_cast(self.n as u64, 1);
+            return Some(Ok(QueryResponse::Weight(self.weight() as f64)));
         }
+        let forest = || self.etf.forest_edges().collect();
+        answer_maintained(query, &self.comp, forest, ctx)
     }
 }
 

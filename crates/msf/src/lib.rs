@@ -41,13 +41,9 @@ pub use exact::ExactMsf;
 /// `msf-approx-weight`, `msf-approx-forest`, and `bipartiteness` —
 /// into a [`MaintainerRegistry`](mpc_stream_core::MaintainerRegistry).
 pub fn register_snapshot_loaders(reg: &mut mpc_stream_core::MaintainerRegistry) {
-    use mpc_snapshot::Persist;
-    reg.register("msf-exact", |r| Ok(Box::new(ExactMsf::load(r)?)));
-    reg.register("msf-approx-weight", |r| {
-        Ok(Box::new(ApproxMsfWeight::load(r)?))
-    });
-    reg.register("msf-approx-forest", |r| {
-        Ok(Box::new(ApproxMsfForest::load(r)?))
-    });
-    reg.register("bipartiteness", |r| Ok(Box::new(Bipartiteness::load(r)?)));
+    use mpc_stream_core::load_boxed;
+    reg.register("msf-exact", load_boxed::<ExactMsf>);
+    reg.register("msf-approx-weight", load_boxed::<ApproxMsfWeight>);
+    reg.register("msf-approx-forest", load_boxed::<ApproxMsfForest>);
+    reg.register("bipartiteness", load_boxed::<Bipartiteness>);
 }

@@ -47,8 +47,9 @@
 //! assert_eq!(answer.as_bool(), Some(true));
 //! assert!(session.query_reports()[0].rounds > 0);
 //!
-//! // ask_all cross-checks every maintainer that supports a query —
-//! // here both structures count components, and they must agree.
+//! // ask_all asks every maintainer and collects the answers (a
+//! // maintainer's `answer` decides what it serves) — here both
+//! // structures count components, and they must agree.
 //! let counts = session.ask_all(&QueryRequest::ComponentCount)?;
 //! assert_eq!(
 //!     counts,
@@ -86,7 +87,8 @@ pub use mpc_stream_core as core_alg;
 /// [`Handle`](mpc_stream_core::Handle)s and
 /// [`QueryRequest`](mpc_stream_core::QueryRequest) /
 /// [`QueryResponse`](mpc_stream_core::QueryResponse) query plane, the
-/// [`Maintain`](mpc_stream_core::Maintain) trait, the workspace-wide
+/// [`Maintain`](mpc_stream_core::Maintain) trait and its
+/// [`SaveState`](mpc_stream_core::SaveState) save half, the workspace-wide
 /// [`MpcStreamError`](mpc_sim::MpcStreamError), all sixteen
 /// maintainers, and the graph / cluster vocabulary types.
 pub mod prelude {
@@ -105,7 +107,7 @@ pub mod prelude {
     pub use mpc_snapshot::SnapshotError;
     pub use mpc_stream_core::{
         CheckpointReceipt, Connectivity, ConnectivityConfig, Handle, Maintain, MaintainerId,
-        MaintainerRegistry, QueryRequest, QueryResponse, RobustConnectivity, Session,
+        MaintainerRegistry, QueryRequest, QueryResponse, RobustConnectivity, SaveState, Session,
         StreamingConnectivity, VertexDynamicConnectivity,
     };
 }

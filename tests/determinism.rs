@@ -1,9 +1,8 @@
-//! Whole-pipeline determinism: DESIGN.md's reproducibility rule says
-//! every run is a pure function of its explicit seeds. Two
-//! independent executions with the same seeds must produce *identical*
-//! outputs — labels, forests, certificates, matchings, and round
-//! counts. (This suite exists because a `HashMap` iteration order
-//! once leaked into the k-connectivity peel; see CHANGELOG 0.2.0.)
+//! Whole-pipeline determinism: every run is a pure function of its
+//! explicit seeds. Two independent executions with the same seeds must
+//! produce *identical* outputs — labels, forests, certificates,
+//! matchings, and round counts. (This suite exists because a `HashMap`
+//! iteration order once leaked into the k-connectivity peel.)
 
 use mpc_stream::core_alg::{Connectivity, ConnectivityConfig};
 use mpc_stream::graph::gen;

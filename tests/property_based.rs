@@ -1,4 +1,4 @@
-//! Property-based tests over the workspace invariants (DESIGN.md §6).
+//! Property-based tests over the workspace invariants.
 
 use mpc_stream::core_alg::{Connectivity, ConnectivityConfig};
 use mpc_stream::etf::tour::validate;

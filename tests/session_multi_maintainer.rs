@@ -401,16 +401,14 @@ impl Maintain for Hog {
 
     fn answer(
         &mut self,
-        query: &QueryRequest,
+        _query: &QueryRequest,
         _ctx: &mut MpcContext,
-    ) -> Result<QueryResponse, MpcStreamError> {
-        Err(mpc_stream::core_alg::unsupported_query(self.name, query))
+    ) -> Option<Result<QueryResponse, MpcStreamError>> {
+        None
     }
+}
 
-    fn supports(&self, _query: &QueryRequest) -> bool {
-        false
-    }
-
+impl SaveState for Hog {
     fn save_state(&self, _w: &mut mpc_stream::snapshot::SnapshotWriter) {}
 }
 

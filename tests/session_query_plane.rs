@@ -1,9 +1,9 @@
 //! The typed query plane, end to end: `ask` answers must equal the
 //! inherent-API answers for **every** maintainer kind in the
 //! workspace (property-tested over generated insert streams), every
-//! supported answer must be charged, and the machine-group capacity
-//! audit must attribute overruns to the offending maintainer while
-//! its neighbors stay green.
+//! answer must be charged and every decline free, and the
+//! machine-group capacity audit must attribute overruns to the
+//! offending maintainer while its neighbors stay green.
 
 use mpc_stream::graph::ids::Edge;
 use mpc_stream::graph::update::{Batch, Update};
@@ -278,109 +278,89 @@ const ALL_QUERIES: [QueryRequest; 9] = [
     QueryRequest::IsBipartite,
 ];
 
+/// One freshly built maintainer of every registered kind, as trait
+/// objects, every vertex-dynamic slot active.
+fn roster(n: usize) -> Vec<Box<dyn Maintain>> {
+    let mut vd = VertexDynamicConnectivity::with_capacity(n, ConnectivityConfig::default(), 4);
+    vd.add_vertices(n, &mut MpcContext::new(cfg(n)))
+        .expect("slots available");
+    vec![
+        Box::new(Connectivity::new(n, ConnectivityConfig::default(), 1)),
+        Box::new(StreamingConnectivity::new(n, 2)),
+        Box::new(RobustConnectivity::new(
+            n,
+            2,
+            4,
+            ConnectivityConfig::default(),
+            3,
+        )),
+        Box::new(vd),
+        Box::new(ExactMsf::new(n)),
+        Box::new(ApproxMsfWeight::new(n, 0.5, 4, 5)),
+        Box::new(ApproxMsfForest::new(n, 0.5, 4, 6)),
+        Box::new(Bipartiteness::new(n, 7)),
+        Box::new(MatchingSizeEstimator::new(
+            n,
+            2.0,
+            StreamKind::InsertionOnly,
+            8,
+        )),
+        Box::new(MatchingSizeEstimator::new(n, 2.0, StreamKind::Dynamic, 9)),
+        Box::new(AklyMatching::new(n, 2.0, 10)),
+        Box::new(MaximalMatching::new(n)),
+        Box::new(DynamicKConn::new(n, 2, 11)),
+        Box::new(InsertOnlyKConn::new(n, 2)),
+        Box::new(AgmBaseline::new(n, 12)),
+        Box::new(FullMemoryBaseline::new(n)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The `supports`/`answer` contract, swept over all sixteen
-    /// maintainer kinds × all nine query kinds: a maintainer that
-    /// claims support must actually answer (never `Unsupported`),
-    /// and a maintainer that declines must be completely free —
-    /// no receipt, no query count, zero charged rounds and words.
+    /// The `answer` contract, swept over all sixteen maintainer kinds
+    /// × all nine query kinds, calling `answer` directly: every pair
+    /// either answers with charged rounds or declines (`None`) with
+    /// the context's stats exactly as they were — the decline
+    /// `Session::ask_all` skips for free.
     #[test]
-    fn supports_and_answer_agree_for_every_maintainer(
+    fn answer_either_charges_or_declines_free_for_every_maintainer(
         batches in insert_streams(20, 40),
     ) {
         let n = 20usize;
-        let mut session = Session::new(cfg(n));
-        session.register(Connectivity::new(n, ConnectivityConfig::default(), 1));
-        session.register(StreamingConnectivity::new(n, 2));
-        session.register(RobustConnectivity::new(
-            n, 2, 4, ConnectivityConfig::default(), 3,
-        ));
-        let mut vd0 =
-            VertexDynamicConnectivity::with_capacity(n, ConnectivityConfig::default(), 4);
-        {
-            let mut setup = MpcContext::new(cfg(n));
-            vd0.add_vertices(n, &mut setup).expect("slots available");
-        }
-        session.register(vd0);
-        session.register(ExactMsf::new(n));
-        session.register(ApproxMsfWeight::new(n, 0.5, 4, 5));
-        session.register(ApproxMsfForest::new(n, 0.5, 4, 6));
-        session.register(Bipartiteness::new(n, 7));
-        session.register(MatchingSizeEstimator::new(
-            n, 2.0, StreamKind::InsertionOnly, 8,
-        ));
-        session.register(MatchingSizeEstimator::new(n, 2.0, StreamKind::Dynamic, 9));
-        session.register(AklyMatching::new(n, 2.0, 10));
-        session.register(MaximalMatching::new(n));
-        session.register(DynamicKConn::new(n, 2, 11));
-        session.register(InsertOnlyKConn::new(n, 2));
-        session.register(AgmBaseline::new(n, 12));
-        session.register(FullMemoryBaseline::new(n));
-        let count = session.maintainer_count();
+        let mut roster = roster(n);
         // The sweep covers the registered vocabulary exactly: a new
         // maintainer kind cannot ship without being asked everything.
-        let names: BTreeSet<&str> = (0..count)
-            .map(|id| session.maintainer(id).expect("registered").name())
-            .collect();
+        let names: BTreeSet<&str> = roster.iter().map(|m| m.name()).collect();
         let registered: BTreeSet<&str> =
             mpc_stream::full_registry().names().into_iter().collect();
         prop_assert_eq!(names, registered);
 
-        for batch in &batches {
-            session.apply_batch(batch).expect("insert-only simple stream");
+        let mut ctx = MpcContext::new(cfg(n));
+        for m in &mut roster {
+            for batch in &batches {
+                m.ingest(batch, &mut ctx).expect("insert-only simple stream");
+            }
         }
 
-        for query in &ALL_QUERIES {
-            let supports: Vec<bool> = (0..count)
-                .map(|id| session.maintainer(id).expect("registered").supports(query))
-                .collect();
-            let before: Vec<(u64, u64, u64)> = session
-                .stats()
-                .per_maintainer
-                .iter()
-                .map(|m| (m.queries, m.query_rounds, m.query_words))
-                .collect();
-            let answers = session.ask_all(query).expect("fan-out succeeds");
-            let answered: BTreeSet<usize> = answers.iter().map(|(id, _)| *id).collect();
-            prop_assert_eq!(
-                session.query_reports().len(),
-                answered.len(),
-                "one receipt per answering maintainer for {}",
-                query
-            );
-            for id in 0..count {
-                let name = session.maintainer(id).expect("registered").name();
-                let after = &session.stats().per_maintainer[id];
-                if supports[id] {
-                    // A claimed `supports` must produce a real answer:
-                    // `ask_all` drops any branch that returns
-                    // `Unsupported`, so membership proves the pair
-                    // agreed.
-                    prop_assert!(
-                        answered.contains(&id),
-                        "{} claims support for {} but answered Unsupported",
-                        name,
-                        query
-                    );
-                    prop_assert!(
-                        after.query_rounds > before[id].1,
+        for m in &mut roster {
+            for query in &ALL_QUERIES {
+                let before = ctx.stats().clone();
+                match m.answer(query, &mut ctx) {
+                    Some(Ok(_)) => prop_assert!(
+                        ctx.stats().rounds > before.rounds,
                         "{} answered {} for free",
-                        name,
+                        m.name(),
                         query
-                    );
-                } else {
-                    prop_assert!(
-                        !answered.contains(&id),
-                        "{} answered {} it does not support",
-                        name,
+                    ),
+                    None => prop_assert_eq!(
+                        ctx.stats(),
+                        &before,
+                        "{} charged before declining {}",
+                        m.name(),
                         query
-                    );
-                    let (q, r, w) = before[id];
-                    prop_assert_eq!(after.queries, q, "{} probed {} was counted", name, query);
-                    prop_assert_eq!(after.query_rounds, r, "{} charged rounds for {}", name, query);
-                    prop_assert_eq!(after.query_words, w, "{} charged words for {}", name, query);
+                    ),
+                    Some(Err(e)) => prop_assert!(false, "{} failed {}: {}", m.name(), query, e),
                 }
             }
         }
@@ -452,17 +432,18 @@ fn capacity_overrun_names_the_oversized_maintainer_and_spares_neighbors() {
     assert!(stats.per_maintainer[fat.id()].state_words > 4096);
 }
 
-/// A maintainer whose `answer` burns rounds *before* discovering the
-/// query is outside its vocabulary — the shape that made the old
-/// `ask_all` leak charges: it opened a parallel branch for every
-/// maintainer, so a noisy decliner's probe rounds max-composed into
-/// the scope even though it had nothing to say.
+/// A maintainer that declines every query after charging
+/// `broadcasts` broadcasts: with ten, a decline `ask_all` must reject
+/// rather than skip (its rounds would otherwise max-compose into the
+/// fan-out unreceipted); with none, an ordinary, free decline.
 #[derive(Debug)]
-struct NoisyDecliner;
+struct Decliner {
+    broadcasts: usize,
+}
 
-impl Maintain for NoisyDecliner {
+impl Maintain for Decliner {
     fn name(&self) -> &'static str {
-        "noisy-decliner"
+        "decliner"
     }
 
     fn words(&self) -> u64 {
@@ -473,54 +454,71 @@ impl Maintain for NoisyDecliner {
         Ok(())
     }
 
-    fn save_state(&self, _w: &mut mpc_stream::snapshot::SnapshotWriter) {}
-
     fn answer(
         &mut self,
-        query: &QueryRequest,
+        _query: &QueryRequest,
         ctx: &mut MpcContext,
-    ) -> Result<QueryResponse, MpcStreamError> {
-        // Ten broadcasts dwarf any supporter's answer, so a leaked
-        // branch visibly inflates the fan-out's max-composed rounds.
-        for _ in 0..10 {
+    ) -> Option<Result<QueryResponse, MpcStreamError>> {
+        for _ in 0..self.broadcasts {
             ctx.broadcast(1);
         }
-        Err(MpcStreamError::Unsupported(format!(
-            "noisy-decliner cannot answer {query}"
-        )))
-    }
-
-    // `ask_all` must trust the probe and never call `answer` at all.
-    fn supports(&self, _query: &QueryRequest) -> bool {
-        false
+        None
     }
 }
 
-/// Regression: `ask_all` must consult `supports` *before* opening a
-/// parallel branch, so non-supporters are free — same fan-out rounds
-/// as a session without them, no query receipt, no per-maintainer
-/// query charge.
+impl SaveState for Decliner {
+    fn save_state(&self, _w: &mut mpc_stream::snapshot::SnapshotWriter) {}
+}
+
+/// Two supporters with a decliner sandwiched between them, after an
+/// insert-only stream.
+fn with_decliner(n: usize, broadcasts: usize) -> (Session, Handle<Decliner>) {
+    let mut session = Session::new(cfg(n));
+    session.register(Connectivity::new(n, ConnectivityConfig::default(), 1));
+    let decliner = session.register(Decliner { broadcasts });
+    session.register(FullMemoryBaseline::new(n));
+    session
+        .apply((0..8u32).map(|i| Update::Insert(Edge::new(i, i + 8))))
+        .expect("insert-only stream");
+    (session, decliner)
+}
+
+/// `ask_all` asks every maintainer and lets `answer` decide: a decline
+/// that charged nothing is skipped — same fan-out rounds as a session
+/// without the decliner, no query receipt, no per-maintainer query
+/// charge — and a decline that charged first is an `Internal` error
+/// naming the maintainer.
 #[test]
 fn ask_all_charges_nothing_for_unsupported_decliners() {
     let n = 16usize;
-    let batch: Vec<Update> = (0..8u32)
-        .map(|i| Update::Insert(Edge::new(i, i + 8)))
-        .collect();
 
-    // Twin sessions over the same stream: one with the decliner
-    // sandwiched between two supporters, one with the supporters only.
-    let mut with = Session::new(cfg(n));
-    with.register(Connectivity::new(n, ConnectivityConfig::default(), 1));
-    let decliner = with.register(NoisyDecliner);
-    with.register(FullMemoryBaseline::new(n));
-    with.apply(batch.iter().copied())
-        .expect("insert-only stream");
+    // A charging decline fails the fan-out loudly instead of being
+    // skipped on trust.
+    let (mut noisy, decliner) = with_decliner(n, 10);
+    match noisy.ask_all(&QueryRequest::ComponentCount) {
+        Err(MpcStreamError::Internal(msg)) => assert!(
+            msg.contains("decliner charged before declining component_count"),
+            "{msg}"
+        ),
+        other => panic!("expected Internal, got {other:?}"),
+    }
+    assert!(
+        noisy
+            .query_reports()
+            .iter()
+            .all(|r| r.maintainer != "decliner"),
+        "no receipt for a decliner"
+    );
+    assert_eq!(noisy.stats().per_maintainer[decliner.id()].queries, 0);
 
+    // A free decline is skipped. Twin sessions over the same stream:
+    // one with the quiet decliner, one with the supporters only.
+    let (mut with, decliner) = with_decliner(n, 0);
     let mut without = Session::new(cfg(n));
     without.register(Connectivity::new(n, ConnectivityConfig::default(), 1));
     without.register(FullMemoryBaseline::new(n));
     without
-        .apply(batch.iter().copied())
+        .apply((0..8u32).map(|i| Update::Insert(Edge::new(i, i + 8))))
         .expect("insert-only stream");
 
     let rounds_before = with.stats().query_rounds;
@@ -542,12 +540,12 @@ fn ask_all_charges_nothing_for_unsupported_decliners() {
         expected.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>()
     );
     assert_eq!(with.query_reports().len(), 2, "no receipt for a decliner");
-    // …the decliner was never asked, never charged…
+    // …the decliner was never counted or charged…
     let m = &with.stats().per_maintainer[decliner.id()];
     assert_eq!(m.queries, 0, "decliner must not be counted as answering");
     assert_eq!(m.query_rounds, 0, "decliner must not be charged rounds");
     assert_eq!(m.query_words, 0, "decliner must not be charged words");
     // …and the fan-out cost exactly what the decliner-free twin paid:
-    // the skipped maintainer contributed no branch to the max.
+    // the declining branch added nothing to the max.
     assert_eq!(with_delta, without_delta, "a decliner must be free");
 }
