@@ -1,5 +1,6 @@
 //! Experiments E10–E11: substrate microbenchmarks (Lemma 3.1 sketch
-//! quality; Lemma 5.1/6.4 Euler-tour operation costs).
+//! quality; Lemma 5.1/6.4 Euler-tour operation costs), each with a
+//! host-timed companion table (E10b, E11b).
 
 use crate::experiment_context;
 use crate::table::{f2, Table};
@@ -7,8 +8,11 @@ use mpc_etf::tour::validate;
 use mpc_etf::DistEtf;
 use mpc_graph::ids::Edge;
 use mpc_sketch::l0::{L0Sampler, SampleOutcome};
+use mpc_sketch::SketchBank;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// E10 — Lemma 3.1: `ℓ0`-sampler success rate vs support size, and
 /// the boost from independent copies (the paper's `t` sketches).
@@ -71,7 +75,98 @@ pub fn e10_sketch_quality() -> Vec<Table> {
             bad_sample.to_string(),
         ]);
     }
-    vec![t]
+    vec![t, e10b_sketch_layer_timings()]
+}
+
+/// E10b — host time of the sketch layer's two hot paths, each the
+/// best of `reps` warm repetitions like E11b (host evidence for the
+/// simulator, not a model quantity): the batched cell write
+/// (`update_stream_4k`: 4,096 edge inserts into a fresh `n = 4096`,
+/// `t = 8` bank) and the converge-cast inner loop (`merged_copy`:
+/// merge 64 member columns at one copy into a reused scratch and
+/// sample it, at `t = 16 = log2(1024) + 6` copies).
+fn e10b_sketch_layer_timings() -> Table {
+    let mut t = Table::new(
+        "E10b (sketch layer): column write and merge paths, host time",
+        &[
+            "operation",
+            "work per rep",
+            "reps",
+            "µs (warm best)",
+            "ns per unit",
+        ],
+    );
+    let n = 1usize << 12;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let edges: Vec<Edge> = (0..4096)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let u = (x >> 33) as u32 % (n as u32 - 1);
+            let gap = 1 + (x >> 11) as u32 % (n as u32 - 1 - u);
+            Edge::new(u, u + gap)
+        })
+        .collect();
+    let stream_reps = 20;
+    let stream = best_of(stream_reps, || {
+        let mut bank = SketchBank::new(n, 8, 13);
+        let t0 = Instant::now();
+        for e in &edges {
+            bank.insert_edge(*e);
+        }
+        let elapsed = t0.elapsed();
+        black_box(bank);
+        elapsed
+    });
+
+    let mut bank = SketchBank::new(1 << 10, 16, 11);
+    for i in 0..64u32 {
+        bank.insert_edge(Edge::new(i, i + 64));
+        if i > 0 {
+            bank.insert_edge(Edge::new(i - 1, i));
+        }
+    }
+    let members: Vec<u32> = (0..64).collect();
+    let mut scratch = bank.new_scratch();
+    let merge_reps = 2000;
+    let merge = best_of(merge_reps, || {
+        let t0 = Instant::now();
+        scratch.reset(0);
+        let absorbed = bank.merge_copy_into(&members, &mut scratch);
+        black_box((absorbed > 0).then(|| bank.sample_merged(&scratch)));
+        t0.elapsed()
+    });
+
+    for (op, work, reps, best, units) in [
+        (
+            "update_stream_4k",
+            "4096 inserts, n=4096, t=8",
+            stream_reps,
+            stream,
+            4096.0,
+        ),
+        (
+            "merged_copy",
+            "64 members, n=1024, t=16",
+            merge_reps,
+            merge,
+            64.0,
+        ),
+    ] {
+        t.row(vec![
+            op.into(),
+            work.into(),
+            reps.to_string(),
+            f2(best.as_secs_f64() * 1e6),
+            f2(best.as_secs_f64() * 1e9 / units),
+        ]);
+    }
+    t
+}
+
+/// The shortest of `reps` runs of `timed`, which returns the span it
+/// measured (so per-rep setup stays outside it).
+fn best_of(reps: usize, mut timed: impl FnMut() -> Duration) -> Duration {
+    (0..reps).map(|_| timed()).min().unwrap_or_default()
 }
 
 /// E11 — Lemmas 5.1/6.4: Euler-tour operations cost `O(1)` rounds at
@@ -178,14 +273,13 @@ fn e11b_tour_scaling() -> Table {
         let batch: Vec<Edge> = (0..fg_trees - 1)
             .map(|i| Edge::new((i * fg_seg) as u32, ((i + 1) * fg_seg) as u32))
             .collect();
-        let mut best = std::time::Duration::MAX;
-        for _ in 0..50 {
-            let t0 = std::time::Instant::now();
+        let best = best_of(50, || {
+            let t0 = Instant::now();
             etf.batch_join(&batch, &mut ctx)
                 .expect("batch fits one machine");
             etf.batch_split(&batch, &mut ctx);
-            best = best.min(t0.elapsed());
-        }
+            t0.elapsed()
+        });
         validate(&etf).expect("valid after scaling op");
         let us = best.as_secs_f64() * 1e6;
         if bg == 0 {

@@ -132,7 +132,9 @@ impl std::error::Error for MpcError {}
 ///   edge, endpoint out of range); fix the stream.
 /// * [`MpcStreamError::Unsupported`] — the update kind is outside this
 ///   maintainer's model (e.g. a deletion in an insertion-only
-///   structure); route the update elsewhere.
+///   structure), or the query is outside its vocabulary (e.g.
+///   `MatchingSize` asked of connectivity); route the update or the
+///   query elsewhere.
 /// * [`MpcStreamError::BudgetExhausted`] — a maintainer-specific
 ///   budget (adaptivity exposures, vertex slots) is spent; rebuild
 ///   with a larger budget.
@@ -146,7 +148,8 @@ pub enum MpcStreamError {
     /// The batch violated the maintainer's input contract.
     InvalidBatch(String),
     /// The batch contains an update kind the maintainer does not
-    /// support in its stream model.
+    /// support in its stream model, or the maintainer cannot answer
+    /// the query asked of it. The detail names which.
     Unsupported(String),
     /// A maintainer-specific budget was exhausted.
     BudgetExhausted(String),
@@ -159,7 +162,7 @@ impl std::fmt::Display for MpcStreamError {
         match self {
             MpcStreamError::Capacity(e) => write!(f, "capacity: {e}"),
             MpcStreamError::InvalidBatch(d) => write!(f, "invalid batch: {d}"),
-            MpcStreamError::Unsupported(d) => write!(f, "unsupported update: {d}"),
+            MpcStreamError::Unsupported(d) => write!(f, "unsupported: {d}"),
             MpcStreamError::BudgetExhausted(d) => write!(f, "budget exhausted: {d}"),
             MpcStreamError::Internal(d) => write!(f, "internal invariant failed: {d}"),
         }

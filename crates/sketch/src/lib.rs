@@ -71,12 +71,13 @@
 //! the one-sparse decoder — have exactly one implementation: the safe
 //! scalar functions of the [`kernels`] module. Hand-written SSE2/AVX2
 //! tiers were measured and deleted under the ROADMAP's "win or
-//! delete" rule: SSE2 was at parity and AVX2 at 0.8× on
-//! `sketch/merged_copy` and 0.83–0.89× on `sketch/update_stream_4k`
+//! delete" rule: SSE2 was at parity and AVX2 at 0.8× on the 64-member
+//! merged copy and 0.83–0.89× on the 4,096-insert update stream
 //! (CHANGES.md, PRs 9 and 15), and the traced benchmark puts the
 //! merge path at ≤ 21 % of any workload (`benchmark/README.md`), so
 //! even a 1.3× fold would be worth < 5 % end to end — below the
-//! run-to-run spread.
+//! run-to-run spread. Both paths are re-measured by experiment E10b
+//! (`merged_copy`, `update_stream_4k`) in `mpc-bench`.
 //!
 //! # Examples
 //!

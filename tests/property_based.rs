@@ -9,60 +9,73 @@ use mpc_stream::graph::update::{Batch, Update};
 use mpc_stream::mpc::{MpcConfig, MpcContext};
 use mpc_stream::sketch::l0::L0Sampler;
 use mpc_stream::sketch::vertex::{EdgeSample, VertexSketch};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::BTreeSet;
+
+mod common;
+use common::{case_rng, vec_of};
 
 fn ctx_for(n: usize) -> MpcContext {
     MpcContext::new(MpcConfig::builder(n, 0.5).local_capacity(1 << 16).build())
 }
 
-/// A valid random batch sequence: at every step, insert an absent
-/// edge or delete a live one, grouped into batches.
-fn batch_sequences(
-    n: u32,
-    max_batches: usize,
-    batch_size: usize,
-) -> impl Strategy<Value = Vec<Batch>> {
-    let step = (0u32..n, 0u32..n, any::<bool>());
-    proptest::collection::vec(step, 1..max_batches * batch_size).prop_map(move |steps| {
-        let mut live: BTreeSet<Edge> = BTreeSet::new();
-        let mut batches = Vec::new();
-        let mut current = Batch::new();
-        for (a, b, prefer_insert) in steps {
-            if a == b {
-                continue;
-            }
-            let e = Edge::new(a, b);
-            let do_insert = if live.contains(&e) {
-                false
-            } else {
-                prefer_insert || live.is_empty()
-            };
-            if do_insert && !live.contains(&e) {
-                live.insert(e);
-                current.push(Update::Insert(e));
-            } else if live.contains(&e) {
-                live.remove(&e);
-                current.push(Update::Delete(e));
-            }
-            if current.len() >= batch_size {
-                batches.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            batches.push(current);
-        }
-        batches
-    })
+/// Counts one case whose draw missed the property's precondition; it
+/// does not count toward the `cases` to run. Panics past `256 × cases`
+/// rejections, so a precondition that is rarely met fails the test
+/// instead of hanging it.
+fn reject(rejected: &mut u32, cases: u32) {
+    *rejected += 1;
+    assert!(
+        *rejected <= 256 * cases,
+        "{rejected} draws rejected for {cases} cases"
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// A valid random batch sequence: at every step, insert an absent
+/// edge or delete a live one, grouped into batches.
+fn batch_sequences(rng: &mut StdRng, n: u32, max_batches: usize, batch_size: usize) -> Vec<Batch> {
+    let steps = vec_of(rng, 1..max_batches * batch_size, |r| {
+        (r.gen_range(0..n), r.gen_range(0..n), r.gen_bool(0.5))
+    });
+    let mut live: BTreeSet<Edge> = BTreeSet::new();
+    let mut batches = Vec::new();
+    let mut current = Batch::new();
+    for (a, b, prefer_insert) in steps {
+        if a == b {
+            continue;
+        }
+        let e = Edge::new(a, b);
+        let do_insert = if live.contains(&e) {
+            false
+        } else {
+            prefer_insert || live.is_empty()
+        };
+        if do_insert && !live.contains(&e) {
+            live.insert(e);
+            current.push(Update::Insert(e));
+        } else if live.contains(&e) {
+            live.remove(&e);
+            current.push(Update::Delete(e));
+        }
+        if current.len() >= batch_size {
+            batches.push(std::mem::take(&mut current));
+        }
+    }
+    if !current.is_empty() {
+        batches.push(current);
+    }
+    batches
+}
 
-    /// Connectivity ≡ union-find oracle after every batch, with valid
-    /// Euler tours throughout (the headline invariant of Thm 1.1).
-    #[test]
-    fn connectivity_matches_oracle(batches in batch_sequences(24, 8, 6), seed in 0u64..1000) {
+/// Connectivity ≡ union-find oracle after every batch, with valid
+/// Euler tours throughout (the headline invariant of Thm 1.1).
+#[test]
+fn connectivity_matches_oracle() {
+    let mut rng = case_rng();
+    for case in 0..24 {
+        let batches = batch_sequences(&mut rng, 24, 8, 6);
+        let seed = rng.gen_range(0u64..1000);
         let n = 24usize;
         let mut ctx = ctx_for(n);
         let mut conn = Connectivity::new(n, ConnectivityConfig::default(), seed);
@@ -70,54 +83,73 @@ proptest! {
         for batch in &batches {
             for u in batch.iter() {
                 match u {
-                    Update::Insert(e) => { live.insert(e); }
-                    Update::Delete(e) => { live.remove(&e); }
+                    Update::Insert(e) => {
+                        live.insert(e);
+                    }
+                    Update::Delete(e) => {
+                        live.remove(&e);
+                    }
                 }
             }
             conn.apply_batch(batch, &mut ctx).expect("valid batch");
             let expect = oracle::components(n, live.iter().copied());
-            prop_assert_eq!(conn.component_labels(), &expect[..]);
+            assert_eq!(conn.component_labels(), &expect[..], "case {case}");
             validate(conn.etf()).expect("valid tours");
             // Forest sanity.
             let forest = conn.spanning_forest();
             let mut uf = oracle::UnionFind::new(n);
             for e in &forest {
-                prop_assert!(live.contains(e));
-                prop_assert!(uf.union(e.u(), e.v()));
+                assert!(live.contains(e), "case {case}: forest edge {e} not live");
+                assert!(uf.union(e.u(), e.v()), "case {case}: forest cycle at {e}");
             }
-            prop_assert_eq!(uf.component_count(), oracle::component_count(n, live.iter().copied()));
+            assert_eq!(
+                uf.component_count(),
+                oracle::component_count(n, live.iter().copied()),
+                "case {case}"
+            );
         }
     }
+}
 
-    /// Sketch linearity (paper Remark 3.2): splitting any update
-    /// sequence across two sketches and merging equals sketching the
-    /// whole sequence.
-    #[test]
-    fn l0_sampler_linearity(
-        updates in proptest::collection::vec((0u64..4096, any::<bool>(), any::<bool>()), 1..120),
-        seed in 0u64..1000,
-    ) {
+/// Sketch linearity (paper Remark 3.2): splitting any update
+/// sequence across two sketches and merging equals sketching the
+/// whole sequence.
+#[test]
+fn l0_sampler_linearity() {
+    let mut rng = case_rng();
+    for case in 0..24 {
+        let updates = vec_of(&mut rng, 1..120, |r| {
+            (r.gen_range(0u64..4096), r.gen_bool(0.5), r.gen_bool(0.5))
+        });
+        let seed = rng.gen_range(0u64..1000);
         let mut whole = L0Sampler::new(4096, seed);
         let mut left = L0Sampler::new(4096, seed);
         let mut right = L0Sampler::new(4096, seed);
         for (i, positive, to_left) in updates {
             let delta = if positive { 1 } else { -1 };
             whole.update(i, delta);
-            if to_left { left.update(i, delta); } else { right.update(i, delta); }
+            if to_left {
+                left.update(i, delta);
+            } else {
+                right.update(i, delta);
+            }
         }
         left.merge(&right);
-        prop_assert_eq!(left, whole);
+        assert_eq!(left, whole, "case {case}");
     }
+}
 
-    /// A sampled cut edge is always a true cut edge, and a certified
-    /// empty cut is truly empty (Lemma 3.5's guarantee, checked
-    /// exactly rather than probabilistically).
-    #[test]
-    fn vertex_sketch_cut_soundness(
-        edge_bits in proptest::collection::vec(any::<bool>(), 45),
-        side_bits in proptest::collection::vec(any::<bool>(), 10),
-        seed in 0u64..500,
-    ) {
+/// A sampled cut edge is always a true cut edge, and a certified
+/// empty cut is truly empty (Lemma 3.5's guarantee, checked
+/// exactly rather than probabilistically).
+#[test]
+fn vertex_sketch_cut_soundness() {
+    let mut rng = case_rng();
+    let (mut case, mut rejected) = (0, 0);
+    while case < 24 {
+        let edge_bits = vec_of(&mut rng, 45..46, |r| r.gen_bool(0.5));
+        let side_bits = vec_of(&mut rng, 10..11, |r| r.gen_bool(0.5));
+        let seed = rng.gen_range(0u64..500);
         let n = 10usize;
         let mut edges = Vec::new();
         let mut idx = 0;
@@ -130,9 +162,13 @@ proptest! {
             }
         }
         let members: Vec<u32> = (0..n as u32).filter(|&v| side_bits[v as usize]).collect();
-        prop_assume!(!members.is_empty());
-        let mut sketches: Vec<VertexSketch> =
-            (0..n as u32).map(|v| VertexSketch::new(n, v, seed)).collect();
+        if members.is_empty() {
+            reject(&mut rejected, 24);
+            continue;
+        }
+        let mut sketches: Vec<VertexSketch> = (0..n as u32)
+            .map(|v| VertexSketch::new(n, v, seed))
+            .collect();
         for &e in &edges {
             sketches[e.u() as usize].insert_edge(e);
             sketches[e.v() as usize].insert_edge(e);
@@ -147,23 +183,42 @@ proptest! {
             .filter(|e| side_bits[e.u() as usize] != side_bits[e.v() as usize])
             .collect();
         match set.sample() {
-            EdgeSample::Edge(e) => prop_assert!(cut.contains(&e), "sampled non-cut edge {}", e),
-            EdgeSample::Empty => prop_assert!(cut.is_empty(), "cut of size {} reported empty", cut.len()),
+            EdgeSample::Edge(e) => {
+                assert!(cut.contains(&e), "case {case}: sampled non-cut edge {e}")
+            }
+            EdgeSample::Empty => assert!(
+                cut.is_empty(),
+                "case {case}: cut of size {} reported empty",
+                cut.len()
+            ),
             EdgeSample::Fail => {} // allowed with constant probability
         }
+        case += 1;
     }
+}
 
-    /// Euler-tour forests stay intrinsically valid under arbitrary
-    /// single-op sequences, and the edges `EdgeRec::on_path` selects
-    /// are the unique tree path computed by BFS.
-    #[test]
-    fn etf_ops_stay_valid(ops in proptest::collection::vec((0u32..16, 0u32..16, any::<bool>()), 1..40)) {
+/// Euler-tour forests stay intrinsically valid under arbitrary
+/// single-op sequences, and the edges `EdgeRec::on_path` selects
+/// are the unique tree path computed by BFS.
+#[test]
+fn etf_ops_stay_valid() {
+    let mut rng = case_rng();
+    for case in 0..24 {
+        let ops = vec_of(&mut rng, 1..40, |r| {
+            (
+                r.gen_range(0u32..16),
+                r.gen_range(0u32..16),
+                r.gen_bool(0.5),
+            )
+        });
         let n = 16usize;
         let mut ctx = ctx_for(n);
         let mut etf = DistEtf::new(n);
         let mut live: BTreeSet<Edge> = BTreeSet::new();
         for (a, b, del) in ops {
-            if a == b { continue; }
+            if a == b {
+                continue;
+            }
             let e = Edge::new(a, b);
             if del && live.contains(&e) {
                 etf.split(e, &mut ctx);
@@ -195,27 +250,25 @@ proptest! {
                     path.sort();
                     let mut expect = bfs_path(&adj, u, v);
                     expect.sort();
-                    prop_assert_eq!(path, expect);
+                    assert_eq!(path, expect, "case {case}: path {u}–{v}");
                 }
             }
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Batch Euler-tour join/split keep the tours intrinsically valid
-    /// for arbitrary legal batch sequences (the Section 6.2 machinery
-    /// under random auxiliary-tree shapes).
-    #[test]
-    fn etf_batch_ops_stay_valid(
-        steps in proptest::collection::vec(
-            (proptest::collection::vec((0u32..20, 0u32..20), 1..6), any::<bool>()),
-            1..10,
-        )
-    ) {
-        use mpc_stream::graph::oracle::UnionFind;
+/// Batch Euler-tour join/split keep the tours intrinsically valid
+/// for arbitrary legal batch sequences (the Section 6.2 machinery
+/// under random auxiliary-tree shapes).
+#[test]
+fn etf_batch_ops_stay_valid() {
+    use mpc_stream::graph::oracle::UnionFind;
+    let mut rng = case_rng();
+    for case in 0..16 {
+        let steps = vec_of(&mut rng, 1..10, |r| {
+            let pairs = vec_of(r, 1..6, |r| (r.gen_range(0u32..20), r.gen_range(0u32..20)));
+            (pairs, r.gen_bool(0.5))
+        });
         let n = 20usize;
         let mut ctx = ctx_for(n);
         let mut etf = DistEtf::new(n);
@@ -244,7 +297,8 @@ proptest! {
                     }
                 }
                 if !batch.is_empty() {
-                    etf.batch_join(&batch, &mut ctx).expect("batch fits one machine");
+                    etf.batch_join(&batch, &mut ctx)
+                        .expect("batch fits one machine");
                     live.extend(&batch);
                 }
             } else if !live.is_empty() {
@@ -259,25 +313,34 @@ proptest! {
         let labels = oracle::components(n, live.iter().copied());
         for u in 0..n as u32 {
             for v in (u + 1)..n as u32 {
-                prop_assert_eq!(
+                assert_eq!(
                     etf.tour_of(u) == etf.tour_of(v),
                     labels[u as usize] == labels[v as usize],
-                    "connectivity mismatch {} {}", u, v
+                    "case {case}: connectivity mismatch {u} {v}"
                 );
             }
         }
     }
+}
 
-    /// Exact MSF stays equal to Kruskal for random insertion batches
-    /// with small weight ranges (maximizing ties, the hard case).
-    #[test]
-    fn exact_msf_matches_kruskal(
-        edges in proptest::collection::vec((0u32..16, 0u32..16, 1u64..6), 1..40),
-        chunk in 1usize..8,
-    ) {
-        use mpc_stream::graph::ids::WeightedEdge;
-        use mpc_stream::graph::update::WeightedBatch;
-        use mpc_stream::msf::ExactMsf;
+/// Exact MSF stays equal to Kruskal for random insertion batches
+/// with small weight ranges (maximizing ties, the hard case).
+#[test]
+fn exact_msf_matches_kruskal() {
+    use mpc_stream::graph::ids::WeightedEdge;
+    use mpc_stream::graph::update::WeightedBatch;
+    use mpc_stream::msf::ExactMsf;
+    let mut rng = case_rng();
+    let (mut case, mut rejected) = (0, 0);
+    while case < 16 {
+        let edges = vec_of(&mut rng, 1..40, |r| {
+            (
+                r.gen_range(0u32..16),
+                r.gen_range(0u32..16),
+                r.gen_range(1u64..6),
+            )
+        });
+        let chunk = rng.gen_range(1usize..8);
         let n = 16usize;
         let mut seen = std::collections::BTreeSet::new();
         let clean: Vec<WeightedEdge> = edges
@@ -286,7 +349,10 @@ proptest! {
             .filter(|&(a, b, _)| seen.insert(Edge::new(a, b)))
             .map(|(a, b, w)| WeightedEdge::new(a, b, w))
             .collect();
-        prop_assume!(!clean.is_empty());
+        if clean.is_empty() {
+            reject(&mut rejected, 16);
+            continue;
+        }
         let mut ctx = ctx_for(n);
         let mut msf = ExactMsf::new(n);
         let mut all: Vec<WeightedEdge> = Vec::new();
@@ -294,27 +360,28 @@ proptest! {
             let batch = WeightedBatch::inserting(batch_edges.iter().copied());
             msf.apply_batch(&batch, &mut ctx).expect("legal batch");
             all.extend(batch_edges);
-            prop_assert_eq!(
+            assert_eq!(
                 msf.weight(),
                 oracle::msf_weight(n, all.iter().copied()),
-                "weight diverged from Kruskal"
+                "case {case}: weight diverged from Kruskal"
             );
         }
+        case += 1;
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Arena canonicality: the dense column layout makes a sampler a
-    /// pure function of the summarized vector — any permutation of
-    /// one update stream yields a bit-identical sampler.
-    #[test]
-    fn l0_update_order_is_canonical(
-        updates in proptest::collection::vec((0u64..4096, any::<bool>()), 1..100),
-        rot in 0usize..100,
-        seed in 0u64..500,
-    ) {
+/// Arena canonicality: the dense column layout makes a sampler a
+/// pure function of the summarized vector — any permutation of
+/// one update stream yields a bit-identical sampler.
+#[test]
+fn l0_update_order_is_canonical() {
+    let mut rng = case_rng();
+    for case in 0..24 {
+        let updates = vec_of(&mut rng, 1..100, |r| {
+            (r.gen_range(0u64..4096), r.gen_bool(0.5))
+        });
+        let rot = rng.gen_range(0usize..100);
+        let seed = rng.gen_range(0u64..500);
         let apply = |order: &[(u64, bool)]| {
             let mut s = L0Sampler::new(4096, seed);
             for &(i, positive) in order {
@@ -325,32 +392,37 @@ proptest! {
         let forward = apply(&updates);
         let mut rotated = updates.clone();
         rotated.rotate_left(rot % updates.len());
-        prop_assert_eq!(&apply(&rotated), &forward);
+        assert_eq!(&apply(&rotated), &forward, "case {case}: rotated");
         let mut reversed = updates.clone();
         reversed.reverse();
-        prop_assert_eq!(&apply(&reversed), &forward);
+        assert_eq!(&apply(&reversed), &forward, "case {case}: reversed");
     }
+}
 
-    /// Arena equivalence: a `SketchBank` column driven through the
-    /// contiguous pools equals a standalone `VertexSketch` of the
-    /// same family driven through its own dense column, cell for
-    /// cell — and the scratch-merge path (`merged_copy`) equals the
-    /// fold of standalone sketch merges (merge linearity vs direct
-    /// application).
-    #[test]
-    fn bank_arena_matches_standalone_sketches(
-        edge_bits in proptest::collection::vec(any::<bool>(), 66),
-        delete_bits in proptest::collection::vec(any::<bool>(), 66),
-        side_bits in proptest::collection::vec(any::<bool>(), 12),
-        seed in 0u64..500,
-    ) {
-        use mpc_stream::sketch::SketchBank;
-        use mpc_stream::sketch::vertex::VertexSketch;
+/// Arena equivalence: a `SketchBank` column driven through the
+/// contiguous pools equals a standalone `VertexSketch` of the
+/// same family driven through its own dense column, cell for
+/// cell — and the scratch-merge path (`merged_copy`) equals the
+/// fold of standalone sketch merges (merge linearity vs direct
+/// application).
+#[test]
+fn bank_arena_matches_standalone_sketches() {
+    use mpc_stream::sketch::SketchBank;
+    let mut rng = case_rng();
+    for case in 0..24 {
+        let edge_bits = vec_of(&mut rng, 66..67, |r| r.gen_bool(0.5));
+        let delete_bits = vec_of(&mut rng, 66..67, |r| r.gen_bool(0.5));
+        let side_bits = vec_of(&mut rng, 12..13, |r| r.gen_bool(0.5));
+        let seed = rng.gen_range(0u64..500);
         let n = 12usize;
         let copies = 3usize;
         let mut bank = SketchBank::new(n, copies, seed);
         let mut standalone: Vec<Vec<VertexSketch>> = (0..n as u32)
-            .map(|v| (0..copies).map(|c| VertexSketch::new(n, v, seed + c as u64)).collect())
+            .map(|v| {
+                (0..copies)
+                    .map(|c| VertexSketch::new(n, v, seed + c as u64))
+                    .collect()
+            })
             .collect();
         let mut idx = 0;
         let mut touched = std::collections::BTreeSet::new();
@@ -382,18 +454,24 @@ proptest! {
         for &v in &touched {
             for (c, expected) in standalone[v as usize].iter().enumerate() {
                 let col = bank.vertex_sketch(v, c).expect("touched column");
-                prop_assert_eq!(&col, expected, "vertex {} copy {}", v, c);
+                assert_eq!(&col, expected, "case {case}: vertex {v} copy {c}");
             }
         }
-        prop_assert!(
-            (0..n as u32).all(|v| bank.is_materialized(v) == touched.contains(&v))
+        assert!(
+            (0..n as u32).all(|v| bank.is_materialized(v) == touched.contains(&v)),
+            "case {case}: materialized set differs from the touched set"
         );
         // Merge linearity: scratch accumulation == fold of merges.
-        let members: Vec<u32> =
-            (0..n as u32).filter(|&v| side_bits[v as usize]).collect();
-        let touched_members: Vec<u32> =
-            members.iter().copied().filter(|v| touched.contains(v)).collect();
-        for (c, via_arena) in (0..copies).map(|c| bank.merged_copy(&members, c)).enumerate() {
+        let members: Vec<u32> = (0..n as u32).filter(|&v| side_bits[v as usize]).collect();
+        let touched_members: Vec<u32> = members
+            .iter()
+            .copied()
+            .filter(|v| touched.contains(v))
+            .collect();
+        for (c, via_arena) in (0..copies)
+            .map(|c| bank.merged_copy(&members, c))
+            .enumerate()
+        {
             match (&via_arena, touched_members.split_first()) {
                 (None, None) => {}
                 (Some(merged), Some((&first, rest))) => {
@@ -401,67 +479,84 @@ proptest! {
                     for &v in rest {
                         fold.merge(&standalone[v as usize][c]);
                     }
-                    prop_assert_eq!(merged, &fold, "merged copy {}", c);
+                    assert_eq!(merged, &fold, "case {case}: merged copy {c}");
                 }
-                _ => prop_assert!(false, "materialization disagreement"),
+                _ => panic!("case {case}: materialization disagreement"),
             }
         }
     }
+}
 
-    /// `words()` accounting pins the paper's dense shape: the cached
-    /// per-column cost equals the pre-arena probe-sketch formula, and
-    /// total words depend only on which vertices were ever touched —
-    /// insert/delete churn back to the zero vector changes nothing.
-    #[test]
-    fn bank_words_invariant_under_churn(
-        edges in proptest::collection::vec((0u32..20, 0u32..20), 1..40),
-        copies in 1usize..6,
-        seed in 0u64..100,
-    ) {
-        use mpc_stream::sketch::SketchBank;
-        use mpc_stream::sketch::vertex::VertexSketch;
+/// `words()` accounting pins the paper's dense shape: the cached
+/// per-column cost equals the pre-arena probe-sketch formula, and
+/// total words depend only on which vertices were ever touched —
+/// insert/delete churn back to the zero vector changes nothing.
+#[test]
+fn bank_words_invariant_under_churn() {
+    use mpc_stream::sketch::SketchBank;
+    let mut rng = case_rng();
+    let (mut case, mut rejected) = (0, 0);
+    while case < 24 {
+        let edges = vec_of(&mut rng, 1..40, |r| {
+            (r.gen_range(0u32..20), r.gen_range(0u32..20))
+        });
+        let copies = rng.gen_range(1usize..6);
+        let seed = rng.gen_range(0u64..100);
         let n = 20usize;
         let mut bank = SketchBank::new(n, copies, seed);
         // The cached per-column cost matches a freshly seeded probe
         // column (what the pre-arena code recomputed per call).
-        prop_assert_eq!(
+        assert_eq!(
             bank.words_per_vertex(),
-            VertexSketch::new(n, 0, 0).words() * copies as u64
+            VertexSketch::new(n, 0, 0).words() * copies as u64,
+            "case {case}"
         );
         let clean: Vec<Edge> = {
             let mut seen = std::collections::BTreeSet::new();
-            edges.iter().filter(|&&(a, b)| a != b)
+            edges
+                .iter()
+                .filter(|&&(a, b)| a != b)
                 .map(|&(a, b)| Edge::new(a, b))
                 .filter(|e| seen.insert(*e))
                 .collect()
         };
-        prop_assume!(!clean.is_empty());
+        if clean.is_empty() {
+            reject(&mut rejected, 24);
+            continue;
+        }
         for &e in &clean {
             bank.insert_edge(e);
         }
         let touched: std::collections::BTreeSet<u32> =
             clean.iter().flat_map(|e| [e.u(), e.v()]).collect();
         let after_inserts = bank.words();
-        prop_assert_eq!(
+        assert_eq!(
             after_inserts,
-            touched.len() as u64 * bank.words_per_vertex()
+            touched.len() as u64 * bank.words_per_vertex(),
+            "case {case}"
         );
         // Churn everything back to zero: accounted words must not
         // move (dense accounted shape, host cells merely cancel).
         for &e in &clean {
             bank.delete_edge(e);
         }
-        prop_assert_eq!(bank.words(), after_inserts);
+        assert_eq!(bank.words(), after_inserts, "case {case}: after churn");
         for &v in &touched {
             for c in 0..copies {
-                prop_assert!(bank.vertex_sketch(v, c).expect("still materialized").is_empty_cut());
+                assert!(
+                    bank.vertex_sketch(v, c)
+                        .expect("still materialized")
+                        .is_empty_cut(),
+                    "case {case}: vertex {v} copy {c} not empty"
+                );
             }
         }
         // Re-inserting the same edges still does not re-charge.
         for &e in &clean {
             bank.insert_edge(e);
         }
-        prop_assert_eq!(bank.words(), after_inserts);
+        assert_eq!(bank.words(), after_inserts, "case {case}: after re-insert");
+        case += 1;
     }
 }
 

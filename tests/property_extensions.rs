@@ -9,98 +9,112 @@ use mpc_stream::graph::oracle;
 use mpc_stream::graph::update::{Batch, Update};
 use mpc_stream::kconn::{DynamicKConn, InsertOnlyKConn};
 use mpc_stream::mpc::{MpcConfig, MpcContext};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::BTreeSet;
+
+mod common;
+use common::{case_rng, vec_of};
 
 fn ctx_for(n: usize) -> MpcContext {
     MpcContext::new(MpcConfig::builder(n, 0.5).local_capacity(1 << 16).build())
 }
 
 /// Random simple edge set on `n` vertices.
-fn edge_sets(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<Edge>> {
-    proptest::collection::vec((0u32..n, 0u32..n), 0..max_edges).prop_map(|pairs| {
-        let mut seen = BTreeSet::new();
-        pairs
-            .into_iter()
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| Edge::new(a, b))
-            .filter(|e| seen.insert(*e))
-            .collect()
-    })
+fn edge_sets(rng: &mut StdRng, n: u32, max_edges: usize) -> Vec<Edge> {
+    let pairs = vec_of(rng, 0..max_edges, |r| {
+        (r.gen_range(0..n), r.gen_range(0..n))
+    });
+    let mut seen = BTreeSet::new();
+    pairs
+        .into_iter()
+        .filter(|(a, b)| a != b)
+        .map(|(a, b)| Edge::new(a, b))
+        .filter(|e| seen.insert(*e))
+        .collect()
 }
 
 /// A valid mixed batch sequence (inserts of absent edges, deletes of
 /// live ones) together with the live edge set after every batch.
-fn mixed_streams(n: u32) -> impl Strategy<Value = (Vec<Batch>, Vec<Vec<Edge>>)> {
-    proptest::collection::vec((0u32..n, 0u32..n, any::<bool>()), 1..80).prop_map(move |steps| {
-        let mut live: BTreeSet<Edge> = BTreeSet::new();
-        let mut batches = Vec::new();
-        let mut snapshots = Vec::new();
-        let mut current = Batch::new();
-        for (a, b, prefer_insert) in steps {
-            if a == b {
-                continue;
-            }
-            let e = Edge::new(a, b);
-            if live.contains(&e) && !prefer_insert {
-                live.remove(&e);
-                current.push(Update::Delete(e));
-            } else if !live.contains(&e) && (prefer_insert || live.is_empty()) {
-                live.insert(e);
-                current.push(Update::Insert(e));
-            }
-            if current.len() >= 6 {
-                batches.push(std::mem::take(&mut current));
-                snapshots.push(live.iter().copied().collect());
-            }
+fn mixed_streams(rng: &mut StdRng, n: u32) -> (Vec<Batch>, Vec<Vec<Edge>>) {
+    let steps = vec_of(rng, 1..80, |r| {
+        (r.gen_range(0..n), r.gen_range(0..n), r.gen_bool(0.5))
+    });
+    let mut live: BTreeSet<Edge> = BTreeSet::new();
+    let mut batches = Vec::new();
+    let mut snapshots = Vec::new();
+    let mut current = Batch::new();
+    for (a, b, prefer_insert) in steps {
+        if a == b {
+            continue;
         }
-        if !current.is_empty() {
-            batches.push(current);
+        let e = Edge::new(a, b);
+        if live.contains(&e) && !prefer_insert {
+            live.remove(&e);
+            current.push(Update::Delete(e));
+        } else if !live.contains(&e) && (prefer_insert || live.is_empty()) {
+            live.insert(e);
+            current.push(Update::Insert(e));
+        }
+        if current.len() >= 6 {
+            batches.push(std::mem::take(&mut current));
             snapshots.push(live.iter().copied().collect());
         }
-        (batches, snapshots)
-    })
+    }
+    if !current.is_empty() {
+        batches.push(current);
+        snapshots.push(live.iter().copied().collect());
+    }
+    (batches, snapshots)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Insert-only certificate: structurally valid, edge-subset of G,
-    /// within the k(n-1) size bound, and cut-exact up to k.
-    #[test]
-    fn insert_only_certificate_preserves_small_cuts(
-        edges in edge_sets(10, 30),
-        k in 1usize..4,
-    ) {
+/// Insert-only certificate: structurally valid, edge-subset of G,
+/// within the k(n-1) size bound, and cut-exact up to k.
+#[test]
+fn insert_only_certificate_preserves_small_cuts() {
+    let mut rng = case_rng();
+    for case in 0..24 {
+        let edges = edge_sets(&mut rng, 10, 30);
+        let k = rng.gen_range(1usize..4);
         let n = 10usize;
         let mut ctx = ctx_for(n);
         let mut kc = InsertOnlyKConn::new(n, k);
         for chunk in edges.chunks(4) {
-            kc.apply_batch(&Batch::inserting(chunk.iter().copied()), &mut ctx).unwrap();
+            kc.apply_batch(&Batch::inserting(chunk.iter().copied()), &mut ctx)
+                .unwrap();
         }
         let cert = kc.certificate();
-        prop_assert_eq!(cert.validate(), Ok(()));
-        prop_assert!(cert.edge_count() <= k * (n - 1));
+        assert_eq!(cert.validate(), Ok(()), "case {case}");
+        assert!(
+            cert.edge_count() <= k * (n - 1),
+            "case {case}: certificate too large"
+        );
         for e in cert.edges() {
-            prop_assert!(edges.contains(&e));
+            assert!(edges.contains(&e), "case {case}: ghost edge {e:?}");
         }
         let lam_g = cuts::edge_connectivity(n, &edges).min(k as u64);
         let lam_c = cuts::edge_connectivity(n, &cert.edges()).min(k as u64);
-        prop_assert_eq!(lam_g, lam_c);
+        assert_eq!(lam_g, lam_c, "case {case}");
         // Bridges coincide whenever the certificate may answer.
         if k >= 2 {
-            prop_assert_eq!(cert.bridges().unwrap(), cuts::bridges(n, &edges));
+            assert_eq!(
+                cert.bridges().unwrap(),
+                cuts::bridges(n, &edges),
+                "case {case}"
+            );
         }
     }
+}
 
-    /// Dynamic sketch-peeled certificate preserves truncated cuts
-    /// after arbitrary valid insert/delete streams.
-    #[test]
-    fn dynamic_certificate_preserves_small_cuts(
-        (batches, snapshots) in mixed_streams(9),
-        k in 1usize..3,
-        seed in 0u64..1000,
-    ) {
+/// Dynamic sketch-peeled certificate preserves truncated cuts
+/// after arbitrary valid insert/delete streams.
+#[test]
+fn dynamic_certificate_preserves_small_cuts() {
+    let mut rng = case_rng();
+    for case in 0..24 {
+        let (batches, snapshots) = mixed_streams(&mut rng, 9);
+        let k = rng.gen_range(1usize..3);
+        let seed = rng.gen_range(0u64..1000);
         let n = 9usize;
         let mut ctx = ctx_for(n);
         let mut kc = DynamicKConn::new(n, k, seed);
@@ -110,41 +124,50 @@ proptest! {
         let live = snapshots.last().cloned().unwrap_or_default();
         let cert = kc.certificate(&mut ctx);
         for e in cert.edges() {
-            prop_assert!(live.contains(&e), "ghost edge {:?}", e);
+            assert!(live.contains(&e), "case {case}: ghost edge {e:?}");
         }
         let lam_g = cuts::edge_connectivity(n, &live).min(k as u64);
         let lam_c = cuts::edge_connectivity(n, &cert.edges()).min(k as u64);
-        prop_assert_eq!(lam_g, lam_c);
+        assert_eq!(lam_g, lam_c, "case {case}");
     }
+}
 
-    /// The robust wrapper gives oracle-exact labels on every prefix of
-    /// any oblivious stream (budget set high enough to never refuse).
-    #[test]
-    fn robust_connectivity_matches_oracle(
-        (batches, snapshots) in mixed_streams(12),
-        r in 1usize..4,
-    ) {
+/// The robust wrapper gives oracle-exact labels on every prefix of
+/// any oblivious stream (budget set high enough to never refuse).
+#[test]
+fn robust_connectivity_matches_oracle() {
+    let mut rng = case_rng();
+    for case in 0..24 {
+        let (batches, snapshots) = mixed_streams(&mut rng, 12);
+        let r = rng.gen_range(1usize..4);
         let n = 12usize;
         let mut ctx = ctx_for(n);
         let mut rc = RobustConnectivity::new(n, r, 1000, ConnectivityConfig::default(), 77);
         for (batch, live) in batches.iter().zip(&snapshots) {
             rc.apply_batch(batch, &mut ctx).unwrap();
             let labels = oracle::components(n, live.iter().copied());
-            prop_assert_eq!(rc.component_labels(), &labels[..]);
+            assert_eq!(rc.component_labels(), &labels[..], "case {case}");
         }
     }
+}
 
-    /// Vertex-dynamic connectivity matches the oracle under arbitrary
-    /// add-vertex / add-edge / delete-edge / remove-vertex programs.
-    #[test]
-    fn vertex_churn_matches_oracle(
-        program in proptest::collection::vec((0u8..4, 0u32..16, 0u32..16), 1..60),
-    ) {
+/// Vertex-dynamic connectivity matches the oracle under arbitrary
+/// add-vertex / add-edge / delete-edge / remove-vertex programs.
+#[test]
+fn vertex_churn_matches_oracle() {
+    let mut rng = case_rng();
+    for case in 0..24 {
+        let program = vec_of(&mut rng, 1..60, |r| {
+            (
+                r.gen_range(0u8..4),
+                r.gen_range(0u32..16),
+                r.gen_range(0u32..16),
+            )
+        });
         let cap = 16usize;
         let mut ctx = ctx_for(cap);
-        let mut vd = VertexDynamicConnectivity::with_capacity(
-            cap, ConnectivityConfig::default(), 3,
-        );
+        let mut vd =
+            VertexDynamicConnectivity::with_capacity(cap, ConnectivityConfig::default(), 3);
         let mut live: Vec<Edge> = Vec::new();
         let mut active: Vec<u32> = Vec::new();
         for (op, x, y) in program {
@@ -188,16 +211,20 @@ proptest! {
         let labels = oracle::components(cap, live.iter().copied());
         for &a in &active {
             for &b in &active {
-                prop_assert_eq!(
+                assert_eq!(
                     vd.connected(a, b).unwrap(),
-                    labels[a as usize] == labels[b as usize]
+                    labels[a as usize] == labels[b as usize],
+                    "case {case}: connected({a}, {b})"
                 );
             }
         }
         // Inactive slots are rejected, not misanswered.
         for v in 0..cap as u32 {
             if !active.contains(&v) {
-                prop_assert!(vd.component_of(v).is_err());
+                assert!(
+                    vd.component_of(v).is_err(),
+                    "case {case}: inactive slot {v} answered"
+                );
             }
         }
     }
@@ -229,20 +256,19 @@ fn snapshot_untouched(
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// The sharded-ETF locality guarantee: after any batch_join /
+/// batch_split, the edge records (and lengths and memberships) of
+/// every tour the batch did not touch are bit-identical — the
+/// regression guard that writes stay shard-local.
+#[test]
+fn batch_ops_leave_untouched_tours_bit_identical() {
+    use mpc_stream::etf::tour::validate;
+    use mpc_stream::etf::DistEtf;
+    use rand::SeedableRng;
 
-    /// The sharded-ETF locality guarantee: after any batch_join /
-    /// batch_split, the edge records (and lengths and memberships) of
-    /// every tour the batch did not touch are bit-identical — the
-    /// regression guard that writes stay shard-local.
-    #[test]
-    fn batch_ops_leave_untouched_tours_bit_identical(seed in 0u64..1u64 << 48) {
-        use mpc_stream::etf::DistEtf;
-        use mpc_stream::etf::tour::validate;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
+    let mut cases = case_rng();
+    for case in 0..16 {
+        let seed = cases.gen_range(0u64..1 << 48);
         let n = 60usize;
         let mut ctx = ctx_for(n);
         let mut etf = DistEtf::new(n);
@@ -280,13 +306,25 @@ proptest! {
                     continue;
                 }
                 let snap = snapshot_untouched(&etf, &used);
-                etf.batch_join(&batch, &mut ctx).expect("batch fits one machine");
+                etf.batch_join(&batch, &mut ctx)
+                    .expect("batch fits one machine");
                 live.extend(&batch);
                 for (t, (len, members, recs)) in &snap {
-                    prop_assert_eq!(etf.tour_len(*t), *len, "length of untouched tour changed");
-                    prop_assert_eq!(etf.tour_members(*t), &members[..], "members of untouched tour changed");
+                    assert_eq!(
+                        etf.tour_len(*t),
+                        *len,
+                        "case {case}: length of untouched tour changed"
+                    );
+                    assert_eq!(
+                        etf.tour_members(*t),
+                        &members[..],
+                        "case {case}: members of untouched tour changed"
+                    );
                     let now: Vec<_> = etf.tour_edges(*t).map(|(e, r)| (e, *r)).collect();
-                    prop_assert_eq!(&now, recs, "edge records of untouched tour changed");
+                    assert_eq!(
+                        &now, recs,
+                        "case {case}: edge records of untouched tour changed"
+                    );
                 }
                 validate(&etf).expect("valid after batch_join");
             } else {
@@ -303,10 +341,21 @@ proptest! {
                 let snap = snapshot_untouched(&etf, &touched);
                 etf.batch_split(&batch, &mut ctx);
                 for (t, (len, members, recs)) in &snap {
-                    prop_assert_eq!(etf.tour_len(*t), *len, "length of untouched tour changed");
-                    prop_assert_eq!(etf.tour_members(*t), &members[..], "members of untouched tour changed");
+                    assert_eq!(
+                        etf.tour_len(*t),
+                        *len,
+                        "case {case}: length of untouched tour changed"
+                    );
+                    assert_eq!(
+                        etf.tour_members(*t),
+                        &members[..],
+                        "case {case}: members of untouched tour changed"
+                    );
                     let now: Vec<_> = etf.tour_edges(*t).map(|(e, r)| (e, *r)).collect();
-                    prop_assert_eq!(&now, recs, "edge records of untouched tour changed");
+                    assert_eq!(
+                        &now, recs,
+                        "case {case}: edge records of untouched tour changed"
+                    );
                 }
                 validate(&etf).expect("valid after batch_split");
             }

@@ -8,39 +8,45 @@ use mpc_stream::mpc::cluster::Cluster;
 use mpc_stream::mpc::primitives::{
     broadcast, converge_cast, prefix_sum, sample_sort, tree_fanout, tree_rounds,
 };
-use proptest::prelude::*;
+use rand::Rng;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+mod common;
+use common::{case_rng, vec_of};
 
-    /// Broadcast delivers the exact payload to every machine within
-    /// the fan-out-tree round bound.
-    #[test]
-    fn broadcast_is_exact_and_within_bound(
-        machines in 1usize..40,
-        payload_len in 1usize..8,
-        capacity_slack in 4u64..64,
-        seed in 0u64..1000,
-    ) {
+/// Broadcast delivers the exact payload to every machine within
+/// the fan-out-tree round bound.
+#[test]
+fn broadcast_is_exact_and_within_bound() {
+    let mut rng = case_rng();
+    for case in 0..32 {
+        let machines = rng.gen_range(1usize..40);
+        let payload_len = rng.gen_range(1usize..8);
+        let capacity_slack = rng.gen_range(4u64..64);
+        let seed = rng.gen_range(0u64..1000);
         let payload: Vec<u64> = (0..payload_len as u64).map(|i| i * 31 + seed).collect();
         let capacity = payload.len() as u64 * capacity_slack;
         let mut c = Cluster::new(machines, capacity);
         let rounds = broadcast(&mut c, &payload).unwrap();
         for m in 0..machines {
-            prop_assert_eq!(c.buffer(m), &payload[..]);
+            assert_eq!(c.buffer(m), &payload[..], "case {case}: machine {m}");
         }
         let fanout = tree_fanout(capacity, payload.len() as u64);
         // The engine spends the tree depth plus one delivery round.
-        prop_assert!(rounds <= tree_rounds(machines, fanout) + 1);
+        assert!(
+            rounds <= tree_rounds(machines, fanout) + 1,
+            "case {case}: {rounds} rounds"
+        );
     }
+}
 
-    /// Converge-cast folds every machine's value into machine 0
-    /// within the aggregation-tree round bound.
-    #[test]
-    fn converge_cast_sums_within_bound(
-        machines in 1usize..40,
-        values in proptest::collection::vec(0u64..1000, 1..40),
-    ) {
+/// Converge-cast folds every machine's value into machine 0
+/// within the aggregation-tree round bound.
+#[test]
+fn converge_cast_sums_within_bound() {
+    let mut rng = case_rng();
+    for case in 0..32 {
+        let machines = rng.gen_range(1usize..40);
+        let values = vec_of(&mut rng, 1..40, |r| r.gen_range(0u64..1000));
         let machines = machines.min(values.len());
         let mut c = Cluster::new(machines, 1 << 12);
         for (m, v) in values.iter().take(machines).enumerate() {
@@ -56,19 +62,28 @@ proptest! {
             }
         })
         .unwrap();
-        prop_assert_eq!(c.buffer(0).first().copied().unwrap_or(0), expect);
+        assert_eq!(
+            c.buffer(0).first().copied().unwrap_or(0),
+            expect,
+            "case {case}"
+        );
         let fanout = tree_fanout(1 << 12, 1);
-        prop_assert!(rounds <= tree_rounds(machines, fanout) + 2);
+        assert!(
+            rounds <= tree_rounds(machines, fanout) + 2,
+            "case {case}: {rounds} rounds"
+        );
     }
+}
 
-    /// Sample sort produces a globally sorted placement: each machine
-    /// locally sorted, machine boundaries monotone, multiset
-    /// preserved.
-    #[test]
-    fn sample_sort_is_a_permutation_sorted_globally(
-        machines in 1usize..16,
-        mut data in proptest::collection::vec(0u64..10_000, 0..200),
-    ) {
+/// Sample sort produces a globally sorted placement: each machine
+/// locally sorted, machine boundaries monotone, multiset
+/// preserved.
+#[test]
+fn sample_sort_is_a_permutation_sorted_globally() {
+    let mut rng = case_rng();
+    for case in 0..32 {
+        let machines = rng.gen_range(1usize..16);
+        let mut data = vec_of(&mut rng, 0..200, |r| r.gen_range(0u64..10_000));
         let mut c = Cluster::new(machines, 1 << 12);
         // Scatter arbitrarily (round-robin with a twist).
         for (i, v) in data.iter().enumerate() {
@@ -80,9 +95,12 @@ proptest! {
         let mut prev_last: Option<u64> = None;
         for m in 0..machines {
             let b = c.buffer(m);
-            prop_assert!(b.windows(2).all(|w| w[0] <= w[1]), "machine {} unsorted", m);
+            assert!(
+                b.windows(2).all(|w| w[0] <= w[1]),
+                "case {case}: machine {m} unsorted"
+            );
             if let (Some(last), Some(first)) = (prev_last, b.first()) {
-                prop_assert!(last <= *first, "boundary into machine {}", m);
+                assert!(last <= *first, "case {case}: boundary into machine {m}");
             }
             if let Some(l) = b.last() {
                 prev_last = Some(*l);
@@ -90,15 +108,17 @@ proptest! {
             collected.extend_from_slice(b);
         }
         data.sort_unstable();
-        prop_assert_eq!(collected, data);
+        assert_eq!(collected, data, "case {case}");
     }
+}
 
-    /// Prefix sum gives every machine the exclusive sum of the buffer
-    /// value sums before it.
-    #[test]
-    fn prefix_sum_is_exclusive_scan(
-        sizes in proptest::collection::vec(0u64..50, 1..24),
-    ) {
+/// Prefix sum gives every machine the exclusive sum of the buffer
+/// value sums before it.
+#[test]
+fn prefix_sum_is_exclusive_scan() {
+    let mut rng = case_rng();
+    for case in 0..32 {
+        let sizes = vec_of(&mut rng, 1..24, |r| r.gen_range(0u64..50));
         let machines = sizes.len();
         let mut c = Cluster::new(machines, 1 << 12);
         let mut value_sums = vec![0u64; machines];
@@ -111,7 +131,7 @@ proptest! {
         prefix_sum(&mut c).unwrap();
         let mut expect = 0u64;
         for (m, vs) in value_sums.iter().enumerate() {
-            prop_assert_eq!(c.buffer(m)[0], expect, "machine {}", m);
+            assert_eq!(c.buffer(m)[0], expect, "case {case}: machine {m}");
             expect += vs;
         }
     }

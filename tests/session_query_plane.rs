@@ -8,8 +8,12 @@
 use mpc_stream::graph::ids::Edge;
 use mpc_stream::graph::update::{Batch, Update};
 use mpc_stream::prelude::*;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::BTreeSet;
+
+mod common;
+use common::{case_rng, vec_of};
 
 fn cfg(n: usize) -> MpcConfig {
     // 2n covers the bipartite double cover; permissive mode lets one
@@ -21,51 +25,52 @@ fn cfg(n: usize) -> MpcConfig {
 
 /// Insert-only simple-graph batch sequences (every maintainer kind,
 /// including the insertion-only ones, accepts them).
-fn insert_streams(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<Batch>> {
-    let step = (0u32..n, 0u32..n);
-    proptest::collection::vec(step, 1..max_edges).prop_map(move |pairs| {
-        let mut seen: BTreeSet<Edge> = BTreeSet::new();
-        let mut batches = Vec::new();
-        let mut current = Batch::new();
-        for (a, b) in pairs {
-            if a == b {
-                continue;
-            }
-            let e = Edge::new(a, b);
-            if seen.insert(e) {
-                current.push(Update::Insert(e));
-            }
-            if current.len() >= 8 {
-                batches.push(std::mem::take(&mut current));
-            }
+fn insert_streams(rng: &mut StdRng, n: u32, max_edges: usize) -> Vec<Batch> {
+    let pairs = vec_of(rng, 1..max_edges, |r| {
+        (r.gen_range(0..n), r.gen_range(0..n))
+    });
+    let mut seen: BTreeSet<Edge> = BTreeSet::new();
+    let mut batches = Vec::new();
+    let mut current = Batch::new();
+    for (a, b) in pairs {
+        if a == b {
+            continue;
         }
-        if !current.is_empty() {
-            batches.push(current);
+        let e = Edge::new(a, b);
+        if seen.insert(e) {
+            current.push(Update::Insert(e));
         }
-        batches
-    })
+        if current.len() >= 8 {
+            batches.push(std::mem::take(&mut current));
+        }
+    }
+    if !current.is_empty() {
+        batches.push(current);
+    }
+    batches
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// One session, all sixteen maintainer kinds, one shared stream:
-    /// for each maintainer, at least one `ask` answer is compared
-    /// against the inherent API it re-expresses — and every answer
-    /// must have been charged nonzero rounds *and* words.
-    #[test]
-    fn ask_answers_equal_inherent_answers_for_every_maintainer_kind(
-        batches in insert_streams(20, 40),
-    ) {
+/// One session, all sixteen maintainer kinds, one shared stream:
+/// for each maintainer, at least one `ask` answer is compared
+/// against the inherent API it re-expresses — and every answer
+/// must have been charged nonzero rounds *and* words.
+#[test]
+fn ask_answers_equal_inherent_answers_for_every_maintainer_kind() {
+    let mut rng = case_rng();
+    for case in 0..6 {
+        let batches = insert_streams(&mut rng, 20, 40);
         let n = 20usize;
         let mut session = Session::new(cfg(n));
         let conn = session.register(Connectivity::new(n, ConnectivityConfig::default(), 1));
         let strm = session.register(StreamingConnectivity::new(n, 2));
         let robust = session.register(RobustConnectivity::new(
-            n, 2, 4, ConnectivityConfig::default(), 3,
+            n,
+            2,
+            4,
+            ConnectivityConfig::default(),
+            3,
         ));
-        let mut vd0 =
-            VertexDynamicConnectivity::with_capacity(n, ConnectivityConfig::default(), 4);
+        let mut vd0 = VertexDynamicConnectivity::with_capacity(n, ConnectivityConfig::default(), 4);
         {
             let mut setup = MpcContext::new(cfg(n));
             vd0.add_vertices(n, &mut setup).expect("slots available");
@@ -76,7 +81,10 @@ proptest! {
         let af = session.register(ApproxMsfForest::new(n, 0.5, 4, 6));
         let bip = session.register(Bipartiteness::new(n, 7));
         let est_i = session.register(MatchingSizeEstimator::new(
-            n, 2.0, StreamKind::InsertionOnly, 8,
+            n,
+            2.0,
+            StreamKind::InsertionOnly,
+            8,
         ));
         let est_d = session.register(MatchingSizeEstimator::new(n, 2.0, StreamKind::Dynamic, 9));
         let akly = session.register(AklyMatching::new(n, 2.0, 10));
@@ -85,18 +93,27 @@ proptest! {
         let io = session.register(InsertOnlyKConn::new(n, 2));
         let agm = session.register(AgmBaseline::new(n, 12));
         let full = session.register(FullMemoryBaseline::new(n));
-        prop_assert_eq!(session.maintainer_count(), 16);
+        assert_eq!(session.maintainer_count(), 16, "case {case}");
 
         for batch in &batches {
-            session.apply_batch(batch).expect("insert-only simple stream");
+            session
+                .apply_batch(batch)
+                .expect("insert-only simple stream");
         }
 
-        // Every ask below must be charged: nonzero rounds and words.
-        macro_rules! asked {
-            ($session:expr) => {{
-                let r = &$session.query_reports()[0];
-                prop_assert!(r.rounds > 0, "{}: free answer", r.maintainer);
-                prop_assert!(r.words > 0, "{}: weightless answer", r.maintainer);
+        // Every ask below must equal the inherent answer and be
+        // charged: nonzero rounds and words.
+        macro_rules! ask {
+            ($handle:expr, $query:expr, $as:ident, $want:expr) => {{
+                let got = session.ask($handle, &$query).unwrap();
+                assert_eq!(got.$as(), $want, "case {case}: {}", $query);
+                let r = &session.query_reports()[0];
+                assert!(r.rounds > 0, "case {case}: {}: free answer", r.maintainer);
+                assert!(
+                    r.words > 0,
+                    "case {case}: {}: weightless answer",
+                    r.maintainer
+                );
             }};
         }
 
@@ -104,88 +121,52 @@ proptest! {
 
         // Connectivity family: Connected + ComponentCount + forest.
         let want = session.get(conn).connected(u, v);
-        prop_assert_eq!(
-            session.ask(conn, &QueryRequest::Connected(u, v)).unwrap().as_bool(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(conn, QueryRequest::Connected(u, v), as_bool, Some(want));
         let want = session.get(conn).component_count() as u64;
-        prop_assert_eq!(
-            session.ask(conn, &QueryRequest::ComponentCount).unwrap().as_count(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(conn, QueryRequest::ComponentCount, as_count, Some(want));
         let want = session.get(conn).spanning_forest();
-        let got = session.ask(conn, &QueryRequest::SpanningForest).unwrap();
-        prop_assert_eq!(got.as_edges(), Some(&want[..]));
-        asked!(session);
+        ask!(
+            conn,
+            QueryRequest::SpanningForest,
+            as_edges,
+            Some(&want[..])
+        );
 
         let want = session.get(strm).connected(u, v);
-        prop_assert_eq!(
-            session.ask(strm, &QueryRequest::Connected(u, v)).unwrap().as_bool(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(strm, QueryRequest::Connected(u, v), as_bool, Some(want));
 
         let want = session.get(robust).component_count() as u64;
-        prop_assert_eq!(
-            session.ask(robust, &QueryRequest::ComponentCount).unwrap().as_count(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(robust, QueryRequest::ComponentCount, as_count, Some(want));
 
         let want = session.get(vd).connected(u, v).expect("all slots active");
-        prop_assert_eq!(
-            session.ask(vd, &QueryRequest::Connected(u, v)).unwrap().as_bool(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(vd, QueryRequest::Connected(u, v), as_bool, Some(want));
 
         // MSF family: weights and forests.
         let want = session.get(msf).weight() as f64;
-        prop_assert_eq!(
-            session.ask(msf, &QueryRequest::ForestWeight).unwrap().as_weight(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(msf, QueryRequest::ForestWeight, as_weight, Some(want));
         let want = session.get(aw).weight_estimate();
-        prop_assert_eq!(
-            session.ask(aw, &QueryRequest::ForestWeight).unwrap().as_weight(),
-            Some(want)
-        );
-        asked!(session);
-        let want: Vec<Edge> = session.get(af).forest().into_iter().map(|(e, _)| e).collect();
-        let got = session.ask(af, &QueryRequest::SpanningForest).unwrap();
-        prop_assert_eq!(got.as_edges(), Some(&want[..]));
-        asked!(session);
+        ask!(aw, QueryRequest::ForestWeight, as_weight, Some(want));
+        let want: Vec<Edge> = session
+            .get(af)
+            .forest()
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect();
+        ask!(af, QueryRequest::SpanningForest, as_edges, Some(&want[..]));
         let want = session.get(bip).is_bipartite();
-        prop_assert_eq!(
-            session.ask(bip, &QueryRequest::IsBipartite).unwrap().as_bool(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(bip, QueryRequest::IsBipartite, as_bool, Some(want));
 
         // Matching family: sizes and edges.
         for (handle, want) in [
             (est_i, session.get(est_i).estimate() as u64),
             (est_d, session.get(est_d).estimate() as u64),
         ] {
-            prop_assert_eq!(
-                session.ask(handle, &QueryRequest::MatchingSize).unwrap().as_count(),
-                Some(want)
-            );
-            asked!(session);
+            ask!(handle, QueryRequest::MatchingSize, as_count, Some(want));
         }
         let want = session.get(akly).matching_size() as u64;
-        prop_assert_eq!(
-            session.ask(akly, &QueryRequest::MatchingSize).unwrap().as_count(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(akly, QueryRequest::MatchingSize, as_count, Some(want));
         let want = session.get(mm).matching();
-        let got = session.ask(mm, &QueryRequest::MatchingEdges).unwrap();
-        prop_assert_eq!(got.as_edges(), Some(&want[..]));
-        asked!(session);
+        ask!(mm, QueryRequest::MatchingEdges, as_edges, Some(&want[..]));
 
         // k-connectivity: cut bounds, maintained vs peeled.
         let mut oracle_ctx = MpcContext::new(cfg(n));
@@ -193,51 +174,51 @@ proptest! {
             MinCut::Exact(c) => (c, true),
             MinCut::AtLeast(c) => (c, false),
         };
-        prop_assert_eq!(
-            session.ask(dy, &QueryRequest::MinCutLowerBound).unwrap().as_min_cut(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(dy, QueryRequest::MinCutLowerBound, as_min_cut, Some(want));
         let want = match session.get(io).certificate().min_cut() {
             MinCut::Exact(c) => (c, true),
             MinCut::AtLeast(c) => (c, false),
         };
-        prop_assert_eq!(
-            session.ask(io, &QueryRequest::MinCutLowerBound).unwrap().as_min_cut(),
-            Some(want)
-        );
-        asked!(session);
+        ask!(io, QueryRequest::MinCutLowerBound, as_min_cut, Some(want));
 
         // Baselines: recomputed answers equal the charged recompute.
         let want = session.query(agm, |b, ctx| b.query_components(ctx));
-        prop_assert_eq!(
-            session.ask(agm, &QueryRequest::ComponentOf(v)).unwrap().as_vertex(),
+        ask!(
+            agm,
+            QueryRequest::ComponentOf(v),
+            as_vertex,
             Some(want[v as usize])
         );
-        asked!(session);
         let want = session.query(full, |b, ctx| b.query_components(ctx));
-        prop_assert_eq!(
-            session.ask(full, &QueryRequest::ComponentOf(v)).unwrap().as_vertex(),
+        ask!(
+            full,
+            QueryRequest::ComponentOf(v),
+            as_vertex,
             Some(want[v as usize])
         );
-        asked!(session);
 
         // All sixteen answered at least once, all charged: the stats
         // breakdown has a nonzero query entry for every maintainer.
         for m in &session.stats().per_maintainer {
-            prop_assert!(m.queries >= 1, "{} never answered", m.name);
-            prop_assert!(m.query_rounds > 0, "{} answered for free", m.name);
-            prop_assert!(m.query_words > 0, "{} moved no words", m.name);
+            assert!(m.queries >= 1, "case {case}: {} never answered", m.name);
+            assert!(
+                m.query_rounds > 0,
+                "case {case}: {} answered for free",
+                m.name
+            );
+            assert!(m.query_words > 0, "case {case}: {} moved no words", m.name);
         }
     }
+}
 
-    /// `ask_all` cross-checks: every maintainer that answers
-    /// `ComponentCount` on a shared stream must agree with the
-    /// union-find oracle.
-    #[test]
-    fn ask_all_component_counts_agree_with_the_oracle(
-        batches in insert_streams(16, 30),
-    ) {
+/// `ask_all` cross-checks: every maintainer that answers
+/// `ComponentCount` on a shared stream must agree with the
+/// union-find oracle.
+#[test]
+fn ask_all_component_counts_agree_with_the_oracle() {
+    let mut rng = case_rng();
+    for case in 0..6 {
+        let batches = insert_streams(&mut rng, 16, 30);
         let n = 16usize;
         let mut session = Session::new(cfg(n));
         session.register(Connectivity::new(n, ConnectivityConfig::default(), 1));
@@ -247,18 +228,26 @@ proptest! {
         session.register(FullMemoryBaseline::new(n));
         let mut live = Vec::new();
         for batch in &batches {
-            session.apply_batch(batch).expect("insert-only simple stream");
+            session
+                .apply_batch(batch)
+                .expect("insert-only simple stream");
             live.extend(batch.insertions());
         }
         let labels = mpc_stream::graph::oracle::components(n, live.iter().copied());
         let cc = mpc_stream::core_alg::canonical_component_count(&labels);
-        let answers = session.ask_all(&QueryRequest::ComponentCount).expect("fan-out");
-        prop_assert_eq!(answers.len(), 5, "all five support component counts");
+        let answers = session
+            .ask_all(&QueryRequest::ComponentCount)
+            .expect("fan-out");
+        assert_eq!(
+            answers.len(),
+            5,
+            "case {case}: all five support component counts"
+        );
         for (id, answer) in answers {
-            prop_assert_eq!(
+            assert_eq!(
                 answer.as_count(),
                 Some(cc),
-                "maintainer {} diverged from the oracle",
+                "case {case}: maintainer {} diverged from the oracle",
                 session.maintainer(id).expect("registered").name()
             );
         }
@@ -315,31 +304,29 @@ fn roster(n: usize) -> Vec<Box<dyn Maintain>> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// The `answer` contract, swept over all sixteen maintainer kinds
-    /// × all nine query kinds, calling `answer` directly: every pair
-    /// either answers with charged rounds or declines (`None`) with
-    /// the context's stats exactly as they were — the decline
-    /// `Session::ask_all` skips for free.
-    #[test]
-    fn answer_either_charges_or_declines_free_for_every_maintainer(
-        batches in insert_streams(20, 40),
-    ) {
+/// The `answer` contract, swept over all sixteen maintainer kinds
+/// × all nine query kinds, calling `answer` directly: every pair
+/// either answers with charged rounds or declines (`None`) with
+/// the context's stats exactly as they were — the decline
+/// `Session::ask_all` skips for free.
+#[test]
+fn answer_either_charges_or_declines_free_for_every_maintainer() {
+    let mut rng = case_rng();
+    for case in 0..4 {
+        let batches = insert_streams(&mut rng, 20, 40);
         let n = 20usize;
         let mut roster = roster(n);
         // The sweep covers the registered vocabulary exactly: a new
         // maintainer kind cannot ship without being asked everything.
         let names: BTreeSet<&str> = roster.iter().map(|m| m.name()).collect();
-        let registered: BTreeSet<&str> =
-            mpc_stream::full_registry().names().into_iter().collect();
-        prop_assert_eq!(names, registered);
+        let registered: BTreeSet<&str> = mpc_stream::full_registry().names().into_iter().collect();
+        assert_eq!(names, registered, "case {case}");
 
         let mut ctx = MpcContext::new(cfg(n));
         for m in &mut roster {
             for batch in &batches {
-                m.ingest(batch, &mut ctx).expect("insert-only simple stream");
+                m.ingest(batch, &mut ctx)
+                    .expect("insert-only simple stream");
             }
         }
 
@@ -347,20 +334,20 @@ proptest! {
             for query in &ALL_QUERIES {
                 let before = ctx.stats().clone();
                 match m.answer(query, &mut ctx) {
-                    Some(Ok(_)) => prop_assert!(
+                    Some(Ok(_)) => assert!(
                         ctx.stats().rounds > before.rounds,
-                        "{} answered {} for free",
+                        "case {case}: {} answered {} for free",
                         m.name(),
                         query
                     ),
-                    None => prop_assert_eq!(
+                    None => assert_eq!(
                         ctx.stats(),
                         &before,
-                        "{} charged before declining {}",
+                        "case {case}: {} charged before declining {}",
                         m.name(),
                         query
                     ),
-                    Some(Err(e)) => prop_assert!(false, "{} failed {}: {}", m.name(), query, e),
+                    Some(Err(e)) => panic!("case {case}: {} failed {}: {}", m.name(), query, e),
                 }
             }
         }
