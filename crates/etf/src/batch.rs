@@ -18,7 +18,7 @@
 //! `O(k)` breakpoints) is the closed form of the paper's four-case
 //! shift-index / update-index procedure.
 
-use crate::dist::{DistEtf, EdgeRec, Shard, Traversal};
+use crate::dist::{splice_sorted, DistEtf, EdgeRec, Shard, Tour, Traversal};
 use crate::TourId;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
@@ -261,45 +261,47 @@ impl DistEtf {
             plan.breakpoints = breakpoints;
         }
         // Local application: tours outside the component are never
-        // visited, and the root adapts to the merge shape. When the
-        // root dominates (the common incremental case: small trees
-        // attach to one big tour), its shard is remapped in place —
-        // edge keys, and so the shard order, never change — and only
-        // the child records are spliced in. When the children carry
-        // most of the edges, rebuilding the whole merged shard in one
-        // pass is cheaper than merging into the root.
-        let child_edges: u64 = order[1..].iter().map(|&t| self.tour_len(t) / 4).sum();
-        let rebuild = child_edges >= self.tour_len(root) / 4;
+        // visited, and the root adapts to the merge shape. Its records
+        // are remapped in place — edge keys, and so the shard order,
+        // never change. When the root dominates (the common incremental
+        // case: small trees attach to one big tour), only the child
+        // records are spliced into it. When the children carry most of
+        // the edges, rebuilding the whole merged shard in one pass is
+        // cheaper than merging into the root.
+        let mut tour = self.take_tour(root);
+        let child_edges = order[1..]
+            .iter()
+            .map(|&t| self.tour_len(t) / 4)
+            .sum::<u64>() as usize;
         #[expect(
             clippy::expect_used,
             reason = "map invariant — the root is in `order`, so the pre-order pass planned it"
         )]
         let root_plan = plans.remove(&root).expect("root planned");
-        let mut merged: Vec<(Edge, EdgeRec)> =
-            Vec::with_capacity(child_edges as usize + new_recs.len());
-        if rebuild {
-            let mut shard = self.take_shard(root);
-            for (_, rec) in shard.iter_mut() {
-                rec.first.pos = root_plan.map(rec.first.pos);
-                rec.second.pos = root_plan.map(rec.second.pos);
-            }
-            merged = shard;
-            merged.reserve(child_edges as usize + new_recs.len());
-        } else if let Some(shard) = self.shard_mut(root) {
-            for (_, rec) in shard.iter_mut() {
-                rec.first.pos = root_plan.map(rec.first.pos);
-                rec.second.pos = root_plan.map(rec.second.pos);
-            }
+        for (_, rec) in tour.edges.iter_mut() {
+            rec.first.pos = root_plan.map(rec.first.pos);
+            rec.second.pos = root_plan.map(rec.second.pos);
         }
+        let mut merged = if child_edges >= tour.edges.len() {
+            std::mem::take(&mut tour.edges)
+        } else {
+            Vec::new()
+        };
+        merged.reserve(child_edges + new_recs.len());
+        // Membership: the root's members keep their tour assignment
+        // (the merged tour is the root's), so only the child runs are
+        // relabelled.
+        let mut extra: Vec<VertexId> = Vec::new();
         for &t in &order[1..] {
             let plan = &plans[&t];
-            let mut shard = self.take_shard(t);
-            for (_, rec) in shard.iter_mut() {
+            let mut child = self.take_tour(t);
+            for (_, rec) in child.edges.iter_mut() {
                 rec.first.pos = plan.map(rec.first.pos);
                 rec.second.pos = plan.map(rec.second.pos);
                 rec.tour = new_tour;
             }
-            merged.append(&mut shard);
+            merged.append(&mut child.edges);
+            extra.append(&mut child.members);
         }
         // The k new edges ride the same splice instead of k separate
         // shard inserts; only their adjacency entries are per-edge.
@@ -307,23 +309,12 @@ impl DistEtf {
             self.add_adjacency(e);
             merged.push((e, rec));
         }
-        self.splice_shard_entries(new_tour, merged);
-        // Merge membership and length bookkeeping: the root's members
-        // keep their tour assignment (the merged tour is the root's),
-        // so only the child runs are relabelled, then merged into the
-        // root's sorted member list with one two-pointer pass.
-        let mut extra: Vec<VertexId> = Vec::new();
-        for &t in &order[1..] {
-            extra.extend(self.remove_tour_bookkeeping(t));
-        }
+        splice_sorted(&mut tour.edges, merged, |&(e, _)| e);
         for &w in &extra {
             self.set_vertex_tour(w, new_tour);
         }
-        extra.sort_unstable();
-        let root_members = self.remove_tour_bookkeeping(root);
-        let member_vec = crate::dist::merge_sorted_runs(&root_members, &extra, |&v| v);
-        let len = total[&root];
-        self.install_tour(new_tour, len, member_vec);
+        splice_sorted(&mut tour.members, extra, |&v| v);
+        self.put_tour(new_tour, tour);
     }
 
     /// Removes `edges` (all forest edges) in `O(1)` rounds, splitting
@@ -410,7 +401,11 @@ impl DistEtf {
         // region. `span` is a region before the cuts: the position in
         // front of its first entry, and its length.
         let root = k;
-        let old_len = self.tour_len(t);
+        let Tour {
+            edges: mut shard,
+            mut members,
+        } = self.take_tour(t);
+        let old_len = 4 * shard.len() as u64;
         let span = |r: usize| match cuts.get(r) {
             Some(&(p, q, _)) => (p + 1, q - p - 2),
             None => (0, old_len),
@@ -450,8 +445,6 @@ impl DistEtf {
         // The pass: deleted records drop out, the kept region's
         // records close ranks in place, the rest are pushed out (an
         // indexed loop: `retain_mut` measured 1.5× slower on it).
-        let mut members = self.remove_tour_bookkeeping(t);
-        let mut shard = self.take_shard(t);
         let mut entries: Vec<Shard> = vec![Vec::new(); k + 1];
         let mut kept = 0;
         for i in 0..shard.len() {
@@ -487,7 +480,11 @@ impl DistEtf {
         for &w in &left {
             let id = self.fresh_id();
             self.set_vertex_tour(w, id);
-            self.install_tour(id, 0, vec![w]);
+            let tour = Tour {
+                edges: Vec::new(),
+                members: vec![w],
+            };
+            self.put_tour(id, tour);
             result.push(id);
         }
         // Membership: a cut-out region's from its own entries, the
@@ -502,8 +499,7 @@ impl DistEtf {
         members.retain(|v| next.next_if_eq(&v).is_none());
         region_members[keep] = members;
         entries[keep] = shard;
-        for (r, (es, members)) in entries.into_iter().zip(region_members).enumerate() {
-            self.put_shard(ids[r], es);
+        for (r, (edges, members)) in entries.into_iter().zip(region_members).enumerate() {
             if members.is_empty() {
                 continue;
             }
@@ -512,7 +508,7 @@ impl DistEtf {
                     self.set_vertex_tour(w, ids[r]);
                 }
             }
-            self.install_tour(ids[r], len_of(r), members);
+            self.put_tour(ids[r], Tour { edges, members });
             result.push(ids[r]);
         }
         result

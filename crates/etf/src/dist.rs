@@ -10,6 +10,15 @@ use std::collections::{BTreeMap, BTreeSet};
 /// rewrites.
 pub(crate) type Shard = Vec<(Edge, EdgeRec)>;
 
+/// One Euler tour: its edge shard (empty for a singleton) and its
+/// members, sorted ascending. Its length is `4·|edges|`, stored
+/// nowhere.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tour {
+    pub(crate) edges: Shard,
+    pub(crate) members: Vec<VertexId>,
+}
+
 fn shard_get(shard: &Shard, e: Edge) -> Option<&EdgeRec> {
     shard
         .binary_search_by_key(&e, |&(k, _)| k)
@@ -20,11 +29,7 @@ fn shard_get(shard: &Shard, e: Edge) -> Option<&EdgeRec> {
 /// Merges two sorted runs into one sorted vector in a single linear
 /// pass — the shared splice primitive of the batch operations (edge
 /// shards and member lists alike).
-pub(crate) fn merge_sorted_runs<T: Copy, K: Ord>(
-    a: &[T],
-    b: &[T],
-    key: impl Fn(&T) -> K,
-) -> Vec<T> {
+fn merge_sorted_runs<T: Copy, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -39,6 +44,41 @@ pub(crate) fn merge_sorted_runs<T: Copy, K: Ord>(
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
+}
+
+/// Splices a run into a sorted vector: an edge shard or a member list.
+/// The batch operations produce concatenations of already-sorted runs,
+/// so the stable sort here is a linear-time run merge. A constant-size
+/// run into a big vector takes per-entry sorted inserts; anything
+/// larger takes one linear merge.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+)]
+pub(crate) fn splice_sorted<T: Copy, K: Ord>(
+    into: &mut Vec<T>,
+    mut run: Vec<T>,
+    key: impl Fn(&T) -> K,
+) {
+    run.sort_by_key(&key);
+    if into.is_empty() {
+        *into = run;
+    } else if run.len() <= 8 && run.len() * 8 <= into.len() {
+        // A duplicate key (a caller bug) is inserted anyway, so the
+        // validator reports it, as the merge path would.
+        for x in run {
+            let i = match into.binary_search_by_key(&key(&x), &key) {
+                Ok(i) => {
+                    debug_assert!(false, "key spliced twice");
+                    i
+                }
+                Err(i) => i,
+            };
+            into.insert(i, x);
+        }
+    } else {
+        *into = merge_sorted_runs(into, &run, key);
+    }
 }
 
 /// Identifier of one Euler tour (one tree of the forest). Tour ids
@@ -113,8 +153,9 @@ mpc_snapshot::persist_struct!(EdgeRec { tour, first, second } check |rec| {
 ///
 /// State is *vertex- and edge-sharded*: each vertex carries only its
 /// tour id; each forest edge carries its four tour positions, and the
-/// edge records are stored in **per-tour shards** (`tour → edges`) so
-/// every operation touches only the affected tours' records —
+/// edge records are stored in **per-tour shards** (one tour record per
+/// tour: its edges and its members) so every operation touches only
+/// the affected tours' records —
 /// `O(|tour|)` work instead of `O(|forest|)`, mirroring the paper's
 /// protocol in which each machine remaps its own shard from an
 /// `O(k)`-word broadcast plan. All operations mutate this state
@@ -140,39 +181,43 @@ mpc_snapshot::persist_struct!(EdgeRec { tour, first, second } check |rec| {
 #[derive(Debug, Clone)]
 pub struct DistEtf {
     n: usize,
+    /// Each vertex's tour id; `tours[vertex_tour[v]]` lists `v`.
     vertex_tour: Vec<TourId>,
+    /// Tree neighbors; `w ∈ adj[v]` exactly when edge `{v, w}` has a
+    /// record in the shard of `v`'s tour.
     adj: Vec<BTreeSet<VertexId>>,
-    /// Per-tour edge shards, each a flat array sorted by edge (the
-    /// machine-local segment the paper's protocol remaps in place).
-    /// Tours without edges (singletons) carry no entry. Invariant:
-    /// every record in `shards[t]` has `rec.tour == t`, and both
-    /// endpoints carry tour id `t`.
-    shards: BTreeMap<TourId, Shard>,
+    /// The live tours, one record each: the edge shard, a flat array
+    /// sorted by edge (the machine-local segment the paper's protocol
+    /// remaps in place), and the sorted members (spliced and
+    /// partitioned alongside it). Invariants: every record in
+    /// `tours[t].edges` has `rec.tour == t` and both endpoints in
+    /// `tours[t].members`; a tour has one member more than it has
+    /// edges; the member lists partition the vertices.
+    tours: BTreeMap<TourId, Tour>,
+    /// `Σ |tours[t].edges|`, kept so that [`DistEtf::words`] is `O(1)`.
     edge_count: usize,
-    tour_len: BTreeMap<TourId, u64>,
-    /// Per-tour member lists, sorted ascending (spliced and
-    /// partitioned alongside the edge shards).
-    members: BTreeMap<TourId, Vec<VertexId>>,
+    /// The next fresh tour id, above every live one.
     next_id: TourId,
 }
 
 impl DistEtf {
     /// Creates the forest of `n` singleton tours.
     pub fn new(n: usize) -> Self {
-        let mut tour_len = BTreeMap::new();
-        let mut members = BTreeMap::new();
-        for v in 0..n as u64 {
-            tour_len.insert(v, 0);
-            members.insert(v, vec![v as VertexId]);
-        }
+        let tours = (0..n as VertexId)
+            .map(|v| {
+                let tour = Tour {
+                    edges: Vec::new(),
+                    members: vec![v],
+                };
+                (TourId::from(v), tour)
+            })
+            .collect();
         DistEtf {
             n,
             vertex_tour: (0..n as u64).collect(),
             adj: vec![BTreeSet::new(); n],
-            shards: BTreeMap::new(),
+            tours,
             edge_count: 0,
-            tour_len,
-            members,
             next_id: n as TourId,
         }
     }
@@ -198,7 +243,7 @@ impl DistEtf {
     ///
     /// Panics on an unknown tour id.
     pub fn tour_len(&self, t: TourId) -> u64 {
-        self.tour_len[&t]
+        4 * self.tours[&t].edges.len() as u64
     }
 
     /// The vertices of a tour, sorted ascending.
@@ -207,7 +252,7 @@ impl DistEtf {
     ///
     /// Panics on an unknown tour id.
     pub fn tour_members(&self, t: TourId) -> &[VertexId] {
-        &self.members[&t]
+        &self.tours[&t].members
     }
 
     /// The label of tour `t`'s component: its smallest member, the
@@ -217,7 +262,7 @@ impl DistEtf {
     ///
     /// Panics on an unknown tour id.
     pub fn tour_label(&self, t: TourId) -> VertexId {
-        self.members[&t][0]
+        self.tours[&t].members[0]
     }
 
     /// Writes [`DistEtf::tour_label`] into `labels` at every member of
@@ -241,7 +286,7 @@ impl DistEtf {
 
     /// All live tour ids.
     pub fn tours(&self) -> impl Iterator<Item = TourId> + '_ {
-        self.tour_len.keys().copied()
+        self.tours.keys().copied()
     }
 
     /// Whether `e` is a forest (tree) edge.
@@ -256,22 +301,24 @@ impl DistEtf {
         if (e.v() as usize) >= self.n {
             return None;
         }
-        shard_get(self.shards.get(&self.vertex_tour[e.u() as usize])?, e)
+        shard_get(&self.tours.get(&self.vertex_tour[e.u() as usize])?.edges, e)
     }
 
     /// Iterates over the forest edges (all shards).
     pub fn forest_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.shards.values().flat_map(|s| s.iter().map(|&(e, _)| e))
+        self.tours
+            .values()
+            .flat_map(|t| t.edges.iter().map(|&(e, _)| e))
     }
 
     /// Iterates over one tour's edge shard — the unit of locality of
     /// every tour operation. Yields nothing for singleton or unknown
     /// tours.
     pub fn tour_edges(&self, t: TourId) -> impl Iterator<Item = (Edge, &EdgeRec)> + '_ {
-        self.shards
+        self.tours
             .get(&t)
             .into_iter()
-            .flat_map(|s| s.iter().map(|(e, r)| (*e, r)))
+            .flat_map(|t| t.edges.iter().map(|(e, r)| (*e, r)))
     }
 
     /// The tree neighbors of `v`.
@@ -294,90 +341,31 @@ impl DistEtf {
 
     // ----- crate-private state surgery for the batch operations ----
 
-    /// The tour ids that currently own an edge shard (used by the
-    /// intrinsic validator to check shard ↔ bookkeeping consistency).
-    pub(crate) fn shard_tour_ids(&self) -> impl Iterator<Item = TourId> + '_ {
-        self.shards.keys().copied()
+    /// Detaches a whole tour (an empty one if `t` is not live). The
+    /// caller must re-home its members and records via
+    /// [`DistEtf::put_tour`] or by splicing them into another tour.
+    pub(crate) fn take_tour(&mut self, t: TourId) -> Tour {
+        let tour = self.tours.remove(&t).unwrap_or_default();
+        self.edge_count -= tour.edges.len();
+        tour
     }
 
-    /// Mutable view of one tour's shard, if it has edges.
-    pub(crate) fn shard_mut(&mut self, t: TourId) -> Option<&mut Shard> {
-        self.shards.get_mut(&t)
-    }
-
-    /// Detaches a tour's whole edge shard (empty for singletons). The
-    /// caller must re-home every record via
-    /// [`DistEtf::splice_shard_entries`] or [`DistEtf::put_shard`].
-    pub(crate) fn take_shard(&mut self, t: TourId) -> Shard {
-        let shard = self.shards.remove(&t).unwrap_or_default();
-        self.edge_count -= shard.len();
-        shard
-    }
-
-    /// Installs a whole shard — sorted by edge, every record labelled
-    /// `t` — for a tour that holds none: the inverse of
-    /// [`DistEtf::take_shard`]. An empty shard installs nothing.
+    /// Installs a whole tour — edges sorted and labelled `t`, members
+    /// sorted — under an id that holds none: the inverse of
+    /// [`DistEtf::take_tour`].
     #[expect(
         clippy::disallowed_macros,
         reason = "a debug_assert!, which clippy reads as the assert! it expands to"
     )]
-    pub(crate) fn put_shard(&mut self, t: TourId, shard: Shard) {
-        debug_assert!(shard.is_sorted_by(|a, b| a.0 < b.0), "unsorted shard");
-        debug_assert!(shard.iter().all(|(_, r)| r.tour == t), "mislabelled shard");
-        if !shard.is_empty() {
-            self.edge_count += shard.len();
-            self.shards.insert(t, shard);
-        }
-    }
-
-    /// Splices an entry list into tour `t`'s shard — the map-splice
-    /// counterpart of a per-edge rewrite loop. The batch operations
-    /// produce concatenations of already-sorted runs, so the stable
-    /// sort here is a linear-time run merge; splicing into a live
-    /// shard then merges the two sorted arrays in one linear pass
-    /// (or, for a constant-size run, a few sorted inserts). Records
-    /// must already carry tour id `t`.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
-    pub(crate) fn splice_shard_entries(&mut self, t: TourId, mut entries: Shard) {
-        if entries.is_empty() {
-            return;
-        }
+    pub(crate) fn put_tour(&mut self, t: TourId, tour: Tour) {
+        debug_assert!(tour.edges.is_sorted_by(|a, b| a.0 < b.0), "unsorted shard");
         debug_assert!(
-            entries.iter().all(|(_, r)| r.tour == t),
-            "mislabelled splice"
+            tour.edges.iter().all(|(_, r)| r.tour == t),
+            "mislabelled shard"
         );
-        self.edge_count += entries.len();
-        entries.sort_by_key(|&(e, _)| e);
-        match self.shards.entry(t) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(entries);
-            }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                let shard = slot.get_mut();
-                if entries.len() <= 8 && entries.len() * 8 <= shard.len() {
-                    // A constant-size run into a big shard: per-entry
-                    // sorted inserts beat rebuilding the shard. A
-                    // duplicate key (a caller bug) is inserted anyway
-                    // so `edge_count` stays consistent and the shard
-                    // validator reports it, as the rebuild path would.
-                    for (e, rec) in entries {
-                        let i = match shard.binary_search_by_key(&e, |&(k, _)| k) {
-                            Ok(i) => {
-                                debug_assert!(false, "edge {e} spliced twice");
-                                i
-                            }
-                            Err(i) => i,
-                        };
-                        shard.insert(i, (e, rec));
-                    }
-                } else {
-                    *shard = merge_sorted_runs(shard, &entries, |&(e, _)| e);
-                }
-            }
-        }
+        debug_assert!(tour.members.is_sorted(), "tour members must stay sorted");
+        self.edge_count += tour.edges.len();
+        self.tours.insert(t, tour);
     }
 
     /// Registers `e` in the tree adjacency only (for callers that
@@ -394,60 +382,8 @@ impl DistEtf {
         self.adj[e.v() as usize].remove(&e.u());
     }
 
-    /// Drops a tour's membership and length records, returning its
-    /// former members (sorted). The caller must re-home every member.
-    pub(crate) fn remove_tour_bookkeeping(&mut self, t: TourId) -> Vec<VertexId> {
-        self.tour_len.remove(&t);
-        self.members.remove(&t).unwrap_or_default()
-    }
-
     pub(crate) fn set_vertex_tour(&mut self, v: VertexId, t: TourId) {
         self.vertex_tour[v as usize] = t;
-    }
-
-    /// Installs a tour's bookkeeping; `members` must be sorted.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
-    pub(crate) fn install_tour(&mut self, t: TourId, len: u64, members: Vec<VertexId>) {
-        debug_assert!(members.is_sorted(), "tour members must stay sorted");
-        self.tour_len.insert(t, len);
-        self.members.insert(t, members);
-    }
-
-    /// Replaces a live tour's length without touching its members.
-    pub(crate) fn set_tour_len(&mut self, t: TourId, len: u64) {
-        self.tour_len.insert(t, len);
-    }
-
-    /// Merges a sorted member run into a live tour's member list
-    /// (per-entry sorted inserts for a constant-size run, one linear
-    /// run merge otherwise).
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
-    pub(crate) fn merge_members_into(&mut self, t: TourId, extra: Vec<VertexId>) {
-        debug_assert!(extra.is_sorted(), "member runs stay sorted");
-        let members = self.members.entry(t).or_default();
-        if extra.len() <= 8 && extra.len() * 8 <= members.len() {
-            // A duplicate member (a caller bug) is kept so the
-            // bookkeeping validator reports it, as the sort path
-            // would.
-            for v in extra {
-                let i = match members.binary_search(&v) {
-                    Ok(i) => {
-                        debug_assert!(false, "member {v} merged twice");
-                        i
-                    }
-                    Err(i) => i,
-                };
-                members.insert(i, v);
-            }
-        } else {
-            *members = merge_sorted_runs(members, &extra, |&v| v);
-        }
     }
 
     // ----- occurrence bookkeeping ---------------------------------
@@ -459,7 +395,7 @@ impl DistEtf {
         if adj.is_empty() {
             return out;
         }
-        let shard = &self.shards[&self.vertex_tour[v as usize]];
+        let shard = &self.tours[&self.vertex_tour[v as usize]].edges;
         for &w in adj {
             #[expect(
                 clippy::expect_used,
@@ -505,11 +441,7 @@ impl DistEtf {
     }
 
     pub(crate) fn reroot_uncharged(&mut self, v: VertexId) {
-        let t = self.tour_of(v);
-        let len = self.tour_len[&t];
-        if len == 0 {
-            return;
-        }
+        // A singleton has no occurrences, so its cut is 1 as well.
         let cut = self.cut_position(v);
         if cut == 1 {
             return;
@@ -517,9 +449,14 @@ impl DistEtf {
         // Only the rerooted tour's shard is touched.
         #[expect(
             clippy::expect_used,
-            reason = "shard invariant — every nonempty tour owns exactly one shard"
+            reason = "tour invariant — every vertex's tour is live"
         )]
-        let shard = self.shards.get_mut(&t).expect("nonempty tour has a shard");
+        let shard = &mut self
+            .tours
+            .get_mut(&self.vertex_tour[v as usize])
+            .expect("live tour")
+            .edges;
+        let len = 4 * shard.len() as u64;
         for (_, rec) in shard.iter_mut() {
             for trav in [&mut rec.first, &mut rec.second] {
                 trav.pos = (trav.pos + len - cut) % len + 1;
@@ -547,23 +484,24 @@ impl DistEtf {
     pub(crate) fn link(&mut self, root_end: VertexId, child_end: VertexId) {
         let (root, child) = (self.tour_of(root_end), self.tour_of(child_end));
         self.reroot_uncharged(child_end);
-        let root_len = self.tour_len(root);
-        let w = self.tour_len(child);
         let (f_u, _) = self.f_l(root_end);
         let c = if f_u % 2 == 1 { f_u - 1 } else { f_u };
+        let Tour {
+            edges: mut merged,
+            members: extra,
+        } = self.take_tour(child);
+        let mut tour = self.take_tour(root);
+        let w = 4 * merged.len() as u64;
         // Root tail shift: positions strictly above the attach point
         // make room for the child block of w + 4 entries.
-        if let Some(shard) = self.shard_mut(root) {
-            for (_, rec) in shard.iter_mut() {
-                for trav in [&mut rec.first, &mut rec.second] {
-                    if trav.pos > c {
-                        trav.pos += w + 4;
-                    }
+        for (_, rec) in tour.edges.iter_mut() {
+            for trav in [&mut rec.first, &mut rec.second] {
+                if trav.pos > c {
+                    trav.pos += w + 4;
                 }
             }
         }
         // Child block: old position x lands at c + 2 + x.
-        let mut merged = self.take_shard(child);
         for (_, rec) in merged.iter_mut() {
             rec.tour = root;
             rec.first.pos += c + 2;
@@ -585,15 +523,14 @@ impl DistEtf {
                 },
             },
         ));
-        self.splice_shard_entries(root, merged);
+        splice_sorted(&mut tour.edges, merged, |&(e, _)| e);
         // Membership: only the child's members change tour; its
         // sorted run merges into the root's list in place.
-        let extra = self.remove_tour_bookkeeping(child);
         for &x in &extra {
             self.set_vertex_tour(x, root);
         }
-        self.merge_members_into(root, extra);
-        self.set_tour_len(root, root_len + w + 4);
+        splice_sorted(&mut tour.members, extra, |&v| v);
+        self.put_tour(root, tour);
     }
 
     /// Links `e`, merging two tours (paper Lemma 5.1 "Join"); `u`'s
@@ -657,64 +594,165 @@ impl DistEtf {
     }
 }
 
-// The whole sharded representation is plain data — tour ids, sorted
-// shards, member lists — so it travels verbatim. Loading re-checks the
-// cross-structure invariants (lengths, key agreement, edge counts) the
-// mutation paths maintain.
-mpc_snapshot::persist_struct!(DistEtf {
-    n,
-    vertex_tour,
-    adj,
-    shards,
-    edge_count,
-    tour_len,
-    members,
-    next_id,
-} check |etf| {
-    let n = etf.n;
-    if etf.vertex_tour.len() != n || etf.adj.len() != n {
-        return Err(format!(
-            "forest over {n} vertices has {} tour ids and {} adjacency rows",
-            etf.vertex_tour.len(),
-            etf.adj.len()
-        ));
-    }
-    if etf.shards.values().map(Vec::len).sum::<usize>() != etf.edge_count {
-        return Err(format!("shards disagree with edge count {}", etf.edge_count));
-    }
-    // Every shard lookup is a binary search by edge in the shard of
-    // the endpoints' tour, and splits subtract sorted member runs.
-    for (t, shard) in &etf.shards {
-        if shard.iter().any(|(_, rec)| rec.tour != *t) {
-            return Err(format!("tour {t}: shard holds another tour's record"));
+// The section holds one table per kind of per-tour fact — edge shards
+// of the tours that have edges, the edge count, a length per live
+// tour, member lists, the id allocator — the layout that existing
+// snapshot files and the byte pins (`crates/etf/tests/state_digest.rs`,
+// `tests/session_checkpoint.rs`) hold. A length is written as `4·|edges|` and a
+// load refuses any other; everything else decodes straight into the
+// one tour table and is then checked against the invariants the
+// mutation paths maintain. Tour-walk validity (the positions) is
+// `tour::validate`'s to check.
+impl mpc_snapshot::Persist for DistEtf {
+    fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
+        self.n.save(w);
+        self.vertex_tour.save(w);
+        self.adj.save(w);
+        let with_edges = || self.tours.iter().filter(|(_, tour)| !tour.edges.is_empty());
+        w.put_usize(with_edges().count());
+        for (t, tour) in with_edges() {
+            t.save(w);
+            tour.edges.save(w);
         }
-        if !shard.is_sorted_by(|a, b| a.0 < b.0) {
-            return Err(format!("tour {t}: shard not strictly ascending by edge"));
+        self.edge_count.save(w);
+        w.put_usize(self.tours.len());
+        for (&t, tour) in &self.tours {
+            t.save(w);
+            w.put_u64(4 * tour.edges.len() as u64);
         }
+        w.put_usize(self.tours.len());
+        for (t, tour) in &self.tours {
+            t.save(w);
+            tour.members.save(w);
+        }
+        self.next_id.save(w);
     }
-    if let Some((t, _)) = etf.members.iter().find(|(_, m)| !m.is_sorted_by(|a, b| a < b)) {
-        return Err(format!("tour {t}: member list not strictly ascending"));
+
+    fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
+        let corrupt = |what: String| Err(mpc_snapshot::SnapshotError::Corrupt(what));
+        let n = usize::load(r)?;
+        let vertex_tour = Vec::<TourId>::load(r)?;
+        let adj = Vec::<BTreeSet<VertexId>>::load(r)?;
+        let mut tours: BTreeMap<TourId, Tour> = BTreeMap::new();
+        for _ in 0..r.take_usize()? {
+            let t = TourId::load(r)?;
+            let edges = Shard::load(r)?;
+            if edges.is_empty() || tours.last_key_value().is_some_and(|(&last, _)| last >= t) {
+                return corrupt(format!("tour {t}: empty or out-of-order edge shard"));
+            }
+            tours.entry(t).or_default().edges = edges;
+        }
+        let edge_count = usize::load(r)?;
+        let live = r.take_usize()?;
+        let mut last = None;
+        for _ in 0..live {
+            let t = TourId::load(r)?;
+            let len = u64::load(r)?;
+            let edges = tours.entry(t).or_default().edges.len();
+            if last.replace(t).is_some_and(|last| last >= t) || len != 4 * edges as u64 {
+                return corrupt(format!(
+                    "tour {t}: stored length {len} out of order or != 4 × {edges} edges"
+                ));
+            }
+        }
+        if tours.len() != live || r.take_usize()? != live {
+            return corrupt(
+                "edge shard, length and member tables disagree on the live tours".into(),
+            );
+        }
+        for (&t, tour) in &mut tours {
+            if TourId::load(r)? != t {
+                return corrupt(format!("tour {t} has no member list"));
+            }
+            tour.members = Vec::load(r)?;
+        }
+        let etf = DistEtf {
+            n,
+            vertex_tour,
+            adj,
+            tours,
+            edge_count,
+            next_id: TourId::load(r)?,
+        };
+        etf.check().map_err(mpc_snapshot::SnapshotError::Corrupt)?;
+        Ok(etf)
     }
-    if !etf.tour_len.keys().eq(etf.members.keys()) {
-        return Err("tour-length and member tables disagree on live tours".into());
+}
+
+impl DistEtf {
+    /// The cross-structure invariants a loaded forest must meet.
+    fn check(&self) -> Result<(), String> {
+        let (n, edge_count, adj) = (self.n, self.edge_count, &self.adj);
+        let (ids, rows) = (self.vertex_tour.len(), adj.len());
+        if ids != n || rows != n {
+            return Err(format!(
+                "forest over {n} vertices has {ids} tour ids and {rows} adjacency rows"
+            ));
+        }
+        // The member lists partition the vertices, each member labelled
+        // with its own tour (so every vertex's tour is live). Every shard
+        // lookup is a binary search by edge in the shard of the
+        // endpoints' tour, and splits subtract sorted member runs.
+        let (mut covered, mut edges) = (0, 0);
+        for (&t, tour) in &self.tours {
+            let inside = |v: VertexId| self.vertex_tour.get(v as usize) == Some(&t);
+            if !tour.members.is_sorted_by(|a, b| a < b) {
+                return Err(format!("tour {t}: member list not strictly ascending"));
+            }
+            if let Some(v) = tour.members.iter().find(|&&v| !inside(v)) {
+                return Err(format!("tour {t}: member {v} is not labelled with it"));
+            }
+            if !tour.edges.is_sorted_by(|a, b| a.0 < b.0) {
+                return Err(format!("tour {t}: shard not strictly ascending by edge"));
+            }
+            for (e, rec) in &tour.edges {
+                let froms = (rec.first.from, rec.second.from);
+                let lie = if rec.tour != t {
+                    "another tour's record"
+                } else if !inside(e.u()) || !inside(e.v()) {
+                    "a record with an endpoint outside it"
+                } else if froms != (e.u(), e.v()) && froms != (e.v(), e.u()) {
+                    "a record that does not cross its edge both ways"
+                } else if !adj[e.u() as usize].contains(&e.v())
+                    || !adj[e.v() as usize].contains(&e.u())
+                {
+                    "a record missing from the adjacency"
+                } else {
+                    continue;
+                };
+                return Err(format!("tour {t}: shard holds {lie}: {e}"));
+            }
+            let (m, k) = (tour.members.len(), tour.edges.len());
+            if m != k + 1 {
+                return Err(format!("tour {t}: {m} members for {k} edges"));
+            }
+            (covered, edges) = (covered + m, edges + k);
+        }
+        // With every record's two entries present, equal counts leave
+        // no adjacency entry without a record.
+        let entries: usize = adj.iter().map(BTreeSet::len).sum();
+        if covered != n || edges != edge_count || entries != 2 * edge_count {
+            return Err(format!(
+                "{n} vertices, {edge_count} edges: members cover {covered}, shards hold {edges}, \
+                 adjacency has {entries} entries"
+            ));
+        }
+        let next = self.next_id;
+        if next < n as TourId || self.tours.last_key_value().is_some_and(|(&t, _)| next <= t) {
+            return Err(format!(
+                "tour id allocator {next} not above the live ids and 0..{n}"
+            ));
+        }
+        Ok(())
     }
-    if etf.vertex_tour.iter().any(|t| !etf.tour_len.contains_key(t)) {
-        return Err("a vertex points at a dead tour".into());
-    }
-    if etf.next_id < n as TourId {
-        return Err(format!(
-            "tour id allocator {} behind the range 0..{n}",
-            etf.next_id
-        ));
-    }
-    Ok(())
-});
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tour::validate;
     use mpc_sim::MpcConfig;
+    use mpc_snapshot::{Persist, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
     fn ctx() -> MpcContext {
         MpcContext::new(MpcConfig::builder(64, 0.5).build())
@@ -980,32 +1018,79 @@ mod tests {
         validate(&etf).expect("valid");
     }
 
-    /// Saves `etf` and loads it back, as a checkpoint cycle would.
-    fn reload(etf: &DistEtf) -> Result<DistEtf, mpc_snapshot::SnapshotError> {
-        let mut w = mpc_snapshot::SnapshotWriter::new(0);
-        mpc_snapshot::save_section(&mut w, "etf", etf);
-        let snap = mpc_snapshot::Snapshot::from_bytes(&w.finish())?;
-        mpc_snapshot::load_section(&snap, "etf")
+    /// One live tour, for the validator's fault-injection tests.
+    impl DistEtf {
+        pub(crate) fn tour_mut(&mut self, t: TourId) -> &mut Tour {
+            self.tours.get_mut(&t).unwrap()
+        }
     }
 
-    /// A path 0-1-2-3-4 (one tour, four records) and the tour's id.
-    fn path_forest() -> (DistEtf, TourId) {
+    /// The section bytes of `value`, as a checkpoint writes them.
+    fn payload(value: &impl Persist) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(0);
+        w.begin_section("etf");
+        value.save(&mut w);
+        w.end_section();
+        let snap = Snapshot::from_bytes(&w.finish()).unwrap();
+        let mut r = snap.section("etf").unwrap();
+        r.take_bytes(r.remaining()).unwrap().to_vec()
+    }
+
+    /// Decodes section bytes, requiring them to be consumed exactly.
+    fn decode<T: Persist>(bytes: &[u8]) -> Result<T, SnapshotError> {
+        let mut r = SnapshotReader::over("etf", bytes);
+        let value = T::load(&mut r)?;
+        r.expect_end()?;
+        Ok(value)
+    }
+
+    /// The section's tables one by one, in the order they are written:
+    /// a forger for states the forest itself cannot hold.
+    struct Tables {
+        n: usize,
+        vertex_tour: Vec<TourId>,
+        adj: Vec<BTreeSet<VertexId>>,
+        shards: BTreeMap<TourId, Shard>,
+        edge_count: usize,
+        tour_len: BTreeMap<TourId, u64>,
+        members: BTreeMap<TourId, Vec<VertexId>>,
+        next_id: TourId,
+    }
+
+    mpc_snapshot::persist_struct!(Tables {
+        n,
+        vertex_tour,
+        adj,
+        shards,
+        edge_count,
+        tour_len,
+        members,
+        next_id,
+    });
+
+    /// Saves `etf`, lets `lie` edit its tables, and loads the result.
+    fn forged(etf: &DistEtf, lie: impl FnOnce(&mut Tables)) -> Result<DistEtf, SnapshotError> {
+        let mut tables: Tables = decode(&payload(etf)).unwrap();
+        lie(&mut tables);
+        decode(&payload(&tables))
+    }
+
+    /// A path 0-1-2-3-4 (tour 0, four records) beside the singleton 5.
+    fn path_forest() -> DistEtf {
         let mut c = ctx();
         let mut etf = DistEtf::new(6);
         for i in 0..4u32 {
             etf.join(Edge::new(i, i + 1), &mut c);
         }
-        let t = etf.tour_of(0);
-        assert_eq!(
-            reload(&etf).expect("a valid forest loads").words(),
-            etf.words()
-        );
-        (etf, t)
+        assert_eq!(etf.tours().collect::<Vec<_>>(), [0, 5]);
+        let reloaded = forged(&etf, |_| {}).expect("a valid forest loads");
+        assert_eq!(payload(&reloaded), payload(&etf));
+        etf
     }
 
-    fn assert_corrupt(etf: &DistEtf, needle: &str) {
-        match reload(etf) {
-            Err(mpc_snapshot::SnapshotError::Corrupt(what)) => {
+    fn assert_corrupt(etf: &DistEtf, needle: &str, lie: impl FnOnce(&mut Tables)) {
+        match forged(etf, lie) {
+            Err(SnapshotError::Corrupt(what)) => {
                 assert!(what.contains(needle), "{what:?} lacks {needle:?}")
             }
             other => panic!("expected Corrupt({needle}), got {other:?}"),
@@ -1014,28 +1099,163 @@ mod tests {
 
     #[test]
     fn load_rejects_a_shard_out_of_edge_order() {
-        let (mut etf, t) = path_forest();
-        etf.shards.get_mut(&t).unwrap().swap(1, 2);
-        assert_corrupt(&etf, &format!("tour {t}: shard not strictly ascending"));
+        assert_corrupt(
+            &path_forest(),
+            "tour 0: shard not strictly ascending",
+            |s| s.shards.get_mut(&0).unwrap().swap(1, 2),
+        );
     }
 
     #[test]
     fn load_rejects_a_record_labelled_with_another_tour() {
-        let (mut etf, t) = path_forest();
-        etf.shards.get_mut(&t).unwrap()[3].1.tour = 5;
         assert_corrupt(
-            &etf,
-            &format!("tour {t}: shard holds another tour's record"),
+            &path_forest(),
+            "tour 0: shard holds another tour's record",
+            |s| s.shards.get_mut(&0).unwrap()[3].1.tour = 5,
         );
     }
 
     #[test]
     fn load_rejects_an_unsorted_member_list() {
-        let (mut etf, t) = path_forest();
-        etf.members.get_mut(&t).unwrap().swap(0, 4);
         assert_corrupt(
-            &etf,
-            &format!("tour {t}: member list not strictly ascending"),
+            &path_forest(),
+            "tour 0: member list not strictly ascending",
+            |s| s.members.get_mut(&0).unwrap().swap(0, 4),
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_stored_length_other_than_four_per_edge() {
+        assert_corrupt(
+            &path_forest(),
+            "tour 0: stored length 20 out of order or != 4 × 4 edges",
+            |s| *s.tour_len.get_mut(&0).unwrap() += 4,
+        );
+    }
+
+    #[test]
+    fn load_rejects_an_edge_shard_whose_tour_has_no_member_list() {
+        assert_corrupt(&path_forest(), "tables disagree on the live tours", |s| {
+            let mut shard = s.shards.remove(&0).unwrap();
+            for (_, rec) in &mut shard {
+                rec.tour = 9;
+            }
+            s.shards.insert(9, shard);
+            s.tour_len.insert(0, 0);
+        });
+    }
+
+    #[test]
+    fn load_rejects_a_member_labelled_with_another_tour() {
+        assert_corrupt(
+            &path_forest(),
+            "tour 5: member 5 is not labelled with it",
+            |s| s.vertex_tour[5] = 0,
+        );
+    }
+
+    #[test]
+    fn load_rejects_member_lists_that_miss_a_vertex() {
+        assert_corrupt(&path_forest(), "members cover 5,", |s| {
+            s.vertex_tour[5] = 0;
+            s.members.remove(&5);
+            s.tour_len.remove(&5);
+        });
+    }
+
+    #[test]
+    fn load_rejects_a_record_with_an_endpoint_outside_its_tour() {
+        assert_corrupt(
+            &path_forest(),
+            "tour 0: shard holds a record with an endpoint outside it: {3,5}",
+            |s| s.shards.get_mut(&0).unwrap()[3].0 = Edge::new(3, 5),
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_record_whose_traversals_leave_one_endpoint() {
+        assert_corrupt(
+            &path_forest(),
+            "tour 0: shard holds a record that does not cross its edge both ways: {0,1}",
+            |s| {
+                let rec = &mut s.shards.get_mut(&0).unwrap()[0].1;
+                rec.second.from = rec.first.from;
+            },
+        );
+    }
+
+    #[test]
+    fn load_rejects_an_adjacency_entry_without_a_record() {
+        assert_corrupt(&path_forest(), "adjacency has 10 entries", |s| {
+            s.adj[0].insert(5);
+            s.adj[5].insert(0);
+        });
+    }
+
+    #[test]
+    fn load_rejects_a_record_missing_from_the_adjacency() {
+        assert_corrupt(
+            &path_forest(),
+            "shard holds a record missing from the adjacency: {3,4}",
+            |s| {
+                s.adj[4].remove(&3);
+            },
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_tour_with_more_members_than_edges_plus_one() {
+        assert_corrupt(&path_forest(), "tour 0: 6 members for 4 edges", |s| {
+            s.vertex_tour[5] = 0;
+            s.members.get_mut(&0).unwrap().push(5);
+            s.members.remove(&5);
+            s.tour_len.remove(&5);
+        });
+    }
+
+    #[test]
+    fn load_rejects_a_next_id_at_or_below_a_live_tour() {
+        let mut etf = path_forest();
+        etf.split(Edge::new(2, 3), &mut ctx());
+        assert!(etf.tours().any(|t| t >= 6));
+        assert_corrupt(&etf, "tour id allocator 6 not above the live ids", |s| {
+            s.next_id = 6
+        });
+    }
+
+    /// The sweep: every single-bit flip and every whole-byte flip of a
+    /// small section either fails typed or loads a forest that re-saves
+    /// to exactly the flipped bytes — never a panic, never a stored
+    /// length or table the forest does not hold. Tour-walk validity
+    /// (a flipped position) is `validate`'s to find, without panicking.
+    #[test]
+    fn byte_sweep_never_panics_or_decodes_a_lie() {
+        let mut c = ctx();
+        let mut etf = DistEtf::new(5);
+        for (u, v) in [(0, 1), (1, 2), (3, 4)] {
+            etf.join(Edge::new(u, v), &mut c);
+        }
+        etf.split(Edge::new(1, 2), &mut c);
+        let pristine = payload(&etf);
+        let (mut loaded, mut refused) = (0usize, 0usize);
+        for at in 0..pristine.len() {
+            for flip in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                let mut bytes = pristine.clone();
+                bytes[at] ^= flip;
+                match decode::<DistEtf>(&bytes) {
+                    Ok(etf) => {
+                        assert_eq!(payload(&etf), bytes, "byte {at} ^ {flip:#x}");
+                        let _ = validate(&etf);
+                        loaded += 1;
+                    }
+                    Err(SnapshotError::Corrupt(_)) => refused += 1,
+                    Err(other) => panic!("byte {at} ^ {flip:#x}: {other:?}"),
+                }
+            }
+        }
+        assert!(
+            loaded > 0 && refused > 0,
+            "{loaded} loaded, {refused} refused"
         );
     }
 

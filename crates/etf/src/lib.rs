@@ -12,21 +12,30 @@
 //!
 //! # Per-tour sharded storage
 //!
-//! Edge records are stored in **per-tour shards** (`tour → sorted
-//! edge array`, [`DistEtf::tour_edges`]), matching the paper's
-//! protocol in which every machine remaps *its own* shard from an
-//! `O(k)`-word broadcast plan. Reroot, join, split, and the batch
-//! operations therefore touch only the affected tours' records —
-//! `O(|tour|)` work per operation instead of `O(|forest|)` — and
-//! tour-id reassignment moves whole shards by splice (a sorted-run
-//! merge) rather than per-edge rewrites. Membership bookkeeping is
-//! sharded the same way (sorted member list per tour). A split is one
-//! compaction pass over the cut tour's shard: the *longest* resulting
-//! region keeps the shard and member vectors and is rewritten in
-//! place, and only the other regions' records are moved out; their
-//! member lists derive from those records, the kept region's is the
-//! old list minus what left, and only the endpoints of the deleted
-//! edges are examined for new singletons.
+//! Each tour is stored once, as one record: its **edge shard** (a
+//! sorted edge array, [`DistEtf::tour_edges`]) and its sorted member
+//! list. Its length `4·(|T|−1)` is derived from the shard, as in the
+//! paper, where a tour is nothing but its edges' positions. The shards
+//! match the paper's protocol in which every machine remaps *its own*
+//! shard from an `O(k)`-word broadcast plan. Reroot, join, split, and
+//! the batch operations therefore touch only the affected tours'
+//! records — `O(|tour|)` work per operation instead of `O(|forest|)` —
+//! and tour-id reassignment moves whole shards by splice (a sorted-run
+//! merge) rather than per-edge rewrites. A split is one compaction
+//! pass over the cut tour's shard: the *longest* resulting region
+//! keeps the shard and member vectors and is rewritten in place, and
+//! only the other regions' records are moved out; their member lists
+//! derive from those records, the kept region's is the old list minus
+//! what left, and only the endpoints of the deleted edges are examined
+//! for new singletons.
+//!
+//! A snapshot load refuses, as `SnapshotError::Corrupt`, every state in
+//! which the tables disagree: a stored length other than `4·|edges|`,
+//! a shard or member list without its tour, member lists that do not
+//! partition the vertices or do not number one more than their tour's
+//! edges, a record endpoint outside its tour, adjacency that does not
+//! match the records, and a tour-id allocator at or below a live id.
+//! Tour-walk validity (the positions) is the validator's to check.
 //!
 //! Operations ([`DistEtf`]):
 //!
@@ -79,8 +88,8 @@
 //! `O(k)`-word plan, and the smaller regions are cut out of the
 //! shard as whole arrays under fresh tour ids. All deviations are
 //! behaviour-preserving and are validated by the intrinsic tour
-//! checker, which also checks the shard ↔ bookkeeping invariants
-//! ([`tour::TourViolation::ShardMismatch`]).
+//! checker, which also checks that every record carries its shard's
+//! tour id ([`tour::TourViolation::ShardMismatch`]).
 
 #![cfg_attr(
     not(test),

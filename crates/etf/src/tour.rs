@@ -8,19 +8,11 @@
 
 use crate::dist::{DistEtf, TourId};
 use mpc_graph::ids::VertexId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A violation found by [`validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TourViolation {
-    /// Tour length is not a multiple of 4 (each edge contributes 4
-    /// entries).
-    BadLength {
-        /// Offending tour.
-        tour: TourId,
-        /// Its recorded length.
-        len: u64,
-    },
     /// Two entries claim the same position.
     PositionClash {
         /// Offending tour.
@@ -55,18 +47,7 @@ pub enum TourViolation {
         /// The mislabelled vertex.
         vertex: VertexId,
     },
-    /// Recorded length differs from `4 × (#edges)`.
-    LengthMismatch {
-        /// Offending tour.
-        tour: TourId,
-        /// Recorded length.
-        recorded: u64,
-        /// Length implied by the edge count.
-        implied: u64,
-    },
-    /// An edge shard disagrees with the tour bookkeeping: the shard's
-    /// tour id has no length/membership record, or a record inside it
-    /// carries a different tour id than its shard key.
+    /// A record in a tour's edge shard carries another tour's id.
     ShardMismatch {
         /// The shard's tour id.
         tour: TourId,
@@ -76,9 +57,6 @@ pub enum TourViolation {
 impl std::fmt::Display for TourViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TourViolation::BadLength { tour, len } => {
-                write!(f, "tour {tour}: length {len} not divisible by 4")
-            }
             TourViolation::PositionClash { tour, pos } => {
                 write!(f, "tour {tour}: two entries at position {pos}")
             }
@@ -94,16 +72,8 @@ impl std::fmt::Display for TourViolation {
             TourViolation::WrongTourLabel { vertex } => {
                 write!(f, "vertex {vertex} carries the wrong tour id")
             }
-            TourViolation::LengthMismatch {
-                tour,
-                recorded,
-                implied,
-            } => write!(
-                f,
-                "tour {tour}: recorded length {recorded} != implied {implied}"
-            ),
             TourViolation::ShardMismatch { tour } => {
-                write!(f, "tour {tour}: edge shard inconsistent with bookkeeping")
+                write!(f, "tour {tour}: edge shard holds another tour's record")
             }
         }
     }
@@ -118,25 +88,13 @@ impl std::error::Error for TourViolation {}
 ///
 /// Returns the first violation found.
 pub fn validate(etf: &DistEtf) -> Result<(), TourViolation> {
-    // Shard ↔ bookkeeping consistency: every shard belongs to a live
-    // tour and every record inside it carries its shard's tour id.
-    // (Shards are the unit of locality of the batch operations, so a
-    // mislabelled or orphaned shard is the first thing to check.)
-    let live: BTreeSet<TourId> = etf.tours().collect();
-    for t in etf.shard_tour_ids() {
-        if !live.contains(&t) {
-            return Err(TourViolation::ShardMismatch { tour: t });
-        }
-        if etf.tour_edges(t).any(|(_, rec)| rec.tour != t) {
-            return Err(TourViolation::ShardMismatch { tour: t });
-        }
-    }
     for t in etf.tours() {
         // Reassemble this tour's entry sequence from its own shard.
         let mut entries: BTreeMap<u64, VertexId> = BTreeMap::new();
-        let mut edge_count = 0u64;
         for (e, rec) in etf.tour_edges(t) {
-            edge_count += 1;
+            if rec.tour != t {
+                return Err(TourViolation::ShardMismatch { tour: t });
+            }
             for trav in [rec.first, rec.second] {
                 if trav.pos % 2 == 0 {
                     return Err(TourViolation::MisalignedTraversal {
@@ -158,34 +116,11 @@ pub fn validate(etf: &DistEtf) -> Result<(), TourViolation> {
                 }
             }
         }
+        // Coverage of 1..=len: a tour of `len / 4` edges that passed the
+        // clash check holds exactly `len` distinct positions, all ≥ 1, so
+        // none lies beyond `len` unless one inside it is missing.
         let len = etf.tour_len(t);
-        if !len.is_multiple_of(4) {
-            return Err(TourViolation::BadLength { tour: t, len });
-        }
-        let implied = edge_count * 4;
-        if len != implied {
-            return Err(TourViolation::LengthMismatch {
-                tour: t,
-                recorded: len,
-                implied,
-            });
-        }
-        // Coverage of 1..=len.
-        for pos in 1..=len {
-            if !entries.contains_key(&pos) {
-                return Err(TourViolation::PositionGap { tour: t, pos });
-            }
-        }
-        if entries.len() as u64 != len {
-            // An entry beyond `len` exists.
-            #[expect(
-                clippy::expect_used,
-                reason = "every position is odd or its successor, so all are ≥ 1; with 1..=len present, a larger count means an entry beyond len"
-            )]
-            let (&pos, _) = entries
-                .iter()
-                .find(|(&p, _)| p > len)
-                .expect("count mismatch implies out-of-range entry");
+        if let Some(pos) = (1..=len).find(|pos| !entries.contains_key(pos)) {
             return Err(TourViolation::PositionGap { tour: t, pos });
         }
         // Walk continuity: entry 2i must equal entry 2i+1 (vertex at
@@ -228,22 +163,10 @@ mod tests {
 
     #[test]
     fn violations_display() {
-        let v = TourViolation::BrokenWalk { tour: 3, pos: 8 };
-        assert!(format!("{v}").contains("discontinuity"));
-        let v = TourViolation::LengthMismatch {
-            tour: 1,
-            recorded: 8,
-            implied: 4,
-        };
-        assert!(format!("{v}").contains("8"));
-    }
-
-    #[test]
-    fn remaining_violation_variants_display() {
         for (v, needle) in [
             (
-                TourViolation::BadLength { tour: 2, len: 6 },
-                "not divisible",
+                TourViolation::BrokenWalk { tour: 3, pos: 8 },
+                "discontinuity",
             ),
             (
                 TourViolation::PositionClash { tour: 2, pos: 3 },
@@ -255,6 +178,7 @@ mod tests {
                 "even position",
             ),
             (TourViolation::WrongTourLabel { vertex: 7 }, "wrong tour"),
+            (TourViolation::ShardMismatch { tour: 2 }, "another tour"),
         ] {
             assert!(
                 format!("{v}").contains(needle),
@@ -269,21 +193,42 @@ mod tests {
         takes_err(TourViolation::WrongTourLabel { vertex: 0 });
     }
 
+    /// The validator is not a rubber stamp: each fault injected into a
+    /// valid path 0-1-2-3 is reported as its own variant.
     #[test]
     fn validator_catches_manual_corruption() {
-        // Sanity: the validator is not a rubber stamp. Build a valid
-        // 2-edge tour, then corrupt the recorded length.
         let mut ctx = MpcContext::new(MpcConfig::builder(8, 0.5).build());
-        let mut etf = DistEtf::new(8);
-        etf.join(Edge::new(0, 1), &mut ctx);
-        etf.join(Edge::new(1, 2), &mut ctx);
+        let mut etf = DistEtf::new(4);
+        for i in 0..3 {
+            etf.join(Edge::new(i, i + 1), &mut ctx);
+        }
         validate(&etf).expect("valid before corruption");
-        // Splitting and manually re-joining the same edge twice would
-        // corrupt; instead, check the validator via a cloned forest
-        // with a surgically broken edge record — not reachable through
-        // the public API, so emulate by splitting and asserting the
-        // detached side revalidates.
-        etf.split(Edge::new(0, 1), &mut ctx);
-        validate(&etf).expect("valid after split");
+        let t = etf.tour_of(0);
+        let fault = |inject: &dyn Fn(&mut DistEtf)| {
+            let mut bad = etf.clone();
+            inject(&mut bad);
+            validate(&bad)
+        };
+        // Records in edge order: {0,1}, {1,2}, {2,3}.
+        let mislabelled = fault(&|etf| etf.tour_mut(t).edges[0].1.tour = t + 1);
+        assert_eq!(mislabelled, Err(TourViolation::ShardMismatch { tour: t }));
+        let clash = fault(&|etf| {
+            let edges = &mut etf.tour_mut(t).edges;
+            edges[1].1.first.pos = edges[0].1.first.pos;
+        });
+        assert!(
+            matches!(clash, Err(TourViolation::PositionClash { tour, .. }) if tour == t),
+            "{clash:?}"
+        );
+        let seam = fault(&|etf| {
+            let rec = &mut etf.tour_mut(t).edges[0].1;
+            rec.second.from = rec.first.from;
+        });
+        assert!(
+            matches!(seam, Err(TourViolation::BrokenWalk { tour, .. }) if tour == t),
+            "{seam:?}"
+        );
+        let label = fault(&|etf| etf.set_vertex_tour(3, t + 1));
+        assert_eq!(label, Err(TourViolation::WrongTourLabel { vertex: 3 }));
     }
 }
