@@ -601,8 +601,9 @@ impl DistEtf {
 // `tests/session_checkpoint.rs`) hold. A length is written as `4·|edges|` and a
 // load refuses any other; everything else decodes straight into the
 // one tour table and is then checked against the invariants the
-// mutation paths maintain. Tour-walk validity (the positions) is
-// `tour::validate`'s to check.
+// mutation paths maintain. Each traversal's position must be odd and
+// inside its tour; the rest of tour-walk validity (clashes, coverage,
+// seams) is `tour::validate`'s to check.
 impl mpc_snapshot::Persist for DistEtf {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         self.n.save(w);
@@ -705,6 +706,11 @@ impl DistEtf {
             if !tour.edges.is_sorted_by(|a, b| a.0 < b.0) {
                 return Err(format!("tour {t}: shard not strictly ascending by edge"));
             }
+            // A traversal occupies positions `pos` and `pos + 1` of a
+            // tour of length `4·|edges|` and starts at an odd one; a
+            // split computes spans from these without a bounds check.
+            let len = 4 * tour.edges.len() as u64;
+            let misplaced = |pos: u64| pos.is_multiple_of(2) || pos >= len;
             for (e, rec) in &tour.edges {
                 let froms = (rec.first.from, rec.second.from);
                 let lie = if rec.tour != t {
@@ -713,6 +719,8 @@ impl DistEtf {
                     "a record with an endpoint outside it"
                 } else if froms != (e.u(), e.v()) && froms != (e.v(), e.u()) {
                     "a record that does not cross its edge both ways"
+                } else if misplaced(rec.first.pos) || misplaced(rec.second.pos) {
+                    "a traversal at an even position or past the tour's end"
                 } else if !adj[e.u() as usize].contains(&e.v())
                     || !adj[e.v() as usize].contains(&e.u())
                 {
@@ -1214,6 +1222,27 @@ mod tests {
     }
 
     #[test]
+    fn load_rejects_a_traversal_at_an_even_position() {
+        assert_corrupt(
+            &path_forest(),
+            "tour 0: shard holds a traversal at an even position or past the tour's end: {2,3}",
+            |s| {
+                let rec = &mut s.shards.get_mut(&0).unwrap()[2].1;
+                rec.second.pos = rec.first.pos + 1;
+            },
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_traversal_past_the_tours_end() {
+        assert_corrupt(
+            &path_forest(),
+            "tour 0: shard holds a traversal at an even position or past the tour's end: {0,1}",
+            |s| s.shards.get_mut(&0).unwrap()[0].1.second.pos = 17,
+        );
+    }
+
+    #[test]
     fn load_rejects_a_next_id_at_or_below_a_live_tour() {
         let mut etf = path_forest();
         etf.split(Edge::new(2, 3), &mut ctx());
@@ -1226,8 +1255,9 @@ mod tests {
     /// The sweep: every single-bit flip and every whole-byte flip of a
     /// small section either fails typed or loads a forest that re-saves
     /// to exactly the flipped bytes — never a panic, never a stored
-    /// length or table the forest does not hold. Tour-walk validity
-    /// (a flipped position) is `validate`'s to find, without panicking.
+    /// length or table the forest does not hold. A flipped position
+    /// that stays odd and inside its tour loads; the clash or gap it
+    /// leaves is `validate`'s to find, without panicking.
     #[test]
     fn byte_sweep_never_panics_or_decodes_a_lie() {
         let mut c = ctx();

@@ -34,8 +34,10 @@
 //! a shard or member list without its tour, member lists that do not
 //! partition the vertices or do not number one more than their tour's
 //! edges, a record endpoint outside its tour, adjacency that does not
-//! match the records, and a tour-id allocator at or below a live id.
-//! Tour-walk validity (the positions) is the validator's to check.
+//! match the records, a traversal at an even position or past its
+//! tour's end, and a tour-id allocator at or below a live id. The rest
+//! of tour-walk validity (clashes, coverage, seams) is the validator's
+//! to check.
 //!
 //! Operations ([`DistEtf`]):
 //!

@@ -28,10 +28,11 @@
 //!   under their set bits — the pool is dense in memory and sparse on
 //!   disk.
 //! * [`MergeScratch`] — a zero-allocation merge accumulator: one
-//!   dense struct-of-arrays column (`value_sum` / `index_sum` /
-//!   fingerprint), reused across every component merge of a
-//!   converge-cast. Merging a member streams its live cells into the
-//!   accumulator; no sketch is ever cloned.
+//!   dense column of the same interleaved cells, plus the union of
+//!   the absorbed columns' live masks, reused across every component
+//!   merge of a converge-cast. Merging a member folds its live cell
+//!   runs into the accumulator cell for cell; no sketch is ever
+//!   cloned, and a merged copy moves the column out as a sampler's.
 //!   [`SketchArena::update_scratch`] writes one update into it, so a
 //!   merge can read a residual graph without copying the pool.
 //!
@@ -423,8 +424,7 @@ impl SketchArena {
 
     /// The batched write path every pool write goes through. Each
     /// update `(index, [(v, delta); N])` applies `X_v[index] += delta`
-    /// to all copies of each listed column. Returns how many vertex
-    /// blocks were newly appended.
+    /// to all copies of each listed column.
     ///
     /// Three passes per update, the last two over a fixed stack buffer
     /// of 128 planned cell writes that is applied whenever it fills:
@@ -456,9 +456,8 @@ impl SketchArena {
     pub fn update_columns<const N: usize>(
         &mut self,
         updates: impl IntoIterator<Item = (u64, [(u32, i64); N])>,
-    ) -> usize {
+    ) {
         let mut plan = WritePlan::new();
-        let mut fresh = 0usize;
         for (index, columns) in updates {
             assert!(
                 index < self.families[0].max_index,
@@ -466,7 +465,7 @@ impl SketchArena {
                 self.families[0].max_index
             );
             for &(v, _) in &columns {
-                fresh += usize::from(self.materialize(v));
+                self.materialize(v);
             }
             for copy in 0..self.copies {
                 let family = &self.families[copy];
@@ -488,7 +487,6 @@ impl SketchArena {
             }
         }
         self.flush(&mut plan);
-        fresh
     }
 
     /// Applies the planned cell writes in order — pool offset
@@ -513,26 +511,30 @@ impl SketchArena {
     /// unmaterialized vertices).
     #[inline]
     pub fn cell(&self, v: u32, copy: usize, level: usize) -> (i64, i128, M61) {
-        if !self.is_materialized(v) {
-            return (0, 0, M61::ZERO);
-        }
-        let s = self.slot(v, copy, level);
-        let c = &self.cells[s];
+        let c = self
+            .column(v, copy)
+            .map_or(Cell::ZERO, |column| column[level]);
         (c.value_sum, c.index_sum, c.fp)
+    }
+
+    /// The `levels` cells of copy `copy` of vertex `v`'s column, or
+    /// `None` for an unmaterialized vertex.
+    #[inline]
+    pub(crate) fn column(&self, v: u32, copy: usize) -> Option<&[Cell]> {
+        if !self.is_materialized(v) {
+            return None;
+        }
+        let start = self.slot(v, copy, 0);
+        Some(&self.cells[start..start + self.levels])
     }
 
     /// Queries one vertex column at one copy, without materializing
     /// anything: scan levels from sparsest down, return the first
     /// one-sparse recovery.
     pub fn sample_column(&self, v: u32, copy: usize) -> SampleOutcome {
-        if !self.is_materialized(v) {
-            return SampleOutcome::Zero;
-        }
-        let start = self.slot(v, copy, 0);
-        sample_cell_slice(
-            &self.cells[start..start + self.levels],
-            &self.families[copy],
-        )
+        self.column(v, copy).map_or(SampleOutcome::Zero, |column| {
+            sample_cell_slice(column, &self.families[copy])
+        })
     }
 
     /// A merge accumulator sized for this arena's columns. Allocate
@@ -542,9 +544,7 @@ impl SketchArena {
             copy: 0,
             absorbed: 0,
             live: 0,
-            value_sum: vec![0; self.levels],
-            index_sum: vec![0; self.levels],
-            fp: vec![M61::ZERO; self.levels],
+            cells: vec![Cell::ZERO; self.levels],
         }
     }
 
@@ -555,7 +555,7 @@ impl SketchArena {
     /// set of each merge; repeated calls accumulate — that is how a
     /// supernode sums its member pieces without intermediate clones.
     pub fn merge_into(&self, members: &[u32], scratch: &mut MergeScratch) -> usize {
-        self.fold_members(members, scratch, kernels::fold_cells_soa)
+        self.fold_members(members, scratch, kernels::fold_cells)
     }
 
     /// [`SketchArena::merge_into`] with the sign flipped: *subtracts*
@@ -572,7 +572,7 @@ impl SketchArena {
     /// [`SketchArena::sample_scratch`] decodes the same cells in the
     /// same order.
     pub fn subtract_from(&self, members: &[u32], scratch: &mut MergeScratch) -> usize {
-        self.fold_members(members, scratch, kernels::unfold_cells_soa)
+        self.fold_members(members, scratch, kernels::unfold_cells)
     }
 
     /// Applies one `X[index] += delta` to `scratch` at its copy — the
@@ -594,15 +594,7 @@ impl SketchArena {
         );
         let family = &self.families[scratch.copy];
         let level = family.level_of(index);
-        let mut cell = Cell {
-            index_sum: scratch.index_sum[level],
-            value_sum: scratch.value_sum[level],
-            fp: scratch.fp[level],
-        };
-        cell.apply(index as i128, delta, family.term(index));
-        scratch.index_sum[level] = cell.index_sum;
-        scratch.value_sum[level] = cell.value_sum;
-        scratch.fp[level] = cell.fp;
+        scratch.cells[level].apply(index as i128, delta, family.term(index));
         scratch.live |= 1u64 << level;
         scratch.absorbed += 1;
     }
@@ -610,7 +602,7 @@ impl SketchArena {
     /// The column walk shared by [`SketchArena::merge_into`] and
     /// [`SketchArena::subtract_from`]: streams the live cells of every
     /// materialized member column through `fold` into the scratch
-    /// columns.
+    /// column.
     #[inline]
     #[expect(
         clippy::disallowed_macros,
@@ -620,7 +612,7 @@ impl SketchArena {
         &self,
         members: &[u32],
         scratch: &mut MergeScratch,
-        fold: impl Fn(&[Cell], &mut [i64], &mut [i128], &mut [M61]),
+        fold: impl Fn(&mut [Cell], &[Cell]),
     ) -> usize {
         let copy = scratch.copy;
         debug_assert!(copy < self.copies, "copy {copy} out of range");
@@ -640,10 +632,8 @@ impl SketchArena {
                 let lo = mask.trailing_zeros() as usize;
                 let run = (!(mask >> lo)).trailing_zeros() as usize;
                 fold(
+                    &mut scratch.cells[lo..lo + run],
                     &self.cells[start + lo..start + lo + run],
-                    &mut scratch.value_sum[lo..lo + run],
-                    &mut scratch.index_sum[lo..lo + run],
-                    &mut scratch.fp[lo..lo + run],
                 );
                 // Clear the run; `run` can be 64, which a shifted
                 // mask cannot express.
@@ -670,13 +660,12 @@ impl SketchArena {
         while mask != 0 {
             let l = 63 - mask.leading_zeros() as usize;
             mask &= !(1u64 << l);
-            let (value_sum, index_sum, fp) =
-                (scratch.value_sum[l], scratch.index_sum[l], scratch.fp[l]);
-            if value_sum == 0 && index_sum == 0 && fp.is_zero() {
+            let c = &scratch.cells[l];
+            if c.is_zero() {
                 continue;
             }
             any_nonzero = true;
-            if let Some((index, weight)) = decode_cell(value_sum, index_sum, fp, family) {
+            if let Some((index, weight)) = decode_cell(c, family) {
                 return SampleOutcome::Sample { index, weight };
             }
         }
@@ -798,8 +787,9 @@ impl mpc_snapshot::Persist for SketchArena {
     }
 }
 
-/// One dense reusable merge column (`levels` cells) plus the copy it
-/// is bound to. Created by [`SketchArena::new_scratch`] /
+/// One dense reusable merge column (`levels` cells, the pool's
+/// layout) plus the copy it is bound to. Created by
+/// [`SketchArena::new_scratch`] /
 /// [`SketchBank::new_scratch`](crate::bank::SketchBank::new_scratch).
 #[derive(Debug, Clone)]
 pub struct MergeScratch {
@@ -808,10 +798,8 @@ pub struct MergeScratch {
     /// Union of the live-level masks of every absorbed column: a
     /// level outside this union is a sum of zero cells, so the query
     /// scan can skip it without looking.
-    pub(crate) live: u64,
-    pub(crate) value_sum: Vec<i64>,
-    pub(crate) index_sum: Vec<i128>,
-    pub(crate) fp: Vec<M61>,
+    live: u64,
+    pub(crate) cells: Vec<Cell>,
 }
 
 impl MergeScratch {
@@ -821,9 +809,7 @@ impl MergeScratch {
         self.copy = copy;
         self.absorbed = 0;
         self.live = 0;
-        self.value_sum.fill(0);
-        self.index_sum.fill(0);
-        self.fp.fill(M61::ZERO);
+        self.cells.fill(Cell::ZERO);
     }
 
     /// The copy index this accumulator is bound to.
@@ -843,27 +829,23 @@ impl MergeScratch {
     /// cell.
     #[inline]
     pub fn cell(&self, level: usize) -> (i64, i128, M61) {
-        (self.value_sum[level], self.index_sum[level], self.fp[level])
+        let c = &self.cells[level];
+        (c.value_sum, c.index_sum, c.fp)
     }
 
     /// Number of levels in the accumulator column.
     #[inline]
     pub fn levels(&self) -> usize {
-        self.value_sum.len()
+        self.cells.len()
     }
 }
 
 /// Decodes one nonzero cell, mapping a one-sparse recovery to a
 /// sample.
 #[inline]
-fn decode_cell(
-    value_sum: i64,
-    index_sum: i128,
-    fp: M61,
-    family: &SketchFamily,
-) -> Option<(u64, i64)> {
+fn decode_cell(c: &Cell, family: &SketchFamily) -> Option<(u64, i64)> {
     if let crate::one_sparse::OneSparseDecode::One { index, weight } =
-        decode_parts(value_sum, index_sum, fp, |i, w| {
+        decode_parts(c.value_sum, c.index_sum, c.fp, |i, w| {
             family.fingerprint().expected_one_sparse(i, w)
         })
     {
@@ -883,8 +865,7 @@ pub(crate) fn sample_cell_slice(cells: &[Cell], family: &SketchFamily) -> Sample
     let mut any_nonzero = false;
     while let Some(l) = kernels::top_nonzero_cells(cells, below) {
         any_nonzero = true;
-        let c = &cells[l];
-        if let Some((index, weight)) = decode_cell(c.value_sum, c.index_sum, c.fp, family) {
+        if let Some((index, weight)) = decode_cell(&cells[l], family) {
             return SampleOutcome::Sample { index, weight };
         }
         below = l;

@@ -6,7 +6,11 @@
 //! so every level queries randomness it has never revealed. The bank
 //! manages the `n × t` grid of vertex sketches, lazily materializing
 //! columns (a vertex with no incident updates costs nothing) and
-//! reporting exact word counts for the MPC memory accounting.
+//! reporting exact word counts for the MPC memory accounting. The
+//! bank stores only `n` and its arena: every word count is derived
+//! from the arena's shape (levels, copies, materialized blocks) on
+//! demand, so there is no counter to keep in step with the pool and
+//! none for a snapshot to contradict.
 //!
 //! **Storage** is the columnar [`SketchArena`]: one contiguous pool
 //! of interleaved one-sparse cells for the whole bank, one
@@ -24,7 +28,7 @@
 //! [`SketchBank::insert_edge`] / [`SketchBank::delete_edge`] are its
 //! one-update case.
 
-use crate::arena::{MergeScratch, SketchArena};
+use crate::arena::{Cell, MergeScratch, SketchArena};
 use crate::l0::L0Sampler;
 use crate::vertex::{EdgeSample, VertexSketch};
 use mpc_graph::ids::{Edge, VertexId};
@@ -50,12 +54,7 @@ use mpc_graph::ids::{Edge, VertexId};
 #[derive(Debug, Clone)]
 pub struct SketchBank {
     n: usize,
-    copies: usize,
     arena: SketchArena,
-    words: u64,
-    /// Cached per-column word cost (computed once at construction —
-    /// every column has identical accounted shape).
-    words_per_vertex: u64,
 }
 
 impl SketchBank {
@@ -66,47 +65,37 @@ impl SketchBank {
     ///
     /// # Panics
     ///
-    /// Panics if `copies == 0`.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "documented \"# Panics\" precondition — copies is a construction parameter"
-    )]
+    /// Panics if `copies == 0` (see [`SketchArena::new`]).
     pub fn new(n: usize, copies: usize, seed: u64) -> Self {
-        assert!(copies >= 1, "need at least one sketch copy");
-        let arena = SketchArena::new(n, copies, (n as u64) * (n as u64), seed);
-        // Accounted column cost, probed once from a template sketch
-        // (every column has identical accounted shape — this is the
-        // expression the pre-arena code recomputed per call).
-        let words_per_vertex = VertexSketch::new(n, 0, 0).words() * copies as u64;
         SketchBank {
             n,
-            copies,
-            arena,
-            words: 0,
-            words_per_vertex,
+            arena: SketchArena::new(n, copies, (n as u64) * (n as u64), seed),
         }
     }
 
     /// Number of independent copies per vertex.
     pub fn copies(&self) -> usize {
-        self.copies
+        self.arena.copies()
     }
 
-    /// Words currently materialized across the whole bank.
+    /// Words currently materialized across the whole bank: one full
+    /// column per materialized vertex, whatever its cells hold.
     pub fn words(&self) -> u64 {
-        self.words
+        self.arena.blocks() as u64 * self.words_per_vertex()
     }
 
     /// Words one vertex's full sketch column costs when materialized
-    /// (cached at construction; all columns have identical shape).
+    /// (all columns have identical shape).
     pub fn words_per_vertex(&self) -> u64 {
-        self.words_per_vertex
+        self.words_per_copy() * self.copies() as u64
     }
 
     /// Words one copy of one vertex's column costs: the message size
-    /// of a Borůvka level's converge-cast, which merges one copy.
+    /// of a Borůvka level's converge-cast, which merges one copy. That
+    /// is a [`VertexSketch`]'s accounted shape — one cell per level,
+    /// the sampler's two header words and the vertex label.
     pub fn words_per_copy(&self) -> u64 {
-        self.words_per_vertex / self.copies.max(1) as u64
+        self.arena.levels() as u64 * Cell::WORDS + 3
     }
 
     /// The underlying columnar arena (read-only).
@@ -140,12 +129,11 @@ impl SketchBank {
         let n = self.n;
         // Sign convention (Lemma 3.3): the larger endpoint carries
         // `+delta` at the edge coordinate, the smaller `-delta`.
-        let fresh = self.arena.update_columns(
+        self.arena.update_columns(
             updates
                 .into_iter()
                 .map(|(e, delta)| (e.index(n), [(e.u(), -delta), (e.v(), delta)])),
         );
-        self.words += fresh as u64 * self.words_per_vertex;
     }
 
     /// Whether vertex `v` has ever been touched by an update.
@@ -164,20 +152,8 @@ impl SketchBank {
     /// tests; hot paths read the arena directly). `None` if `v` was
     /// never touched.
     pub fn vertex_sketch(&self, v: VertexId, copy: usize) -> Option<VertexSketch> {
-        if !self.arena.is_materialized(v) {
-            return None;
-        }
-        let levels = self.arena.levels();
-        let mut value_sum = Vec::with_capacity(levels);
-        let mut index_sum = Vec::with_capacity(levels);
-        let mut fp = Vec::with_capacity(levels);
-        for l in 0..levels {
-            let (vs, is, f) = self.arena.cell(v, copy, l);
-            value_sum.push(vs);
-            index_sum.push(is);
-            fp.push(f);
-        }
-        let inner = L0Sampler::from_raw(self.arena.family(copy).clone(), value_sum, index_sum, fp);
+        let column = self.arena.column(v, copy)?;
+        let inner = L0Sampler::from_cells(self.arena.family(copy).clone(), column.to_vec());
         Some(VertexSketch::from_inner(self.n, v, inner))
     }
 
@@ -263,26 +239,20 @@ impl SketchBank {
             .copied()
             .find(|&v| self.arena.is_materialized(v))
             .expect("at least one member absorbed");
-        let MergeScratch {
-            value_sum,
-            index_sum,
-            fp,
-            ..
-        } = scratch;
-        let inner = L0Sampler::from_raw(self.arena.family(copy).clone(), value_sum, index_sum, fp);
+        let inner = L0Sampler::from_cells(self.arena.family(copy).clone(), scratch.cells);
         Some(VertexSketch::from_inner(self.n, rep, inner))
     }
 }
 
-// By hand: `copies` and `words_per_vertex` are re-derived on load,
-// and the bank's own words are checked against the arena they
-// describe: its vertex count, its index space `n²`, and one column
-// cost per materialized block.
+// By hand: the section still carries the bank's word count after the
+// arena, and load checks the arena against the bank it claims to
+// serve — its vertex count and its index space `n²` — and refuses a
+// stored count that differs from the one derived from the arena.
 impl mpc_snapshot::Persist for SketchBank {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         w.put_usize(self.n);
         self.arena.save(w);
-        w.put_u64(self.words);
+        w.put_u64(self.words());
     }
     fn load(r: &mut mpc_snapshot::SnapshotReader<'_>) -> Result<Self, mpc_snapshot::SnapshotError> {
         let n = r.take_usize()?;
@@ -299,8 +269,7 @@ impl mpc_snapshot::Persist for SketchBank {
             ));
         }
         let edge_space = (n as u64).checked_mul(n as u64);
-        let copies = arena.copies();
-        if let Some(f) = (0..copies)
+        if let Some(f) = (0..arena.copies())
             .map(|c| arena.family(c))
             .find(|f| Some(f.max_index()) != edge_space)
         {
@@ -309,22 +278,15 @@ impl mpc_snapshot::Persist for SketchBank {
                 f.max_index()
             ));
         }
-        // The cached per-column cost is derived state, re-probed the
-        // same way the constructor does.
-        let words_per_vertex = VertexSketch::new(n, 0, 0).words() * copies as u64;
-        if words != arena.blocks() as u64 * words_per_vertex {
+        let bank = SketchBank { n, arena };
+        if words != bank.words() {
             return corrupt(format!(
-                "sketch bank claims {words} words for {} blocks of {words_per_vertex}",
-                arena.blocks()
+                "sketch bank claims {words} words for {} blocks of {}",
+                bank.arena.blocks(),
+                bank.words_per_vertex()
             ));
         }
-        Ok(SketchBank {
-            n,
-            copies,
-            arena,
-            words,
-            words_per_vertex,
-        })
+        Ok(bank)
     }
 }
 
@@ -354,8 +316,8 @@ mod tests {
     }
 
     #[test]
-    fn cached_words_per_vertex_matches_probe_sketch() {
-        // The cached per-column cost must equal what a freshly seeded
+    fn derived_words_per_vertex_matches_probe_sketch() {
+        // The derived per-column cost must equal what a freshly seeded
         // probe column would report — the pre-arena accounting.
         for n in [2usize, 16, 100, 1000] {
             let bank = SketchBank::new(n, 5, 3);

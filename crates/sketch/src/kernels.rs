@@ -1,8 +1,11 @@
-//! The flat loops every sketch operation bottoms out in: the
-//! converge-cast column folds of [`SketchArena::merge_into`] and the
-//! subtracting fold of [`SketchArena::subtract_from`], the cell write
-//! of [`SketchArena::update_columns`]' apply loop, and the zero-skip
-//! scan in front of `decode_parts` on the sample paths.
+//! The flat loops every sketch operation bottoms out in: the column
+//! fold `fold_cells` of [`SketchArena::merge_into`] and
+//! [`L0Sampler::merge`], its subtracting twin `unfold_cells` of
+//! [`SketchArena::subtract_from`], the cell write of
+//! [`SketchArena::update_columns`]' apply loop and the scratch update,
+//! and the zero-skip scan in front of `decode_parts` on the sample
+//! paths. Every loop runs over interleaved `Cell` columns: pool,
+//! merge scratch and standalone sampler share the one layout.
 //!
 //! There is one implementation, in safe scalar Rust, written over
 //! zips with simple per-field bodies so LLVM can auto-vectorize it.
@@ -17,6 +20,7 @@
 //! [`SketchArena::merge_into`]: crate::arena::SketchArena::merge_into
 //! [`SketchArena::subtract_from`]: crate::arena::SketchArena::subtract_from
 //! [`SketchArena::update_columns`]: crate::arena::SketchArena::update_columns
+//! [`L0Sampler::merge`]: crate::l0::L0Sampler::merge
 
 use crate::arena::Cell;
 use mpc_hashing::field::M61;
@@ -45,42 +49,6 @@ impl KernelKind {
     }
 }
 
-/// Folds a span of interleaved cells into struct-of-arrays scratch
-/// columns: `vs[j] += src[j].value_sum`, `is[j] += src[j].index_sum`,
-/// `fp[j] += src[j].fp` (field add). All four slices must have equal
-/// length.
-#[expect(
-    clippy::disallowed_macros,
-    reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-)]
-pub(crate) fn fold_cells_soa(src: &[Cell], vs: &mut [i64], is: &mut [i128], fp: &mut [M61]) {
-    debug_assert!(vs.len() == src.len() && is.len() == src.len() && fp.len() == src.len());
-    for (((c, v), i), f) in src.iter().zip(vs).zip(is).zip(fp) {
-        *v = v.wrapping_add(c.value_sum);
-        *i = i.wrapping_add(c.index_sum);
-        *f += c.fp;
-    }
-}
-
-/// The subtracting twin of [`fold_cells_soa`]: `vs[j] -=
-/// src[j].value_sum`, `is[j] -= src[j].index_sum`, `fp[j] -=
-/// src[j].fp` (field subtract). Wrapping and field subtraction are the
-/// exact inverses of the adds above, so an accumulator built by
-/// subtracting columns equals, bit for bit, the negation of the one
-/// built by adding them. All four slices must have equal length.
-#[expect(
-    clippy::disallowed_macros,
-    reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-)]
-pub(crate) fn unfold_cells_soa(src: &[Cell], vs: &mut [i64], is: &mut [i128], fp: &mut [M61]) {
-    debug_assert!(vs.len() == src.len() && is.len() == src.len() && fp.len() == src.len());
-    for (((c, v), i), f) in src.iter().zip(vs).zip(is).zip(fp) {
-        *v = v.wrapping_sub(c.value_sum);
-        *i = i.wrapping_sub(c.index_sum);
-        *f -= c.fp;
-    }
-}
-
 /// Folds one interleaved cell column into another (`dst[j] +=
 /// src[j]`, component-wise). Both slices must have equal length.
 #[expect(
@@ -91,6 +59,24 @@ pub(crate) fn fold_cells(dst: &mut [Cell], src: &[Cell]) {
     debug_assert!(dst.len() == src.len());
     for (d, s) in dst.iter_mut().zip(src) {
         d.absorb(s);
+    }
+}
+
+/// The subtracting twin of [`fold_cells`] (`dst[j] -= src[j]`,
+/// component-wise). Wrapping and field subtraction are the exact
+/// inverses of the adds, so a column built by subtracting equals, bit
+/// for bit, the negation of the one built by adding. Both slices must
+/// have equal length.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+)]
+pub(crate) fn unfold_cells(dst: &mut [Cell], src: &[Cell]) {
+    debug_assert!(dst.len() == src.len());
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.value_sum = d.value_sum.wrapping_sub(s.value_sum);
+        d.index_sum = d.index_sum.wrapping_sub(s.index_sum);
+        d.fp -= s.fp;
     }
 }
 
@@ -179,18 +165,27 @@ mod tests {
             },
             Cell::ZERO,
         ];
-        let (mut vs, mut is, mut fp) = ([5i64, -1, 0], [9i128, 0, -2], [M61::new(4); 3]);
-        let before = (vs, is, fp);
-        fold_cells_soa(&src, &mut vs, &mut is, &mut fp);
-        unfold_cells_soa(&src, &mut vs, &mut is, &mut fp);
-        assert_eq!((vs, is, fp), before);
+        let column = |vs: [i64; 3], is: [i128; 3], fp: [M61; 3]| -> Vec<Cell> {
+            (0..3)
+                .map(|j| Cell {
+                    index_sum: is[j],
+                    value_sum: vs[j],
+                    fp: fp[j],
+                })
+                .collect()
+        };
+        let mut dst = column([5, -1, 0], [9, 0, -2], [M61::new(4); 3]);
+        let before = dst.clone();
+        fold_cells(&mut dst, &src);
+        unfold_cells(&mut dst, &src);
+        assert_eq!(dst, before);
         // From zero, subtracting yields the negated column.
-        let (mut vs, mut is, mut fp) = ([0i64; 3], [0i128; 3], [M61::ZERO; 3]);
-        unfold_cells_soa(&src, &mut vs, &mut is, &mut fp);
-        for (j, c) in src.iter().enumerate() {
-            assert_eq!(vs[j], c.value_sum.wrapping_neg());
-            assert_eq!(is[j], c.index_sum.wrapping_neg());
-            assert_eq!(fp[j], -c.fp);
+        let mut dst = vec![Cell::ZERO; 3];
+        unfold_cells(&mut dst, &src);
+        for (d, c) in dst.iter().zip(&src) {
+            assert_eq!(d.value_sum, c.value_sum.wrapping_neg());
+            assert_eq!(d.index_sum, c.index_sum.wrapping_neg());
+            assert_eq!(d.fp, -c.fp);
         }
     }
 

@@ -24,7 +24,6 @@
 //! what [`L0Sampler::words`] charges the MPC memory accounting.
 
 use crate::arena::{sample_cell_slice, Cell, SketchFamily};
-use mpc_hashing::field::M61;
 
 /// Outcome of querying an [`L0Sampler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,29 +97,14 @@ impl L0Sampler {
         }
     }
 
-    /// Builds a sampler directly from a family and its dense cell
-    /// column (the bank's merge paths materialize results this way).
+    /// Builds a sampler from a family and its dense cell column (the
+    /// bank materializes arena columns and merge results this way).
     #[expect(
         clippy::disallowed_macros,
         reason = "a debug_assert!, which clippy reads as the assert! it expands to"
     )]
-    pub(crate) fn from_raw(
-        family: SketchFamily,
-        value_sum: Vec<i64>,
-        index_sum: Vec<i128>,
-        fp: Vec<M61>,
-    ) -> Self {
-        debug_assert_eq!(value_sum.len(), family.levels());
-        let cells = value_sum
-            .into_iter()
-            .zip(index_sum)
-            .zip(fp)
-            .map(|((value_sum, index_sum), fp)| Cell {
-                index_sum,
-                value_sum,
-                fp,
-            })
-            .collect();
+    pub(crate) fn from_cells(family: SketchFamily, cells: Vec<Cell>) -> Self {
+        debug_assert_eq!(cells.len(), family.levels());
         L0Sampler { family, cells }
     }
 

@@ -144,6 +144,20 @@ fn l0_sampler_linearity() {
 /// exactly rather than probabilistically).
 #[test]
 fn vertex_sketch_cut_soundness() {
+    // The empty side, which the loop rejects: the bank has no merged
+    // sketch for it, and a reset scratch samples the empty cut.
+    {
+        use mpc_stream::sketch::SketchBank;
+        let mut bank = SketchBank::new(10, 2, 7);
+        bank.update_edges([(Edge::new(0, 1), 1), (Edge::new(2, 9), 1)]);
+        let mut scratch = bank.new_scratch();
+        for c in 0..2 {
+            assert!(bank.merged_copy(&[], c).is_none(), "copy {c}");
+            scratch.reset(c);
+            assert_eq!(bank.merge_copy_into(&[], &mut scratch), 0);
+            assert_eq!(bank.sample_merged(&scratch), EdgeSample::Empty);
+        }
+    }
     let mut rng = case_rng();
     let (mut case, mut rejected) = (0, 0);
     while case < 24 {
@@ -330,6 +344,15 @@ fn exact_msf_matches_kruskal() {
     use mpc_stream::graph::ids::WeightedEdge;
     use mpc_stream::graph::update::WeightedBatch;
     use mpc_stream::msf::ExactMsf;
+    // No clean edge, which the loop rejects: an empty batch leaves
+    // the weight of the empty forest.
+    {
+        let n = 16usize;
+        let mut msf = ExactMsf::new(n);
+        msf.apply_batch(&WeightedBatch::inserting([]), &mut ctx_for(n))
+            .expect("legal batch");
+        assert_eq!(msf.weight(), oracle::msf_weight(n, []));
+    }
     let mut rng = case_rng();
     let (mut case, mut rejected) = (0, 0);
     while case < 16 {
@@ -494,6 +517,23 @@ fn bank_arena_matches_standalone_sketches() {
 #[test]
 fn bank_words_invariant_under_churn() {
     use mpc_stream::sketch::SketchBank;
+    use mpc_stream::snapshot::{Persist, Snapshot, SnapshotWriter};
+    // A stream with no edges, which the loop rejects: nothing is
+    // materialized, before or after a save → load.
+    {
+        let mut bank = SketchBank::new(20, 3, 5);
+        bank.update_edges([]);
+        assert_eq!(bank.words(), 0);
+        let mut w = SnapshotWriter::new(0);
+        w.begin_section("bank");
+        bank.save(&mut w);
+        w.end_section();
+        let snap = Snapshot::from_bytes(&w.finish()).expect("container parses");
+        let mut r = snap.section("bank").expect("section present");
+        let restored = SketchBank::load(&mut r).expect("an empty bank loads");
+        r.expect_end().expect("section consumed");
+        assert_eq!(restored.words(), 0);
+    }
     let mut rng = case_rng();
     let (mut case, mut rejected) = (0, 0);
     while case < 24 {
