@@ -4,8 +4,9 @@ use crate::table::{f2, Table};
 use crate::{experiment_context, max_batch};
 use mpc_baselines::{AgmBaseline, FullMemoryBaseline};
 use mpc_graph::gen::{self, BatchStream};
+use mpc_graph::ids::VertexId;
 use mpc_graph::oracle;
-use mpc_stream_core::{Connectivity, ConnectivityConfig};
+use mpc_stream_core::{Connectivity, ConnectivityConfig, Maintain, QueryRequest};
 
 /// Applies a stream, returning (mean rounds/batch, max rounds/batch,
 /// mismatching batches against the oracle, ℓ0-sampler failures).
@@ -223,20 +224,26 @@ pub fn e3_baseline_comparison() -> Vec<Table> {
                 agm.apply_batch(batch, &mut ctx).expect("within model");
                 full.apply_batch(batch, &mut ctx).expect("within model");
             }
-            // Query cost: ours maintains the labelling — 0 extra
-            // rounds; the baselines recompute.
-            ctx.begin_phase("our-query");
-            let _ = conn.component_labels();
-            let ours_q = ctx.end_phase().rounds;
-            let agm_labels = agm.query_components(&mut ctx);
-            let full_labels = full.query_components(&mut ctx);
-            assert_eq!(agm_labels, full_labels, "baselines disagree");
+            // Query cost: one charged question through each
+            // maintainer's query plane. Ours reads its maintained
+            // labels; the baselines recompute theirs.
+            let query = QueryRequest::Connected(0, n as VertexId - 1);
+            let mut ask = |m: &mut dyn Maintain| {
+                ctx.begin_phase(m.name());
+                let answer = m.answer(&query, &mut ctx).expect("answers Connected");
+                (answer.expect("endpoints in range"), ctx.end_phase().rounds)
+            };
+            let (ours, ours_q) = ask(&mut conn);
+            let (agm_answer, agm_q) = ask(&mut agm);
+            let (full_answer, full_q) = ask(&mut full);
+            assert_eq!(agm_answer, full_answer, "baselines disagree");
+            assert_eq!(ours, full_answer, "ours disagrees with the baselines");
             t.row(vec![
                 n.to_string(),
                 name.into(),
                 ours_q.to_string(),
-                agm.last_query_rounds().to_string(),
-                full.last_query_rounds().to_string(),
+                agm_q.to_string(),
+                full_q.to_string(),
                 conn.words().to_string(),
                 full.words().to_string(),
                 conn.sampler_failure_count().to_string(),

@@ -16,12 +16,11 @@ use mpc_graph::cuts;
 use mpc_graph::ids::Edge;
 use mpc_graph::oracle;
 use mpc_graph::update::Batch;
+use mpc_hashing::rng::StdRng;
 use mpc_kconn::{DynamicKConn, InsertOnlyKConn};
 use mpc_stream_core::{
     Connectivity, ConnectivityConfig, RobustConnectivity, VertexDynamicConnectivity,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A random graph stream whose snapshots have known edge sets; used
 /// to compare certificate cuts against the oracle.

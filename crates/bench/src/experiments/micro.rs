@@ -7,10 +7,9 @@ use crate::table::{f2, Table};
 use mpc_etf::tour::validate;
 use mpc_etf::DistEtf;
 use mpc_graph::ids::Edge;
+use mpc_hashing::rng::StdRng;
 use mpc_sketch::l0::{L0Sampler, SampleOutcome};
 use mpc_sketch::SketchBank;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 

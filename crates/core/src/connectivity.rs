@@ -1243,8 +1243,7 @@ mod tests {
     /// the reference's order, or to its error.
     #[test]
     fn normalization_matches_the_btree_reference() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let n = 8;
         let conn = Connectivity::new(n, ConnectivityConfig::default(), 20);
         let mut rng = StdRng::seed_from_u64(0xB0D5);

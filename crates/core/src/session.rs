@@ -1650,8 +1650,7 @@ mod tests {
     #[test]
     fn normalization_matches_the_btree_reference() {
         use mpc_graph::ids::WeightedEdge;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(0x0DD5);
         for round in 0..400 {
             let edges = rng.gen_range(1..6u32);

@@ -413,8 +413,7 @@ mod tests {
 
     #[test]
     fn churn_matches_oracle() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(2024);
         let cap = 24;
         let mut c = ctx();

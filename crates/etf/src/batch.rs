@@ -519,10 +519,8 @@ impl DistEtf {
 mod tests {
     use super::*;
     use crate::tour::validate;
+    use mpc_hashing::rng::StdRng;
     use mpc_sim::MpcConfig;
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::{Rng, SeedableRng};
 
     fn ctx() -> MpcContext {
         // Capacity sized so the test batches (up to 32 edges) pass the
@@ -898,7 +896,7 @@ mod tests {
                     }
                 } else {
                     // Batch split: random subset of live edges.
-                    live.shuffle(&mut rng);
+                    rng.shuffle(&mut live);
                     let take = rng.gen_range(1..=live.len().min(4));
                     let batch: Vec<Edge> = live.drain(..take).collect();
                     etf.batch_split(&batch, &mut c);

@@ -1,7 +1,8 @@
 //! Golden digest of the forest's persisted bytes over a fixed stream.
 //!
-//! A self-contained seeded stream (its own SplitMix64, so neither
-//! `vendor/rand` nor a generator edit can move it) drives `batch_join`,
+//! A seeded stream from the bare SplitMix64 step
+//! (`mpc_hashing::rng::splitmix64`, not `StdRng`, so neither a sampler
+//! nor a graph-generator edit can move it) drives `batch_join`,
 //! `batch_split` and the single-edge `join` / `split` at three sizes.
 //! After every step the FNV-1a of the `Persist::save` bytes is folded
 //! into one digest, together with the tour ids each split returned, in
@@ -15,27 +16,16 @@ use mpc_etf::tour::validate;
 use mpc_etf::{DistEtf, TourId};
 use mpc_graph::ids::Edge;
 use mpc_graph::oracle::UnionFind;
+use mpc_hashing::rng::splitmix64;
 use mpc_sim::{MpcConfig, MpcContext};
 use mpc_snapshot::{fnv1a, Persist, Snapshot, SnapshotReader, SnapshotWriter};
 use std::collections::BTreeMap;
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..bound` (modulo bias is irrelevant here).
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
+/// Uniform in `0..bound` (modulo bias is irrelevant here).
+fn below(state: &mut u64, bound: usize) -> usize {
+    (splitmix64(state) % bound as u64) as usize
 }
 
 /// The forest's section bytes, as a checkpoint would write them.
@@ -55,7 +45,7 @@ fn fold(digest: &mut u64, word: u64) {
 
 /// Up to `want` random edges that form a forest over the current
 /// tours (so `batch_join` keeps every one).
-fn pick_joinable(etf: &DistEtf, n: usize, want: usize, rng: &mut SplitMix64) -> Vec<Edge> {
+fn pick_joinable(etf: &DistEtf, n: usize, want: usize, rng: &mut u64) -> Vec<Edge> {
     let mut index: BTreeMap<TourId, u32> = BTreeMap::new();
     let mut uf = UnionFind::new(n);
     let mut batch = Vec::new();
@@ -63,7 +53,7 @@ fn pick_joinable(etf: &DistEtf, n: usize, want: usize, rng: &mut SplitMix64) -> 
         if batch.len() == want {
             break;
         }
-        let (a, b) = (rng.below(n) as u32, rng.below(n) as u32);
+        let (a, b) = (below(rng, n) as u32, below(rng, n) as u32);
         let (ta, tb) = (etf.tour_of(a), etf.tour_of(b));
         if ta == tb {
             continue;
@@ -80,14 +70,14 @@ fn pick_joinable(etf: &DistEtf, n: usize, want: usize, rng: &mut SplitMix64) -> 
 }
 
 /// Removes and returns `take` random live edges.
-fn pick_live(live: &mut Vec<Edge>, take: usize, rng: &mut SplitMix64) -> Vec<Edge> {
+fn pick_live(live: &mut Vec<Edge>, take: usize, rng: &mut u64) -> Vec<Edge> {
     (0..take)
-        .map(|_| live.swap_remove(rng.below(live.len())))
+        .map(|_| live.swap_remove(below(rng, live.len())))
         .collect()
 }
 
 fn run_stream(n: usize, steps: usize, seed: u64) -> u64 {
-    let mut rng = SplitMix64(seed);
+    let mut rng = seed;
     let mut ctx = MpcContext::new(MpcConfig::builder(n, 0.5).local_capacity(4096).build());
     let mut etf = DistEtf::new(n);
     let mut live: Vec<Edge> = Vec::new();
@@ -95,17 +85,17 @@ fn run_stream(n: usize, steps: usize, seed: u64) -> u64 {
     let mut giant_splits = 0usize;
     for step in 0..steps {
         // Batches of up to 40 edges, half of them full-size.
-        let size = if rng.next() & 1 == 0 {
+        let size = if splitmix64(&mut rng) & 1 == 0 {
             40
         } else {
-            1 + rng.below(40)
+            1 + below(&mut rng, 40)
         };
         // Fill the forest to ~80 % first (one giant tour forms on the
         // way), then hold it there under balanced churn.
         let filling = live.len() < (n - 1) * 4 / 5;
         let join_pct = if filling { 80 } else { 45 };
-        let join = live.is_empty() || rng.below(100) < join_pct;
-        let single = rng.below(100) < 15;
+        let join = live.is_empty() || below(&mut rng, 100) < join_pct;
+        let single = below(&mut rng, 100) < 15;
         if join {
             let batch = pick_joinable(&etf, n, if single { 1 } else { size }, &mut rng);
             if single {

@@ -329,8 +329,7 @@ mod tests {
 
     #[test]
     fn min_cut_matches_brute_force_on_random_graphs() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(7);
         for trial in 0..40 {
             let n = rng.gen_range(2..9usize);
@@ -381,8 +380,7 @@ mod tests {
     /// parallel edges and tiny vertex counts included.
     #[test]
     fn capped_connectivity_matches_stoer_wagner() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(31);
         for trial in 0..300 {
             let n = rng.gen_range(0..10usize);
@@ -434,8 +432,7 @@ mod tests {
     #[test]
     fn bridges_match_deletion_definition_on_random_graphs() {
         use crate::oracle::component_count;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(99);
         for trial in 0..30 {
             let n = rng.gen_range(2..10usize);

@@ -9,9 +9,7 @@
 use crate::dynamic::DynamicGraph;
 use crate::ids::{Edge, WeightedEdge};
 use crate::update::{Batch, Update, WeightedBatch, WeightedUpdate};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use mpc_hashing::rng::StdRng;
 use std::collections::BTreeSet;
 
 /// A reproducible stream of update batches plus the ground-truth live
@@ -426,7 +424,7 @@ pub fn planted_matching_stream(
             break;
         }
     }
-    edges.shuffle(&mut rng);
+    rng.shuffle(&mut edges);
     let batches = edges
         .chunks(batch_size)
         .map(|c| Batch::inserting(c.iter().copied()))
@@ -462,7 +460,7 @@ pub fn circulant_stream(n: usize, jumps: &[usize], batch_size: usize, seed: u64)
             }
         }
     }
-    edges.shuffle(&mut rng);
+    rng.shuffle(&mut edges);
     let batches = edges
         .chunks(batch_size)
         .map(|c| Batch::inserting(c.iter().copied()))

@@ -492,8 +492,7 @@ mod tests {
 
     #[test]
     fn blossom_matches_dp_on_random_graphs() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(12345);
         for trial in 0..60 {
             let n = rng.gen_range(2..12);

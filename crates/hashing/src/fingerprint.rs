@@ -19,8 +19,7 @@
 //! such value per cell.
 
 use crate::field::{M61, P};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::StdRng;
 
 /// Number of radix-256 digit tables covering a full `u64` exponent.
 const RADIX_BLOCKS: usize = 8;
@@ -71,11 +70,11 @@ fn build_pow(z: M61, blocks: usize) -> Vec<[M61; 256]> {
 impl FingerprintFamily {
     /// Draws a family with a random evaluation point from `rng`,
     /// covering the full `u64` exponent range.
-    pub fn new<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    pub fn new(rng: &mut StdRng) -> Self {
         Self::with_blocks(rng, RADIX_BLOCKS)
     }
 
-    fn with_blocks<R: Rng + ?Sized>(rng: &mut R, blocks: usize) -> Self {
+    fn with_blocks(rng: &mut StdRng, blocks: usize) -> Self {
         // Avoid z = 0 which would ignore every coordinate but 0. The
         // draw happens before any table building, so bounded and
         // unbounded families of one seed share the evaluation point.

@@ -7,8 +7,7 @@
 //! (Sections 8.1–8.2, pairwise and four-wise families).
 
 use crate::field::{M61, P};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::StdRng;
 
 /// A hash function drawn from a *k*-wise independent family.
 ///
@@ -51,7 +50,7 @@ impl KWiseHash {
         clippy::disallowed_macros,
         reason = "documented \"# Panics\" precondition — k is a compile-time family parameter"
     )]
-    pub fn new<R: Rng + ?Sized>(k: usize, rng: &mut R) -> Self {
+    pub fn new(k: usize, rng: &mut StdRng) -> Self {
         assert!(k >= 1, "independence parameter k must be at least 1");
         assert!(
             k <= Self::MAX_K,
@@ -166,8 +165,6 @@ impl mpc_snapshot::Persist for KWiseHash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn deterministic_from_seed() {

@@ -1,8 +1,8 @@
 //! Hashing substrate for the `mpc-stream` workspace.
 //!
 //! Sketch-based streaming algorithms (the `ℓ0`-samplers of
-//! \[CJ19\] used throughout the paper, Lemma 3.1) need three primitives,
-//! all provided here:
+//! \[CJ19\] used throughout the paper, Lemma 3.1) need three primitives
+//! and the seeded randomness they are drawn from, all provided here:
 //!
 //! * [`field`] — arithmetic in the Mersenne-prime field
 //!   `GF(2^61 - 1)`, the standard modulus for streaming hash functions
@@ -17,6 +17,10 @@
 //!   terms `z^i`, and [`accumulate`](fingerprint::accumulate) folds
 //!   them into a cell's bare field accumulator. Linearity is what
 //!   makes the sketches mergeable (Remark 3.2 of the paper).
+//! * [`rng`] — the workspace's one generator,
+//!   [`StdRng`](rng::StdRng) (xoshiro256++ seeded through SplitMix64).
+//!   Hash coefficients, fingerprint points and the graph generators
+//!   all draw from it, so its stream is part of every seed's meaning.
 //!
 //! # Examples
 //!
@@ -44,6 +48,7 @@
 pub mod field;
 pub mod fingerprint;
 pub mod kwise;
+pub mod rng;
 
 pub use field::M61;
 pub use kwise::KWiseHash;

@@ -338,9 +338,8 @@ mod tests {
     fn cut_between_matches_oracle_on_random_graphs() {
         use crate::InsertOnlyKConn;
         use mpc_graph::update::Batch;
+        use mpc_hashing::rng::StdRng;
         use mpc_sim::{MpcConfig, MpcContext};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(55);
         let n = 12usize;
         let k = 3usize;
@@ -384,9 +383,8 @@ mod tests {
     fn small_k_answers_match_stoer_wagner_on_random_graphs() {
         use crate::InsertOnlyKConn;
         use mpc_graph::update::Batch;
+        use mpc_hashing::rng::StdRng;
         use mpc_sim::{MpcConfig, MpcContext};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(404);
         for trial in 0..60 {
             let n = rng.gen_range(2..12usize);

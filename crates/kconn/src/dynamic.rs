@@ -435,8 +435,7 @@ mod tests {
 
     #[test]
     fn peeled_certificate_matches_oracle_on_random_dynamic_streams() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(777);
         for trial in 0..10 {
             let n = rng.gen_range(6..14usize);
@@ -513,8 +512,7 @@ mod tests {
     /// come out the same too.
     #[test]
     fn residual_view_peels_what_the_clone_peels() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(2718);
         let (mut relaminated, mut forged_peeled) = (0, 0);
         for trial in 0..36u64 {

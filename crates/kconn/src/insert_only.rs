@@ -359,8 +359,7 @@ mod tests {
 
     #[test]
     fn certificate_cut_matches_oracle_on_random_graphs() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use mpc_hashing::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(4242);
         for trial in 0..25 {
             let n = rng.gen_range(4..16usize);

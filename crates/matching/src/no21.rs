@@ -407,10 +407,8 @@ mod tests {
     use mpc_graph::gen;
     use mpc_graph::oracle;
     use mpc_graph::update::Update;
+    use mpc_hashing::rng::StdRng;
     use mpc_sim::MpcConfig;
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::{Rng, SeedableRng};
 
     fn ctx() -> MpcContext {
         MpcContext::new(MpcConfig::builder(256, 0.5).local_capacity(1 << 14).build())
@@ -697,7 +695,7 @@ mod tests {
                             }
                         }
                     } else {
-                        live.shuffle(&mut rng);
+                        rng.shuffle(&mut live);
                         if let Some(e) = live.pop() {
                             del.push(e);
                         }

@@ -281,8 +281,7 @@ pub fn prefix_sum(cluster: &mut Cluster) -> Result<u64, MpcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use mpc_hashing::rng::StdRng;
 
     #[test]
     fn tree_rounds_formula() {

@@ -204,8 +204,7 @@ mpc_snapshot::persist_struct!(L0Sampler { family, cells } check |s| {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use mpc_hashing::rng::StdRng;
 
     #[test]
     fn zero_vector_reports_zero() {

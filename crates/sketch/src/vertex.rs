@@ -199,8 +199,7 @@ pub(crate) fn edge_sample_from(outcome: SampleOutcome, n: usize) -> EdgeSample {
 mod tests {
     use super::*;
     use mpc_graph::oracle::UnionFind;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use mpc_hashing::rng::StdRng;
 
     const SEED: u64 = 777;
 

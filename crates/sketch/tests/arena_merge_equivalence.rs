@@ -8,11 +8,10 @@
 //! bank fed whole batches through `update_edges` equals one fed the
 //! same updates one at a time, cell for cell and byte for byte.
 
+use mpc_hashing::rng::StdRng;
 use mpc_sketch::l0::SampleOutcome;
 use mpc_sketch::{MergeScratch, SketchArena};
 use mpc_snapshot::{Persist, SnapshotWriter};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Serializes an arena to snapshot bytes.
 fn snapshot_bytes(arena: &SketchArena) -> Vec<u8> {

@@ -20,9 +20,8 @@
 use mpc_stream::core_alg::{ConnectivityConfig, RobustConnectivity, VertexDynamicConnectivity};
 use mpc_stream::graph::ids::Edge;
 use mpc_stream::graph::update::Batch;
+use mpc_stream::hashing::rng::StdRng;
 use mpc_stream::mpc::{MpcConfig, MpcContext};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let capacity = 128;

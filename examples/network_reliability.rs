@@ -23,9 +23,8 @@
 
 #![expect(clippy::print_stdout, reason = "an example: it prints what it shows")]
 
+use mpc_stream::hashing::rng::StdRng;
 use mpc_stream::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n: u32 = 96; // racks

@@ -3,9 +3,10 @@
 //! Four cascades run the same level loop — `Connectivity::from_graph`,
 //! `Connectivity::apply_batch`'s replacement search,
 //! `AgmBaseline::query_components` and `DynamicKConn::certificate` —
-//! and each is driven here over a fixed set of small graphs from its
-//! own SplitMix64 stream (so neither `vendor/rand` nor a generator
-//! edit can move them): random graphs sparse enough to leave isolated
+//! and each is driven here over a fixed set of small graphs drawn from
+//! the bare SplitMix64 step (`hashing::rng::splitmix64`, not `StdRng`,
+//! so neither a sampler nor a graph-generator edit can move them):
+//! random graphs sparse enough to leave isolated
 //! vertices, and two cliques joined by bridges. Copy counts go down
 //! to 3, so cascades that run dry are pinned as well as certified
 //! ones. Everything the cascade decides — labels, forests, layer
@@ -15,27 +16,16 @@
 //! became callers of `mpc_sketch::cascade` (PR 26); they pin that
 //! refactor, and any later one, to identical answers and ledgers.
 
+use mpc_stream::hashing::rng::splitmix64;
 use mpc_stream::prelude::*;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 const SEEDS: u64 = 24;
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..bound` (modulo bias is irrelevant here).
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
+/// Uniform in `0..bound` (modulo bias is irrelevant here).
+fn below(state: &mut u64, bound: usize) -> usize {
+    (splitmix64(state) % bound as u64) as usize
 }
 
 fn fold(digest: &mut u64, word: u64) {
@@ -68,11 +58,11 @@ fn ctx_for(n: usize) -> MpcContext {
 }
 
 /// `G(n, p)` with `p = per_mille / 1000`, edges in generation order.
-fn random_graph(n: u32, per_mille: usize, rng: &mut SplitMix64) -> Vec<Edge> {
+fn random_graph(n: u32, per_mille: usize, rng: &mut u64) -> Vec<Edge> {
     let mut edges = Vec::new();
     for a in 0..n {
         for b in a + 1..n {
-            if rng.below(1000) < per_mille {
+            if below(rng, 1000) < per_mille {
                 edges.push(Edge::new(a, b));
             }
         }
@@ -94,7 +84,7 @@ fn two_cliques(s: u32, bridges: u32) -> Vec<Edge> {
 
 /// The graph set of one seed: `(n, edges)`.
 fn graphs(seed: u64) -> Vec<(usize, Vec<Edge>)> {
-    let mut rng = SplitMix64(seed ^ 0xCA5C_ADE0);
+    let mut rng = seed ^ 0xCA5C_ADE0;
     vec![
         (32, random_graph(32, 70, &mut rng)),
         (24, random_graph(24, 250, &mut rng)),
@@ -200,7 +190,7 @@ fn apply_batch_replacement_digest_is_pinned() {
     let n = 24u32;
     for seed in 0..SEEDS {
         for copies in [Some(8), None] {
-            let mut rng = SplitMix64(seed.wrapping_mul(0x9E37) ^ 0x00B4_1D6E);
+            let mut rng = seed.wrapping_mul(0x9E37) ^ 0x00B4_1D6E;
             let mut live: Vec<Edge> = Vec::new();
             for c in 0..4 {
                 let base = 6 * c;
@@ -226,23 +216,26 @@ fn apply_batch_replacement_digest_is_pinned() {
                 let forest = conn.spanning_forest();
                 let mut del: Vec<Edge> = Vec::new();
                 for _ in 0..4 {
-                    let e = forest[rng.below(forest.len())];
+                    let e = forest[below(&mut rng, forest.len())];
                     if !del.contains(&e) {
                         del.push(e);
                     }
                 }
                 for _ in 0..2 {
-                    let e = live[rng.below(live.len())];
+                    let e = live[below(&mut rng, live.len())];
                     if !del.contains(&e) {
                         del.push(e);
                     }
                 }
                 let mut ins: Vec<Edge> = Vec::new();
                 if !cut.is_empty() {
-                    ins.push(cut.swap_remove(rng.below(cut.len())));
+                    ins.push(cut.swap_remove(below(&mut rng, cut.len())));
                 }
                 for _ in 0..2 {
-                    let (a, b) = (rng.below(n as usize) as u32, rng.below(n as usize) as u32);
+                    let (a, b) = (
+                        below(&mut rng, n as usize) as u32,
+                        below(&mut rng, n as usize) as u32,
+                    );
                     if a == b {
                         continue;
                     }
@@ -290,20 +283,20 @@ fn exact_msf_digest_is_pinned() {
     let mut swaps = 0;
     for seed in 0..SEEDS {
         for n in [12usize, 20] {
-            let mut rng = SplitMix64(seed.wrapping_mul(0x5EED) ^ 0x0E5A_C7F5);
+            let mut rng = seed.wrapping_mul(0x5EED) ^ 0x0E5A_C7F5;
             let mut ctx = ctx_for(n);
             let mut msf = ExactMsf::new(n);
             let mut seen: Vec<Edge> = Vec::new();
             for _ in 0..10 {
                 let mut batch: Vec<WeightedEdge> = Vec::new();
-                for _ in 0..1 + rng.below(8) {
-                    let (a, b) = (rng.below(n) as u32, rng.below(n) as u32);
+                for _ in 0..1 + below(&mut rng, 8) {
+                    let (a, b) = (below(&mut rng, n) as u32, below(&mut rng, n) as u32);
                     if a == b || seen.contains(&Edge::new(a, b)) {
                         continue;
                     }
                     let e = Edge::new(a, b);
                     seen.push(e);
-                    let weight = 1 + rng.below(40) as u64;
+                    let weight = 1 + below(&mut rng, 40) as u64;
                     batch.push(WeightedEdge::new(e.u(), e.v(), weight));
                 }
                 msf.apply_batch(&WeightedBatch::inserting(batch), &mut ctx)

@@ -7,8 +7,7 @@
 //! vector's length before its elements, a fair coin as
 //! `gen_bool(0.5)`.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mpc_stream::hashing::rng::StdRng;
 use std::ops::Range;
 
 /// The generator every property starts from; its seed spells

@@ -7,8 +7,9 @@
 //! `ApproxMsfWeight` / `ApproxMsfForest`, `Bipartiteness`'s graph and
 //! double cover, `AklyMatching`'s guesses, `MatchingSizeEstimator`'s
 //! testers, and the `Session` fan-out over its maintainers. Each is
-//! driven here over a fixed stream from its own SplitMix64 generator
-//! (so neither `vendor/rand` nor a generator edit can move it), with
+//! driven here over a fixed stream from the bare SplitMix64 step
+//! (`hashing::rng::splitmix64`, not `StdRng`, so neither a sampler nor
+//! a graph-generator edit can move it), with
 //! rejected batches mixed in — duplicate inserts, out-of-range
 //! endpoints, deletions an insertion-only estimator refuses, and the
 //! sketch-switching budget running out — so the error exits are pinned
@@ -20,6 +21,7 @@
 //! became callers of `MpcContext::parallel`; they pin that refactor,
 //! and any later one, to identical answers and ledgers.
 
+use mpc_stream::hashing::rng::splitmix64;
 use mpc_stream::prelude::*;
 use mpc_stream::snapshot::SnapshotWriter;
 
@@ -29,21 +31,9 @@ const SEEDS: u64 = 6;
 const N: u32 = 24;
 const MAX_WEIGHT: u64 = 8;
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..bound` (modulo bias is irrelevant here).
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
+/// Uniform in `0..bound` (modulo bias is irrelevant here).
+fn below(state: &mut u64, bound: usize) -> usize {
+    (splitmix64(state) % bound as u64) as usize
 }
 
 fn fold(digest: &mut u64, word: u64) {
@@ -103,13 +93,13 @@ fn cfg() -> MpcConfig {
 /// names a vertex outside `[0, N)`, batch 11 re-inserts a live edge of
 /// maximum weight; the live set ignores them.
 fn stream(seed: u64) -> Vec<WeightedBatch> {
-    let mut rng = SplitMix64(seed ^ 0x9A4A_11E1);
+    let mut rng = seed ^ 0x9A4A_11E1;
     let mut live: Vec<WeightedEdge> = Vec::new();
     let mut batches = Vec::new();
     for b in 0..14 {
         let rejected = match b {
             4 | 11 if !live.is_empty() => {
-                let mut dup = live[rng.below(live.len())];
+                let mut dup = live[below(&mut rng, live.len())];
                 if b == 11 {
                     dup = WeightedEdge::new(dup.edge.u(), dup.edge.v(), MAX_WEIGHT);
                 }
@@ -124,13 +114,16 @@ fn stream(seed: u64) -> Vec<WeightedBatch> {
         }
         let mut updates = Vec::new();
         for _ in 0..2 {
-            if !live.is_empty() && rng.below(3) > 0 {
-                let gone = live.swap_remove(rng.below(live.len()));
+            if !live.is_empty() && below(&mut rng, 3) > 0 {
+                let gone = live.swap_remove(below(&mut rng, live.len()));
                 updates.push(WeightedUpdate::Delete(gone));
             }
         }
         for _ in 0..4 {
-            let (a, c) = (rng.below(N as usize) as u32, rng.below(N as usize) as u32);
+            let (a, c) = (
+                below(&mut rng, N as usize) as u32,
+                below(&mut rng, N as usize) as u32,
+            );
             if a == c {
                 continue;
             }
@@ -139,7 +132,7 @@ fn stream(seed: u64) -> Vec<WeightedBatch> {
             if live.iter().any(taken) || updates.iter().any(|u| taken(&u.weighted_edge())) {
                 continue;
             }
-            let w = WeightedEdge::new(a, c, 1 + rng.below(MAX_WEIGHT as usize) as u64);
+            let w = WeightedEdge::new(a, c, 1 + below(&mut rng, MAX_WEIGHT as usize) as u64);
             live.push(w);
             updates.push(WeightedUpdate::Insert(w));
         }

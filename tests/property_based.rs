@@ -6,11 +6,10 @@ use mpc_stream::etf::DistEtf;
 use mpc_stream::graph::ids::Edge;
 use mpc_stream::graph::oracle;
 use mpc_stream::graph::update::{Batch, Update};
+use mpc_stream::hashing::rng::StdRng;
 use mpc_stream::mpc::{MpcConfig, MpcContext};
 use mpc_stream::sketch::l0::L0Sampler;
 use mpc_stream::sketch::vertex::{EdgeSample, VertexSketch};
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::collections::BTreeSet;
 
 mod common;

@@ -7,10 +7,9 @@ use mpc_stream::graph::cuts;
 use mpc_stream::graph::ids::Edge;
 use mpc_stream::graph::oracle;
 use mpc_stream::graph::update::{Batch, Update};
+use mpc_stream::hashing::rng::StdRng;
 use mpc_stream::kconn::{DynamicKConn, InsertOnlyKConn};
 use mpc_stream::mpc::{MpcConfig, MpcContext};
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::collections::BTreeSet;
 
 mod common;
@@ -264,7 +263,6 @@ fn snapshot_untouched(
 fn batch_ops_leave_untouched_tours_bit_identical() {
     use mpc_stream::etf::tour::validate;
     use mpc_stream::etf::DistEtf;
-    use rand::SeedableRng;
 
     let mut cases = case_rng();
     for case in 0..16 {

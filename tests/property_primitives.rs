@@ -8,7 +8,6 @@ use mpc_stream::mpc::cluster::Cluster;
 use mpc_stream::mpc::primitives::{
     broadcast, converge_cast, prefix_sum, sample_sort, tree_fanout, tree_rounds,
 };
-use rand::Rng;
 
 mod common;
 use common::{case_rng, vec_of};

@@ -14,6 +14,7 @@
 //! place a maintainer's query vocabulary is declared; it pins that
 //! refactor, and any later one, to identical answers and charges.
 
+use mpc_stream::hashing::rng::splitmix64;
 use mpc_stream::prelude::*;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -58,29 +59,17 @@ fn fold_charges(digest: &mut u64, session: &Session, before: &mpc_stream::mpc::S
     fold_bytes(digest, format!("{:?}", after.rounds_by_op).as_bytes());
 }
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// Six batches of up to six fresh edges on the active vertices: a
 /// simple insert-only graph every maintainer kind accepts.
 fn stream() -> Vec<Batch> {
-    let mut rng = SplitMix64(0x0_9E4F_D16E);
+    let mut rng = 0x0_9E4F_D16E;
     let mut seen = std::collections::BTreeSet::new();
     let mut batches = Vec::new();
     for _ in 0..6 {
         let mut batch = Batch::new();
         for _ in 0..6 {
-            let a = (rng.next() % u64::from(ACTIVE)) as u32;
-            let b = (rng.next() % u64::from(ACTIVE)) as u32;
+            let a = (splitmix64(&mut rng) % u64::from(ACTIVE)) as u32;
+            let b = (splitmix64(&mut rng) % u64::from(ACTIVE)) as u32;
             if a != b && seen.insert(Edge::new(a, b)) {
                 batch.push(Update::Insert(Edge::new(a, b)));
             }

@@ -7,9 +7,8 @@
 
 use mpc_stream::graph::ids::Edge;
 use mpc_stream::graph::update::{Batch, Update};
+use mpc_stream::hashing::rng::StdRng;
 use mpc_stream::prelude::*;
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::collections::BTreeSet;
 
 mod common;
