@@ -9,7 +9,6 @@
 //! `m`, the paper's stays `Õ(n)` (experiment E3).
 
 use mpc_graph::ids::{Edge, VertexId};
-use mpc_graph::oracle::UnionFind;
 use mpc_graph::update::Batch;
 use mpc_sim::{MpcContext, MpcStreamError};
 use std::collections::BTreeSet;
@@ -193,16 +192,6 @@ impl mpc_stream_core::Maintain for FullMemoryBaseline {
     }
 }
 
-/// Convenience oracle used by the experiment harness: exact
-/// components of the stored edge set.
-pub fn exact_components(n: usize, edges: &BTreeSet<Edge>) -> Vec<VertexId> {
-    let mut uf = UnionFind::new(n);
-    for e in edges {
-        uf.union(e.u(), e.v());
-    }
-    uf.min_labels()
-}
-
 // ----- snapshot persistence ---------------------------------------
 
 // `loads` is lazily sized to the cluster on first ingest; an empty
@@ -280,12 +269,5 @@ mod tests {
         assert_eq!(c.rounds(), rounds, "a refused batch charges nothing");
         assert_eq!(fm.edge_count(), 1);
         assert_eq!(fm.query_components(&mut c), vec![0, 0, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn exact_components_helper() {
-        let edges: BTreeSet<Edge> = [Edge::new(0, 1), Edge::new(2, 3)].into_iter().collect();
-        let labels = exact_components(5, &edges);
-        assert_eq!(labels, vec![0, 0, 2, 2, 4]);
     }
 }

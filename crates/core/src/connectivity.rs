@@ -111,11 +111,7 @@ impl Connectivity {
 
     /// Number of connected components.
     pub fn component_count(&self) -> usize {
-        self.comp
-            .iter()
-            .enumerate()
-            .filter(|(v, &c)| *v as u32 == c)
-            .count()
+        crate::query::canonical_component_count(&self.comp) as usize
     }
 
     /// The maintained spanning forest. Constant query time

@@ -125,7 +125,8 @@ pub mod vertex_dynamic;
 
 pub use connectivity::{Connectivity, ConnectivityConfig};
 pub use query::{
-    answer_maintained, canonical_component_count, unsupported_query, QueryRequest, QueryResponse,
+    answer_maintained, canonical_component_count, unsupported_query, QueryReport, QueryRequest,
+    QueryResponse,
 };
 pub use robust::RobustConnectivity;
 pub use session::{

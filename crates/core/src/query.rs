@@ -132,6 +132,34 @@ impl std::fmt::Display for QueryRequest {
     }
 }
 
+/// Rounds and communication one maintainer consumed answering one
+/// [`QueryRequest`] through the session's query plane — the
+/// query-side sibling of `BatchReport`. Every `Session::ask` /
+/// `Session::ask_all` answer is charged against the cluster, and this
+/// report is its receipt. It holds the request itself, so writing a
+/// receipt renders nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryReport {
+    /// Name of the maintainer that answered.
+    pub maintainer: &'static str,
+    /// The request it answered.
+    pub query: QueryRequest,
+    /// Rounds charged while answering.
+    pub rounds: u64,
+    /// Words communicated while answering.
+    pub words: u64,
+}
+
+impl std::fmt::Display for QueryReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}: {} answered in {} rounds, {} words",
+            self.maintainer, self.query, self.rounds, self.words
+        )
+    }
+}
+
 /// A typed answer to a [`QueryRequest`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResponse {
@@ -245,6 +273,20 @@ mod tests {
         ] {
             assert!(!q.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn receipts_render_their_request() {
+        let report = QueryReport {
+            maintainer: "agm-baseline",
+            query: QueryRequest::Connected(0, 1),
+            rounds: 9,
+            words: 40,
+        };
+        assert_eq!(
+            report.to_string(),
+            "agm-baseline: connected(0, 1) answered in 9 rounds, 40 words"
+        );
     }
 
     #[test]

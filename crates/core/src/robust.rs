@@ -26,7 +26,6 @@ use crate::connectivity::{Connectivity, ConnectivityConfig};
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::update::Batch;
 use mpc_sim::{MpcContext, MpcStreamError};
-use std::collections::BTreeSet;
 
 /// Adaptive-adversary connectivity via sketch switching.
 ///
@@ -196,11 +195,8 @@ impl RobustConnectivity {
     }
 
     fn batch_consumes(&self, batch: &Batch) -> bool {
-        let forest: BTreeSet<Edge> = self.instances[self.cursor]
-            .spanning_forest()
-            .into_iter()
-            .collect();
-        batch.deletions().any(|e| forest.contains(&e))
+        let etf = self.instances[self.cursor].etf();
+        batch.deletions().any(|e| etf.contains_edge(e))
     }
 
     /// Whether `u` and `v` are connected (answered by the exposed

@@ -34,22 +34,26 @@
 //!
 //! [`Session::register`] returns a [`Handle`]`<M>` carrying the
 //! maintainer's concrete type, so reads need no downcasts and no
-//! turbofish: [`Session::get`] hands back `&M` directly, and
-//! [`Session::query`] runs a charged closure against the concrete
-//! maintainer and the session's own context.
+//! turbofish: [`Session::get`] hands back `&M` directly (an uncharged
+//! host-side read), and [`Session::ask`] puts a charged, receipted
+//! question to it. No accessor hands out `&mut M`: a registered
+//! maintainer changes only through the update stream.
 //!
 //! # Query charging
 //!
 //! [`Session::ask`] routes a [`QueryRequest`] to one maintainer;
 //! [`Session::ask_all`] fans it to every maintainer, with rounds
 //! composing by max across the fan-out — the cross-checking mode for
-//! running a maintainer against its baselines on one cluster.
+//! running a maintainer against its baselines on one cluster. Both
+//! run the same fan-out (`ask` over a one-maintainer range), so the
+//! decline rule, the measurement and the receipt are written once.
 //! [`Maintain::answer`] alone decides support: a maintainer declines by
 //! returning `None` before charging anything, `ask` reports the decline
 //! as `Unsupported`, `ask_all` skips it, and a decline that did charge
-//! is an error. Every answer is
+//! is [`MpcStreamError::Internal`] on both. Every answer is
 //! charged on the session's cluster and receipted as a
-//! [`QueryReport`]; the [`SessionStats::per_maintainer`] breakdown
+//! [`QueryReport`], which holds the [`QueryRequest`] itself, so
+//! answering formats nothing; the [`SessionStats::per_maintainer`] breakdown
 //! separates ingest rounds from query rounds, which is exactly where
 //! the maintained-solution vs recompute-on-read asymmetry (paper
 //! Section 2.1) becomes measurable.
@@ -72,8 +76,9 @@
 //! The *accounted* parallelism above (rounds max-composing across
 //! machine groups) is a property of the model, not of the host: the
 //! session is serial. There is **one fan-out skeleton** — chunk
-//! ingest and [`Session::ask_all`] are the same function with a
-//! different job — and it is the session's one
+//! ingest and every charged answer ([`Session::ask`],
+//! [`Session::ask_dyn`], [`Session::ask_all`]) are the same function
+//! with a different job — and it is the session's one
 //! [`MpcContext::parallel`] composition, one branch per maintainer in
 //! registration order. Each branch audits itself, runs its job on the
 //! calling thread directly against the master context, and settles
@@ -115,10 +120,9 @@
 //!   exactly where the original would have — `SessionStats`, query
 //!   receipts, and sampler outcomes are equal as values from that
 //!   point on.
-//! * **Monotonic stream epoch.** Every update submission, and every
-//!   [`Session::query`] (its closure holds the maintainer mutably and
-//!   may write, as `add_vertices` does), bumps
-//!   [`Session::stream_epoch`], the epoch is embedded in the snapshot
+//! * **Monotonic stream epoch.** Every update submission bumps
+//!   [`Session::stream_epoch`] (nothing else writes to a registered
+//!   maintainer), the epoch is embedded in the snapshot
 //!   header, and [`Session::restore_checked`] rejects a stale file
 //!   with the typed [`SnapshotError::EpochMismatch`] instead of
 //!   silently rewinding (and thereby forking) the stream history.
@@ -156,7 +160,9 @@
 //! ```
 
 use crate::connectivity::Connectivity;
-use crate::query::{answer_maintained, unsupported_query, QueryRequest, QueryResponse};
+use crate::query::{
+    answer_maintained, unsupported_query, QueryReport, QueryRequest, QueryResponse,
+};
 use crate::robust::RobustConnectivity;
 use crate::streaming::StreamingConnectivity;
 use crate::vertex_dynamic::VertexDynamicConnectivity;
@@ -164,7 +170,7 @@ use mpc_graph::ids::VertexId;
 use mpc_graph::update::{Batch, Update, WeightedBatch, WeightedUpdate};
 use mpc_sim::{
     BatchAudit, BatchReport, MachineGroup, MpcConfig, MpcContext, MpcError, MpcStreamError,
-    QueryReport, SessionStats,
+    SessionStats,
 };
 use mpc_snapshot::{
     load_section, save_section, Persist, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
@@ -172,6 +178,7 @@ use mpc_snapshot::{
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::path::Path;
 
 /// A batch-dynamic graph structure that can be driven through the
@@ -250,10 +257,9 @@ pub trait Maintain: Any + Send + SaveState {
     ///
     /// A query outside this maintainer's vocabulary returns `None`
     /// *before* anything is charged: [`Session::ask`] reports it as
-    /// [`MpcStreamError::Unsupported`], and [`Session::ask_all`] asks
-    /// every maintainer, skips a `None` that left the context's rounds
-    /// and words unchanged, and fails with [`MpcStreamError::Internal`]
-    /// on one that did not. Answers must charge at least the rounds of
+    /// [`MpcStreamError::Unsupported`], and [`Session::ask_all`] skips
+    /// it. A `None` that moved the context's rounds or words is
+    /// [`MpcStreamError::Internal`] on both. Answers must charge at least the rounds of
     /// routing the question and the answer — maintained solutions
     /// answer in `O(1)` rounds ([`answer_maintained`]),
     /// recompute-on-read structures pay their genuine recomputation.
@@ -407,8 +413,8 @@ pub type MaintainerId = usize;
 /// A typed handle to a maintainer registered in a [`Session`].
 ///
 /// Returned by [`Session::register`]; carries the maintainer's
-/// concrete type, so [`Session::get`] / [`Session::query`] /
-/// [`Session::ask`] need no downcasts and cannot fail on a type
+/// concrete type, so [`Session::get`] / [`Session::ask`] need no
+/// downcasts and cannot fail on a type
 /// mismatch. A handle is only meaningful on the session that issued
 /// it.
 pub struct Handle<M: Maintain> {
@@ -561,8 +567,11 @@ impl Session {
     }
 
     /// Registers a maintainer, returning its typed [`Handle`]. The
-    /// handle is the key to every read accessor — [`Session::get`],
-    /// [`Session::query`], [`Session::ask`].
+    /// handle is the key to both typed read accessors —
+    /// [`Session::get`] (uncharged) and [`Session::ask`] (charged).
+    /// Set up any state outside the update stream (a
+    /// `VertexDynamicConnectivity`'s active vertices, say) before
+    /// registering: the session offers no mutable access.
     pub fn register<M: Maintain>(&mut self, maintainer: M) -> Handle<M> {
         let id = self.register_boxed(Box::new(maintainer));
         Handle {
@@ -624,38 +633,6 @@ impl Session {
             .expect("a typed Handle always matches its own session's registry; this handle was issued by a different Session")
     }
 
-    /// Runs a charged closure against a registered maintainer: the
-    /// closure receives the concrete maintainer **and** the session's
-    /// own accounting context, so its rounds land on the same cluster
-    /// the updates are charged to (the borrow of the maintainer list
-    /// and the context split safely). For the common typed questions
-    /// prefer [`Session::ask`], which also receipts the charge; this
-    /// is the escape hatch for structure-specific protocols.
-    ///
-    /// The closure may mutate the maintainer, so every call bumps
-    /// [`Session::stream_epoch`]: a checkpoint taken before it is stale
-    /// for [`Session::restore_checked`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Session::get`].
-    #[expect(
-        clippy::expect_used,
-        reason = "documented \"# Panics\" contract — only a handle from another session can name a maintainer of another type; a same-type foreign handle passes this check unnoticed"
-    )]
-    pub fn query<M: Maintain, R>(
-        &mut self,
-        handle: Handle<M>,
-        f: impl FnOnce(&mut M, &mut MpcContext) -> R,
-    ) -> R {
-        let m: &mut dyn Any = self.maintainers[handle.id].as_mut();
-        let m = m
-            .downcast_mut::<M>()
-            .expect("a typed Handle always matches its own session's registry; this handle was issued by a different Session");
-        self.stream_epoch += 1;
-        f(m, &mut self.ctx)
-    }
-
     /// Dynamic access to a registered maintainer (trait surface
     /// only).
     pub fn maintainer(&self, id: MaintainerId) -> Option<&dyn Maintain> {
@@ -669,9 +646,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`MpcStreamError::Unsupported`] if this maintainer cannot
-    /// serve the query; otherwise whatever the answering protocol
-    /// reports.
+    /// [`MpcStreamError::Unsupported`] if this maintainer declines the
+    /// query without charging, [`MpcStreamError::Internal`] naming it
+    /// if it charged before declining; otherwise whatever the
+    /// answering protocol reports.
     ///
     /// # Panics
     ///
@@ -688,7 +666,8 @@ impl Session {
     }
 
     /// Untyped [`Session::ask`], for maintainers registered through
-    /// [`Session::register_boxed`].
+    /// [`Session::register_boxed`]: the fan-out of [`Session::ask_all`]
+    /// over this one maintainer.
     ///
     /// # Errors
     ///
@@ -700,27 +679,15 @@ impl Session {
         id: MaintainerId,
         query: &QueryRequest,
     ) -> Result<QueryResponse, MpcStreamError> {
-        self.last_query_reports.clear();
-        let m = self
-            .maintainers
-            .get_mut(id)
-            .ok_or_else(|| MpcStreamError::Internal(format!("no maintainer with id {id}")))?;
-        let rounds = self.ctx.stats().rounds;
-        let words = self.ctx.stats().words_communicated;
-        let Some(response) = m.answer(query, &mut self.ctx) else {
-            return Err(unsupported_query(m.name(), query));
-        };
-        let response = response?;
-        let report = QueryReport {
-            maintainer: m.name(),
-            query: query.to_string(),
-            rounds: self.ctx.stats().rounds - rounds,
-            words: self.ctx.stats().words_communicated - words,
-        };
-        self.stats.absorb_query(id, &report);
-        self.stats.record_query_phase(report.rounds, report.words);
-        self.last_query_reports = vec![report];
-        Ok(response)
+        if id >= self.maintainers.len() {
+            self.last_query_reports.clear();
+            return Err(MpcStreamError::Internal(format!(
+                "no maintainer with id {id}"
+            )));
+        }
+        let mut answer = None;
+        self.answer_fan_out(id..id + 1, query, |_, response| answer = Some(response))?;
+        answer.ok_or_else(|| unsupported_query(self.maintainers[id].name(), query))
     }
 
     /// Fans a [`QueryRequest`] to **every** maintainer, in a parallel
@@ -748,11 +715,32 @@ impl Session {
         &mut self,
         query: &QueryRequest,
     ) -> Result<Vec<(MaintainerId, QueryResponse)>, MpcStreamError> {
-        let phase = BatchAudit::begin(&self.ctx);
-        let rendered = query.to_string();
         let mut responses = Vec::new();
-        let mut reports = Vec::new();
+        self.answer_fan_out(0..self.maintainers.len(), query, |id, response| {
+            responses.push((id, response));
+        })?;
+        Ok(responses)
+    }
+
+    /// The one query phase behind [`Session::ask_dyn`] and
+    /// [`Session::ask_all`]: `query` fanned to the maintainers in
+    /// `ids`, each answer handed to `collect`, receipted into the
+    /// reused receipt buffer and rolled into the stats, and the
+    /// phase's max-composed rounds recorded once. A decline that
+    /// charged nothing is skipped; one that charged is
+    /// [`MpcStreamError::Internal`]. The first error aborts the
+    /// fan-out, keeping the receipts of the answers ahead of it.
+    fn answer_fan_out(
+        &mut self,
+        ids: Range<MaintainerId>,
+        query: &QueryRequest,
+        mut collect: impl FnMut(MaintainerId, QueryResponse),
+    ) -> Result<(), MpcStreamError> {
+        let phase = BatchAudit::begin(&self.ctx);
+        let mut reports = std::mem::take(&mut self.last_query_reports);
+        reports.clear();
         let outcome = self.fan_out(
+            ids,
             |m, ctx| {
                 let charged = |ctx: &MpcContext| (ctx.rounds(), ctx.stats().words_communicated);
                 let before = charged(ctx);
@@ -767,22 +755,21 @@ impl Session {
             },
             |stats, id, measured, response| {
                 if let Some(response) = response {
-                    let report = QueryReport {
+                    stats.absorb_query(id, measured.rounds, measured.words);
+                    reports.push(QueryReport {
                         maintainer: measured.maintainer,
-                        query: rendered.clone(),
+                        query: *query,
                         rounds: measured.rounds,
                         words: measured.words,
-                    };
-                    stats.absorb_query(id, &report);
-                    reports.push(report);
-                    responses.push((id, response));
+                    });
+                    collect(id, response);
                 }
             },
         );
         let phase = phase.finish("session", 0, 0, &self.ctx);
         self.stats.record_query_phase(phase.rounds, phase.words);
         self.last_query_reports = reports;
-        outcome.map(|()| responses)
+        outcome
     }
 
     /// The per-answer receipts of the most recent [`Session::ask`] /
@@ -819,9 +806,9 @@ impl Session {
     }
 
     /// The monotonic write counter: bumped by every
-    /// [`Session::apply`] / [`Session::apply_weighted`] call and every
-    /// [`Session::query`] (whose closure may write), and embedded in
-    /// every checkpoint's header. Pass the value returned
+    /// [`Session::apply`] / [`Session::apply_weighted`] call (the only
+    /// writes a registered maintainer sees), and embedded in every
+    /// checkpoint's header. Pass the value returned
     /// by the latest [`Session::checkpoint`] to
     /// [`Session::restore_checked`] to reject stale files.
     pub fn stream_epoch(&self) -> u64 {
@@ -1047,6 +1034,7 @@ impl Session {
         // stats, but the session rollup only counts chunks every
         // maintainer ingested.
         self.fan_out(
+            0..self.maintainers.len(),
             |m, ctx| {
                 let l0_before = m.l0_failures();
                 chunk.ingest_into(m, ctx)?;
@@ -1070,30 +1058,31 @@ impl Session {
 
     /// The fan-out skeleton — the session's one
     /// [`MpcContext::parallel`] composition (rounds by max, words by
-    /// sum), for chunk ingest and [`Session::ask_all`] alike. Each
-    /// maintainer is one branch, in registration order: audit, run
-    /// `job` inline against the master context, `settle` the measured
-    /// branch (a [`BatchReport`] whose job-specific `updates` /
-    /// `l0_failures` are left zero) into the rollup. The first failing
-    /// branch keeps its partial charges and aborts the fan-out; the
-    /// maintainers behind it never run.
+    /// sum), for chunk ingest and every charged answer alike. Each
+    /// maintainer in `ids` is one branch, in registration order:
+    /// audit, run `job` inline against the master context, `settle`
+    /// the measured branch (a [`BatchReport`] whose job-specific
+    /// `updates` / `l0_failures` are left zero) into the rollup. The
+    /// first failing branch keeps its partial charges and aborts the
+    /// fan-out; the maintainers behind it never run.
     fn fan_out<T>(
         &mut self,
+        ids: Range<MaintainerId>,
         job: impl Fn(&mut dyn Maintain, &mut MpcContext) -> Result<T, MpcStreamError>,
         mut settle: impl FnMut(&mut SessionStats, MaintainerId, BatchReport, T),
     ) -> Result<(), MpcStreamError> {
-        self.ctx
-            .parallel(self.maintainers.iter_mut().enumerate(), |(id, m), ctx| {
-                let audit = BatchAudit::begin(ctx);
-                let value = job(m.as_mut(), ctx)?;
-                settle(
-                    &mut self.stats,
-                    id,
-                    audit.finish(m.name(), 0, 0, ctx),
-                    value,
-                );
-                Ok(())
-            })
+        let branches = ids.clone().zip(&mut self.maintainers[ids]);
+        self.ctx.parallel(branches, |(id, m), ctx| {
+            let audit = BatchAudit::begin(ctx);
+            let value = job(m.as_mut(), ctx)?;
+            settle(
+                &mut self.stats,
+                id,
+                audit.finish(m.name(), 0, 0, ctx),
+                value,
+            );
+            Ok(())
+        })
     }
 
     /// Audits every maintainer's standing state against **its own**
@@ -1839,7 +1828,6 @@ mod tests {
         let h = session.register(Connectivity::new(8, ConnectivityConfig::default(), 1));
         // No Option, no turbofish: the handle carries the type.
         assert_eq!(session.get(h).vertex_count(), 8);
-        assert_eq!(session.query(h, |c, _ctx| c.vertex_count()), 8);
         assert_eq!(h.id(), 0);
         assert_eq!(MaintainerId::from(h), 0);
         assert!(format!("{h:?}").contains("Handle"));
@@ -1875,7 +1863,7 @@ mod tests {
         let reports = session.query_reports();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].maintainer, "connectivity");
-        assert_eq!(reports[0].query, "connected(0, 2)");
+        assert_eq!(reports[0].query, QueryRequest::Connected(0, 2));
         assert!(reports[0].rounds > 0 && reports[0].words > 0);
         // …and rolled into the per-maintainer breakdown.
         let m = &session.stats().per_maintainer[0];
@@ -1991,6 +1979,53 @@ mod tests {
         fn save_state(&self, w: &mut SnapshotWriter) {
             w.put_u64(self.state_words);
         }
+    }
+
+    /// Charges one exchange for every question, then declines it.
+    struct ChargingDecliner;
+
+    impl Maintain for ChargingDecliner {
+        fn name(&self) -> &'static str {
+            "charging-decliner"
+        }
+
+        fn words(&self) -> u64 {
+            0
+        }
+
+        fn ingest(&mut self, _batch: &Batch, _ctx: &mut MpcContext) -> Result<(), MpcStreamError> {
+            Ok(())
+        }
+
+        fn answer(
+            &mut self,
+            _query: &QueryRequest,
+            ctx: &mut MpcContext,
+        ) -> Option<Result<QueryResponse, MpcStreamError>> {
+            ctx.exchange(1);
+            None
+        }
+    }
+
+    impl SaveState for ChargingDecliner {
+        fn save_state(&self, _w: &mut SnapshotWriter) {}
+    }
+
+    #[test]
+    fn a_charged_decline_is_internal_on_every_ask_path() {
+        let mut session = Session::new(cfg(8));
+        let h = session.register(ChargingDecliner);
+        let query = QueryRequest::Connected(0, 1);
+        let want = MpcStreamError::Internal(
+            "charging-decliner charged before declining connected(0, 1)".into(),
+        );
+        assert_eq!(session.ask(h, &query), Err(want.clone()));
+        assert!(session.query_reports().is_empty());
+        assert_eq!(session.ask_dyn(h.id(), &query), Err(want.clone()));
+        assert!(session.query_reports().is_empty());
+        assert_eq!(session.ask_all(&query), Err(want));
+        assert!(session.query_reports().is_empty());
+        assert_eq!(session.stats().queries, 0);
     }
 
     #[test]

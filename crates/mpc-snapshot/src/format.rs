@@ -189,16 +189,6 @@ impl SnapshotWriter {
         self.epoch
     }
 
-    /// Sealed section names and payload sizes, in write order — the
-    /// per-maintainer byte attribution the session surfaces in its
-    /// stats rollup.
-    pub fn section_sizes(&self) -> Vec<(String, u64)> {
-        self.sections
-            .iter()
-            .map(|(n, b)| (n.clone(), b.len() as u64))
-            .collect()
-    }
-
     /// The header and the section table (name, length, FNV-1a
     /// checksum per section): everything in front of the payloads.
     ///
@@ -397,14 +387,6 @@ impl Snapshot {
     /// Section names in write order.
     pub fn section_names(&self) -> Vec<&str> {
         self.sections.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// A section's payload size in bytes, if present.
-    pub fn section_len(&self, name: &str) -> Option<u64> {
-        self.sections
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, range)| range.len() as u64)
     }
 
     /// A cursor over one section's payload.
@@ -627,9 +609,6 @@ mod tests {
         assert_eq!(w.end_section(), 8 + 8 + 5 + 1 + 8 + 16);
         w.begin_section("b");
         w.end_section();
-        let sizes = w.section_sizes();
-        assert_eq!(sizes[0].0, "a");
-        assert_eq!(sizes[1], ("b".to_string(), 0));
         let bytes = w.finish();
         let snap = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(snap.version(), FORMAT_VERSION);

@@ -70,6 +70,4 @@ pub use config::MpcConfig;
 pub use context::{MpcContext, MpcEvent};
 pub use error::{MpcError, MpcStreamError};
 pub use group::MachineGroup;
-pub use stats::{
-    BatchAudit, BatchReport, MaintainerStats, PhaseReport, QueryReport, SessionStats, Stats,
-};
+pub use stats::{BatchAudit, BatchReport, MaintainerStats, PhaseReport, SessionStats, Stats};

@@ -219,33 +219,6 @@ impl BatchAudit {
     }
 }
 
-/// Rounds and communication one maintainer consumed answering one
-/// typed query through the session's query plane — the query-side
-/// sibling of [`BatchReport`]. Unlike the inherent "peek" accessors,
-/// every `Session::ask` answer is charged against the cluster, and
-/// this report is the receipt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryReport {
-    /// Name of the maintainer that answered.
-    pub maintainer: &'static str,
-    /// The rendered query (e.g. `connected(0, 2)`).
-    pub query: String,
-    /// Rounds charged while answering.
-    pub rounds: u64,
-    /// Words communicated while answering.
-    pub words: u64,
-}
-
-impl std::fmt::Display for QueryReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} answered in {} rounds, {} words",
-            self.maintainer, self.query, self.rounds, self.words
-        )
-    }
-}
-
 /// One maintainer's slice of a `Session`'s lifetime consumption:
 /// ingest and query costs are tracked separately, so the round
 /// asymmetry the paper measures (free maintained answers vs
@@ -386,16 +359,16 @@ impl SessionStats {
         }
     }
 
-    /// Folds one maintainer's query receipt into the rollup. The
-    /// session-level `query_rounds` is advanced by the caller (via
-    /// [`SessionStats::record_query_phase`]) so `ask_all` fan-outs
+    /// Folds the rounds and words of one maintainer's answer into the
+    /// rollup. The session-level `query_rounds` is advanced by the
+    /// caller (via [`SessionStats::record_query_phase`]) so fan-outs
     /// max-compose.
-    pub fn absorb_query(&mut self, id: usize, report: &QueryReport) {
+    pub fn absorb_query(&mut self, id: usize, rounds: u64, words: u64) {
         self.queries += 1;
         if let Some(m) = self.per_maintainer.get_mut(id) {
             m.queries += 1;
-            m.query_rounds += report.rounds;
-            m.query_words += report.words;
+            m.query_rounds += rounds;
+            m.query_words += words;
         }
     }
 
@@ -671,27 +644,14 @@ mod tests {
         let mut s = SessionStats::default();
         s.register_maintainer("conn");
         s.register_maintainer("agm");
-        let free = QueryReport {
-            maintainer: "conn",
-            query: "connected(0, 1)".into(),
-            rounds: 1,
-            words: 2,
-        };
-        let paid = QueryReport {
-            maintainer: "agm",
-            query: "connected(0, 1)".into(),
-            rounds: 9,
-            words: 40,
-        };
-        s.absorb_query(0, &free);
-        s.absorb_query(1, &paid);
+        s.absorb_query(0, 1, 2);
+        s.absorb_query(1, 9, 40);
         // The fan-out max-composes at the session level.
         s.record_query_phase(9, 42);
         assert_eq!(s.queries, 2);
         assert_eq!(s.query_rounds, 9);
         assert_eq!(s.per_maintainer[0].query_rounds, 1);
         assert_eq!(s.per_maintainer[1].query_rounds, 9);
-        assert!(paid.to_string().contains("connected(0, 1)"));
         s.observe_state(1, 77);
         s.observe_state(1, 50);
         assert_eq!(s.per_maintainer[1].state_words, 50);

@@ -14,11 +14,14 @@
 //! maintainer implements [`prelude::Maintain`], every failure is a
 //! [`prelude::MpcStreamError`], and a [`prelude::Session`] drives any
 //! set of maintainers over one accounted cluster. Registration
-//! returns a typed [`prelude::Handle`], so reads need no downcasts;
-//! the [`prelude::QueryRequest`] plane
+//! returns a typed [`prelude::Handle`], so reads need no downcasts.
+//! There are two ways to read: [`Session::get`](core_alg::Session::get)
+//! is an uncharged host-side borrow of the maintainer, and the
+//! [`prelude::QueryRequest`] plane
 //! ([`Session::ask`](core_alg::Session::ask) /
-//! [`Session::ask_all`](core_alg::Session::ask_all)) charges every
-//! answer against the cluster and attributes it in the
+//! [`Session::ask_all`](core_alg::Session::ask_all), one fan-out
+//! behind both) charges every answer against the cluster, receipts it
+//! as a [`prelude::QueryReport`] and attributes it in the
 //! [`prelude::SessionStats`] per-maintainer breakdown:
 //!
 //! ```
@@ -86,7 +89,8 @@ pub use mpc_stream_core as core_alg;
 /// [`Session`](mpc_stream_core::Session) engine with its typed
 /// [`Handle`](mpc_stream_core::Handle)s and
 /// [`QueryRequest`](mpc_stream_core::QueryRequest) /
-/// [`QueryResponse`](mpc_stream_core::QueryResponse) query plane, the
+/// [`QueryResponse`](mpc_stream_core::QueryResponse) /
+/// [`QueryReport`](mpc_stream_core::QueryReport) query plane, the
 /// [`Maintain`](mpc_stream_core::Maintain) trait and its
 /// [`SaveState`](mpc_stream_core::SaveState) save half, the workspace-wide
 /// [`MpcStreamError`](mpc_sim::MpcStreamError), all sixteen
@@ -102,13 +106,13 @@ pub mod prelude {
     pub use mpc_msf::{ApproxMsfForest, ApproxMsfWeight, Bipartiteness, ExactMsf};
     pub use mpc_sim::{
         BatchReport, MachineGroup, MaintainerStats, MpcConfig, MpcContext, MpcError,
-        MpcStreamError, QueryReport, SessionStats,
+        MpcStreamError, SessionStats,
     };
     pub use mpc_snapshot::SnapshotError;
     pub use mpc_stream_core::{
         CheckpointReceipt, Connectivity, ConnectivityConfig, Handle, Maintain, MaintainerId,
-        MaintainerRegistry, QueryRequest, QueryResponse, RobustConnectivity, SaveState, Session,
-        StreamingConnectivity, VertexDynamicConnectivity,
+        MaintainerRegistry, QueryReport, QueryRequest, QueryResponse, RobustConnectivity,
+        SaveState, Session, StreamingConnectivity, VertexDynamicConnectivity,
     };
 }
 

@@ -457,8 +457,8 @@ fn every_failure_is_one_stream_error_with_a_pinned_message() {
         ],
     );
 
-    // The vertex-set entries are not edge batches: inherent on a bare
-    // context, and on the session's own through `Session::query` /
+    // The vertex-set entries are not edge batches: they are inherent,
+    // on a bare context; the session's copy answers through
     // `Session::ask`.
     let mut ctx = MpcContext::new(roomy());
     let mut vd = vertex_dynamic();
@@ -468,11 +468,7 @@ fn every_failure_is_one_stream_error_with_a_pinned_message() {
     let h = session.register(vertex_dynamic());
     session.apply([ins(0, 1)]).expect("both active");
     let not_isolated = invalid("vertex 0 has 1 live edges; only isolated vertices can be removed");
-    assert_eq!(vd.remove_vertex(0, &mut ctx), Err(not_isolated.clone()));
-    assert_eq!(
-        session.query(h, |m, ctx| m.remove_vertex(0, ctx)),
-        Err(not_isolated)
-    );
+    assert_eq!(vd.remove_vertex(0, &mut ctx), Err(not_isolated));
     let inactive = invalid("vertex 9 is not active");
     assert_eq!(vd.remove_vertex(9, &mut ctx), Err(inactive.clone()));
     assert_eq!(vd.connected(0, 9), Err(inactive.clone()));
@@ -482,16 +478,9 @@ fn every_failure_is_one_stream_error_with_a_pinned_message() {
         assert_eq!(session.ask(h, &q), Err(inactive.clone()), "{q}");
     }
     vd.add_vertices(8, &mut ctx).expect("the last 8 slots");
-    session
-        .query(h, |m, ctx| m.add_vertices(8, ctx))
-        .expect("the last 8 slots");
     let slots_spent = budget("all 16 vertex slots are active");
     assert_eq!(vd.add_vertex(&mut ctx), Err(slots_spent.clone()));
-    assert_eq!(vd.add_vertices(1, &mut ctx), Err(slots_spent.clone()));
-    assert_eq!(
-        session.query(h, |m, ctx| m.add_vertex(ctx)),
-        Err(slots_spent)
-    );
+    assert_eq!(vd.add_vertices(1, &mut ctx), Err(slots_spent));
 
     // The classes print as before.
     assert_eq!(

@@ -12,15 +12,29 @@
 //! audit sees the *combined* standing state.
 
 use mpc_stream::baselines::{AgmBaseline, FullMemoryBaseline};
-use mpc_stream::core_alg::{Connectivity, ConnectivityConfig, Session};
+use mpc_stream::core_alg::{
+    Connectivity, ConnectivityConfig, Handle, Maintain, QueryRequest, Session,
+};
 use mpc_stream::graph::gen;
-use mpc_stream::graph::ids::Edge;
+use mpc_stream::graph::ids::{Edge, VertexId};
 use mpc_stream::graph::oracle;
 use mpc_stream::graph::update::Update;
 use mpc_stream::mpc::{MpcConfig, MpcContext, MpcStreamError};
 
 fn cfg(n: usize) -> MpcConfig {
     MpcConfig::builder(n, 0.5).local_capacity(1 << 15).build()
+}
+
+/// Every vertex's label as the session's charged `ComponentOf` answer.
+fn asked_labels<M: Maintain>(session: &mut Session, h: Handle<M>, n: usize) -> Vec<VertexId> {
+    (0..n as VertexId)
+        .map(|v| {
+            let answer = session
+                .ask(h, &QueryRequest::ComponentOf(v))
+                .expect("in range");
+            answer.as_vertex().expect("a vertex answer")
+        })
+        .collect()
 }
 
 #[test]
@@ -44,9 +58,9 @@ fn maintainer_and_baselines_agree_on_one_cluster() {
         let maintained = session.get(conn).component_labels().to_vec();
         assert_eq!(maintained, expect, "maintained labels diverged");
         // Both baselines recompute on the session's own context.
-        let agm_labels = session.query(agm, |b, ctx| b.query_components(ctx));
+        let agm_labels = asked_labels(&mut session, agm, n);
         assert_eq!(agm_labels, expect, "AGM recompute diverged");
-        let full_labels = session.query(full, |b, ctx| b.query_components(ctx));
+        let full_labels = asked_labels(&mut session, full, n);
         assert_eq!(full_labels, expect, "full-memory recompute diverged");
     }
     // The query-round asymmetry the comparison is about: baseline
@@ -143,7 +157,7 @@ fn direct_context_queries_match_session_driven_ones() {
         agm.apply_batch(batch, &mut ctx).expect("valid stream");
         session.apply_batch(batch).expect("valid stream");
         let direct = agm.query_components(&mut ctx);
-        let driven = session.query(via, |b, ctx| b.query_components(ctx));
+        let driven = asked_labels(&mut session, via, n);
         assert_eq!(direct, driven);
         assert_eq!(direct, oracle::components(n, snap.edges()));
     }

@@ -299,50 +299,6 @@ fn stale_epoch_restore_fails_typed() {
     std::fs::remove_file(&path).expect("scratch file removable");
 }
 
-/// `Session::query` hands its closure the maintainer mutably, and
-/// `add_vertices` writes through it: a checkpoint taken before such a
-/// call is stale, so restoring it under the later epoch must fail
-/// typed instead of silently dropping the added vertices.
-#[test]
-fn query_write_makes_an_earlier_checkpoint_stale() {
-    let n = 16usize;
-    let mut session = Session::new(cfg(n));
-    let h = session.register(VertexDynamicConnectivity::with_capacity(
-        n,
-        ConnectivityConfig::default(),
-        4,
-    ));
-    session
-        .query(h, |m, ctx| m.add_vertices(4, ctx))
-        .expect("free slots");
-    session
-        .apply([Update::Insert(Edge::new(0, 1))])
-        .expect("both active");
-    let (before, after) = (scratch("query-before"), scratch("query-after"));
-    let a = session.checkpoint(&before).expect("checkpoint succeeds");
-    session
-        .query(h, |m, ctx| m.add_vertices(4, ctx))
-        .expect("free slots");
-    let b = session.checkpoint(&after).expect("checkpoint succeeds");
-    assert!(b.epoch > a.epoch, "a query write must move the epoch");
-
-    let registry = mpc_stream::full_registry();
-    let err = Session::restore_checked(&before, &registry, b.epoch)
-        .expect_err("the pre-query checkpoint is stale");
-    assert_eq!(
-        err,
-        SnapshotError::EpochMismatch {
-            expected: b.epoch,
-            found: a.epoch,
-        }
-    );
-    let resumed = Session::restore_checked(&after, &registry, b.epoch).expect("current checkpoint");
-    assert_eq!(resumed.stream_epoch(), b.epoch);
-    assert_eq!(resumed.get(h).active_count(), 8);
-    std::fs::remove_file(&before).expect("scratch file removable");
-    std::fs::remove_file(&after).expect("scratch file removable");
-}
-
 /// A registry that has never heard of a kind in the file must fail
 /// typed, naming the kind — not panic, not skip the maintainer.
 #[test]
