@@ -229,7 +229,7 @@ pub fn e11_etf_ops() -> Vec<Table> {
             "yes".into(),
         ]);
     }
-    vec![t, e11b_tour_scaling()]
+    vec![t, e11b_tour_scaling(), e11b_root_scaling()]
 }
 
 /// E11b — per-tour sharded storage locality: the same batch
@@ -302,6 +302,79 @@ fn e11b_tour_scaling() -> Table {
             pairs.to_string(),
             f2(us),
             format!("{}x", f2(us / base_us)),
+        ]);
+    }
+    t
+}
+
+/// E11b, root-size sweep — a join costs what it attaches: one
+/// 32-vertex path tree is batch-joined into the middle of a root path
+/// tour of 1k, 4k and 16k edges, and batch-split off again, each timed
+/// in its own column (µs per op, best of 50 warm samples of ≥ 1 ms).
+/// The root defers the join's position map and keeps the attached
+/// records in a small fresh run, so the join column is flat in root
+/// size (it was linear while every join remapped every root record);
+/// the split is one pass over the whole root, which also applies the
+/// deferred map and merges the fresh run, so its column stays linear.
+fn e11b_root_scaling() -> Table {
+    let mut t = Table::new(
+        "E11b (root-size sweep): batch join of a 32-vertex tree into a large root tour, \
+         and the batch split that detaches it (expected: join flat in root size, split linear)",
+        &[
+            "root tour edges",
+            "ops per sample",
+            "join (µs per op, warm best-of-50)",
+            "join vs 1k",
+            "split (µs per op, warm best-of-50)",
+            "split vs 1k",
+        ],
+    );
+    let tree = 32u32;
+    let mut base = (0.0f64, 0.0f64);
+    for root in [1024u32, 4096, 16384] {
+        let n = (root + 1 + tree) as usize;
+        let mut ctx = experiment_context(n, 0.5);
+        let mut etf = DistEtf::new(n);
+        for v in 0..root {
+            etf.join(Edge::new(v, v + 1), &mut ctx);
+        }
+        for v in root + 1..root + tree {
+            etf.join(Edge::new(v, v + 1), &mut ctx);
+        }
+        let link = [Edge::new(root / 2, root + 1)];
+        let mut sample = |ops: u32| {
+            let (mut join, mut split) = (Duration::ZERO, Duration::ZERO);
+            for _ in 0..ops {
+                let t0 = Instant::now();
+                etf.batch_join(&link, &mut ctx)
+                    .expect("batch fits one machine");
+                let t1 = Instant::now();
+                etf.batch_split(&link, &mut ctx);
+                join += t1 - t0;
+                split += t1.elapsed();
+            }
+            (join, split)
+        };
+        let mut ops = 1;
+        while sample(ops).0 < Duration::from_millis(1) {
+            ops *= 2;
+        }
+        let samples: Vec<(Duration, Duration)> = (0..50).map(|_| sample(ops)).collect();
+        validate(&etf).expect("valid after root sweep");
+        let per_op =
+            |d: Option<Duration>| d.unwrap_or_default().as_secs_f64() * 1e6 / f64::from(ops);
+        let join = per_op(samples.iter().map(|s| s.0).min());
+        let split = per_op(samples.iter().map(|s| s.1).min());
+        if root == 1024 {
+            base = (join, split);
+        }
+        t.row(vec![
+            root.to_string(),
+            ops.to_string(),
+            f2(join),
+            format!("{}x", f2(join / base.0)),
+            f2(split),
+            format!("{}x", f2(split / base.1)),
         ]);
     }
     t

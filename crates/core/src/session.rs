@@ -120,12 +120,14 @@
 //!   exactly where the original would have — `SessionStats`, query
 //!   receipts, and sampler outcomes are equal as values from that
 //!   point on.
-//! * **Monotonic stream epoch.** Every update submission bumps
-//!   [`Session::stream_epoch`] (nothing else writes to a registered
-//!   maintainer), the epoch is embedded in the snapshot
-//!   header, and [`Session::restore_checked`] rejects a stale file
-//!   with the typed [`SnapshotError::EpochMismatch`] instead of
-//!   silently rewinding (and thereby forking) the stream history.
+//! * **Monotonic stream epoch.** Every update submission and every
+//!   query that reaches a maintainer bumps [`Session::stream_epoch`]
+//!   (an answer writes too: the context's ledger, the stats rollup,
+//!   and maintainer state such as a recompute's sampler counters), the
+//!   epoch is embedded in the snapshot header, and
+//!   [`Session::restore_checked`] rejects a stale file with the typed
+//!   [`SnapshotError::EpochMismatch`] instead of silently rewinding
+//!   (and thereby forking) the stream or query history.
 //!
 //! `tests/session_checkpoint.rs` pins the full kill/restore/continue
 //! equivalence; the checkpoint's per-maintainer section sizes land in
@@ -729,13 +731,18 @@ impl Session {
     /// phase's max-composed rounds recorded once. A decline that
     /// charged nothing is skipped; one that charged is
     /// [`MpcStreamError::Internal`]. The first error aborts the
-    /// fan-out, keeping the receipts of the answers ahead of it.
+    /// fan-out, keeping the receipts of the answers ahead of it. A
+    /// phase that reaches a maintainer moves the stream epoch, as a
+    /// submission does, so a checkpoint taken before it is stale.
     fn answer_fan_out(
         &mut self,
         ids: Range<MaintainerId>,
         query: &QueryRequest,
         mut collect: impl FnMut(MaintainerId, QueryResponse),
     ) -> Result<(), MpcStreamError> {
+        if !ids.is_empty() {
+            self.stream_epoch += 1;
+        }
         let phase = BatchAudit::begin(&self.ctx);
         let mut reports = std::mem::take(&mut self.last_query_reports);
         reports.clear();
@@ -806,9 +813,11 @@ impl Session {
     }
 
     /// The monotonic write counter: bumped by every
-    /// [`Session::apply`] / [`Session::apply_weighted`] call (the only
-    /// writes a registered maintainer sees), and embedded in every
-    /// checkpoint's header. Pass the value returned
+    /// [`Session::apply`] / [`Session::apply_weighted`] call and by
+    /// every [`Session::ask`] / [`Session::ask_dyn`] /
+    /// [`Session::ask_all`] that reaches a maintainer (an answer is
+    /// charged to the ledger and may update maintainer state), and
+    /// embedded in every checkpoint's header. Pass the value returned
     /// by the latest [`Session::checkpoint`] to
     /// [`Session::restore_checked`] to reject stale files.
     pub fn stream_epoch(&self) -> u64 {

@@ -18,7 +18,7 @@
 //! `O(k)` breakpoints) is the closed form of the paper's four-case
 //! shift-index / update-index procedure.
 
-use crate::dist::{splice_sorted, DistEtf, EdgeRec, Shard, Tour, Traversal};
+use crate::dist::{splice_sorted, Deferred, DistEtf, EdgeRec, PosMap, Shard, Tour, Traversal};
 use crate::TourId;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
@@ -27,29 +27,85 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-tour remapping plan broadcast to all machines during a batch
 /// join: entry `x` of the tour maps to
-/// `offset + x + Σ{weight_i : breakpoint_i < x}`.
+/// `offset + x + Σ{weight_i : breakpoint_i < x}`. The root's offset is
+/// 0, so its plan is the `breakpoints` map alone.
 #[derive(Debug, Clone, Default)]
 struct NodePlan {
     offset: u64,
-    /// `(c, cumulative_weight_after)` sorted by `c`: the shift for
-    /// position `x` is the cumulative weight of the last breakpoint
-    /// strictly below `x`.
-    breakpoints: Vec<(u64, u64)>,
+    /// One step per child block, of the block's width, above its
+    /// attach position.
+    breakpoints: PosMap,
 }
 
 impl NodePlan {
-    fn shift(&self, x: u64) -> u64 {
-        // Largest breakpoint with c < x.
-        match self.breakpoints.partition_point(|&(c, _)| c < x) {
-            0 => 0,
-            i => self.breakpoints[i - 1].1,
-        }
-    }
-
     fn map(&self, x: u64) -> u64 {
-        self.offset + x + self.shift(x)
+        self.offset + self.breakpoints.map(x)
     }
 }
+
+/// One segment of a split plan: `(start, region, delta)`. A surviving
+/// entry at `x` belongs to the last segment starting at or before `x`
+/// and lands on `x - delta` (wrapping: a segment folded onto a pending
+/// map may move its entries up).
+type Seg = (u64, usize, u64);
+
+/// The last segment starting at or before `x`.
+fn seg_at(segs: &[Seg], x: u64) -> Seg {
+    segs[segs.partition_point(|s| s.0 <= x) - 1]
+}
+
+/// Folds a tour's pending map into a split plan over its current
+/// positions, giving the plan over its base positions: one lookup per
+/// base entry instead of two. Each base segment starts where a map
+/// piece or a current segment starts (the first base position the map
+/// sends to or past that start), so both are constant inside it.
+fn fold_segments(segs: &[Seg], pending: &PosMap) -> Vec<Seg> {
+    let mut starts: Vec<u64> = pending
+        .starts()
+        .chain(segs.iter().map(|s| {
+            s.0.checked_sub(1)
+                .map_or(0, |t| pending.floor_preimage(t) + 1)
+        }))
+        .collect();
+    starts.sort_unstable();
+    starts.dedup();
+    starts
+        .into_iter()
+        .map(|x| {
+            let y = pending.map(x);
+            let (_, region, delta) = seg_at(segs, y);
+            (x, region, delta.wrapping_sub(y - x))
+        })
+        .collect()
+}
+
+/// One compaction pass of a split over a run of records: deleted
+/// records drop out, the kept region's records close ranks in place,
+/// and the rest are pushed to their region's run (an indexed loop:
+/// `retain_mut` measured 1.5× slower on it).
+fn split_run(run: &mut Shard, segs: &[Seg], ids: &[TourId], keep: usize, out: &mut [Shard]) {
+    let mut kept = 0;
+    for i in 0..run.len() {
+        let (e, mut rec) = run[i];
+        let (_, r, delta) = seg_at(segs, rec.first.pos);
+        if r == DOOMED {
+            continue;
+        }
+        rec.tour = ids[r];
+        rec.first.pos = rec.first.pos.wrapping_sub(delta);
+        rec.second.pos = rec.second.pos.wrapping_sub(seg_at(segs, rec.second.pos).2);
+        if r == keep {
+            run[kept] = (e, rec);
+            kept += 1;
+        } else {
+            out[r].push((e, rec));
+        }
+    }
+    run.truncate(kept);
+}
+
+/// The region of a deleted edge's own record.
+const DOOMED: usize = usize::MAX;
 
 impl DistEtf {
     /// The batch join of Section 6.1 in `O(1)` rounds (Lemma 6.4).
@@ -123,6 +179,10 @@ impl DistEtf {
     }
 
     /// Joins one auxiliary-tree component.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     fn join_component(&mut self, comp: &[Edge]) {
         // Auxiliary adjacency: tour -> (edge, local endpoint, remote
         // endpoint, remote tour).
@@ -214,18 +274,12 @@ impl DistEtf {
         // root region keeps the split tour's id).
         let new_tour = root;
         let mut plans: BTreeMap<TourId, NodePlan> = BTreeMap::new();
-        plans.insert(
-            root,
-            NodePlan {
-                offset: 0,
-                breakpoints: Vec::new(),
-            },
-        );
+        plans.insert(root, NodePlan::default());
         let mut new_recs: Vec<(Edge, EdgeRec)> = Vec::new();
         for &t in &order {
             let offset = plans[&t].offset;
             let mut running = 0u64;
-            let mut breakpoints = Vec::new();
+            let mut breakpoints = PosMap::default();
             for ch in &children[&t] {
                 let block_start = offset + ch.c + running;
                 let w = total[&ch.child];
@@ -247,11 +301,11 @@ impl DistEtf {
                     ch.child,
                     NodePlan {
                         offset: block_start + 2,
-                        breakpoints: Vec::new(),
+                        breakpoints: PosMap::default(),
                     },
                 );
                 running += w + 4;
-                breakpoints.push((ch.c, running));
+                breakpoints.push(ch.c, w + 4);
             }
             #[expect(
                 clippy::expect_used,
@@ -261,13 +315,11 @@ impl DistEtf {
             plan.breakpoints = breakpoints;
         }
         // Local application: tours outside the component are never
-        // visited, and the root adapts to the merge shape. Its records
-        // are remapped in place — edge keys, and so the shard order,
-        // never change. When the root dominates (the common incremental
-        // case: small trees attach to one big tour), only the child
-        // records are spliced into it. When the children carry most of
-        // the edges, rebuilding the whole merged shard in one pass is
-        // cheaper than merging into the root.
+        // visited. The root's plan is composed onto its pending map, so
+        // only its fresh run is remapped now; its base waits for the
+        // next full pass. The children, exact since their reroot, are
+        // remapped and spliced into the root's fresh run (or, when they
+        // carry at least as many edges as its base, merged into it).
         let mut tour = self.take_tour(root);
         let child_edges = order[1..]
             .iter()
@@ -278,16 +330,8 @@ impl DistEtf {
             reason = "map invariant — the root is in `order`, so the pre-order pass planned it"
         )]
         let root_plan = plans.remove(&root).expect("root planned");
-        for (_, rec) in tour.edges.iter_mut() {
-            rec.first.pos = root_plan.map(rec.first.pos);
-            rec.second.pos = root_plan.map(rec.second.pos);
-        }
-        let mut merged = if child_edges >= tour.edges.len() {
-            std::mem::take(&mut tour.edges)
-        } else {
-            Vec::new()
-        };
-        merged.reserve(child_edges + new_recs.len());
+        tour.remap(&root_plan.breakpoints);
+        let mut merged = Vec::with_capacity(child_edges + new_recs.len());
         // Membership: the root's members keep their tour assignment
         // (the merged tour is the root's), so only the child runs are
         // relabelled.
@@ -295,6 +339,10 @@ impl DistEtf {
         for &t in &order[1..] {
             let plan = &plans[&t];
             let mut child = self.take_tour(t);
+            debug_assert!(
+                child.deferred.is_none(),
+                "a child is exact after its reroot"
+            );
             for (_, rec) in child.edges.iter_mut() {
                 rec.first.pos = plan.map(rec.first.pos);
                 rec.second.pos = plan.map(rec.second.pos);
@@ -309,7 +357,7 @@ impl DistEtf {
             self.add_adjacency(e);
             merged.push((e, rec));
         }
-        splice_sorted(&mut tour.edges, merged, |&(e, _)| e);
+        tour.attach(merged);
         for &w in &extra {
             self.set_vertex_tour(w, new_tour);
         }
@@ -370,7 +418,7 @@ impl DistEtf {
                 clippy::panic,
                 reason = "documented \"# Panics\" precondition — ExactMsf deletes only tracked tree edges"
             )]
-            let rec = *self
+            let rec = self
                 .edge_rec(e)
                 .unwrap_or_else(|| panic!("batch_split of non-tree edge {e}"));
             by_tour
@@ -392,10 +440,12 @@ impl DistEtf {
     /// whose blocks `[p, q + 1]` leave the tour. The region inside
     /// cut `i` gets a fresh tour id and the root region keeps `t`; the
     /// *longest* region keeps the shard and member vectors and is
-    /// rewritten in place, the others are cut out of it. Returns the
+    /// rewritten in place, the others are cut out of it. The tour's
+    /// pending map is folded into the plan its base run is read with,
+    /// so the pass applies it, and each region's fresh records are
+    /// merged into its base: every region leaves exact. Returns the
     /// resulting tours: fresh singletons, then regions, then the root.
     pub(crate) fn split_tour(&mut self, t: TourId, cuts: &[(u64, u64, Edge)]) -> Vec<TourId> {
-        const DOOMED: usize = usize::MAX;
         let k = cuts.len();
         // Region slots: `i < k` is the inside of cut `i`, `k` the root
         // region. `span` is a region before the cuts: the position in
@@ -403,21 +453,21 @@ impl DistEtf {
         let root = k;
         let Tour {
             edges: mut shard,
+            deferred,
             mut members,
         } = self.take_tour(t);
-        let old_len = 4 * shard.len() as u64;
+        let Deferred { pending, mut fresh } = deferred.map(|d| *d).unwrap_or_default();
+        let old_len = 4 * (shard.len() + fresh.len()) as u64;
         let span = |r: usize| match cuts.get(r) {
             Some(&(p, q, _)) => (p + 1, q - p - 2),
             None => (0, old_len),
         };
         // One stack sweep flattens the family into sorted segments
-        // `(start, region, delta)`: a surviving entry at `x` belongs
-        // to the last segment starting at or before `x` and lands on
-        // `x - delta` — within a segment both the region and the
-        // words removed in front of `x` are constant. A deleted
-        // edge's own record is found at its `p`.
+        // (`Seg`): within a segment both the region and the words
+        // removed in front of `x` are constant. A deleted edge's own
+        // record is found at its `p`.
         let mut removed = vec![0u64; k + 1]; // words cut out of each region
-        let mut segs = Vec::with_capacity(3 * k + 1);
+        let mut segs: Vec<Seg> = Vec::with_capacity(3 * k + 1);
         segs.push((0, root, 0));
         let mut stack: Vec<usize> = Vec::new();
         for (i, p) in cuts.iter().map(|c| c.0).chain([u64::MAX]).enumerate() {
@@ -437,33 +487,18 @@ impl DistEtf {
                 stack.push(i);
             }
         }
-        let seg = |x: u64| segs[segs.partition_point(|s| s.0 <= x) - 1];
         // Region lengths are read off the plan alone.
         let len_of = |r: usize| span(r).1 - removed[r];
         let keep = (0..=k).max_by_key(|&r| len_of(r)).unwrap_or(root);
         let ids: Vec<TourId> = (0..k).map(|_| self.fresh_id()).chain([t]).collect();
-        // The pass: deleted records drop out, the kept region's
-        // records close ranks in place, the rest are pushed out (an
-        // indexed loop: `retain_mut` measured 1.5× slower on it).
+        // The pass, over both runs: each keeps its kept-region records
+        // in place and sends the rest to its own per-region runs, which
+        // are merged per region below.
         let mut entries: Vec<Shard> = vec![Vec::new(); k + 1];
-        let mut kept = 0;
-        for i in 0..shard.len() {
-            let (e, mut rec) = shard[i];
-            let (_, r, delta) = seg(rec.first.pos);
-            if r == DOOMED {
-                continue;
-            }
-            rec.tour = ids[r];
-            rec.first.pos -= delta;
-            rec.second.pos -= seg(rec.second.pos).2;
-            if r == keep {
-                shard[kept] = (e, rec);
-                kept += 1;
-            } else {
-                entries[r].push((e, rec));
-            }
-        }
-        shard.truncate(kept);
+        let mut fresh_entries: Vec<Shard> = vec![Vec::new(); k + 1];
+        let base_segs = fold_segments(&segs, &pending);
+        split_run(&mut shard, &base_segs, &ids, keep, &mut entries);
+        split_run(&mut fresh, &segs, &ids, keep, &mut fresh_entries);
         // Only an endpoint of a deleted edge can have lost its last
         // edge; each such vertex empties exactly once.
         let mut left: Vec<VertexId> = Vec::new();
@@ -480,18 +515,15 @@ impl DistEtf {
         for &w in &left {
             let id = self.fresh_id();
             self.set_vertex_tour(w, id);
-            let tour = Tour {
-                edges: Vec::new(),
-                members: vec![w],
-            };
-            self.put_tour(id, tour);
+            self.put_tour(id, Tour::singleton(w));
             result.push(id);
         }
         // Membership: a cut-out region's from its own entries, the
         // kept region's is the old list minus everything that left.
         let mut region_members: Vec<Vec<VertexId>> = entries
             .iter()
-            .map(|es| DistEtf::members_of_entries(es))
+            .zip(&fresh_entries)
+            .map(|(es, fs)| DistEtf::members_of_entries(es.iter().chain(fs)))
             .collect();
         left.extend(region_members.iter().flatten());
         left.sort_unstable();
@@ -499,7 +531,9 @@ impl DistEtf {
         members.retain(|v| next.next_if_eq(&v).is_none());
         region_members[keep] = members;
         entries[keep] = shard;
-        for (r, (edges, members)) in entries.into_iter().zip(region_members).enumerate() {
+        fresh_entries[keep] = fresh;
+        let regions = entries.into_iter().zip(fresh_entries).zip(region_members);
+        for (r, ((mut edges, fresh), members)) in regions.enumerate() {
             if members.is_empty() {
                 continue;
             }
@@ -508,7 +542,13 @@ impl DistEtf {
                     self.set_vertex_tour(w, ids[r]);
                 }
             }
-            self.put_tour(ids[r], Tour { edges, members });
+            splice_sorted(&mut edges, fresh, |&(e, _)| e);
+            let tour = Tour {
+                edges,
+                deferred: None,
+                members,
+            };
+            self.put_tour(ids[r], tour);
             result.push(ids[r]);
         }
         result
@@ -838,7 +878,7 @@ mod tests {
         let mut etf = DistEtf::new(12);
         let a = rooted_path(&mut etf, &mut c, 0..6);
         let b = rooted_path(&mut etf, &mut c, 6..12);
-        let before: Vec<(Edge, EdgeRec)> = etf.tour_edges(b).map(|(e, r)| (e, *r)).collect();
+        let before: Vec<(Edge, EdgeRec)> = etf.tour_edges(b).collect();
         let out = etf.batch_split(&[Edge::new(3, 4)], &mut c);
         validate(&etf).expect("valid");
         let below = etf.tour_of(4);
@@ -847,7 +887,7 @@ mod tests {
         assert_eq!(etf.tour_len(a), 12);
         assert_eq!(etf.tour_members(below), [4, 5]);
         assert_eq!(etf.tour_len(below), 4);
-        let after: Vec<(Edge, EdgeRec)> = etf.tour_edges(b).map(|(e, r)| (e, *r)).collect();
+        let after: Vec<(Edge, EdgeRec)> = etf.tour_edges(b).collect();
         assert_eq!(before, after);
         assert_eq!(etf.tour_members(b), [6, 7, 8, 9, 10, 11]);
         assert_eq!(etf.tour_len(b), 20);
@@ -906,6 +946,110 @@ mod tests {
                 });
             }
         }
+    }
+
+    fn saved(etf: &DistEtf) -> Vec<u8> {
+        use mpc_snapshot::{Persist, SnapshotWriter};
+        let mut w = SnapshotWriter::new(0);
+        w.begin_section("etf");
+        etf.save(&mut w);
+        w.end_section();
+        w.finish()
+    }
+
+    /// A forest left lazy and a twin whose pending work is applied
+    /// after every operation are indistinguishable through every read:
+    /// the same snapshot bytes, records, occurrences and charges. The
+    /// seeded stream reaches the three paths where the lazy state is
+    /// applied or carried: the bound firing in a join, a tour with a
+    /// pending map joining as a child, and a split of a tour with a
+    /// fresh run.
+    #[test]
+    fn lazy_forest_matches_an_eager_twin() {
+        let mut rng = StdRng::seed_from_u64(0x1a2e);
+        let (mut fired, mut lazy_children, mut fresh_splits) = (0, 0, 0);
+        for trial in 0..8 {
+            let n = 96usize;
+            let (mut cl, mut ce) = (ctx(), ctx());
+            let (mut lazy, mut eager) = (DistEtf::new(n), DistEtf::new(n));
+            for step in 0..120 {
+                let before: BTreeMap<TourId, (usize, usize, usize)> =
+                    lazy.tours().map(|t| (t, lazy.lazy_state(t))).collect();
+                let vertex = |rng: &mut StdRng| rng.gen_range(0..n as u32);
+                let forest: Vec<Edge> = lazy.forest_edges().collect();
+                let mut joined = false;
+                match rng.gen_range(0..10u32) {
+                    0..=3 => {
+                        let candidates: Vec<Edge> = (0..rng.gen_range(1..=6usize))
+                            .map(|_| (vertex(&mut rng), vertex(&mut rng)))
+                            .filter(|(a, b)| a != b)
+                            .map(|(a, b)| Edge::new(a, b))
+                            .collect();
+                        let kept = lazy.batch_join(&candidates, &mut cl).unwrap();
+                        assert_eq!(eager.batch_join(&candidates, &mut ce).unwrap(), kept);
+                        joined = true;
+                    }
+                    4 | 5 => {
+                        let (a, b) = (vertex(&mut rng), vertex(&mut rng));
+                        if lazy.tour_of(a) != lazy.tour_of(b) {
+                            lazy.join(Edge::new(a, b), &mut cl);
+                            eager.join(Edge::new(a, b), &mut ce);
+                            joined = true;
+                        }
+                    }
+                    6 | 7 if !forest.is_empty() => {
+                        let cut: Vec<Edge> = (0..rng.gen_range(1..=3usize))
+                            .map(|_| forest[rng.gen_range(0..forest.len())])
+                            .collect::<BTreeSet<_>>()
+                            .into_iter()
+                            .collect();
+                        if cut.iter().any(|e| before[&lazy.tour_of(e.u())].1 > 0) {
+                            fresh_splits += 1;
+                        }
+                        if cut.len() == 1 {
+                            assert_eq!(lazy.split(cut[0], &mut cl), eager.split(cut[0], &mut ce));
+                        } else {
+                            let out = lazy.batch_split(&cut, &mut cl);
+                            assert_eq!(eager.batch_split(&cut, &mut ce), out);
+                        }
+                    }
+                    _ => {
+                        let v = vertex(&mut rng);
+                        lazy.reroot(v, &mut cl);
+                        eager.reroot(v, &mut ce);
+                    }
+                }
+                eager.materialize_all();
+                if joined {
+                    for (&t, &(base, fresh, steps)) in &before {
+                        if !lazy.tours().any(|id| id == t) {
+                            lazy_children += usize::from(fresh + steps > 0);
+                            continue;
+                        }
+                        let (now_base, now_fresh, _) = lazy.lazy_state(t);
+                        let attached = now_base + now_fresh - base - fresh;
+                        fired += usize::from(now_base > base && attached < base);
+                    }
+                }
+                let at = format!("trial {trial} step {step}");
+                assert_eq!(saved(&lazy), saved(&eager), "{at}: snapshot bytes");
+                for e in eager.forest_edges() {
+                    assert_eq!(lazy.edge_rec(e), eager.edge_rec(e), "{at}: {e}");
+                }
+                for t in eager.tours() {
+                    assert!(lazy.tour_edges(t).eq(eager.tour_edges(t)), "{at}: tour {t}");
+                }
+                for v in 0..n as u32 {
+                    assert_eq!(lazy.occurrences(v), eager.occurrences(v), "{at}: {v}");
+                }
+                assert_eq!(cl.stats(), ce.stats(), "{at}: charges");
+                validate(&lazy).unwrap_or_else(|v| panic!("{at}: {v}"));
+            }
+        }
+        assert!(
+            fired > 0 && lazy_children > 0 && fresh_splits > 0,
+            "bound fired {fired}, lazy children {lazy_children}, fresh splits {fresh_splits}"
+        );
     }
 
     #[test]

@@ -5,52 +5,276 @@ use mpc_sim::MpcContext;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One tour's edge shard: a flat array sorted by edge. Batch plans
-/// remap the records in place (keys never change), and tour-id
-/// reassignment moves whole shards by splice instead of per-edge
-/// rewrites.
+/// remap the records (keys never change), and tour-id reassignment
+/// moves whole shards by splice instead of per-edge rewrites.
 pub(crate) type Shard = Vec<(Edge, EdgeRec)>;
 
-/// One Euler tour: its edge shard (empty for a singleton) and its
-/// members, sorted ascending. Its length is `4·|edges|`, stored
+/// The pending work (fresh records plus map steps) a tour may carry is
+/// `1/LAZY_SHARE` of its base records; the join that crosses it applies
+/// all of it. A join remaps the fresh run, so the bound caps that
+/// remap at a share of the full pass it replaces (8 and 32 measured
+/// the same as 16 on the benchmark's `churn` and `grow`).
+const LAZY_SHARE: usize = 16;
+
+/// A monotone piecewise translation of tour positions, the closed form
+/// of a join's plan for the tour that anchors it: position `x` moves
+/// up by the cumulative weight of the last step strictly below it.
+/// Composing two such maps gives another, so a tour can defer any
+/// number of joins' remaps as one map.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PosMap {
+    /// `(c, cumulative weight after c)`, strictly ascending in both.
+    steps: Vec<(u64, u64)>,
+}
+
+impl PosMap {
+    /// The map that shifts every position above `c` by `w`.
+    pub(crate) fn step(c: u64, w: u64) -> Self {
+        let mut map = PosMap::default();
+        map.push(c, w);
+        map
+    }
+
+    /// Adds a step of weight `w` above `c`, at or above the last one
+    /// (a repeated `c` adds to that step).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
+    pub(crate) fn push(&mut self, c: u64, w: u64) {
+        let before = self.steps.last().copied();
+        debug_assert!(before.is_none_or(|(last, _)| last <= c), "unsorted step");
+        match self.steps.last_mut() {
+            Some((last, total)) if *last == c => *total += w,
+            _ => self.steps.push((c, before.map_or(0, |(_, t)| t) + w)),
+        }
+    }
+
+    /// The first position of each piece: 0, then one past each step.
+    pub(crate) fn starts(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(0).chain(self.steps.iter().map(|&(c, _)| c + 1))
+    }
+
+    fn is_identity(&self) -> bool {
+        self.steps.is_empty()
+    }
+
+    pub(crate) fn map(&self, x: u64) -> u64 {
+        match self.steps.partition_point(|&(c, _)| c < x) {
+            0 => x,
+            i => x + self.steps[i - 1].1,
+        }
+    }
+
+    fn apply(&self, rec: EdgeRec) -> EdgeRec {
+        let mut rec = rec;
+        rec.first.pos = self.map(rec.first.pos);
+        rec.second.pos = self.map(rec.second.pos);
+        rec
+    }
+
+    /// The largest `x` with `map(x) ≤ t`: the map is strictly
+    /// increasing and fixes 0, so it exists. Piece `i` of the map is
+    /// `(c_i, c_{i+1}]`; the last piece whose first position lands at
+    /// or below `t` holds the answer, capped at its end.
+    pub(crate) fn floor_preimage(&self, t: u64) -> u64 {
+        let i = self.steps.partition_point(|&(c, total)| c + 1 + total <= t);
+        let below = match i {
+            0 => t,
+            i => t - self.steps[i - 1].1,
+        };
+        self.steps.get(i).map_or(below, |&(end, _)| below.min(end))
+    }
+
+    /// Composes `next` after this map: afterwards `self.map(x)` is
+    /// `next.map` of the old `self.map(x)`. A step of `next` above `c`
+    /// moves exactly the positions above `floor_preimage(c)`, so the
+    /// result is the two step lists merged, in `O(|self| + |next|)`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
+    pub(crate) fn then(&mut self, next: &PosMap) {
+        if next.is_identity() {
+            return;
+        }
+        let old = std::mem::take(self);
+        let weights = |steps: &[(u64, u64)]| {
+            let mut before = 0;
+            steps
+                .iter()
+                .map(move |&(c, total)| (c, total - std::mem::replace(&mut before, total)))
+                .collect::<Vec<_>>()
+        };
+        let theirs: Vec<(u64, u64)> = weights(&next.steps)
+            .into_iter()
+            .map(|(c, w)| (old.floor_preimage(c), w))
+            .collect();
+        for (c, w) in merge_by_key(weights(&old.steps).into_iter(), theirs.into_iter(), |s| s.0) {
+            self.push(c, w);
+        }
+        debug_assert!(
+            old.steps
+                .iter()
+                .chain(&next.steps)
+                .flat_map(|&(c, _)| [c, c + 1])
+                .all(|x| self.map(x) == next.map(old.map(x))),
+            "composed map disagrees with its parts"
+        );
+    }
+}
+
+/// One Euler tour: its edge records (none for a singleton) and its
+/// members, sorted ascending. Its length is `4·|records|`, stored
 /// nowhere.
+///
+/// The records live in two runs, each sorted by edge and disjoint. The
+/// *base* run (`edges`) holds positions in the tour's coordinates
+/// before the joins it has anchored since its last full pass; the
+/// [`Deferred`] state of those joins maps a base position to the
+/// current one and holds what they attached. A join that anchors the
+/// tour therefore composes its plan onto the pending map and remaps
+/// only the fresh run and the records it attaches, never the base. The
+/// deferred work is applied, and the fresh run merged into the base, by
+/// the next full pass over the tour (a split folds the pending map into
+/// its plan; a reroot, or a join in which the tour is a child, applies
+/// it first), or by a join once fresh records plus map steps exceed
+/// `1/LAZY_SHARE` of the base. Point reads read through the map, so
+/// every observable position, snapshot byte and model charge is the one
+/// an eager remap would give.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tour {
+    /// The base run; positions are mapped through the pending map.
     pub(crate) edges: Shard,
+    /// `None` while the base is exact: every singleton, and every tour
+    /// that anchored no join since its last full pass. Boxed, so an
+    /// exact tour costs one word over its two vectors.
+    pub(crate) deferred: Option<Box<Deferred>>,
     pub(crate) members: Vec<VertexId>,
 }
 
-fn shard_get(shard: &Shard, e: Edge) -> Option<&EdgeRec> {
-    shard
-        .binary_search_by_key(&e, |&(k, _)| k)
-        .ok()
-        .map(|i| &shard[i].1)
+/// The joins a tour anchored since its last full pass.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Deferred {
+    /// Base position → current position: the composed plans.
+    pub(crate) pending: PosMap,
+    /// The records those joins attached, at exact positions.
+    pub(crate) fresh: Shard,
 }
 
-/// Merges two sorted runs into one sorted vector in a single linear
-/// pass — the shared splice primitive of the batch operations (edge
-/// shards and member lists alike).
-fn merge_sorted_runs<T: Copy, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if key(&a[i]) <= key(&b[j]) {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
+/// The pending map of an exact tour.
+static EXACT: PosMap = PosMap { steps: Vec::new() };
+
+impl Tour {
+    pub(crate) fn singleton(v: VertexId) -> Self {
+        Tour {
+            members: vec![v],
+            ..Tour::default()
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+
+    /// The pending map and the fresh run (identity and empty when
+    /// exact).
+    fn deferred_parts(&self) -> (&PosMap, &[(Edge, EdgeRec)]) {
+        match &self.deferred {
+            Some(d) => (&d.pending, &d.fresh),
+            None => (&EXACT, &[]),
+        }
+    }
+
+    /// Number of edge records (both runs).
+    pub(crate) fn len(&self) -> usize {
+        self.edges.len() + self.deferred_parts().1.len()
+    }
+
+    /// The current record of `e`, if it is one of this tour's edges.
+    fn get(&self, e: Edge) -> Option<EdgeRec> {
+        let find = |run: &[(Edge, EdgeRec)]| {
+            run.binary_search_by_key(&e, |&(k, _)| k)
+                .ok()
+                .map(|i| run[i].1)
+        };
+        let (pending, fresh) = self.deferred_parts();
+        find(fresh).or_else(|| find(&self.edges).map(|rec| pending.apply(rec)))
+    }
+
+    /// Every record at its current position, in edge order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (Edge, EdgeRec)> + '_ {
+        let (pending, fresh) = self.deferred_parts();
+        let base = self.edges.iter().map(|&(e, rec)| (e, pending.apply(rec)));
+        merge_by_key(base, fresh.iter().copied(), |&(e, _)| e)
+    }
+
+    /// Every edge, in edge order.
+    fn edge_keys(&self) -> impl Iterator<Item = Edge> + '_ {
+        let key = |&(e, _): &(Edge, EdgeRec)| e;
+        let fresh = self.deferred_parts().1;
+        merge_by_key(self.edges.iter().map(key), fresh.iter().map(key), |&e| e)
+    }
+
+    /// Applies the pending map to the base and merges the fresh run
+    /// into it: one full pass, after which the base is exact.
+    pub(crate) fn materialize(&mut self) {
+        let Some(deferred) = self.deferred.take() else {
+            return;
+        };
+        let Deferred { pending, fresh } = *deferred;
+        if !pending.is_identity() {
+            for (_, rec) in &mut self.edges {
+                *rec = pending.apply(*rec);
+            }
+        }
+        splice_sorted(&mut self.edges, fresh, |&(e, _)| e);
+    }
+
+    /// Moves every current position `x` to `map.map(x)`: composed onto
+    /// the pending map for the base, applied to the fresh run.
+    pub(crate) fn remap(&mut self, map: &PosMap) {
+        let deferred = self.deferred.get_or_insert_default();
+        for (_, rec) in &mut deferred.fresh {
+            *rec = map.apply(*rec);
+        }
+        deferred.pending.then(map);
+    }
+
+    /// Splices records at exact positions into the tour. A run at
+    /// least as long as the base is merged into it after a full pass;
+    /// a shorter one waits in the fresh run until the deferred work
+    /// crosses the bound, which applies it all.
+    pub(crate) fn attach(&mut self, run: Shard) {
+        if run.len() >= self.edges.len() {
+            self.materialize();
+            splice_sorted(&mut self.edges, run, |&(e, _)| e);
+            return;
+        }
+        let deferred = self.deferred.get_or_insert_default();
+        splice_sorted(&mut deferred.fresh, run, |&(e, _)| e);
+        let work = deferred.fresh.len() + deferred.pending.steps.len();
+        if work * LAZY_SHARE > self.edges.len() {
+            self.materialize();
+        }
+    }
 }
 
-/// Splices a run into a sorted vector: an edge shard or a member list.
-/// The batch operations produce concatenations of already-sorted runs,
-/// so the stable sort here is a linear-time run merge. A constant-size
-/// run into a big vector takes per-entry sorted inserts; anything
-/// larger takes one linear merge.
+/// Merges two iterators, each sorted by `key`, into one sorted stream
+/// (ties take `a` first).
+fn merge_by_key<T, K: Ord>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T>,
+    key: impl Fn(&T) -> K,
+) -> impl Iterator<Item = T> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if key(y) < key(x) => b.next(),
+        (Some(_), _) => a.next(),
+        _ => b.next(),
+    })
+}
+
+/// Splices a run into a sorted vector — an edge run or a member list —
+/// in place, from the back: only the entries above the run's smallest
+/// key move, one block per run entry. A run small next to the vector
+/// finds its blocks by binary search, a larger one by a linear scan.
 #[expect(
     clippy::disallowed_macros,
     reason = "a debug_assert!, which clippy reads as the assert! it expands to"
@@ -63,21 +287,33 @@ pub(crate) fn splice_sorted<T: Copy, K: Ord>(
     run.sort_by_key(&key);
     if into.is_empty() {
         *into = run;
-    } else if run.len() <= 8 && run.len() * 8 <= into.len() {
-        // A duplicate key (a caller bug) is inserted anyway, so the
-        // validator reports it, as the merge path would.
-        for x in run {
-            let i = match into.binary_search_by_key(&key(&x), &key) {
-                Ok(i) => {
-                    debug_assert!(false, "key spliced twice");
-                    i
-                }
-                Err(i) => i,
-            };
-            into.insert(i, x);
-        }
-    } else {
-        *into = merge_sorted_runs(into, &run, key);
+        return;
+    }
+    let mut end = into.len();
+    let small = run.len() * 8 <= end;
+    into.extend_from_slice(&run);
+    let mut out = into.len();
+    for x in run.into_iter().rev() {
+        let k = key(&x);
+        let at = if small {
+            into[..end].partition_point(|y| key(y) < k)
+        } else {
+            let mut at = end;
+            while at > 0 && key(&into[at - 1]) >= k {
+                at -= 1;
+            }
+            at
+        };
+        // A duplicate key (a caller bug) is spliced anyway, so the
+        // validator reports it.
+        debug_assert!(
+            into[..end].get(at).is_none_or(|y| key(y) != k),
+            "key spliced twice"
+        );
+        into.copy_within(at..end, out - (end - at));
+        out -= end - at + 1;
+        into[out] = x;
+        end = at;
     }
 }
 
@@ -186,15 +422,18 @@ pub struct DistEtf {
     /// Tree neighbors; `w ∈ adj[v]` exactly when edge `{v, w}` has a
     /// record in the shard of `v`'s tour.
     adj: Vec<BTreeSet<VertexId>>,
-    /// The live tours, one record each: the edge shard, a flat array
-    /// sorted by edge (the machine-local segment the paper's protocol
-    /// remaps in place), and the sorted members (spliced and
-    /// partitioned alongside it). Invariants: every record in
-    /// `tours[t].edges` has `rec.tour == t` and both endpoints in
-    /// `tours[t].members`; a tour has one member more than it has
-    /// edges; the member lists partition the vertices.
+    /// The live tours, one record each: the edge shard (the
+    /// machine-local segment the paper's protocol remaps), held as a
+    /// base run read through a pending position map plus a fresh run
+    /// at exact positions (see [`Tour`]), and the sorted members
+    /// (spliced and partitioned alongside it). Invariants: every record
+    /// in either run of `tours[t]` has `rec.tour == t` and both
+    /// endpoints in `tours[t].members`; the two runs are disjoint; a
+    /// tour has one member more than it has edges; the member lists
+    /// partition the vertices.
     tours: BTreeMap<TourId, Tour>,
-    /// `Σ |tours[t].edges|`, kept so that [`DistEtf::words`] is `O(1)`.
+    /// `Σ` records of every tour (both runs), kept so that
+    /// [`DistEtf::words`] is `O(1)`.
     edge_count: usize,
     /// The next fresh tour id, above every live one.
     next_id: TourId,
@@ -204,13 +443,7 @@ impl DistEtf {
     /// Creates the forest of `n` singleton tours.
     pub fn new(n: usize) -> Self {
         let tours = (0..n as VertexId)
-            .map(|v| {
-                let tour = Tour {
-                    edges: Vec::new(),
-                    members: vec![v],
-                };
-                (TourId::from(v), tour)
-            })
+            .map(|v| (TourId::from(v), Tour::singleton(v)))
             .collect();
         DistEtf {
             n,
@@ -243,7 +476,7 @@ impl DistEtf {
     ///
     /// Panics on an unknown tour id.
     pub fn tour_len(&self, t: TourId) -> u64 {
-        4 * self.tours[&t].edges.len() as u64
+        4 * self.tours[&t].len() as u64
     }
 
     /// The vertices of a tour, sorted ascending.
@@ -294,31 +527,28 @@ impl DistEtf {
         self.edge_rec(e).is_some()
     }
 
-    /// The record of a forest edge. A forest edge always lives in the
-    /// shard of its endpoints' tour, so the lookup is local to that
-    /// shard.
-    pub fn edge_rec(&self, e: Edge) -> Option<&EdgeRec> {
+    /// The record of a forest edge, at its current positions. A forest
+    /// edge always lives in the shard of its endpoints' tour, so the
+    /// lookup is local to that shard (and reads through its pending
+    /// map).
+    pub fn edge_rec(&self, e: Edge) -> Option<EdgeRec> {
         if (e.v() as usize) >= self.n {
             return None;
         }
-        shard_get(&self.tours.get(&self.vertex_tour[e.u() as usize])?.edges, e)
+        self.tours.get(&self.vertex_tour[e.u() as usize])?.get(e)
     }
 
-    /// Iterates over the forest edges (all shards).
+    /// Iterates over the forest edges (all shards), each tour's in edge
+    /// order.
     pub fn forest_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.tours
-            .values()
-            .flat_map(|t| t.edges.iter().map(|&(e, _)| e))
+        self.tours.values().flat_map(Tour::edge_keys)
     }
 
-    /// Iterates over one tour's edge shard — the unit of locality of
-    /// every tour operation. Yields nothing for singleton or unknown
-    /// tours.
-    pub fn tour_edges(&self, t: TourId) -> impl Iterator<Item = (Edge, &EdgeRec)> + '_ {
-        self.tours
-            .get(&t)
-            .into_iter()
-            .flat_map(|t| t.edges.iter().map(|(e, r)| (*e, r)))
+    /// Iterates over one tour's edge shard in edge order, each record
+    /// at its current positions — the unit of locality of every tour
+    /// operation. Yields nothing for singleton or unknown tours.
+    pub fn tour_edges(&self, t: TourId) -> impl Iterator<Item = (Edge, EdgeRec)> + '_ {
+        self.tours.get(&t).into_iter().flat_map(Tour::records)
     }
 
     /// The tree neighbors of `v`.
@@ -346,25 +576,24 @@ impl DistEtf {
     /// [`DistEtf::put_tour`] or by splicing them into another tour.
     pub(crate) fn take_tour(&mut self, t: TourId) -> Tour {
         let tour = self.tours.remove(&t).unwrap_or_default();
-        self.edge_count -= tour.edges.len();
+        self.edge_count -= tour.len();
         tour
     }
 
-    /// Installs a whole tour — edges sorted and labelled `t`, members
-    /// sorted — under an id that holds none: the inverse of
+    /// Installs a whole tour — both runs sorted and labelled `t`,
+    /// members sorted — under an id that holds none: the inverse of
     /// [`DistEtf::take_tour`].
     #[expect(
         clippy::disallowed_macros,
         reason = "a debug_assert!, which clippy reads as the assert! it expands to"
     )]
     pub(crate) fn put_tour(&mut self, t: TourId, tour: Tour) {
-        debug_assert!(tour.edges.is_sorted_by(|a, b| a.0 < b.0), "unsorted shard");
-        debug_assert!(
-            tour.edges.iter().all(|(_, r)| r.tour == t),
-            "mislabelled shard"
-        );
+        for run in [&tour.edges[..], tour.deferred_parts().1] {
+            debug_assert!(run.is_sorted_by(|a, b| a.0 < b.0), "unsorted shard");
+            debug_assert!(run.iter().all(|(_, r)| r.tour == t), "mislabelled shard");
+        }
         debug_assert!(tour.members.is_sorted(), "tour members must stay sorted");
-        self.edge_count += tour.edges.len();
+        self.edge_count += tour.len();
         self.tours.insert(t, tour);
     }
 
@@ -395,13 +624,13 @@ impl DistEtf {
         if adj.is_empty() {
             return out;
         }
-        let shard = &self.tours[&self.vertex_tour[v as usize]].edges;
+        let tour = &self.tours[&self.vertex_tour[v as usize]];
         for &w in adj {
             #[expect(
                 clippy::expect_used,
                 reason = "adjacency and tour shards are mutated in lockstep — a missing edge is corruption"
             )]
-            let rec = *shard_get(shard, Edge::new(v, w)).expect("adjacent edge in shard");
+            let rec = tour.get(Edge::new(v, w)).expect("adjacent edge in shard");
             for t in [rec.first, rec.second] {
                 if t.from == v {
                     out.push(t.pos);
@@ -440,24 +669,27 @@ impl DistEtf {
         }
     }
 
+    /// Rotates `v`'s tour to start at `v`, after applying its pending
+    /// work: a rotation is a full pass, and a tour about to be spliced
+    /// in as a join's child must be exact.
     pub(crate) fn reroot_uncharged(&mut self, v: VertexId) {
         // A singleton has no occurrences, so its cut is 1 as well.
         let cut = self.cut_position(v);
-        if cut == 1 {
-            return;
-        }
         // Only the rerooted tour's shard is touched.
         #[expect(
             clippy::expect_used,
             reason = "tour invariant — every vertex's tour is live"
         )]
-        let shard = &mut self
+        let tour = self
             .tours
             .get_mut(&self.vertex_tour[v as usize])
-            .expect("live tour")
-            .edges;
-        let len = 4 * shard.len() as u64;
-        for (_, rec) in shard.iter_mut() {
+            .expect("live tour");
+        tour.materialize();
+        if cut == 1 {
+            return;
+        }
+        let len = 4 * tour.edges.len() as u64;
+        for (_, rec) in tour.edges.iter_mut() {
             for trav in [&mut rec.first, &mut rec.second] {
                 trav.pos = (trav.pos + len - cut) % len + 1;
             }
@@ -478,9 +710,10 @@ impl DistEtf {
 
     /// Links the tree edge `{root_end, child_end}` between two tours:
     /// `root_end`'s tour anchors in place (only its tail past the
-    /// attach point shifts), `child_end`'s tour is rerooted at
-    /// `child_end` and spliced into the gap. The one single-edge splice
-    /// of [`DistEtf::join`] and `batch_join`.
+    /// attach point shifts, by a one-step map its base defers),
+    /// `child_end`'s tour is rerooted at `child_end` and spliced into
+    /// the gap. The one single-edge splice of [`DistEtf::join`] and
+    /// `batch_join`.
     pub(crate) fn link(&mut self, root_end: VertexId, child_end: VertexId) {
         let (root, child) = (self.tour_of(root_end), self.tour_of(child_end));
         self.reroot_uncharged(child_end);
@@ -489,18 +722,13 @@ impl DistEtf {
         let Tour {
             edges: mut merged,
             members: extra,
+            ..
         } = self.take_tour(child);
         let mut tour = self.take_tour(root);
         let w = 4 * merged.len() as u64;
         // Root tail shift: positions strictly above the attach point
         // make room for the child block of w + 4 entries.
-        for (_, rec) in tour.edges.iter_mut() {
-            for trav in [&mut rec.first, &mut rec.second] {
-                if trav.pos > c {
-                    trav.pos += w + 4;
-                }
-            }
-        }
+        tour.remap(&PosMap::step(c, w + 4));
         // Child block: old position x lands at c + 2 + x.
         for (_, rec) in merged.iter_mut() {
             rec.tour = root;
@@ -523,7 +751,7 @@ impl DistEtf {
                 },
             },
         ));
-        splice_sorted(&mut tour.edges, merged, |&(e, _)| e);
+        tour.attach(merged);
         // Membership: only the child's members change tour; its
         // sorted run merges into the root's list in place.
         for &x in &extra {
@@ -556,9 +784,11 @@ impl DistEtf {
         self.link(u, v);
     }
 
-    /// Builds a sorted member list from a region's edge endpoints.
-    pub(crate) fn members_of_entries(entries: &[(Edge, EdgeRec)]) -> Vec<VertexId> {
-        let mut vs: Vec<VertexId> = Vec::with_capacity(2 * entries.len());
+    /// Builds a sorted member list from a region's edges' endpoints.
+    pub(crate) fn members_of_entries<'a>(
+        entries: impl Iterator<Item = &'a (Edge, EdgeRec)>,
+    ) -> Vec<VertexId> {
+        let mut vs: Vec<VertexId> = Vec::with_capacity(2 * entries.size_hint().0);
         for (e, _) in entries {
             vs.push(e.u());
             vs.push(e.v());
@@ -585,7 +815,7 @@ impl DistEtf {
             clippy::expect_used,
             reason = "documented \"# Panics\" precondition — splitting a non-forest edge is a caller bug"
         )]
-        let rec = *self.edge_rec(e).expect("split of non-tree edge");
+        let rec = self.edge_rec(e).expect("split of non-tree edge");
         // A one-cut split: the detached side is the cut's region,
         // which takes the first id `split_tour` allocates.
         let child = self.next_id;
@@ -609,17 +839,21 @@ impl mpc_snapshot::Persist for DistEtf {
         self.n.save(w);
         self.vertex_tour.save(w);
         self.adj.save(w);
-        let with_edges = || self.tours.iter().filter(|(_, tour)| !tour.edges.is_empty());
+        // A shard is written as the `Vec` of its current records.
+        let with_edges = || self.tours.iter().filter(|(_, tour)| tour.len() > 0);
         w.put_usize(with_edges().count());
         for (t, tour) in with_edges() {
             t.save(w);
-            tour.edges.save(w);
+            w.put_u64(tour.len() as u64);
+            for record in tour.records() {
+                record.save(w);
+            }
         }
         self.edge_count.save(w);
         w.put_usize(self.tours.len());
         for (&t, tour) in &self.tours {
             t.save(w);
-            w.put_u64(4 * tour.edges.len() as u64);
+            w.put_u64(4 * tour.len() as u64);
         }
         w.put_usize(self.tours.len());
         for (t, tour) in &self.tours {
@@ -641,6 +875,7 @@ impl mpc_snapshot::Persist for DistEtf {
             if edges.is_empty() || tours.last_key_value().is_some_and(|(&last, _)| last >= t) {
                 return corrupt(format!("tour {t}: empty or out-of-order edge shard"));
             }
+            // A loaded tour is exact: its whole shard is the base run.
             tours.entry(t).or_default().edges = edges;
         }
         let edge_count = usize::load(r)?;
@@ -986,7 +1221,7 @@ mod tests {
             etf.join(Edge::new(i, i + 1), &mut c);
         }
         etf.reroot(0, &mut c);
-        let rec = *etf.edge_rec(Edge::new(1, 2)).unwrap();
+        let rec = etf.edge_rec(Edge::new(1, 2)).unwrap();
         let (lo, hi) = rec.subtree_interval();
         for v in [2u32, 3] {
             let (f, l) = etf.f_l(v);
@@ -1026,10 +1261,26 @@ mod tests {
         validate(&etf).expect("valid");
     }
 
-    /// One live tour, for the validator's fault-injection tests.
+    /// One live tour, applied so its base run holds every record, for
+    /// the validator's fault-injection tests.
     impl DistEtf {
         pub(crate) fn tour_mut(&mut self, t: TourId) -> &mut Tour {
-            self.tours.get_mut(&t).unwrap()
+            let tour = self.tours.get_mut(&t).unwrap();
+            tour.materialize();
+            tour
+        }
+
+        /// Applies every tour's pending work: the eager twin of the
+        /// lazy/eager equivalence test.
+        pub(crate) fn materialize_all(&mut self) {
+            self.tours.values_mut().for_each(Tour::materialize);
+        }
+
+        /// A tour's base and fresh run lengths and pending step count.
+        pub(crate) fn lazy_state(&self, t: TourId) -> (usize, usize, usize) {
+            let tour = &self.tours[&t];
+            let (pending, fresh) = tour.deferred_parts();
+            (tour.edges.len(), fresh.len(), pending.steps.len())
         }
     }
 

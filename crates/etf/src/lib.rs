@@ -12,22 +12,44 @@
 //!
 //! # Per-tour sharded storage
 //!
-//! Each tour is stored once, as one record: its **edge shard** (a
-//! sorted edge array, [`DistEtf::tour_edges`]) and its sorted member
-//! list. Its length `4·(|T|−1)` is derived from the shard, as in the
-//! paper, where a tour is nothing but its edges' positions. The shards
-//! match the paper's protocol in which every machine remaps *its own*
-//! shard from an `O(k)`-word broadcast plan. Reroot, join, split, and
-//! the batch operations therefore touch only the affected tours'
-//! records — `O(|tour|)` work per operation instead of `O(|forest|)` —
-//! and tour-id reassignment moves whole shards by splice (a sorted-run
-//! merge) rather than per-edge rewrites. A split is one compaction
-//! pass over the cut tour's shard: the *longest* resulting region
-//! keeps the shard and member vectors and is rewritten in place, and
-//! only the other regions' records are moved out; their member lists
-//! derive from those records, the kept region's is the old list minus
-//! what left, and only the endpoints of the deleted edges are examined
-//! for new singletons.
+//! Each tour is stored once, as one record: its **edge shard** (edge
+//! records sorted by edge, [`DistEtf::tour_edges`]) and its sorted
+//! member list. Its length `4·(|T|−1)` is derived from the shard, as in
+//! the paper, where a tour is nothing but its edges' positions. The
+//! shards match the paper's protocol in which every machine remaps
+//! *its own* shard from an `O(k)`-word broadcast plan. Reroot, join,
+//! split, and the batch operations therefore touch only the affected
+//! tours' records — `O(|tour|)` work per operation at most, never
+//! `O(|forest|)` — and tour-id reassignment moves whole shards by
+//! splice (an in-place sorted-run merge) rather than per-edge rewrites.
+//!
+//! A join costs what it attaches. The tour that anchors a join (the
+//! largest) keeps its shard in two runs: a **base** run whose
+//! positions predate the joins it has anchored since its last full
+//! pass, with a **pending position map** — the composition of those
+//! joins' plans, a monotone piecewise translation of `O(k)` steps per
+//! join — and a small **fresh** run of the records those joins
+//! attached, at exact positions. A join composes its plan onto the
+//! pending map (a merge of two step lists), remaps the fresh run, and
+//! splices the children's remapped records into it; the base is not
+//! touched. Every
+//! read ([`DistEtf::edge_rec`], [`DistEtf::occurrences`],
+//! [`DistEtf::f_l`], [`DistEtf::tour_edges`], the validator, the
+//! snapshot writer) goes through the map, so positions stay contiguous
+//! and snapshot bytes and model charges are those of an eager remap.
+//! The pending work is applied on the next full pass over the tour:
+//! a split folds the map into the plan it reads the base with and
+//! merges each region's fresh records into its base; a reroot, or a
+//! join in which the tour is a child, applies it first; and a join
+//! applies it once fresh records plus map steps exceed a fixed share
+//! (one sixteenth) of the base.
+//!
+//! A split is one compaction pass over the cut tour's runs: the
+//! *longest* resulting region keeps the shard and member vectors and
+//! is rewritten in place, and only the other regions' records are
+//! moved out; their member lists derive from those records, the kept
+//! region's is the old list minus what left, and only the endpoints of
+//! the deleted edges are examined for new singletons.
 //!
 //! A snapshot load refuses, as `SnapshotError::Corrupt`, every state in
 //! which the tables disagree: a stored length other than `4·|edges|`,
@@ -83,7 +105,8 @@
 //! conceptually rewrite each edge record in place from the broadcast
 //! plan, a join moves whole shards by **map-splice**: a tour absorbed
 //! by a join has its entire record array remapped once and merged
-//! into the destination shard, which is the same
+//! into the destination's fresh run, and the destination defers its
+//! own remap as a pending map (see above), which is at most the same
 //! `O(|affected tours|)` local work with far better constants than
 //! per-edge rewrites. A split does what the paper's machines do: the
 //! longest region's records are remapped where they lie, from the

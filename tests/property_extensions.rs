@@ -248,7 +248,7 @@ fn snapshot_untouched(
                 (
                     etf.tour_len(t),
                     etf.tour_members(t).to_vec(),
-                    etf.tour_edges(t).map(|(e, r)| (e, *r)).collect(),
+                    etf.tour_edges(t).collect(),
                 ),
             )
         })
@@ -318,7 +318,7 @@ fn batch_ops_leave_untouched_tours_bit_identical() {
                         &members[..],
                         "case {case}: members of untouched tour changed"
                     );
-                    let now: Vec<_> = etf.tour_edges(*t).map(|(e, r)| (e, *r)).collect();
+                    let now: Vec<_> = etf.tour_edges(*t).collect();
                     assert_eq!(
                         &now, recs,
                         "case {case}: edge records of untouched tour changed"
@@ -349,7 +349,7 @@ fn batch_ops_leave_untouched_tours_bit_identical() {
                         &members[..],
                         "case {case}: members of untouched tour changed"
                     );
-                    let now: Vec<_> = etf.tour_edges(*t).map(|(e, r)| (e, *r)).collect();
+                    let now: Vec<_> = etf.tour_edges(*t).collect();
                     assert_eq!(
                         &now, recs,
                         "case {case}: edge records of untouched tour changed"

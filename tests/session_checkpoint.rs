@@ -299,6 +299,48 @@ fn stale_epoch_restore_fails_typed() {
     std::fs::remove_file(&path).expect("scratch file removable");
 }
 
+/// Answers write too — the ledger, the stats rollup, and a recompute's
+/// sampler counters — so a checkpoint taken before later `ask`s at the
+/// same submission count is stale: restoring it under the current epoch
+/// fails typed instead of silently rewinding the query history.
+#[test]
+fn asks_after_a_checkpoint_make_it_stale() {
+    let n = 8usize;
+    let mut session = Session::new(cfg(n));
+    let agm = session.register(AgmBaseline::new(n, 3));
+    session
+        .apply_batch(&Batch::inserting([Edge::new(0, 1)]))
+        .expect("stream in regime");
+    let path = scratch("asks-after");
+    let receipt = session.checkpoint(&path).expect("checkpoint succeeds");
+    let rounds = session.ctx().rounds();
+    for _ in 0..3 {
+        session
+            .ask(agm, &QueryRequest::ComponentCount)
+            .expect("AGM counts components");
+    }
+    assert_eq!(session.stats().queries, 3);
+    assert!(session.ctx().rounds() > rounds);
+    let epoch = session.stream_epoch();
+    assert_eq!(epoch, receipt.epoch + 3);
+
+    let registry = mpc_stream::full_registry();
+    let err = Session::restore_checked(&path, &registry, epoch)
+        .expect_err("a checkpoint from before the asks is stale");
+    assert_eq!(
+        err,
+        SnapshotError::EpochMismatch {
+            expected: epoch,
+            found: receipt.epoch,
+        }
+    );
+    // Restoring it on purpose, under its own epoch, rewinds the asks.
+    let old =
+        Session::restore_checked(&path, &registry, receipt.epoch).expect("its own epoch restores");
+    assert_eq!((old.stats().queries, old.ctx().rounds()), (0, rounds));
+    std::fs::remove_file(&path).expect("scratch file removable");
+}
+
 /// A registry that has never heard of a kind in the file must fail
 /// typed, naming the kind — not panic, not skip the maintainer.
 #[test]
