@@ -307,19 +307,24 @@ fn e11b_tour_scaling() -> Table {
     t
 }
 
-/// E11b, root-size sweep — a join costs what it attaches: one
-/// 32-vertex path tree is batch-joined into the middle of a root path
-/// tour of 1k, 4k and 16k edges, and batch-split off again, each timed
-/// in its own column (µs per op, best of 50 warm samples of ≥ 1 ms).
-/// The root defers the join's position map and keeps the attached
-/// records in a small fresh run, so the join column is flat in root
-/// size (it was linear while every join remapped every root record);
-/// the split is one pass over the whole root, which also applies the
-/// deferred map and merges the fresh run, so its column stays linear.
+/// E11b, root-size sweep — a join costs what it attaches and a split
+/// what it cuts off: one 32-vertex path tree is batch-joined into the
+/// middle of a root path tour of 1k, 4k and 16k edges, built by single
+/// joins, and batch-split off again, each timed in its own column (µs
+/// per op, best of 50 warm samples of ≥ 1 ms). The join composes its
+/// plan onto the root's pending map and keeps the attached records in
+/// the fresh run; the split walks the cut-off tree over the adjacency,
+/// takes its records out of both runs and composes the kept region's
+/// renumbering onto the map. Neither touches the root's base, so both
+/// columns are expected flat. Both renumber the whole fresh run, and a
+/// root built by single joins leaves up to 1/16 of its base there; the
+/// warm-up runs until the renumbering has cost one pass over the base,
+/// which the tour then applies, so the samples time the steady state.
 fn e11b_root_scaling() -> Table {
     let mut t = Table::new(
         "E11b (root-size sweep): batch join of a 32-vertex tree into a large root tour, \
-         and the batch split that detaches it (expected: join flat in root size, split linear)",
+         and the batch split that detaches it (expected: both flat in root size; criterion: \
+         each column at 16k ≤ 1.5× its 1k value)",
         &[
             "root tour edges",
             "ops per sample",
@@ -368,13 +373,22 @@ fn e11b_root_scaling() -> Table {
         if root == 1024 {
             base = (join, split);
         }
+        // The last row carries each column's verdict on the criterion.
+        let vs_1k = |x: f64, at_1k: f64| {
+            let ratio = x / at_1k;
+            match root {
+                16384 if ratio <= 1.5 => format!("{}x (flat: yes)", f2(ratio)),
+                16384 => format!("{}x (flat: NO)", f2(ratio)),
+                _ => format!("{}x", f2(ratio)),
+            }
+        };
         t.row(vec![
             root.to_string(),
             ops.to_string(),
             f2(join),
-            format!("{}x", f2(join / base.0)),
+            vs_1k(join, base.0),
             f2(split),
-            format!("{}x", f2(split / base.1)),
+            vs_1k(split, base.1),
         ]);
     }
     t

@@ -9,22 +9,37 @@ use std::collections::{BTreeMap, BTreeSet};
 /// moves whole shards by splice instead of per-edge rewrites.
 pub(crate) type Shard = Vec<(Edge, EdgeRec)>;
 
-/// The pending work (fresh records plus map steps) a tour may carry is
-/// `1/LAZY_SHARE` of its base records; the join that crosses it applies
-/// all of it. A join remaps the fresh run, so the bound caps that
-/// remap at a share of the full pass it replaces (8 and 32 measured
-/// the same as 16 on the benchmark's `churn` and `grow`).
+/// The pending work (fresh records plus map pieces) a tour may carry is
+/// `1/LAZY_SHARE` of its base records; the join or split that crosses
+/// it applies all of it. A join remaps the fresh run and a split
+/// renumbers it, so the bound caps that per-record work at a share of
+/// the full pass it replaces (with joins alone deferred, 8 and 32
+/// measured the same as 16 on the benchmark's `churn` and `grow`).
+/// The same work summed over the operations since the last full pass
+/// is bounded too: once the fresh records renumbered exceed the base,
+/// the pass they stand in for is applied, so a fresh run that outlives
+/// many operations costs them at most about one pass.
 const LAZY_SHARE: usize = 16;
 
+/// An end beyond every tour position: the last piece of a map defined
+/// on all positions above its start.
+pub(crate) const UNBOUNDED: u64 = u64::MAX >> 2;
+
 /// A monotone piecewise translation of tour positions, the closed form
-/// of a join's plan for the tour that anchors it: position `x` moves
-/// up by the cumulative weight of the last step strictly below it.
-/// Composing two such maps gives another, so a tour can defer any
-/// number of joins' remaps as one map.
+/// of the plans a tour's base run has not been remapped by. Piece
+/// `(start, end, offset)` moves positions `start..=end` by `offset`,
+/// added modulo 2^64 so that a split's offsets move positions down.
+/// The pieces are sorted and disjoint and their images strictly
+/// ascending, so the map is strictly increasing where it is defined. A
+/// join's plan is defined on every position; a split's only on the
+/// region that keeps the tour, so a map that has composed a split is
+/// defined on the positions that still hold base records, and the
+/// positions of the records the split cut off have no image. Composing
+/// two such maps gives another, so a tour can defer any number of
+/// joins' and splits' remaps as one map. No pieces is the identity.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PosMap {
-    /// `(c, cumulative weight after c)`, strictly ascending in both.
-    steps: Vec<(u64, u64)>,
+    pieces: Vec<(u64, u64, u64)>,
 }
 
 impl PosMap {
@@ -35,34 +50,67 @@ impl PosMap {
         map
     }
 
-    /// Adds a step of weight `w` above `c`, at or above the last one
-    /// (a repeated `c` adds to that step).
+    /// Adds a step of weight `w` above `c` to a map defined on every
+    /// position, at or above its last step (a repeated `c` adds to that
+    /// step).
     #[expect(
         clippy::disallowed_macros,
         reason = "a debug_assert!, which clippy reads as the assert! it expands to"
     )]
     pub(crate) fn push(&mut self, c: u64, w: u64) {
-        let before = self.steps.last().copied();
-        debug_assert!(before.is_none_or(|(last, _)| last <= c), "unsorted step");
-        match self.steps.last_mut() {
-            Some((last, total)) if *last == c => *total += w,
-            _ => self.steps.push((c, before.map_or(0, |(_, t)| t) + w)),
+        match self.pieces.last_mut() {
+            None => self.pieces.extend([(0, c, 0), (c + 1, UNBOUNDED, w)]),
+            Some(last) if last.0 == c + 1 => last.2 += w,
+            Some(last) => {
+                debug_assert!(last.0 <= c && last.1 == UNBOUNDED, "unsorted step");
+                last.1 = c;
+                let total = last.2 + w;
+                self.pieces.push((c + 1, UNBOUNDED, total));
+            }
         }
     }
 
-    /// The first position of each piece: 0, then one past each step.
-    pub(crate) fn starts(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::once(0).chain(self.steps.iter().map(|&(c, _)| c + 1))
+    /// Appends the piece that moves `start..=end` by `offset`, above
+    /// every piece so far; a piece that continues the last one with
+    /// the same offset extends it.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
+    pub(crate) fn push_piece(&mut self, start: u64, end: u64, offset: u64) {
+        debug_assert!(start <= end, "empty piece");
+        match self.pieces.last_mut() {
+            Some(last) if last.1 + 1 == start && last.2 == offset => last.1 = end,
+            last => {
+                debug_assert!(last.is_none_or(|last| last.1 < start), "unsorted piece");
+                self.pieces.push((start, end, offset));
+            }
+        }
     }
 
+    /// Number of pieces: the map's share of a tour's deferred work.
+    pub(crate) fn len(&self) -> usize {
+        self.pieces.len()
+    }
+
+    /// Whether every record position stays where it is.
     fn is_identity(&self) -> bool {
-        self.steps.is_empty()
+        self.pieces.iter().all(|&(_, _, offset)| offset == 0)
     }
 
+    /// The image of `x`, a position the map is defined on.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
+    )]
     pub(crate) fn map(&self, x: u64) -> u64 {
-        match self.steps.partition_point(|&(c, _)| c < x) {
+        match self.pieces.partition_point(|&(start, _, _)| start <= x) {
             0 => x,
-            i => x + self.steps[i - 1].1,
+            i => {
+                let (_, end, offset) = self.pieces[i - 1];
+                debug_assert!(x <= end, "position {x} has no image");
+                x.wrapping_add(offset)
+            }
         }
     }
 
@@ -73,23 +121,38 @@ impl PosMap {
         rec
     }
 
-    /// The largest `x` with `map(x) ≤ t`: the map is strictly
-    /// increasing and fixes 0, so it exists. Piece `i` of the map is
-    /// `(c_i, c_{i+1}]`; the last piece whose first position lands at
-    /// or below `t` holds the answer, capped at its end.
-    pub(crate) fn floor_preimage(&self, t: u64) -> u64 {
-        let i = self.steps.partition_point(|&(c, total)| c + 1 + total <= t);
-        let below = match i {
-            0 => t,
-            i => t - self.steps[i - 1].1,
-        };
-        self.steps.get(i).map_or(below, |&(end, _)| below.min(end))
+    /// The map prepared for a pass over a whole run: a table of how many
+    /// pieces start at or before each block of `2^shift` positions
+    /// replaces the binary search per position by a step or two. The
+    /// block size gives the table about one entry per piece.
+    fn jumps(&self) -> Jumps<'_> {
+        let last = self.pieces.last().map_or(0, |&(start, _, _)| start);
+        let shift = (last / self.pieces.len().max(1) as u64).max(1).ilog2();
+        let mut below = 0;
+        let first = (0..=last >> shift)
+            .map(|block| {
+                while self
+                    .pieces
+                    .get(below)
+                    .is_some_and(|p| p.0 <= block << shift)
+                {
+                    below += 1;
+                }
+                below
+            })
+            .collect();
+        Jumps {
+            pieces: &self.pieces,
+            shift,
+            first,
+        }
     }
 
     /// Composes `next` after this map: afterwards `self.map(x)` is
-    /// `next.map` of the old `self.map(x)`. A step of `next` above `c`
-    /// moves exactly the positions above `floor_preimage(c)`, so the
-    /// result is the two step lists merged, in `O(|self| + |next|)`.
+    /// `next.map` of the old `self.map(x)`, defined where both are.
+    /// The old pieces' images ascend, so one merge walk intersects
+    /// each with the pieces of `next` it overlaps, in
+    /// `O(|self| + |next|)`.
     #[expect(
         clippy::disallowed_macros,
         reason = "a debug_assert!, which clippy reads as the assert! it expands to"
@@ -98,29 +161,55 @@ impl PosMap {
         if next.is_identity() {
             return;
         }
+        if self.is_identity() {
+            self.pieces.clone_from(&next.pieces);
+            return;
+        }
         let old = std::mem::take(self);
-        let weights = |steps: &[(u64, u64)]| {
-            let mut before = 0;
-            steps
-                .iter()
-                .map(move |&(c, total)| (c, total - std::mem::replace(&mut before, total)))
-                .collect::<Vec<_>>()
-        };
-        let theirs: Vec<(u64, u64)> = weights(&next.steps)
-            .into_iter()
-            .map(|(c, w)| (old.floor_preimage(c), w))
-            .collect();
-        for (c, w) in merge_by_key(weights(&old.steps).into_iter(), theirs.into_iter(), |s| s.0) {
-            self.push(c, w);
+        let mut j = 0;
+        for &(start, end, offset) in &old.pieces {
+            let (lo, hi) = (start.wrapping_add(offset), end.wrapping_add(offset));
+            while next.pieces.get(j).is_some_and(|&(_, e, _)| e < lo) {
+                j += 1;
+            }
+            for &(s, e, o) in next.pieces[j..].iter().take_while(|&&(s, _, _)| s <= hi) {
+                let (a, b) = (s.max(lo), e.min(hi));
+                self.push_piece(
+                    a.wrapping_sub(offset),
+                    b.wrapping_sub(offset),
+                    offset.wrapping_add(o),
+                );
+            }
         }
         debug_assert!(
-            old.steps
+            self.pieces
                 .iter()
-                .chain(&next.steps)
-                .flat_map(|&(c, _)| [c, c + 1])
+                .flat_map(|&(start, end, _)| [start, end])
                 .all(|x| self.map(x) == next.map(old.map(x))),
             "composed map disagrees with its parts"
         );
+    }
+}
+
+/// A [`PosMap`] with its jump table (see [`PosMap::jumps`]).
+struct Jumps<'a> {
+    pieces: &'a [(u64, u64, u64)],
+    shift: u32,
+    /// Per block, the number of pieces starting at or before its start.
+    first: Vec<usize>,
+}
+
+impl Jumps<'_> {
+    fn map(&self, x: u64) -> u64 {
+        let block = usize::try_from(x >> self.shift).unwrap_or(usize::MAX);
+        let mut i = self.first.get(block).copied().unwrap_or(self.pieces.len());
+        while self.pieces.get(i).is_some_and(|p| p.0 <= x) {
+            i += 1;
+        }
+        match i {
+            0 => x,
+            i => x.wrapping_add(self.pieces[i - 1].2),
+        }
     }
 }
 
@@ -130,40 +219,82 @@ impl PosMap {
 ///
 /// The records live in two runs, each sorted by edge and disjoint. The
 /// *base* run (`edges`) holds positions in the tour's coordinates
-/// before the joins it has anchored since its last full pass; the
-/// [`Deferred`] state of those joins maps a base position to the
-/// current one and holds what they attached. A join that anchors the
-/// tour therefore composes its plan onto the pending map and remaps
-/// only the fresh run and the records it attaches, never the base. The
-/// deferred work is applied, and the fresh run merged into the base, by
-/// the next full pass over the tour (a split folds the pending map into
-/// its plan; a reroot, or a join in which the tour is a child, applies
-/// it first), or by a join once fresh records plus map steps exceed
-/// `1/LAZY_SHARE` of the base. Point reads read through the map, so
-/// every observable position, snapshot byte and model charge is the one
-/// an eager remap would give.
+/// before the joins it has anchored and the splits it has survived
+/// since its last full pass; the [`Deferred`] state of those operations
+/// maps a base position to the current one and holds what the joins
+/// attached. A join that anchors the tour composes its plan onto the
+/// pending map and remaps only the fresh run and the records it
+/// attaches; a split that leaves the tour its longest region drops the
+/// records it cuts off from both runs, renumbers the fresh run, and
+/// composes the kept region's renumbering onto the pending map. Neither
+/// touches the rest of the base. The deferred work is applied, and the
+/// fresh run merged into the base, by the next full pass over the tour
+/// (a reroot, or a join in which the tour is a child), or by the join
+/// or split after which fresh records plus map pieces exceed
+/// `1/LAZY_SHARE` of the base, or the fresh records renumbered since
+/// the last full pass outnumber it. Point reads read through the map, so
+/// every observable position, tour id, snapshot byte and model charge
+/// is the one an eager remap would give.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tour {
     /// The base run; positions are mapped through the pending map.
     pub(crate) edges: Shard,
     /// `None` while the base is exact: every singleton, and every tour
-    /// that anchored no join since its last full pass. Boxed, so an
-    /// exact tour costs one word over its two vectors.
+    /// that anchored no join and survived no split since its last full
+    /// pass. Boxed, so an exact tour costs one word over its two
+    /// vectors.
     pub(crate) deferred: Option<Box<Deferred>>,
     pub(crate) members: Vec<VertexId>,
 }
 
-/// The joins a tour anchored since its last full pass.
+/// The joins a tour anchored and the splits it survived since its last
+/// full pass.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Deferred {
-    /// Base position → current position: the composed plans.
+    /// Base position → current position: the composed plans, defined
+    /// on the positions of the base run's records.
     pub(crate) pending: PosMap,
-    /// The records those joins attached, at exact positions.
+    /// The records the joins attached, at exact positions.
     pub(crate) fresh: Shard,
+    /// Fresh records remapped or renumbered since the last full pass.
+    renumbered: usize,
 }
 
-/// The pending map of an exact tour.
-static EXACT: PosMap = PosMap { steps: Vec::new() };
+impl Deferred {
+    /// A base record at its current position.
+    fn read(&self, rec: EdgeRec) -> EdgeRec {
+        self.pending.apply(rec)
+    }
+
+    /// [`Deferred::read`] for a pass over the whole base run, through
+    /// the pending map's jump table.
+    fn reader(&self) -> impl Fn(EdgeRec) -> EdgeRec + '_ {
+        let jumps = self.pending.jumps();
+        move |mut rec: EdgeRec| {
+            rec.first.pos = jumps.map(rec.first.pos);
+            rec.second.pos = jumps.map(rec.second.pos);
+            rec
+        }
+    }
+}
+
+/// The records of a tour in edge order: the base run alone when the
+/// tour is exact, else both runs merged.
+enum Runs<A, B> {
+    Exact(A),
+    Merged(B),
+}
+
+impl<T, A: Iterator<Item = T>, B: Iterator<Item = T>> Iterator for Runs<A, B> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Runs::Exact(a) => a.next(),
+            Runs::Merged(b) => b.next(),
+        }
+    }
+}
 
 impl Tour {
     pub(crate) fn singleton(v: VertexId) -> Self {
@@ -173,18 +304,14 @@ impl Tour {
         }
     }
 
-    /// The pending map and the fresh run (identity and empty when
-    /// exact).
-    fn deferred_parts(&self) -> (&PosMap, &[(Edge, EdgeRec)]) {
-        match &self.deferred {
-            Some(d) => (&d.pending, &d.fresh),
-            None => (&EXACT, &[]),
-        }
+    /// The fresh run (empty when exact).
+    fn fresh(&self) -> &[(Edge, EdgeRec)] {
+        self.deferred.as_ref().map_or(&[], |d| &d.fresh)
     }
 
     /// Number of edge records (both runs).
     pub(crate) fn len(&self) -> usize {
-        self.edges.len() + self.deferred_parts().1.len()
+        self.edges.len() + self.fresh().len()
     }
 
     /// The current record of `e`, if it is one of this tour's edges.
@@ -194,22 +321,38 @@ impl Tour {
                 .ok()
                 .map(|i| run[i].1)
         };
-        let (pending, fresh) = self.deferred_parts();
-        find(fresh).or_else(|| find(&self.edges).map(|rec| pending.apply(rec)))
+        match &self.deferred {
+            None => find(&self.edges),
+            Some(d) => find(&d.fresh).or_else(|| find(&self.edges).map(|rec| d.read(rec))),
+        }
     }
 
     /// Every record at its current position, in edge order.
     pub(crate) fn records(&self) -> impl Iterator<Item = (Edge, EdgeRec)> + '_ {
-        let (pending, fresh) = self.deferred_parts();
-        let base = self.edges.iter().map(|&(e, rec)| (e, pending.apply(rec)));
-        merge_by_key(base, fresh.iter().copied(), |&(e, _)| e)
+        match &self.deferred {
+            None => Runs::Exact(self.edges.iter().copied()),
+            Some(d) => Runs::Merged(merge_by_key(
+                self.edges.iter().map({
+                    let read = d.reader();
+                    move |&(e, rec)| (e, read(rec))
+                }),
+                d.fresh.iter().copied(),
+                |&(e, _)| e,
+            )),
+        }
     }
 
     /// Every edge, in edge order.
     fn edge_keys(&self) -> impl Iterator<Item = Edge> + '_ {
         let key = |&(e, _): &(Edge, EdgeRec)| e;
-        let fresh = self.deferred_parts().1;
-        merge_by_key(self.edges.iter().map(key), fresh.iter().map(key), |&e| e)
+        match &self.deferred {
+            None => Runs::Exact(self.edges.iter().map(key)),
+            Some(d) => Runs::Merged(merge_by_key(
+                self.edges.iter().map(key),
+                d.fresh.iter().map(key),
+                |&e| e,
+            )),
+        }
     }
 
     /// Applies the pending map to the base and merges the fresh run
@@ -218,13 +361,27 @@ impl Tour {
         let Some(deferred) = self.deferred.take() else {
             return;
         };
-        let Deferred { pending, fresh } = *deferred;
-        if !pending.is_identity() {
+        if !deferred.pending.is_identity() {
+            let read = deferred.reader();
             for (_, rec) in &mut self.edges {
-                *rec = pending.apply(*rec);
+                *rec = read(*rec);
             }
         }
-        splice_sorted(&mut self.edges, fresh, |&(e, _)| e);
+        splice_sorted(&mut self.edges, deferred.fresh, |&(e, _)| e);
+    }
+
+    /// Applies the deferred work once it crosses the bound, and drops
+    /// deferred state that defers nothing.
+    fn settle(&mut self) {
+        let Some(d) = &self.deferred else {
+            return;
+        };
+        let base = self.edges.len();
+        if (d.fresh.len() + d.pending.len()) * LAZY_SHARE > base || d.renumbered > base {
+            self.materialize();
+        } else if d.fresh.is_empty() && d.pending.is_identity() {
+            self.deferred = None;
+        }
     }
 
     /// Moves every current position `x` to `map.map(x)`: composed onto
@@ -234,6 +391,7 @@ impl Tour {
         for (_, rec) in &mut deferred.fresh {
             *rec = map.apply(*rec);
         }
+        deferred.renumbered += deferred.fresh.len();
         deferred.pending.then(map);
     }
 
@@ -249,10 +407,49 @@ impl Tour {
         }
         let deferred = self.deferred.get_or_insert_default();
         splice_sorted(&mut deferred.fresh, run, |&(e, _)| e);
-        let work = deferred.fresh.len() + deferred.pending.steps.len();
-        if work * LAZY_SHARE > self.edges.len() {
-            self.materialize();
+        self.settle();
+    }
+
+    /// The kept side of a split: takes the records of `gone` (sorted
+    /// edges, each in one of the runs) out of both runs and returns
+    /// them in edge order at their current positions, then moves every
+    /// remaining position `x` to `kept.map(x)` — applied to the fresh
+    /// run, composed onto the pending map for the base — and, when the
+    /// kept region takes a fresh id, relabels the records with it, the
+    /// base's in place (the split rewrites every kept member's tour
+    /// then anyway). Otherwise, of the base, only the entries above the
+    /// first one taken move.
+    pub(crate) fn keep_region(
+        &mut self,
+        gone: &[Edge],
+        kept: &PosMap,
+        rename: Option<TourId>,
+    ) -> Shard {
+        let key = |&(e, _): &(Edge, EdgeRec)| e;
+        let deferred = self.deferred.get_or_insert_default();
+        let mut taken = extract_sorted(&mut self.edges, gone, key);
+        for (_, rec) in &mut taken {
+            *rec = deferred.read(*rec);
         }
+        let fresh = extract_sorted(&mut deferred.fresh, gone, key);
+        if !fresh.is_empty() {
+            taken = merge_by_key(taken.into_iter(), fresh.into_iter(), key).collect();
+        }
+        for (_, rec) in &mut deferred.fresh {
+            *rec = kept.apply(*rec);
+            if let Some(t) = rename {
+                rec.tour = t;
+            }
+        }
+        deferred.renumbered += deferred.fresh.len();
+        deferred.pending.then(kept);
+        if let Some(t) = rename {
+            for (_, rec) in &mut self.edges {
+                rec.tour = t;
+            }
+        }
+        self.settle();
+        taken
     }
 }
 
@@ -273,8 +470,9 @@ fn merge_by_key<T, K: Ord>(
 
 /// Splices a run into a sorted vector — an edge run or a member list —
 /// in place, from the back: only the entries above the run's smallest
-/// key move, one block per run entry. A run small next to the vector
-/// finds its blocks by binary search, a larger one by a linear scan.
+/// key move, one block per run entry. Each run entry finds its block
+/// by a galloping search down from the one before, so the probes move
+/// backward through the vector and stay near each other.
 #[expect(
     clippy::disallowed_macros,
     reason = "a debug_assert!, which clippy reads as the assert! it expands to"
@@ -290,20 +488,19 @@ pub(crate) fn splice_sorted<T: Copy, K: Ord>(
         return;
     }
     let mut end = into.len();
-    let small = run.len() * 8 <= end;
     into.extend_from_slice(&run);
     let mut out = into.len();
     for x in run.into_iter().rev() {
         let k = key(&x);
-        let at = if small {
-            into[..end].partition_point(|y| key(y) < k)
-        } else {
-            let mut at = end;
-            while at > 0 && key(&into[at - 1]) >= k {
-                at -= 1;
-            }
-            at
-        };
+        // Every entry in `hi..end` is at least `k`; the first one of
+        // them lies in `lo..=hi` once `into[lo]` is below `k`.
+        let (mut lo, mut hi, mut step) = (end, end, 1);
+        while lo > 0 && key(&into[lo - 1]) >= k {
+            hi = lo - 1;
+            lo = hi.saturating_sub(step);
+            step *= 2;
+        }
+        let at = lo + into[lo..hi].partition_point(|y| key(y) < k);
         // A duplicate key (a caller bug) is spliced anyway, so the
         // validator reports it.
         debug_assert!(
@@ -315,6 +512,54 @@ pub(crate) fn splice_sorted<T: Copy, K: Ord>(
         into[out] = x;
         end = at;
     }
+}
+
+/// Takes the entries whose keys `gone` lists (sorted; a key the vector
+/// does not hold is skipped) out of a sorted vector — an edge run or a
+/// member list — and returns them in order. It works in place from the
+/// front, the mirror of [`splice_sorted`]: each key is found by a
+/// galloping search from the one before, so the probes move forward
+/// through the vector and stop at its end, and only the entries above
+/// the first one taken move, one block per entry taken.
+pub(crate) fn extract_sorted<T: Copy, K: Ord>(
+    from: &mut Vec<T>,
+    gone: &[K],
+    key: impl Fn(&T) -> K,
+) -> Vec<T> {
+    let mut taken = Vec::with_capacity(gone.len());
+    // `from[..write]` is final, `from[read..]` still in place, and no
+    // entry below `scan` holds a key still to come.
+    let (mut read, mut write, mut scan) = (0, 0, 0);
+    for k in gone {
+        if scan == from.len() {
+            break;
+        }
+        // Every entry below `lo` is smaller than `k`; the first one at
+        // least `k` lies in `lo..=hi`.
+        let (mut lo, mut hi, mut step) = (scan, scan, 1);
+        while from.get(hi).is_some_and(|y| key(y) < *k) {
+            lo = hi + 1;
+            hi = (hi + step).min(from.len());
+            step *= 2;
+        }
+        let at = lo + from[lo..hi].partition_point(|y| key(y) < *k);
+        scan = at;
+        if from.get(at).is_none_or(|y| key(y) != *k) {
+            continue;
+        }
+        taken.push(from[at]);
+        if write != read {
+            from.copy_within(read..at, write);
+        }
+        write += at - read;
+        read = at + 1;
+        scan = read;
+    }
+    if write != read {
+        from.copy_within(read.., write);
+        from.truncate(from.len() - (read - write));
+    }
+    taken
 }
 
 /// Identifier of one Euler tour (one tree of the forest). Tour ids
@@ -588,10 +833,13 @@ impl DistEtf {
         reason = "a debug_assert!, which clippy reads as the assert! it expands to"
     )]
     pub(crate) fn put_tour(&mut self, t: TourId, tour: Tour) {
-        for run in [&tour.edges[..], tour.deferred_parts().1] {
+        for run in [&tour.edges[..], tour.fresh()] {
             debug_assert!(run.is_sorted_by(|a, b| a.0 < b.0), "unsorted shard");
-            debug_assert!(run.iter().all(|(_, r)| r.tour == t), "mislabelled shard");
         }
+        debug_assert!(
+            tour.records().all(|(_, r)| r.tour == t),
+            "mislabelled shard"
+        );
         debug_assert!(tour.members.is_sorted(), "tour members must stay sorted");
         self.edge_count += tour.len();
         self.tours.insert(t, tour);
@@ -784,20 +1032,6 @@ impl DistEtf {
         self.link(u, v);
     }
 
-    /// Builds a sorted member list from a region's edges' endpoints.
-    pub(crate) fn members_of_entries<'a>(
-        entries: impl Iterator<Item = &'a (Edge, EdgeRec)>,
-    ) -> Vec<VertexId> {
-        let mut vs: Vec<VertexId> = Vec::with_capacity(2 * entries.size_hint().0);
-        for (e, _) in entries {
-            vs.push(e.u());
-            vs.push(e.v());
-        }
-        vs.sort_unstable();
-        vs.dedup();
-        vs
-    }
-
     /// Cuts tree edge `e`, splitting one tour into two (paper
     /// Lemma 5.1 "Split"). Returns the two resulting tour ids (root
     /// side, detached side) — for endpoints that become singletons
@@ -819,7 +1053,10 @@ impl DistEtf {
         // A one-cut split: the detached side is the cut's region,
         // which takes the first id `split_tour` allocates.
         let child = self.next_id;
-        self.split_tour(rec.tour, &[(rec.first.pos, rec.second.pos, e)]);
+        self.split_tour(
+            rec.tour,
+            &[(rec.first.pos, rec.second.pos, e, rec.first.from)],
+        );
         (rec.tour, child)
     }
 }
@@ -1276,11 +1513,13 @@ mod tests {
             self.tours.values_mut().for_each(Tour::materialize);
         }
 
-        /// A tour's base and fresh run lengths and pending step count.
+        /// A tour's base and fresh run lengths and pending map pieces.
         pub(crate) fn lazy_state(&self, t: TourId) -> (usize, usize, usize) {
             let tour = &self.tours[&t];
-            let (pending, fresh) = tour.deferred_parts();
-            (tour.edges.len(), fresh.len(), pending.steps.len())
+            match &tour.deferred {
+                None => (tour.edges.len(), 0, 0),
+                Some(d) => (tour.edges.len(), d.fresh.len(), d.pending.len()),
+            }
         }
     }
 

@@ -23,33 +23,38 @@
 //! `O(|forest|)` — and tour-id reassignment moves whole shards by
 //! splice (an in-place sorted-run merge) rather than per-edge rewrites.
 //!
-//! A join costs what it attaches. The tour that anchors a join (the
-//! largest) keeps its shard in two runs: a **base** run whose
-//! positions predate the joins it has anchored since its last full
-//! pass, with a **pending position map** — the composition of those
-//! joins' plans, a monotone piecewise translation of `O(k)` steps per
-//! join — and a small **fresh** run of the records those joins
-//! attached, at exact positions. A join composes its plan onto the
-//! pending map (a merge of two step lists), remaps the fresh run, and
-//! splices the children's remapped records into it; the base is not
-//! touched. Every
-//! read ([`DistEtf::edge_rec`], [`DistEtf::occurrences`],
-//! [`DistEtf::f_l`], [`DistEtf::tour_edges`], the validator, the
-//! snapshot writer) goes through the map, so positions stay contiguous
-//! and snapshot bytes and model charges are those of an eager remap.
-//! The pending work is applied on the next full pass over the tour:
-//! a split folds the map into the plan it reads the base with and
-//! merges each region's fresh records into its base; a reroot, or a
-//! join in which the tour is a child, applies it first; and a join
-//! applies it once fresh records plus map steps exceed a fixed share
-//! (one sixteenth) of the base.
-//!
-//! A split is one compaction pass over the cut tour's runs: the
-//! *longest* resulting region keeps the shard and member vectors and
-//! is rewritten in place, and only the other regions' records are
-//! moved out; their member lists derive from those records, the kept
-//! region's is the old list minus what left, and only the endpoints of
-//! the deleted edges are examined for new singletons.
+//! A join costs what it attaches, and a split what it cuts off. A tour
+//! keeps its shard in two runs: a **base** run whose positions predate
+//! the joins it has anchored and the splits it has survived since its
+//! last full pass, with a **pending position map** — the composition of
+//! those operations' plans, a monotone piecewise translation with signed
+//! offsets, defined on the positions that still hold base records — and
+//! a small **fresh** run of the records those joins attached, at exact
+//! positions. A join composes its plan onto the pending map (one merge
+//! walk over the two piece lists), remaps the fresh run, and splices the
+//! children's remapped records into it. A split sweeps its `O(k)` cuts
+//! into a plan and keeps the tour record for its longest region; it
+//! walks the forest adjacency of every other region (the deleted edges
+//! already out of it) to learn its edges and members, takes those
+//! records and the deleted ones out of both runs in one front-to-back
+//! pass (a galloping search per key, one block move per record taken),
+//! renumbers them into their regions, renumbers the fresh run, and
+//! composes the kept region's renumbering onto the pending map. When
+//! the kept region is a cut's interior, it takes a fresh tour id, which
+//! is written into every record and member it keeps, one word each.
+//! Otherwise neither operation touches the rest of the base. Every read ([`DistEtf::edge_rec`],
+//! [`DistEtf::occurrences`], [`DistEtf::f_l`], [`DistEtf::tour_edges`],
+//! the validator, the snapshot writer) goes through the map, so
+//! positions stay contiguous and tour ids, snapshot bytes and model
+//! charges are those of an eager remap; a whole-run read (the snapshot
+//! writer, a full pass) looks positions up through a jump table instead
+//! of a binary search per position. The pending work is applied on the
+//! next full pass over the tour — a reroot, or a join in which the tour
+//! is a child, applies it first — or by the join or split after which
+//! fresh records plus map pieces exceed a fixed share (one sixteenth)
+//! of the base, or after which the fresh records remapped and
+//! renumbered since the last full pass outnumber the base records: a
+//! fresh run that outlives many operations costs them about one pass.
 //!
 //! A snapshot load refuses, as `SnapshotError::Corrupt`, every state in
 //! which the tables disagree: a stored length other than `4·|edges|`,
@@ -108,11 +113,12 @@
 //! into the destination's fresh run, and the destination defers its
 //! own remap as a pending map (see above), which is at most the same
 //! `O(|affected tours|)` local work with far better constants than
-//! per-edge rewrites. A split does what the paper's machines do: the
-//! longest region's records are remapped where they lie, from the
-//! `O(k)`-word plan, and the smaller regions are cut out of the
-//! shard as whole arrays under fresh tour ids. All deviations are
-//! behaviour-preserving and are validated by the intrinsic tour
+//! per-edge rewrites. A split finds the regions it cuts off by walking
+//! the forest adjacency rather than by scanning the shard for their
+//! positions, moves their records out as whole arrays under fresh tour
+//! ids, and defers the longest region's renumbering, so its work
+//! follows what leaves the tour, not the tour's length. All deviations
+//! are behaviour-preserving and are validated by the intrinsic tour
 //! checker, which also checks that every record carries its shard's
 //! tour id ([`tour::TourViolation::ShardMismatch`]).
 
