@@ -168,6 +168,23 @@ fn best_of(reps: usize, mut timed: impl FnMut() -> Duration) -> Duration {
     (0..reps).map(|_| timed()).min().unwrap_or_default()
 }
 
+/// Host ns per call of `read`, which makes `calls` calls: the best of
+/// 50 warm samples, each repeating `read` until it lasts ≥ 1 ms.
+fn ns_per_call(calls: u32, mut read: impl FnMut()) -> f64 {
+    let mut sample = |reps: u32| {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            read();
+        }
+        t0.elapsed()
+    };
+    let mut reps = 1;
+    while sample(reps) < Duration::from_millis(1) {
+        reps *= 2;
+    }
+    best_of(50, || sample(reps)).as_secs_f64() * 1e9 / f64::from(reps * calls)
+}
+
 /// E11 — Lemmas 5.1/6.4: Euler-tour operations cost `O(1)` rounds at
 /// every batch size, and the tours stay valid.
 pub fn e11_etf_ops() -> Vec<Table> {
@@ -320,11 +337,17 @@ fn e11b_tour_scaling() -> Table {
 /// root built by single joins leaves up to 1/16 of its base there; the
 /// warm-up runs until the renumbering has cost one pass over the base,
 /// which the tour then applies, so the samples time the steady state.
+/// On that steady-state root the last columns time two point reads
+/// (ns per call, best of 50 warm samples of ≥ 1 ms): `contains_edge`,
+/// one binary search of an adjacency row, on a forest edge and a
+/// non-edge alternately, and `f_l` of a path vertex, one pass over its
+/// two edges. Neither reads more of the tour than those edges' records,
+/// so both are expected flat too.
 fn e11b_root_scaling() -> Table {
     let mut t = Table::new(
         "E11b (root-size sweep): batch join of a 32-vertex tree into a large root tour, \
-         and the batch split that detaches it (expected: both flat in root size; criterion: \
-         each column at 16k ≤ 1.5× its 1k value)",
+         and the batch split that detaches it, then two point reads on the root (expected: \
+         all flat in root size; criterion: each column at 16k ≤ 1.5× its 1k value)",
         &[
             "root tour edges",
             "ops per sample",
@@ -332,10 +355,14 @@ fn e11b_root_scaling() -> Table {
             "join vs 1k",
             "split (µs per op, warm best-of-50)",
             "split vs 1k",
+            "contains_edge (ns per call, edge + non-edge)",
+            "contains_edge vs 1k",
+            "f_l (ns per call)",
+            "f_l vs 1k",
         ],
     );
     let tree = 32u32;
-    let mut base = (0.0f64, 0.0f64);
+    let mut base = [0.0f64; 4];
     for root in [1024u32, 4096, 16384] {
         let n = (root + 1 + tree) as usize;
         let mut ctx = experiment_context(n, 0.5);
@@ -370,8 +397,17 @@ fn e11b_root_scaling() -> Table {
             |d: Option<Duration>| d.unwrap_or_default().as_secs_f64() * 1e6 / f64::from(ops);
         let join = per_op(samples.iter().map(|s| s.0).min());
         let split = per_op(samples.iter().map(|s| s.1).min());
+        let (edge, non_edge) = (Edge::new(root / 4, root / 4 + 1), Edge::new(0, root));
+        let contains = ns_per_call(2, || {
+            black_box(etf.contains_edge(black_box(edge)));
+            black_box(etf.contains_edge(black_box(non_edge)));
+        });
+        let f_l = ns_per_call(1, || {
+            black_box(etf.f_l(black_box(root / 2)));
+        });
+        let row = [join, split, contains, f_l];
         if root == 1024 {
-            base = (join, split);
+            base = row;
         }
         // The last row carries each column's verdict on the criterion.
         let vs_1k = |x: f64, at_1k: f64| {
@@ -382,14 +418,11 @@ fn e11b_root_scaling() -> Table {
                 _ => format!("{}x", f2(ratio)),
             }
         };
-        t.row(vec![
-            root.to_string(),
-            ops.to_string(),
-            f2(join),
-            vs_1k(join, base.0),
-            f2(split),
-            vs_1k(split, base.1),
-        ]);
+        let mut cells = vec![root.to_string(), ops.to_string()];
+        for (x, at_1k) in row.into_iter().zip(base) {
+            cells.extend([f2(x), vs_1k(x, at_1k)]);
+        }
+        t.row(cells);
     }
     t
 }

@@ -7,7 +7,6 @@ use mpc_graph::update::{Batch, Update};
 use mpc_sim::{MpcContext, MpcError, MpcStreamError};
 use mpc_sketch::cascade::{self, Untouched};
 use mpc_sketch::{MergeScratch, SketchBank};
-use std::collections::BTreeMap;
 
 /// Tuning knobs for [`Connectivity`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -444,12 +443,12 @@ impl Connectivity {
     /// still holds the pre-split labels.
     fn capture_pieces(&self, tours: &[TourId]) -> SplitPieces {
         let mut pieces: Vec<Piece> = Vec::with_capacity(tours.len());
-        let mut origins: BTreeMap<VertexId, Vec<u32>> = BTreeMap::new();
+        let mut origins: Vec<(VertexId, u32)> = Vec::with_capacity(tours.len());
         for (i, &tour) in tours.iter().enumerate() {
             let members = self.etf.tour_members(tour);
             let first = members[0];
             let origin = self.comp[first as usize];
-            origins.entry(origin).or_default().push(i as u32);
+            origins.push((origin, i as u32));
             pieces.push(Piece {
                 tour,
                 first,
@@ -459,9 +458,10 @@ impl Connectivity {
                 members: Vec::new(),
             });
         }
-        for siblings in origins.values() {
-            let mut largest = siblings[0] as usize;
-            for &i in &siblings[1..] {
+        origins.sort_unstable();
+        for siblings in origins.chunk_by(|a, b| a.0 == b.0) {
+            let mut largest = siblings[0].1 as usize;
+            for &(_, i) in &siblings[1..] {
                 if pieces[i as usize].size > pieces[largest].size {
                     largest = i as usize;
                 }
@@ -497,11 +497,17 @@ impl Connectivity {
     /// counts every member.
     fn find_replacements(&mut self, split: &SplitPieces, ctx: &mut MpcContext) -> Vec<Edge> {
         let pieces = &split.pieces;
-        let piece_index: BTreeMap<TourId, u32> = pieces
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.tour, i as u32))
-            .collect();
+        // Tour → piece index, sorted by tour (`batch_split` returns
+        // each tour once).
+        let mut piece_index: Vec<(TourId, u32)> =
+            pieces.iter().zip(0..).map(|(p, i)| (p.tour, i)).collect();
+        piece_index.sort_unstable();
+        let piece_of = |t: TourId| {
+            piece_index
+                .binary_search_by_key(&t, |&(tour, _)| tour)
+                .ok()
+                .map(|at| piece_index[at].1)
+        };
         let member_total: u64 = pieces.iter().map(|p| p.size as u64).sum();
         let sketch_words = self.bank.words_per_copy();
         // One converge-cast merges every piece's sketches (all `t`
@@ -531,7 +537,7 @@ impl Connectivity {
             // Holds the origin's largest piece: minus the sum of the
             // sibling pieces outside this supernode.
             let root = roots[group[0] as usize];
-            for &pj in &split.origins[&pieces[group[0] as usize].origin] {
+            for pj in split.siblings(pieces[group[0] as usize].origin) {
                 if roots[pj as usize] != root {
                     bank.subtract_copy_from(&pieces[pj as usize].members, scratch);
                 }
@@ -565,14 +571,12 @@ impl Connectivity {
             reason = "a debug_assert!, which clippy reads as the assert! it expands to"
         )]
         let nodes_of = |e: Edge| {
-            let ends = piece_index
-                .get(&etf.tour_of(e.u()))
-                .zip(piece_index.get(&etf.tour_of(e.v())));
+            let ends = piece_of(etf.tour_of(e.u())).zip(piece_of(etf.tour_of(e.v())));
             debug_assert!(
                 ends.is_some(),
                 "sampled edge {e} leaves the affected component"
             );
-            ends.map(|(&a, &b)| (a, b))
+            ends
         };
         self.sampler_failures += cascade::run(
             bank,
@@ -636,8 +640,20 @@ struct Piece {
 struct SplitPieces {
     /// In the order `batch_split` returned the tours.
     pieces: Vec<Piece>,
-    /// Origin label → indices of the pieces cut from it.
-    origins: BTreeMap<VertexId, Vec<u32>>,
+    /// `(origin label, piece index)` for every piece, sorted: the
+    /// pieces cut from one origin form a run, in ascending index.
+    origins: Vec<(VertexId, u32)>,
+}
+
+impl SplitPieces {
+    /// Indices of the pieces cut from `origin`, ascending.
+    fn siblings(&self, origin: VertexId) -> impl Iterator<Item = u32> + '_ {
+        let from = self.origins.partition_point(|&(o, _)| o < origin);
+        self.origins[from..]
+            .iter()
+            .take_while(move |&&(o, _)| o == origin)
+            .map(|&(_, i)| i)
+    }
 }
 
 // ----- snapshot persistence ---------------------------------------

@@ -25,7 +25,6 @@ use crate::TourId;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
 use mpc_sim::{MpcContext, MpcError};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-tour remapping plan broadcast to all machines during a batch
 /// join: entry `x` of the tour maps to
@@ -98,16 +97,27 @@ impl DistEtf {
         ctx: &mut MpcContext,
     ) -> Result<Vec<Edge>, MpcError> {
         // --- F_H: one union-find over the touched tours ---------------
-        let mut tour_index: BTreeMap<TourId, u32> = BTreeMap::new();
-        let mut uf = UnionFind::new(2 * candidates.len());
+        // A tour's node is the position of its first endpoint among the
+        // candidates' `2k` endpoints: a numbering monotone in first-seen
+        // order, read off one sort of (tour, position) pairs.
+        let mut ends: Vec<(TourId, u32)> = candidates
+            .iter()
+            .flat_map(|e| [e.u(), e.v()])
+            .zip(0..)
+            .map(|(v, at)| (self.tour_of(v), at))
+            .collect();
+        ends.sort_unstable();
+        let mut node = vec![0u32; ends.len()];
+        for tour in ends.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, at) in tour {
+                node[at as usize] = tour[0].1;
+            }
+        }
+        let mut uf = UnionFind::new(node.len());
         let mut kept: Vec<(Edge, u32)> = Vec::new();
-        for &e in candidates {
-            let [a, b] = [e.u(), e.v()].map(|v| {
-                let next = tour_index.len() as u32;
-                *tour_index.entry(self.tour_of(v)).or_insert(next)
-            });
-            if uf.union(a, b) {
-                kept.push((e, a));
+        for (&e, ab) in candidates.iter().zip(node.chunks_exact(2)) {
+            if uf.union(ab[0], ab[1]) {
+                kept.push((e, ab[0]));
             }
         }
         if kept.is_empty() {
@@ -124,12 +134,12 @@ impl DistEtf {
         ctx.exchange(2 * k);
         ctx.sort(8 * k);
         ctx.broadcast(4);
-        // --- group F_H into the components of H -----------------------
-        let mut comp_edges: BTreeMap<u32, Vec<Edge>> = BTreeMap::new();
+        // --- group F_H into the components of H, by union-find root ---
+        let mut comp_edges: Vec<Vec<Edge>> = vec![Vec::new(); node.len()];
         for &(e, a) in &kept {
-            comp_edges.entry(uf.find(a)).or_default().push(e);
+            comp_edges[uf.find(a) as usize].push(e);
         }
-        for (_, comp) in comp_edges {
+        for comp in comp_edges.iter().filter(|comp| !comp.is_empty()) {
             if let [e] = comp[..] {
                 // The dominant component shape: the larger tour anchors
                 // in place, the smaller is spliced into it — exactly the
@@ -141,117 +151,113 @@ impl DistEtf {
                     self.link(v, u);
                 }
             } else {
-                self.join_component(&comp);
+                self.join_component(comp);
             }
         }
         Ok(kept.into_iter().map(|(e, _)| e).collect())
     }
 
-    /// Joins one auxiliary-tree component.
+    /// Joins one auxiliary-tree component. Its `O(k)` touched tours are
+    /// the nodes of the auxiliary tree, numbered in ascending tour id,
+    /// and every per-node table is a vector indexed by that number.
     #[expect(
         clippy::disallowed_macros,
         reason = "a debug_assert!, which clippy reads as the assert! it expands to"
     )]
     fn join_component(&mut self, comp: &[Edge]) {
-        // Auxiliary adjacency: tour -> (edge, local endpoint, remote
-        // endpoint, remote tour).
-        let mut aux: BTreeMap<TourId, Vec<(Edge, VertexId, VertexId, TourId)>> = BTreeMap::new();
+        let mut nodes: Vec<TourId> = comp
+            .iter()
+            .flat_map(|e| [self.tour_of(e.u()), self.tour_of(e.v())])
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let node_of = |t: TourId| nodes.partition_point(|&x| x < t);
+        // Auxiliary adjacency: node -> (local endpoint, remote
+        // endpoint, remote node).
+        let mut aux: Vec<Vec<(VertexId, VertexId, usize)>> = vec![Vec::new(); nodes.len()];
         for &e in comp {
-            let (tu, tv) = (self.tour_of(e.u()), self.tour_of(e.v()));
-            aux.entry(tu).or_default().push((e, e.u(), e.v(), tv));
-            aux.entry(tv).or_default().push((e, e.v(), e.u(), tu));
+            let (a, b) = (node_of(self.tour_of(e.u())), node_of(self.tour_of(e.v())));
+            aux[a].push((e.u(), e.v(), b));
+            aux[b].push((e.v(), e.u(), a));
         }
         // Anchor the merge at the *largest* participating tour: the
         // root is never rerooted, keeps its tour id, its shard order,
         // and its members' tour assignments — so the dominant cost of
         // a join is proportional to the smaller tours plus the shifted
         // tail of the root, not to the whole merged component.
-        // An empty component joins nothing.
-        let Some(&first_tour) = aux.keys().next() else {
+        // Strictly greater: ties keep the smallest id, which also keeps
+        // the merged runs in ascending key order. An empty component
+        // joins nothing.
+        let lens: Vec<u64> = nodes.iter().map(|&t| self.tour_len(t)).collect();
+        let Some(root) =
+            (0..nodes.len()).reduce(|best, i| if lens[i] > lens[best] { i } else { best })
+        else {
             return;
         };
-        let root: TourId = {
-            let mut best = first_tour;
-            for &t in aux.keys().skip(1) {
-                // Strictly greater: ties keep the smallest id, which
-                // also keeps the merged runs in ascending key order.
-                if self.tour_len(t) > self.tour_len(best) {
-                    best = t;
-                }
-            }
-            best
-        };
-        // BFS: assign parents; child nodes must be rooted at their
-        // attach terminal before f-values are read.
-        let mut order: Vec<TourId> = vec![root];
-        let mut parent_edge: BTreeMap<TourId, (VertexId, VertexId)> = BTreeMap::new(); // child -> (u in parent, v in child)
-        let mut visited: BTreeSet<TourId> = BTreeSet::from([root]);
+        // Traversal from the root: assign parents; child nodes must be
+        // rooted at their attach terminal before f-values are read.
+        let mut order: Vec<usize> = vec![root];
+        // child -> (parent node, u in parent, v in child)
+        let mut parent_edge: Vec<(usize, VertexId, VertexId)> = vec![(root, 0, 0); nodes.len()];
+        let mut visited = vec![false; nodes.len()];
+        visited[root] = true;
         let mut frontier = vec![root];
         while let Some(a) = frontier.pop() {
-            for &(_, local, remote, remote_tour) in &aux[&a] {
-                if visited.insert(remote_tour) {
-                    parent_edge.insert(remote_tour, (local, remote));
-                    order.push(remote_tour);
-                    frontier.push(remote_tour);
+            for &(local, remote, b) in &aux[a] {
+                if !visited[b] {
+                    visited[b] = true;
+                    parent_edge[b] = (a, local, remote);
+                    order.push(b);
+                    frontier.push(b);
                 }
             }
         }
         // Rotate every non-root node to start at its attach terminal
         // (the paper's per-node Rooting step; one broadcast covers all
         // rotations, charged by the caller).
-        for t in &order[1..] {
-            let (_, v_child) = parent_edge[t];
-            self.reroot_uncharged(v_child);
+        for &t in &order[1..] {
+            self.reroot_uncharged(parent_edge[t].2);
         }
         // Children of each node, sorted by even-ized attach position.
         #[derive(Debug)]
         struct Child {
             c: u64,
-            child: TourId,
+            child: usize,
             u: VertexId,
             v: VertexId,
         }
-        let mut children: BTreeMap<TourId, Vec<Child>> = BTreeMap::new();
-        for &t in &order {
-            children.entry(t).or_default();
-        }
-        for (&child, &(u, v)) in &parent_edge {
-            let parent = self.tour_of(u);
+        let mut children: Vec<Vec<Child>> = (0..nodes.len()).map(|_| Vec::new()).collect();
+        for &child in &order[1..] {
+            let (parent, u, v) = parent_edge[child];
             let (f_u, _) = self.f_l(u);
             let c = if f_u % 2 == 1 { f_u - 1 } else { f_u };
-            #[expect(
-                clippy::expect_used,
-                reason = "traversal invariant — silently dropping a child would corrupt the merge plan"
-            )]
-            children
-                .get_mut(&parent)
-                .expect("parent visited")
-                .push(Child { c, child, u, v });
+            children[parent].push(Child { c, child, u, v });
         }
-        for kids in children.values_mut() {
+        for kids in &mut children {
             kids.sort_by_key(|ch| (ch.c, ch.child));
         }
         // Post-order totals.
-        let mut total: BTreeMap<TourId, u64> = BTreeMap::new();
+        let mut total = vec![0u64; nodes.len()];
         for &t in order.iter().rev() {
-            let own = self.tour_len(t);
-            let kids_total: u64 = children[&t].iter().map(|ch| total[&ch.child] + 4).sum();
-            total.insert(t, own + kids_total);
+            total[t] = lens[t]
+                + children[t]
+                    .iter()
+                    .map(|ch| total[ch.child] + 4)
+                    .sum::<u64>();
         }
         // Pre-order offsets, breakpoints, and new edge records. The
         // merged tour keeps the root's id (cf. `split_tour`, whose
         // root region keeps the split tour's id).
-        let new_tour = root;
-        let mut plans: BTreeMap<TourId, NodePlan> = BTreeMap::new();
-        plans.insert(root, NodePlan::default());
+        let new_tour = nodes[root];
+        let mut plans: Vec<NodePlan> = vec![NodePlan::default(); nodes.len()];
         let mut new_recs: Vec<(Edge, EdgeRec)> = Vec::new();
         for &t in &order {
-            let offset = plans[&t].offset;
+            let offset = plans[t].offset;
             let mut running = 0u64;
             let mut breakpoints = PosMap::default();
-            for ch in &children[&t] {
+            for ch in &children[t] {
                 let block_start = offset + ch.c + running;
-                let w = total[&ch.child];
+                let w = total[ch.child];
                 new_recs.push((
                     Edge::new(ch.u, ch.v),
                     EdgeRec {
@@ -266,22 +272,11 @@ impl DistEtf {
                         },
                     },
                 ));
-                plans.insert(
-                    ch.child,
-                    NodePlan {
-                        offset: block_start + 2,
-                        breakpoints: PosMap::default(),
-                    },
-                );
+                plans[ch.child].offset = block_start + 2;
                 running += w + 4;
                 breakpoints.push(ch.c, w + 4);
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "map invariant — every tour in `order` received a plan in the pre-order pass"
-            )]
-            let plan = plans.get_mut(&t).expect("inserted above");
-            plan.breakpoints = breakpoints;
+            plans[t].breakpoints = breakpoints;
         }
         // Local application: tours outside the component are never
         // visited. The root's plan is composed onto its pending map, so
@@ -289,25 +284,17 @@ impl DistEtf {
         // next full pass. The children, exact since their reroot, are
         // remapped and spliced into the root's fresh run (or, when they
         // carry at least as many edges as its base, merged into it).
-        let mut tour = self.take_tour(root);
-        let child_edges = order[1..]
-            .iter()
-            .map(|&t| self.tour_len(t) / 4)
-            .sum::<u64>() as usize;
-        #[expect(
-            clippy::expect_used,
-            reason = "map invariant — the root is in `order`, so the pre-order pass planned it"
-        )]
-        let root_plan = plans.remove(&root).expect("root planned");
-        tour.remap(&root_plan.breakpoints);
+        let mut tour = self.take_tour(new_tour);
+        let child_edges = order[1..].iter().map(|&t| lens[t] / 4).sum::<u64>() as usize;
+        tour.remap(&plans[root].breakpoints);
         let mut merged = Vec::with_capacity(child_edges + new_recs.len());
         // Membership: the root's members keep their tour assignment
         // (the merged tour is the root's), so only the child runs are
         // relabelled.
         let mut extra: Vec<VertexId> = Vec::new();
         for &t in &order[1..] {
-            let plan = &plans[&t];
-            let mut child = self.take_tour(t);
+            let plan = &plans[t];
+            let mut child = self.take_tour(nodes[t]);
             debug_assert!(
                 child.deferred.is_none(),
                 "a child is exact after its reroot"
@@ -380,27 +367,28 @@ impl DistEtf {
     }
 
     pub(crate) fn batch_split_uncharged(&mut self, edges: &[Edge]) -> Vec<TourId> {
-        // Group the deleted edges by tour, each with its interval.
-        let mut by_tour: BTreeMap<TourId, Vec<Cut>> = BTreeMap::new();
-        for &e in edges {
-            #[expect(
-                clippy::panic,
-                reason = "documented \"# Panics\" precondition — ExactMsf deletes only tracked tree edges"
-            )]
-            let rec = self
-                .edge_rec(e)
-                .unwrap_or_else(|| panic!("batch_split of non-tree edge {e}"));
-            by_tour.entry(rec.tour).or_default().push((
-                rec.first.pos,
-                rec.second.pos,
-                e,
-                rec.first.from,
-            ));
-        }
+        // Group the deleted edges by tour, each with its interval: one
+        // sort of (tour, cut) pairs, so each tour's cuts come sorted.
+        let mut by_tour: Vec<(TourId, Cut)> = edges
+            .iter()
+            .map(|&e| {
+                #[expect(
+                    clippy::panic,
+                    reason = "documented \"# Panics\" precondition — ExactMsf deletes only tracked tree edges"
+                )]
+                let rec = self
+                    .edge_rec(e)
+                    .unwrap_or_else(|| panic!("batch_split of non-tree edge {e}"));
+                (rec.tour, (rec.first.pos, rec.second.pos, e, rec.first.from))
+            })
+            .collect();
+        by_tour.sort_unstable();
+        let cuts: Vec<Cut> = by_tour.iter().map(|&(_, cut)| cut).collect();
         let mut result_tours = Vec::new();
-        for (t, mut cuts) in by_tour {
-            cuts.sort_unstable();
-            result_tours.extend(self.split_tour(t, &cuts));
+        let mut at = 0;
+        for tour in by_tour.chunk_by(|a, b| a.0 == b.0) {
+            result_tours.extend(self.split_tour(tour[0].0, &cuts[at..at + tour.len()]));
+            at += tour.len();
         }
         result_tours
     }
@@ -572,6 +560,7 @@ mod tests {
     use crate::tour::validate;
     use mpc_hashing::rng::StdRng;
     use mpc_sim::MpcConfig;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn ctx() -> MpcContext {
         // Capacity sized so the test batches (up to 32 edges) pass the
@@ -968,6 +957,58 @@ mod tests {
         w.finish()
     }
 
+    /// The adjacency rows answer what the shards do: every row is
+    /// strictly ascending, every entry is mirrored and has a record,
+    /// `contains_edge` is `edge_rec(e).is_some()` on every pair of a
+    /// vertex sample (each stride vertex, its first neighbour, and one
+    /// vertex out of range), and `f_l` brackets `occurrences` on every
+    /// vertex.
+    fn dense_reads_agree(etf: &DistEtf, at: &str) {
+        let n = etf.vertex_count() as u32;
+        for v in 0..n {
+            let row = etf.neighbors(v);
+            assert!(row.is_sorted_by(|a, b| a < b), "{at}: row {v} {row:?}");
+            for &w in row {
+                // `contains_edge` probes the smaller endpoint's row, so
+                // on the larger one's entries it reads the mirror.
+                let e = Edge::new(v, w);
+                assert!(
+                    etf.contains_edge(e),
+                    "{at}: row {v} lists {w}, not mirrored"
+                );
+                assert!(
+                    etf.edge_rec(e).is_some(),
+                    "{at}: row {v} lists {w}, no record"
+                );
+            }
+        }
+        let mut sample: Vec<VertexId> = (0..n).step_by((n as usize / 12).max(1)).collect();
+        let near: Vec<VertexId> = sample
+            .iter()
+            .filter_map(|&v| etf.neighbors(v).first().copied())
+            .collect();
+        sample.extend(near);
+        sample.push(n);
+        for &a in &sample {
+            for &b in sample.iter().filter(|&&b| b != a) {
+                let e = Edge::new(a, b);
+                assert_eq!(
+                    etf.contains_edge(e),
+                    etf.edge_rec(e).is_some(),
+                    "{at}: contains_edge({e})"
+                );
+            }
+        }
+        for v in 0..n {
+            let occ = etf.occurrences(v);
+            let expected = occ
+                .first()
+                .zip(occ.last())
+                .map_or((0, 0), |(&f, &l)| (f, l));
+            assert_eq!(etf.f_l(v), expected, "{at}: f_l({v})");
+        }
+    }
+
     /// What a twin run reached: each count names a path on which the
     /// lazy state is applied, carried or cut.
     #[derive(Debug, Default)]
@@ -1121,6 +1162,7 @@ mod tests {
                     }
                 }
                 let at = format!("trial {trial} step {step}");
+                dense_reads_agree(&lazy, &at);
                 assert_eq!(saved(&lazy), saved(&eager), "{at}: snapshot bytes");
                 for e in eager.forest_edges() {
                     assert_eq!(lazy.edge_rec(e), eager.edge_rec(e), "{at}: {e}");

@@ -2,7 +2,7 @@
 
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_sim::MpcContext;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One tour's edge shard: a flat array sorted by edge. Batch plans
 /// remap the records (keys never change), and tour-id reassignment
@@ -664,9 +664,12 @@ pub struct DistEtf {
     n: usize,
     /// Each vertex's tour id; `tours[vertex_tour[v]]` lists `v`.
     vertex_tour: Vec<TourId>,
-    /// Tree neighbors; `w ∈ adj[v]` exactly when edge `{v, w}` has a
-    /// record in the shard of `v`'s tour.
-    adj: Vec<BTreeSet<VertexId>>,
+    /// Tree neighbors, one strictly ascending row per vertex; `w ∈
+    /// adj[v]` exactly when edge `{v, w}` has a record in the shard of
+    /// `v`'s tour. A row is the forest-edge index: membership tests
+    /// ([`DistEtf::contains_edge`]) and the split's region walk read it
+    /// by binary search and in order, without touching a shard.
+    adj: Vec<Vec<VertexId>>,
     /// The live tours, one record each: the edge shard (the
     /// machine-local segment the paper's protocol remaps), held as a
     /// base run read through a pending position map plus a fresh run
@@ -693,7 +696,7 @@ impl DistEtf {
         DistEtf {
             n,
             vertex_tour: (0..n as u64).collect(),
-            adj: vec![BTreeSet::new(); n],
+            adj: vec![Vec::new(); n],
             tours,
             edge_count: 0,
             next_id: n as TourId,
@@ -767,9 +770,11 @@ impl DistEtf {
         self.tours.keys().copied()
     }
 
-    /// Whether `e` is a forest (tree) edge.
+    /// Whether `e` is a forest (tree) edge: a binary search of `e.u()`'s
+    /// adjacency row for `e.v()`, which the adjacency invariant makes
+    /// equal to `edge_rec(e).is_some()` without reading a shard.
     pub fn contains_edge(&self, e: Edge) -> bool {
-        self.edge_rec(e).is_some()
+        (e.v() as usize) < self.n && self.adj[e.u() as usize].binary_search(&e.v()).is_ok()
     }
 
     /// The record of a forest edge, at its current positions. A forest
@@ -796,8 +801,8 @@ impl DistEtf {
         self.tours.get(&t).into_iter().flat_map(Tour::records)
     }
 
-    /// The tree neighbors of `v`.
-    pub fn neighbors(&self, v: VertexId) -> &BTreeSet<VertexId> {
+    /// The tree neighbors of `v`, strictly ascending.
+    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         &self.adj[v as usize]
     }
 
@@ -846,17 +851,26 @@ impl DistEtf {
     }
 
     /// Registers `e` in the tree adjacency only (for callers that
-    /// splice the record itself in bulk).
+    /// splice the record itself in bulk): each endpoint's row takes the
+    /// other at its sorted place.
     pub(crate) fn add_adjacency(&mut self, e: Edge) {
-        self.adj[e.u() as usize].insert(e.v());
-        self.adj[e.v() as usize].insert(e.u());
+        for (v, w) in [(e.u(), e.v()), (e.v(), e.u())] {
+            let row = &mut self.adj[v as usize];
+            if let Err(at) = row.binary_search(&w) {
+                row.insert(at, w);
+            }
+        }
     }
 
     /// Drops `e` from the tree adjacency only (for callers that cut
     /// the record itself out of its shard in bulk).
     pub(crate) fn remove_adjacency(&mut self, e: Edge) {
-        self.adj[e.u() as usize].remove(&e.v());
-        self.adj[e.v() as usize].remove(&e.u());
+        for (v, w) in [(e.u(), e.v()), (e.v(), e.u())] {
+            let row = &mut self.adj[v as usize];
+            if let Ok(at) = row.binary_search(&w) {
+                row.remove(at);
+            }
+        }
     }
 
     pub(crate) fn set_vertex_tour(&mut self, v: VertexId, t: TourId) {
@@ -865,40 +879,46 @@ impl DistEtf {
 
     // ----- occurrence bookkeeping ---------------------------------
 
-    /// All positions at which `v` occurs in its tour (2·deg entries).
-    pub fn occurrences(&self, v: VertexId) -> Vec<u64> {
+    /// The two positions at which `v` occurs on each of its tree
+    /// edges, in adjacency order: per edge, the earlier traversal's
+    /// entry, then the later one's.
+    fn edge_occurrences(&self, v: VertexId) -> impl Iterator<Item = [u64; 2]> + '_ {
         let adj = &self.adj[v as usize];
-        let mut out = Vec::with_capacity(2 * adj.len());
-        if adj.is_empty() {
-            return out;
-        }
-        let tour = &self.tours[&self.vertex_tour[v as usize]];
-        for &w in adj {
+        // A vertex with no edges reads no tour.
+        let tour = (!adj.is_empty()).then(|| &self.tours[&self.vertex_tour[v as usize]]);
+        adj.iter().map(move |&w| {
             #[expect(
                 clippy::expect_used,
                 reason = "adjacency and tour shards are mutated in lockstep — a missing edge is corruption"
             )]
-            let rec = tour.get(Edge::new(v, w)).expect("adjacent edge in shard");
-            for t in [rec.first, rec.second] {
-                if t.from == v {
-                    out.push(t.pos);
-                } else {
-                    out.push(t.pos + 1);
-                }
-            }
-        }
+            let rec = tour
+                .and_then(|tour| tour.get(Edge::new(v, w)))
+                .expect("adjacent edge in shard");
+            let at = |t: Traversal| if t.from == v { t.pos } else { t.pos + 1 };
+            [at(rec.first), at(rec.second)]
+        })
+    }
+
+    /// All positions at which `v` occurs in its tour (2·deg entries),
+    /// ascending.
+    pub fn occurrences(&self, v: VertexId) -> Vec<u64> {
+        let mut out: Vec<u64> = self.edge_occurrences(v).flatten().collect();
         out.sort_unstable();
         out
     }
 
     /// First and last occurrence `(f(v), ℓ(v))`; `(0, 0)` for a
-    /// singleton.
+    /// singleton. One pass over `v`'s edges: on each, the earlier
+    /// traversal's entry precedes the later one's, so the first
+    /// occurrence is the least earlier entry and the last the greatest
+    /// later one.
     pub fn f_l(&self, v: VertexId) -> (u64, u64) {
-        let occ = self.occurrences(v);
-        match (occ.first(), occ.last()) {
-            (Some(&f), Some(&l)) => (f, l),
-            _ => (0, 0),
-        }
+        let mut edges = self.edge_occurrences(v);
+        let Some(first) = edges.next() else {
+            return (0, 0);
+        };
+        let [f, l] = edges.fold(first, |[f, l], [a, b]| [f.min(a), l.max(b)]);
+        (f, l)
     }
 
     // ----- rooting -------------------------------------------------
@@ -1104,7 +1124,9 @@ impl mpc_snapshot::Persist for DistEtf {
         let corrupt = |what: String| Err(mpc_snapshot::SnapshotError::Corrupt(what));
         let n = usize::load(r)?;
         let vertex_tour = Vec::<TourId>::load(r)?;
-        let adj = Vec::<BTreeSet<VertexId>>::load(r)?;
+        // Each row decodes straight into its `Vec`; `check` refuses one
+        // that is not strictly ascending.
+        let adj = Vec::<Vec<VertexId>>::load(r)?;
         let mut tours: BTreeMap<TourId, Tour> = BTreeMap::new();
         for _ in 0..r.take_usize()? {
             let t = TourId::load(r)?;
@@ -1162,6 +1184,10 @@ impl DistEtf {
                 "forest over {n} vertices has {ids} tour ids and {rows} adjacency rows"
             ));
         }
+        // Every probe below is a binary search of a row.
+        if let Some(v) = adj.iter().position(|row| !row.is_sorted_by(|a, b| a < b)) {
+            return Err(format!("vertex {v}: adjacency row not strictly ascending"));
+        }
         // The member lists partition the vertices, each member labelled
         // with its own tour (so every vertex's tour is live). Every shard
         // lookup is a binary search by edge in the shard of the
@@ -1193,8 +1219,8 @@ impl DistEtf {
                     "a record that does not cross its edge both ways"
                 } else if misplaced(rec.first.pos) || misplaced(rec.second.pos) {
                     "a traversal at an even position or past the tour's end"
-                } else if !adj[e.u() as usize].contains(&e.v())
-                    || !adj[e.v() as usize].contains(&e.u())
+                } else if adj[e.u() as usize].binary_search(&e.v()).is_err()
+                    || adj[e.v() as usize].binary_search(&e.u()).is_err()
                 {
                     "a record missing from the adjacency"
                 } else {
@@ -1210,7 +1236,7 @@ impl DistEtf {
         }
         // With every record's two entries present, equal counts leave
         // no adjacency entry without a record.
-        let entries: usize = adj.iter().map(BTreeSet::len).sum();
+        let entries: usize = adj.iter().map(Vec::len).sum();
         if covered != n || edges != edge_count || entries != 2 * edge_count {
             return Err(format!(
                 "{n} vertices, {edge_count} edges: members cover {covered}, shards hold {edges}, \
@@ -1233,6 +1259,7 @@ mod tests {
     use crate::tour::validate;
     use mpc_sim::MpcConfig;
     use mpc_snapshot::{Persist, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+    use std::collections::BTreeSet;
 
     fn ctx() -> MpcContext {
         MpcContext::new(MpcConfig::builder(64, 0.5).build())
@@ -1699,6 +1726,23 @@ mod tests {
                 s.adj[4].remove(&3);
             },
         );
+    }
+
+    /// A row is decoded as written, so a forged row with a repeated or
+    /// descending entry must be refused before any probe reads it.
+    #[test]
+    fn load_rejects_an_unsorted_adjacency_row() {
+        for (lie, row) in [("duplicate", vec![0, 2, 2]), ("descending", vec![2, 0])] {
+            let mut etf = path_forest();
+            etf.adj[1] = row;
+            match decode::<DistEtf>(&payload(&etf)) {
+                Err(SnapshotError::Corrupt(what)) => assert!(
+                    what.contains("vertex 1: adjacency row not strictly ascending"),
+                    "{lie}: {what:?}"
+                ),
+                other => panic!("{lie}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -60,11 +60,18 @@
 //! which the tables disagree: a stored length other than `4·|edges|`,
 //! a shard or member list without its tour, member lists that do not
 //! partition the vertices or do not number one more than their tour's
-//! edges, a record endpoint outside its tour, adjacency that does not
-//! match the records, a traversal at an even position or past its
-//! tour's end, and a tour-id allocator at or below a live id. The rest
-//! of tour-walk validity (clashes, coverage, seams) is the validator's
-//! to check.
+//! edges, a record endpoint outside its tour, an adjacency row that is
+//! not strictly ascending, adjacency that does not match the records,
+//! a traversal at an even position or past its tour's end, and a
+//! tour-id allocator at or below a live id. The rest of tour-walk
+//! validity (clashes, coverage, seams) is the validator's to check.
+//!
+//! The tree adjacency is one strictly ascending row per vertex, so
+//! [`DistEtf::contains_edge`] is a binary search of one row and reads
+//! no shard, and [`DistEtf::f_l`] is one pass over a row's records.
+//! A batch join's plan (auxiliary tree, parents, children, subtree
+//! totals, per-node plans) is held in vectors indexed by the batch's
+//! touched tours, sorted: its cost follows the batch, not the forest.
 //!
 //! Operations ([`DistEtf`]):
 //!
