@@ -246,7 +246,12 @@ pub fn e11_etf_ops() -> Vec<Table> {
             "yes".into(),
         ]);
     }
-    vec![t, e11b_tour_scaling(), e11b_root_scaling()]
+    vec![
+        t,
+        e11b_tour_scaling(),
+        e11b_root_scaling(),
+        e11b_large_cutoff(),
+    ]
 }
 
 /// E11b — per-tour sharded storage locality: the same batch
@@ -328,21 +333,16 @@ fn e11b_tour_scaling() -> Table {
 /// what it cuts off: one 32-vertex path tree is batch-joined into the
 /// middle of a root path tour of 1k, 4k and 16k edges, built by single
 /// joins, and batch-split off again, each timed in its own column (µs
-/// per op, best of 50 warm samples of ≥ 1 ms). The join composes its
-/// plan onto the root's pending map and keeps the attached records in
-/// the fresh run; the split walks the cut-off tree over the adjacency,
-/// takes its records out of both runs and composes the kept region's
-/// renumbering onto the map. Neither touches the root's base, so both
-/// columns are expected flat. Both renumber the whole fresh run, and a
-/// root built by single joins leaves up to 1/16 of its base there; the
-/// warm-up runs until the renumbering has cost one pass over the base,
-/// which the tour then applies, so the samples time the steady state.
-/// On that steady-state root the last columns time two point reads
+/// per op, best of 50 warm samples of ≥ 1 ms). The join splits one of
+/// the root's blocks at the attach point and links the tree's blocks
+/// in; the split cuts them out again. Both then recompute the root's
+/// block starts, so both columns are expected flat up to that
+/// `O(blocks)` pass. On the root the last columns time two point reads
 /// (ns per call, best of 50 warm samples of ≥ 1 ms): `contains_edge`,
 /// one binary search of an adjacency row, on a forest edge and a
-/// non-edge alternately, and `f_l` of a path vertex, one pass over its
-/// two edges. Neither reads more of the tour than those edges' records,
-/// so both are expected flat too.
+/// non-edge alternately, and `f_l` of a path vertex, one block start
+/// read per edge of it. Neither reads more of the tour than that, so
+/// both are expected flat too.
 fn e11b_root_scaling() -> Table {
     let mut t = Table::new(
         "E11b (root-size sweep): batch join of a 32-vertex tree into a large root tour, \
@@ -423,6 +423,66 @@ fn e11b_root_scaling() -> Table {
             cells.extend([f2(x), vs_1k(x, at_1k)]);
         }
         t.row(cells);
+    }
+    t
+}
+
+/// E11b, large cut-off — a split whose cut-off region is large: on a
+/// 16k-edge root path tour, built by single joins, a batch split cuts
+/// off its last 1k or 4k edges and the batch join that follows puts
+/// them back, each timed in its own column (µs per op, best of 50 warm
+/// samples of ≥ 1 ms). The split hands the cut-off region its blocks
+/// whole and reads its members off them; the join relinks them.
+fn e11b_large_cutoff() -> Table {
+    let mut t = Table::new(
+        "E11b (large cut-off): batch split of the last 1k / 4k edges of a 16k-edge root path \
+         tour, then the batch join that puts them back",
+        &[
+            "root tour edges",
+            "cut-off edges",
+            "ops per sample",
+            "split (µs per op, warm best-of-50)",
+            "join (µs per op, warm best-of-50)",
+        ],
+    );
+    let root = 16384u32;
+    for cut in [1024u32, 4096] {
+        let n = (root + 1) as usize;
+        let mut ctx = experiment_context(n, 0.5);
+        let mut etf = DistEtf::new(n);
+        for v in 0..root {
+            etf.join(Edge::new(v, v + 1), &mut ctx);
+        }
+        // The root stays at 0, so the cut's inside is {root - cut ..= root}.
+        let link = [Edge::new(root - cut - 1, root - cut)];
+        let mut sample = |ops: u32| {
+            let (mut split, mut join) = (Duration::ZERO, Duration::ZERO);
+            for _ in 0..ops {
+                let t0 = Instant::now();
+                etf.batch_split(&link, &mut ctx);
+                let t1 = Instant::now();
+                etf.batch_join(&link, &mut ctx)
+                    .expect("batch fits one machine");
+                split += t1 - t0;
+                join += t1.elapsed();
+            }
+            (split, join)
+        };
+        let mut ops = 1;
+        while sample(ops).0 < Duration::from_millis(1) {
+            ops *= 2;
+        }
+        let samples: Vec<(Duration, Duration)> = (0..50).map(|_| sample(ops)).collect();
+        validate(&etf).expect("valid after large cut-offs");
+        let per_op =
+            |d: Option<Duration>| d.unwrap_or_default().as_secs_f64() * 1e6 / f64::from(ops);
+        t.row(vec![
+            root.to_string(),
+            cut.to_string(),
+            ops.to_string(),
+            f2(per_op(samples.iter().map(|s| s.0).min())),
+            f2(per_op(samples.iter().map(|s| s.1).min())),
+        ]);
     }
     t
 }

@@ -7,73 +7,27 @@
 //!
 //! 1. the coordinator gathers `O(k)` words (tour ids, lengths,
 //!    terminal `f`-values / traversal positions),
-//! 2. it computes an `O(k)`-word *plan* — per-tour offsets and shift
-//!    breakpoints derived from the auxiliary tree/sequence of
-//!    Definition 6.2 (join) or the laminar interval family of the
-//!    deleted edges (split),
-//! 3. the plan is broadcast and every machine remaps the tour
-//!    positions of its own edge shard locally.
+//! 2. it computes an `O(k)`-word *plan* — the auxiliary tree of
+//!    Definition 6.2 with each child's attach point (join), or the
+//!    laminar interval family of the deleted edges (split),
+//! 3. the plan is broadcast and every machine updates its own shard
+//!    locally.
 //!
-//! The per-entry arithmetic (`new = offset + old + shift(old)` with
-//! `O(k)` breakpoints) is the closed form of the paper's four-case
-//! shift-index / update-index procedure.
+//! Locally, a tour is a sequence of blocks (see
+//! [`DistEtf`]): a plan's breakpoints become block
+//! boundaries, and the splice relinks whole blocks, so no position is
+//! rewritten — each is read as `2·(start + slot) + 1` once the touched
+//! tours' block starts are recomputed.
 
-use crate::dist::{
-    extract_sorted, splice_sorted, DistEtf, EdgeRec, PosMap, Shard, Tour, Traversal, UNBOUNDED,
-};
+use crate::dist::{extract_sorted, DistEtf, Graft, Tour};
 use crate::TourId;
 use mpc_graph::ids::{Edge, VertexId};
 use mpc_graph::oracle::UnionFind;
 use mpc_sim::{MpcContext, MpcError};
 
-/// Per-tour remapping plan broadcast to all machines during a batch
-/// join: entry `x` of the tour maps to
-/// `offset + x + Σ{weight_i : breakpoint_i < x}`. The root's offset is
-/// 0, so its plan is the `breakpoints` map alone.
-#[derive(Debug, Clone, Default)]
-struct NodePlan {
-    offset: u64,
-    /// One step per child block, of the block's width, above its
-    /// attach position.
-    breakpoints: PosMap,
-}
-
-impl NodePlan {
-    fn map(&self, x: u64) -> u64 {
-        self.offset + self.breakpoints.map(x)
-    }
-}
-
-/// One segment of a split plan: `(start, region, delta)`. An entry at
-/// `x` belongs to the last segment starting at or before `x` and, if it
-/// survives, lands on `x - delta`.
-type Seg = (u64, usize, u64);
-
-/// One deleted edge of a split: `(first.pos, second.pos, edge, from)`,
-/// where `from` is the endpoint its first traversal leaves from — the
-/// one outside the subtree the cut detaches.
-pub(crate) type Cut = (u64, u64, Edge, VertexId);
-
-/// The last segment starting at or before `x`.
-fn seg_at(segs: &[Seg], x: u64) -> Seg {
-    segs[segs.partition_point(|s| s.0 <= x) - 1]
-}
-
-/// The region of a record and the record renumbered into it, or `None`
-/// for a deleted edge's own record.
-fn renumber(segs: &[Seg], rec: EdgeRec) -> Option<(usize, EdgeRec)> {
-    let (_, region, delta) = seg_at(segs, rec.first.pos);
-    if region == DOOMED {
-        return None;
-    }
-    let mut rec = rec;
-    rec.first.pos -= delta;
-    rec.second.pos -= seg_at(segs, rec.second.pos).2;
-    Some((region, rec))
-}
-
-/// The region of a deleted edge's own record.
-const DOOMED: usize = usize::MAX;
+/// One deleted edge of a split: the tour indices of its two
+/// traversals, ascending, and the edge.
+pub(crate) type Cut = (usize, usize, Edge);
 
 impl DistEtf {
     /// The batch join of Section 6.1 in `O(1)` rounds (Lemma 6.4).
@@ -160,10 +114,6 @@ impl DistEtf {
     /// Joins one auxiliary-tree component. Its `O(k)` touched tours are
     /// the nodes of the auxiliary tree, numbered in ascending tour id,
     /// and every per-node table is a vector indexed by that number.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
     fn join_component(&mut self, comp: &[Edge]) {
         let mut nodes: Vec<TourId> = comp
             .iter()
@@ -181,13 +131,11 @@ impl DistEtf {
             aux[b].push((e.v(), e.u(), a));
         }
         // Anchor the merge at the *largest* participating tour: the
-        // root is never rerooted, keeps its tour id, its shard order,
-        // and its members' tour assignments — so the dominant cost of
-        // a join is proportional to the smaller tours plus the shifted
-        // tail of the root, not to the whole merged component.
-        // Strictly greater: ties keep the smallest id, which also keeps
-        // the merged runs in ascending key order. An empty component
-        // joins nothing.
+        // root is never rerooted, keeps its tour id and its members'
+        // tour assignments — so the dominant cost of a join is
+        // proportional to the smaller tours plus the root's blocks, not
+        // to the whole merged component. Strictly greater: ties keep
+        // the smallest id. An empty component joins nothing.
         let lens: Vec<u64> = nodes.iter().map(|&t| self.tour_len(t)).collect();
         let Some(root) =
             (0..nodes.len()).reduce(|best, i| if lens[i] > lens[best] { i } else { best })
@@ -195,7 +143,7 @@ impl DistEtf {
             return;
         };
         // Traversal from the root: assign parents; child nodes must be
-        // rooted at their attach terminal before f-values are read.
+        // rooted at their attach terminal before attach points are read.
         let mut order: Vec<usize> = vec![root];
         // child -> (parent node, u in parent, v in child)
         let mut parent_edge: Vec<(usize, VertexId, VertexId)> = vec![(root, 0, 0); nodes.len()];
@@ -218,107 +166,24 @@ impl DistEtf {
         for &t in &order[1..] {
             self.reroot_uncharged(parent_edge[t].2);
         }
-        // Children of each node, sorted by even-ized attach position.
-        #[derive(Debug)]
-        struct Child {
-            c: u64,
-            child: usize,
-            u: VertexId,
-            v: VertexId,
-        }
-        let mut children: Vec<Vec<Child>> = (0..nodes.len()).map(|_| Vec::new()).collect();
-        for &child in &order[1..] {
-            let (parent, u, v) = parent_edge[child];
-            let (f_u, _) = self.f_l(u);
-            let c = if f_u % 2 == 1 { f_u - 1 } else { f_u };
-            children[parent].push(Child { c, child, u, v });
-        }
-        for kids in &mut children {
-            kids.sort_by_key(|ch| (ch.c, ch.child));
-        }
-        // Post-order totals.
-        let mut total = vec![0u64; nodes.len()];
-        for &t in order.iter().rev() {
-            total[t] = lens[t]
-                + children[t]
-                    .iter()
-                    .map(|ch| total[ch.child] + 4)
-                    .sum::<u64>();
-        }
-        // Pre-order offsets, breakpoints, and new edge records. The
-        // merged tour keeps the root's id (cf. `split_tour`, whose
-        // root region keeps the split tour's id).
-        let new_tour = nodes[root];
-        let mut plans: Vec<NodePlan> = vec![NodePlan::default(); nodes.len()];
-        let mut new_recs: Vec<(Edge, EdgeRec)> = Vec::new();
-        for &t in &order {
-            let offset = plans[t].offset;
-            let mut running = 0u64;
-            let mut breakpoints = PosMap::default();
-            for ch in &children[t] {
-                let block_start = offset + ch.c + running;
-                let w = total[ch.child];
-                new_recs.push((
-                    Edge::new(ch.u, ch.v),
-                    EdgeRec {
-                        tour: new_tour,
-                        first: Traversal {
-                            pos: block_start + 1,
-                            from: ch.u,
-                        },
-                        second: Traversal {
-                            pos: block_start + w + 3,
-                            from: ch.v,
-                        },
-                    },
-                ));
-                plans[ch.child].offset = block_start + 2;
-                running += w + 4;
-                breakpoints.push(ch.c, w + 4);
-            }
-            plans[t].breakpoints = breakpoints;
-        }
-        // Local application: tours outside the component are never
-        // visited. The root's plan is composed onto its pending map, so
-        // only its fresh run is remapped now; its base waits for the
-        // next full pass. The children, exact since their reroot, are
-        // remapped and spliced into the root's fresh run (or, when they
-        // carry at least as many edges as its base, merged into it).
-        let mut tour = self.take_tour(new_tour);
-        let child_edges = order[1..].iter().map(|&t| lens[t] / 4).sum::<u64>() as usize;
-        tour.remap(&plans[root].breakpoints);
-        let mut merged = Vec::with_capacity(child_edges + new_recs.len());
-        // Membership: the root's members keep their tour assignment
-        // (the merged tour is the root's), so only the child runs are
-        // relabelled.
-        let mut extra: Vec<VertexId> = Vec::new();
-        for &t in &order[1..] {
-            let plan = &plans[t];
-            let mut child = self.take_tour(nodes[t]);
-            debug_assert!(
-                child.deferred.is_none(),
-                "a child is exact after its reroot"
-            );
-            for (_, rec) in child.edges.iter_mut() {
-                rec.first.pos = plan.map(rec.first.pos);
-                rec.second.pos = plan.map(rec.second.pos);
-                rec.tour = new_tour;
-            }
-            merged.append(&mut child.edges);
-            extra.append(&mut child.members);
-        }
-        // The k new edges ride the same splice instead of k separate
-        // shard inserts; only their adjacency entries are per-edge.
-        for (e, rec) in new_recs {
-            self.add_adjacency(e);
-            merged.push((e, rec));
-        }
-        tour.attach(merged);
-        for &w in &extra {
-            self.set_vertex_tour(w, new_tour);
-        }
-        splice_sorted(&mut tour.members, extra, |&v| v);
-        self.put_tour(new_tour, tour);
+        // Each child enters its parent in front of the first traversal
+        // leaving its attach terminal; the merged tour keeps the root's
+        // id (cf. `split_tour`, whose root region keeps the split
+        // tour's id).
+        let mut grafts: Vec<Graft> = order[1..]
+            .iter()
+            .map(|&child| {
+                let (parent, u, v) = parent_edge[child];
+                Graft {
+                    parent,
+                    x: self.first_out(u),
+                    child,
+                    u,
+                    v,
+                }
+            })
+            .collect();
+        self.graft(&nodes, root, &mut grafts);
     }
 
     /// Removes `edges` (all forest edges) in `O(1)` rounds, splitting
@@ -367,8 +232,8 @@ impl DistEtf {
     }
 
     pub(crate) fn batch_split_uncharged(&mut self, edges: &[Edge]) -> Vec<TourId> {
-        // Group the deleted edges by tour, each with its interval: one
-        // sort of (tour, cut) pairs, so each tour's cuts come sorted.
+        // Group the deleted edges by tour: one sort of (tour, cut)
+        // pairs, so each tour's cuts come sorted.
         let mut by_tour: Vec<(TourId, Cut)> = edges
             .iter()
             .map(|&e| {
@@ -376,10 +241,8 @@ impl DistEtf {
                     clippy::panic,
                     reason = "documented \"# Panics\" precondition — ExactMsf deletes only tracked tree edges"
                 )]
-                let rec = self
-                    .edge_rec(e)
-                    .unwrap_or_else(|| panic!("batch_split of non-tree edge {e}"));
-                (rec.tour, (rec.first.pos, rec.second.pos, e, rec.first.from))
+                self.cut_of(e)
+                    .unwrap_or_else(|| panic!("batch_split of non-tree edge {e}"))
             })
             .collect();
         by_tour.sort_unstable();
@@ -393,21 +256,17 @@ impl DistEtf {
         result_tours
     }
 
-    /// Cuts forest edges out of tour `t` in work proportional to the
-    /// regions that leave it, not to the tour. `cuts` holds one [`Cut`]
-    /// per deleted edge, sorted — a laminar family of intervals `(p, q)`
-    /// whose blocks `[p, q + 1]` leave the tour. The region inside cut
-    /// `i` gets a fresh tour id and the root region keeps `t`. An `O(k)`
-    /// sweep of the cuts gives every region's length and the plan that
-    /// renumbers it, and the *longest* region keeps the tour record.
-    /// Each other region's edges and members are found by walking the
-    /// forest adjacency from a vertex inside it, once the deleted edges
-    /// are out of it. The kept region gives up those records and the
-    /// deleted ones in one front-to-back pass over its runs, renumbers
-    /// its fresh run and defers the rest of its renumbering to the
-    /// tour's pending map ([`Tour::keep_region`]); the records it gives
-    /// up are renumbered into their regions. Returns the resulting
-    /// tours: fresh singletons, then regions, then the root.
+    /// Cuts forest edges out of tour `t`. `cuts` holds one [`Cut`] per
+    /// deleted edge, sorted — a laminar family of intervals `(a, b)`
+    /// whose traversals `a..=b` leave the tour. The region inside cut
+    /// `i` gets a fresh tour id and the root region keeps `t`. Each
+    /// deleted traversal is made the last of its block and dropped, so
+    /// every region is a run of whole blocks less the runs nested in
+    /// it, found by a binary search per cut. The longest region keeps
+    /// the tour's member list; each other region reads its members off
+    /// its own traversals, and the kept list gives them up in one pass.
+    /// Returns the resulting tours: fresh singletons, then regions, then
+    /// the root.
     #[expect(
         clippy::disallowed_macros,
         reason = "a debug_assert!, which clippy reads as the assert! it expands to"
@@ -415,65 +274,69 @@ impl DistEtf {
     pub(crate) fn split_tour(&mut self, t: TourId, cuts: &[Cut]) -> Vec<TourId> {
         let k = cuts.len();
         // Region slots: `i < k` is the inside of cut `i`, `k` the root
-        // region. `span` is a region before the cuts: the position in
-        // front of its first entry, and its length.
+        // region. One stack sweep over the cuts gives each its parent
+        // region (the innermost cut around it, or the root region) and
+        // each region its traversal count: its span less the cuts
+        // directly inside it.
         let root = k;
         let mut tour = self.take_tour(t);
-        let old_len = 4 * tour.len() as u64;
-        let span = |r: usize| match cuts.get(r) {
-            Some(&(p, q, _, _)) => (p + 1, q - p - 2),
-            None => (0, old_len),
-        };
-        // One stack sweep flattens the family into sorted segments
-        // (`Seg`): within a segment both the region and the words
-        // removed in front of `x` are constant. A deleted edge's own
-        // record is found at its `p`.
-        let mut removed = vec![0u64; k + 1]; // words cut out of each region
-        let mut segs: Vec<Seg> = Vec::with_capacity(3 * k + 1);
-        segs.push((0, root, 0));
-        let mut stack: Vec<usize> = Vec::new();
-        for (i, p) in cuts.iter().map(|c| c.0).chain([u64::MAX]).enumerate() {
-            while let Some(&top) = stack.last() {
-                let (top_p, top_q, _, _) = cuts[top];
-                if top_q + 1 >= p {
-                    break;
-                }
-                stack.pop();
-                let r = stack.last().copied().unwrap_or(root);
-                removed[r] += top_q - top_p + 2;
-                segs.push((top_q + 1, r, span(r).0 + removed[r]));
+        let mut len: Vec<usize> = cuts.iter().map(|&(a, b, _)| b - a - 1).collect();
+        len.push(self.traversals(&tour.blocks));
+        let (mut parent, mut open) = (vec![root; k], Vec::<usize>::new());
+        for (i, &(a, b, _)) in cuts.iter().enumerate() {
+            while open.last().is_some_and(|&top| cuts[top].1 < a) {
+                open.pop();
             }
-            if i < k {
-                segs.push((p, DOOMED, 0));
-                segs.push((p + 1, i, p + 1));
-                stack.push(i);
-            }
+            parent[i] = open.last().copied().unwrap_or(root);
+            len[parent[i]] -= b - a + 1;
+            open.push(i);
         }
-        // Region lengths are read off the plan alone.
-        let len_of = |r: usize| span(r).1 - removed[r];
-        let keep = (0..=k).max_by_key(|&r| len_of(r)).unwrap_or(root);
+        let keep = (0..=k).max_by_key(|&r| len[r]).unwrap_or(root);
         let ids: Vec<TourId> = (0..k).map(|_| self.fresh_id()).chain([t]).collect();
-        // The kept region's renumbering as a position map over its own
-        // segments. A segment starts at 0 or on the second entry of a
-        // deleted edge's traversal, never on a surviving traversal.
-        let mut kept = PosMap::default();
-        for (i, &(start, r, delta)) in segs.iter().enumerate() {
-            let end = segs.get(i + 1).map_or(UNBOUNDED, |s| s.0 - 1);
-            if r == keep && start | 1 <= end {
-                kept.push_piece(start | 1, end, 0u64.wrapping_sub(delta));
+        // Each deleted traversal ends a block and is popped off it.
+        let mut list = std::mem::take(&mut tour.blocks);
+        let mut gone: Vec<usize> = cuts.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+        gone.sort_unstable();
+        for &x in &gone {
+            self.cut(&mut list, x + 1);
+        }
+        for &x in &gone {
+            let j = list.partition_point(|&b| self.slab[b as usize].start <= x);
+            self.slab[list[j - 1] as usize].trav.pop();
+        }
+        // Cut `i`'s region is the run of blocks from `a + 1` to `b + 1`,
+        // less the runs of the cuts nested in it.
+        let starting = |x: usize| list.partition_point(|&b| self.slab[b as usize].start < x);
+        let runs: Vec<(usize, usize)> = cuts
+            .iter()
+            .map(|&(a, b, _)| (starting(a + 1), starting(b + 1)))
+            .collect();
+        let mut nested: Vec<usize> = (0..k).collect();
+        nested.sort_by_key(|&i| parent[i]);
+        let mut regions: Vec<Vec<u32>> = Vec::with_capacity(k + 1);
+        let mut inner = nested.iter().peekable();
+        for r in 0..=k {
+            let (mut from, end) = runs.get(r).copied().unwrap_or((0, list.len()));
+            let mut blocks = Vec::new();
+            while let Some(&i) = inner.next_if(|&&i| parent[i] == r) {
+                blocks.extend_from_slice(&list[from..runs[i].0]);
+                from = runs[i].1;
             }
+            blocks.extend_from_slice(&list[from..end]);
+            regions.push(blocks);
         }
         // Only an endpoint of a deleted edge can have lost its last
         // edge; each such vertex empties exactly once.
         let mut left: Vec<VertexId> = Vec::new();
-        for &(_, _, e, _) in cuts {
+        for &(_, _, e) in cuts {
             self.remove_adjacency(e);
             left.extend(
                 [e.u(), e.v()]
-                    .iter()
-                    .filter(|&&v| self.neighbors(v).is_empty()),
+                    .into_iter()
+                    .filter(|&v| self.neighbors(v).is_empty()),
             );
         }
+        self.edge_count -= k;
         left.sort_unstable();
         let mut result = Vec::with_capacity(left.len() + k + 1);
         for &w in &left {
@@ -482,70 +345,40 @@ impl DistEtf {
             self.put_tour(id, Tour::singleton(w));
             result.push(id);
         }
-        // The other regions, each walked over the adjacency from a seed
-        // inside it: a cut's inner endpoint, or for the root region the
-        // outer endpoint of cut 0, which no other cut encloses. A region
-        // of no edges is one of the singletons above.
-        let mut gone: Vec<Edge> = cuts.iter().map(|c| c.2).collect();
+        // A region other than the kept one reads its members off its
+        // traversals' `from`s; a region of no edges is one of the
+        // singletons above.
         let mut gone_members = left;
-        let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); k + 1];
-        for r in (0..=k).filter(|&r| r != keep && len_of(r) > 0) {
-            let seed = match cuts.get(r) {
-                Some(&(_, _, e, from)) => e.other(from),
-                None => cuts[0].3,
-            };
-            let region = &mut members[r];
-            region.push(seed);
-            let mut stack = vec![(seed, seed)];
-            while let Some((v, parent)) = stack.pop() {
-                for &w in self.neighbors(v).iter().filter(|&&w| w != parent) {
-                    gone.push(Edge::new(v, w));
-                    region.push(w);
-                    stack.push((w, v));
+        let mut tours: Vec<Tour> = Vec::with_capacity(k + 1);
+        for (r, mut blocks) in regions.into_iter().enumerate() {
+            // The root region keeps its blocks in front of cut 0's.
+            let from = if r == root { runs[0].0 - 1 } else { 0 };
+            self.settle(&mut blocks, from);
+            debug_assert_eq!(self.traversals(&blocks), len[r], "region {r}");
+            let mut members = Vec::new();
+            if r != keep && !blocks.is_empty() {
+                for &b in &blocks {
+                    members.extend(self.slab[b as usize].trav.iter().map(|&(from, _)| from));
                 }
+                members.sort_unstable();
+                members.dedup();
+                for &w in &members {
+                    self.set_vertex_tour(w, ids[r]);
+                }
+                gone_members.extend_from_slice(&members);
             }
-            gone_members.extend_from_slice(region);
-            region.sort_unstable();
-            for &w in region.iter() {
-                self.set_vertex_tour(w, ids[r]);
-            }
+            tours.push(Tour { blocks, members });
         }
-        // The kept region gives up the walked records and the deleted
-        // ones, in edge order, and defers its own renumbering; each
-        // walked record is renumbered into its region's run.
-        gone.sort_unstable();
         gone_members.sort_unstable();
-        let rename = (keep != root).then_some(ids[keep]);
-        let mut edges: Vec<Shard> = vec![Vec::new(); k + 1];
-        for (e, rec) in tour.keep_region(&gone, &kept, rename) {
-            if let Some((r, mut rec)) = renumber(&segs, rec) {
-                debug_assert_ne!(r, keep, "the walk left its region at {e}");
-                rec.tour = ids[r];
-                edges[r].push((e, rec));
-            }
-        }
-        extract_sorted(&mut tour.members, &gone_members, |&v| v);
-        if let Some(id) = rename {
+        extract_sorted(&mut tour.members, &gone_members);
+        if keep != root {
             for &w in &tour.members {
-                self.set_vertex_tour(w, id);
+                self.set_vertex_tour(w, ids[keep]);
             }
         }
-        let mut regions: Vec<Tour> = edges
-            .into_iter()
-            .zip(members)
-            .map(|(edges, members)| Tour {
-                edges,
-                deferred: None,
-                members,
-            })
-            .collect();
-        regions[keep] = tour;
-        for (r, region) in regions.into_iter().enumerate() {
+        tours[keep].members = tour.members;
+        for (r, region) in tours.into_iter().enumerate() {
             if !region.members.is_empty() {
-                debug_assert!(
-                    r == keep || 4 * region.len() as u64 == len_of(r),
-                    "region {r} walked short"
-                );
                 self.put_tour(ids[r], region);
                 result.push(ids[r]);
             }
@@ -553,10 +386,10 @@ impl DistEtf {
         result
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::EdgeRec;
     use crate::tour::validate;
     use mpc_hashing::rng::StdRng;
     use mpc_sim::MpcConfig;
@@ -1009,53 +842,65 @@ mod tests {
         }
     }
 
-    /// What a twin run reached: each count names a path on which the
-    /// lazy state is applied, carried or cut.
+    /// What a twin run reached on the forest of production block size:
+    /// each count names a block path, and each must be taken.
     #[derive(Debug, Default)]
     struct Reached {
-        /// A join crossed the bound and applied the deferred work.
-        fired: usize,
-        /// A tour with deferred state joined as a child.
-        lazy_children: usize,
-        /// A split cut a tour with a fresh run.
-        fresh_splits: usize,
-        /// A split removed records from a base run it left lazy.
-        lazy_removals: usize,
-        /// A split left a cut's interior, under its fresh id, as the
-        /// lazy kept region.
-        renamed_keeps: usize,
+        /// A split cut a tour after a traversal inside a block.
+        cuts_inside: usize,
+        /// A split cut a tour after the last traversal of a block.
+        cuts_on_boundary: usize,
+        /// A splice merged a block below a quarter of its capacity.
+        merges: usize,
+        /// A reroot rotated a tour at a traversal inside a block.
+        reroots_inside: usize,
         /// A cut nested inside another cut's region, which was cut off.
         nested_cutoffs: usize,
-        /// A cut edge re-inserted into the tour it was cut from while
-        /// that tour still had a pending map.
-        lazy_rejoins: usize,
+        /// A cut edge was inserted again.
+        rejoins: usize,
+    }
+
+    /// Runs `op` on each forest with its own context and checks that
+    /// every forest returns the same.
+    fn on_all<T: PartialEq + std::fmt::Debug>(
+        forests: &mut [(DistEtf, MpcContext)],
+        op: impl Fn(&mut DistEtf, &mut MpcContext) -> T,
+    ) -> T {
+        let mut outs = forests.iter_mut().map(|(etf, c)| op(etf, c));
+        let first = outs.next().unwrap();
+        for out in outs {
+            assert_eq!(out, first);
+        }
+        first
     }
 
     /// Drives seeded `batch_join`/`join`/`batch_split`/`split`/`reroot`
-    /// sequences, plus re-insertions of edges cut before, on a forest
-    /// left lazy and on a twin whose pending work is applied after
-    /// every operation, and checks after each step that the two are
-    /// indistinguishable through every read: the same snapshot bytes,
-    /// records, occurrences and charges.
+    /// sequences, plus re-insertions of edges cut before, on three
+    /// forests that differ only in block capacity — the production `B`,
+    /// 2 (every operation crosses blocks) and one no tour reaches (one
+    /// block per tour, the flat reference) — and checks after each step
+    /// that they are indistinguishable through every read: the same
+    /// snapshot bytes, records, occurrences and charges.
     fn twin_run(seed: u64, n: usize, trials: usize, steps: usize) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut seen = Reached::default();
         for trial in 0..trials {
-            let (mut cl, mut ce) = (ctx(), ctx());
-            let (mut lazy, mut eager) = (DistEtf::new(n), DistEtf::new(n));
-            // Edges cut so far, each with the tour its kept side read as.
-            let mut cut_log: Vec<(Edge, TourId)> = Vec::new();
+            let mut forests = [
+                (DistEtf::new(n), ctx()),
+                (DistEtf::with_block_capacity(n, 2), ctx()),
+                (DistEtf::with_block_capacity(n, usize::MAX), ctx()),
+            ];
+            let mut cut_log: Vec<Edge> = Vec::new();
             for step in 0..steps {
-                let before: BTreeMap<TourId, (usize, usize, usize)> =
-                    lazy.tours().map(|t| (t, lazy.lazy_state(t))).collect();
+                let etf = &forests[0].0;
+                let merges = etf.merges;
                 let vertex = |rng: &mut StdRng| rng.gen_range(0..n as u32);
-                let forest: Vec<Edge> = lazy.forest_edges().collect();
-                let rejoinable: Vec<(Edge, TourId)> = cut_log
+                let forest: Vec<Edge> = etf.forest_edges().collect();
+                let rejoinable: Vec<Edge> = cut_log
                     .iter()
                     .copied()
-                    .filter(|(e, _)| lazy.tour_of(e.u()) != lazy.tour_of(e.v()))
+                    .filter(|e| etf.tour_of(e.u()) != etf.tour_of(e.v()))
                     .collect();
-                let mut joined = false;
                 match rng.gen_range(0..12u32) {
                     0..=3 => {
                         let candidates: Vec<Edge> = (0..rng.gen_range(1..=6usize))
@@ -1063,16 +908,14 @@ mod tests {
                             .filter(|(a, b)| a != b)
                             .map(|(a, b)| Edge::new(a, b))
                             .collect();
-                        let kept = lazy.batch_join(&candidates, &mut cl).unwrap();
-                        assert_eq!(eager.batch_join(&candidates, &mut ce).unwrap(), kept);
-                        joined = true;
+                        on_all(&mut forests, |etf, c| {
+                            etf.batch_join(&candidates, c).unwrap()
+                        });
                     }
                     4 | 5 => {
-                        let (a, b) = (vertex(&mut rng), vertex(&mut rng));
-                        if lazy.tour_of(a) != lazy.tour_of(b) {
-                            lazy.join(Edge::new(a, b), &mut cl);
-                            eager.join(Edge::new(a, b), &mut ce);
-                            joined = true;
+                        let e = (vertex(&mut rng), vertex(&mut rng));
+                        if etf.tour_of(e.0) != etf.tour_of(e.1) {
+                            on_all(&mut forests, |etf, c| etf.join(Edge::new(e.0, e.1), c));
                         }
                     }
                     6..=8 if !forest.is_empty() => {
@@ -1081,110 +924,85 @@ mod tests {
                             .collect::<BTreeSet<_>>()
                             .into_iter()
                             .collect();
-                        let recs: Vec<(Edge, EdgeRec)> = cut
-                            .iter()
-                            .map(|&e| (e, lazy.edge_rec(e).unwrap()))
-                            .collect();
-                        if cut.iter().any(|e| before[&lazy.tour_of(e.u())].1 > 0) {
-                            seen.fresh_splits += 1;
+                        let recs: Vec<(Edge, EdgeRec)> =
+                            cut.iter().map(|&e| (e, etf.edge_rec(e).unwrap())).collect();
+                        for &e in &cut {
+                            let (t, (a, b, _)) = etf.cut_of(e).unwrap();
+                            for x in [a, b] {
+                                let (slot, len) = etf.place(t, x);
+                                if slot + 1 < len {
+                                    seen.cuts_inside += 1;
+                                } else {
+                                    seen.cuts_on_boundary += 1;
+                                }
+                            }
                         }
                         if cut.len() == 1 {
-                            assert_eq!(lazy.split(cut[0], &mut cl), eager.split(cut[0], &mut ce));
+                            on_all(&mut forests, |etf, c| etf.split(cut[0], c));
                         } else {
-                            let out = lazy.batch_split(&cut, &mut cl);
-                            assert_eq!(eager.batch_split(&cut, &mut ce), out);
+                            on_all(&mut forests, |etf, c| etf.batch_split(&cut, c));
                         }
-                        // The split's tours: every region borders a cut.
+                        let etf = &forests[0].0;
                         let sides: BTreeSet<TourId> = cut
                             .iter()
-                            .flat_map(|e| [lazy.tour_of(e.u()), lazy.tour_of(e.v())])
+                            .flat_map(|e| [etf.tour_of(e.u()), etf.tour_of(e.v())])
                             .collect();
-                        for &t in &sides {
-                            let (base, fresh, pieces) = lazy.lazy_state(t);
-                            if fresh + pieces == 0 {
-                                continue;
-                            }
-                            // The tour left lazy is a kept region: its
-                            // members all came from one tour.
-                            let from = recs
-                                .iter()
-                                .find(|(e, _)| lazy.tour_of(e.u()) == t || lazy.tour_of(e.v()) == t)
-                                .map(|(_, rec)| rec.tour)
-                                .unwrap();
-                            seen.lazy_removals += usize::from(pieces > 0 && base < before[&from].0);
-                            seen.renamed_keeps += usize::from(!before.contains_key(&t));
-                            cut_log.extend(
-                                cut.iter()
-                                    .filter(|e| {
-                                        lazy.tour_of(e.u()) == t || lazy.tour_of(e.v()) == t
-                                    })
-                                    .map(|&e| (e, t)),
-                            );
-                        }
-                        let longest = sides.iter().map(|&t| lazy.tour_len(t)).max().unwrap();
+                        let longest = sides.iter().map(|&t| etf.tour_len(t)).max().unwrap();
                         for (a, outer) in &recs {
                             let nested = recs.iter().any(|(_, inner)| {
                                 inner.tour == outer.tour
                                     && outer.first.pos < inner.first.pos
                                     && inner.second.pos < outer.second.pos
                             });
-                            let region = lazy.tour_len(lazy.tour_of(a.other(outer.first.from)));
+                            let region = etf.tour_len(etf.tour_of(a.other(outer.first.from)));
                             seen.nested_cutoffs +=
                                 usize::from(nested && 0 < region && region < longest);
                         }
+                        cut_log.extend(cut);
                     }
                     9 if !rejoinable.is_empty() => {
-                        let (e, kept) = rejoinable[rng.gen_range(0..rejoinable.len())];
-                        let sides = [lazy.tour_of(e.u()), lazy.tour_of(e.v())];
-                        if sides.iter().any(|&t| t == kept && before[&t].2 > 0) {
-                            seen.lazy_rejoins += 1;
-                        }
-                        let kept_edges = lazy.batch_join(&[e], &mut cl).unwrap();
-                        assert_eq!(eager.batch_join(&[e], &mut ce).unwrap(), kept_edges);
-                        joined = true;
+                        let e = rejoinable[rng.gen_range(0..rejoinable.len())];
+                        seen.rejoins += 1;
+                        on_all(&mut forests, |etf, c| etf.batch_join(&[e], c).unwrap());
                     }
                     _ => {
                         let v = vertex(&mut rng);
-                        lazy.reroot(v, &mut cl);
-                        eager.reroot(v, &mut ce);
-                    }
-                }
-                eager.materialize_all();
-                if joined {
-                    for (&t, &(base, fresh, pieces)) in &before {
-                        if !lazy.tours().any(|id| id == t) {
-                            seen.lazy_children += usize::from(fresh + pieces > 0);
-                            continue;
+                        let x = etf.first_out(v);
+                        if x > 0 && etf.place(etf.tour_of(v), x).0 > 0 {
+                            seen.reroots_inside += 1;
                         }
-                        let (now_base, now_fresh, _) = lazy.lazy_state(t);
-                        let attached = now_base + now_fresh - base - fresh;
-                        seen.fired += usize::from(now_base > base && attached < base);
+                        on_all(&mut forests, |etf, c| etf.reroot(v, c));
                     }
                 }
+                seen.merges += forests[0].0.merges - merges;
                 let at = format!("trial {trial} step {step}");
-                dense_reads_agree(&lazy, &at);
-                assert_eq!(saved(&lazy), saved(&eager), "{at}: snapshot bytes");
-                for e in eager.forest_edges() {
-                    assert_eq!(lazy.edge_rec(e), eager.edge_rec(e), "{at}: {e}");
+                let [(etf, c), rest @ ..] = &forests;
+                dense_reads_agree(etf, &at);
+                validate(etf).unwrap_or_else(|v| panic!("{at}: {v}"));
+                for (other, oc) in rest {
+                    validate(other).unwrap_or_else(|v| panic!("{at}: {v}"));
+                    assert_eq!(saved(other), saved(etf), "{at}: snapshot bytes");
+                    for e in etf.forest_edges() {
+                        assert_eq!(other.edge_rec(e), etf.edge_rec(e), "{at}: {e}");
+                    }
+                    for t in etf.tours() {
+                        assert!(other.tour_edges(t).eq(etf.tour_edges(t)), "{at}: tour {t}");
+                    }
+                    for v in 0..n as u32 {
+                        assert_eq!(other.occurrences(v), etf.occurrences(v), "{at}: {v}");
+                        assert_eq!(other.f_l(v), etf.f_l(v), "{at}: f_l({v})");
+                    }
+                    assert_eq!(oc.stats(), c.stats(), "{at}: charges");
                 }
-                for t in eager.tours() {
-                    assert!(lazy.tour_edges(t).eq(eager.tour_edges(t)), "{at}: tour {t}");
-                }
-                for v in 0..n as u32 {
-                    assert_eq!(lazy.occurrences(v), eager.occurrences(v), "{at}: {v}");
-                }
-                assert_eq!(cl.stats(), ce.stats(), "{at}: charges");
-                validate(&lazy).unwrap_or_else(|v| panic!("{at}: {v}"));
             }
         }
         let counts = [
-            seen.fired,
-            seen.lazy_children,
-            seen.fresh_splits,
-            seen.lazy_removals,
-            seen.renamed_keeps,
+            seen.cuts_inside,
+            seen.cuts_on_boundary,
+            seen.merges,
+            seen.reroots_inside,
             seen.nested_cutoffs,
-            seen.lazy_rejoins,
+            seen.rejoins,
         ];
         assert!(
             counts.iter().all(|&c| c > 0),
@@ -1192,46 +1010,22 @@ mod tests {
         );
     }
 
-    /// A forest left lazy matches its eager twin through joins and
-    /// splits that leave deferred state behind (see [`Reached`] for the
-    /// paths the seeded stream must reach).
+    /// Forests of every block size agree through joins, splits and
+    /// reroots that cross, split and merge blocks (see [`Reached`] for
+    /// the paths the seeded stream must reach).
     #[test]
-    fn lazy_forest_matches_an_eager_twin() {
+    fn block_sizes_agree() {
         twin_run(0x1a2e, 96, 16, 120);
     }
 
-    /// The same on larger trees and longer runs. The pending map's
-    /// debug assertions compile out in release, so CI runs this there,
-    /// where the twin comparison is what checks the map.
+    /// The same on larger trees and longer runs, where tours span many
+    /// production blocks. Its debug assertions compile out in release,
+    /// so CI runs it there, where the comparison is what checks the
+    /// blocks.
     #[test]
     #[ignore = "deep variant: run in release with --ignored"]
-    fn lazy_forest_matches_an_eager_twin_deep() {
+    fn block_sizes_agree_deep() {
         twin_run(0x5eed_1a2e, 512, 32, 400);
-    }
-
-    /// A root built by single joins keeps a fresh run that every later
-    /// join and split renumbers; once that renumbering has cost one
-    /// pass over the base, the tour applies it and is left exact.
-    #[test]
-    fn a_long_lived_fresh_run_is_applied() {
-        let mut c = ctx();
-        let (root, tree) = (1024u32, 4u32);
-        let mut etf = DistEtf::new((root + 1 + tree) as usize);
-        for v in 0..root {
-            etf.join(Edge::new(v, v + 1), &mut c);
-        }
-        for v in root + 1..root + tree {
-            etf.join(Edge::new(v, v + 1), &mut c);
-        }
-        let (base, fresh, _) = etf.lazy_state(etf.tour_of(0));
-        assert!(fresh > 0, "the build leaves a fresh run");
-        let link = [Edge::new(root / 2, root + 1)];
-        for _ in 0..base / fresh {
-            etf.batch_join(&link, &mut c).unwrap();
-            etf.batch_split(&link, &mut c);
-        }
-        assert_eq!(etf.lazy_state(etf.tour_of(0)).1, 0, "fresh run applied");
-        validate(&etf).unwrap();
     }
 
     #[test]

@@ -4,296 +4,44 @@ use mpc_graph::ids::{Edge, VertexId};
 use mpc_sim::MpcContext;
 use std::collections::BTreeMap;
 
-/// One tour's edge shard: a flat array sorted by edge. Batch plans
-/// remap the records (keys never change), and tour-id reassignment
-/// moves whole shards by splice instead of per-edge rewrites.
+/// One tour's edge records in edge order: the form a snapshot stores a
+/// tour in.
 pub(crate) type Shard = Vec<(Edge, EdgeRec)>;
 
-/// The pending work (fresh records plus map pieces) a tour may carry is
-/// `1/LAZY_SHARE` of its base records; the join or split that crosses
-/// it applies all of it. A join remaps the fresh run and a split
-/// renumbers it, so the bound caps that per-record work at a share of
-/// the full pass it replaces (with joins alone deferred, 8 and 32
-/// measured the same as 16 on the benchmark's `churn` and `grow`).
-/// The same work summed over the operations since the last full pass
-/// is bounded too: once the fresh records renumbered exceed the base,
-/// the pass they stand in for is applied, so a fresh run that outlives
-/// many operations costs them at most about one pass.
-const LAZY_SHARE: usize = 16;
+/// Block capacity: a block holds at most `B` consecutive traversals of
+/// one tour, and a splice merges a block below `B / 4` into its
+/// neighbour. A splice costs `O(B + blocks)`: it splits at most one
+/// block per cut point and renumbers the block starts of the tours it
+/// touches. Smaller blocks make a block split cheaper and the
+/// renumbering dearer: 64 read `churn` faster but a join or split on a
+/// 16k-edge tour 1.6–1.9× its cost on a 1k-edge one, while 128, 192 and
+/// 256 read the same on `churn` and `grow` and only 256 keeps that
+/// ratio well under 1.5 (Standing lessons "ETF" in the roadmap).
+const B: usize = 256;
 
-/// An end beyond every tour position: the last piece of a map defined
-/// on all positions above its start.
-pub(crate) const UNBOUNDED: u64 = u64::MAX >> 2;
+/// Where a traversal is stored: its block and its slot in that block.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Handle {
+    block: u32,
+    slot: u32,
+}
 
-/// A monotone piecewise translation of tour positions, the closed form
-/// of the plans a tour's base run has not been remapped by. Piece
-/// `(start, end, offset)` moves positions `start..=end` by `offset`,
-/// added modulo 2^64 so that a split's offsets move positions down.
-/// The pieces are sorted and disjoint and their images strictly
-/// ascending, so the map is strictly increasing where it is defined. A
-/// join's plan is defined on every position; a split's only on the
-/// region that keeps the tour, so a map that has composed a split is
-/// defined on the positions that still hold base records, and the
-/// positions of the records the split cut off have no image. Composing
-/// two such maps gives another, so a tour can defer any number of
-/// joins' and splits' remaps as one map. No pieces is the identity.
+/// A run of consecutive traversals of one tour, each `(from, to)`.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PosMap {
-    pieces: Vec<(u64, u64, u64)>,
+pub(crate) struct Block {
+    /// The tour index of the block's first traversal.
+    pub(crate) start: usize,
+    pub(crate) trav: Vec<(VertexId, VertexId)>,
 }
 
-impl PosMap {
-    /// The map that shifts every position above `c` by `w`.
-    pub(crate) fn step(c: u64, w: u64) -> Self {
-        let mut map = PosMap::default();
-        map.push(c, w);
-        map
-    }
-
-    /// Adds a step of weight `w` above `c` to a map defined on every
-    /// position, at or above its last step (a repeated `c` adds to that
-    /// step).
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
-    pub(crate) fn push(&mut self, c: u64, w: u64) {
-        match self.pieces.last_mut() {
-            None => self.pieces.extend([(0, c, 0), (c + 1, UNBOUNDED, w)]),
-            Some(last) if last.0 == c + 1 => last.2 += w,
-            Some(last) => {
-                debug_assert!(last.0 <= c && last.1 == UNBOUNDED, "unsorted step");
-                last.1 = c;
-                let total = last.2 + w;
-                self.pieces.push((c + 1, UNBOUNDED, total));
-            }
-        }
-    }
-
-    /// Appends the piece that moves `start..=end` by `offset`, above
-    /// every piece so far; a piece that continues the last one with
-    /// the same offset extends it.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
-    pub(crate) fn push_piece(&mut self, start: u64, end: u64, offset: u64) {
-        debug_assert!(start <= end, "empty piece");
-        match self.pieces.last_mut() {
-            Some(last) if last.1 + 1 == start && last.2 == offset => last.1 = end,
-            last => {
-                debug_assert!(last.is_none_or(|last| last.1 < start), "unsorted piece");
-                self.pieces.push((start, end, offset));
-            }
-        }
-    }
-
-    /// Number of pieces: the map's share of a tour's deferred work.
-    pub(crate) fn len(&self) -> usize {
-        self.pieces.len()
-    }
-
-    /// Whether every record position stays where it is.
-    fn is_identity(&self) -> bool {
-        self.pieces.iter().all(|&(_, _, offset)| offset == 0)
-    }
-
-    /// The image of `x`, a position the map is defined on.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
-    pub(crate) fn map(&self, x: u64) -> u64 {
-        match self.pieces.partition_point(|&(start, _, _)| start <= x) {
-            0 => x,
-            i => {
-                let (_, end, offset) = self.pieces[i - 1];
-                debug_assert!(x <= end, "position {x} has no image");
-                x.wrapping_add(offset)
-            }
-        }
-    }
-
-    fn apply(&self, rec: EdgeRec) -> EdgeRec {
-        let mut rec = rec;
-        rec.first.pos = self.map(rec.first.pos);
-        rec.second.pos = self.map(rec.second.pos);
-        rec
-    }
-
-    /// The map prepared for a pass over a whole run: a table of how many
-    /// pieces start at or before each block of `2^shift` positions
-    /// replaces the binary search per position by a step or two. The
-    /// block size gives the table about one entry per piece.
-    fn jumps(&self) -> Jumps<'_> {
-        let last = self.pieces.last().map_or(0, |&(start, _, _)| start);
-        let shift = (last / self.pieces.len().max(1) as u64).max(1).ilog2();
-        let mut below = 0;
-        let first = (0..=last >> shift)
-            .map(|block| {
-                while self
-                    .pieces
-                    .get(below)
-                    .is_some_and(|p| p.0 <= block << shift)
-                {
-                    below += 1;
-                }
-                below
-            })
-            .collect();
-        Jumps {
-            pieces: &self.pieces,
-            shift,
-            first,
-        }
-    }
-
-    /// Composes `next` after this map: afterwards `self.map(x)` is
-    /// `next.map` of the old `self.map(x)`, defined where both are.
-    /// The old pieces' images ascend, so one merge walk intersects
-    /// each with the pieces of `next` it overlaps, in
-    /// `O(|self| + |next|)`.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
-    pub(crate) fn then(&mut self, next: &PosMap) {
-        if next.is_identity() {
-            return;
-        }
-        if self.is_identity() {
-            self.pieces.clone_from(&next.pieces);
-            return;
-        }
-        let old = std::mem::take(self);
-        let mut j = 0;
-        for &(start, end, offset) in &old.pieces {
-            let (lo, hi) = (start.wrapping_add(offset), end.wrapping_add(offset));
-            while next.pieces.get(j).is_some_and(|&(_, e, _)| e < lo) {
-                j += 1;
-            }
-            for &(s, e, o) in next.pieces[j..].iter().take_while(|&&(s, _, _)| s <= hi) {
-                let (a, b) = (s.max(lo), e.min(hi));
-                self.push_piece(
-                    a.wrapping_sub(offset),
-                    b.wrapping_sub(offset),
-                    offset.wrapping_add(o),
-                );
-            }
-        }
-        debug_assert!(
-            self.pieces
-                .iter()
-                .flat_map(|&(start, end, _)| [start, end])
-                .all(|x| self.map(x) == next.map(old.map(x))),
-            "composed map disagrees with its parts"
-        );
-    }
-}
-
-/// A [`PosMap`] with its jump table (see [`PosMap::jumps`]).
-struct Jumps<'a> {
-    pieces: &'a [(u64, u64, u64)],
-    shift: u32,
-    /// Per block, the number of pieces starting at or before its start.
-    first: Vec<usize>,
-}
-
-impl Jumps<'_> {
-    fn map(&self, x: u64) -> u64 {
-        let block = usize::try_from(x >> self.shift).unwrap_or(usize::MAX);
-        let mut i = self.first.get(block).copied().unwrap_or(self.pieces.len());
-        while self.pieces.get(i).is_some_and(|p| p.0 <= x) {
-            i += 1;
-        }
-        match i {
-            0 => x,
-            i => x.wrapping_add(self.pieces[i - 1].2),
-        }
-    }
-}
-
-/// One Euler tour: its edge records (none for a singleton) and its
-/// members, sorted ascending. Its length is `4·|records|`, stored
-/// nowhere.
-///
-/// The records live in two runs, each sorted by edge and disjoint. The
-/// *base* run (`edges`) holds positions in the tour's coordinates
-/// before the joins it has anchored and the splits it has survived
-/// since its last full pass; the [`Deferred`] state of those operations
-/// maps a base position to the current one and holds what the joins
-/// attached. A join that anchors the tour composes its plan onto the
-/// pending map and remaps only the fresh run and the records it
-/// attaches; a split that leaves the tour its longest region drops the
-/// records it cuts off from both runs, renumbers the fresh run, and
-/// composes the kept region's renumbering onto the pending map. Neither
-/// touches the rest of the base. The deferred work is applied, and the
-/// fresh run merged into the base, by the next full pass over the tour
-/// (a reroot, or a join in which the tour is a child), or by the join
-/// or split after which fresh records plus map pieces exceed
-/// `1/LAZY_SHARE` of the base, or the fresh records renumbered since
-/// the last full pass outnumber it. Point reads read through the map, so
-/// every observable position, tour id, snapshot byte and model charge
-/// is the one an eager remap would give.
+/// One Euler tour: its blocks in tour order (none for a singleton) and
+/// its members, sorted ascending. Traversal `i` of the tour sits at
+/// positions `2i + 1` (its `from`) and `2i + 2` (its `to`), so the
+/// tour's length `2·|traversals|` is stored nowhere.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tour {
-    /// The base run; positions are mapped through the pending map.
-    pub(crate) edges: Shard,
-    /// `None` while the base is exact: every singleton, and every tour
-    /// that anchored no join and survived no split since its last full
-    /// pass. Boxed, so an exact tour costs one word over its two
-    /// vectors.
-    pub(crate) deferred: Option<Box<Deferred>>,
+    pub(crate) blocks: Vec<u32>,
     pub(crate) members: Vec<VertexId>,
-}
-
-/// The joins a tour anchored and the splits it survived since its last
-/// full pass.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Deferred {
-    /// Base position → current position: the composed plans, defined
-    /// on the positions of the base run's records.
-    pub(crate) pending: PosMap,
-    /// The records the joins attached, at exact positions.
-    pub(crate) fresh: Shard,
-    /// Fresh records remapped or renumbered since the last full pass.
-    renumbered: usize,
-}
-
-impl Deferred {
-    /// A base record at its current position.
-    fn read(&self, rec: EdgeRec) -> EdgeRec {
-        self.pending.apply(rec)
-    }
-
-    /// [`Deferred::read`] for a pass over the whole base run, through
-    /// the pending map's jump table.
-    fn reader(&self) -> impl Fn(EdgeRec) -> EdgeRec + '_ {
-        let jumps = self.pending.jumps();
-        move |mut rec: EdgeRec| {
-            rec.first.pos = jumps.map(rec.first.pos);
-            rec.second.pos = jumps.map(rec.second.pos);
-            rec
-        }
-    }
-}
-
-/// The records of a tour in edge order: the base run alone when the
-/// tour is exact, else both runs merged.
-enum Runs<A, B> {
-    Exact(A),
-    Merged(B),
-}
-
-impl<T, A: Iterator<Item = T>, B: Iterator<Item = T>> Iterator for Runs<A, B> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        match self {
-            Runs::Exact(a) => a.next(),
-            Runs::Merged(b) => b.next(),
-        }
-    }
 }
 
 impl Tour {
@@ -303,186 +51,31 @@ impl Tour {
             ..Tour::default()
         }
     }
-
-    /// The fresh run (empty when exact).
-    fn fresh(&self) -> &[(Edge, EdgeRec)] {
-        self.deferred.as_ref().map_or(&[], |d| &d.fresh)
-    }
-
-    /// Number of edge records (both runs).
-    pub(crate) fn len(&self) -> usize {
-        self.edges.len() + self.fresh().len()
-    }
-
-    /// The current record of `e`, if it is one of this tour's edges.
-    fn get(&self, e: Edge) -> Option<EdgeRec> {
-        let find = |run: &[(Edge, EdgeRec)]| {
-            run.binary_search_by_key(&e, |&(k, _)| k)
-                .ok()
-                .map(|i| run[i].1)
-        };
-        match &self.deferred {
-            None => find(&self.edges),
-            Some(d) => find(&d.fresh).or_else(|| find(&self.edges).map(|rec| d.read(rec))),
-        }
-    }
-
-    /// Every record at its current position, in edge order.
-    pub(crate) fn records(&self) -> impl Iterator<Item = (Edge, EdgeRec)> + '_ {
-        match &self.deferred {
-            None => Runs::Exact(self.edges.iter().copied()),
-            Some(d) => Runs::Merged(merge_by_key(
-                self.edges.iter().map({
-                    let read = d.reader();
-                    move |&(e, rec)| (e, read(rec))
-                }),
-                d.fresh.iter().copied(),
-                |&(e, _)| e,
-            )),
-        }
-    }
-
-    /// Every edge, in edge order.
-    fn edge_keys(&self) -> impl Iterator<Item = Edge> + '_ {
-        let key = |&(e, _): &(Edge, EdgeRec)| e;
-        match &self.deferred {
-            None => Runs::Exact(self.edges.iter().map(key)),
-            Some(d) => Runs::Merged(merge_by_key(
-                self.edges.iter().map(key),
-                d.fresh.iter().map(key),
-                |&e| e,
-            )),
-        }
-    }
-
-    /// Applies the pending map to the base and merges the fresh run
-    /// into it: one full pass, after which the base is exact.
-    pub(crate) fn materialize(&mut self) {
-        let Some(deferred) = self.deferred.take() else {
-            return;
-        };
-        if !deferred.pending.is_identity() {
-            let read = deferred.reader();
-            for (_, rec) in &mut self.edges {
-                *rec = read(*rec);
-            }
-        }
-        splice_sorted(&mut self.edges, deferred.fresh, |&(e, _)| e);
-    }
-
-    /// Applies the deferred work once it crosses the bound, and drops
-    /// deferred state that defers nothing.
-    fn settle(&mut self) {
-        let Some(d) = &self.deferred else {
-            return;
-        };
-        let base = self.edges.len();
-        if (d.fresh.len() + d.pending.len()) * LAZY_SHARE > base || d.renumbered > base {
-            self.materialize();
-        } else if d.fresh.is_empty() && d.pending.is_identity() {
-            self.deferred = None;
-        }
-    }
-
-    /// Moves every current position `x` to `map.map(x)`: composed onto
-    /// the pending map for the base, applied to the fresh run.
-    pub(crate) fn remap(&mut self, map: &PosMap) {
-        let deferred = self.deferred.get_or_insert_default();
-        for (_, rec) in &mut deferred.fresh {
-            *rec = map.apply(*rec);
-        }
-        deferred.renumbered += deferred.fresh.len();
-        deferred.pending.then(map);
-    }
-
-    /// Splices records at exact positions into the tour. A run at
-    /// least as long as the base is merged into it after a full pass;
-    /// a shorter one waits in the fresh run until the deferred work
-    /// crosses the bound, which applies it all.
-    pub(crate) fn attach(&mut self, run: Shard) {
-        if run.len() >= self.edges.len() {
-            self.materialize();
-            splice_sorted(&mut self.edges, run, |&(e, _)| e);
-            return;
-        }
-        let deferred = self.deferred.get_or_insert_default();
-        splice_sorted(&mut deferred.fresh, run, |&(e, _)| e);
-        self.settle();
-    }
-
-    /// The kept side of a split: takes the records of `gone` (sorted
-    /// edges, each in one of the runs) out of both runs and returns
-    /// them in edge order at their current positions, then moves every
-    /// remaining position `x` to `kept.map(x)` — applied to the fresh
-    /// run, composed onto the pending map for the base — and, when the
-    /// kept region takes a fresh id, relabels the records with it, the
-    /// base's in place (the split rewrites every kept member's tour
-    /// then anyway). Otherwise, of the base, only the entries above the
-    /// first one taken move.
-    pub(crate) fn keep_region(
-        &mut self,
-        gone: &[Edge],
-        kept: &PosMap,
-        rename: Option<TourId>,
-    ) -> Shard {
-        let key = |&(e, _): &(Edge, EdgeRec)| e;
-        let deferred = self.deferred.get_or_insert_default();
-        let mut taken = extract_sorted(&mut self.edges, gone, key);
-        for (_, rec) in &mut taken {
-            *rec = deferred.read(*rec);
-        }
-        let fresh = extract_sorted(&mut deferred.fresh, gone, key);
-        if !fresh.is_empty() {
-            taken = merge_by_key(taken.into_iter(), fresh.into_iter(), key).collect();
-        }
-        for (_, rec) in &mut deferred.fresh {
-            *rec = kept.apply(*rec);
-            if let Some(t) = rename {
-                rec.tour = t;
-            }
-        }
-        deferred.renumbered += deferred.fresh.len();
-        deferred.pending.then(kept);
-        if let Some(t) = rename {
-            for (_, rec) in &mut self.edges {
-                rec.tour = t;
-            }
-        }
-        self.settle();
-        taken
-    }
 }
 
-/// Merges two iterators, each sorted by `key`, into one sorted stream
-/// (ties take `a` first).
-fn merge_by_key<T, K: Ord>(
-    a: impl Iterator<Item = T>,
-    b: impl Iterator<Item = T>,
-    key: impl Fn(&T) -> K,
-) -> impl Iterator<Item = T> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    std::iter::from_fn(move || match (a.peek(), b.peek()) {
-        (Some(x), Some(y)) if key(y) < key(x) => b.next(),
-        (Some(_), _) => a.next(),
-        _ => b.next(),
-    })
+/// A tour spliced into another over a new forest edge `{u, v}`: the
+/// tour of node `child`, rerooted at `v`, enters the sequence of node
+/// `parent` in front of its traversal `x` (the first one leaving `u`),
+/// between the edge's traversals `u → v` and `v → u`.
+pub(crate) struct Graft {
+    pub(crate) parent: usize,
+    pub(crate) x: usize,
+    pub(crate) child: usize,
+    pub(crate) u: VertexId,
+    pub(crate) v: VertexId,
 }
 
-/// Splices a run into a sorted vector — an edge run or a member list —
-/// in place, from the back: only the entries above the run's smallest
-/// key move, one block per run entry. Each run entry finds its block
-/// by a galloping search down from the one before, so the probes move
-/// backward through the vector and stay near each other.
+/// Splices a run into a sorted vector — a member list — in place, from
+/// the back: only the entries above the run's smallest key move, one
+/// block per run entry. Each run entry finds its block by a galloping
+/// search down from the one before, so the probes move backward through
+/// the vector and stay near each other.
 #[expect(
     clippy::disallowed_macros,
     reason = "a debug_assert!, which clippy reads as the assert! it expands to"
 )]
-pub(crate) fn splice_sorted<T: Copy, K: Ord>(
-    into: &mut Vec<T>,
-    mut run: Vec<T>,
-    key: impl Fn(&T) -> K,
-) {
-    run.sort_by_key(&key);
+pub(crate) fn splice_sorted<T: Copy + Ord>(into: &mut Vec<T>, mut run: Vec<T>) {
+    run.sort_unstable();
     if into.is_empty() {
         *into = run;
         return;
@@ -491,22 +84,16 @@ pub(crate) fn splice_sorted<T: Copy, K: Ord>(
     into.extend_from_slice(&run);
     let mut out = into.len();
     for x in run.into_iter().rev() {
-        let k = key(&x);
-        // Every entry in `hi..end` is at least `k`; the first one of
-        // them lies in `lo..=hi` once `into[lo]` is below `k`.
+        // Every entry in `hi..end` is at least `x`; the first one of
+        // them lies in `lo..=hi` once `into[lo]` is below `x`.
         let (mut lo, mut hi, mut step) = (end, end, 1);
-        while lo > 0 && key(&into[lo - 1]) >= k {
+        while lo > 0 && into[lo - 1] >= x {
             hi = lo - 1;
             lo = hi.saturating_sub(step);
             step *= 2;
         }
-        let at = lo + into[lo..hi].partition_point(|y| key(y) < k);
-        // A duplicate key (a caller bug) is spliced anyway, so the
-        // validator reports it.
-        debug_assert!(
-            into[..end].get(at).is_none_or(|y| key(y) != k),
-            "key spliced twice"
-        );
+        let at = lo + into[lo..hi].partition_point(|y| *y < x);
+        debug_assert!(into[..end].get(at) != Some(&x), "key spliced twice");
         into.copy_within(at..end, out - (end - at));
         out -= end - at + 1;
         into[out] = x;
@@ -514,19 +101,12 @@ pub(crate) fn splice_sorted<T: Copy, K: Ord>(
     }
 }
 
-/// Takes the entries whose keys `gone` lists (sorted; a key the vector
-/// does not hold is skipped) out of a sorted vector — an edge run or a
-/// member list — and returns them in order. It works in place from the
-/// front, the mirror of [`splice_sorted`]: each key is found by a
-/// galloping search from the one before, so the probes move forward
-/// through the vector and stop at its end, and only the entries above
-/// the first one taken move, one block per entry taken.
-pub(crate) fn extract_sorted<T: Copy, K: Ord>(
-    from: &mut Vec<T>,
-    gone: &[K],
-    key: impl Fn(&T) -> K,
-) -> Vec<T> {
-    let mut taken = Vec::with_capacity(gone.len());
+/// Takes the entries `gone` lists (sorted; one the vector does not hold
+/// is skipped) out of a sorted vector — a member list — in place from
+/// the front, the mirror of [`splice_sorted`]: each is found by a
+/// galloping search from the one before, and only the entries above the
+/// first one taken move, one block per entry taken.
+pub(crate) fn extract_sorted<T: Copy + Ord>(from: &mut Vec<T>, gone: &[T]) {
     // `from[..write]` is final, `from[read..]` still in place, and no
     // entry below `scan` holds a key still to come.
     let (mut read, mut write, mut scan) = (0, 0, 0);
@@ -537,17 +117,16 @@ pub(crate) fn extract_sorted<T: Copy, K: Ord>(
         // Every entry below `lo` is smaller than `k`; the first one at
         // least `k` lies in `lo..=hi`.
         let (mut lo, mut hi, mut step) = (scan, scan, 1);
-        while from.get(hi).is_some_and(|y| key(y) < *k) {
+        while from.get(hi).is_some_and(|y| y < k) {
             lo = hi + 1;
             hi = (hi + step).min(from.len());
             step *= 2;
         }
-        let at = lo + from[lo..hi].partition_point(|y| key(y) < *k);
+        let at = lo + from[lo..hi].partition_point(|y| y < k);
         scan = at;
-        if from.get(at).is_none_or(|y| key(y) != *k) {
+        if from.get(at) != Some(k) {
             continue;
         }
-        taken.push(from[at]);
         if write != read {
             from.copy_within(read..at, write);
         }
@@ -559,7 +138,6 @@ pub(crate) fn extract_sorted<T: Copy, K: Ord>(
         from.copy_within(read.., write);
         from.truncate(from.len() - (read - write));
     }
-    taken
 }
 
 /// Identifier of one Euler tour (one tree of the forest). Tour ids
@@ -592,29 +170,16 @@ pub struct EdgeRec {
 }
 
 impl EdgeRec {
-    /// Entries `first.pos + 1 .. = second.pos` are exactly the
-    /// subtree below this edge (the side of its far endpoint). Used
-    /// by [`EdgeRec::on_path`] and the split operations.
-    pub fn subtree_interval(&self) -> (u64, u64) {
-        (self.first.pos + 1, self.second.pos)
-    }
-
     /// Whether this edge lies on the tree path between two vertices
     /// of its tour, given their first and last occurrences
     /// ([`DistEtf::f_l`]) — the local test of Lemma 7.2: the path
     /// crosses the edge iff exactly one endpoint lies in the subtree
-    /// below it. Each machine evaluates it on its own edges after one
-    /// broadcast of `f/ℓ`; a vertex with itself has the empty path.
+    /// below it, whose entries are `first.pos + 1 ..= second.pos`.
+    /// Each machine evaluates it on its own edges after one broadcast
+    /// of `f/ℓ`; a vertex with itself has the empty path.
     pub fn on_path(&self, (fu, lu): (u64, u64), (fv, lv): (u64, u64)) -> bool {
-        // The subtree's entries are (first.pos, second.pos].
         let below = |f: u64, l: u64| f > self.first.pos && l <= self.second.pos;
         below(fu, lu) != below(fv, lv)
-    }
-
-    fn normalize(&mut self) {
-        if self.first.pos > self.second.pos {
-            std::mem::swap(&mut self.first, &mut self.second);
-        }
     }
 }
 
@@ -632,14 +197,17 @@ mpc_snapshot::persist_struct!(EdgeRec { tour, first, second } check |rec| {
 
 /// A forest of Euler tours in the paper's distributed representation.
 ///
-/// State is *vertex- and edge-sharded*: each vertex carries only its
-/// tour id; each forest edge carries its four tour positions, and the
-/// edge records are stored in **per-tour shards** (one tour record per
-/// tour: its edges and its members) so every operation touches only
-/// the affected tours' records —
-/// `O(|tour|)` work instead of `O(|forest|)`, mirroring the paper's
-/// protocol in which each machine remaps its own shard from an
-/// `O(k)`-word broadcast plan. All operations mutate this state
+/// State is *vertex- and edge-sharded*: each vertex carries its tour
+/// id and, per forest edge, the handle of the traversal that leaves it;
+/// each tour is a sequence of blocks of at most `B` traversals, and
+/// each block stores the tour index of its first one. A traversal's
+/// position is `2·(start + slot) + 1`, read off its handle: positions
+/// are exact and gap-free, and no operation renumbers a region. A join,
+/// split or reroot splits at most one block per cut point, relinks the
+/// block lists, merges blocks that fell below `B / 4` and recomputes
+/// the starts of the tours it touched — `O(B + blocks)` work, mirroring
+/// the paper's protocol in which each machine updates its own shard
+/// from an `O(k)`-word broadcast plan. All operations mutate this state
 /// through broadcast-size instructions — the [`MpcContext`] parameter
 /// charges exactly those broadcasts and gathers.
 ///
@@ -665,26 +233,32 @@ pub struct DistEtf {
     /// Each vertex's tour id; `tours[vertex_tour[v]]` lists `v`.
     vertex_tour: Vec<TourId>,
     /// Tree neighbors, one strictly ascending row per vertex; `w ∈
-    /// adj[v]` exactly when edge `{v, w}` has a record in the shard of
-    /// `v`'s tour. A row is the forest-edge index: membership tests
-    /// ([`DistEtf::contains_edge`]) and the split's region walk read it
-    /// by binary search and in order, without touching a shard.
+    /// adj[v]` exactly when `{v, w}` is a forest edge. A row is the
+    /// forest-edge index: membership tests ([`DistEtf::contains_edge`])
+    /// read it by binary search, without touching a tour.
     adj: Vec<Vec<VertexId>>,
-    /// The live tours, one record each: the edge shard (the
-    /// machine-local segment the paper's protocol remaps), held as a
-    /// base run read through a pending position map plus a fresh run
-    /// at exact positions (see [`Tour`]), and the sorted members
-    /// (spliced and partitioned alongside it). Invariants: every record
-    /// in either run of `tours[t]` has `rec.tour == t` and both
-    /// endpoints in `tours[t].members`; the two runs are disjoint; a
-    /// tour has one member more than it has edges; the member lists
-    /// partition the vertices.
+    /// Beside each row entry `adj[v][i] = w`, the handle of the
+    /// traversal `v → w`.
+    at: Vec<Vec<Handle>>,
+    /// The live tours, one record each (see [`Tour`]). Invariants: the
+    /// blocks of `tours[t]` hold every traversal of an edge whose
+    /// endpoints are labelled `t`, with starts counting from 0 without a
+    /// gap; no block is empty; a tour has one member more than it has
+    /// edges; the member lists partition the vertices.
     tours: BTreeMap<TourId, Tour>,
-    /// `Σ` records of every tour (both runs), kept so that
-    /// [`DistEtf::words`] is `O(1)`.
-    edge_count: usize,
+    /// The blocks of every tour, by id; `free` lists the unused ones.
+    pub(crate) slab: Vec<Block>,
+    free: Vec<u32>,
+    /// The block capacity: `B`, except in tests.
+    cap: usize,
+    /// The number of forest edges, kept so that [`DistEtf::words`] is
+    /// `O(1)`.
+    pub(crate) edge_count: usize,
     /// The next fresh tour id, above every live one.
     next_id: TourId,
+    /// Blocks merged into a neighbour so far.
+    #[cfg(test)]
+    pub(crate) merges: usize,
 }
 
 impl DistEtf {
@@ -697,9 +271,25 @@ impl DistEtf {
             n,
             vertex_tour: (0..n as u64).collect(),
             adj: vec![Vec::new(); n],
+            at: vec![Vec::new(); n],
             tours,
+            slab: Vec::new(),
+            free: Vec::new(),
+            cap: B,
             edge_count: 0,
             next_id: n as TourId,
+            #[cfg(test)]
+            merges: 0,
+        }
+    }
+
+    /// The forest of `n` singletons with blocks of at most `cap`
+    /// traversals.
+    #[cfg(test)]
+    pub(crate) fn with_block_capacity(n: usize, cap: usize) -> Self {
+        DistEtf {
+            cap,
+            ..DistEtf::new(n)
         }
     }
 
@@ -724,7 +314,7 @@ impl DistEtf {
     ///
     /// Panics on an unknown tour id.
     pub fn tour_len(&self, t: TourId) -> u64 {
-        4 * self.tours[&t].len() as u64
+        2 * self.traversals(&self.tours[&t].blocks) as u64
     }
 
     /// The vertices of a tour, sorted ascending.
@@ -772,33 +362,49 @@ impl DistEtf {
 
     /// Whether `e` is a forest (tree) edge: a binary search of `e.u()`'s
     /// adjacency row for `e.v()`, which the adjacency invariant makes
-    /// equal to `edge_rec(e).is_some()` without reading a shard.
+    /// equal to `edge_rec(e).is_some()` without reading a tour.
     pub fn contains_edge(&self, e: Edge) -> bool {
         (e.v() as usize) < self.n && self.adj[e.u() as usize].binary_search(&e.v()).is_ok()
     }
 
-    /// The record of a forest edge, at its current positions. A forest
-    /// edge always lives in the shard of its endpoints' tour, so the
-    /// lookup is local to that shard (and reads through its pending
-    /// map).
+    /// The record of a forest edge: its tour is its endpoints' label,
+    /// and each traversal's position is read off its handle.
     pub fn edge_rec(&self, e: Edge) -> Option<EdgeRec> {
-        if (e.v() as usize) >= self.n {
-            return None;
-        }
-        self.tours.get(&self.vertex_tour[e.u() as usize])?.get(e)
+        let (u, v) = e.endpoints();
+        let there = (self.index(self.handle(u, v)?), u);
+        let back = (self.index(self.handle(v, u)?), v);
+        Some(self.record(self.vertex_tour[u as usize], there, back))
     }
 
-    /// Iterates over the forest edges (all shards), each tour's in edge
-    /// order.
+    /// Iterates over the forest edges, tour by tour and each tour's in
+    /// edge order.
     pub fn forest_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.tours.values().flat_map(Tour::edge_keys)
+        self.tours.values().flat_map(move |tour| {
+            tour.members.iter().flat_map(move |&v| {
+                self.adj[v as usize]
+                    .iter()
+                    .filter(move |&&w| w > v)
+                    .map(move |&w| Edge::new(v, w))
+            })
+        })
     }
 
-    /// Iterates over one tour's edge shard in edge order, each record
-    /// at its current positions — the unit of locality of every tour
-    /// operation. Yields nothing for singleton or unknown tours.
+    /// Iterates over one tour's edges in edge order, each with its
+    /// record — the unit of locality of every tour operation. Its sorted
+    /// members, each with its row entries above it, are that order.
+    /// Yields nothing for singleton or unknown tours.
     pub fn tour_edges(&self, t: TourId) -> impl Iterator<Item = (Edge, EdgeRec)> + '_ {
-        self.tours.get(&t).into_iter().flat_map(Tour::records)
+        let members = self.tours.get(&t).map_or(&[][..], |tour| &tour.members);
+        members.iter().flat_map(move |&v| {
+            let row = &self.adj[v as usize];
+            row.iter()
+                .zip(&self.at[v as usize])
+                .filter(move |&(&w, _)| w > v)
+                .filter_map(move |(&w, &h)| {
+                    let back = (self.index(self.handle(w, v)?), w);
+                    Some((Edge::new(v, w), self.record(t, (self.index(h), v), back)))
+                })
+        })
     }
 
     /// The tree neighbors of `v`, strictly ascending.
@@ -819,150 +425,360 @@ impl DistEtf {
         id
     }
 
-    // ----- crate-private state surgery for the batch operations ----
-
-    /// Detaches a whole tour (an empty one if `t` is not live). The
-    /// caller must re-home its members and records via
-    /// [`DistEtf::put_tour`] or by splicing them into another tour.
-    pub(crate) fn take_tour(&mut self, t: TourId) -> Tour {
-        let tour = self.tours.remove(&t).unwrap_or_default();
-        self.edge_count -= tour.len();
-        tour
-    }
-
-    /// Installs a whole tour — both runs sorted and labelled `t`,
-    /// members sorted — under an id that holds none: the inverse of
-    /// [`DistEtf::take_tour`].
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "a debug_assert!, which clippy reads as the assert! it expands to"
-    )]
-    pub(crate) fn put_tour(&mut self, t: TourId, tour: Tour) {
-        for run in [&tour.edges[..], tour.fresh()] {
-            debug_assert!(run.is_sorted_by(|a, b| a.0 < b.0), "unsorted shard");
-        }
-        debug_assert!(
-            tour.records().all(|(_, r)| r.tour == t),
-            "mislabelled shard"
-        );
-        debug_assert!(tour.members.is_sorted(), "tour members must stay sorted");
-        self.edge_count += tour.len();
-        self.tours.insert(t, tour);
-    }
-
-    /// Registers `e` in the tree adjacency only (for callers that
-    /// splice the record itself in bulk): each endpoint's row takes the
-    /// other at its sorted place.
-    pub(crate) fn add_adjacency(&mut self, e: Edge) {
-        for (v, w) in [(e.u(), e.v()), (e.v(), e.u())] {
-            let row = &mut self.adj[v as usize];
-            if let Err(at) = row.binary_search(&w) {
-                row.insert(at, w);
-            }
-        }
-    }
-
-    /// Drops `e` from the tree adjacency only (for callers that cut
-    /// the record itself out of its shard in bulk).
-    pub(crate) fn remove_adjacency(&mut self, e: Edge) {
-        for (v, w) in [(e.u(), e.v()), (e.v(), e.u())] {
-            let row = &mut self.adj[v as usize];
-            if let Ok(at) = row.binary_search(&w) {
-                row.remove(at);
-            }
-        }
-    }
-
     pub(crate) fn set_vertex_tour(&mut self, v: VertexId, t: TourId) {
         self.vertex_tour[v as usize] = t;
     }
 
-    // ----- occurrence bookkeeping ---------------------------------
+    // ----- traversals and their handles ---------------------------
 
-    /// The two positions at which `v` occurs on each of its tree
-    /// edges, in adjacency order: per edge, the earlier traversal's
-    /// entry, then the later one's.
-    fn edge_occurrences(&self, v: VertexId) -> impl Iterator<Item = [u64; 2]> + '_ {
-        let adj = &self.adj[v as usize];
-        // A vertex with no edges reads no tour.
-        let tour = (!adj.is_empty()).then(|| &self.tours[&self.vertex_tour[v as usize]]);
-        adj.iter().map(move |&w| {
-            #[expect(
-                clippy::expect_used,
-                reason = "adjacency and tour shards are mutated in lockstep — a missing edge is corruption"
-            )]
-            let rec = tour
-                .and_then(|tour| tour.get(Edge::new(v, w)))
-                .expect("adjacent edge in shard");
-            let at = |t: Traversal| if t.from == v { t.pos } else { t.pos + 1 };
-            [at(rec.first), at(rec.second)]
+    /// The tour index of the traversal at `h`.
+    fn index(&self, h: Handle) -> usize {
+        self.slab[h.block as usize].start + h.slot as usize
+    }
+
+    /// The handle of the traversal `from → to`, if `{from, to}` is a
+    /// forest edge.
+    fn handle(&self, from: VertexId, to: VertexId) -> Option<Handle> {
+        let i = self.adj.get(from as usize)?.binary_search(&to).ok()?;
+        self.at[from as usize].get(i).copied()
+    }
+
+    /// The record of an edge of tour `t` from its two traversals, each
+    /// `(tour index, from)`.
+    fn record(&self, t: TourId, a: (usize, VertexId), b: (usize, VertexId)) -> EdgeRec {
+        let (a, b) = if a.0 < b.0 { (a, b) } else { (b, a) };
+        let trav = |(i, from): (usize, VertexId)| Traversal {
+            pos: 2 * i as u64 + 1,
+            from,
+        };
+        EdgeRec {
+            tour: t,
+            first: trav(a),
+            second: trav(b),
+        }
+    }
+
+    /// The tour index of the first traversal leaving `v` (0 for a
+    /// singleton): `v`'s tour, rotated there, starts at `v`.
+    pub(crate) fn first_out(&self, v: VertexId) -> usize {
+        self.at[v as usize]
+            .iter()
+            .map(|&h| self.index(h))
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// The number of traversals in a tour's blocks.
+    pub(crate) fn traversals(&self, blocks: &[u32]) -> usize {
+        blocks.last().map_or(0, |&b| {
+            let block = &self.slab[b as usize];
+            block.start + block.trav.len()
         })
     }
 
+    /// Every traversal of tour `t` in tour order, as `(position, from,
+    /// to)`: what the blocks hold, for the validator to hold against
+    /// the records the handles give.
+    pub(crate) fn walk(&self, t: TourId) -> impl Iterator<Item = (u64, VertexId, VertexId)> + '_ {
+        let blocks = self.tours.get(&t).map_or(&[][..], |tour| &tour.blocks);
+        blocks.iter().flat_map(move |&b| {
+            let block = &self.slab[b as usize];
+            (block.start..)
+                .zip(&block.trav)
+                .map(|(i, &(from, to))| (2 * i as u64 + 1, from, to))
+        })
+    }
+
+    // ----- block surgery -------------------------------------------
+
+    /// Points the row entry of `from → to` at `h`.
+    fn aim(&mut self, from: VertexId, to: VertexId, h: Handle) {
+        if let Ok(i) = self.adj[from as usize].binary_search(&to) {
+            self.at[from as usize][i] = h;
+        }
+    }
+
+    /// Re-aims the traversals of block `b` from slot `from` on, after
+    /// they moved into it.
+    fn rehome(&mut self, b: u32, from: usize) {
+        for slot in from..self.slab[b as usize].trav.len() {
+            let (v, w) = self.slab[b as usize].trav[slot];
+            let slot = slot as u32;
+            self.aim(v, w, Handle { block: b, slot });
+        }
+    }
+
+    /// An empty block, recycled if one is free.
+    fn alloc(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Block::default());
+            (self.slab.len() - 1) as u32
+        })
+    }
+
+    fn release(&mut self, b: u32) {
+        self.slab[b as usize].trav.clear();
+        self.free.push(b);
+    }
+
+    /// Makes traversal `x` of the tour whose blocks are `list` (starts
+    /// current) begin a block, splitting the block that holds it, and
+    /// returns that block's place in `list` (`list.len()` at the end).
+    /// Only the traversals moved into the new block are re-aimed.
+    pub(crate) fn cut(&mut self, list: &mut Vec<u32>, x: usize) -> usize {
+        let j = list.partition_point(|&b| self.slab[b as usize].start <= x);
+        let Some(&b) = j.checked_sub(1).and_then(|i| list.get(i)) else {
+            return 0;
+        };
+        let block = &self.slab[b as usize];
+        let s = x - block.start;
+        if s == 0 {
+            return j - 1;
+        }
+        if s >= block.trav.len() {
+            return j;
+        }
+        let nb = self.alloc();
+        let mut moved = std::mem::take(&mut self.slab[nb as usize].trav);
+        moved.extend_from_slice(&self.slab[b as usize].trav[s..]);
+        self.slab[b as usize].trav.truncate(s);
+        self.slab[nb as usize] = Block {
+            start: x,
+            trav: moved,
+        };
+        self.rehome(nb, 0);
+        list.insert(j, nb);
+        j
+    }
+
+    /// Appends traversal `from → to` to the blocks `list`, in its last
+    /// block while that has room, and aims the edge's row entry at it.
+    pub(crate) fn push_trav(&mut self, list: &mut Vec<u32>, from: VertexId, to: VertexId) {
+        let b = match list.last() {
+            Some(&b) if self.slab[b as usize].trav.len() < self.cap => b,
+            _ => {
+                let b = self.alloc();
+                list.push(b);
+                b
+            }
+        };
+        let slot = self.slab[b as usize].trav.len();
+        self.slab[b as usize].trav.push((from, to));
+        let slot = slot as u32;
+        self.aim(from, to, Handle { block: b, slot });
+    }
+
+    /// Finishes a splice of `list`, whose blocks in front of `from` it
+    /// left as they were: from there on, drops empty blocks, merges a
+    /// block into its predecessor when either holds fewer than `cap / 4`
+    /// traversals and the two fit one block, and recomputes the starts.
+    pub(crate) fn settle(&mut self, list: &mut Vec<u32>, from: usize) {
+        let (low, cap) = (self.cap / 4, self.cap);
+        // Where the next block starts, and the length of the one in
+        // front of it (`low` when there is none, which merges with
+        // nothing).
+        let mut i = from;
+        let (mut start, mut have) = match i.checked_sub(1) {
+            Some(j) => {
+                let block = &self.slab[list[j] as usize];
+                (block.start + block.trav.len(), block.trav.len())
+            }
+            None => (0, low),
+        };
+        while i < list.len() {
+            // The common case: a block that neither is small nor follows
+            // a small one only takes its start.
+            for &b in &list[i..] {
+                let block = &mut self.slab[b as usize];
+                let len = block.trav.len();
+                if len < low || have < low || len == 0 {
+                    break;
+                }
+                block.start = start;
+                start += len;
+                have = len;
+                i += 1;
+            }
+            let Some(&b) = list.get(i) else {
+                break;
+            };
+            let len = self.slab[b as usize].trav.len();
+            match i.checked_sub(1).map(|j| list[j]) {
+                _ if len == 0 => {}
+                Some(into) if (have < low || len < low) && have + len <= cap => {
+                    let moved = std::mem::take(&mut self.slab[b as usize].trav);
+                    self.slab[into as usize].trav.extend_from_slice(&moved);
+                    self.slab[b as usize].trav = moved;
+                    self.rehome(into, have);
+                    start += len;
+                    have += len;
+                    #[cfg(test)]
+                    {
+                        self.merges += 1;
+                    }
+                }
+                _ => {
+                    self.slab[b as usize].start = start;
+                    start += len;
+                    have = len;
+                    i += 1;
+                    continue;
+                }
+            }
+            self.release(b);
+            list.remove(i);
+        }
+    }
+
+    /// Registers `e` in the tree adjacency: each endpoint's row takes
+    /// the other at its sorted place, with a handle the caller aims.
+    fn add_adjacency(&mut self, e: Edge) {
+        for (v, w) in [(e.u(), e.v()), (e.v(), e.u())] {
+            let row = &mut self.adj[v as usize];
+            if let Err(i) = row.binary_search(&w) {
+                row.insert(i, w);
+                self.at[v as usize].insert(i, Handle::default());
+            }
+        }
+    }
+
+    /// Drops `e` from the tree adjacency, handles included.
+    pub(crate) fn remove_adjacency(&mut self, e: Edge) {
+        for (v, w) in [(e.u(), e.v()), (e.v(), e.u())] {
+            let row = &mut self.adj[v as usize];
+            if let Ok(i) = row.binary_search(&w) {
+                row.remove(i);
+                self.at[v as usize].remove(i);
+            }
+        }
+    }
+
+    /// Takes tour `t`'s record out of the tour table (an empty one if
+    /// `t` is not live).
+    pub(crate) fn take_tour(&mut self, t: TourId) -> Tour {
+        self.tours.remove(&t).unwrap_or_default()
+    }
+
+    /// Installs a tour record under `t`.
+    pub(crate) fn put_tour(&mut self, t: TourId, tour: Tour) {
+        self.tours.insert(t, tour);
+    }
+
+    /// Splices tours together along new forest edges (the [`Graft`]s,
+    /// each child already rerooted at its `v`): the merged tour is
+    /// `nodes[root]`'s sequence with each child's expanded one inserted
+    /// in front of its traversal `x`, children at one `x` in `child`
+    /// order. It keeps `nodes[root]`'s id; each child's members take it.
+    /// The root's blocks are split at most once per graft, the
+    /// children's move whole, and the new traversals fill the block in
+    /// front of them or a fresh one.
+    pub(crate) fn graft(&mut self, nodes: &[TourId], root: usize, grafts: &mut [Graft]) {
+        grafts.sort_unstable_by_key(|g| (g.parent, g.x, g.child));
+        let mut parts: Vec<Tour> = nodes.iter().map(|&t| self.take_tour(t)).collect();
+        // Each graft's place in its parent's block list.
+        let mut place = Vec::with_capacity(grafts.len());
+        for g in grafts.iter() {
+            place.push(self.cut(&mut parts[g.parent].blocks, g.x));
+            self.add_adjacency(Edge::new(g.u, g.v));
+        }
+        let first = |node: usize| grafts.partition_point(|g| g.parent < node);
+        let mut out = Vec::with_capacity(parts.iter().map(|p| p.blocks.len()).sum::<usize>() + 1);
+        // Depth first: (node, its next graft, its next block, the
+        // traversal back up into its parent).
+        let mut stack = vec![(root, first(root), 0, None)];
+        while let Some(&(node, next, from, up)) = stack.last() {
+            let blocks = &parts[node].blocks;
+            match grafts.get(next).filter(|g| g.parent == node) {
+                Some(g) => {
+                    out.extend_from_slice(&blocks[from..place[next]]);
+                    let top = stack.len() - 1;
+                    stack[top] = (node, next + 1, place[next], up);
+                    self.push_trav(&mut out, g.u, g.v);
+                    stack.push((g.child, first(g.child), 0, Some((g.v, g.u))));
+                }
+                None => {
+                    out.extend_from_slice(&blocks[from..]);
+                    stack.pop();
+                    if let Some((v, u)) = up {
+                        self.push_trav(&mut out, v, u);
+                    }
+                }
+            }
+        }
+        // The root's blocks in front of its first graft are as they were.
+        let from = grafts
+            .iter()
+            .position(|g| g.parent == root)
+            .map_or(0, |i| place[i]);
+        self.settle(&mut out, from.saturating_sub(1));
+        let id = nodes[root];
+        let mut tour = std::mem::take(&mut parts[root]);
+        let extra: Vec<VertexId> = parts.into_iter().flat_map(|p| p.members).collect();
+        for &w in &extra {
+            self.set_vertex_tour(w, id);
+        }
+        splice_sorted(&mut tour.members, extra);
+        tour.blocks = out;
+        self.edge_count += grafts.len();
+        self.put_tour(id, tour);
+    }
+
+    // ----- occurrence bookkeeping ---------------------------------
+
     /// All positions at which `v` occurs in its tour (2·deg entries),
-    /// ascending.
+    /// ascending. A traversal `i` leaving `v` puts `v` at `2i + 1`, and
+    /// the traversal before it arrives at `v`, at `2i` (the tour's last
+    /// entry for `i = 0`).
     pub fn occurrences(&self, v: VertexId) -> Vec<u64> {
-        let mut out: Vec<u64> = self.edge_occurrences(v).flatten().collect();
+        let len = || self.tour_len(self.vertex_tour[v as usize]);
+        let mut out: Vec<u64> = self.at[v as usize]
+            .iter()
+            .flat_map(|&h| {
+                let i = self.index(h) as u64;
+                [if i == 0 { len() } else { 2 * i }, 2 * i + 1]
+            })
+            .collect();
         out.sort_unstable();
         out
     }
 
     /// First and last occurrence `(f(v), ℓ(v))`; `(0, 0)` for a
-    /// singleton. One pass over `v`'s edges: on each, the earlier
-    /// traversal's entry precedes the later one's, so the first
-    /// occurrence is the least earlier entry and the last the greatest
-    /// later one.
+    /// singleton. One pass over `v`'s handles: the first occurrence is
+    /// the arrival in front of the first traversal leaving `v`, and the
+    /// last the departure of the last one — or, when `v` is the root,
+    /// entry 1 and the tour's last entry.
     pub fn f_l(&self, v: VertexId) -> (u64, u64) {
-        let mut edges = self.edge_occurrences(v);
-        let Some(first) = edges.next() else {
+        let mut at = self.at[v as usize].iter().map(|&h| self.index(h) as u64);
+        let Some(i) = at.next() else {
             return (0, 0);
         };
-        let [f, l] = edges.fold(first, |[f, l], [a, b]| [f.min(a), l.max(b)]);
-        (f, l)
+        let (lo, hi) = at.fold((i, i), |(lo, hi), i| (lo.min(i), hi.max(i)));
+        if lo == 0 {
+            (1, self.tour_len(self.vertex_tour[v as usize]))
+        } else {
+            (2 * lo, 2 * hi + 1)
+        }
     }
 
     // ----- rooting -------------------------------------------------
 
-    /// The rotation cut position for rerooting at `v`: the start of
-    /// the first traversal leaving `v`. `f(v)` is odd exactly when
-    /// `v` is already the root (then this is 1 and the rotation is the
-    /// identity); otherwise `f(v)` is `v`'s arrival entry and
-    /// `f(v) + 1` begins the next traversal, which leaves from `v`.
-    fn cut_position(&self, v: VertexId) -> u64 {
-        let (f, _) = self.f_l(v);
-        if f % 2 == 1 {
-            f
-        } else {
-            f + 1
-        }
-    }
-
-    /// Rotates `v`'s tour to start at `v`, after applying its pending
-    /// work: a rotation is a full pass, and a tour about to be spliced
-    /// in as a join's child must be exact.
+    /// Rotates `v`'s tour to start at the first traversal leaving `v`:
+    /// the block holding it is split there and the block list rotated.
+    #[expect(
+        clippy::expect_used,
+        reason = "tour invariant — every vertex's tour is live"
+    )]
     pub(crate) fn reroot_uncharged(&mut self, v: VertexId) {
-        // A singleton has no occurrences, so its cut is 1 as well.
-        let cut = self.cut_position(v);
-        // Only the rerooted tour's shard is touched.
-        #[expect(
-            clippy::expect_used,
-            reason = "tour invariant — every vertex's tour is live"
-        )]
-        let tour = self
-            .tours
-            .get_mut(&self.vertex_tour[v as usize])
-            .expect("live tour");
-        tour.materialize();
-        if cut == 1 {
+        let x = self.first_out(v);
+        if x == 0 {
             return;
         }
-        let len = 4 * tour.edges.len() as u64;
-        for (_, rec) in tour.edges.iter_mut() {
-            for trav in [&mut rec.first, &mut rec.second] {
-                trav.pos = (trav.pos + len - cut) % len + 1;
-            }
-            rec.normalize();
-        }
+        let t = self.vertex_tour[v as usize];
+        let mut list = std::mem::take(&mut self.tours.get_mut(&t).expect("live tour").blocks);
+        let k = self.cut(&mut list, x);
+        list.rotate_left(k);
+        self.settle(&mut list, 0);
+        self.tours.get_mut(&t).expect("live tour").blocks = list;
     }
 
     /// Rotates the tour containing `v` so it starts (and ends) at
@@ -977,56 +793,25 @@ impl DistEtf {
     // ----- single-edge join / split -------------------------------
 
     /// Links the tree edge `{root_end, child_end}` between two tours:
-    /// `root_end`'s tour anchors in place (only its tail past the
-    /// attach point shifts, by a one-step map its base defers),
-    /// `child_end`'s tour is rerooted at `child_end` and spliced into
-    /// the gap. The one single-edge splice of [`DistEtf::join`] and
-    /// `batch_join`.
+    /// `root_end`'s tour anchors in place, `child_end`'s tour is
+    /// rerooted at `child_end` and spliced in front of the first
+    /// traversal leaving `root_end`. The one single-edge splice of
+    /// [`DistEtf::join`] and `batch_join`.
     pub(crate) fn link(&mut self, root_end: VertexId, child_end: VertexId) {
-        let (root, child) = (self.tour_of(root_end), self.tour_of(child_end));
+        let nodes = [self.tour_of(root_end), self.tour_of(child_end)];
         self.reroot_uncharged(child_end);
-        let (f_u, _) = self.f_l(root_end);
-        let c = if f_u % 2 == 1 { f_u - 1 } else { f_u };
-        let Tour {
-            edges: mut merged,
-            members: extra,
-            ..
-        } = self.take_tour(child);
-        let mut tour = self.take_tour(root);
-        let w = 4 * merged.len() as u64;
-        // Root tail shift: positions strictly above the attach point
-        // make room for the child block of w + 4 entries.
-        tour.remap(&PosMap::step(c, w + 4));
-        // Child block: old position x lands at c + 2 + x.
-        for (_, rec) in merged.iter_mut() {
-            rec.tour = root;
-            rec.first.pos += c + 2;
-            rec.second.pos += c + 2;
-        }
-        let e = Edge::new(root_end, child_end);
-        self.add_adjacency(e);
-        merged.push((
-            e,
-            EdgeRec {
-                tour: root,
-                first: Traversal {
-                    pos: c + 1,
-                    from: root_end,
-                },
-                second: Traversal {
-                    pos: c + w + 3,
-                    from: child_end,
-                },
-            },
-        ));
-        tour.attach(merged);
-        // Membership: only the child's members change tour; its
-        // sorted run merges into the root's list in place.
-        for &x in &extra {
-            self.set_vertex_tour(x, root);
-        }
-        splice_sorted(&mut tour.members, extra, |&v| v);
-        self.put_tour(root, tour);
+        let x = self.first_out(root_end);
+        self.graft(
+            &nodes,
+            0,
+            &mut [Graft {
+                parent: 0,
+                x,
+                child: 1,
+                u: root_end,
+                v: child_end,
+            }],
+        );
     }
 
     /// Links `e`, merging two tours (paper Lemma 5.1 "Join"); `u`'s
@@ -1052,6 +837,17 @@ impl DistEtf {
         self.link(u, v);
     }
 
+    /// The tour of forest edge `e` and the tour indices of its two
+    /// traversals, ascending: the cut a split of `e` makes.
+    pub(crate) fn cut_of(&self, e: Edge) -> Option<(TourId, (usize, usize, Edge))> {
+        let (u, v) = e.endpoints();
+        let (a, b) = (
+            self.index(self.handle(u, v)?),
+            self.index(self.handle(v, u)?),
+        );
+        Some((self.vertex_tour[u as usize], (a.min(b), a.max(b), e)))
+    }
+
     /// Cuts tree edge `e`, splitting one tour into two (paper
     /// Lemma 5.1 "Split"). Returns the two resulting tour ids (root
     /// side, detached side) — for endpoints that become singletons
@@ -1069,15 +865,12 @@ impl DistEtf {
             clippy::expect_used,
             reason = "documented \"# Panics\" precondition — splitting a non-forest edge is a caller bug"
         )]
-        let rec = self.edge_rec(e).expect("split of non-tree edge");
+        let (t, cut) = self.cut_of(e).expect("split of non-tree edge");
         // A one-cut split: the detached side is the cut's region,
         // which takes the first id `split_tour` allocates.
         let child = self.next_id;
-        self.split_tour(
-            rec.tour,
-            &[(rec.first.pos, rec.second.pos, e, rec.first.from)],
-        );
-        (rec.tour, child)
+        self.split_tour(t, &[cut]);
+        (t, child)
     }
 }
 
@@ -1085,24 +878,31 @@ impl DistEtf {
 // of the tours that have edges, the edge count, a length per live
 // tour, member lists, the id allocator — the layout that existing
 // snapshot files and the byte pins (`crates/etf/tests/state_digest.rs`,
-// `tests/session_checkpoint.rs`) hold. A length is written as `4·|edges|` and a
-// load refuses any other; everything else decodes straight into the
-// one tour table and is then checked against the invariants the
-// mutation paths maintain. Each traversal's position must be odd and
-// inside its tour; the rest of tour-walk validity (clashes, coverage,
-// seams) is `tour::validate`'s to check.
+// `tests/session_checkpoint.rs`) hold. A shard is written in edge order
+// by walking the tour's sorted members and each one's row entries above
+// it, each record's positions read off its handles; a length is written
+// as `4·|edges|` and a load refuses any other. A load decodes the
+// tables, checks them against the invariants the mutation paths
+// maintain, and lays each tour out in blocks, refusing two traversals
+// at one position: with every position odd and inside its tour, that
+// also rules out a gap. The rest of tour-walk validity (the seams) is
+// `tour::validate`'s to check.
 impl mpc_snapshot::Persist for DistEtf {
     fn save(&self, w: &mut mpc_snapshot::SnapshotWriter) {
         self.n.save(w);
         self.vertex_tour.save(w);
         self.adj.save(w);
-        // A shard is written as the `Vec` of its current records.
-        let with_edges = || self.tours.iter().filter(|(_, tour)| tour.len() > 0);
+        let edges = |tour: &Tour| self.traversals(&tour.blocks) as u64 / 2;
+        let with_edges = || {
+            self.tours
+                .iter()
+                .filter(|(_, tour)| !tour.blocks.is_empty())
+        };
         w.put_usize(with_edges().count());
-        for (t, tour) in with_edges() {
+        for (&t, tour) in with_edges() {
             t.save(w);
-            w.put_u64(tour.len() as u64);
-            for record in tour.records() {
+            w.put_u64(edges(tour));
+            for record in self.tour_edges(t) {
                 record.save(w);
             }
         }
@@ -1110,7 +910,7 @@ impl mpc_snapshot::Persist for DistEtf {
         w.put_usize(self.tours.len());
         for (&t, tour) in &self.tours {
             t.save(w);
-            w.put_u64(4 * tour.len() as u64);
+            w.put_u64(4 * edges(tour));
         }
         w.put_usize(self.tours.len());
         for (t, tour) in &self.tours {
@@ -1127,15 +927,14 @@ impl mpc_snapshot::Persist for DistEtf {
         // Each row decodes straight into its `Vec`; `check` refuses one
         // that is not strictly ascending.
         let adj = Vec::<Vec<VertexId>>::load(r)?;
-        let mut tours: BTreeMap<TourId, Tour> = BTreeMap::new();
+        let mut tours: BTreeMap<TourId, (Shard, Vec<VertexId>)> = BTreeMap::new();
         for _ in 0..r.take_usize()? {
             let t = TourId::load(r)?;
             let edges = Shard::load(r)?;
             if edges.is_empty() || tours.last_key_value().is_some_and(|(&last, _)| last >= t) {
                 return corrupt(format!("tour {t}: empty or out-of-order edge shard"));
             }
-            // A loaded tour is exact: its whole shard is the base run.
-            tours.entry(t).or_default().edges = edges;
+            tours.entry(t).or_default().0 = edges;
         }
         let edge_count = usize::load(r)?;
         let live = r.take_usize()?;
@@ -1143,7 +942,7 @@ impl mpc_snapshot::Persist for DistEtf {
         for _ in 0..live {
             let t = TourId::load(r)?;
             let len = u64::load(r)?;
-            let edges = tours.entry(t).or_default().edges.len();
+            let edges = tours.entry(t).or_default().0.len();
             if last.replace(t).is_some_and(|last| last >= t) || len != 4 * edges as u64 {
                 return corrupt(format!(
                     "tour {t}: stored length {len} out of order or != 4 × {edges} edges"
@@ -1155,13 +954,13 @@ impl mpc_snapshot::Persist for DistEtf {
                 "edge shard, length and member tables disagree on the live tours".into(),
             );
         }
-        for (&t, tour) in &mut tours {
+        for (&t, (_, members)) in &mut tours {
             if TourId::load(r)? != t {
                 return corrupt(format!("tour {t} has no member list"));
             }
-            tour.members = Vec::load(r)?;
+            *members = Vec::load(r)?;
         }
-        let etf = DistEtf {
+        let loaded = Loaded {
             n,
             vertex_tour,
             adj,
@@ -1169,16 +968,37 @@ impl mpc_snapshot::Persist for DistEtf {
             edge_count,
             next_id: TourId::load(r)?,
         };
-        etf.check().map_err(mpc_snapshot::SnapshotError::Corrupt)?;
-        Ok(etf)
+        loaded.build().map_err(mpc_snapshot::SnapshotError::Corrupt)
     }
 }
 
-impl DistEtf {
-    /// The cross-structure invariants a loaded forest must meet.
-    fn check(&self) -> Result<(), String> {
-        let (n, edge_count, adj) = (self.n, self.edge_count, &self.adj);
-        let (ids, rows) = (self.vertex_tour.len(), adj.len());
+/// A decoded section, checked as it is laid out in blocks.
+struct Loaded {
+    n: usize,
+    vertex_tour: Vec<TourId>,
+    adj: Vec<Vec<VertexId>>,
+    tours: BTreeMap<TourId, (Shard, Vec<VertexId>)>,
+    edge_count: usize,
+    next_id: TourId,
+}
+
+impl Loaded {
+    /// Checks the cross-structure invariants a loaded forest must meet
+    /// while it lays each tour out in full blocks, traversal by
+    /// traversal at its position, and aims every row entry at its
+    /// traversal: the row probe that finds the entry is the adjacency
+    /// check, and a slot already filled is two traversals at one
+    /// position.
+    fn build(self) -> Result<DistEtf, String> {
+        let Loaded {
+            n,
+            vertex_tour,
+            adj,
+            tours,
+            edge_count,
+            next_id,
+        } = self;
+        let (ids, rows) = (vertex_tour.len(), adj.len());
         if ids != n || rows != n {
             return Err(format!(
                 "forest over {n} vertices has {ids} tour ids and {rows} adjacency rows"
@@ -1188,28 +1008,38 @@ impl DistEtf {
         if let Some(v) = adj.iter().position(|row| !row.is_sorted_by(|a, b| a < b)) {
             return Err(format!("vertex {v}: adjacency row not strictly ascending"));
         }
+        let mut at: Vec<Vec<Handle>> = adj
+            .iter()
+            .map(|row| vec![Handle::default(); row.len()])
+            .collect();
+        let (mut slab, mut laid): (Vec<Block>, BTreeMap<TourId, Tour>) = Default::default();
         // The member lists partition the vertices, each member labelled
-        // with its own tour (so every vertex's tour is live). Every shard
-        // lookup is a binary search by edge in the shard of the
-        // endpoints' tour, and splits subtract sorted member runs.
+        // with its own tour (so every vertex's tour is live). A shard is
+        // written in edge order, and splits subtract sorted member runs.
         let (mut covered, mut edges) = (0, 0);
-        for (&t, tour) in &self.tours {
-            let inside = |v: VertexId| self.vertex_tour.get(v as usize) == Some(&t);
-            if !tour.members.is_sorted_by(|a, b| a < b) {
+        let live = tours.last_key_value().map(|(&t, _)| t);
+        for (t, (shard, members)) in tours {
+            let inside = |v: VertexId| vertex_tour.get(v as usize) == Some(&t);
+            if !members.is_sorted_by(|a, b| a < b) {
                 return Err(format!("tour {t}: member list not strictly ascending"));
             }
-            if let Some(v) = tour.members.iter().find(|&&v| !inside(v)) {
+            if let Some(v) = members.iter().find(|&&v| !inside(v)) {
                 return Err(format!("tour {t}: member {v} is not labelled with it"));
             }
-            if !tour.edges.is_sorted_by(|a, b| a.0 < b.0) {
+            if !shard.is_sorted_by(|a, b| a.0 < b.0) {
                 return Err(format!("tour {t}: shard not strictly ascending by edge"));
             }
+            let first = slab.len();
+            for start in (0..2 * shard.len()).step_by(B) {
+                let len = B.min(2 * shard.len() - start);
+                let trav = vec![(VertexId::MAX, VertexId::MAX); len];
+                slab.push(Block { start, trav });
+            }
             // A traversal occupies positions `pos` and `pos + 1` of a
-            // tour of length `4·|edges|` and starts at an odd one; a
-            // split computes spans from these without a bounds check.
-            let len = 4 * tour.edges.len() as u64;
+            // tour of length `4·|edges|` and starts at an odd one.
+            let len = 4 * shard.len() as u64;
             let misplaced = |pos: u64| pos.is_multiple_of(2) || pos >= len;
-            for (e, rec) in &tour.edges {
+            for (e, rec) in &shard {
                 let froms = (rec.first.from, rec.second.from);
                 let lie = if rec.tour != t {
                     "another tour's record"
@@ -1219,20 +1049,38 @@ impl DistEtf {
                     "a record that does not cross its edge both ways"
                 } else if misplaced(rec.first.pos) || misplaced(rec.second.pos) {
                     "a traversal at an even position or past the tour's end"
-                } else if adj[e.u() as usize].binary_search(&e.v()).is_err()
-                    || adj[e.v() as usize].binary_search(&e.u()).is_err()
-                {
-                    "a record missing from the adjacency"
                 } else {
-                    continue;
+                    let mut lie = None;
+                    for Traversal { pos, from } in [rec.first, rec.second] {
+                        let to = e.other(from);
+                        let Ok(i) = adj[from as usize].binary_search(&to) else {
+                            lie = Some("a record missing from the adjacency");
+                            break;
+                        };
+                        let x = (pos / 2) as usize;
+                        let (block, slot) = (first + x / B, x % B);
+                        let entry = &mut slab[block].trav[slot];
+                        if entry.0 != VertexId::MAX {
+                            return Err(format!("tour {t}: two traversals at position {pos}"));
+                        }
+                        *entry = (from, to);
+                        let (block, slot) = (block as u32, slot as u32);
+                        at[from as usize][i] = Handle { block, slot };
+                    }
+                    match lie {
+                        Some(lie) => lie,
+                        None => continue,
+                    }
                 };
                 return Err(format!("tour {t}: shard holds {lie}: {e}"));
             }
-            let (m, k) = (tour.members.len(), tour.edges.len());
+            let (m, k) = (members.len(), shard.len());
             if m != k + 1 {
                 return Err(format!("tour {t}: {m} members for {k} edges"));
             }
             (covered, edges) = (covered + m, edges + k);
+            let blocks = (first as u32..slab.len() as u32).collect();
+            laid.insert(t, Tour { blocks, members });
         }
         // With every record's two entries present, equal counts leave
         // no adjacency entry without a record.
@@ -1243,13 +1091,25 @@ impl DistEtf {
                  adjacency has {entries} entries"
             ));
         }
-        let next = self.next_id;
-        if next < n as TourId || self.tours.last_key_value().is_some_and(|(&t, _)| next <= t) {
+        if next_id < n as TourId || live.is_some_and(|t| next_id <= t) {
             return Err(format!(
-                "tour id allocator {next} not above the live ids and 0..{n}"
+                "tour id allocator {next_id} not above the live ids and 0..{n}"
             ));
         }
-        Ok(())
+        Ok(DistEtf {
+            n,
+            vertex_tour,
+            adj,
+            at,
+            tours: laid,
+            slab,
+            free: Vec::new(),
+            cap: B,
+            edge_count,
+            next_id,
+            #[cfg(test)]
+            merges: 0,
+        })
     }
 }
 
@@ -1414,6 +1274,14 @@ mod tests {
             ]
         );
         assert!(path(&etf, 3, 3).is_empty());
+        // Rooted at 0, the subtree below {3,4} is {4..7}: the edge lies
+        // on a path exactly when one end of it is down there.
+        etf.reroot(0, &mut c);
+        let rec = etf.edge_rec(Edge::new(3, 4)).unwrap();
+        for (a, b) in (0..8u32).flat_map(|a| (0..8u32).map(move |b| (a, b))) {
+            let crosses = (a >= 4) != (b >= 4);
+            assert_eq!(rec.on_path(etf.f_l(a), etf.f_l(b)), crosses, "{a}-{b}");
+        }
     }
 
     #[test]
@@ -1475,29 +1343,6 @@ mod tests {
     }
 
     #[test]
-    fn subtree_interval_brackets_descendants() {
-        let mut c = ctx();
-        let mut etf = DistEtf::new(8);
-        // 0 - 1 - 2 - 3 rooted wherever the ops left it; pick the
-        // edge {1,2} and check its far side's occurrences sit inside
-        // the subtree interval.
-        for i in 0..3u32 {
-            etf.join(Edge::new(i, i + 1), &mut c);
-        }
-        etf.reroot(0, &mut c);
-        let rec = etf.edge_rec(Edge::new(1, 2)).unwrap();
-        let (lo, hi) = rec.subtree_interval();
-        for v in [2u32, 3] {
-            let (f, l) = etf.f_l(v);
-            assert!(f >= lo && l <= hi, "vertex {v} escapes subtree interval");
-        }
-        for v in [0u32, 1] {
-            let (f, l) = etf.f_l(v);
-            assert!(f < lo || l > hi, "vertex {v} must have occurrences outside");
-        }
-    }
-
-    #[test]
     fn tour_members_and_lengths_consistent() {
         let mut c = ctx();
         let mut etf = DistEtf::new(10);
@@ -1525,28 +1370,40 @@ mod tests {
         validate(&etf).expect("valid");
     }
 
-    /// One live tour, applied so its base run holds every record, for
-    /// the validator's fault-injection tests.
+    /// Fault injection and block inspection for the validator's and the
+    /// twin run's tests.
     impl DistEtf {
-        pub(crate) fn tour_mut(&mut self, t: TourId) -> &mut Tour {
-            let tour = self.tours.get_mut(&t).unwrap();
-            tour.materialize();
-            tour
+        /// Aims the row entry of `from → to` at the traversal `like`'s
+        /// entry points at.
+        pub(crate) fn aim_like(
+            &mut self,
+            (from, to): (VertexId, VertexId),
+            like: (VertexId, VertexId),
+        ) {
+            let h = self.handle(like.0, like.1).unwrap();
+            self.aim(from, to, h);
         }
 
-        /// Applies every tour's pending work: the eager twin of the
-        /// lazy/eager equivalence test.
-        pub(crate) fn materialize_all(&mut self) {
-            self.tours.values_mut().for_each(Tour::materialize);
+        /// The block of tour `t` holding traversal `x`, and `x`'s slot.
+        fn locate(&self, t: TourId, x: usize) -> (u32, usize) {
+            let blocks = &self.tours[&t].blocks;
+            let j = blocks.partition_point(|&b| self.slab[b as usize].start <= x) - 1;
+            (blocks[j], x - self.slab[blocks[j] as usize].start)
         }
 
-        /// A tour's base and fresh run lengths and pending map pieces.
-        pub(crate) fn lazy_state(&self, t: TourId) -> (usize, usize, usize) {
-            let tour = &self.tours[&t];
-            match &tour.deferred {
-                None => (tour.edges.len(), 0, 0),
-                Some(d) => (tour.edges.len(), d.fresh.len(), d.pending.len()),
-            }
+        /// Swaps traversals `x` and `y` of tour `t` in its blocks,
+        /// leaving every handle where it was.
+        pub(crate) fn swap_traversals(&mut self, t: TourId, x: usize, y: usize) {
+            let ((bx, sx), (by, sy)) = (self.locate(t, x), self.locate(t, y));
+            let a = self.slab[bx as usize].trav[sx];
+            let b = std::mem::replace(&mut self.slab[by as usize].trav[sy], a);
+            self.slab[bx as usize].trav[sx] = b;
+        }
+
+        /// Traversal `x` of tour `t`'s slot and its block's length.
+        pub(crate) fn place(&self, t: TourId, x: usize) -> (usize, usize) {
+            let (b, slot) = self.locate(t, x);
+            (slot, self.slab[b as usize].trav.len())
         }
     }
 
@@ -1773,6 +1630,21 @@ mod tests {
             &path_forest(),
             "tour 0: shard holds a traversal at an even position or past the tour's end: {0,1}",
             |s| s.shards.get_mut(&0).unwrap()[0].1.second.pos = 17,
+        );
+    }
+
+    /// A block sequence holds one traversal per position, so a file in
+    /// which two traversals share one is refused while it is laid out.
+    #[test]
+    fn load_rejects_two_traversals_at_one_position() {
+        assert_corrupt(
+            &path_forest(),
+            "tour 0: two traversals at position 1",
+            |s| {
+                let shard = s.shards.get_mut(&0).unwrap();
+                assert_eq!(shard[0].1.first.pos, 1);
+                shard[1].1.first.pos = 1;
+            },
         );
     }
 

@@ -2,76 +2,66 @@
 //!
 //! The connectivity and MSF algorithms maintain their spanning forest
 //! as a collection of *Euler tours*: for each tree, a closed walk
-//! that traverses every edge exactly twice, represented **only by
-//! per-edge index positions** — every forest edge stores the four
-//! positions at which its two traversals appear in its tree's tour,
-//! and every vertex's first/last occurrence (`f(v)`, `ℓ(v)`) is
-//! derived from its incident edges. This is exactly the paper's
-//! representation: operations become *index arithmetic* driven by a
-//! few broadcast words, which is what makes them `O(1)` MPC rounds.
+//! that traverses every edge exactly twice, represented by **per-edge
+//! index positions** — every forest edge has the positions at which its
+//! two traversals appear in its tree's tour, and every vertex's
+//! first/last occurrence (`f(v)`, `ℓ(v)`) is derived from its incident
+//! edges. This is the paper's representation: operations become
+//! *index arithmetic* driven by a few broadcast words, which is what
+//! makes them `O(1)` MPC rounds. The paper only needs the positions to
+//! be readable; the host reads them off a block sequence (below).
 //!
 //! # Per-tour sharded storage
 //!
-//! Each tour is stored once, as one record: its **edge shard** (edge
-//! records sorted by edge, [`DistEtf::tour_edges`]) and its sorted
-//! member list. Its length `4·(|T|−1)` is derived from the shard, as in
-//! the paper, where a tour is nothing but its edges' positions. The
-//! shards match the paper's protocol in which every machine remaps
-//! *its own* shard from an `O(k)`-word broadcast plan. Reroot, join,
-//! split, and the batch operations therefore touch only the affected
-//! tours' records — `O(|tour|)` work per operation at most, never
-//! `O(|forest|)` — and tour-id reassignment moves whole shards by
-//! splice (an in-place sorted-run merge) rather than per-edge rewrites.
+//! Each tour is stored once, as one record: the sequence of its
+//! traversals, held in **blocks** of at most `B` consecutive
+//! traversals `(from, to)` (one slab of blocks serves the whole
+//! forest), and its sorted member list. Each block stores the tour
+//! index of its first traversal, so traversal `i` of a tour sits at
+//! positions `2i + 1` and `2i + 2`, read as `2·(start + slot) + 1` —
+//! exact and gap-free, and never stored. Each adjacency-row entry
+//! `adj[v] ∋ w` carries the `(block, slot)` handle of the traversal
+//! `v → w`, so an edge's record ([`DistEtf::edge_rec`]), a vertex's
+//! `f`/`ℓ` ([`DistEtf::f_l`]) and its occurrences are read off its
+//! handles without a search in the tour, and a record's tour id is its
+//! endpoints' label. A tour's length `4·(|T|−1)` is derived from its
+//! blocks, as in the paper, where a tour is nothing but its edges'
+//! positions.
 //!
-//! A join costs what it attaches, and a split what it cuts off. A tour
-//! keeps its shard in two runs: a **base** run whose positions predate
-//! the joins it has anchored and the splits it has survived since its
-//! last full pass, with a **pending position map** — the composition of
-//! those operations' plans, a monotone piecewise translation with signed
-//! offsets, defined on the positions that still hold base records — and
-//! a small **fresh** run of the records those joins attached, at exact
-//! positions. A join composes its plan onto the pending map (one merge
-//! walk over the two piece lists), remaps the fresh run, and splices the
-//! children's remapped records into it. A split sweeps its `O(k)` cuts
-//! into a plan and keeps the tour record for its longest region; it
-//! walks the forest adjacency of every other region (the deleted edges
-//! already out of it) to learn its edges and members, takes those
-//! records and the deleted ones out of both runs in one front-to-back
-//! pass (a galloping search per key, one block move per record taken),
-//! renumbers them into their regions, renumbers the fresh run, and
-//! composes the kept region's renumbering onto the pending map. When
-//! the kept region is a cut's interior, it takes a fresh tour id, which
-//! is written into every record and member it keeps, one word each.
-//! Otherwise neither operation touches the rest of the base. Every read ([`DistEtf::edge_rec`],
-//! [`DistEtf::occurrences`], [`DistEtf::f_l`], [`DistEtf::tour_edges`],
-//! the validator, the snapshot writer) goes through the map, so
-//! positions stay contiguous and tour ids, snapshot bytes and model
-//! charges are those of an eager remap; a whole-run read (the snapshot
-//! writer, a full pass) looks positions up through a jump table instead
-//! of a binary search per position. The pending work is applied on the
-//! next full pass over the tour — a reroot, or a join in which the tour
-//! is a child, applies it first — or by the join or split after which
-//! fresh records plus map pieces exceed a fixed share (one sixteenth)
-//! of the base, or after which the fresh records remapped and
-//! renumbered since the last full pass outnumber the base records: a
-//! fresh run that outlives many operations costs them about one pass.
+//! Every operation is a block splice of cost `O(B + blocks)`: a reroot
+//! splits one block at the new root's first traversal and rotates the
+//! block list; a join splits the root's block at each attach point and
+//! links the children's blocks in whole, between the new edges'
+//! traversals; a split makes each deleted traversal the last of its
+//! block and drops it, so every region is a run of whole blocks less
+//! the runs nested in it, found by a binary search per cut. The region
+//! that keeps the most traversals keeps the member list, and every
+//! other region reads its members off its own traversals. After a
+//! splice the touched tours' block starts are recomputed from the first
+//! block it touched, a block that fell below `B / 4` is merged with its
+//! neighbour, and only the traversals of blocks that were split or
+//! merged have their handles moved. Tour ids, snapshot bytes and model
+//! charges are those of the paper's per-edge positions.
 //!
-//! A snapshot load refuses, as `SnapshotError::Corrupt`, every state in
-//! which the tables disagree: a stored length other than `4·|edges|`,
-//! a shard or member list without its tour, member lists that do not
-//! partition the vertices or do not number one more than their tour's
-//! edges, a record endpoint outside its tour, an adjacency row that is
-//! not strictly ascending, adjacency that does not match the records,
-//! a traversal at an even position or past its tour's end, and a
-//! tour-id allocator at or below a live id. The rest of tour-walk
-//! validity (clashes, coverage, seams) is the validator's to check.
+//! A snapshot keeps the paper's per-edge form: each tour's records in
+//! edge order, which a writer gets by walking the sorted members and
+//! each one's row entries above it. A load refuses, as
+//! `SnapshotError::Corrupt`, every state in which the tables disagree:
+//! a stored length other than `4·|edges|`, a shard or member list
+//! without its tour, member lists that do not partition the vertices or
+//! do not number one more than their tour's edges, a record endpoint
+//! outside its tour, an adjacency row that is not strictly ascending,
+//! adjacency that does not match the records, a traversal at an even
+//! position or past its tour's end, two traversals at one position
+//! (which a block sequence cannot hold; with the parity and range
+//! checks it also rules out a gap), and a tour-id allocator at or below
+//! a live id. Walk continuity (the seams) is the validator's to check.
 //!
 //! The tree adjacency is one strictly ascending row per vertex, so
 //! [`DistEtf::contains_edge`] is a binary search of one row and reads
-//! no shard, and [`DistEtf::f_l`] is one pass over a row's records.
-//! A batch join's plan (auxiliary tree, parents, children, subtree
-//! totals, per-node plans) is held in vectors indexed by the batch's
-//! touched tours, sorted: its cost follows the batch, not the forest.
+//! no tour. A batch join's plan (auxiliary tree, parents, attach
+//! points) is held in vectors indexed by the batch's touched tours,
+//! sorted: its cost follows the batch, not the forest.
 //!
 //! Operations ([`DistEtf`]):
 //!
@@ -110,24 +100,20 @@
 //! new root instead (`f(u)+1` for a non-root, which is always such a
 //! boundary). Likewise, instead of replaying the four-case
 //! incremental shift derivation of Section 6.2 literally, the
-//! coordinator computes the equivalent per-tree offset tables
-//! (`O(k)` words, identical round cost) from the same auxiliary
-//! sequence; the result is the same splice the paper describes,
-//! without its case analysis. Finally, where the paper's machines
-//! conceptually rewrite each edge record in place from the broadcast
-//! plan, a join moves whole shards by **map-splice**: a tour absorbed
-//! by a join has its entire record array remapped once and merged
-//! into the destination's fresh run, and the destination defers its
-//! own remap as a pending map (see above), which is at most the same
-//! `O(|affected tours|)` local work with far better constants than
-//! per-edge rewrites. A split finds the regions it cuts off by walking
-//! the forest adjacency rather than by scanning the shard for their
-//! positions, moves their records out as whole arrays under fresh tour
-//! ids, and defers the longest region's renumbering, so its work
-//! follows what leaves the tour, not the tour's length. All deviations
-//! are behaviour-preserving and are validated by the intrinsic tour
-//! checker, which also checks that every record carries its shard's
-//! tour id ([`tour::TourViolation::ShardMismatch`]).
+//! coordinator computes the equivalent plan (`O(k)` words, identical
+//! round cost) from the same auxiliary tree: per child, the traversal
+//! of its parent in front of which it enters; the result is the same
+//! splice the paper describes, without its case analysis. Finally,
+//! where the paper's machines store each edge's positions and rewrite
+//! them from the broadcast plan, the host stores the traversal sequence
+//! in blocks and *derives* the positions: a join or split relinks whole
+//! blocks and renumbers only block starts, so its local work follows
+//! the number of blocks, not the tour's length. The model's accounted
+//! words ([`DistEtf::words`], six per edge) and every charge stay the
+//! paper's per-edge positions. All deviations are
+//! behaviour-preserving and are validated by the intrinsic tour
+//! checker, which also checks that the blocks hold the walk the
+//! positions describe.
 
 #![cfg_attr(
     not(test),

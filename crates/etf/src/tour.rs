@@ -1,10 +1,11 @@
 //! Intrinsic validation of the distributed tour representation.
 //!
 //! [`validate`] reconstructs every tour from the per-edge index
-//! positions alone and checks that it is a well-formed closed Euler
-//! walk of its tree. The test suites call it after every operation, so
-//! any index-arithmetic bug in rooting, splicing, or splitting is
-//! caught at the operation that introduced it.
+//! positions its handles give and checks that it is a well-formed
+//! closed Euler walk of its tree, held by the tour's blocks in that
+//! order. The test suites call it after every operation, so any bug in
+//! rooting, splicing, or splitting is caught at the operation that
+//! introduced it.
 
 use crate::dist::{DistEtf, TourId};
 use mpc_graph::ids::VertexId;
@@ -28,29 +29,18 @@ pub enum TourViolation {
         pos: u64,
     },
     /// The walk is not continuous (`to` of one traversal differs from
-    /// `from` of the next) or not closed.
+    /// `from` of the next) or not closed, or a block holds another
+    /// traversal at some position than the one the handles put there.
     BrokenWalk {
         /// Offending tour.
         tour: TourId,
         /// Boundary position at which continuity fails.
         pos: u64,
     },
-    /// A traversal starts at an even position.
-    MisalignedTraversal {
-        /// Offending tour.
-        tour: TourId,
-        /// The traversal's start position.
-        pos: u64,
-    },
     /// A vertex's recorded tour disagrees with where its edges are.
     WrongTourLabel {
         /// The mislabelled vertex.
         vertex: VertexId,
-    },
-    /// A record in a tour's edge shard carries another tour's id.
-    ShardMismatch {
-        /// The shard's tour id.
-        tour: TourId,
     },
 }
 
@@ -66,14 +56,8 @@ impl std::fmt::Display for TourViolation {
             TourViolation::BrokenWalk { tour, pos } => {
                 write!(f, "tour {tour}: walk discontinuity at position {pos}")
             }
-            TourViolation::MisalignedTraversal { tour, pos } => {
-                write!(f, "tour {tour}: traversal starts at even position {pos}")
-            }
             TourViolation::WrongTourLabel { vertex } => {
                 write!(f, "vertex {vertex} carries the wrong tour id")
-            }
-            TourViolation::ShardMismatch { tour } => {
-                write!(f, "tour {tour}: edge shard holds another tour's record")
             }
         }
     }
@@ -82,26 +66,18 @@ impl std::fmt::Display for TourViolation {
 impl std::error::Error for TourViolation {}
 
 /// Reconstructs the entry sequence of every tour from the per-edge
-/// positions and checks it is a valid closed Euler walk.
+/// positions, checks it is a valid closed Euler walk, and checks that
+/// the tour's blocks hold that walk.
 ///
 /// # Errors
 ///
 /// Returns the first violation found.
 pub fn validate(etf: &DistEtf) -> Result<(), TourViolation> {
     for t in etf.tours() {
-        // Reassemble this tour's entry sequence from its own shard.
+        // Reassemble this tour's entry sequence from its records.
         let mut entries: BTreeMap<u64, VertexId> = BTreeMap::new();
         for (e, rec) in etf.tour_edges(t) {
-            if rec.tour != t {
-                return Err(TourViolation::ShardMismatch { tour: t });
-            }
             for trav in [rec.first, rec.second] {
-                if trav.pos % 2 == 0 {
-                    return Err(TourViolation::MisalignedTraversal {
-                        tour: t,
-                        pos: trav.pos,
-                    });
-                }
                 let to = e.other(trav.from);
                 for (pos, vertex) in [(trav.pos, trav.from), (trav.pos + 1, to)] {
                     if entries.insert(pos, vertex).is_some() {
@@ -122,6 +98,13 @@ pub fn validate(etf: &DistEtf) -> Result<(), TourViolation> {
         let len = etf.tour_len(t);
         if let Some(pos) = (1..=len).find(|pos| !entries.contains_key(pos)) {
             return Err(TourViolation::PositionGap { tour: t, pos });
+        }
+        // The blocks hold, traversal by traversal, the walk the records
+        // describe.
+        for (pos, from, to) in etf.walk(t) {
+            if entries.get(&pos) != Some(&from) || entries.get(&(pos + 1)) != Some(&to) {
+                return Err(TourViolation::BrokenWalk { tour: t, pos });
+            }
         }
         // Walk continuity: entry 2i must equal entry 2i+1 (vertex at
         // the seam between consecutive traversals), and closed.
@@ -173,12 +156,7 @@ mod tests {
                 "two entries",
             ),
             (TourViolation::PositionGap { tour: 2, pos: 5 }, "no entry"),
-            (
-                TourViolation::MisalignedTraversal { tour: 2, pos: 4 },
-                "even position",
-            ),
             (TourViolation::WrongTourLabel { vertex: 7 }, "wrong tour"),
-            (TourViolation::ShardMismatch { tour: 2 }, "another tour"),
         ] {
             assert!(
                 format!("{v}").contains(needle),
@@ -209,25 +187,11 @@ mod tests {
             inject(&mut bad);
             validate(&bad)
         };
-        // Records in edge order: {0,1}, {1,2}, {2,3}.
-        let mislabelled = fault(&|etf| etf.tour_mut(t).edges[0].1.tour = t + 1);
-        assert_eq!(mislabelled, Err(TourViolation::ShardMismatch { tour: t }));
-        let clash = fault(&|etf| {
-            let edges = &mut etf.tour_mut(t).edges;
-            edges[1].1.first.pos = edges[0].1.first.pos;
-        });
-        assert!(
-            matches!(clash, Err(TourViolation::PositionClash { tour, .. }) if tour == t),
-            "{clash:?}"
-        );
-        let seam = fault(&|etf| {
-            let rec = &mut etf.tour_mut(t).edges[0].1;
-            rec.second.from = rec.first.from;
-        });
-        assert!(
-            matches!(seam, Err(TourViolation::BrokenWalk { tour, .. }) if tour == t),
-            "{seam:?}"
-        );
+        // The walk is 0→1, 1→2, 2→3, 3→2, 2→1, 1→0, in one block.
+        let clash = fault(&|etf| etf.aim_like((1, 2), (0, 1)));
+        assert_eq!(clash, Err(TourViolation::PositionClash { tour: t, pos: 1 }));
+        let swapped = fault(&|etf| etf.swap_traversals(t, 0, 1));
+        assert_eq!(swapped, Err(TourViolation::BrokenWalk { tour: t, pos: 1 }));
         let label = fault(&|etf| etf.set_vertex_tour(3, t + 1));
         assert_eq!(label, Err(TourViolation::WrongTourLabel { vertex: 3 }));
     }
